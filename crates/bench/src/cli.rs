@@ -1,7 +1,7 @@
 //! The `dude-bench` command-line interface.
 //!
-//! Subcommands: `list`, `run`, `diff`, `render`, `baseline`, `manifest`,
-//! `import-legacy`. Exit codes: `0` success, `1` gate regression or
+//! Subcommands: `list`, `run`, `diff`, `render`, `baseline`, `manifest`.
+//! Exit codes: `0` success, `1` gate regression or
 //! `--check` mismatch, `2` usage or typed setup error.
 
 use std::collections::BTreeMap;
@@ -29,7 +29,6 @@ USAGE:
   dude-bench render [--check] [--doc PATH] [--results DIR]
   dude-bench baseline [--from DIR] [--out PATH]
   dude-bench manifest [--check] [--results DIR] [--out PATH]
-  dude-bench import-legacy [--results DIR]
 
 Defaults: --out-dir/--results bench_results, --doc EXPERIMENTS.md,
 --tolerance 15%, --baseline-out bench_results/baseline.json, quick tier.
@@ -120,7 +119,6 @@ fn dispatch(mut args: Vec<String>) -> Result<i32, String> {
         "render" => cmd_render(args),
         "baseline" => cmd_baseline(args),
         "manifest" => cmd_manifest(args),
-        "import-legacy" => cmd_import(args),
         "--help" | "help" | "-h" => {
             println!("{USAGE}");
             Ok(0)
@@ -353,16 +351,6 @@ fn cmd_manifest(mut args: Args) -> Result<i32, String> {
         println!("manifest: written to {}", out.display());
         Ok(0)
     }
-}
-
-fn cmd_import(mut args: Args) -> Result<i32, String> {
-    let results = args
-        .opt("--results")?
-        .map_or_else(|| PathBuf::from("bench_results"), PathBuf::from);
-    args.positionals()?;
-    let records = crate::import::import_legacy(&results)?;
-    println!("import-legacy: {} spec record(s) written", records.len());
-    Ok(0)
 }
 
 #[cfg(test)]

@@ -15,12 +15,6 @@
 //! | `render` | [`render`] | regenerate the `<!-- bench:... -->` blocks of `EXPERIMENTS.md` from records (`--check` for CI) |
 //! | `baseline` | [`diff`] | bundle a run's records into `bench_results/baseline.json` |
 //! | `manifest` | [`manifest`] | regenerate `bench_results/MANIFEST.md` mapping specs to artifacts |
-//! | `import-legacy` | [`import`] | one-shot migration of pre-registry CSV artifacts to canonical names + records |
-//!
-//! The pre-registry per-experiment binaries (`fig2_throughput`,
-//! `table1_writes`, …, `ablation_pipeline`, `endurance_wear`) remain in
-//! `src/bin/` as thin shims over [`runner::legacy_main`] and keep their
-//! old flags (`--quick`, `--section`, `--trace-out`).
 //!
 //! Records are hand-rolled JSON ([`json`]) — no serde, byte-stable
 //! pretty-printing so deterministic runs diff clean. Scale-downs relative
@@ -32,7 +26,6 @@
 pub mod cli;
 pub mod diff;
 pub mod env;
-pub mod import;
 pub mod json;
 pub mod manifest;
 pub mod metrics_out;
@@ -50,38 +43,3 @@ pub use report::Table;
 pub use spec::{Spec, SpecCtx, SpecOutput, Tier};
 pub use systems::{run_combo, run_combo_median, SystemKind};
 pub use workloads::WorkloadKind;
-
-/// Returns `true` if `--quick` was passed on the command line.
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Returns the section number given with `--section <n>`, if any.
-/// Multi-section binaries (the ablations) run only that section when set —
-/// CI uses it to smoke-test a new section without paying for the rest.
-pub fn section_flag() -> Option<u32> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--section" {
-            return Some(
-                args.next()
-                    .and_then(|n| n.parse().ok())
-                    .expect("--section takes a number"),
-            );
-        }
-    }
-    None
-}
-
-/// Returns the path given with `--trace-out <path>`, if any. Binaries that
-/// support it enable the observability layer and write the final traced
-/// run's chrome://tracing-compatible JSON there.
-pub fn trace_out_flag() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next();
-        }
-    }
-    None
-}

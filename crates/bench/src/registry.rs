@@ -1,15 +1,15 @@
 //! The experiment registry: every table, figure and ablation of the
 //! evaluation as a named, declarative [`Spec`].
 //!
-//! Each runner ports the corresponding legacy `src/bin/` experiment into a
-//! `fn(&SpecCtx) -> SpecOutput` so one driver (`dude-bench run`) owns the
+//! Each runner is a `fn(&SpecCtx) -> SpecOutput` so one driver
+//! (`dude-bench run`) owns the
 //! whole measurement loop: tier selection, seeds, repeat policy, CSV/JSON
 //! artifact naming and the report renderer all flow from this table.
 //!
 //! Conventions shared by every runner:
 //!
-//! * quick tier reproduces the legacy binaries' `--quick` sweeps exactly;
-//!   full tier reproduces the recorded configuration in `EXPERIMENTS.md`;
+//! * quick tier is the seconds-long CI sweep; full tier reproduces the
+//!   recorded configuration in `EXPERIMENTS.md`;
 //! * wall-clock-derived cells go through [`SpecCtx::tps`] /
 //!   [`SpecCtx::walltime_cell`] so `--deterministic` runs render
 //!   byte-identical tables;
@@ -36,7 +36,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "DudeTM vs DudeTM-Sync vs Mnemosyne vs NVML, six benchmarks",
         )],
-        legacy_bin: "table2_systems",
         runner: run_table2,
     },
     Spec {
@@ -47,7 +46,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "NVM write statistics per benchmark vs the paper's writes/tx",
         )],
-        legacy_bin: "table1_writes",
         runner: run_table1,
     },
     Spec {
@@ -58,7 +56,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "durable-ack latency percentiles across four systems",
         )],
-        legacy_bin: "table3_latency",
         runner: run_table3,
     },
     Spec {
@@ -74,7 +71,6 @@ pub static SPECS: &[Spec] = &[
             ("tatp_hash", "TATP (hash) throughput vs bandwidth"),
             ("aux_sync_latency", "DudeTM-Sync at 3500-cycle PCM latency"),
         ],
-        legacy_bin: "fig2_throughput",
         runner: run_fig2,
     },
     Spec {
@@ -85,7 +81,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "combination/compression savings and throughput impact",
         )],
-        legacy_bin: "fig3_logopt",
         runner: run_fig3,
     },
     Spec {
@@ -96,7 +91,6 @@ pub static SPECS: &[Spec] = &[
             ("zipf_0_99", "software vs hardware paging, zipf 0.99"),
             ("zipf_1_07", "software vs hardware paging, zipf 1.07"),
         ],
-        legacy_bin: "fig4_swap",
         runner: run_fig4,
     },
     Spec {
@@ -107,7 +101,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "thread scaling vs Volatile-STM plus the partitioned variant",
         )],
-        legacy_bin: "fig5_scalability",
         runner: run_fig5,
     },
     Spec {
@@ -115,7 +108,6 @@ pub static SPECS: &[Spec] = &[
         title: "Table 4 — STM vs HTM engines (1 GB/s, 1000 cycles, 4 threads)",
         paper_ref: "Table 4",
         tables: &[("main", "volatile/durable slowdowns on both TM engines")],
-        legacy_bin: "table4_htm",
         runner: run_table4,
     },
     Spec {
@@ -123,7 +115,6 @@ pub static SPECS: &[Spec] = &[
         title: "Ablation — volatile log buffer size (TPC-C hash, DudeTM)",
         paper_ref: "extension (Finding 2 sensitivity)",
         tables: &[("main", "throughput vs volatile-log bound")],
-        legacy_bin: "ablation_pipeline",
         runner: run_ablation_vlog,
     },
     Spec {
@@ -134,7 +125,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "throughput and latency percentiles vs persist threads",
         )],
-        legacy_bin: "ablation_pipeline",
         runner: run_ablation_persist_threads,
     },
     Spec {
@@ -145,7 +135,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "throughput and latency percentiles vs checkpoint cadence",
         )],
-        legacy_bin: "ablation_pipeline",
         runner: run_ablation_checkpoint_cadence,
     },
     Spec {
@@ -153,7 +142,6 @@ pub static SPECS: &[Spec] = &[
         title: "Ablation — reproduce shard workers (write-heavy drain, DudeTM-Inf)",
         paper_ref: "extension (sharded Reproduce)",
         tables: &[("main", "backlog drain rate vs shard workers")],
-        legacy_bin: "ablation_pipeline",
         runner: run_ablation_reproduce_shards,
     },
     Spec {
@@ -165,7 +153,6 @@ pub static SPECS: &[Spec] = &[
             "main",
             "drain rate and barrier percentiles vs flush workers",
         )],
-        legacy_bin: "ablation_pipeline",
         runner: run_ablation_flush_workers,
     },
     Spec {
@@ -173,7 +160,6 @@ pub static SPECS: &[Spec] = &[
         title: "Endurance — line wear vs log combination (YCSB, zipf 0.99)",
         paper_ref: "extension (§3.3 endurance motivation)",
         tables: &[("main", "hottest-line wear with combination off and on")],
-        legacy_bin: "endurance_wear",
         runner: run_endurance,
     },
 ];
@@ -188,19 +174,6 @@ pub fn find(name: &str) -> Option<&'static Spec> {
 #[must_use]
 pub fn names() -> Vec<&'static str> {
     SPECS.iter().map(|s| s.name).collect()
-}
-
-/// Maps a legacy `ablation_pipeline --section <n>` number to its spec.
-#[must_use]
-pub fn ablation_section(n: u32) -> Option<&'static Spec> {
-    match n {
-        1 => find("ablation_vlog"),
-        2 => find("ablation_persist_threads"),
-        3 => find("ablation_checkpoint_cadence"),
-        4 => find("ablation_reproduce_shards"),
-        5 => find("ablation_flush_workers"),
-        _ => None,
-    }
 }
 
 /// File-name slug for a workload (used in per-workload table slugs and
@@ -848,7 +821,6 @@ fn ablation_base_config(env: &BenchEnv, trace: TraceConfig) -> DudeTmConfig {
         plog_bytes_per_thread: env.plog_bytes,
         max_threads: env.threads + 4,
         durability: env.durability,
-        persist_threads: 1,
         persist_group: 1,
         persist_flush_workers: 1,
         compress_groups: false,
@@ -876,10 +848,7 @@ fn run_ablation_persist_threads(ctx: &SpecCtx) -> SpecOutput {
     } else {
         &[1usize, 2, 4][..]
     } {
-        let config = DudeTmConfig {
-            persist_threads: threads,
-            ..ablation_base_config(&env, trace_cfg)
-        };
+        let config = ablation_base_config(&env, trace_cfg).with_flush_workers(threads);
         let (tps, sys) = ablation_cell(&env, config, WorkloadKind::TpccHash);
         // The lag surface: after quiesce the three watermarks coincide and
         // the snapshot shows what the run put through each stage.
@@ -1252,8 +1221,6 @@ mod tests {
         }
         assert!(find("table2").is_some());
         assert!(find("nope").is_none());
-        assert_eq!(ablation_section(5).unwrap().name, "ablation_flush_workers");
-        assert!(ablation_section(6).is_none());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use std::path::{Path, PathBuf};
 
 use crate::record::{EnvMeta, Record};
-use crate::registry::ablation_section;
 use crate::spec::{Spec, SpecCtx};
 
 /// Where a run writes its artifacts.
@@ -58,45 +57,6 @@ pub fn write_record(record: &Record, dir: &Path) {
     match std::fs::write(&path, record.to_json().pretty()) {
         Ok(()) => println!("[json] {}", path.display()),
         Err(e) => eprintln!("[json] failed to write {}: {e}", path.display()),
-    }
-}
-
-/// Entry point shared by the legacy per-experiment binaries, which are now
-/// thin shims over the registry. `bin` is the legacy binary name; flags
-/// (`--quick`, `--section`, `--trace-out`) keep their old meaning, and
-/// artifacts land in `bench_results/` exactly as before.
-pub fn legacy_main(bin: &str) {
-    let ctx = SpecCtx {
-        tier: crate::spec::TierField(if crate::quick_flag() {
-            crate::spec::Tier::Quick
-        } else {
-            crate::spec::Tier::Full
-        }),
-        trace_out: crate::trace_out_flag(),
-        ..SpecCtx::quick()
-    };
-    let opts = RunOptions::default();
-    let specs: Vec<&'static Spec> = if bin == "ablation_pipeline" {
-        match crate::section_flag() {
-            Some(n) => match ablation_section(n) {
-                Some(s) => vec![s],
-                None => {
-                    eprintln!("{bin}: unknown --section {n} (expected 1-5)");
-                    std::process::exit(2);
-                }
-            },
-            None => (1..=5).map(|n| ablation_section(n).unwrap()).collect(),
-        }
-    } else {
-        let matching: Vec<&'static Spec> = crate::registry::SPECS
-            .iter()
-            .filter(|s| s.legacy_bin == bin)
-            .collect();
-        assert!(!matching.is_empty(), "no spec registered for bin {bin}");
-        matching
-    };
-    for spec in specs {
-        run_spec(spec, &ctx, &opts);
     }
 }
 

@@ -336,8 +336,6 @@ pub struct Spec {
     /// Declared table slugs with one-line descriptions (drives
     /// `MANIFEST.md`; runners must emit exactly these slugs).
     pub tables: &'static [(&'static str, &'static str)],
-    /// The legacy single-experiment binary that fronts this spec.
-    pub legacy_bin: &'static str,
     /// Executes the spec.
     pub runner: fn(&SpecCtx) -> SpecOutput,
 }

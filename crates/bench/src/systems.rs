@@ -100,7 +100,6 @@ pub fn dude_config(env: &BenchEnv, durability: DurabilityMode) -> DudeTmConfig {
         plog_bytes_per_thread: env.plog_bytes,
         max_threads: env.threads + 4,
         durability,
-        persist_threads: 1,
         persist_group: env.persist_group,
         persist_flush_workers: 1,
         compress_groups: env.compress,

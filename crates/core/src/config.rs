@@ -47,8 +47,6 @@ pub enum ConfigError {
         /// The rejected value.
         max_threads: usize,
     },
-    /// `persist_threads` is zero.
-    NoPersistThreads,
     /// `persist_group` is zero.
     NoPersistGroup,
     /// `checkpoint_every` is zero.
@@ -64,19 +62,13 @@ pub enum ConfigError {
     GroupingWithSync,
     /// `persist_flush_workers` is zero.
     NoFlushWorkers,
-    /// `persist_flush_workers` exceeds `max_threads` (each flush worker
-    /// owns one of the `max_threads` preallocated log rings).
+    /// `persist_flush_workers` exceeds `max_threads` (there are only
+    /// `max_threads` per-thread channels and log rings to hand out).
     FlushWorkersExceedMaxThreads {
         /// The rejected `persist_flush_workers` value.
         persist_flush_workers: usize,
         /// The ring-count limit it exceeded.
         max_threads: usize,
-    },
-    /// `persist_flush_workers > 1` with `persist_group == 1` — a silent
-    /// no-op, since parallel flushing applies to the grouped path only.
-    FlushWorkersWithoutGrouping {
-        /// The rejected `persist_flush_workers` value.
-        persist_flush_workers: usize,
     },
     /// [`DurabilityMode::Async`] with a zero-capacity buffer.
     EmptyAsyncBuffer,
@@ -98,7 +90,6 @@ impl core::fmt::Display for ConfigError {
             ConfigError::MaxThreads { max_threads } => {
                 write!(f, "max_threads must be in 1..=256, got {max_threads}")
             }
-            ConfigError::NoPersistThreads => f.write_str("persist_threads must be at least 1"),
             ConfigError::NoPersistGroup => f.write_str("persist_group must be at least 1"),
             ConfigError::NoCheckpointCadence => f.write_str("checkpoint_every must be at least 1"),
             ConfigError::ReproduceThreads { reproduce_threads } => write!(
@@ -120,18 +111,9 @@ impl core::fmt::Display for ConfigError {
                 max_threads,
             } => write!(
                 f,
-                "persist_flush_workers must not exceed max_threads: each flush \
-                 worker owns one of the {max_threads} preallocated log rings, \
-                 got {persist_flush_workers}"
-            ),
-            ConfigError::FlushWorkersWithoutGrouping {
-                persist_flush_workers,
-            } => write!(
-                f,
-                "persist_flush_workers ({persist_flush_workers}) has no effect \
-                 without log combination: parallel flush workers split the \
-                 grouped Persist stage (§3.3), so persist_group must be > 1 \
-                 when persist_flush_workers is (got persist_group = 1)"
+                "persist_flush_workers must not exceed max_threads: there are \
+                 only {max_threads} per-thread channels and log rings to hand \
+                 out, got {persist_flush_workers}"
             ),
             ConfigError::EmptyAsyncBuffer => {
                 f.write_str("DurabilityMode::Async requires buffer_txns >= 1")
@@ -153,23 +135,19 @@ pub struct DudeTmConfig {
     pub max_threads: usize,
     /// Durability variant.
     pub durability: DurabilityMode,
-    /// Number of dedicated Persist threads (asynchronous modes, ungrouped
-    /// path only). The paper finds one is typically enough (§3.3). With
-    /// `persist_group > 1` the grouped path runs instead — one sequencer
-    /// plus [`DudeTmConfig::persist_flush_workers`] flush workers — and
-    /// this knob is not used.
-    pub persist_threads: usize,
     /// Cross-transaction log combination: group this many *consecutive*
     /// transactions and coalesce writes to the same address before flushing
     /// (§3.3). `1` disables grouping.
     pub persist_group: usize,
-    /// Number of parallel flush workers in the grouped Persist stage
-    /// (`persist_group > 1`). The sequencer assembles groups of consecutive
-    /// transactions and fans them out round-robin; workers serialize,
-    /// optionally compress, write, and fence out of order, while durability
-    /// is *published* strictly in order. Each worker owns one of the
-    /// `max_threads` preallocated log rings, so the value is capped by
-    /// `max_threads`. `1` reproduces the serial grouped worker.
+    /// Number of Persist workers (asynchronous modes; the paper finds one
+    /// is typically enough, §3.3). Workers serialize, optionally compress,
+    /// write, fence, and publish durability out of commit order. Ungrouped,
+    /// the `max_threads` per-thread channels are partitioned across them;
+    /// with `persist_group > 1` a sequencer deals sealed groups to them
+    /// round-robin and worker `w` owns log ring `w`. Either way the value
+    /// is capped by `max_threads`. Ignored under [`DurabilityMode::Sync`]:
+    /// there the committing thread persists its own record and no worker
+    /// is spawned.
     pub persist_flush_workers: usize,
     /// Compress grouped logs with the LZ77 codec before flushing (§3.3).
     /// Only applies when `persist_group > 1`.
@@ -206,7 +184,6 @@ impl DudeTmConfig {
             plog_bytes_per_thread: 1 << 20,
             max_threads: 8,
             durability: DurabilityMode::Async { buffer_txns: 1024 },
-            persist_threads: 1,
             persist_group: 1,
             persist_flush_workers: 1,
             compress_groups: false,
@@ -255,8 +232,7 @@ impl DudeTmConfig {
         self
     }
 
-    /// Sets the number of parallel flush workers for the grouped Persist
-    /// stage (requires `persist_group > 1` when above 1).
+    /// Sets the number of Persist workers.
     #[must_use]
     pub fn with_flush_workers(mut self, workers: usize) -> Self {
         self.persist_flush_workers = workers;
@@ -294,9 +270,6 @@ impl DudeTmConfig {
                 max_threads: self.max_threads,
             });
         }
-        if self.persist_threads == 0 {
-            return Err(ConfigError::NoPersistThreads);
-        }
         if self.persist_group == 0 {
             return Err(ConfigError::NoPersistGroup);
         }
@@ -308,12 +281,10 @@ impl DudeTmConfig {
                 reproduce_threads: self.reproduce_threads,
             });
         }
-        // Compression only ever runs on *combined groups* (§3.3): the
-        // grouped persist path serializes a whole group and then compresses
-        // it. With persist_group == 1 the grouped path is never taken, so
-        // compress_groups would be silently ignored — reject the no-op
-        // combination instead of letting a benchmark believe it measured
-        // compression.
+        // Compression only ever runs on *combined groups* (§3.3). With
+        // persist_group == 1 no unit is a group, so compress_groups would
+        // be silently ignored — reject the no-op combination instead of
+        // letting a benchmark believe it measured compression.
         if self.compress_groups && self.persist_group == 1 {
             return Err(ConfigError::CompressionWithoutGrouping);
         }
@@ -323,22 +294,14 @@ impl DudeTmConfig {
         if self.persist_flush_workers == 0 {
             return Err(ConfigError::NoFlushWorkers);
         }
-        // Each flush worker appends to its own preallocated log ring (so
-        // per-ring span release stays in append order); there are exactly
-        // `max_threads` rings.
+        // Ungrouped, a worker beyond the `max_threads` per-thread channels
+        // would have no input; grouped, each worker appends to its own
+        // preallocated log ring (so per-ring span release stays in append
+        // order), and there are exactly `max_threads` rings.
         if self.persist_flush_workers > self.max_threads {
             return Err(ConfigError::FlushWorkersExceedMaxThreads {
                 persist_flush_workers: self.persist_flush_workers,
                 max_threads: self.max_threads,
-            });
-        }
-        // Parallel flushing is a property of the grouped path (the
-        // sequencer/worker split); with persist_group == 1 the ungrouped
-        // path runs and the knob would be silently ignored — reject the
-        // no-op combination, mirroring compress_groups above.
-        if self.persist_flush_workers > 1 && self.persist_group == 1 {
-            return Err(ConfigError::FlushWorkersWithoutGrouping {
-                persist_flush_workers: self.persist_flush_workers,
             });
         }
         if matches!(self.durability, DurabilityMode::Async { buffer_txns: 0 }) {
@@ -390,16 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn grouping_with_multiple_persist_threads_is_allowed() {
-        // The grouped path ignores persist_threads (the sequencer/flush-
-        // worker split owns its parallelism); the combination is no longer
-        // a hard error.
-        let mut c = DudeTmConfig::small(1 << 20).with_grouping(8, false);
-        c.persist_threads = 2;
-        c.validate();
-    }
-
-    #[test]
     fn flush_workers_builder_composes() {
         let c = DudeTmConfig::small(1 << 20)
             .with_grouping(8, true)
@@ -423,16 +376,6 @@ mod tests {
         c.max_threads = 2;
         c.persist_flush_workers = 3;
         c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "has no effect without log combination")]
-    fn flush_workers_without_grouping_rejected() {
-        // persist_group stays 1: the ungrouped path would silently ignore
-        // the knob.
-        DudeTmConfig::small(1 << 20)
-            .with_flush_workers(2)
-            .validate();
     }
 
     #[test]
@@ -528,14 +471,6 @@ mod tests {
             Err(ConfigError::FlushWorkersExceedMaxThreads {
                 persist_flush_workers: 5,
                 max_threads: 4,
-            })
-        );
-
-        let c = DudeTmConfig::small(1 << 20).with_flush_workers(2);
-        assert_eq!(
-            c.try_validate(),
-            Err(ConfigError::FlushWorkersWithoutGrouping {
-                persist_flush_workers: 2,
             })
         );
 

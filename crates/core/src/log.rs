@@ -293,7 +293,7 @@ pub fn combine(records: &[LogRecord]) -> Vec<(u64, u64)> {
 /// [`combine`] followed by an address sort — the grouped Persist path's
 /// canonical preprocessing. The sort gives replay sequential locality,
 /// lets the compressor see runs of shared high address bytes, and makes
-/// the serialized group *deterministic*: every flush worker produces the
+/// the serialized group *deterministic*: every Persist worker produces the
 /// same bytes for the same group regardless of [`combine`]'s hash order.
 pub fn combine_sorted(records: &[LogRecord]) -> Vec<(u64, u64)> {
     let mut combined = combine(records);
@@ -443,7 +443,7 @@ mod tests {
         ];
         let combined = combine_sorted(&records);
         assert_eq!(combined, vec![(8, 1), (32, 2), (64, 1)]);
-        // Same input, same output — the property parallel flush workers
+        // Same input, same output — the property parallel Persist workers
         // rely on for byte-identical group serialization.
         assert_eq!(combined, combine_sorted(&records));
     }

@@ -1,37 +1,37 @@
-//! The Persist and Reproduce background stages (§3.3, §3.4).
+//! The Persist and Reproduce background stages (§3.3, §3.4) — one
+//! topology whose degenerate settings are the simple case:
+//!
+//! ```text
+//! Perform → [sequencer iff persist_group > 1] → worker × N → Reproduce [→ shard × M]
+//! ```
 //!
 //! *Persist* drains per-thread volatile redo logs, writes them to the
-//! persistent log rings (one barrier per record or group), and marks
-//! transaction IDs in the durable-ID tracker. Logs may be flushed **out of
-//! commit order** — only Reproduce needs the global order (§3.3).
+//! persistent log rings, and marks transaction IDs in the durable-ID
+//! tracker. Work reaches the `persist_flush_workers` workers as [`Sealed`]
+//! units. With `persist_group = 1` every record is its own unit and the
+//! per-thread channels are partitioned across the workers. With
+//! `persist_group > 1` a *sequencer* sits in front: it merges all threads'
+//! records into dense global ID order and seals groups of consecutive
+//! transactions — the precondition that keeps *cross-transaction log
+//! combination* (and compression) safe (§3.3, Figure 3) — and deals them
+//! round-robin, so worker `w` has exactly one input and appends to ring
+//! `w`. Either way the same [`persist_worker`] stages units, fences once
+//! per sweep, and publishes — **out of commit order** across workers
+//! (§3.3). Nothing downstream needs publication order: the durable-ID
+//! tracker only ever exposes the contiguous marked prefix, Reproduce
+//! replays (and recycles spans) strictly in dense ID order whatever order
+//! batches arrive in, and each ring's append order equals ID order.
 //!
-//! *Reproduce* receives each persisted record's *volatile copy* through a
+//! *Reproduce* receives each persisted unit's *volatile copy* through a
 //! channel (the paper's "keep the redo log in the volatile region"
 //! optimization — without a crash, nothing is ever read back from NVM),
 //! reorders it into dense transaction-ID order, applies the writes to the
 //! persistent heap, periodically checkpoints the reproduced ID, and only
-//! then recycles log space.
-//!
-//! With `reproduce_threads > 1`, Reproduce splits into a *router* and `N`
-//! *shard workers*: the router performs the dense reorder, partitions each
-//! batch's writes by heap shard ([`crate::frontier`]), and fans them out;
-//! each worker applies its shard's writes, fences, and publishes its
-//! completed TID. The checkpoint — and therefore log recycling — keys off
-//! the minimum completed TID across shards, never a single worker's
-//! progress.
-//!
-//! With `persist_group > 1`, the Persist stage splits into a *sequencer*
-//! and `persist_flush_workers` *flush workers*. The sequencer merges all
-//! threads' records into dense global ID order and seals groups of
-//! consecutive transactions — the precondition that keeps
-//! *cross-transaction log combination* (and compression) safe (§3.3,
-//! Figure 3). Sealed groups fan out round-robin to the flush workers,
-//! which combine, serialize, optionally compress, write to their own log
-//! ring, and fence **in parallel and out of order**. Durability is then
-//! *published* strictly in order by [`GroupPublisher`]: the durable-ID
-//! watermark advances and `Batch`es reach Reproduce only once a contiguous
-//! prefix of groups is durable, so recovery's contiguous-run invariant and
-//! `wait_durable` semantics are identical to the serial grouped worker's.
+//! then recycles log space. With `reproduce_threads > 1` the applying is
+//! fanned out to `M` *shard workers* by heap shard ([`crate::frontier`]);
+//! each applies its shard's writes, fences, and publishes its completed
+//! TID. The checkpoint — and therefore log recycling — always keys off the
+//! minimum completed TID across shards; one shard is the degenerate case.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -44,7 +44,6 @@ use crate::frontier::split_writes;
 use crate::log::{combine_sorted, serialize_abort, serialize_commit, serialize_group, LogRecord};
 use crate::plog::PlogSpan;
 use crate::runtime::Shared;
-use crate::seqtrack::OrderedCompletions;
 use crate::trace::{Stage, TraceEventKind};
 
 /// A persisted unit handed from Persist to Reproduce.
@@ -76,21 +75,91 @@ impl Ord for Batch {
     }
 }
 
-/// Writes one record to `ring_idx` without fencing; returns the batch to
-/// forward once the covering fence has been issued, or gives the record
-/// back when the ring has no space (the caller parks it and keeps serving
-/// the other rings — blocking here would deadlock the pipeline).
-fn try_stage_record(
+/// One sealed group of consecutive-TID records, handed from the sequencer
+/// to a Persist worker.
+#[derive(Debug)]
+pub(crate) struct GroupWork(pub Vec<LogRecord>);
+
+/// Which on-NVM record a [`Sealed`] unit becomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SealedKind {
+    Commit,
+    Abort,
+    /// A combined group; `entries_before` is its members' total write
+    /// count, for the Figure 3 combination accounting.
+    Group {
+        entries_before: usize,
+    },
+}
+
+/// One unit of Persist work: the TIDs it covers and the writes to log and
+/// replay for them.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Sealed {
+    first_tid: u64,
+    last_tid: u64,
+    writes: Vec<(u64, u64)>,
+    kind: SealedKind,
+}
+
+impl From<LogRecord> for Sealed {
+    fn from(rec: LogRecord) -> Self {
+        let (tid, writes, kind) = match rec {
+            LogRecord::Commit { tid, writes } => (tid, writes, SealedKind::Commit),
+            LogRecord::Abort { tid } => (tid, Vec::new(), SealedKind::Abort),
+        };
+        Sealed {
+            first_tid: tid,
+            last_tid: tid,
+            writes,
+            kind,
+        }
+    }
+}
+
+impl From<GroupWork> for Sealed {
+    /// Combines the group (once, on the worker that will flush it).
+    fn from(GroupWork(records): GroupWork) -> Self {
+        Sealed {
+            first_tid: records.first().expect("non-empty group").tid(),
+            last_tid: records.last().expect("non-empty group").tid(),
+            kind: SealedKind::Group {
+                entries_before: records.iter().map(|r| r.writes().len()).sum(),
+            },
+            writes: combine_sorted(&records),
+        }
+    }
+}
+
+/// Serializes `unit` and writes it to `ring_idx` without fencing; returns
+/// the batch to [`publish`] once the covering fence has been issued, or
+/// gives the unit back when the ring has no space (a worker parks it and
+/// keeps serving its other rings — blocking there would deadlock the
+/// pipeline).
+pub(crate) fn try_stage(
     shared: &Shared,
     ring_idx: usize,
-    rec: LogRecord,
+    unit: Sealed,
     buf: &mut Vec<u64>,
-) -> Result<Batch, LogRecord> {
-    let tid = rec.tid();
-    match &rec {
-        LogRecord::Commit { writes, .. } => serialize_commit(tid, writes, buf),
-        LogRecord::Abort { .. } => serialize_abort(tid, buf),
-    }
+) -> Result<Batch, Sealed> {
+    // (raw, stored) payload bytes — the Figure 3 accounting, groups only.
+    let (raw, stored) = match unit.kind {
+        SealedKind::Commit => {
+            serialize_commit(unit.first_tid, &unit.writes, buf);
+            (0, 0)
+        }
+        SealedKind::Abort => {
+            serialize_abort(unit.first_tid, buf);
+            (0, 0)
+        }
+        SealedKind::Group { .. } => serialize_group(
+            unit.first_tid,
+            unit.last_tid,
+            &unit.writes,
+            shared.config.compress_groups,
+            buf,
+        ),
+    };
     let Some(span) = shared.rings[ring_idx].try_append_unfenced(buf) else {
         // Persist is blocked on log space Reproduce has not recycled yet —
         // the stall the bounded NVM log ring exists to make visible.
@@ -101,81 +170,104 @@ fn try_stage_record(
                 .persist_ring_full
                 .fetch_add(1, Ordering::Relaxed);
         }
-        return Err(rec);
+        return Err(unit);
     };
-    let writes = match rec {
-        LogRecord::Commit { writes, .. } => writes,
-        LogRecord::Abort { .. } => Vec::new(),
+    let stats = &shared.stats;
+    let add = |cell: &crate::metrics::Counter, n: usize| {
+        cell.fetch_add(n as u64, Ordering::Relaxed);
     };
-    shared
-        .stats
-        .records_persisted
-        .fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .entries_logged
-        .fetch_add(writes.len() as u64, Ordering::Relaxed);
-    shared
-        .stats
+    match unit.kind {
+        SealedKind::Group { entries_before } => {
+            add(&stats.entries_logged, entries_before);
+            add(&stats.entries_before_combine, entries_before);
+            add(&stats.entries_after_combine, unit.writes.len());
+            add(&stats.group_bytes_raw, raw);
+            add(&stats.group_bytes_stored, stored);
+            add(&stats.groups_persisted, 1);
+            if shared.trace.enabled() {
+                shared.trace.group_flush_bytes.record(stored as u64);
+                shared.trace.event(
+                    Stage::Persist,
+                    TraceEventKind::GroupFlush,
+                    unit.last_tid,
+                    stored as u64,
+                    0,
+                );
+            }
+        }
+        SealedKind::Commit | SealedKind::Abort => {
+            add(&stats.records_persisted, 1);
+            add(&stats.entries_logged, unit.writes.len());
+        }
+    }
+    stats
         .log_bytes_flushed
         .fetch_add(span.words * 8, Ordering::Relaxed);
     Ok(Batch {
-        first_tid: tid,
-        last_tid: tid,
-        writes,
+        first_tid: unit.first_tid,
+        last_tid: unit.last_tid,
+        writes: unit.writes,
         spans: vec![(ring_idx, span)],
     })
 }
 
-/// The default Persist worker: drains a set of per-thread channels in any
-/// order and persists each record individually.
-pub(crate) fn persist_worker(
+/// Announces a staged batch whose covering fence has returned: marks its
+/// TIDs durable and hands it to Reproduce.
+pub(crate) fn publish(shared: &Shared, out: &Sender<Batch>, batch: Batch) {
+    shared.tracker.mark_range(batch.first_tid, batch.last_tid);
+    // Reproduce may have exited during shutdown teardown; the batch is
+    // persisted regardless.
+    let _ = out.send(batch);
+}
+
+/// A Persist worker: drains its inputs in any order, stages each unit into
+/// the input's ring, and covers every sweep with one fence.
+///
+/// The ungrouped pipeline partitions the per-thread record channels across
+/// workers; the grouped pipeline gives worker `w` one input, the
+/// sequencer's channel `w`, staged into ring `w`. A full ring parks the
+/// unit with a bounded sleep per probe — counted as a `persist_ring_full`
+/// stall — never a busy-spin: the space it waits for appears as soon as
+/// Reproduce's idle-tick checkpoint recycles the spans ahead of it, all of
+/// which were fenced and published by the sweep that staged them.
+pub(crate) fn persist_worker<U: Into<Sealed>>(
     shared: Arc<Shared>,
-    inputs: Vec<(usize, Receiver<LogRecord>)>,
+    worker: usize,
+    inputs: Vec<(usize, Receiver<U>)>,
     out: Sender<Batch>,
 ) {
     dude_nvm::set_background_stage(true);
     let mut buf = Vec::new();
     let mut done = vec![false; inputs.len()];
-    // Records whose ring was full — retried next sweep while the other
+    // Units whose ring was full — retried next sweep while the other
     // channels keep flowing (never block on one ring: deadlock).
-    let mut parked: Vec<Option<LogRecord>> = (0..inputs.len()).map(|_| None).collect();
+    let mut parked: Vec<Option<Sealed>> = (0..inputs.len()).map(|_| None).collect();
     let mut staged: Vec<Batch> = Vec::new();
     loop {
         let mut progress = false;
         for (i, (ring_idx, rx)) in inputs.iter().enumerate() {
-            if let Some(rec) = parked[i].take() {
-                match try_stage_record(&shared, *ring_idx, rec, &mut buf) {
+            // Bounded drain per sweep so one busy thread cannot starve the
+            // rest; a parked unit goes first, keeping the ring's order.
+            for _ in 0..64 {
+                let unit = match parked[i].take() {
+                    Some(unit) => unit,
+                    None if done[i] => break,
+                    None => match rx.try_recv() {
+                        Ok(unit) => unit.into(),
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            done[i] = true;
+                            break;
+                        }
+                    },
+                };
+                match try_stage(&shared, *ring_idx, unit, &mut buf) {
                     Ok(batch) => {
                         progress = true;
                         staged.push(batch);
                     }
-                    Err(rec) => {
-                        parked[i] = Some(rec);
-                        continue; // ring still full: keep order, skip channel
-                    }
-                }
-            }
-            if done[i] {
-                continue;
-            }
-            // Bounded drain per sweep so one busy thread cannot starve the
-            // rest.
-            for _ in 0..64 {
-                match rx.try_recv() {
-                    Ok(rec) => match try_stage_record(&shared, *ring_idx, rec, &mut buf) {
-                        Ok(batch) => {
-                            progress = true;
-                            staged.push(batch);
-                        }
-                        Err(rec) => {
-                            parked[i] = Some(rec);
-                            break;
-                        }
-                    },
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        done[i] = true;
+                    Err(unit) => {
+                        parked[i] = Some(unit); // ring full: retry next sweep
                         break;
                     }
                 }
@@ -183,17 +275,29 @@ pub(crate) fn persist_worker(
         }
         if !staged.is_empty() {
             // One ordering barrier covers the whole sweep (batched persist,
-            // §3.3); its modeled cost covers all flushed bytes.
-            if shared.trace.enabled() {
+            // §3.3); its modeled cost covers all flushed bytes. The sabotage
+            // gate exists only in sim builds: dropping this fence is the
+            // injected ordering bug the schedule fuzzer must catch (a
+            // planned crash then loses units whose durability was already
+            // announced).
+            #[cfg(feature = "sim")]
+            let fence_skipped = crate::sabotage::skip_group_fence();
+            #[cfg(not(feature = "sim"))]
+            let fence_skipped = false;
+            let tracing = shared.trace.enabled();
+            let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
+            if !fence_skipped {
+                shared.nvm.fence();
+            }
+            if tracing {
+                let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
+                shared.trace.persist_barrier_ns.record(dur);
+                shared.trace.flush_worker_ns[worker].record(dur);
                 let bytes: u64 = staged
                     .iter()
                     .flat_map(|b| b.spans.iter())
                     .map(|&(_, span)| span.words * 8)
                     .sum();
-                let t0 = dude_nvm::monotonic_ns();
-                shared.nvm.fence();
-                let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
-                shared.trace.persist_barrier_ns.record(dur);
                 let last_tid = staged.iter().map(|b| b.last_tid).max().unwrap_or(0);
                 shared.trace.event(
                     Stage::Persist,
@@ -202,14 +306,9 @@ pub(crate) fn persist_worker(
                     bytes,
                     dur,
                 );
-            } else {
-                shared.nvm.fence();
             }
             for batch in staged.drain(..) {
-                shared.tracker.mark(batch.first_tid);
-                // Reproduce may have exited during shutdown teardown; the
-                // records are persisted regardless.
-                let _ = out.send(batch);
+                publish(&shared, &out, batch);
             }
         }
         if done.iter().all(|&d| d) && parked.iter().all(|p| p.is_none()) {
@@ -221,79 +320,21 @@ pub(crate) fn persist_worker(
     }
 }
 
-/// One sealed group of consecutive-TID records, handed from the sequencer
-/// to a flush worker. `seq` is the dense group sequence number (`0, 1, 2,
-/// …` per runtime instance) the in-order publisher keys on.
-#[derive(Debug)]
-pub(crate) struct GroupWork {
-    pub seq: u64,
-    pub records: Vec<LogRecord>,
-}
-
-/// In-order durable publication for the parallel grouped Persist stage.
-///
-/// Flush workers finish groups out of order, but two consumers require
-/// order: the durable-ID watermark must advance over a contiguous TID
-/// prefix (a `wait_durable(t)` that returns early on a holey prefix would
-/// break durable linearizability), and recovery's contiguous-run replay
-/// assumes no batch reaches Reproduce — and therefore no log span is ever
-/// recycled — ahead of a gap. `publish` funnels every completed group
-/// through an [`OrderedCompletions`] reorderer whose emission callback
-/// (mark the tracker, forward the batch) runs under the reorderer's lock,
-/// so publication is totally ordered across workers.
-#[derive(Debug)]
-pub(crate) struct GroupPublisher {
-    shared: Arc<Shared>,
-    out: Sender<Batch>,
-    completions: OrderedCompletions<Batch>,
-}
-
-impl GroupPublisher {
-    /// Creates a publisher emitting from group sequence number 0.
-    pub(crate) fn new(shared: Arc<Shared>, out: Sender<Batch>) -> Self {
-        GroupPublisher {
-            shared,
-            out,
-            completions: OrderedCompletions::starting_at(0),
-        }
-    }
-
-    /// Publishes group `seq`: parked until all earlier groups are durable,
-    /// then — in sequence order — marks its TID range in the durable-ID
-    /// tracker and forwards the batch to Reproduce.
-    fn publish(&self, seq: u64, batch: Batch) {
-        self.completions.complete(seq, batch, |_, b| {
-            self.shared.tracker.mark_range(b.first_tid, b.last_tid);
-            self.shared.trace.event(
-                Stage::Persist,
-                TraceEventKind::DurablePublish,
-                b.last_tid,
-                8 * b.writes.len() as u64,
-                0,
-            );
-            // Reproduce may have exited during shutdown teardown; the
-            // group is durable regardless.
-            let _ = self.out.send(b);
-        });
-    }
-}
-
 /// The grouped-Persist sequencer: merges all per-thread channels into
 /// dense global transaction-ID order, seals groups of `group` consecutive
-/// transactions, and fans them out round-robin to the flush workers.
+/// transactions, and deals them round-robin to the Persist workers.
 ///
 /// The sequencer never touches NVM, so it can never park on a full ring;
 /// the hold timer below therefore always re-arms on time and a partial
-/// group is dispatched at most once per quiet period (the serial worker
-/// conflated sequencing with flushing, and a full ring could pin its timer
-/// in the expired state). Round-robin assignment is load-bearing for span
-/// recycling: worker `w` receives group sequences `w, w + N, …` and
-/// appends them to *its own* ring in that order, so each ring's append
-/// order equals dense TID order — exactly the order Reproduce releases
-/// spans in ([`crate::plog::PlogRing::release`] panics otherwise).
+/// group is dispatched at most once per quiet period. Round-robin
+/// assignment is load-bearing for span recycling: worker `w` receives
+/// groups `w, w + N, …` and appends them to *its own* ring in that order,
+/// so each ring's append order equals dense TID order — exactly the order
+/// Reproduce releases spans in ([`crate::plog::PlogRing::release`] panics
+/// otherwise).
 pub(crate) fn persist_sequencer(
     shared: Arc<Shared>,
-    inputs: Vec<(usize, Receiver<LogRecord>)>,
+    inputs: Vec<Receiver<LogRecord>>,
     worker_txs: Vec<Sender<GroupWork>>,
     group: usize,
 ) {
@@ -304,7 +345,8 @@ pub(crate) fn persist_sequencer(
     let mut done = vec![false; inputs.len()];
     let mut expected = shared.tracker.watermark() + 1;
     let mut current: Vec<LogRecord> = Vec::new();
-    let mut next_seq = 0u64;
+    // Groups dispatched so far; picks the next worker.
+    let mut next_seq = 0usize;
     // Hold-timer arithmetic runs on the shared monotonic clock (virtual
     // under sim), not `Instant`, so the latency bound is deterministic in
     // schedule-exploration runs and unchanged natively.
@@ -312,13 +354,11 @@ pub(crate) fn persist_sequencer(
     // Dispatch a partial group after this much quiet time (latency bound).
     let max_hold_ns = Duration::from_millis(2).as_nanos() as u64;
 
-    let dispatch = |current: &mut Vec<LogRecord>, next_seq: &mut u64| {
+    let dispatch = |current: &mut Vec<LogRecord>, next_seq: &mut usize| {
         if current.is_empty() {
             return;
         }
         let records = std::mem::take(current);
-        let seq = *next_seq;
-        *next_seq += 1;
         if shared.trace.enabled() {
             let entries: u64 = records.iter().map(|r| r.writes().len() as u64).sum();
             let last = records.last().expect("non-empty group").tid();
@@ -332,12 +372,13 @@ pub(crate) fn persist_sequencer(
         }
         // A worker only exits after draining its channel, so a send can
         // fail only during teardown-after-panic.
-        let _ = worker_txs[(seq % workers as u64) as usize].send(GroupWork { seq, records });
+        let _ = worker_txs[*next_seq % workers].send(GroupWork(records));
+        *next_seq += 1;
     };
 
     loop {
         let mut progress = false;
-        for (i, (_ring_idx, rx)) in inputs.iter().enumerate() {
+        for (i, rx) in inputs.iter().enumerate() {
             if done[i] {
                 continue;
             }
@@ -381,9 +422,8 @@ pub(crate) fn persist_sequencer(
         let all_done = done.iter().all(|&d| d);
         if all_done && heap.is_empty() {
             dispatch(&mut current, &mut next_seq);
-            // Returning drops `worker_txs`: the flush workers drain their
-            // queues and exit, and the publisher's last `Batch` sender goes
-            // with them.
+            // Returning drops `worker_txs`: the workers drain their
+            // queues and exit, taking the last `Batch` senders with them.
             return;
         }
         if !current.is_empty() && dude_nvm::monotonic_ns().saturating_sub(last_flush) > max_hold_ns
@@ -417,205 +457,6 @@ pub(crate) fn persist_sequencer(
     }
 }
 
-/// A grouped-Persist flush worker: combines, serializes, optionally
-/// compresses, writes, and fences each group it receives — out of order
-/// with respect to its siblings — then hands the result to the in-order
-/// [`GroupPublisher`].
-///
-/// Worker `w` appends exclusively to `shared.rings[w]` (its channel
-/// delivers group sequences in increasing order, so the ring's append
-/// order is dense TID order; see [`persist_sequencer`]). A full ring
-/// parks the worker with a bounded sleep per probe — counted as a
-/// `persist_ring_full` stall — never a busy-spin: the space it waits for
-/// appears as soon as Reproduce's idle-tick checkpoint recycles the spans
-/// of already-published groups, which publication order guarantees are
-/// all ahead of this one.
-pub(crate) fn persist_flush_worker(
-    shared: Arc<Shared>,
-    worker: usize,
-    rx: Receiver<GroupWork>,
-    publisher: Arc<GroupPublisher>,
-    compress: bool,
-) {
-    dude_nvm::set_background_stage(true);
-    let mut buf = Vec::new();
-    let ring = &shared.rings[worker];
-    while let Ok(work) = rx.recv() {
-        let first = work.records.first().expect("non-empty group").tid();
-        let last = work.records.last().expect("non-empty group").tid();
-        let before: usize = work.records.iter().map(|r| r.writes().len()).sum();
-        let combined = combine_sorted(&work.records);
-        let (raw, stored) = serialize_group(first, last, &combined, compress, &mut buf);
-        let tracing = shared.trace.enabled();
-        // The whole group-persist barrier — write + flush + fence,
-        // including any wait for ring space — timed as one event.
-        let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-        let span = loop {
-            if let Some(span) = ring.try_append_unfenced(&buf) {
-                break span;
-            }
-            if tracing {
-                shared
-                    .trace
-                    .stalls
-                    .persist_ring_full
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            dude_nvm::thread::sleep(Duration::from_micros(50));
-        };
-        // Fence before the group is published durable. The sabotage gate
-        // exists only in sim builds: dropping this fence is the injected
-        // ordering bug the schedule fuzzer must catch (a planned crash
-        // then loses a group whose durability was already announced).
-        #[cfg(feature = "sim")]
-        let fence_skipped = crate::sabotage::skip_group_fence();
-        #[cfg(not(feature = "sim"))]
-        let fence_skipped = false;
-        if !fence_skipped {
-            shared.nvm.fence();
-        }
-        if tracing {
-            let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
-            shared.trace.persist_barrier_ns.record(dur);
-            shared.trace.flush_worker_ns[worker].record(dur);
-            shared.trace.group_flush_bytes.record(stored as u64);
-            shared.trace.event(
-                Stage::Persist,
-                TraceEventKind::GroupFlush,
-                last,
-                stored as u64,
-                dur,
-            );
-        }
-        shared
-            .stats
-            .entries_logged
-            .fetch_add(before as u64, Ordering::Relaxed);
-        shared
-            .stats
-            .entries_before_combine
-            .fetch_add(before as u64, Ordering::Relaxed);
-        shared
-            .stats
-            .entries_after_combine
-            .fetch_add(combined.len() as u64, Ordering::Relaxed);
-        shared
-            .stats
-            .group_bytes_raw
-            .fetch_add(raw as u64, Ordering::Relaxed);
-        shared
-            .stats
-            .group_bytes_stored
-            .fetch_add(stored as u64, Ordering::Relaxed);
-        shared
-            .stats
-            .groups_persisted
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .log_bytes_flushed
-            .fetch_add(span.words * 8, Ordering::Relaxed);
-        publisher.publish(
-            work.seq,
-            Batch {
-                first_tid: first,
-                last_tid: last,
-                writes: combined,
-                spans: vec![(worker, span)],
-            },
-        );
-    }
-}
-
-/// The Reproduce worker (§3.4): replays batches in dense transaction-ID
-/// order onto the persistent heap, checkpoints, and recycles log space.
-pub(crate) fn reproduce_worker(shared: Arc<Shared>, rx: Receiver<Batch>) {
-    let _bg = dude_nvm::background_stage_scope();
-    let mut heap: BinaryHeap<Batch> = BinaryHeap::new();
-    let mut expected = shared.reproduced.load(Ordering::Acquire) + 1;
-    let mut pending_release: Vec<(usize, PlogSpan)> = Vec::new();
-    let mut since_checkpoint = 0u64;
-    loop {
-        let mut idle = false;
-        let disconnected = match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(batch) => {
-                heap.push(batch);
-                false
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                idle = true;
-                // Starved = idling with nothing even out-of-order queued:
-                // replay has caught up with the Persist stage entirely.
-                if shared.trace.enabled() && heap.is_empty() {
-                    shared
-                        .trace
-                        .stalls
-                        .reproduce_starved
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                false
-            }
-            Err(RecvTimeoutError::Disconnected) => true,
-        };
-        while heap.peek().is_some_and(|b| b.first_tid == expected) {
-            let batch = heap.pop().expect("peeked batch");
-            let tracing = shared.trace.enabled();
-            let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-            for &(addr, val) in &batch.writes {
-                let off = shared.heap.start() + addr;
-                shared.nvm.write_word(off, val);
-                shared.nvm.flush(off, 8);
-            }
-            if tracing {
-                let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
-                shared.trace.replay_apply_ns[0].record(dur);
-                shared.trace.event(
-                    Stage::Reproduce,
-                    TraceEventKind::ReplayApply,
-                    batch.last_tid,
-                    8 * batch.writes.len() as u64,
-                    dur,
-                );
-            }
-            shared
-                .stats
-                .txns_reproduced
-                .fetch_add(batch.last_tid - batch.first_tid + 1, Ordering::Relaxed);
-            since_checkpoint += batch.last_tid - batch.first_tid + 1;
-            expected = batch.last_tid + 1;
-            // Volatile progress marker: gates paged-shadow swap-ins (§4.3).
-            shared.reproduced.store(expected - 1, Ordering::Release);
-            // Serial mode is the one-shard degenerate case: mirror progress
-            // into the frontier so stats read uniformly across modes.
-            shared.frontier.note_applied(0, batch.writes.len() as u64);
-            shared.frontier.publish(0, expected - 1);
-            pending_release.extend(batch.spans);
-            if since_checkpoint >= shared.config.checkpoint_every {
-                checkpoint(&shared, expected - 1, &mut pending_release);
-                since_checkpoint = 0;
-            }
-        }
-        // Idle tick with work applied but not yet checkpointed: checkpoint
-        // now so the covered log spans are recycled promptly (a Persist
-        // thread may be waiting for exactly that space).
-        if idle && !pending_release.is_empty() {
-            checkpoint(&shared, expected - 1, &mut pending_release);
-            since_checkpoint = 0;
-        }
-        if disconnected {
-            if let Some(top) = heap.peek() {
-                panic!(
-                    "reproduce: tid {expected} missing with pipeline closed \
-                     (next available {})",
-                    top.first_tid
-                );
-            }
-            checkpoint(&shared, expected - 1, &mut pending_release);
-            return;
-        }
-    }
-}
-
 /// One dense batch's writes for one shard. Sent to every shard worker for
 /// every batch — an empty write set still advances the shard's frontier,
 /// otherwise an untouched shard would pin the minimum forever.
@@ -625,16 +466,21 @@ pub(crate) struct ShardWork {
     pub writes: Vec<(u64, u64)>,
 }
 
-/// The sharded-Reproduce router: performs the dense transaction-ID reorder
-/// (exactly like [`reproduce_worker`]), splits each batch's writes by heap
-/// shard, fans them out to the shard workers, and checkpoints at the
-/// minimum completed-TID frontier.
+/// The Reproduce stage (§3.4): reorders batches into dense transaction-ID
+/// order, replays them onto the persistent heap, checkpoints at the minimum
+/// completed-TID frontier, and recycles log space.
 ///
-/// The router itself never touches the heap; it is the only writer of the
-/// checkpoint word and the only thread that recycles log spans. A span is
-/// released only once the checkpoint covering its last TID — which by the
-/// frontier minimum is applied *and fenced on every shard* — is durable.
-pub(crate) fn reproduce_router(
+/// With shard workers (`reproduce_threads > 1`) it splits each batch's
+/// writes by heap shard and fans them out, never touching the heap itself.
+/// With none it is the one shard: it applies each batch in place and
+/// publishes frontier slot 0 without a fence of its own — the checkpoint
+/// below runs on this same thread, and its fence covers those flushes.
+///
+/// Either way this is the only writer of the checkpoint word and the only
+/// thread that recycles log spans. A span is released only once the
+/// checkpoint covering its last TID — which by the frontier minimum is
+/// applied *and durable on every shard* — is durable.
+pub(crate) fn reproduce_stage(
     shared: Arc<Shared>,
     rx: Receiver<Batch>,
     shard_txs: Vec<Sender<ShardWork>>,
@@ -657,6 +503,8 @@ pub(crate) fn reproduce_router(
             }
             Err(RecvTimeoutError::Timeout) => {
                 idle = true;
+                // Starved = idling with nothing even out-of-order queued:
+                // replay has caught up with the Persist stage entirely.
                 if shared.trace.enabled() && heap.is_empty() {
                     shared
                         .trace
@@ -668,40 +516,60 @@ pub(crate) fn reproduce_router(
             }
             Err(RecvTimeoutError::Disconnected) => true,
         };
-        while heap.peek().is_some_and(|b| b.first_tid == expected) {
-            let batch = heap.pop().expect("peeked batch");
-            for (s, writes) in split_writes(&batch.writes, shards).into_iter().enumerate() {
-                // A worker only exits after draining its channel, so a send
-                // can fail only during teardown-after-panic; the router's
-                // own frontier wait below would surface that.
-                let _ = shard_txs[s].send(ShardWork {
-                    last_tid: batch.last_tid,
-                    writes,
-                });
+        // One batch per pass, so the watermark and the cadence checkpoint
+        // see every batch boundary: a filled gap releases a long dense run
+        // at once, and a Persist worker may be parked on the space the
+        // head of that run recycles.
+        loop {
+            let in_order = heap.peek().is_some_and(|b| b.first_tid == expected);
+            if in_order {
+                let batch = heap.pop().expect("peeked batch");
+                if shards == 0 {
+                    apply_in_place(&shared, &batch);
+                } else {
+                    let split = split_writes(&batch.writes, shards);
+                    for (s, writes) in split.into_iter().enumerate() {
+                        // A worker only exits after draining its channel,
+                        // so a send can fail only during teardown-after-
+                        // panic; the frontier wait below would surface that.
+                        let _ = shard_txs[s].send(ShardWork {
+                            last_tid: batch.last_tid,
+                            writes,
+                        });
+                    }
+                }
+                pending_release.push_back((batch.last_tid, batch.spans));
+                expected = batch.last_tid + 1;
             }
-            pending_release.push_back((batch.last_tid, batch.spans));
-            expected = batch.last_tid + 1;
-        }
-        // Publish the global watermark: the slowest shard's completed TID.
-        let f = shared.frontier.min_completed();
-        if f > watermark {
-            shared
-                .stats
-                .txns_reproduced
-                .fetch_add(f - watermark, Ordering::Relaxed);
-            watermark = f;
-            shared.reproduced.store(f, Ordering::Release);
-        }
-        if f - last_checkpoint >= shared.config.checkpoint_every || (idle && f > last_checkpoint) {
-            let mut spans = covered_spans(&mut pending_release, f);
-            checkpoint(&shared, f, &mut spans);
-            last_checkpoint = f;
+            // Publish the global watermark: the slowest shard's completed
+            // TID. It gates paged-shadow swap-ins (§4.3).
+            let f = shared.frontier.min_completed();
+            if f > watermark {
+                shared
+                    .stats
+                    .txns_reproduced
+                    .fetch_add(f - watermark, Ordering::Relaxed);
+                watermark = f;
+                shared.reproduced.store(f, Ordering::Release);
+            }
+            // On cadence — or on an idle tick with work applied but not yet
+            // checkpointed, so the covered log spans are recycled promptly
+            // (a Persist worker may be waiting for exactly that space).
+            if f - last_checkpoint >= shared.config.checkpoint_every
+                || (idle && f > last_checkpoint)
+            {
+                checkpoint(&shared, f, &mut pending_release);
+                last_checkpoint = f;
+            }
+            if !in_order {
+                break;
+            }
         }
         if disconnected {
             if let Some(top) = heap.peek() {
                 panic!(
-                    "reproduce(router): tid {expected} missing with pipeline \
-                     closed (next available {})",
+                    "reproduce: tid {expected} missing with pipeline closed \
+                     (next available {})",
                     top.first_tid
                 );
             }
@@ -732,21 +600,33 @@ pub(crate) fn reproduce_router(
             .fetch_add(target - watermark, Ordering::Relaxed);
         shared.reproduced.store(target, Ordering::Release);
     }
-    let mut spans = covered_spans(&mut pending_release, target);
+    checkpoint(&shared, target, &mut pending_release);
     debug_assert!(pending_release.is_empty(), "spans beyond the last batch");
-    checkpoint(&shared, target, &mut spans);
 }
 
-/// Pops the spans whose covering TID is at or below `frontier`.
-fn covered_spans(
-    pending: &mut VecDeque<(u64, Vec<(usize, PlogSpan)>)>,
-    frontier: u64,
-) -> Vec<(usize, PlogSpan)> {
-    let mut spans = Vec::new();
-    while pending.front().is_some_and(|&(tid, _)| tid <= frontier) {
-        spans.extend(pending.pop_front().expect("peeked entry").1);
+/// [`reproduce_stage`] as its own single shard: writes and flushes one
+/// batch onto the heap and publishes it as frontier slot 0.
+fn apply_in_place(shared: &Shared, batch: &Batch) {
+    let tracing = shared.trace.enabled();
+    let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
+    for &(addr, val) in &batch.writes {
+        let off = shared.heap.start() + addr;
+        shared.nvm.write_word(off, val);
+        shared.nvm.flush(off, 8);
     }
-    spans
+    if tracing {
+        let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
+        shared.trace.replay_apply_ns[0].record(dur);
+        shared.trace.event(
+            Stage::Reproduce,
+            TraceEventKind::ReplayApply,
+            batch.last_tid,
+            8 * batch.writes.len() as u64,
+            dur,
+        );
+    }
+    shared.frontier.note_applied(0, batch.writes.len() as u64);
+    shared.frontier.publish(0, batch.last_tid);
 }
 
 /// A Reproduce shard worker: applies its shard's slice of each batch to
@@ -757,7 +637,7 @@ fn covered_spans(
 /// the frontier minimum without issuing flushes of its own for heap data,
 /// so a TID a shard publishes must already be durable *on that shard*. One
 /// fence covers a whole drained run of batches, keeping the barrier count
-/// comparable to the serial worker's.
+/// comparable to the one-shard stage's.
 pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Receiver<ShardWork>) {
     let _bg = dude_nvm::background_stage_scope();
     let mut run: Vec<ShardWork> = Vec::new();
@@ -820,30 +700,37 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
 }
 
 /// Durably records `reproduced` in the metadata region, then recycles the
-/// covered log spans.
+/// log spans whose covering TID is at or below it.
 ///
 /// Ordering audit (the span-release-vs-durability question): the release
 /// loop runs strictly after the fence returns, and `reproduced` is only
-/// ever (a) the serial worker's dense replay position, whose data flushes
-/// this same fence covers, or (b) the frontier minimum, whose data every
-/// shard worker fenced *before* publishing. In both cases the checkpoint
+/// ever the frontier minimum: either (a) the one-shard stage's own dense
+/// replay position, whose data flushes this same fence covers, or (b) a TID
+/// every shard worker fenced *before* publishing. In both cases the checkpoint
 /// word and all heap data it claims are durable before any span is handed
 /// back for reuse. The hole this audit did find was downstream: recovery
 /// replayed released-but-not-yet-overwritten records *below* the
 /// checkpoint, regressing the heap (see `recovery.rs`; regression test
 /// `stale_released_record_below_checkpoint_is_not_replayed`).
-fn checkpoint(shared: &Shared, reproduced: u64, pending_release: &mut Vec<(usize, PlogSpan)>) {
+fn checkpoint(
+    shared: &Shared,
+    reproduced: u64,
+    pending_release: &mut VecDeque<(u64, Vec<(usize, PlogSpan)>)>,
+) {
     let off = shared.meta.start() + crate::runtime::META_REPRODUCED * 8;
     shared.nvm.write_word(off, reproduced);
     shared.nvm.flush(off, 8);
     shared.nvm.fence();
     shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-    let released: u64 = pending_release
-        .iter()
-        .map(|&(_, span)| span.words * 8)
-        .sum();
-    for (ring_idx, span) in pending_release.drain(..) {
-        shared.rings[ring_idx].release(span);
+    let mut released = 0u64;
+    while pending_release
+        .front()
+        .is_some_and(|&(tid, _)| tid <= reproduced)
+    {
+        for (ring_idx, span) in pending_release.pop_front().expect("peeked entry").1 {
+            released += span.words * 8;
+            shared.rings[ring_idx].release(span);
+        }
     }
     // `bytes` here is the log space the checkpoint recycled — the payoff
     // side of the checkpoint cadence trade-off.
@@ -854,4 +741,181 @@ fn checkpoint(shared: &Shared, reproduced: u64, pending_release: &mut Vec<(usize
         released,
         0,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DudeTmConfig;
+    use crate::metrics::RecoveryTelemetry;
+    use crate::runtime::NvmLayout;
+    use crate::stats::PipelineStatsSnapshot;
+    use crate::trace::TraceConfig;
+    use crossbeam::channel::unbounded;
+    use dude_nvm::{Nvm, NvmConfig};
+
+    fn shared(config: DudeTmConfig) -> (Arc<Shared>, NvmLayout) {
+        let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(16 << 20)));
+        let layout = NvmLayout::compute(nvm.size_bytes(), &config);
+        let shared = Shared::new(nvm, config, &layout, 0, &RecoveryTelemetry::default());
+        (Arc::new(shared), layout)
+    }
+
+    fn commit(tid: u64, writes: &[(u64, u64)]) -> LogRecord {
+        LogRecord::Commit {
+            tid,
+            writes: writes.to_vec(),
+        }
+    }
+
+    /// Stages `unit` into ring 1 and checks the ring holds exactly `want`.
+    fn stage_and_compare(shared: &Shared, layout: &NvmLayout, unit: Sealed, want: &[u64]) -> Batch {
+        let mut buf = Vec::new();
+        let batch = try_stage(shared, 1, unit, &mut buf).expect("ring has space");
+        let (ring, span) = batch.spans[0];
+        assert_eq!((ring, batch.spans.len()), (1, 1));
+        assert_eq!(span.words, want.len() as u64);
+        let mut got = vec![0u64; want.len()];
+        shared
+            .nvm
+            .read_words(layout.plogs[1].start() + span.start * 8, &mut got);
+        assert_eq!(got, want);
+        batch
+    }
+
+    #[test]
+    fn try_stage_writes_each_kind_and_counts_like_the_old_paths() {
+        let config = DudeTmConfig::small(1 << 16).with_grouping(4, true);
+        let (shared, layout) = shared(config);
+        let mut want = Vec::new();
+        let mut expect = PipelineStatsSnapshot::default();
+
+        let writes = [(8, 1), (16, 2)];
+        serialize_commit(1, &writes, &mut want);
+        let batch = stage_and_compare(&shared, &layout, commit(1, &writes).into(), &want);
+        assert_eq!((batch.first_tid, batch.last_tid), (1, 1));
+        assert_eq!(batch.writes, writes);
+        expect.records_persisted += 1;
+        expect.entries_logged += 2;
+        expect.log_bytes_flushed += want.len() as u64 * 8;
+        assert_eq!(shared.stats.snapshot(), expect);
+
+        serialize_abort(2, &mut want);
+        let batch = stage_and_compare(&shared, &layout, LogRecord::Abort { tid: 2 }.into(), &want);
+        assert_eq!((batch.first_tid, batch.last_tid), (2, 2));
+        assert!(batch.writes.is_empty());
+        expect.records_persisted += 1;
+        expect.log_bytes_flushed += want.len() as u64 * 8;
+        assert_eq!(shared.stats.snapshot(), expect);
+
+        // 48 entries over 16 hot words: combines 3:1 and compresses.
+        let records: Vec<LogRecord> = (3..6)
+            .map(|tid| {
+                let writes: Vec<_> = (0..16).map(|w| (1024 + w * 8, tid)).collect();
+                commit(tid, &writes)
+            })
+            .chain([LogRecord::Abort { tid: 6 }])
+            .collect();
+        let combined = combine_sorted(&records);
+        let (raw, stored) = serialize_group(3, 6, &combined, true, &mut want);
+        assert!(stored < raw, "the group must exercise the LZ encoding");
+        let batch = stage_and_compare(&shared, &layout, GroupWork(records).into(), &want);
+        assert_eq!((batch.first_tid, batch.last_tid), (3, 6));
+        assert_eq!(batch.writes, combined);
+        expect.entries_logged += 48;
+        expect.entries_before_combine += 48;
+        expect.entries_after_combine += 16;
+        expect.group_bytes_raw += raw as u64;
+        expect.group_bytes_stored += stored as u64;
+        expect.groups_persisted += 1;
+        expect.log_bytes_flushed += want.len() as u64 * 8;
+        assert_eq!(shared.stats.snapshot(), expect);
+    }
+
+    #[test]
+    fn ring_full_gives_the_unit_back_uncounted() {
+        let config = DudeTmConfig {
+            plog_bytes_per_thread: 4096,
+            ..DudeTmConfig::small(1 << 16)
+        }
+        .with_trace(TraceConfig::enabled(64));
+        let (shared, _) = shared(config);
+        // 3 + 2 * 100 + 1 = 204 words each: two fit the 512-word ring.
+        let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 8, w)).collect();
+        let mut buf = Vec::new();
+        let first = try_stage(&shared, 0, commit(1, &writes).into(), &mut buf).unwrap();
+        try_stage(&shared, 0, commit(2, &writes).into(), &mut buf).unwrap();
+        let before = shared.stats.snapshot();
+        let back = try_stage(&shared, 0, commit(3, &writes).into(), &mut buf).unwrap_err();
+        assert_eq!(back, Sealed::from(commit(3, &writes)));
+        assert_eq!(
+            shared.stats.snapshot(),
+            before,
+            "a refused unit counts nothing"
+        );
+        assert_eq!(shared.trace.stalls.snapshot().persist_ring_full, 1);
+        // The retry after Reproduce recycles space counts exactly once.
+        shared.rings[0].release(first.spans[0].1);
+        try_stage(&shared, 0, back, &mut buf).expect("space was released");
+        let after = shared.stats.snapshot();
+        assert_eq!(after.records_persisted, before.records_persisted + 1);
+        assert_eq!(after.entries_logged, before.entries_logged + 100);
+    }
+
+    /// The one-shard degenerate case: `reproduce_stage` with no shard
+    /// workers applies in place, publishes frontier slot 0, and checkpoints
+    /// on cadence plus once at the drain — at the same TIDs whether batches
+    /// arrive in order or a late head releases the whole run at once (N
+    /// Persist workers publish out of order).
+    #[test]
+    fn one_shard_stage_applies_in_place_and_checkpoints_on_cadence() {
+        for head_last in [false, true] {
+            let config = DudeTmConfig {
+                checkpoint_every: 8,
+                ..DudeTmConfig::small(1 << 16)
+            }
+            .with_trace(TraceConfig::enabled(1024));
+            let (shared, layout) = shared(config);
+            let (tx, rx) = unbounded();
+            let mut buf = Vec::new();
+            let mut batches: Vec<Batch> = (1..=20u64)
+                .map(|tid| {
+                    let unit = commit(tid, &[(tid * 8, tid + 100)]).into();
+                    try_stage(&shared, 0, unit, &mut buf).unwrap()
+                })
+                .collect();
+            if head_last {
+                batches.rotate_left(1); // 2, 3, …, 20, 1
+            }
+            for batch in batches {
+                tx.send(batch).unwrap();
+            }
+            shared.nvm.fence();
+            // Everything queued and the channel closed: the stage never
+            // idles, so only the cadence and the drain checkpoint.
+            drop(tx);
+            reproduce_stage(Arc::clone(&shared), rx, Vec::new());
+
+            assert_eq!(shared.frontier.completed(0), 20);
+            assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
+            let stats = shared.stats.snapshot();
+            assert_eq!((stats.txns_reproduced, stats.checkpoints), (20, 3));
+            let checkpointed: Vec<u64> = shared
+                .trace
+                .ring()
+                .records()
+                .iter()
+                .filter(|r| r.event == TraceEventKind::CheckpointWrite)
+                .map(|r| r.tid)
+                .collect();
+            assert_eq!(checkpointed, [8, 16, 20], "head_last={head_last}");
+            let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
+            assert_eq!(shared.nvm.read_word(meta), 20);
+            for tid in 1..=20u64 {
+                let word = shared.nvm.read_word(layout.heap.start() + tid * 8);
+                assert_eq!(word, tid + 100);
+            }
+            assert_eq!(shared.rings[0].used_words(), 0, "every span recycled");
+        }
+    }
 }

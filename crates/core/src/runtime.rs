@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use dude_nvm::{Nvm, Region};
 use dude_txapi::{PAddr, TxAbort, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
 use parking_lot::Mutex;
@@ -14,13 +14,13 @@ use crate::check::CommitHistory;
 use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
 use crate::frontier::ReproduceFrontier;
-use crate::log::{serialize_abort, serialize_commit, LogRecord};
+use crate::log::LogRecord;
 use crate::metrics::{
     MetricsBuilder, MetricsFrame, MetricsRegistry, PipelineGauges, RecoveryTelemetry,
 };
 use crate::pipeline::{
-    persist_flush_worker, persist_sequencer, persist_worker, reproduce_router,
-    reproduce_shard_worker, reproduce_worker, Batch, GroupPublisher, GroupWork, ShardWork,
+    persist_sequencer, persist_worker, publish, reproduce_shard_worker, reproduce_stage, try_stage,
+    Batch, GroupWork, Sealed, ShardWork,
 };
 use crate::plog::PlogRing;
 use crate::seqtrack::SequenceTracker;
@@ -91,6 +91,49 @@ pub struct Shared {
     pub(crate) gauges: PipelineGauges,
 }
 
+impl Shared {
+    /// The pipeline state for `config` over `layout`, with every watermark
+    /// at `start_tid`.
+    pub(crate) fn new(
+        nvm: Arc<Nvm>,
+        config: DudeTmConfig,
+        layout: &NvmLayout,
+        start_tid: u64,
+        recovery: &RecoveryTelemetry,
+    ) -> Shared {
+        let rings = layout
+            .plogs
+            .iter()
+            .map(|&r| Arc::new(PlogRing::new(Arc::clone(&nvm), r)))
+            .collect();
+        let stats = PipelineStats::default();
+        let trace = Trace::new(
+            config.trace,
+            config.reproduce_threads,
+            config.persist_flush_workers,
+        );
+        let gauges = PipelineGauges::default();
+        gauges.committed_tid.set(start_tid);
+        gauges.durable_tid.set(start_tid);
+        gauges.reproduced_tid.set(start_tid);
+        let metrics = Arc::new(build_registry(&config, &stats, &trace, &gauges, recovery));
+        Shared {
+            nvm,
+            config,
+            meta: layout.meta,
+            heap: layout.heap,
+            rings,
+            tracker: SequenceTracker::starting_at(start_tid),
+            reproduced: Arc::new(AtomicU64::new(start_tid)),
+            frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
+            stats,
+            trace,
+            metrics,
+            gauges,
+        }
+    }
+}
+
 /// Where a thread's committed redo logs go.
 #[derive(Debug)]
 enum Sink {
@@ -124,41 +167,22 @@ pub struct RedoHooks {
 }
 
 impl RedoHooks {
-    fn send_sync_record(&mut self, rec: LogRecord) {
+    /// DudeTM-Sync: stage, fence, and publish `rec` on this thread.
+    fn persist_inline(&mut self, rec: LogRecord) {
         let Sink::Sync { ring_idx, batches } = &self.sink else {
-            unreachable!("send_sync_record on async sink")
+            unreachable!("persist_inline on async sink")
         };
-        let tid = rec.tid();
-        let writes = match rec {
-            LogRecord::Commit { writes, .. } => {
-                serialize_commit(tid, &writes, &mut self.buf);
-                writes
+        let mut unit = Sealed::from(rec);
+        let batch = loop {
+            match try_stage(&self.shared, *ring_idx, unit, &mut self.buf) {
+                Ok(batch) => break batch,
+                // Ring full: wait for Reproduce to recycle space.
+                Err(back) => unit = back,
             }
-            LogRecord::Abort { .. } => {
-                serialize_abort(tid, &mut self.buf);
-                Vec::new()
-            }
+            dude_nvm::thread::yield_now();
         };
-        let span = self.shared.rings[*ring_idx].append(&self.buf);
-        self.shared
-            .stats
-            .records_persisted
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats
-            .log_bytes_flushed
-            .fetch_add(span.words * 8, Ordering::Relaxed);
-        self.shared
-            .stats
-            .entries_logged
-            .fetch_add(writes.len() as u64, Ordering::Relaxed);
-        self.shared.tracker.mark(tid);
-        let _ = batches.send(Batch {
-            first_tid: tid,
-            last_tid: tid,
-            writes,
-            spans: vec![(*ring_idx, span)],
-        });
+        self.shared.nvm.fence();
+        publish(&self.shared, batches, batch);
     }
 }
 
@@ -209,7 +233,7 @@ impl dude_stm::TxHooks for RedoHooks {
                     let _ = tx.send(LogRecord::Commit { tid, writes });
                 }
             }
-            Sink::Sync { .. } => self.send_sync_record(LogRecord::Commit { tid, writes }),
+            Sink::Sync { .. } => self.persist_inline(LogRecord::Commit { tid, writes }),
         }
     }
 
@@ -234,7 +258,7 @@ impl dude_stm::TxHooks for RedoHooks {
             Sink::Channel(tx) => {
                 let _ = tx.send(LogRecord::Abort { tid });
             }
-            Sink::Sync { .. } => self.send_sync_record(LogRecord::Abort { tid }),
+            Sink::Sync { .. } => self.persist_inline(LogRecord::Abort { tid }),
         }
     }
 }
@@ -313,43 +337,19 @@ impl<E: TmEngine> DudeTm<E> {
         start_tid: u64,
         recovery: RecoveryTelemetry,
     ) -> Self {
-        let rings: Vec<Arc<PlogRing>> = layout
-            .plogs
-            .iter()
-            .map(|&r| Arc::new(PlogRing::new(Arc::clone(&nvm), r)))
-            .collect();
-        let reproduced = Arc::new(AtomicU64::new(start_tid));
-        let stats = PipelineStats::default();
-        let trace = Trace::new(
-            config.trace,
-            config.reproduce_threads,
-            config.persist_flush_workers,
-        );
-        let gauges = PipelineGauges::default();
-        gauges.committed_tid.set(start_tid);
-        gauges.durable_tid.set(start_tid);
-        gauges.reproduced_tid.set(start_tid);
-        let metrics = Arc::new(build_registry(&config, &stats, &trace, &gauges, &recovery));
-        let shared = Arc::new(Shared {
-            nvm: Arc::clone(&nvm),
+        let shared = Arc::new(Shared::new(
+            Arc::clone(&nvm),
             config,
-            meta: layout.meta,
-            heap: layout.heap,
-            rings,
-            tracker: SequenceTracker::starting_at(start_tid),
-            reproduced: Arc::clone(&reproduced),
-            frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
-            stats,
-            trace,
-            metrics,
-            gauges,
-        });
+            &layout,
+            start_tid,
+            &recovery,
+        ));
         let shadow = Arc::new(ShadowMem::new(
             config.shadow,
             config.heap_bytes,
             Arc::clone(&nvm),
             layout.heap,
-            reproduced,
+            Arc::clone(&shared.reproduced),
         ));
         shadow.populate_from_nvm(&nvm, layout.heap);
 
@@ -373,54 +373,40 @@ impl<E: TmEngine> DudeTm<E> {
                     record_senders.push(tx);
                     receivers.push(rx);
                 }
+                // Validation capped persist_flush_workers at max_threads,
+                // the number of channels and of rings.
+                let n = config.persist_flush_workers;
                 if config.persist_group > 1 {
-                    // Sequencer + N flush workers + in-order publisher (see
-                    // `pipeline`). Each worker owns ring `w`; validation
-                    // capped persist_flush_workers at max_threads = #rings.
-                    let n = config.persist_flush_workers;
-                    let publisher =
-                        Arc::new(GroupPublisher::new(Arc::clone(&shared), batch_tx.clone()));
+                    // Sequencer in front; worker `w` owns ring `w`.
                     let mut worker_txs = Vec::with_capacity(n);
                     for w in 0..n {
                         let (tx, rx) = unbounded::<GroupWork>();
                         worker_txs.push(tx);
-                        let shared2 = Arc::clone(&shared);
-                        let publisher2 = Arc::clone(&publisher);
-                        let compress = config.compress_groups;
-                        workers.push(dude_nvm::thread::spawn_named(
-                            &format!("dude-persist-flush-{w}"),
-                            move || persist_flush_worker(shared2, w, rx, publisher2, compress),
-                        ));
+                        workers.push(spawn_persist_worker(&shared, w, vec![(w, rx)], &batch_tx));
                     }
                     let shared2 = Arc::clone(&shared);
-                    let inputs = receivers.into_iter().enumerate().collect();
                     let group = config.persist_group;
                     workers.push(dude_nvm::thread::spawn_named(
                         "dude-persist-seq",
-                        move || persist_sequencer(shared2, inputs, worker_txs, group),
+                        move || persist_sequencer(shared2, receivers, worker_txs, group),
                     ));
                 } else {
-                    // Partition the per-thread channels across persist
-                    // threads round-robin.
-                    let n = config.persist_threads.min(config.max_threads);
-                    let mut parts: Vec<Vec<(usize, crossbeam::channel::Receiver<LogRecord>)>> =
+                    // Partition the per-thread channels across the workers
+                    // round-robin.
+                    let mut parts: Vec<Vec<(usize, Receiver<LogRecord>)>> =
                         (0..n).map(|_| Vec::new()).collect();
                     for (i, rx) in receivers.into_iter().enumerate() {
                         parts[i % n].push((i, rx));
                     }
                     for (w, inputs) in parts.into_iter().enumerate() {
-                        let shared2 = Arc::clone(&shared);
-                        let out = batch_tx.clone();
-                        workers.push(dude_nvm::thread::spawn_named(
-                            &format!("dude-persist-{w}"),
-                            move || persist_worker(shared2, inputs, out),
-                        ));
+                        workers.push(spawn_persist_worker(&shared, w, inputs, &batch_tx));
                     }
                 }
             }
         }
+        // One shard is applied by the Reproduce stage itself: no workers.
+        let mut shard_txs = Vec::new();
         if config.reproduce_threads > 1 {
-            let mut shard_txs = Vec::with_capacity(config.reproduce_threads);
             for s in 0..config.reproduce_threads {
                 let (tx, rx) = unbounded::<ShardWork>();
                 shard_txs.push(tx);
@@ -430,16 +416,11 @@ impl<E: TmEngine> DudeTm<E> {
                     move || reproduce_shard_worker(shared2, s, rx),
                 ));
             }
-            let shared2 = Arc::clone(&shared);
-            workers.push(dude_nvm::thread::spawn_named("dude-reproduce", move || {
-                reproduce_router(shared2, batch_rx, shard_txs)
-            }));
-        } else {
-            let shared2 = Arc::clone(&shared);
-            workers.push(dude_nvm::thread::spawn_named("dude-reproduce", move || {
-                reproduce_worker(shared2, batch_rx)
-            }));
         }
+        let shared2 = Arc::clone(&shared);
+        workers.push(dude_nvm::thread::spawn_named("dude-reproduce", move || {
+            reproduce_stage(shared2, batch_rx, shard_txs)
+        }));
 
         // Continuous sampler: one frame per interval into the registry's
         // bounded ring. Runs through the `dude_nvm::thread` facade so it is
@@ -639,6 +620,20 @@ impl<E: TmEngine> Drop for DudeTm<E> {
     }
 }
 
+/// Spawns Persist worker `w` over `inputs` (ring index, channel) pairs.
+fn spawn_persist_worker<U: Into<Sealed> + Send + 'static>(
+    shared: &Arc<Shared>,
+    w: usize,
+    inputs: Vec<(usize, Receiver<U>)>,
+    out: &Sender<Batch>,
+) -> dude_nvm::thread::JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    let out = out.clone();
+    dude_nvm::thread::spawn_named(&format!("dude-persist-{w}"), move || {
+        persist_worker(shared, w, inputs, out)
+    })
+}
+
 /// Builds the runtime's metrics registry: every pipeline counter, lag
 /// gauge, stage histogram, and recovery-telemetry handle under its stable
 /// exposition name. The registry shares the live cells — registration
@@ -723,7 +718,7 @@ fn build_registry(
     );
     b.counter(
         "stall_persist_seq_wait",
-        "flushed groups waited for in-order publication",
+        "sequencer idle ticks blocked on a transaction-ID gap",
         &trace.stalls.persist_seq_wait,
     );
     b.counter(
@@ -784,7 +779,7 @@ fn build_registry(
     );
     b.histogram(
         "persist_barrier_ns",
-        "Persist flush+fence barrier latency",
+        "Persist ordering-fence latency, one sample per sweep",
         None,
         &trace.persist_barrier_ns,
     );
@@ -805,7 +800,7 @@ fn build_registry(
     for (w, h) in trace.flush_worker_ns.iter().enumerate() {
         b.histogram(
             "flush_worker_ns",
-            "group flush latency per persist flush worker",
+            "Persist ordering-fence latency per worker",
             Some(("worker", w.to_string())),
             h,
         );

@@ -12,12 +12,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static SKIP_GROUP_FENCE: AtomicBool = AtomicBool::new(false);
 static FRONTIER_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
 
-/// Mutation A — dropped fence in the grouped-Persist publish path: when
-/// armed, flush workers skip the `fence()` between appending a group to
-/// the log ring and handing it to the in-order `GroupPublisher`. The
-/// group's bytes may still sit in the device's flushed-but-unfenced
-/// buffer when durability is announced, so a planned crash loses
-/// transactions the durable watermark already covered.
+/// Mutation A — dropped fence in the Persist publish path: when armed,
+/// Persist workers skip the per-sweep `fence()` between appending units
+/// to the log rings and publishing them. The bytes may still sit in the
+/// device's flushed-but-unfenced buffer when durability is announced, so
+/// a planned crash loses transactions the durable watermark already
+/// covered.
 pub fn skip_group_fence() -> bool {
     SKIP_GROUP_FENCE.load(Ordering::Relaxed)
 }
@@ -51,7 +51,7 @@ pub struct MutationGuard {
 /// The injectable mutations, for [`MutationGuard::arm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Mutation A: flush workers skip the pre-publication fence.
+    /// Mutation A: Persist workers skip the pre-publication fence.
     SkipGroupFence,
     /// Mutation B: shard workers publish an off-by-one frontier.
     FrontierOffByOne,

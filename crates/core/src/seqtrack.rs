@@ -6,13 +6,8 @@
 //! transaction with ID ≤ `D` has been persisted. [`SequenceTracker`] computes
 //! exactly that: threads `mark` IDs as they complete, and `watermark` is the
 //! length of the completed prefix.
-//!
-//! [`OrderedCompletions`] is the sibling primitive for the parallel grouped
-//! Persist stage: flush workers complete group sequence numbers out of
-//! order, and the reorderer runs an emission callback strictly in sequence
-//! order — out-of-order *flush*, in-order durable *publication*.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -95,103 +90,6 @@ impl SequenceTracker {
     }
 }
 
-/// Reorders out-of-order completions of a dense sequence `0, 1, 2, …` into
-/// strictly in-order emission.
-///
-/// Parallel flush workers finish groups out of order, but durability may
-/// only be *published* in order (the durable watermark and the batches
-/// handed to Reproduce must advance over a contiguous prefix — see
-/// `DESIGN.md §Pipeline`). Workers call [`OrderedCompletions::complete`]
-/// with their sequence number; the emission callback runs for the newly
-/// contiguous prefix, **while the internal lock is held**, so emissions are
-/// totally ordered across threads: no later item can be emitted before an
-/// earlier one, even by another worker racing in.
-///
-/// # Example
-///
-/// ```
-/// use dudetm::OrderedCompletions;
-///
-/// let oc = OrderedCompletions::starting_at(0);
-/// let mut seen = Vec::new();
-/// oc.complete(1, "b", |_, item| seen.push(item));
-/// assert!(seen.is_empty()); // 0 still missing
-/// oc.complete(0, "a", |_, item| seen.push(item));
-/// assert_eq!(seen, ["a", "b"]);
-/// ```
-#[derive(Debug)]
-pub struct OrderedCompletions<T> {
-    inner: Mutex<CompletionState<T>>,
-}
-
-#[derive(Debug)]
-struct CompletionState<T> {
-    /// The next sequence number eligible for emission.
-    next: u64,
-    /// Completed items above `next`, keyed by sequence number.
-    parked: BTreeMap<u64, T>,
-}
-
-impl<T> OrderedCompletions<T> {
-    /// Creates a reorderer whose first emitted sequence number is `first`.
-    #[must_use]
-    pub fn starting_at(first: u64) -> Self {
-        OrderedCompletions {
-            inner: Mutex::new(CompletionState {
-                next: first,
-                parked: BTreeMap::new(),
-            }),
-        }
-    }
-
-    /// Marks `seq` complete. If `seq` is the next expected number, `emit`
-    /// is called for it and every directly following parked item, in
-    /// sequence order; otherwise the item is parked until the gap fills.
-    ///
-    /// `emit` runs under the internal lock: keep it short (hand off, don't
-    /// compute), and never call back into this reorderer from inside it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` was already completed (below `next` or parked).
-    pub fn complete(&self, seq: u64, item: T, mut emit: impl FnMut(u64, T)) {
-        let mut guard = self.inner.lock();
-        let state = &mut *guard;
-        assert!(
-            seq >= state.next,
-            "sequence {seq} completed twice (next expected {})",
-            state.next
-        );
-        if seq != state.next {
-            let clash = state.parked.insert(seq, item);
-            assert!(clash.is_none(), "sequence {seq} completed twice (parked)");
-            return;
-        }
-        emit(seq, item);
-        state.next = seq + 1;
-        while let Some(entry) = state.parked.first_entry() {
-            if *entry.key() != state.next {
-                break;
-            }
-            let (s, it) = entry.remove_entry();
-            emit(s, it);
-            state.next = s + 1;
-        }
-    }
-
-    /// The next sequence number awaiting emission.
-    #[must_use]
-    pub fn next_pending(&self) -> u64 {
-        self.inner.lock().next
-    }
-
-    /// Number of items parked above the emission point (diagnostics).
-    #[must_use]
-    pub fn parked_len(&self) -> usize {
-        self.inner.lock().parked.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,64 +163,5 @@ mod tests {
         }
         assert_eq!(t.watermark(), n);
         assert_eq!(t.pending_len(), 0);
-    }
-
-    #[test]
-    fn ordered_completions_emit_in_order() {
-        let oc = OrderedCompletions::starting_at(0);
-        let mut seen = Vec::new();
-        oc.complete(2, 'c', |s, i| seen.push((s, i)));
-        oc.complete(1, 'b', |s, i| seen.push((s, i)));
-        assert!(seen.is_empty());
-        assert_eq!(oc.parked_len(), 2);
-        oc.complete(0, 'a', |s, i| seen.push((s, i)));
-        assert_eq!(seen, vec![(0, 'a'), (1, 'b'), (2, 'c')]);
-        assert_eq!(oc.parked_len(), 0);
-        assert_eq!(oc.next_pending(), 3);
-        oc.complete(3, 'd', |s, i| seen.push((s, i)));
-        assert_eq!(seen.last(), Some(&(3, 'd')));
-    }
-
-    #[test]
-    #[should_panic(expected = "completed twice")]
-    fn ordered_completions_double_complete_panics() {
-        let oc = OrderedCompletions::starting_at(0);
-        oc.complete(0, (), |_, _| {});
-        oc.complete(0, (), |_, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "completed twice")]
-    fn ordered_completions_double_park_panics() {
-        let oc = OrderedCompletions::starting_at(0);
-        oc.complete(5, (), |_, _| {});
-        oc.complete(5, (), |_, _| {});
-    }
-
-    #[test]
-    fn ordered_completions_concurrent_emission_is_totally_ordered() {
-        // 4 workers complete an interleaved stripe each; the emission log
-        // (appended under the reorderer's lock) must be exactly 0..n.
-        let oc = Arc::new(OrderedCompletions::starting_at(0));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let n = 4000u64;
-        let mut handles = Vec::new();
-        for part in 0..4u64 {
-            let oc = Arc::clone(&oc);
-            let log = Arc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                let mut seq = part;
-                while seq < n {
-                    oc.complete(seq, seq, |_, item| log.lock().push(item));
-                    seq += 4;
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let log = log.lock();
-        assert_eq!(*log, (0..n).collect::<Vec<_>>());
-        assert_eq!(oc.next_pending(), n);
     }
 }

@@ -176,8 +176,8 @@ pub struct PipelineSnapshot {
     pub stalls: StallSnapshot,
     /// Every stage histogram, as `(name, snapshot)` in registry order —
     /// the three fixed histograms, then `replay_apply_ns{shard="s"}` per
-    /// Reproduce shard, then `flush_worker_ns{worker="w"}` per grouped
-    /// flush worker. Present (with zero counts) even when tracing is
+    /// Reproduce shard, then `flush_worker_ns{worker="w"}` per Persist
+    /// worker. Present (with zero counts) even when tracing is
     /// disabled, so [`PipelineSnapshot::summary`] always names the full
     /// catalog.
     pub histograms: Vec<(String, HistogramSnapshot)>,

@@ -124,18 +124,17 @@ pub enum TraceEventKind {
     Commit = 0,
     /// A Persist worker's ordering barrier (covers one flush sweep).
     PersistBarrier = 1,
-    /// A combined group was serialized and flushed (grouping mode).
+    /// A combined group was serialized and appended to its log ring
+    /// (grouping mode; `bytes` = stored payload; the covering fence is the
+    /// sweep's `PersistBarrier`).
     GroupFlush = 2,
     /// A Reproduce worker applied a run of writes to the heap image.
     ReplayApply = 3,
     /// A durable reproduced-ID checkpoint.
     CheckpointWrite = 4,
-    /// The Persist sequencer sealed a group and dispatched it to a flush
+    /// The Persist sequencer sealed a group and dispatched it to a
     /// worker (grouped mode; `bytes` = 8 × the group's log entries).
     GroupDispatch = 5,
-    /// The in-order publisher advanced the durable watermark over a flushed
-    /// group and forwarded its batch to Reproduce (grouped mode).
-    DurablePublish = 6,
 }
 
 impl TraceEventKind {
@@ -149,7 +148,6 @@ impl TraceEventKind {
             TraceEventKind::ReplayApply => "replay_apply",
             TraceEventKind::CheckpointWrite => "checkpoint",
             TraceEventKind::GroupDispatch => "group_dispatch",
-            TraceEventKind::DurablePublish => "durable_publish",
         }
     }
 
@@ -160,7 +158,6 @@ impl TraceEventKind {
             2 => TraceEventKind::GroupFlush,
             3 => TraceEventKind::ReplayApply,
             5 => TraceEventKind::GroupDispatch,
-            6 => TraceEventKind::DurablePublish,
             _ => TraceEventKind::CheckpointWrite,
         }
     }
@@ -511,17 +508,17 @@ pub struct Trace {
     /// Per-shard wall time applying one replay run to the heap image
     /// (index = shard; one entry in serial mode).
     pub replay_apply_ns: Vec<Arc<LatencyHistogram>>,
-    /// Per-flush-worker wall time persisting one group — serialize,
-    /// optional compression, ring write, and fence, including any wait for
-    /// ring space (index = worker; one entry outside grouped mode).
+    /// Each Persist worker's share of `persist_barrier_ns`: its per-sweep
+    /// fences (index = worker; all empty under `DurabilityMode::Sync`,
+    /// which spawns no worker).
     pub flush_worker_ns: Vec<Arc<LatencyHistogram>>,
     /// Stall counters (see [`StallCounters`]).
     pub stalls: StallCounters,
 }
 
 impl Trace {
-    /// Creates the layer for `shards` Reproduce workers and
-    /// `flush_workers` grouped-Persist flush workers.
+    /// Creates the layer for `shards` Reproduce shards and
+    /// `flush_workers` Persist workers.
     #[must_use]
     pub fn new(config: TraceConfig, shards: usize, flush_workers: usize) -> Self {
         if config.enabled {
@@ -768,7 +765,6 @@ mod tests {
         t.event(Stage::Perform, TraceEventKind::Commit, 7, 16, 120);
         t.event(Stage::Persist, TraceEventKind::PersistBarrier, 7, 64, 0);
         t.event(Stage::Persist, TraceEventKind::GroupDispatch, 8, 32, 0);
-        t.event(Stage::Persist, TraceEventKind::DurablePublish, 8, 32, 0);
         t.commit_latency_ns.record(120);
         t.stalls.perform_log_full.fetch_add(1, Ordering::Relaxed);
         t.stalls.persist_seq_wait.fetch_add(2, Ordering::Relaxed);
@@ -777,7 +773,6 @@ mod tests {
         assert!(json.contains("\"commit\""), "{json}");
         assert!(json.contains("\"persist_barrier\""), "{json}");
         assert!(json.contains("\"group_dispatch\""), "{json}");
-        assert!(json.contains("\"durable_publish\""), "{json}");
         assert!(json.contains("\"perform_log_full\": 1"), "{json}");
         assert!(json.contains("\"persist_seq_wait\": 2"), "{json}");
         assert!(json.contains("\"commit_latency_ns\""), "{json}");

@@ -92,15 +92,6 @@ fn max_threads_out_of_range_rejected() {
 }
 
 #[test]
-fn zero_persist_threads_rejected() {
-    let c = DudeTmConfig {
-        persist_threads: 0,
-        ..base()
-    };
-    assert_eq!(c.try_validate(), Err(ConfigError::NoPersistThreads));
-}
-
-#[test]
 fn zero_persist_group_rejected() {
     let c = DudeTmConfig {
         persist_group: 0,
@@ -204,19 +195,16 @@ fn flush_workers_beyond_max_threads_rejected() {
 }
 
 #[test]
-fn flush_workers_without_grouping_rejected() {
-    let c = base().with_flush_workers(2);
-    assert_eq!(
-        c.try_validate(),
-        Err(ConfigError::FlushWorkersWithoutGrouping {
-            persist_flush_workers: 2
-        })
-    );
+fn flush_workers_valid_with_and_without_grouping() {
+    base()
+        .with_flush_workers(2)
+        .try_validate()
+        .expect("ungrouped workers partition the per-thread channels");
     base()
         .with_grouping(8, false)
         .with_flush_workers(2)
         .try_validate()
-        .expect("flush workers on the grouped path are valid");
+        .expect("grouped workers are dealt groups by the sequencer");
 }
 
 #[test]
@@ -240,7 +228,6 @@ fn first_error_wins_in_documented_order() {
         heap_bytes: 1,
         plog_bytes_per_thread: 1,
         max_threads: 0,
-        persist_threads: 0,
         persist_group: 0,
         checkpoint_every: 0,
         reproduce_threads: 0,
@@ -266,8 +253,6 @@ fn first_error_wins_in_documented_order() {
         Err(ConfigError::MaxThreads { max_threads: 0 })
     );
     c.max_threads = 2;
-    assert_eq!(c.try_validate(), Err(ConfigError::NoPersistThreads));
-    c.persist_threads = 1;
     assert_eq!(c.try_validate(), Err(ConfigError::NoPersistGroup));
     c.persist_group = 1;
     assert_eq!(c.try_validate(), Err(ConfigError::NoCheckpointCadence));
@@ -298,17 +283,6 @@ fn first_error_wins_in_documented_order() {
         })
     );
     c.max_threads = 8;
-    // FlushWorkersWithoutGrouping sits after the cap check: shrink the
-    // group back to 1 (and drop compression) to expose it.
-    c.persist_group = 1;
-    c.compress_groups = false;
-    assert_eq!(
-        c.try_validate(),
-        Err(ConfigError::FlushWorkersWithoutGrouping {
-            persist_flush_workers: 3
-        })
-    );
-    c.persist_group = 8;
     assert_eq!(c.try_validate(), Err(ConfigError::EmptyAsyncBuffer));
     c.durability = ASYNC1;
     c.try_validate().expect("fully repaired config is valid");
@@ -323,7 +297,6 @@ fn model_is_valid(c: &DudeTmConfig) -> bool {
         && c.heap_bytes % 4096 == 0
         && c.plog_bytes_per_thread >= 4096
         && (1..=256).contains(&c.max_threads)
-        && c.persist_threads >= 1
         && c.persist_group >= 1
         && c.checkpoint_every >= 1
         && (1..=64).contains(&c.reproduce_threads)
@@ -331,21 +304,18 @@ fn model_is_valid(c: &DudeTmConfig) -> bool {
         && !(c.persist_group > 1 && c.durability == SYNC)
         && c.persist_flush_workers >= 1
         && c.persist_flush_workers <= c.max_threads
-        && !(c.persist_flush_workers > 1 && c.persist_group == 1)
         && c.durability != ASYNC0
 }
 
 /// Every combination of the interesting axis values — 4 durability modes
-/// × group sizes × flush workers × compression × reproduce threads ×
-/// persist threads (2304 configs) — agrees with the model, and every
-/// valid corner actually constructs.
+/// × group sizes × flush workers × compression × reproduce threads (512
+/// configs) — agrees with the model.
 #[test]
 fn full_axis_cross_product_matches_model() {
     let durabilities = [SYNC, ASYNC0, ASYNC1, DurabilityMode::AsyncUnbounded];
     let groups = [0usize, 1, 2, 8];
     let flush_workers = [0usize, 1, 2, 9];
     let reproduce = [0usize, 1, 4, 64];
-    let persist = [0usize, 1, 2];
     let mut valid = 0u32;
     let mut invalid = 0u32;
     for &durability in &durabilities {
@@ -353,31 +323,28 @@ fn full_axis_cross_product_matches_model() {
             for &persist_flush_workers in &flush_workers {
                 for &compress_groups in &[false, true] {
                     for &reproduce_threads in &reproduce {
-                        for &persist_threads in &persist {
-                            let c = DudeTmConfig {
-                                durability,
-                                persist_group,
-                                persist_flush_workers,
-                                compress_groups,
-                                reproduce_threads,
-                                persist_threads,
-                                ..base()
-                            };
-                            let got = c.try_validate();
-                            let want = model_is_valid(&c);
-                            assert_eq!(
-                                got.is_ok(),
-                                want,
-                                "model disagreement (validator said {got:?}) for \
-                                 durability={durability:?} group={persist_group} \
-                                 fw={persist_flush_workers} compress={compress_groups} \
-                                 rt={reproduce_threads} pt={persist_threads}"
-                            );
-                            if want {
-                                valid += 1;
-                            } else {
-                                invalid += 1;
-                            }
+                        let c = DudeTmConfig {
+                            durability,
+                            persist_group,
+                            persist_flush_workers,
+                            compress_groups,
+                            reproduce_threads,
+                            ..base()
+                        };
+                        let got = c.try_validate();
+                        let want = model_is_valid(&c);
+                        assert_eq!(
+                            got.is_ok(),
+                            want,
+                            "model disagreement (validator said {got:?}) for \
+                             durability={durability:?} group={persist_group} \
+                             fw={persist_flush_workers} compress={compress_groups} \
+                             rt={reproduce_threads}"
+                        );
+                        if want {
+                            valid += 1;
+                        } else {
+                            invalid += 1;
                         }
                     }
                 }
@@ -386,7 +353,7 @@ fn full_axis_cross_product_matches_model() {
     }
     // The matrix must exercise both sides substantially, or the model
     // check is vacuous.
-    assert!(valid >= 100, "only {valid} valid corners explored");
+    assert!(valid >= 50, "only {valid} valid corners explored");
     assert!(invalid >= 100, "only {invalid} invalid corners explored");
 }
 

@@ -410,10 +410,7 @@ fn htm_crash_recovery() {
 #[test]
 fn multi_thread_multi_persist_pipeline() {
     let nvm = test_nvm(8 << 20);
-    let config = DudeTmConfig {
-        persist_threads: 2,
-        ..small_config()
-    };
+    let config = small_config().with_flush_workers(2);
     let dude = Arc::new(DudeTm::create_stm(Arc::clone(&nvm), config));
     std::thread::scope(|s| {
         for t0 in 0..4u64 {
@@ -464,8 +461,8 @@ fn stats_snapshot_watermarks_and_occupancy() {
 }
 
 /// Starvation/livelock regression for the Persist parked-record path
-/// (`try_stage_record` giving the record back when the NVM log ring is
-/// full, and the drain loop retrying it each sweep).
+/// (`try_stage` giving the unit back when the NVM log ring is full, and
+/// the drain loop retrying it each sweep).
 ///
 /// The adversarial setup: the smallest legal per-thread log ring (4 KiB),
 /// a checkpoint cadence so large it never fires on count — so Reproduce

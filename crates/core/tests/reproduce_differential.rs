@@ -1,6 +1,6 @@
 //! Differential replay oracle for the sharded Reproduce stage.
 //!
-//! The serial Reproduce worker (`reproduce_threads = 1`) is the reference
+//! One-shard Reproduce (`reproduce_threads = 1`) is the reference
 //! implementation: it replays the committed sequence in dense
 //! transaction-ID order, so after a full drain the persistent heap image
 //! *is* the semantics. Sharded replay (N = 2, 4, 8) reorders work across
@@ -38,9 +38,8 @@ fn config(reproduce_threads: usize) -> DudeTmConfig {
     .with_reproduce_threads(reproduce_threads)
 }
 
-/// Grouped-Persist config: groups of 8, `flush_workers` parallel flush
-/// workers (1 = the serial grouped reference), each owning one of the
-/// `max_threads` log rings.
+/// Grouped-Persist config: groups of 8 dealt to `flush_workers` Persist
+/// workers, each owning one of the `max_threads` log rings.
 fn grouped_config(flush_workers: usize, compress: bool) -> DudeTmConfig {
     DudeTmConfig {
         max_threads: 4,
@@ -218,29 +217,35 @@ fn btree_images_identical_across_shard_counts() {
     }
 }
 
-/// Differential oracle for the parallel grouped Persist stage: the same
-/// single-Perform-thread workload must produce a byte-identical drained
-/// heap whether groups are flushed by the serial grouped worker
-/// (`persist_flush_workers = 1`) or fanned out to 2 or 4 parallel flush
-/// workers — and identical to the ungrouped serial reference too. Byte
+/// Differential oracle for parallel Persist: the same single-Perform-thread
+/// workload must produce a byte-identical drained heap whether one Persist
+/// worker flushes everything or 2 or 4 publish out of order — ungrouped and
+/// grouped alike, all identical to the ungrouped one-worker reference. Byte
 /// determinism is what makes this meaningful: `combine_sorted` gives every
-/// worker the same serialized group body, and in-order publication keeps
-/// the replay sequence dense, so no flush schedule can leak into the heap.
+/// worker the same serialized group body, and Reproduce replays in dense
+/// ID order whatever order batches arrive in, so no flush schedule can leak
+/// into the heap.
 #[test]
-fn grouped_images_identical_across_flush_worker_counts() {
+fn images_identical_across_persist_worker_counts() {
     for workload in [
         ("bank", bank as fn(&mut Runner, u64), 0xB01D_FACEu64),
         ("kv", kv, 0x0FF1_CE),
     ] {
         let (name, f, seed) = workload;
         let reference = heap_image(1, seed, f);
+        let image = heap_image_cfg(config(1).with_flush_workers(2), seed, f);
+        assert_eq!(
+            image, reference,
+            "{name} seed {seed:#x}: ungrouped persist (fw=2) diverged from the \
+             one-worker reference"
+        );
         for compress in [false, true] {
             for fw in [1usize, 2, 4] {
                 let image = heap_image_cfg(grouped_config(fw, compress), seed, f);
                 assert_eq!(
                     image, reference,
                     "{name} seed {seed:#x}: grouped persist (fw={fw}, lz={compress}) \
-                     diverged from the serial ungrouped reference"
+                     diverged from the ungrouped one-worker reference"
                 );
             }
         }

@@ -1,15 +1,14 @@
-//! Property tests for the sequence-reorder primitives (`seqtrack`).
+//! Property tests for the durable-ID watermark (`seqtrack`).
 //!
-//! `OrderedCompletions` is the gate between out-of-order parallel flush
-//! and in-order durability publication, so its contract is stated here as
-//! properties over *arbitrary completion permutations*, not hand-picked
-//! interleavings: whatever order workers complete in, emission is the
-//! identity sequence; a gap stalls everything above it and filling the
-//! gap drains the parked run in one step.
+//! `SequenceTracker` is what lets Persist workers publish out of commit
+//! order: whatever order IDs (or whole group ranges) are marked in, the
+//! watermark is the largest complete prefix and nothing more. Stated here
+//! as properties over *arbitrary completion permutations*, not hand-picked
+//! interleavings.
 
 use proptest::prelude::*;
 
-use dudetm::{OrderedCompletions, SequenceTracker};
+use dudetm::SequenceTracker;
 
 /// Decodes `entropy` into a permutation of `0..n` (Fisher–Yates driven by
 /// the raw words, so the proptest shim needs no shuffle strategy).
@@ -25,95 +24,32 @@ fn permutation(n: usize, entropy: &[u64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Completing `0..n` in any order emits exactly `0..n`, in order, with
-    /// every item delivered under its own sequence number, and leaves
-    /// nothing parked.
-    #[test]
-    fn any_permutation_emits_dense_in_order(
-        n in 1usize..64,
-        entropy in proptest::collection::vec(any::<u64>(), 1..16),
-    ) {
-        let perm = permutation(n, &entropy);
-        let oc = OrderedCompletions::starting_at(0);
-        let mut emitted = Vec::new();
-        for &seq in &perm {
-            oc.complete(seq, seq, |s, item| emitted.push((s, item)));
-            // Emission never runs ahead of the completed contiguous prefix.
-            prop_assert!(emitted.len() <= n);
-        }
-        let expect: Vec<(u64, u64)> = (0..n as u64).map(|s| (s, s)).collect();
-        prop_assert_eq!(emitted, expect);
-        prop_assert_eq!(oc.next_pending(), n as u64);
-        prop_assert_eq!(oc.parked_len(), 0);
-    }
-
-    /// The same property holds from a recovered (non-zero) starting
-    /// sequence number.
-    #[test]
-    fn offset_start_emits_dense_in_order(
-        start in 1u64..1_000_000,
-        n in 1usize..48,
-        entropy in proptest::collection::vec(any::<u64>(), 1..16),
-    ) {
-        let perm = permutation(n, &entropy);
-        let oc = OrderedCompletions::starting_at(start);
-        let mut emitted = Vec::new();
-        for &seq in &perm {
-            oc.complete(start + seq, seq, |s, _| emitted.push(s));
-        }
-        let expect: Vec<u64> = (start..start + n as u64).collect();
-        prop_assert_eq!(emitted, expect);
-        prop_assert_eq!(oc.next_pending(), start + n as u64);
-    }
-
-    /// Holding back one sequence number stalls emission exactly at the
-    /// gap — everything above parks — and completing it drains the whole
-    /// parked run in that single call.
-    #[test]
-    fn gap_stalls_then_drains(
-        n in 2usize..64,
-        gap_pick in any::<u64>(),
-        entropy in proptest::collection::vec(any::<u64>(), 1..16),
-    ) {
-        let gap = gap_pick as usize % n;
-        let perm = permutation(n, &entropy);
-        let oc = OrderedCompletions::starting_at(0);
-        let mut emitted = Vec::new();
-        for &seq in perm.iter().filter(|&&s| s != gap as u64) {
-            oc.complete(seq, (), |s, ()| emitted.push(s));
-        }
-        // Emitted: exactly the run below the gap. Parked: everything above.
-        let below: Vec<u64> = (0..gap as u64).collect();
-        prop_assert_eq!(&emitted, &below);
-        prop_assert_eq!(oc.next_pending(), gap as u64);
-        prop_assert_eq!(oc.parked_len(), n - 1 - gap);
-        // Filling the gap releases the rest, still in order.
-        oc.complete(gap as u64, (), |s, ()| emitted.push(s));
-        let all: Vec<u64> = (0..n as u64).collect();
-        prop_assert_eq!(&emitted, &all);
-        prop_assert_eq!(oc.next_pending(), n as u64);
-        prop_assert_eq!(oc.parked_len(), 0);
-    }
-
     /// `SequenceTracker::starting_at` behaves like a fresh tracker shifted
-    /// by `start`: the watermark matches the naive largest-complete-prefix
-    /// model for any completion permutation of `start+1..=start+n`.
+    /// by `start`: marking groups of `group` consecutive IDs as ranges in
+    /// any order — how parallel Persist workers publish; `group = 1` is
+    /// the ungrouped pipeline — the watermark matches the naive
+    /// largest-complete-prefix model after every step.
     #[test]
     fn tracker_offset_start_matches_model(
         start in 0u64..1_000_000,
+        group in 1u64..9,
         n in 1usize..64,
         entropy in proptest::collection::vec(any::<u64>(), 1..16),
     ) {
         let perm = permutation(n, &entropy);
         let tracker = SequenceTracker::starting_at(start);
         let mut done = std::collections::HashSet::new();
-        for &p in &perm {
-            tracker.mark(start + 1 + p);
-            done.insert(start + 1 + p);
-            let model = (start + 1..).take_while(|id| done.contains(id)).count() as u64;
-            prop_assert_eq!(tracker.watermark(), start + model);
-            prop_assert_eq!(tracker.pending_len(), done.len() - model as usize);
+        for &g in &perm {
+            let lo = start + 1 + g * group;
+            tracker.mark_range(lo, lo + group - 1);
+            done.insert(g);
+            let model = (0..).take_while(|g| done.contains(g)).count() as u64;
+            prop_assert_eq!(tracker.watermark(), start + model * group);
+            prop_assert_eq!(
+                tracker.pending_len() as u64,
+                (done.len() as u64 - model) * group
+            );
         }
-        prop_assert_eq!(tracker.watermark(), start + n as u64);
+        prop_assert_eq!(tracker.watermark(), start + n as u64 * group);
     }
 }

@@ -258,6 +258,32 @@ fn tiny_buffer_counts_perform_log_full_stalls_sim() {
     );
 }
 
+/// DudeTM-Sync waiting for log space is a Persist ring-full stall like any
+/// other. A 4 KiB ring holds 64 of the workload's records and the cadence
+/// never fires, so space only comes back through Reproduce's idle
+/// checkpoint — which needs the client to stop publishing, i.e. to be
+/// waiting on the full ring.
+#[test]
+fn sync_ring_full_waits_are_counted() {
+    let sync = |trace| {
+        DudeTmConfig {
+            plog_bytes_per_thread: 4096,
+            checkpoint_every: u64::MAX / 2,
+            ..config(trace)
+        }
+        .with_durability(DurabilityMode::Sync)
+    };
+    let (on, heap_on, _) = run_workload(sync(TraceConfig::enabled(4096)));
+    let (off, heap_off, _) = run_workload(sync(TraceConfig::disabled()));
+    assert!(on.stalls.persist_ring_full > 0, "{}", on.summary());
+    assert_eq!(off.stalls, Default::default());
+    assert_eq!(heap_on, heap_off, "heap image must not depend on tracing");
+    assert_eq!(
+        (on.committed, on.durable, on.reproduced),
+        (off.committed, off.durable, off.reproduced)
+    );
+}
+
 /// The summary line always carries the four stall counters, and the trace
 /// accessor works across engine types (API-surface check).
 #[test]

@@ -22,12 +22,11 @@
 //!    counters bounded by acknowledged progress) as an independent second
 //!    oracle.
 //!
-//! The config matrix covers `persist_threads ∈ {1,2}`, `persist_group ∈
-//! {1,8}` with and without `compress_groups`, `persist_flush_workers ∈
-//! {1,2,4}` on the grouped path, `reproduce_threads ∈ {1,4}`, and
-//! Async/AsyncUnbounded/Sync durability — every valid combination of the
-//! axes (grouping requires an async mode; see
-//! `DudeTmConfig::try_validate`). With the default seed set the sweeps
+//! The config matrix covers `persist_flush_workers ∈ {1,2}` ungrouped and
+//! `{1,2,4}` grouped, `persist_group ∈ {1,8}` with and without
+//! `compress_groups`, `reproduce_threads ∈ {1,4}`, and
+//! Async/AsyncUnbounded/Sync durability (grouping requires an async mode;
+//! see `DudeTmConfig::try_validate`). With the default seed set the sweeps
 //! below enumerate well over 500 `(seed × crash point × config)` cases;
 //! set `DUDE_SWEEP_SEEDS=7,1337,424242` (comma-separated) to rerun the
 //! same matrix under other interleavings, as CI does in release mode.
@@ -64,7 +63,7 @@ fn seeds() -> Vec<u64> {
 
 fn cfg(
     mode: DurabilityMode,
-    persist_threads: usize,
+    persist_workers: usize,
     persist_group: usize,
     compress: bool,
     reproduce_threads: usize,
@@ -73,7 +72,7 @@ fn cfg(
         max_threads: 10,
         plog_bytes_per_thread: 1 << 16,
         checkpoint_every: 8,
-        persist_threads,
+        persist_flush_workers: persist_workers,
         persist_group,
         compress_groups: compress,
         reproduce_threads,
@@ -81,20 +80,6 @@ fn cfg(
     }
     .with_durability(mode);
     c.try_validate().expect("sweep matrix combo must be valid");
-    c
-}
-
-/// Grouped config with the Persist stage split into a sequencer plus
-/// `workers` parallel flush workers (each owning one log ring).
-fn cfg_fw(
-    mode: DurabilityMode,
-    persist_group: usize,
-    compress: bool,
-    reproduce_threads: usize,
-    workers: usize,
-) -> DudeTmConfig {
-    let c = cfg(mode, 1, persist_group, compress, reproduce_threads).with_flush_workers(workers);
-    c.try_validate().expect("flush-worker combo must be valid");
     c
 }
 
@@ -371,7 +356,7 @@ fn assert_sweep(name: &str, (rounds, tripped): (u64, u64), min_rounds: u64) {
 #[test]
 fn mt_sweep_async_baseline() {
     let combo = Combo {
-        name: "async pt=1 pg=1 rt=1",
+        name: "async pw=1 pg=1 rt=1",
         cfg: cfg(ASYNC, 1, 1, false, 1),
         workload: Workload::Bank,
         threads: 4,
@@ -396,9 +381,9 @@ fn mt_sweep_async_baseline() {
 }
 
 #[test]
-fn mt_sweep_async_two_persist_threads() {
+fn mt_sweep_async_two_persist_workers() {
     let combo = Combo {
-        name: "async pt=2 pg=1 rt=1",
+        name: "async pw=2 pg=1 rt=1",
         cfg: cfg(ASYNC, 2, 1, false, 1),
         workload: Workload::Bank,
         threads: 4,
@@ -431,7 +416,7 @@ fn mt_sweep_async_two_persist_threads() {
 #[test]
 fn mt_sweep_async_sharded_reproduce() {
     let combo = Combo {
-        name: "async pt=2 pg=1 rt=4",
+        name: "async pw=2 pg=1 rt=4",
         cfg: cfg(ASYNC, 2, 1, false, 4),
         workload: Workload::Bank,
         threads: 8,
@@ -458,7 +443,7 @@ fn mt_sweep_async_sharded_reproduce() {
 #[test]
 fn mt_sweep_grouped() {
     let combo = Combo {
-        name: "async pt=1 pg=8 rt=1",
+        name: "async pw=1 pg=8 rt=1",
         cfg: cfg(ASYNC, 1, 8, false, 1),
         workload: Workload::Bank,
         threads: 4,
@@ -491,7 +476,7 @@ fn mt_sweep_grouped() {
 #[test]
 fn mt_sweep_grouped_compressed_sharded() {
     let combo = Combo {
-        name: "async pt=1 pg=8+lz rt=4",
+        name: "async pw=1 pg=8+lz rt=4",
         cfg: cfg(ASYNC, 1, 8, true, 4),
         workload: Workload::Bank,
         threads: 4,
@@ -515,14 +500,15 @@ fn mt_sweep_grouped_compressed_sharded() {
     );
 }
 
-/// Two parallel flush workers on the grouped path: groups fence out of
-/// order on two rings, but the oracle must still see exact contiguous TID
-/// prefixes — the in-order publication gate is what's under test here.
+/// Two Persist workers behind the sequencer: groups fence and publish out
+/// of order on two rings, but the oracle must still see exact contiguous
+/// TID prefixes — the tracker's prefix watermark and Reproduce's dense
+/// replay are what's under test here.
 #[test]
 fn mt_sweep_grouped_two_flush_workers() {
     let combo = Combo {
-        name: "async pt=seq pg=8 fw=2 rt=1",
-        cfg: cfg_fw(ASYNC, 8, false, 1, 2),
+        name: "async pw=2 pg=8 rt=1",
+        cfg: cfg(ASYNC, 2, 8, false, 1),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -545,13 +531,13 @@ fn mt_sweep_grouped_two_flush_workers() {
     );
 }
 
-/// Four flush workers + compression + sharded Reproduce: the full
-/// parallel-Persist feature stack under the nastiest crash classes.
+/// Four Persist workers + compression + sharded Reproduce: the full
+/// parallel feature stack under the nastiest crash classes.
 #[test]
 fn mt_sweep_grouped_compressed_four_flush_workers_sharded() {
     let combo = Combo {
-        name: "async pt=seq pg=8+lz fw=4 rt=4",
-        cfg: cfg_fw(ASYNC, 8, true, 4, 4),
+        name: "async pw=4 pg=8+lz rt=4",
+        cfg: cfg(ASYNC, 4, 8, true, 4),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -636,7 +622,7 @@ fn mt_sweep_sync_sharded_counters() {
 #[test]
 fn mt_sweep_tiny_plog_parked_records() {
     let combo = Combo {
-        name: "async tiny-plog pt=1 pg=1 rt=1",
+        name: "async tiny-plog pw=1 pg=1 rt=1",
         cfg: DudeTmConfig {
             plog_bytes_per_thread: 4096,
             checkpoint_every: 4,

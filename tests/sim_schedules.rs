@@ -26,7 +26,7 @@
 //!
 //! The two `mutation_*` tests are the sharpness check: each arms one
 //! injected ordering bug ([`dudetm::sabotage`]) — a dropped fence in the
-//! grouped-Persist publish path, an off-by-one frontier publish in
+//! Persist publish path, an off-by-one frontier publish in
 //! sharded Reproduce — and asserts the seed sweep *catches* it within the
 //! default budget. A fuzzer that passes those two mutations but fails a
 //! real run is telling the truth.
@@ -143,9 +143,8 @@ struct Combo {
 }
 
 fn cfg(
-    persist_threads: usize,
+    persist_workers: usize,
     persist_group: usize,
-    flush_workers: usize,
     compress: bool,
     reproduce_threads: usize,
 ) -> DudeTmConfig {
@@ -153,11 +152,10 @@ fn cfg(
         max_threads: 10,
         plog_bytes_per_thread: 1 << 16,
         checkpoint_every: 8,
-        persist_threads,
+        persist_flush_workers: persist_workers,
         persist_group,
         compress_groups: compress,
         reproduce_threads,
-        persist_flush_workers: flush_workers,
         ..DudeTmConfig::small(1 << 16)
     }
     .with_durability(ASYNC);
@@ -467,8 +465,8 @@ fn explore(combo: &Combo, crash_points: u64) {
 fn same_seed_replays_byte_identical_trace() {
     let _g = lock_tests();
     let combo = Combo {
-        name: "replay pt=1 pg=8 fw=2 rt=1",
-        cfg: cfg(1, 8, 2, false, 1),
+        name: "replay pw=2 pg=8 rt=1",
+        cfg: cfg(2, 8, false, 1),
         workload: Workload::Bank,
         threads: 3,
         ops: 8,
@@ -520,8 +518,8 @@ fn same_seed_replays_byte_identical_trace() {
 fn schedules_baseline_bank() {
     explore(
         &Combo {
-            name: "sim pt=1 pg=1 rt=1",
-            cfg: cfg(1, 1, 1, false, 1),
+            name: "sim pw=1 pg=1 rt=1",
+            cfg: cfg(1, 1, false, 1),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -531,11 +529,11 @@ fn schedules_baseline_bank() {
 }
 
 #[test]
-fn schedules_two_persist_threads_bank() {
+fn schedules_two_persist_workers_bank() {
     explore(
         &Combo {
-            name: "sim pt=2 pg=1 rt=1",
-            cfg: cfg(2, 1, 1, false, 1),
+            name: "sim pw=2 pg=1 rt=1",
+            cfg: cfg(2, 1, false, 1),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -548,8 +546,8 @@ fn schedules_two_persist_threads_bank() {
 fn schedules_grouped_flush_workers_bank() {
     explore(
         &Combo {
-            name: "sim pt=seq pg=8 fw=2 rt=1",
-            cfg: cfg(1, 8, 2, false, 1),
+            name: "sim pw=2 pg=8 rt=1",
+            cfg: cfg(2, 8, false, 1),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -562,8 +560,8 @@ fn schedules_grouped_flush_workers_bank() {
 fn schedules_grouped_compressed_sharded_bank() {
     explore(
         &Combo {
-            name: "sim pt=seq pg=8+lz fw=4 rt=4",
-            cfg: cfg(1, 8, 4, true, 4),
+            name: "sim pw=4 pg=8+lz rt=4",
+            cfg: cfg(4, 8, true, 4),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -576,8 +574,8 @@ fn schedules_grouped_compressed_sharded_bank() {
 fn schedules_sharded_counters() {
     explore(
         &Combo {
-            name: "sim pt=1 pg=1 rt=4 counters",
-            cfg: cfg(1, 1, 1, false, 4),
+            name: "sim pw=1 pg=1 rt=4 counters",
+            cfg: cfg(1, 1, false, 4),
             workload: Workload::Counters,
             threads: 4,
             ops: 8,
@@ -678,8 +676,8 @@ fn mutation_dropped_group_fence_is_caught() {
     assert_mutation_caught(
         Mutation::SkipGroupFence,
         &Combo {
-            name: "mutation-A pt=seq pg=8 fw=2 rt=1",
-            cfg: cfg(1, 8, 2, false, 1),
+            name: "mutation-A pw=2 pg=8 rt=1",
+            cfg: cfg(2, 8, false, 1),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -692,8 +690,8 @@ fn mutation_frontier_off_by_one_is_caught() {
     assert_mutation_caught(
         Mutation::FrontierOffByOne,
         &Combo {
-            name: "mutation-B pt=1 pg=1 rt=4",
-            cfg: cfg(1, 1, 1, false, 4),
+            name: "mutation-B pw=1 pg=1 rt=4",
+            cfg: cfg(1, 1, false, 4),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
