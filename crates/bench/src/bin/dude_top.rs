@@ -240,7 +240,8 @@ fn sparkline(values: &[u64], width: usize) -> String {
 fn render(registry: &MetricsRegistry, elapsed: Duration, plain: bool, final_frame: bool) {
     let frames = registry.frames();
     let Some(last) = frames.last() else { return };
-    let lags: Vec<u64> = frames.iter().map(|f| f.persist_lag).collect();
+    let lags: Vec<u64> = frames.iter().map(|f| f.watermarks.persist_lag).collect();
+    let (c, w) = (&last.counters, &last.watermarks);
     let mut out = String::new();
     if !plain {
         out.push_str("\x1b[2J\x1b[H"); // clear + home
@@ -260,32 +261,20 @@ fn render(registry: &MetricsRegistry, elapsed: Duration, plain: bool, final_fram
     ));
     out.push_str(&format!(
         "  tids     committed={} durable={} (lag {}) reproduced={} (lag {}) ring-words={}\n",
-        last.committed,
-        last.durable,
-        last.persist_lag,
-        last.reproduced,
-        last.reproduce_lag,
-        last.ring_used_words,
+        w.committed, w.durable, w.persist_lag, w.reproduced, w.reproduce_lag, w.ring_used_words,
     ));
     out.push_str(&format!(
         "  frontier min={} skew={}   totals commits={} groups={} replayed={} ckpts={} flushed={}B\n",
-        last.frontier_min,
-        last.frontier_skew,
-        last.commits,
-        last.groups_persisted,
-        last.txns_reproduced,
-        last.checkpoints,
-        last.log_bytes_flushed,
+        w.frontier_min,
+        w.frontier_skew,
+        c.commits,
+        c.groups_persisted,
+        c.txns_reproduced,
+        c.checkpoints,
+        c.log_bytes_flushed,
     ));
     out.push_str(&format!("  persist-lag {}\n", sparkline(&lags, 60)));
-    out.push_str(&format!(
-        "  stalls   log-full={} ring-full={} seq-wait={} starved={} ckpt-wait={}\n",
-        last.stalls.perform_log_full,
-        last.stalls.persist_ring_full,
-        last.stalls.persist_seq_wait,
-        last.stalls.reproduce_starved,
-        last.stalls.checkpoint_wait,
-    ));
+    out.push_str(&format!("  stalls   {}\n", last.stalls));
     print!("{out}");
     let _ = std::io::stdout().flush();
 }
@@ -320,7 +309,7 @@ fn replay(path: &str, plain: bool) -> i32 {
     let first_ts = frames.first().map_or(0, |f| f.ts_ns);
     let last = frames.last().expect("non-empty");
     let wall = Duration::from_nanos(last.ts_ns.saturating_sub(first_ts));
-    let lags: Vec<u64> = frames.iter().map(|f| f.persist_lag).collect();
+    let lags: Vec<u64> = frames.iter().map(|f| f.watermarks.persist_lag).collect();
     // Rates from sub-millisecond windows (e.g. the explicit final sample
     // landing right after a timer sample) are noise — skip them for peak.
     let peak_commit = frames
@@ -339,23 +328,17 @@ fn replay(path: &str, plain: bool) -> i32 {
 }
 
 fn render_replay_tail(last: &MetricsFrame, lags: &[u64], _plain: bool) {
+    let (c, w) = (&last.counters, &last.watermarks);
     println!(
         "  final    committed={} durable={} (lag {}) reproduced={} (lag {})",
-        last.committed, last.durable, last.persist_lag, last.reproduced, last.reproduce_lag
+        w.committed, w.durable, w.persist_lag, w.reproduced, w.reproduce_lag
     );
     println!(
         "  totals   commits={} persisted-groups={} replayed={} flushed={}B",
-        last.commits, last.groups_persisted, last.txns_reproduced, last.log_bytes_flushed
+        c.commits, c.groups_persisted, c.txns_reproduced, c.log_bytes_flushed
     );
     println!("  persist-lag {}", sparkline(lags, 60));
-    println!(
-        "  stalls   log-full={} ring-full={} seq-wait={} starved={} ckpt-wait={}",
-        last.stalls.perform_log_full,
-        last.stalls.persist_ring_full,
-        last.stalls.persist_seq_wait,
-        last.stalls.reproduce_starved,
-        last.stalls.checkpoint_wait,
-    );
+    println!("  stalls   {}", last.stalls);
 }
 
 fn check_jsonl(path: &str) -> i32 {
@@ -381,7 +364,7 @@ fn check_jsonl(path: &str) -> i32 {
     println!(
         "dude-top --check-jsonl: ok — {} frame(s), final commits={}",
         frames.len(),
-        frames.last().expect("non-empty").commits
+        frames.last().expect("non-empty").counters.commits
     );
     0
 }

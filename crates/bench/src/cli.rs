@@ -129,7 +129,7 @@ fn dispatch(mut args: Vec<String>) -> Result<i32, String> {
 
 fn cmd_list(args: Args) -> Result<i32, String> {
     args.positionals()?;
-    println!("{:<28} {:<10} {}", "SPEC", "TABLES", "TITLE");
+    println!("{:<28} {:<10} TITLE", "SPEC", "TABLES");
     for spec in SPECS {
         println!("{:<28} {:<10} {}", spec.name, spec.tables.len(), spec.title);
     }

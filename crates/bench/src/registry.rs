@@ -230,11 +230,31 @@ fn run_table2(ctx: &SpecCtx) -> SpecOutput {
             .nvml_compatible()
             .then(|| run_combo(SystemKind::Nvml, workload, &env));
         committed += dude.run.committed as f64;
-        out.walltime_metric(format!("tps/{slug}/dude"), "tps", dude.run.throughput);
-        out.walltime_metric(format!("tps/{slug}/sync"), "tps", sync.run.throughput);
-        out.walltime_metric(format!("tps/{slug}/mnemosyne"), "tps", mnem.run.throughput);
+        out.walltime_metric(
+            format!("tps/{slug}/dude"),
+            "tps",
+            Better::Higher,
+            dude.run.throughput,
+        );
+        out.walltime_metric(
+            format!("tps/{slug}/sync"),
+            "tps",
+            Better::Higher,
+            sync.run.throughput,
+        );
+        out.walltime_metric(
+            format!("tps/{slug}/mnemosyne"),
+            "tps",
+            Better::Higher,
+            mnem.run.throughput,
+        );
         if let Some(n) = &nvml {
-            out.walltime_metric(format!("tps/{slug}/nvml"), "tps", n.run.throughput);
+            out.walltime_metric(
+                format!("tps/{slug}/nvml"),
+                "tps",
+                Better::Higher,
+                n.run.throughput,
+            );
         }
         table.push(vec![
             workload.label(),
@@ -277,7 +297,12 @@ fn run_table1(ctx: &SpecCtx) -> SpecOutput {
         // op stream, not of machine speed — these hold across hosts.
         out.gated_metric(format!("writes_per_tx/{slug}"), "writes/tx", writes_per_tx);
         out.gated_metric(format!("committed/{slug}"), "txns", stats.commits as f64);
-        out.walltime_metric(format!("tps/{slug}"), "tps", cell.run.throughput);
+        out.walltime_metric(
+            format!("tps/{slug}"),
+            "tps",
+            Better::Higher,
+            cell.run.throughput,
+        );
         table.push(vec![
             workload.label(),
             ctx.walltime_cell(format!("{:.1} M/s", writes_per_sec / 1e6)),
@@ -315,9 +340,24 @@ fn run_table3(ctx: &SpecCtx) -> SpecOutput {
     for (system, slug) in systems {
         let cell = run_combo(system, workload, &env);
         let lat = cell.run.latency.expect("latency sampling enabled");
-        out.walltime_metric(format!("p50_ns/{slug}"), "ns", lat.p50 as f64);
-        out.walltime_metric(format!("p90_ns/{slug}"), "ns", lat.p90 as f64);
-        out.walltime_metric(format!("p99_ns/{slug}"), "ns", lat.p99 as f64);
+        out.walltime_metric(
+            format!("p50_ns/{slug}"),
+            "ns",
+            Better::Lower,
+            lat.p50 as f64,
+        );
+        out.walltime_metric(
+            format!("p90_ns/{slug}"),
+            "ns",
+            Better::Lower,
+            lat.p90 as f64,
+        );
+        out.walltime_metric(
+            format!("p99_ns/{slug}"),
+            "ns",
+            Better::Lower,
+            lat.p99 as f64,
+        );
         sample_counts.push(lat.samples);
         cols.push(lat);
     }
@@ -393,6 +433,7 @@ fn run_fig2(ctx: &SpecCtx) -> SpecOutput {
                 out.walltime_metric(
                     format!("tps/{wslug}/{sslug}/{bw}gb"),
                     "tps",
+                    Better::Higher,
                     cell.run.throughput,
                 );
                 row.push(ctx.tps(cell.run.throughput));
@@ -418,6 +459,7 @@ fn run_fig2(ctx: &SpecCtx) -> SpecOutput {
             out.walltime_metric(
                 format!("tps/{wslug}/sync/3500cyc"),
                 "tps",
+                Better::Higher,
                 slow.run.throughput,
             );
             table.push(vec![
@@ -474,14 +516,21 @@ fn run_fig3(ctx: &SpecCtx) -> SpecOutput {
         out.walltime_metric(
             format!("combine_savings/group_{group}"),
             "fraction",
+            Better::Higher,
             combine,
         );
         out.walltime_metric(
             format!("compress_savings/group_{group}"),
             "fraction",
+            Better::Higher,
             compress,
         );
-        out.walltime_metric(format!("total_savings/group_{group}"), "fraction", total);
+        out.walltime_metric(
+            format!("total_savings/group_{group}"),
+            "fraction",
+            Better::Higher,
+            total,
+        );
         table.push(vec![
             group.to_string(),
             ctx.walltime_cell(fmt_pct(combine)),
@@ -553,6 +602,7 @@ fn run_fig4(ctx: &SpecCtx) -> SpecOutput {
                 out.walltime_metric(
                     format!("tps/{tslug}/{mslug}/frames_{frames}"),
                     "tps",
+                    Better::Higher,
                     cell.run.throughput,
                 );
                 // Swap-out counts drift with thread interleaving, so they
@@ -616,16 +666,19 @@ fn run_fig5(ctx: &SpecCtx) -> SpecOutput {
         out.walltime_metric(
             format!("scaling/vstm/threads_{n}"),
             "ratio",
+            Better::Higher,
             vol.run.throughput / base_tput[0],
         );
         out.walltime_metric(
             format!("scaling/dude/threads_{n}"),
             "ratio",
+            Better::Higher,
             dude.run.throughput / base_tput[1],
         );
         out.walltime_metric(
             format!("scaling/partitioned/threads_{n}"),
             "ratio",
+            Better::Higher,
             part.run.throughput / base_tput[2],
         );
         table.push(vec![
@@ -679,16 +732,19 @@ fn run_table4(ctx: &SpecCtx) -> SpecOutput {
         out.walltime_metric(
             format!("slowdown_stm/{slug}"),
             "fraction",
+            Better::Lower,
             1.0 - dstm.run.throughput / vstm.run.throughput,
         );
         out.walltime_metric(
             format!("slowdown_htm/{slug}"),
             "fraction",
+            Better::Lower,
             1.0 - dhtm.run.throughput / vhtm.run.throughput,
         );
         out.walltime_metric(
             format!("htm_speedup/{slug}"),
             "ratio",
+            Better::Higher,
             dhtm.run.throughput / dstm.run.throughput,
         );
         table.push(vec![
@@ -778,7 +834,12 @@ fn run_ablation_vlog(ctx: &SpecCtx) -> SpecOutput {
             buffer_txns: buffer,
         };
         let cell = run_combo(SystemKind::Dude, workload, &env);
-        out.walltime_metric(format!("tps/buffer_{buffer}"), "tps", cell.run.throughput);
+        out.walltime_metric(
+            format!("tps/buffer_{buffer}"),
+            "tps",
+            Better::Higher,
+            cell.run.throughput,
+        );
         table.push(vec![buffer.to_string(), ctx.tps(cell.run.throughput)]);
     }
     out.table("main", table);
@@ -856,7 +917,12 @@ fn run_ablation_persist_threads(ctx: &SpecCtx) -> SpecOutput {
             "  pipeline [{threads} persist threads]: {}",
             sys.stats_snapshot().summary()
         );
-        out.walltime_metric(format!("tps/persist_threads_{threads}"), "tps", tps);
+        out.walltime_metric(
+            format!("tps/persist_threads_{threads}"),
+            "tps",
+            Better::Higher,
+            tps,
+        );
         let mut row = vec![threads.to_string(), ctx.tps(tps)];
         row.extend(latency_cols(ctx, sys.trace()));
         if trace_cfg.enabled {
@@ -890,7 +956,12 @@ fn run_ablation_checkpoint_cadence(ctx: &SpecCtx) -> SpecOutput {
             ..ablation_base_config(&env, trace_cfg)
         };
         let (tps, sys) = ablation_cell(&env, config, WorkloadKind::TpccHash);
-        out.walltime_metric(format!("tps/checkpoint_{every}"), "tps", tps);
+        out.walltime_metric(
+            format!("tps/checkpoint_{every}"),
+            "tps",
+            Better::Higher,
+            tps,
+        );
         let mut row = vec![every.to_string(), ctx.tps(tps)];
         row.extend(latency_cols(ctx, sys.trace()));
         if trace_cfg.enabled {
@@ -976,7 +1047,12 @@ fn run_ablation_reproduce_shards(ctx: &SpecCtx) -> SpecOutput {
             secs * 1e3,
             sys.stats_snapshot().summary()
         );
-        out.walltime_metric(format!("drain_tps/shards_{rt}"), "tps", rate);
+        out.walltime_metric(
+            format!("drain_tps/shards_{rt}"),
+            "tps",
+            Better::Higher,
+            rate,
+        );
         let mut row = vec![
             rt.to_string(),
             ctx.walltime_cell(fmt_tps(rate)),
@@ -1183,7 +1259,12 @@ fn run_endurance(ctx: &SpecCtx) -> SpecOutput {
             better: Better::Lower,
             walltime: false,
         });
-        out.walltime_metric(format!("tps/group_{group}"), "tps", stats.throughput);
+        out.walltime_metric(
+            format!("tps/group_{group}"),
+            "tps",
+            Better::Higher,
+            stats.throughput,
+        );
         table.push(vec![
             if group == 1 {
                 "1 (off)".into()

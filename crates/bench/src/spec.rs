@@ -129,15 +129,22 @@ impl SpecOutput {
         });
     }
 
-    /// Appends an ungated wall-clock metric (recorded, not gated).
-    pub fn walltime_metric(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
+    /// Appends an ungated wall-clock metric (recorded, gated only under
+    /// `diff --include-walltime`, in the direction `better` names).
+    pub fn walltime_metric(
+        &mut self,
+        name: impl Into<String>,
+        unit: &'static str,
+        better: Better,
+        value: f64,
+    ) {
         self.metrics.push(Metric {
             name: name.into(),
             unit,
             value,
             samples: vec![value],
             gated: false,
-            better: Better::Higher,
+            better,
             walltime: true,
         });
     }

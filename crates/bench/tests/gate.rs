@@ -3,7 +3,7 @@
 
 use dude_bench::diff::{diff_records, parse_tolerance, DiffError};
 use dude_bench::record::{EnvMeta, Record};
-use dude_bench::spec::{Better, Metric, Tier};
+use dude_bench::spec::{Better, Metric, SpecOutput, Tier};
 
 fn env() -> EnvMeta {
     EnvMeta {
@@ -214,6 +214,27 @@ fn walltime_metrics_gate_only_on_opt_in() {
     let with = diff_records(&base, &cur, 0.15, true).unwrap();
     assert!(!with.pass(), "walltime gated with --include-walltime");
     assert_eq!(with.checked, 2);
+}
+
+/// A latency recorded through `walltime_metric(.., Better::Lower, ..)`, as
+/// the `p50_ns/…`, `p99_ns/…` and `slowdown_*` sites do, gates downwards: a
+/// rise past tolerance fails, a fall past it is reported as an improvement.
+#[test]
+fn walltime_latency_gates_lower_is_better() {
+    let latency = |ns: f64| {
+        let mut out = SpecOutput::default();
+        out.walltime_metric("p99_ns/tatp", "ns", Better::Lower, ns);
+        vec![record("s", Tier::Quick, out.metrics)]
+    };
+    let base = latency(1000.0);
+    let rose = diff_records(&base, &latency(1200.0), 0.15, true).unwrap();
+    assert!(!rose.pass(), "a latency increase is a regression");
+    assert_eq!(rose.regressions[0].metric, "p99_ns/tatp");
+    assert!(rose.improvements.is_empty());
+    let fell = diff_records(&base, &latency(800.0), 0.15, true).unwrap();
+    assert!(fell.pass(), "a latency drop never fails the gate");
+    assert_eq!(fell.improvements.len(), 1);
+    assert_eq!(fell.improvements[0].metric, "p99_ns/tatp");
 }
 
 #[test]

@@ -22,8 +22,8 @@
 //!
 //! The repository's `DESIGN.md` documents the architecture in depth: the
 //! three-stage pipeline and its sharded Reproduce variant are covered in
-//! `DESIGN.md §Pipeline`, and the observability layer ([`trace`],
-//! [`PipelineSnapshot`]) in `DESIGN.md §Observability`.
+//! `DESIGN.md §Pipeline`, and the metrics catalog ([`stats`]) with its
+//! switches ([`trace`], [`metrics`]) in `DESIGN.md §Observability`.
 //!
 //! # Example
 //!
@@ -65,7 +65,7 @@ mod runtime;
 pub mod sabotage;
 mod seqtrack;
 mod shadow;
-mod stats;
+pub mod stats;
 pub mod trace;
 
 pub use check::{check_prefix, CommitHistory, HistoryEntry, LinearizabilityError, PrefixReport};
@@ -74,18 +74,20 @@ pub use engine::{EngineThread, TmEngine};
 pub use frontier::{shard_of, split_writes, ReproduceFrontier, SHARD_GRAIN_BYTES};
 pub use log::{LogRecord, ParsedRecord};
 pub use metrics::{
-    validate_exposition, Counter, Gauge, MetricKind, MetricsBuilder, MetricsConfig, MetricsFrame,
-    MetricsRegistry, MetricsServer, RecoveryPhase, RecoveryTelemetry,
+    render_histogram, validate_exposition, MetricsConfig, MetricsFrame, MetricsRegistry,
+    MetricsServer, RecoveryPhase,
 };
 pub use plog::{scan_region, PlogRing, PlogSpan};
 pub use recovery::{recover_device, recover_device_observed, RecoverError, RecoveryReport};
 pub use runtime::{dtm_abort, DtmThread, DtmTx, DudeTm, NvmLayout, RedoHooks};
 pub use seqtrack::SequenceTracker;
 pub use shadow::{PagingMode, ShadowConfig, ShadowMem, ShadowStats, ShadowView, PAGE_BYTES};
-pub use stats::{PipelineSnapshot, PipelineStats, PipelineStatsSnapshot};
+pub use stats::{
+    CellDef, Kind, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoverySnapshot,
+    RecoveryTelemetry, StallCounters, StallSnapshot, Watermarks,
+};
 pub use trace::{
-    HistogramSnapshot, LatencyHistogram, StallSnapshot, Trace, TraceConfig, TraceEventKind,
-    TraceRecord, TraceRing,
+    HistogramSnapshot, LatencyHistogram, Trace, TraceConfig, TraceEventKind, TraceRecord, TraceRing,
 };
 
 use std::sync::Arc;

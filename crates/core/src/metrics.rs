@@ -1,24 +1,21 @@
-//! Continuous telemetry: the metrics registry, time-series sampler frames,
-//! Prometheus text exposition, and the optional scrape server.
+//! Continuous telemetry: the sampler's frame ring, Prometheus text
+//! exposition, and the optional scrape server.
 //!
-//! PR 4's observability layer ([`crate::trace`]) is post-mortem: histograms
-//! and stall counters you read after the run. This module turns the same
-//! instrumentation into a *continuous* surface (see `DESIGN.md
-//! §Observability` for the full catalog):
+//! The trace layer ([`crate::trace`]) is post-mortem: histograms and stall
+//! counters you read after the run. This module turns the same cells into
+//! a *continuous* surface. It stores no metric of its own: everything it
+//! reports is one walk of the catalog ([`crate::stats`]) over a
+//! [`PipelineSnapshot`] gathered at that moment, so gauges are computed
+//! when read and a scrape between sampler ticks is fresh (catalog table:
+//! `DESIGN.md §Observability`):
 //!
-//! * [`Counter`] / [`Gauge`] — cheap cloneable handles over relaxed
-//!   atomics. The pipeline's hot-path counters ([`crate::PipelineStats`],
-//!   [`crate::trace::StallCounters`]) are built from these, so the registry
-//!   shares the very cells the pipeline increments — registration adds no
-//!   write on any hot path.
-//! * [`MetricsRegistry`] — named handles to every counter, gauge, and
-//!   [`LatencyHistogram`] of one runtime instance, plus a bounded ring of
-//!   sampled [`MetricsFrame`]s. The handle table is immutable after
-//!   [`MetricsBuilder::build`], so reads are lock-free; only the cold
-//!   frame ring (written once per `sample_interval`) takes a mutex.
-//! * [`MetricsFrame`] — one sampler tick: cumulative stage counters,
-//!   watermark/lag gauges, stall counters, and rates derived from the
-//!   previous frame. Exported as JSON lines, parsed back by
+//! * [`MetricsRegistry`] — one runtime's reporting handle: takes catalog
+//!   snapshots and keeps a bounded ring of sampled [`MetricsFrame`]s. Only
+//!   the cold frame ring (written once per `sample_interval`) takes a
+//!   mutex.
+//! * [`MetricsFrame`] — one sampler tick: `{seq, ts_ns, dt_ns}`, the
+//!   catalog's scalar values, and rates derived from the previous frame.
+//!   Exported as JSON lines, parsed back by
 //!   [`MetricsFrame::from_json_line`] (the `dude-top` replay path).
 //! * [`MetricsRegistry::render_prometheus`] — standard text exposition
 //!   (version 0.0.4): counters as `_total`, gauges plain, histograms as
@@ -28,11 +25,12 @@
 //!   `GET /metrics`. Native builds only by design: it blocks OS threads on
 //!   `accept(2)`, which the sim scheduler cannot preempt, so it is never
 //!   spawned through the `dude_nvm::thread` facade.
-//! * [`RecoveryTelemetry`] — phase gauge and progress counters that
-//!   [`crate::recover_device`] variants update while scanning, replaying,
-//!   and wiping, registered under `recovery_*` names.
+//! * [`RecoveryPhase`] — the encoding of the `recovery_phase` gauge that
+//!   [`crate::recover_device`] variants step through while scanning,
+//!   replaying, and wiping.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,82 +39,12 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::trace::{bucket_bounds, HistogramSnapshot, LatencyHistogram, StallSnapshot};
-
-/// A cloneable handle to a monotonically increasing relaxed counter.
-///
-/// Mirrors the `AtomicU64` calls the pipeline already makes
-/// (`fetch_add`/`load`/`store`), so swapping a raw atomic for a `Counter`
-/// changes no call site — it only makes the cell shareable with the
-/// registry.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// A fresh zero counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n`, returning the previous value.
-    #[inline]
-    pub fn fetch_add(&self, n: u64, order: Ordering) -> u64 {
-        self.0.fetch_add(n, order)
-    }
-
-    /// Reads the current value.
-    #[inline]
-    #[must_use]
-    pub fn load(&self, order: Ordering) -> u64 {
-        self.0.load(order)
-    }
-
-    /// Overwrites the value (test setup; counters are otherwise add-only).
-    #[inline]
-    pub fn store(&self, v: u64, order: Ordering) {
-        self.0.store(v, order);
-    }
-
-    /// Relaxed read shorthand.
-    #[inline]
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.load(Ordering::Relaxed)
-    }
-}
-
-/// A cloneable handle to a last-value gauge (relaxed `u64`).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// A fresh zero gauge.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Reads the value.
-    #[inline]
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Raises the gauge to `v` if `v` is larger (used for the committed-TID
-    /// high-water mark, which many Perform threads race to advance).
-    #[inline]
-    pub fn fetch_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-}
+use crate::runtime::Shared;
+use crate::stats::{
+    snapshot, CellDef, Kind, PipelineSnapshot, PipelineStatsSnapshot, RecoveryTelemetry,
+    StallSnapshot, Watermarks,
+};
+use crate::trace::{bucket_bounds, HistogramSnapshot};
 
 /// Configuration of the continuous-telemetry layer (a field of
 /// [`crate::DudeTmConfig`]).
@@ -192,204 +120,63 @@ impl Default for MetricsConfig {
     }
 }
 
-/// What kind of metric a registry entry is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically increasing counter (`_total` in the exposition).
-    Counter,
-    /// Last-value gauge.
-    Gauge,
-    /// Log-scale latency/size histogram (cumulative buckets in the
-    /// exposition).
-    Histogram,
-}
-
-#[derive(Debug)]
-enum MetricSource {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Arc<LatencyHistogram>),
-}
-
-#[derive(Debug)]
-struct Entry {
-    name: &'static str,
-    help: &'static str,
-    label: Option<(&'static str, String)>,
-    source: MetricSource,
-}
-
-impl Entry {
-    fn full_name(&self) -> String {
-        match &self.label {
-            Some((k, v)) => format!("{}{{{}=\"{}\"}}", self.name, k, v),
-            None => self.name.to_string(),
-        }
-    }
-
-    fn kind(&self) -> MetricKind {
-        match self.source {
-            MetricSource::Counter(_) => MetricKind::Counter,
-            MetricSource::Gauge(_) => MetricKind::Gauge,
-            MetricSource::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-}
-
-/// Builds a [`MetricsRegistry`]; entries are fixed once built, which is
-/// what makes registry reads lock-free.
-#[derive(Debug)]
-pub struct MetricsBuilder {
-    config: MetricsConfig,
-    entries: Vec<Entry>,
-}
-
-impl MetricsBuilder {
-    /// Starts an empty registry with the given configuration.
-    #[must_use]
-    pub fn new(config: MetricsConfig) -> Self {
-        MetricsBuilder {
-            config,
-            entries: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, entry: Entry) {
-        let full = entry.full_name();
-        assert!(
-            self.entries.iter().all(|e| e.full_name() != full),
-            "duplicate metric registration: {full}"
-        );
-        self.entries.push(entry);
-    }
-
-    /// Registers a counter handle under `name`.
-    pub fn counter(&mut self, name: &'static str, help: &'static str, c: &Counter) {
-        self.push(Entry {
-            name,
-            help,
-            label: None,
-            source: MetricSource::Counter(c.clone()),
-        });
-    }
-
-    /// Registers a gauge handle under `name`.
-    pub fn gauge(&mut self, name: &'static str, help: &'static str, g: &Gauge) {
-        self.push(Entry {
-            name,
-            help,
-            label: None,
-            source: MetricSource::Gauge(g.clone()),
-        });
-    }
-
-    /// Registers a histogram under `name`, optionally with one
-    /// `label="value"` pair (per-shard / per-worker instances share a name
-    /// and differ by label).
-    pub fn histogram(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        label: Option<(&'static str, String)>,
-        h: &Arc<LatencyHistogram>,
-    ) {
-        self.push(Entry {
-            name,
-            help,
-            label,
-            source: MetricSource::Histogram(Arc::clone(h)),
-        });
-    }
-
-    /// Freezes the entry table.
-    #[must_use]
-    pub fn build(self) -> MetricsRegistry {
-        MetricsRegistry {
-            config: self.config,
-            entries: self.entries,
-            frames: Mutex::new(VecDeque::new()),
-            frames_recorded: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Named handles to every metric of one runtime instance plus the bounded
-/// ring of sampled [`MetricsFrame`]s. Obtain via
+/// One runtime's reporting handle: catalog snapshots on demand plus the
+/// bounded ring of sampled [`MetricsFrame`]s. Obtain via
 /// [`DudeTm::metrics`](crate::DudeTm::metrics).
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    config: MetricsConfig,
-    entries: Vec<Entry>,
+    shared: Arc<Shared>,
     frames: Mutex<VecDeque<MetricsFrame>>,
     frames_recorded: AtomicU64,
 }
 
 impl MetricsRegistry {
-    /// The configuration the registry was built with.
+    pub(crate) fn new(shared: Arc<Shared>) -> Self {
+        MetricsRegistry {
+            shared,
+            frames: Mutex::new(VecDeque::new()),
+            frames_recorded: AtomicU64::new(0),
+        }
+    }
+
+    /// The configuration the runtime was built with.
     #[must_use]
     pub fn config(&self) -> MetricsConfig {
-        self.config
+        self.shared.config.metrics
     }
 
     /// Whether continuous sampling is on.
     #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.config.enabled
+        self.config().enabled
     }
 
-    /// Full names of every registered metric (labels rendered inline, e.g.
-    /// `replay_apply_ns{shard="0"}`), in registration order.
+    /// The whole catalog, read now. `committed` comes from the committed
+    /// high-water cell, which Perform only advances while sampling is
+    /// enabled; [`DudeTm::stats_snapshot`](crate::DudeTm::stats_snapshot)
+    /// reads the TM commit clock instead.
     #[must_use]
-    pub fn metric_names(&self) -> Vec<String> {
-        self.entries.iter().map(Entry::full_name).collect()
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        let committed = self.shared.committed_tid.load(Ordering::Relaxed);
+        snapshot(&self.shared, committed)
     }
 
-    /// `(full_name, kind)` for every registered metric, in registration
-    /// order — the machine-readable catalog the summary-completeness test
-    /// walks.
-    #[must_use]
-    pub fn catalog(&self) -> Vec<(String, MetricKind)> {
-        self.entries
-            .iter()
-            .map(|e| (e.full_name(), e.kind()))
-            .collect()
-    }
-
-    /// Current value of the counter registered as `name`.
-    #[must_use]
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.entries.iter().find_map(|e| match &e.source {
-            MetricSource::Counter(c) if e.name == name => Some(c.get()),
-            _ => None,
-        })
-    }
-
-    /// Current value of the gauge registered as `name`.
-    #[must_use]
-    pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        self.entries.iter().find_map(|e| match &e.source {
-            MetricSource::Gauge(g) if e.name == name => Some(g.get()),
-            _ => None,
-        })
-    }
-
-    /// Snapshot of the histogram whose *full* name (label included) is
-    /// `full_name`.
-    #[must_use]
-    pub fn histogram_snapshot(&self, full_name: &str) -> Option<HistogramSnapshot> {
-        self.entries.iter().find_map(|e| match &e.source {
-            MetricSource::Histogram(h) if e.full_name() == full_name => Some(h.snapshot()),
-            _ => None,
-        })
-    }
-
-    /// Appends a sampled frame, dropping the oldest once the ring holds
+    /// Captures one frame now, with rates derived against the previous
+    /// frame in the ring, dropping the oldest once the ring holds
     /// `frame_capacity` frames.
-    pub fn push_frame(&self, frame: MetricsFrame) {
-        let cap = self.config.frame_capacity.max(1);
+    pub(crate) fn sample(&self) {
+        let snap = self.snapshot();
         let mut frames = self.frames.lock();
-        if frames.len() == cap {
+        let frame = MetricsFrame {
+            ts_ns: dude_nvm::monotonic_ns(),
+            counters: snap.counters,
+            watermarks: snap.watermarks(),
+            stalls: snap.stalls,
+            ..MetricsFrame::default()
+        }
+        .with_rates_from(frames.back());
+        if frames.len() == self.config().frame_capacity.max(1) {
             frames.pop_front();
         }
         frames.push_back(frame);
@@ -428,83 +215,93 @@ impl MetricsRegistry {
         out
     }
 
-    /// Renders every registered metric in the Prometheus text exposition
-    /// format (version 0.0.4): `# HELP`/`# TYPE` per family, counters with
-    /// a `_total` suffix, gauges plain, histograms as cumulative
+    /// Renders the whole catalog in the Prometheus text exposition format
+    /// (version 0.0.4): `# HELP`/`# TYPE` per family, counters with a
+    /// `_total` suffix, gauges plain, histograms as cumulative
     /// `_bucket{le="..."}` lines (one per power-of-two bucket bound, then
     /// `+Inf`) plus `_sum` and `_count`. All names carry the `dudetm_`
     /// prefix. The output passes [`validate_exposition`].
     #[must_use]
     pub fn render_prometheus(&self) -> String {
+        let snap = self.snapshot();
         let mut out = String::with_capacity(4096);
-        let mut seen: Vec<&str> = Vec::new();
-        for e in &self.entries {
-            let first = !seen.contains(&e.name);
-            if first {
-                seen.push(e.name);
-            }
-            match &e.source {
-                MetricSource::Counter(c) => {
-                    if first {
-                        out.push_str(&format!("# HELP dudetm_{}_total {}\n", e.name, e.help));
-                        out.push_str(&format!("# TYPE dudetm_{}_total counter\n", e.name));
-                    }
-                    out.push_str(&format!("dudetm_{}_total {}\n", e.name, c.get()));
-                }
-                MetricSource::Gauge(g) => {
-                    if first {
-                        out.push_str(&format!("# HELP dudetm_{} {}\n", e.name, e.help));
-                        out.push_str(&format!("# TYPE dudetm_{} gauge\n", e.name));
-                    }
-                    out.push_str(&format!("dudetm_{} {}\n", e.name, g.get()));
-                }
-                MetricSource::Histogram(h) => {
-                    if first {
-                        out.push_str(&format!("# HELP dudetm_{} {}\n", e.name, e.help));
-                        out.push_str(&format!("# TYPE dudetm_{} histogram\n", e.name));
-                    }
-                    let snap = h.snapshot();
-                    let label_prefix = match &e.label {
-                        Some((k, v)) => format!("{k}=\"{v}\","),
-                        None => String::new(),
-                    };
-                    let mut cum = 0u64;
-                    for (b, &n) in snap.buckets.iter().enumerate() {
-                        cum += n;
-                        if b < snap.buckets.len() - 1 {
-                            out.push_str(&format!(
-                                "dudetm_{}_bucket{{{}le=\"{}\"}} {}\n",
-                                e.name,
-                                label_prefix,
-                                bucket_bounds(b).1,
-                                cum
-                            ));
-                        } else {
-                            out.push_str(&format!(
-                                "dudetm_{}_bucket{{{}le=\"+Inf\"}} {}\n",
-                                e.name, label_prefix, cum
-                            ));
-                        }
-                    }
-                    let suffix = match &e.label {
-                        Some((k, v)) => format!("{{{k}=\"{v}\"}}"),
-                        None => String::new(),
-                    };
-                    out.push_str(&format!("dudetm_{}_sum{} {}\n", e.name, suffix, snap.sum));
-                    out.push_str(&format!(
-                        "dudetm_{}_count{} {}\n",
-                        e.name, suffix, snap.count
-                    ));
-                }
-            }
+        let pipeline = snap.counters.cells().chain(snap.stalls.cells());
+        for (cell, value) in pipeline.chain(snap.watermarks().cells()) {
+            render_scalar(&mut out, cell, value);
+        }
+        // The snapshot's histogram list is this same enumeration, in order.
+        let catalog = self.shared.trace.histograms();
+        for (entry, (_, hist)) in catalog.zip(&snap.histograms) {
+            render_histogram(&mut out, entry.family, entry.help, entry.label, hist);
+        }
+        for (cell, value) in snap.recovery.cells() {
+            render_scalar(&mut out, cell, value);
         }
         out
     }
 }
 
-/// One sampler tick: cumulative stage counters, watermark and lag gauges,
-/// stall counters, and rates derived against the previous frame. Captured
-/// every `sample_interval` by the background sampler (or on demand via
+fn render_scalar(out: &mut String, cell: &CellDef, value: u64) {
+    let (name, kind) = match cell.kind {
+        Kind::Counter => (format!("dudetm_{}_total", cell.metric), "counter"),
+        Kind::Gauge => (format!("dudetm_{}", cell.metric), "gauge"),
+    };
+    let help = cell.help;
+    let _ = write!(
+        out,
+        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
+    );
+}
+
+/// Appends one histogram to a Prometheus exposition as `dudetm_<family>`:
+/// cumulative `_bucket` lines, then `_sum` and `_count`, each carrying
+/// `label` (`(key, index)`) when the family has several members. The
+/// family's `# HELP`/`# TYPE` header is written by its first member — the
+/// unlabeled one, or index 0.
+pub fn render_histogram(
+    out: &mut String,
+    family: &str,
+    help: &str,
+    label: Option<(&str, usize)>,
+    hist: &HistogramSnapshot,
+) {
+    if label.is_none_or(|(_, index)| index == 0) {
+        let _ = write!(
+            out,
+            "# HELP dudetm_{family} {help}\n# TYPE dudetm_{family} histogram\n"
+        );
+    }
+    let (bucket_labels, labels) = match label {
+        Some((key, index)) => (
+            format!("{key}=\"{index}\","),
+            format!("{{{key}=\"{index}\"}}"),
+        ),
+        None => Default::default(),
+    };
+    let mut cum = 0u64;
+    for (b, &n) in hist.buckets.iter().enumerate() {
+        cum += n;
+        let le = if b + 1 < hist.buckets.len() {
+            bucket_bounds(b).1.to_string()
+        } else {
+            "+Inf".to_string()
+        };
+        let _ = writeln!(
+            out,
+            "dudetm_{family}_bucket{{{bucket_labels}le=\"{le}\"}} {cum}"
+        );
+    }
+    let _ = write!(
+        out,
+        "dudetm_{family}_sum{labels} {}\ndudetm_{family}_count{labels} {}\n",
+        hist.sum, hist.count
+    );
+}
+
+/// One sampler tick: the catalog's scalar cells — cumulative stage
+/// counters, watermark and lag gauges, stall counters — and rates derived
+/// against the previous frame. Captured every `sample_interval` by the
+/// background sampler (or on demand via
 /// [`DudeTm::sample_metrics_now`](crate::DudeTm::sample_metrics_now));
 /// a final frame is captured after the pipeline drains at shutdown, so the
 /// last frame of a run reconciles exactly with the final
@@ -519,47 +316,10 @@ pub struct MetricsFrame {
     /// Nanoseconds since the previous frame (or since the clock epoch for
     /// the first frame).
     pub dt_ns: u64,
-    /// Cumulative committed update transactions.
-    pub commits: u64,
-    /// Cumulative abort markers.
-    pub abort_markers: u64,
-    /// Cumulative individual records persisted (ungrouped/sync modes).
-    pub records_persisted: u64,
-    /// Cumulative redo-log entries through the Persist step.
-    pub entries_logged: u64,
-    /// Cumulative groups persisted (grouped mode).
-    pub groups_persisted: u64,
-    /// Cumulative log entries entering combination.
-    pub entries_before_combine: u64,
-    /// Cumulative log entries surviving combination.
-    pub entries_after_combine: u64,
-    /// Cumulative group payload bytes before compression.
-    pub group_bytes_raw: u64,
-    /// Cumulative group payload bytes stored.
-    pub group_bytes_stored: u64,
-    /// Cumulative transactions replayed by Reproduce.
-    pub txns_reproduced: u64,
-    /// Cumulative durable checkpoints.
-    pub checkpoints: u64,
-    /// Cumulative bytes appended to the persistent log rings (record
-    /// framing included).
-    pub log_bytes_flushed: u64,
-    /// Committed-TID high-water mark (the Perform frontier).
-    pub committed: u64,
-    /// Durable watermark `D`.
-    pub durable: u64,
-    /// Reproduced watermark.
-    pub reproduced: u64,
-    /// `committed - durable` (Perform → Persist lag).
-    pub persist_lag: u64,
-    /// `durable - reproduced` (Persist → Reproduce lag).
-    pub reproduce_lag: u64,
-    /// Occupied words across all persistent log rings.
-    pub ring_used_words: u64,
-    /// Minimum per-shard completed TID (the Reproduce frontier).
-    pub frontier_min: u64,
-    /// Spread between the fastest and slowest Reproduce shard.
-    pub frontier_skew: u64,
+    /// Cumulative stage counters.
+    pub counters: PipelineStatsSnapshot,
+    /// The gauges as of this tick.
+    pub watermarks: Watermarks,
     /// Cumulative stall counters (deltas between consecutive frames give
     /// the per-interval stall activity).
     pub stalls: StallSnapshot,
@@ -578,82 +338,48 @@ impl MetricsFrame {
     /// frame (pass `None` for the first frame of a run).
     #[must_use]
     pub fn with_rates_from(mut self, prev: Option<&MetricsFrame>) -> MetricsFrame {
-        let (prev_ts, prev_commits, prev_persisted, prev_replayed, prev_bytes, prev_seq) =
-            match prev {
-                Some(p) => (
-                    p.ts_ns,
-                    p.commits,
-                    p.groups_persisted + p.records_persisted,
-                    p.txns_reproduced,
-                    p.log_bytes_flushed,
-                    Some(p.seq),
-                ),
-                None => (0, 0, 0, 0, 0, None),
-            };
-        self.seq = prev_seq.map_or(0, |s| s + 1);
+        let zero = PipelineStatsSnapshot::default();
+        let (prev_ts, was) = prev.map_or((0, &zero), |p| (p.ts_ns, &p.counters));
+        self.seq = prev.map_or(0, |p| p.seq + 1);
         self.dt_ns = self.ts_ns.saturating_sub(prev_ts);
         let scale = if self.dt_ns == 0 {
             0.0
         } else {
             1e9 / self.dt_ns as f64
         };
-        let persisted = self.groups_persisted + self.records_persisted;
-        self.commit_rate = self.commits.saturating_sub(prev_commits) as f64 * scale;
-        self.persist_rate = persisted.saturating_sub(prev_persisted) as f64 * scale;
-        self.replay_rate = self.txns_reproduced.saturating_sub(prev_replayed) as f64 * scale;
-        self.flush_bytes_rate = self.log_bytes_flushed.saturating_sub(prev_bytes) as f64 * scale;
+        let rate = |now: u64, was: u64| now.saturating_sub(was) as f64 * scale;
+        let now = &self.counters;
+        self.commit_rate = rate(now.commits, was.commits);
+        self.persist_rate = rate(
+            now.groups_persisted + now.records_persisted,
+            was.groups_persisted + was.records_persisted,
+        );
+        self.replay_rate = rate(now.txns_reproduced, was.txns_reproduced);
+        self.flush_bytes_rate = rate(now.log_bytes_flushed, was.log_bytes_flushed);
         self
     }
 
     /// Serializes the frame as one flat JSON object (no newline). Stable
-    /// key set and order; rates printed with three decimals.
+    /// key set and order — `seq`/`ts_ns`/`dt_ns`, the catalog's counters,
+    /// gauges and stalls under [`CellDef::name`], the four rates — with
+    /// rates printed to three decimals.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"ts_ns\":{},\"dt_ns\":{},\"commits\":{},\"abort_markers\":{},\
-             \"records_persisted\":{},\"entries_logged\":{},\"groups_persisted\":{},\
-             \"entries_before_combine\":{},\"entries_after_combine\":{},\
-             \"group_bytes_raw\":{},\"group_bytes_stored\":{},\"txns_reproduced\":{},\
-             \"checkpoints\":{},\"log_bytes_flushed\":{},\"committed\":{},\"durable\":{},\
-             \"reproduced\":{},\"persist_lag\":{},\"reproduce_lag\":{},\
-             \"ring_used_words\":{},\"frontier_min\":{},\"frontier_skew\":{},\
-             \"stall_perform_log_full\":{},\"stall_persist_ring_full\":{},\
-             \"stall_persist_seq_wait\":{},\"stall_reproduce_starved\":{},\
-             \"stall_checkpoint_wait\":{},\"commit_rate\":{:.3},\"persist_rate\":{:.3},\
-             \"replay_rate\":{:.3},\"flush_bytes_rate\":{:.3}}}",
-            self.seq,
-            self.ts_ns,
-            self.dt_ns,
-            self.commits,
-            self.abort_markers,
-            self.records_persisted,
-            self.entries_logged,
-            self.groups_persisted,
-            self.entries_before_combine,
-            self.entries_after_combine,
-            self.group_bytes_raw,
-            self.group_bytes_stored,
-            self.txns_reproduced,
-            self.checkpoints,
-            self.log_bytes_flushed,
-            self.committed,
-            self.durable,
-            self.reproduced,
-            self.persist_lag,
-            self.reproduce_lag,
-            self.ring_used_words,
-            self.frontier_min,
-            self.frontier_skew,
-            self.stalls.perform_log_full,
-            self.stalls.persist_ring_full,
-            self.stalls.persist_seq_wait,
-            self.stalls.reproduce_starved,
-            self.stalls.checkpoint_wait,
-            self.commit_rate,
-            self.persist_rate,
-            self.replay_rate,
-            self.flush_bytes_rate,
-        )
+        let mut out = format!(
+            "{{\"seq\":{},\"ts_ns\":{},\"dt_ns\":{}",
+            self.seq, self.ts_ns, self.dt_ns
+        );
+        let cells = self.counters.cells().chain(self.watermarks.cells());
+        for (cell, value) in cells.chain(self.stalls.cells()) {
+            let _ = write!(out, ",\"{}\":{value}", cell.name);
+        }
+        let _ = write!(
+            out,
+            ",\"commit_rate\":{:.3},\"persist_rate\":{:.3},\"replay_rate\":{:.3},\
+             \"flush_bytes_rate\":{:.3}}}",
+            self.commit_rate, self.persist_rate, self.replay_rate, self.flush_bytes_rate
+        );
+        out
     }
 
     /// Parses one [`MetricsFrame::to_json_line`] line back into a frame.
@@ -675,33 +401,9 @@ impl MetricsFrame {
             seq: u("seq")?,
             ts_ns: u("ts_ns")?,
             dt_ns: u("dt_ns")?,
-            commits: u("commits")?,
-            abort_markers: u("abort_markers")?,
-            records_persisted: u("records_persisted")?,
-            entries_logged: u("entries_logged")?,
-            groups_persisted: u("groups_persisted")?,
-            entries_before_combine: u("entries_before_combine")?,
-            entries_after_combine: u("entries_after_combine")?,
-            group_bytes_raw: u("group_bytes_raw")?,
-            group_bytes_stored: u("group_bytes_stored")?,
-            txns_reproduced: u("txns_reproduced")?,
-            checkpoints: u("checkpoints")?,
-            log_bytes_flushed: u("log_bytes_flushed")?,
-            committed: u("committed")?,
-            durable: u("durable")?,
-            reproduced: u("reproduced")?,
-            persist_lag: u("persist_lag")?,
-            reproduce_lag: u("reproduce_lag")?,
-            ring_used_words: u("ring_used_words")?,
-            frontier_min: u("frontier_min")?,
-            frontier_skew: u("frontier_skew")?,
-            stalls: StallSnapshot {
-                perform_log_full: u("stall_perform_log_full")?,
-                persist_ring_full: u("stall_persist_ring_full")?,
-                persist_seq_wait: u("stall_persist_seq_wait")?,
-                reproduce_starved: u("stall_reproduce_starved")?,
-                checkpoint_wait: u("stall_checkpoint_wait")?,
-            },
+            counters: PipelineStatsSnapshot::from_keys(u)?,
+            watermarks: Watermarks::from_keys(u)?,
+            stalls: StallSnapshot::from_keys(u)?,
             commit_rate: f("commit_rate"),
             persist_rate: f("persist_rate"),
             replay_rate: f("replay_rate"),
@@ -965,7 +667,7 @@ fn serve_one(stream: &mut TcpStream, registry: &MetricsRegistry) -> std::io::Res
     stream.write_all(resp.as_bytes())
 }
 
-/// Recovery phase reported through [`RecoveryTelemetry::phase`].
+/// Recovery phase reported through the `phase` cell of [`RecoveryTelemetry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPhase {
     /// Not recovering.
@@ -994,97 +696,252 @@ impl RecoveryPhase {
     }
 }
 
-/// Phase gauge and progress counters updated by
-/// [`crate::recover_device_observed`] while a recovery runs, so a long
-/// recovery is observable instead of silent. The recovery entry points on
-/// [`crate::DudeTm`] pass the same handles into the restarted runtime's
-/// registry (under `recovery_*` names), so a post-recovery scrape shows
-/// what the recovery did.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryTelemetry {
-    /// Current [`RecoveryPhase`] (see [`RecoveryPhase::as_u64`]).
-    pub phase: Gauge,
-    /// Intact log records found by the scan.
-    pub records_scanned: Counter,
-    /// Log-region bytes scanned.
-    pub bytes_scanned: Counter,
-    /// Transaction IDs replayed into the heap image.
-    pub txns_replayed: Counter,
-    /// Heap bytes written by replay.
-    pub bytes_replayed: Counter,
-    /// Intact records discarded beyond the first ID gap.
-    pub records_discarded: Counter,
-    /// Stale detached records skipped.
-    pub stale_skipped: Counter,
-    /// Log bytes wiped after replay.
-    pub bytes_wiped: Counter,
-}
-
 impl RecoveryTelemetry {
     /// Sets the phase gauge.
     pub fn set_phase(&self, phase: RecoveryPhase) {
-        self.phase.set(phase.as_u64());
+        self.phase.store(phase.as_u64(), Ordering::Relaxed);
     }
-}
-
-/// Live watermark/lag gauges of one runtime instance. The committed-TID
-/// gauge is advanced by the Perform hot path (one `fetch_max` per commit,
-/// behind the metrics-enabled branch); the rest are refreshed by the
-/// sampler from the pipeline's authoritative sources at every tick.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineGauges {
-    /// Committed-TID high-water mark.
-    pub committed_tid: Gauge,
-    /// Durable watermark `D`.
-    pub durable_tid: Gauge,
-    /// Reproduced watermark.
-    pub reproduced_tid: Gauge,
-    /// `committed - durable`.
-    pub persist_lag: Gauge,
-    /// `durable - reproduced`.
-    pub reproduce_lag: Gauge,
-    /// Occupied words across all log rings.
-    pub ring_used_words: Gauge,
-    /// Minimum per-shard completed TID.
-    pub frontier_min: Gauge,
-    /// Fastest-to-slowest shard spread.
-    pub frontier_skew: Gauge,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DudeTmConfig;
+    use crate::runtime::NvmLayout;
+    use dude_nvm::{Nvm, NvmConfig};
 
+    /// A registry over a runtime's shared state with no stage threads, so
+    /// tests own every cell.
+    fn registry(config: DudeTmConfig) -> MetricsRegistry {
+        let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(16 << 20)));
+        let layout = NvmLayout::compute(nvm.size_bytes(), &config);
+        let recovery = RecoveryTelemetry::default();
+        MetricsRegistry::new(Arc::new(Shared::new(nvm, config, &layout, 0, recovery)))
+    }
+
+    /// The catalog, by frame key, in declaration order. The DESIGN.md §7
+    /// table carries one row per name here; a cell added to the code
+    /// without a row in both fails [`catalog_walk`].
+    const CATALOG: [&str; 40] = [
+        "commits",
+        "abort_markers",
+        "records_persisted",
+        "entries_logged",
+        "groups_persisted",
+        "entries_before_combine",
+        "entries_after_combine",
+        "group_bytes_raw",
+        "group_bytes_stored",
+        "txns_reproduced",
+        "checkpoints",
+        "log_bytes_flushed",
+        "committed",
+        "durable",
+        "reproduced",
+        "persist_lag",
+        "reproduce_lag",
+        "ring_used_words",
+        "frontier_min",
+        "frontier_skew",
+        "stall_perform_log_full",
+        "stall_persist_ring_full",
+        "stall_persist_seq_wait",
+        "stall_reproduce_starved",
+        "stall_checkpoint_wait",
+        "commit_latency_ns",
+        "persist_barrier_ns",
+        "group_flush_bytes",
+        "replay_apply_ns{shard=\"0\"}",
+        "replay_apply_ns{shard=\"1\"}",
+        "flush_worker_ns{worker=\"0\"}",
+        "flush_worker_ns{worker=\"1\"}",
+        "recovery_phase",
+        "recovery_records_scanned",
+        "recovery_bytes_scanned",
+        "recovery_txns_replayed",
+        "recovery_bytes_replayed",
+        "recovery_records_discarded",
+        "recovery_stale_skipped",
+        "recovery_bytes_wiped",
+    ];
+
+    /// The frame line the pre-catalog `to_json_line` printed for the values
+    /// [`catalog_walk`] sets: recorded `--metrics-out` files must keep
+    /// parsing, so keys, order and number formatting are pinned to it.
+    const GOLDEN_FRAME: &str = "{\"seq\":0,\"ts_ns\":2000000,\"dt_ns\":2000000,\
+        \"commits\":101,\"abort_markers\":102,\"records_persisted\":103,\
+        \"entries_logged\":104,\"groups_persisted\":105,\"entries_before_combine\":106,\
+        \"entries_after_combine\":107,\"group_bytes_raw\":108,\"group_bytes_stored\":109,\
+        \"txns_reproduced\":110,\"checkpoints\":111,\"log_bytes_flushed\":112,\
+        \"committed\":40,\"durable\":33,\"reproduced\":20,\"persist_lag\":7,\
+        \"reproduce_lag\":13,\"ring_used_words\":9,\"frontier_min\":21,\"frontier_skew\":8,\
+        \"stall_perform_log_full\":201,\"stall_persist_ring_full\":202,\
+        \"stall_persist_seq_wait\":203,\"stall_reproduce_starved\":204,\
+        \"stall_checkpoint_wait\":205,\"commit_rate\":50500.000,\"persist_rate\":104000.000,\
+        \"replay_rate\":55000.000,\"flush_bytes_rate\":56000.000}";
+
+    /// Every catalog entry — 2 shards + 2 Persist workers, each cell bumped
+    /// to a distinct value — shows up with that value on every surface that
+    /// carries its kind: `summary()`, a JSONL frame (byte-equal to the
+    /// pre-catalog line, exact round trip), the Prometheus text, and for
+    /// stalls and histograms the trace JSON.
     #[test]
-    fn counter_and_gauge_handles_share_cells() {
-        let c = Counter::new();
-        let c2 = c.clone();
-        c.fetch_add(3, Ordering::Relaxed);
-        c2.fetch_add(4, Ordering::Relaxed);
-        assert_eq!(c.get(), 7);
-        let g = Gauge::new();
-        let g2 = g.clone();
-        g.set(5);
-        g2.fetch_max(3); // lower: no effect
-        assert_eq!(g.get(), 5);
-        g2.fetch_max(9);
-        assert_eq!(g.get(), 9);
+    fn catalog_walk() {
+        let config = DudeTmConfig::small(1 << 16)
+            .with_reproduce_threads(2)
+            .with_flush_workers(2);
+        let reg = registry(config);
+        let shared = &reg.shared;
+        let groups = [
+            (100, shared.stats.cells().collect::<Vec<_>>()),
+            (200, shared.trace.stalls.cells().collect()),
+            (300, shared.recovery.cells().collect()),
+        ];
+        for (base, cells) in &groups {
+            for (i, cell) in cells.iter().enumerate() {
+                cell.store(base + 1 + i as u64, Ordering::Relaxed);
+            }
+        }
+        // The gauges' sources: committed 40, durable 33, reproduced 20,
+        // shard frontiers 21 and 29, 3 + 6 occupied ring words.
+        shared.committed_tid.store(40, Ordering::Relaxed);
+        shared.tracker.mark_range(1, 33);
+        shared.reproduced.store(20, Ordering::Release);
+        shared.frontier.publish(0, 21);
+        shared.frontier.publish(1, 29);
+        shared.rings[0].try_append_unfenced(&[1, 2, 3]).unwrap();
+        shared.rings[1]
+            .try_append_unfenced(&[1, 2, 3, 4, 5, 6])
+            .unwrap();
+        for (i, h) in shared.trace.histograms().enumerate() {
+            for _ in 0..=i {
+                h.cells.record(1000 * (i as u64 + 1));
+            }
+        }
+
+        let snap = reg.snapshot();
+        let names: Vec<String> = (snap.counters.cells())
+            .chain(snap.watermarks().cells())
+            .chain(snap.stalls.cells())
+            .map(|(c, _)| c.name.to_string())
+            .chain(snap.histograms.iter().map(|(name, _)| name.clone()))
+            .chain(snap.recovery.cells().map(|(c, _)| c.name.to_string()))
+            .collect();
+        assert_eq!(names, CATALOG);
+        let design = include_str!("../../../DESIGN.md");
+        for name in CATALOG {
+            let family = name.split('{').next().unwrap();
+            assert!(
+                design.contains(&format!("| `{family}` |")),
+                "DESIGN.md §7 has no table row for `{family}`"
+            );
+        }
+
+        let summary = snap.summary();
+        let prom = reg.render_prometheus();
+        validate_exposition(&prom).expect("exposition validates");
+        let trace_json = shared.trace.to_json();
+        let frame = MetricsFrame {
+            ts_ns: 2_000_000,
+            counters: snap.counters,
+            watermarks: snap.watermarks(),
+            stalls: snap.stalls,
+            ..Default::default()
+        }
+        .with_rates_from(None);
+        let line = frame.to_json_line();
+        assert_eq!(line, GOLDEN_FRAME);
+        assert_eq!(MetricsFrame::from_json_line(&line), Some(frame));
+
+        let gauge_tokens = [
+            "committed=40 ",
+            "durable=33 (lag 7)",
+            "reproduced=20 (lag 13)",
+            "(lag 7)",
+            "(lag 13)",
+            "ring-words=9",
+            "frontier-min=21",
+            "frontier-skew=8",
+        ];
+        let scalars = (snap.counters.cells())
+            .chain(snap.stalls.cells())
+            .chain(snap.recovery.cells())
+            .map(|(c, v)| (c, v, format!("{}={v}", c.field)))
+            .chain(
+                (snap.watermarks().cells().zip(gauge_tokens))
+                    .map(|((c, v), token)| (c, v, token.to_string())),
+            );
+        for (cell, value, token) in scalars {
+            let sample = match cell.kind {
+                Kind::Counter => format!("\ndudetm_{}_total {value}\n", cell.metric),
+                Kind::Gauge => format!("\ndudetm_{} {value}\n", cell.metric),
+            };
+            assert!(prom.contains(&sample), "{sample:?} missing:\n{prom}");
+            if cell.name.starts_with("recovery_") {
+                continue; // describes recover_device, not the live pipeline
+            }
+            assert!(summary.contains(&token), "{token} missing:\n{summary}");
+            let key = format!("\"{}\":{value}", cell.name);
+            assert!(line.contains(&key), "{key} missing: {line}");
+            if cell.name.starts_with("stall_") {
+                let key = format!("\"{}\": {value}", cell.field);
+                assert!(trace_json.contains(&key), "{key} missing:\n{trace_json}");
+            }
+        }
+        let json_keys = [
+            "commit_latency_ns",
+            "persist_barrier_ns",
+            "group_flush_bytes",
+            "replay_apply_ns_shard0",
+            "replay_apply_ns_shard1",
+            "flush_worker_ns_w0",
+            "flush_worker_ns_w1",
+        ];
+        for (i, ((name, h), json_key)) in snap.histograms.iter().zip(json_keys).enumerate() {
+            let (count, sum) = (i as u64 + 1, 1000 * (i as u64 + 1).pow(2));
+            assert_eq!((h.count, h.sum), (count, sum), "{name}");
+            let token = format!("hist[{name} count={count} ");
+            assert!(summary.contains(&token), "{token} missing:\n{summary}");
+            let (family, labels) = match name.split_once('{') {
+                Some((family, labels)) => (family, format!("{{{labels}")),
+                None => (name.as_str(), String::new()),
+            };
+            let sample = format!("\ndudetm_{family}_sum{labels} {sum}\n");
+            assert!(prom.contains(&sample), "{sample:?} missing:\n{prom}");
+            let key = format!("\"{json_key}\": {{\"count\": {count}, \"sum\": {sum},");
+            assert!(trace_json.contains(&key), "{key} missing:\n{trace_json}");
+        }
+        // One header per family, however many members it has.
+        for family in ["replay_apply_ns", "flush_worker_ns", "commits_total"] {
+            let header = format!("# TYPE dudetm_{family} ");
+            assert_eq!(prom.matches(&header).count(), 1, "{family}");
+        }
+        assert!(
+            prom.contains("dudetm_replay_apply_ns_bucket{shard=\"1\",le=\"+Inf\"} 5\n"),
+            "{prom}"
+        );
     }
 
     #[test]
     fn frame_json_round_trips() {
         let frame = MetricsFrame {
             ts_ns: 1_000_000,
-            commits: 42,
-            groups_persisted: 5,
-            records_persisted: 1,
-            txns_reproduced: 40,
-            log_bytes_flushed: 4096,
-            committed: 42,
-            durable: 41,
-            reproduced: 40,
-            persist_lag: 1,
-            reproduce_lag: 1,
+            counters: PipelineStatsSnapshot {
+                commits: 42,
+                groups_persisted: 5,
+                records_persisted: 1,
+                txns_reproduced: 40,
+                log_bytes_flushed: 4096,
+                ..Default::default()
+            },
+            watermarks: Watermarks {
+                committed: 42,
+                durable: 41,
+                reproduced: 40,
+                persist_lag: 1,
+                reproduce_lag: 1,
+                ..Default::default()
+            },
             stalls: StallSnapshot {
                 perform_log_full: 2,
                 ..Default::default()
@@ -1101,28 +958,27 @@ mod tests {
         assert_eq!(parsed, frame);
         assert!(MetricsFrame::from_json_line("{\"seq\":1}").is_none());
         assert!(MetricsFrame::from_json_line("not json").is_none());
+        // One missing integer key anywhere in the catalog rejects the line.
+        let cut = line.replace("\"stall_checkpoint_wait\":0,", "");
+        assert!(MetricsFrame::from_json_line(&cut).is_none());
     }
 
     #[test]
     fn rates_derive_from_previous_frame() {
-        let first = MetricsFrame {
-            ts_ns: 1_000_000,
-            commits: 100,
-            records_persisted: 100,
-            txns_reproduced: 90,
-            log_bytes_flushed: 1000,
-            ..Default::default()
-        }
-        .with_rates_from(None);
-        let second = MetricsFrame {
-            ts_ns: 2_000_000,
-            commits: 150,
-            records_persisted: 140,
-            txns_reproduced: 130,
-            log_bytes_flushed: 3000,
-            ..Default::default()
-        }
-        .with_rates_from(Some(&first));
+        let at =
+            |ts_ns, commits, records_persisted, txns_reproduced, log_bytes_flushed| MetricsFrame {
+                ts_ns,
+                counters: PipelineStatsSnapshot {
+                    commits,
+                    records_persisted,
+                    txns_reproduced,
+                    log_bytes_flushed,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+        let first = at(1_000_000, 100, 100, 90, 1000).with_rates_from(None);
+        let second = at(2_000_000, 150, 140, 130, 3000).with_rates_from(Some(&first));
         assert_eq!(second.seq, 1);
         assert_eq!(second.dt_ns, 1_000_000);
         assert!((second.commit_rate - 50_000.0).abs() < 1e-6);
@@ -1133,111 +989,16 @@ mod tests {
 
     #[test]
     fn frame_ring_is_bounded() {
-        let reg = MetricsBuilder::new(
-            MetricsConfig::sampling(Duration::from_millis(1)).with_frame_capacity(3),
-        )
-        .build();
-        for i in 0..5u64 {
-            reg.push_frame(MetricsFrame {
-                seq: i,
-                ..Default::default()
-            });
+        let metrics = MetricsConfig::sampling(Duration::from_millis(1)).with_frame_capacity(3);
+        let reg = registry(DudeTmConfig::small(1 << 16).with_metrics(metrics));
+        for _ in 0..5 {
+            reg.sample();
         }
         let frames = reg.frames();
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].seq, 2);
         assert_eq!(reg.frames_recorded(), 5);
         assert_eq!(reg.latest_frame().expect("latest").seq, 4);
-    }
-
-    #[test]
-    fn registry_lookup_by_name() {
-        let c = Counter::new();
-        c.fetch_add(7, Ordering::Relaxed);
-        let g = Gauge::new();
-        g.set(11);
-        let h = Arc::new(LatencyHistogram::new());
-        h.record(100);
-        let mut b = MetricsBuilder::new(MetricsConfig::disabled());
-        b.counter("commits", "committed transactions", &c);
-        b.gauge("durable_tid", "durable watermark", &g);
-        b.histogram(
-            "replay_apply_ns",
-            "replay apply time",
-            Some(("shard", "0".to_string())),
-            &h,
-        );
-        let reg = b.build();
-        assert_eq!(reg.counter_value("commits"), Some(7));
-        assert_eq!(reg.gauge_value("durable_tid"), Some(11));
-        assert_eq!(reg.counter_value("durable_tid"), None);
-        let snap = reg
-            .histogram_snapshot("replay_apply_ns{shard=\"0\"}")
-            .expect("histogram");
-        assert_eq!(snap.count, 1);
-        assert_eq!(
-            reg.metric_names(),
-            vec!["commits", "durable_tid", "replay_apply_ns{shard=\"0\"}"]
-        );
-        assert_eq!(reg.catalog()[0].1, MetricKind::Counter);
-        assert_eq!(reg.catalog()[2].1, MetricKind::Histogram);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate metric registration")]
-    fn duplicate_registration_rejected() {
-        let c = Counter::new();
-        let mut b = MetricsBuilder::new(MetricsConfig::disabled());
-        b.counter("commits", "x", &c);
-        b.counter("commits", "y", &c);
-    }
-
-    #[test]
-    fn prometheus_render_passes_validator() {
-        let c = Counter::new();
-        c.fetch_add(5, Ordering::Relaxed);
-        let g = Gauge::new();
-        g.set(3);
-        let h0 = Arc::new(LatencyHistogram::new());
-        let h1 = Arc::new(LatencyHistogram::new());
-        for v in [0u64, 1, 100, 100_000] {
-            h0.record(v);
-        }
-        h1.record(7);
-        let mut b = MetricsBuilder::new(MetricsConfig::disabled());
-        b.counter("commits", "committed transactions", &c);
-        b.gauge("persist_lag", "commit-to-durable lag", &g);
-        b.histogram(
-            "replay_apply_ns",
-            "replay apply time",
-            Some(("shard", "0".to_string())),
-            &h0,
-        );
-        b.histogram(
-            "replay_apply_ns",
-            "replay apply time",
-            Some(("shard", "1".to_string())),
-            &h1,
-        );
-        let text = b.build().render_prometheus();
-        validate_exposition(&text).expect("render passes own validator");
-        assert!(
-            text.contains("# TYPE dudetm_commits_total counter"),
-            "{text}"
-        );
-        assert!(text.contains("dudetm_commits_total 5"), "{text}");
-        assert!(text.contains("# TYPE dudetm_persist_lag gauge"), "{text}");
-        assert!(text.contains("dudetm_persist_lag 3"), "{text}");
-        assert!(
-            text.contains("dudetm_replay_apply_ns_bucket{shard=\"0\",le=\"+Inf\"} 4"),
-            "{text}"
-        );
-        assert!(
-            text.contains("dudetm_replay_apply_ns_count{shard=\"1\"} 1"),
-            "{text}"
-        );
-        // TYPE emitted once per family even with two labeled instances.
-        assert_eq!(text.matches("# TYPE dudetm_replay_apply_ns ").count(), 1);
     }
 
     #[test]
@@ -1258,11 +1019,8 @@ mod tests {
 
     #[test]
     fn metrics_server_serves_exposition() {
-        let c = Counter::new();
-        c.fetch_add(9, Ordering::Relaxed);
-        let mut b = MetricsBuilder::new(MetricsConfig::disabled());
-        b.counter("commits", "committed transactions", &c);
-        let reg = Arc::new(b.build());
+        let reg = Arc::new(registry(DudeTmConfig::small(1 << 16)));
+        reg.shared.stats.commits.store(9, Ordering::Relaxed);
         let server = MetricsServer::start(Arc::clone(&reg), "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
 
@@ -1286,9 +1044,9 @@ mod tests {
     #[test]
     fn recovery_phase_encoding() {
         let t = RecoveryTelemetry::default();
-        assert_eq!(t.phase.get(), 0);
+        assert_eq!(t.snapshot().phase, 0);
         t.set_phase(RecoveryPhase::Replay);
-        assert_eq!(t.phase.get(), RecoveryPhase::Replay.as_u64());
+        assert_eq!(t.snapshot().phase, RecoveryPhase::Replay.as_u64());
         assert_eq!(RecoveryPhase::Done.as_u64(), 4);
     }
 

@@ -34,7 +34,7 @@
 //! minimum completed TID across shards; one shard is the degenerate case.
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -173,7 +173,7 @@ pub(crate) fn try_stage(
         return Err(unit);
     };
     let stats = &shared.stats;
-    let add = |cell: &crate::metrics::Counter, n: usize| {
+    let add = |cell: &AtomicU64, n: usize| {
         cell.fetch_add(n as u64, Ordering::Relaxed);
     };
     match unit.kind {
@@ -747,9 +747,9 @@ fn checkpoint(
 mod tests {
     use super::*;
     use crate::config::DudeTmConfig;
-    use crate::metrics::RecoveryTelemetry;
     use crate::runtime::NvmLayout;
     use crate::stats::PipelineStatsSnapshot;
+    use crate::stats::RecoveryTelemetry;
     use crate::trace::TraceConfig;
     use crossbeam::channel::unbounded;
     use dude_nvm::{Nvm, NvmConfig};
@@ -757,7 +757,7 @@ mod tests {
     fn shared(config: DudeTmConfig) -> (Arc<Shared>, NvmLayout) {
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(16 << 20)));
         let layout = NvmLayout::compute(nvm.size_bytes(), &config);
-        let shared = Shared::new(nvm, config, &layout, 0, &RecoveryTelemetry::default());
+        let shared = Shared::new(nvm, config, &layout, 0, RecoveryTelemetry::default());
         (Arc::new(shared), layout)
     }
 

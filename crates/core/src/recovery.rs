@@ -28,13 +28,14 @@ use std::sync::Arc;
 
 use dude_nvm::Nvm;
 
-use crate::config::DudeTmConfig;
-use crate::metrics::{RecoveryPhase, RecoveryTelemetry};
+use crate::config::{ConfigError, DudeTmConfig};
+use crate::metrics::RecoveryPhase;
 use crate::plog::scan_region;
 use crate::runtime::{
     NvmLayout, META_MAGIC, META_MAGIC_WORD, META_REPRODUCED, META_THREADS, META_VERSION,
     META_VERSION_WORD,
 };
+use crate::stats::RecoveryTelemetry;
 
 /// Outcome of [`recover_device`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +68,9 @@ pub struct RecoveryReport {
 /// Errors returned by [`recover_device`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoverError {
+    /// The supplied configuration is invalid; nothing on the device was
+    /// read or written.
+    Config(ConfigError),
     /// The device does not carry DudeTM's metadata magic.
     NotFormatted,
     /// The on-device format version is unsupported.
@@ -84,6 +88,7 @@ pub enum RecoverError {
 impl core::fmt::Display for RecoverError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            RecoverError::Config(e) => write!(f, "invalid DudeTmConfig: {e}"),
             RecoverError::NotFormatted => f.write_str("device is not a DudeTM volume"),
             RecoverError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             RecoverError::LayoutMismatch {
@@ -118,8 +123,8 @@ pub fn recover_device(
 /// the `recovery_*` counters advance as records are scanned, replayed,
 /// discarded, skipped, and wiped — so a long recovery is observable
 /// mid-flight. [`DudeTm::recover_stm`](crate::DudeTm::recover_stm) /
-/// [`DudeTm::recover_htm`](crate::DudeTm::recover_htm) pass the same
-/// handles into the restarted runtime's metrics registry.
+/// [`DudeTm::recover_htm`](crate::DudeTm::recover_htm) move the same
+/// cells into the restarted runtime, whose exposition reports them.
 ///
 /// # Errors
 ///
@@ -129,7 +134,7 @@ pub fn recover_device_observed(
     config: &DudeTmConfig,
     telemetry: &RecoveryTelemetry,
 ) -> Result<(NvmLayout, RecoveryReport), RecoverError> {
-    config.validate();
+    config.try_validate().map_err(RecoverError::Config)?;
     let layout = NvmLayout::compute(nvm.size_bytes(), config);
     if nvm.read_word(layout.meta.start() + META_MAGIC_WORD * 8) != META_MAGIC {
         return Err(RecoverError::NotFormatted);

@@ -15,9 +15,7 @@ use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
 use crate::frontier::ReproduceFrontier;
 use crate::log::LogRecord;
-use crate::metrics::{
-    MetricsBuilder, MetricsFrame, MetricsRegistry, PipelineGauges, RecoveryTelemetry,
-};
+use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
     persist_sequencer, persist_worker, publish, reproduce_shard_worker, reproduce_stage, try_stage,
     Batch, GroupWork, Sealed, ShardWork,
@@ -25,7 +23,9 @@ use crate::pipeline::{
 use crate::plog::PlogRing;
 use crate::seqtrack::SequenceTracker;
 use crate::shadow::ShadowMem;
-use crate::stats::{PipelineSnapshot, PipelineStats, PipelineStatsSnapshot};
+use crate::stats::{
+    snapshot, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoveryTelemetry,
+};
 use crate::trace::{Stage, Trace, TraceEventKind};
 
 /// Magic number identifying a formatted DudeTM device.
@@ -87,8 +87,11 @@ pub struct Shared {
     pub(crate) frontier: Arc<ReproduceFrontier>,
     pub(crate) stats: PipelineStats,
     pub(crate) trace: Trace,
-    pub(crate) metrics: Arc<MetricsRegistry>,
-    pub(crate) gauges: PipelineGauges,
+    pub(crate) recovery: RecoveryTelemetry,
+    /// Committed-TID high-water mark: what the sampler and the scrape
+    /// endpoint, which cannot see the TM's commit clock, report as the
+    /// Perform frontier. Advanced per commit only while sampling is on.
+    pub(crate) committed_tid: AtomicU64,
 }
 
 impl Shared {
@@ -99,24 +102,13 @@ impl Shared {
         config: DudeTmConfig,
         layout: &NvmLayout,
         start_tid: u64,
-        recovery: &RecoveryTelemetry,
+        recovery: RecoveryTelemetry,
     ) -> Shared {
         let rings = layout
             .plogs
             .iter()
             .map(|&r| Arc::new(PlogRing::new(Arc::clone(&nvm), r)))
             .collect();
-        let stats = PipelineStats::default();
-        let trace = Trace::new(
-            config.trace,
-            config.reproduce_threads,
-            config.persist_flush_workers,
-        );
-        let gauges = PipelineGauges::default();
-        gauges.committed_tid.set(start_tid);
-        gauges.durable_tid.set(start_tid);
-        gauges.reproduced_tid.set(start_tid);
-        let metrics = Arc::new(build_registry(&config, &stats, &trace, &gauges, recovery));
         Shared {
             nvm,
             config,
@@ -126,10 +118,14 @@ impl Shared {
             tracker: SequenceTracker::starting_at(start_tid),
             reproduced: Arc::new(AtomicU64::new(start_tid)),
             frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
-            stats,
-            trace,
-            metrics,
-            gauges,
+            stats: PipelineStats::default(),
+            trace: Trace::new(
+                config.trace,
+                config.reproduce_threads,
+                config.persist_flush_workers,
+            ),
+            recovery,
+            committed_tid: AtomicU64::new(start_tid),
         }
     }
 }
@@ -199,8 +195,8 @@ impl dude_stm::TxHooks for RedoHooks {
         };
         self.shared.stats.commits.fetch_add(1, Ordering::Relaxed);
         // Sole per-commit metrics cost: one branch when sampling is off.
-        if self.shared.metrics.enabled() {
-            self.shared.gauges.committed_tid.fetch_max(tid);
+        if self.shared.config.metrics.enabled {
+            self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
         }
         if let Some(h) = &self.history {
             h.record(tid, false, &self.staged);
@@ -251,8 +247,8 @@ impl dude_stm::TxHooks for RedoHooks {
             .abort_markers
             .fetch_add(1, Ordering::Relaxed);
         // A wasted TID still advances the commit clock.
-        if self.shared.metrics.enabled() {
-            self.shared.gauges.committed_tid.fetch_max(tid);
+        if self.shared.config.metrics.enabled {
+            self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
         }
         match &self.sink {
             Sink::Channel(tx) => {
@@ -273,6 +269,7 @@ pub struct DudeTm<E: TmEngine> {
     engine: E,
     shadow: Arc<ShadowMem>,
     shared: Arc<Shared>,
+    metrics: Arc<MetricsRegistry>,
     /// Per-slot volatile-log senders (async modes).
     record_senders: Vec<Sender<LogRecord>>,
     /// Producer side of the persist→reproduce channel (cloned by sync-mode
@@ -327,8 +324,8 @@ impl<E: TmEngine> DudeTm<E> {
 
     /// Starts a runtime over an already-recovered device. `start_tid` is the
     /// last reproduced transaction ID (see [`crate::recover_device`]).
-    /// `recovery` carries the telemetry handles the recovery pass (if any)
-    /// already incremented, so the registry exposes its final counts.
+    /// `recovery` carries the telemetry cells the recovery pass (if any)
+    /// already incremented, so the exposition shows its final counts.
     pub(crate) fn start(
         nvm: Arc<Nvm>,
         config: DudeTmConfig,
@@ -342,7 +339,7 @@ impl<E: TmEngine> DudeTm<E> {
             config,
             &layout,
             start_tid,
-            &recovery,
+            recovery,
         ));
         let shadow = Arc::new(ShadowMem::new(
             config.shadow,
@@ -428,15 +425,16 @@ impl<E: TmEngine> DudeTm<E> {
         // sim`; the stop channel doubles as the shutdown signal and the
         // worker captures one final frame on the way out so the series
         // always ends at the drained state.
+        let metrics = Arc::new(MetricsRegistry::new(Arc::clone(&shared)));
         let sampler = if config.metrics.enabled {
             let (stop_tx, stop_rx) = bounded::<()>(1);
-            let shared2 = Arc::clone(&shared);
+            let metrics = Arc::clone(&metrics);
             let interval = config.metrics.sample_interval.max(Duration::from_millis(1));
             let handle = dude_nvm::thread::spawn_named("dude-metrics", move || loop {
                 match stop_rx.recv_timeout(interval) {
-                    Err(RecvTimeoutError::Timeout) => sample_now(&shared2),
+                    Err(RecvTimeoutError::Timeout) => metrics.sample(),
                     Ok(()) | Err(RecvTimeoutError::Disconnected) => {
-                        sample_now(&shared2);
+                        metrics.sample();
                         break;
                     }
                 }
@@ -450,6 +448,7 @@ impl<E: TmEngine> DudeTm<E> {
             engine,
             shadow,
             shared,
+            metrics,
             record_senders,
             batch_sender: Mutex::new(Some(batch_tx)),
             history: Mutex::new(None),
@@ -503,20 +502,21 @@ impl<E: TmEngine> DudeTm<E> {
         &self.shared.trace
     }
 
-    /// The metrics registry: named handles to every counter, gauge, and
-    /// histogram of this runtime plus the sampled time series (see
+    /// The metrics registry: catalog snapshots and the Prometheus
+    /// exposition on demand, plus the sampled time series (see
     /// [`crate::metrics`]). Always present; the background sampler only
     /// runs when [`DudeTmConfig::metrics`] enables it.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.shared.metrics
+        &self.metrics
     }
 
-    /// Captures one [`MetricsFrame`] immediately, outside the sampler's
-    /// cadence. No-op when metrics are disabled. Call after
-    /// [`DudeTm::quiesce`] to make the series end on exact final values.
+    /// Captures one [`MetricsFrame`](crate::MetricsFrame) immediately,
+    /// outside the sampler's cadence. No-op when metrics are disabled. Call
+    /// after [`DudeTm::quiesce`] to make the series end on exact final
+    /// values.
     pub fn sample_metrics_now(&self) {
-        if self.shared.metrics.enabled() {
-            sample_now(&self.shared);
+        if self.metrics.enabled() {
+            self.metrics.sample();
         }
     }
 
@@ -525,38 +525,7 @@ impl<E: TmEngine> DudeTm<E> {
     /// occupancy. The watermarks are sampled independently (racily) — use
     /// after [`DudeTm::quiesce`] for exact values, or live to observe lag.
     pub fn stats_snapshot(&self) -> PipelineSnapshot {
-        let trace = &self.shared.trace;
-        let mut histograms = vec![
-            (
-                "commit_latency_ns".to_string(),
-                trace.commit_latency_ns.snapshot(),
-            ),
-            (
-                "persist_barrier_ns".to_string(),
-                trace.persist_barrier_ns.snapshot(),
-            ),
-            (
-                "group_flush_bytes".to_string(),
-                trace.group_flush_bytes.snapshot(),
-            ),
-        ];
-        for (s, h) in trace.replay_apply_ns.iter().enumerate() {
-            histograms.push((format!("replay_apply_ns{{shard=\"{s}\"}}"), h.snapshot()));
-        }
-        for (w, h) in trace.flush_worker_ns.iter().enumerate() {
-            histograms.push((format!("flush_worker_ns{{worker=\"{w}\"}}"), h.snapshot()));
-        }
-        PipelineSnapshot {
-            counters: self.shared.stats.snapshot(),
-            committed: self.engine.clock_now(),
-            durable: self.durable_id(),
-            reproduced: self.reproduced_id(),
-            ring_used_words: self.shared.rings.iter().map(|r| r.used_words()).collect(),
-            shard_completed: self.shared.frontier.snapshot_completed(),
-            shard_words_applied: self.shared.frontier.snapshot_words_applied(),
-            stalls: self.shared.trace.stalls.snapshot(),
-            histograms,
-        }
+        snapshot(&self.shared, self.engine.clock_now())
     }
 
     /// Shadow paging statistics.
@@ -632,274 +601,6 @@ fn spawn_persist_worker<U: Into<Sealed> + Send + 'static>(
     dude_nvm::thread::spawn_named(&format!("dude-persist-{w}"), move || {
         persist_worker(shared, w, inputs, out)
     })
-}
-
-/// Builds the runtime's metrics registry: every pipeline counter, lag
-/// gauge, stage histogram, and recovery-telemetry handle under its stable
-/// exposition name. The registry shares the live cells — registration
-/// copies `Arc`s, never values — so reads always see current state.
-fn build_registry(
-    config: &DudeTmConfig,
-    stats: &PipelineStats,
-    trace: &Trace,
-    gauges: &PipelineGauges,
-    recovery: &RecoveryTelemetry,
-) -> MetricsRegistry {
-    let mut b = MetricsBuilder::new(config.metrics);
-    b.counter(
-        "commits",
-        "transactions committed by Perform",
-        &stats.commits,
-    );
-    b.counter(
-        "abort_markers",
-        "wasted-TID abort markers logged",
-        &stats.abort_markers,
-    );
-    b.counter(
-        "records_persisted",
-        "redo-log records made durable",
-        &stats.records_persisted,
-    );
-    b.counter(
-        "entries_logged",
-        "write entries staged into redo logs",
-        &stats.entries_logged,
-    );
-    b.counter(
-        "groups_persisted",
-        "persist groups flushed",
-        &stats.groups_persisted,
-    );
-    b.counter(
-        "entries_before_combine",
-        "group entries before write combining",
-        &stats.entries_before_combine,
-    );
-    b.counter(
-        "entries_after_combine",
-        "group entries after write combining",
-        &stats.entries_after_combine,
-    );
-    b.counter(
-        "group_bytes_raw",
-        "group payload bytes before compression",
-        &stats.group_bytes_raw,
-    );
-    b.counter(
-        "group_bytes_stored",
-        "group payload bytes stored in log rings",
-        &stats.group_bytes_stored,
-    );
-    b.counter(
-        "txns_reproduced",
-        "transactions replayed onto the heap image",
-        &stats.txns_reproduced,
-    );
-    b.counter(
-        "checkpoints",
-        "reproduced-ID checkpoints persisted",
-        &stats.checkpoints,
-    );
-    b.counter(
-        "log_bytes_flushed",
-        "bytes written into persistent log rings",
-        &stats.log_bytes_flushed,
-    );
-    b.counter(
-        "stall_perform_log_full",
-        "Perform blocked on a full volatile-log buffer",
-        &trace.stalls.perform_log_full,
-    );
-    b.counter(
-        "stall_persist_ring_full",
-        "Persist blocked on a full persistent log ring",
-        &trace.stalls.persist_ring_full,
-    );
-    b.counter(
-        "stall_persist_seq_wait",
-        "sequencer idle ticks blocked on a transaction-ID gap",
-        &trace.stalls.persist_seq_wait,
-    );
-    b.counter(
-        "stall_reproduce_starved",
-        "Reproduce timed out waiting for durable batches",
-        &trace.stalls.reproduce_starved,
-    );
-    b.counter(
-        "stall_checkpoint_wait",
-        "checkpoints waited for lagging shards",
-        &trace.stalls.checkpoint_wait,
-    );
-    b.gauge(
-        "committed_tid",
-        "highest transaction ID committed",
-        &gauges.committed_tid,
-    );
-    b.gauge(
-        "durable_tid",
-        "durable watermark (every TID at or below is persistent)",
-        &gauges.durable_tid,
-    );
-    b.gauge(
-        "reproduced_tid",
-        "reproduced watermark (applied to the heap image)",
-        &gauges.reproduced_tid,
-    );
-    b.gauge(
-        "persist_lag",
-        "committed minus durable TIDs",
-        &gauges.persist_lag,
-    );
-    b.gauge(
-        "reproduce_lag",
-        "durable minus reproduced TIDs",
-        &gauges.reproduce_lag,
-    );
-    b.gauge(
-        "ring_used_words",
-        "total occupied words across persistent log rings",
-        &gauges.ring_used_words,
-    );
-    b.gauge(
-        "frontier_min",
-        "lowest per-shard reproduce frontier",
-        &gauges.frontier_min,
-    );
-    b.gauge(
-        "frontier_skew",
-        "spread between fastest and slowest reproduce shard",
-        &gauges.frontier_skew,
-    );
-    b.histogram(
-        "commit_latency_ns",
-        "Perform-side commit latency",
-        None,
-        &trace.commit_latency_ns,
-    );
-    b.histogram(
-        "persist_barrier_ns",
-        "Persist ordering-fence latency, one sample per sweep",
-        None,
-        &trace.persist_barrier_ns,
-    );
-    b.histogram(
-        "group_flush_bytes",
-        "bytes flushed per persist group",
-        None,
-        &trace.group_flush_bytes,
-    );
-    for (s, h) in trace.replay_apply_ns.iter().enumerate() {
-        b.histogram(
-            "replay_apply_ns",
-            "Reproduce apply latency per shard",
-            Some(("shard", s.to_string())),
-            h,
-        );
-    }
-    for (w, h) in trace.flush_worker_ns.iter().enumerate() {
-        b.histogram(
-            "flush_worker_ns",
-            "Persist ordering-fence latency per worker",
-            Some(("worker", w.to_string())),
-            h,
-        );
-    }
-    b.gauge(
-        "recovery_phase",
-        "recovery phase (0 idle, 1 scan, 2 replay, 3 wipe, 4 done)",
-        &recovery.phase,
-    );
-    b.counter(
-        "recovery_records_scanned",
-        "intact log records found while scanning",
-        &recovery.records_scanned,
-    );
-    b.counter(
-        "recovery_bytes_scanned",
-        "log-region bytes scanned during recovery",
-        &recovery.bytes_scanned,
-    );
-    b.counter(
-        "recovery_txns_replayed",
-        "transactions replayed during recovery",
-        &recovery.txns_replayed,
-    );
-    b.counter(
-        "recovery_bytes_replayed",
-        "heap bytes rewritten by recovery replay",
-        &recovery.bytes_replayed,
-    );
-    b.counter(
-        "recovery_records_discarded",
-        "records discarded beyond the durable gap",
-        &recovery.records_discarded,
-    );
-    b.counter(
-        "recovery_stale_skipped",
-        "stale recycled records skipped during recovery",
-        &recovery.stale_skipped,
-    );
-    b.counter(
-        "recovery_bytes_wiped",
-        "dead log bytes wiped during recovery",
-        &recovery.bytes_wiped,
-    );
-    b.build()
-}
-
-/// Captures one frame of the whole pipeline: per-stage cumulative
-/// counters, the three watermarks, lag and occupancy gauges (refreshed as
-/// a side effect so the Prometheus exposition matches the frame), and
-/// stall counts. Rates are derived against the previous frame in the
-/// ring.
-fn sample_now(shared: &Shared) {
-    let counters = shared.stats.snapshot();
-    let committed = shared.gauges.committed_tid.get();
-    let durable = shared.tracker.watermark();
-    let reproduced = shared.reproduced.load(Ordering::Acquire);
-    let ring_used_words: u64 = shared.rings.iter().map(|r| r.used_words()).sum();
-    let completed = shared.frontier.snapshot_completed();
-    let frontier_min = completed.iter().copied().min().unwrap_or(reproduced);
-    let frontier_max = completed.iter().copied().max().unwrap_or(reproduced);
-    let frontier_skew = frontier_max - frontier_min;
-    let persist_lag = committed.saturating_sub(durable);
-    let reproduce_lag = durable.saturating_sub(reproduced);
-    let g = &shared.gauges;
-    g.durable_tid.set(durable);
-    g.reproduced_tid.set(reproduced);
-    g.persist_lag.set(persist_lag);
-    g.reproduce_lag.set(reproduce_lag);
-    g.ring_used_words.set(ring_used_words);
-    g.frontier_min.set(frontier_min);
-    g.frontier_skew.set(frontier_skew);
-    let frame = MetricsFrame {
-        ts_ns: dude_nvm::monotonic_ns(),
-        commits: counters.commits,
-        abort_markers: counters.abort_markers,
-        records_persisted: counters.records_persisted,
-        entries_logged: counters.entries_logged,
-        groups_persisted: counters.groups_persisted,
-        entries_before_combine: counters.entries_before_combine,
-        entries_after_combine: counters.entries_after_combine,
-        group_bytes_raw: counters.group_bytes_raw,
-        group_bytes_stored: counters.group_bytes_stored,
-        txns_reproduced: counters.txns_reproduced,
-        checkpoints: counters.checkpoints,
-        log_bytes_flushed: counters.log_bytes_flushed,
-        committed,
-        durable,
-        reproduced,
-        persist_lag,
-        reproduce_lag,
-        ring_used_words,
-        frontier_min,
-        frontier_skew,
-        stalls: shared.trace.stalls.snapshot(),
-        ..MetricsFrame::default()
-    }
-    .with_rates_from(shared.metrics.latest_frame().as_ref());
-    shared.metrics.push_frame(frame);
 }
 
 impl<E: TmEngine> TxnSystem for DudeTm<E> {

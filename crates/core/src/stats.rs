@@ -1,105 +1,214 @@
-//! Pipeline statistics and the pipeline-lag observability surface.
+//! The metrics catalog: every counter, stall, gauge and recovery cell of
+//! the pipeline, declared once.
 //!
-//! Aggregate counters and watermarks live here; the richer per-event layer
-//! (histograms, stall counters, the trace ring) lives in [`crate::trace`]
-//! and its snapshot rides along in [`PipelineSnapshot::stalls`] and
-//! [`PipelineSnapshot::histograms`]. See `DESIGN.md §Observability`.
+//! Each `cells!` block below is the single declaration of a group of
+//! cells. It yields the live struct of relaxed atomics the stages
+//! increment, the public snapshot struct with the same named fields, and an
+//! ordered walk of `(definition, value)` pairs. One crate-private function,
+//! `snapshot(&Shared, committed)`, gathers a [`PipelineSnapshot`];
+//! `summary()`, the JSONL frames, the Prometheus exposition and the trace
+//! JSON all render by walking it, so a new cell is one line here plus its
+//! `fetch_add`. The histograms are enumerated the same way by
+//! [`Trace::histograms`](crate::trace::Trace::histograms). The catalog
+//! table is in `DESIGN.md §Observability`.
 
-use crate::metrics::Counter;
-use crate::trace::{HistogramSnapshot, StallSnapshot};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Relaxed counters shared by the pipeline stages. The fields are
-/// [`Counter`] handles, so the metrics registry shares the very cells the
-/// stages increment — no double accounting, no extra hot-path write.
-#[derive(Debug, Default)]
-pub struct PipelineStats {
-    pub(crate) commits: Counter,
-    pub(crate) abort_markers: Counter,
-    pub(crate) records_persisted: Counter,
-    pub(crate) entries_logged: Counter,
-    pub(crate) groups_persisted: Counter,
-    pub(crate) entries_before_combine: Counter,
-    pub(crate) entries_after_combine: Counter,
-    pub(crate) group_bytes_raw: Counter,
-    pub(crate) group_bytes_stored: Counter,
-    pub(crate) txns_reproduced: Counter,
-    pub(crate) checkpoints: Counter,
-    pub(crate) log_bytes_flushed: Counter,
+use crate::runtime::Shared;
+use crate::trace::HistogramSnapshot;
+
+/// Whether a cell only ever grows or reports a level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonically increasing; `_total` in the exposition.
+    Counter,
+    /// A level that can fall.
+    Gauge,
 }
 
-/// Point-in-time copy of [`PipelineStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PipelineStatsSnapshot {
-    /// Committed update transactions that entered the pipeline.
-    pub commits: u64,
-    /// Abort markers written to fill wasted-ID holes.
-    pub abort_markers: u64,
-    /// Individual records persisted (non-grouped mode).
-    pub records_persisted: u64,
-    /// Redo-log entries (one per transactional write) that reached the
-    /// Persist step — the paper's "# writes" statistic (Table 1).
-    pub entries_logged: u64,
-    /// Groups persisted (combination mode).
-    pub groups_persisted: u64,
-    /// Log entries entering combination.
-    pub entries_before_combine: u64,
-    /// Log entries remaining after combination.
-    pub entries_after_combine: u64,
-    /// Group payload bytes before compression.
-    pub group_bytes_raw: u64,
-    /// Group payload bytes actually stored.
-    pub group_bytes_stored: u64,
-    /// Transactions replayed into NVM by Reproduce.
-    pub txns_reproduced: u64,
-    /// Durable checkpoints written by Reproduce.
-    pub checkpoints: u64,
-    /// Bytes appended to the persistent log rings (record framing
-    /// included) — the flushed-log volume the `bytes flushed/s` telemetry
-    /// rate derives from.
-    pub log_bytes_flushed: u64,
+/// The static half of one catalog entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellDef {
+    /// The struct field (what `summary()` and the trace JSON print).
+    pub field: &'static str,
+    /// Group prefix + field: the key in a JSONL frame.
+    pub name: &'static str,
+    /// Prometheus family stem, rendered as `dudetm_<metric>`; equals `name`
+    /// except for the three watermark gauges, which carry a `_tid` suffix.
+    pub metric: &'static str,
+    /// One-line meaning: the field's doc string and the `# HELP` text.
+    pub help: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
 }
 
-impl PipelineStats {
-    /// Takes a point-in-time copy.
-    pub fn snapshot(&self) -> PipelineStatsSnapshot {
-        PipelineStatsSnapshot {
-            commits: self.commits.get(),
-            abort_markers: self.abort_markers.get(),
-            records_persisted: self.records_persisted.get(),
-            entries_logged: self.entries_logged.get(),
-            groups_persisted: self.groups_persisted.get(),
-            entries_before_combine: self.entries_before_combine.get(),
-            entries_after_combine: self.entries_after_combine.get(),
-            group_bytes_raw: self.group_bytes_raw.get(),
-            group_bytes_stored: self.group_bytes_stored.get(),
-            txns_reproduced: self.txns_reproduced.get(),
-            checkpoints: self.checkpoints.get(),
-            log_bytes_flushed: self.log_bytes_flushed.get(),
+/// Declares one group of cells. `live Name;` adds the struct of atomics
+/// (with `snapshot()` and `delta()`); without it only the value struct is
+/// generated, for cells computed at read time.
+macro_rules! cells {
+    (@metric $prefix:literal $field:ident) => { concat!($prefix, stringify!($field)) };
+    (@metric $prefix:literal $field:ident $metric:literal) => { $metric };
+    (
+        $(#[$meta:meta])*
+        snapshot $Snap:ident, prefix $prefix:literal {
+            $( $kind:ident $field:ident $(as $metric:literal)? : $help:literal, )*
         }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $Snap {
+            $( #[doc = $help] pub $field: u64, )*
+        }
+
+        impl $Snap {
+            /// The cells of this group, in declaration order.
+            pub const CELLS: &'static [CellDef] = &[
+                $( CellDef {
+                    field: stringify!($field),
+                    name: concat!($prefix, stringify!($field)),
+                    metric: cells!(@metric $prefix $field $($metric)?),
+                    help: $help,
+                    kind: Kind::$kind,
+                }, )*
+            ];
+
+            /// Every cell's definition with its value, in declaration order.
+            pub fn cells(&self) -> impl Iterator<Item = (&'static CellDef, u64)> {
+                Self::CELLS.iter().zip([$( self.$field, )*])
+            }
+
+            /// Rebuilds the group from a lookup by [`CellDef::name`];
+            /// `None` if any cell is missing.
+            pub fn from_keys(get: impl Fn(&str) -> Option<u64>) -> Option<Self> {
+                Some(Self { $( $field: get(concat!($prefix, stringify!($field)))?, )* })
+            }
+        }
+
+        /// `field=value` for every cell, space-separated, zeros included.
+        impl std::fmt::Display for $Snap {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let cells: Vec<String> =
+                    self.cells().map(|(c, v)| format!("{}={v}", c.field)).collect();
+                f.write_str(&cells.join(" "))
+            }
+        }
+    };
+    (
+        $(#[$live_meta:meta])*
+        live $Live:ident;
+        $(#[$meta:meta])*
+        snapshot $Snap:ident, prefix $prefix:literal {
+            $( $kind:ident $field:ident $(as $metric:literal)? : $help:literal, )*
+        }
+    ) => {
+        $(#[$live_meta])*
+        #[derive(Debug, Default)]
+        pub struct $Live {
+            $( #[doc = $help] pub $field: AtomicU64, )*
+        }
+
+        impl $Live {
+            /// The live cells, in declaration order.
+            #[cfg(test)]
+            pub(crate) fn cells(&self) -> impl Iterator<Item = &AtomicU64> {
+                [$( &self.$field, )*].into_iter()
+            }
+
+            /// Takes a point-in-time copy.
+            pub fn snapshot(&self) -> $Snap {
+                $Snap { $( $field: self.$field.load(Ordering::Relaxed), )* }
+            }
+        }
+
+        cells! {
+            $(#[$meta])*
+            snapshot $Snap, prefix $prefix {
+                $( $kind $field $(as $metric)? : $help, )*
+            }
+        }
+
+        impl $Snap {
+            /// Growth since an earlier snapshot (used to separate the
+            /// measurement phase from the load phase).
+            #[must_use]
+            pub fn delta(&self, earlier: &Self) -> Self {
+                Self { $( $field: self.$field - earlier.$field, )* }
+            }
+        }
+    };
+}
+
+cells! {
+    /// Relaxed counters the pipeline stages increment.
+    live PipelineStats;
+    /// Point-in-time copy of [`PipelineStats`].
+    snapshot PipelineStatsSnapshot, prefix "" {
+        Counter commits: "Committed update transactions that entered the pipeline.",
+        Counter abort_markers: "Abort markers written to fill wasted-ID holes.",
+        Counter records_persisted: "Individual records persisted (ungrouped and sync modes).",
+        Counter entries_logged: "Redo-log entries (one per transactional write) that reached Persist: the paper's '# writes' (Table 1).",
+        Counter groups_persisted: "Groups persisted (combination mode).",
+        Counter entries_before_combine: "Log entries entering combination.",
+        Counter entries_after_combine: "Log entries remaining after combination.",
+        Counter group_bytes_raw: "Group payload bytes before compression.",
+        Counter group_bytes_stored: "Group payload bytes actually stored.",
+        Counter txns_reproduced: "Transactions replayed into NVM by Reproduce.",
+        Counter checkpoints: "Durable reproduced-ID checkpoints written by Reproduce.",
+        Counter log_bytes_flushed: "Bytes appended to the persistent log rings, record framing included.",
+    }
+}
+
+cells! {
+    /// The five ways a pipeline stage blocks, counted only when tracing is
+    /// enabled (one branch otherwise).
+    live StallCounters;
+    /// Point-in-time copy of [`StallCounters`] (all zero when tracing is
+    /// disabled).
+    snapshot StallSnapshot, prefix "stall_" {
+        Counter perform_log_full: "Commits that blocked on a full volatile log buffer until Persist drained it.",
+        Counter persist_ring_full: "Units parked because a persistent log ring had no space Reproduce had recycled.",
+        Counter persist_seq_wait: "Sequencer idle ticks with records stashed behind a transaction-ID gap (grouped mode).",
+        Counter reproduce_starved: "Reproduce idle ticks with nothing queued: replay is ahead of Persist.",
+        Counter checkpoint_wait: "Yields the drain checkpoint spent waiting for the slowest Reproduce shard.",
+    }
+}
+
+cells! {
+    /// Phase gauge and progress counters updated by
+    /// [`crate::recover_device_observed`] while a recovery runs, so a long
+    /// recovery is observable instead of silent. The recovery entry points
+    /// on [`crate::DudeTm`] move the struct into the restarted runtime, so a
+    /// post-recovery scrape shows what the recovery did.
+    live RecoveryTelemetry;
+    /// Point-in-time copy of [`RecoveryTelemetry`].
+    snapshot RecoverySnapshot, prefix "recovery_" {
+        Gauge phase: "Recovery phase (0 idle, 1 scan, 2 replay, 3 wipe, 4 done).",
+        Counter records_scanned: "Intact log records found by the scan.",
+        Counter bytes_scanned: "Log-region bytes scanned.",
+        Counter txns_replayed: "Transaction IDs replayed into the heap image.",
+        Counter bytes_replayed: "Heap bytes written by replay.",
+        Counter records_discarded: "Transactions discarded beyond the first ID gap.",
+        Counter stale_skipped: "Stale detached records skipped.",
+        Counter bytes_wiped: "Log bytes wiped after replay.",
+    }
+}
+
+cells! {
+    /// The gauges: levels computed from a [`PipelineSnapshot`] when read
+    /// ([`PipelineSnapshot::watermarks`]), never stored.
+    snapshot Watermarks, prefix "" {
+        Gauge committed as "committed_tid": "Highest transaction ID committed (the Perform frontier).",
+        Gauge durable as "durable_tid": "Durable watermark: every ID at or below it is persistent.",
+        Gauge reproduced as "reproduced_tid": "Reproduced watermark: every ID at or below it is applied to the heap image.",
+        Gauge persist_lag: "Committed minus durable transaction IDs.",
+        Gauge reproduce_lag: "Durable minus reproduced transaction IDs.",
+        Gauge ring_used_words: "Occupied words across all persistent log rings.",
+        Gauge frontier_min: "Lowest per-shard completed transaction ID.",
+        Gauge frontier_skew: "Spread between the fastest and slowest Reproduce shard.",
     }
 }
 
 impl PipelineStatsSnapshot {
-    /// Counter deltas since an earlier snapshot (used to separate the
-    /// measurement phase from the load phase).
-    #[must_use]
-    pub fn delta(&self, earlier: &PipelineStatsSnapshot) -> PipelineStatsSnapshot {
-        PipelineStatsSnapshot {
-            commits: self.commits - earlier.commits,
-            abort_markers: self.abort_markers - earlier.abort_markers,
-            records_persisted: self.records_persisted - earlier.records_persisted,
-            entries_logged: self.entries_logged - earlier.entries_logged,
-            groups_persisted: self.groups_persisted - earlier.groups_persisted,
-            entries_before_combine: self.entries_before_combine - earlier.entries_before_combine,
-            entries_after_combine: self.entries_after_combine - earlier.entries_after_combine,
-            group_bytes_raw: self.group_bytes_raw - earlier.group_bytes_raw,
-            group_bytes_stored: self.group_bytes_stored - earlier.group_bytes_stored,
-            txns_reproduced: self.txns_reproduced - earlier.txns_reproduced,
-            checkpoints: self.checkpoints - earlier.checkpoints,
-            log_bytes_flushed: self.log_bytes_flushed - earlier.log_bytes_flushed,
-        }
-    }
-
     /// Fraction of log entries eliminated by combination (Figure 3's
     /// "saved NVM writes" series), 0.0 if nothing was combined.
     pub fn combine_savings(&self) -> f64 {
@@ -116,33 +225,10 @@ impl PipelineStatsSnapshot {
         }
         1.0 - self.group_bytes_stored as f64 / self.group_bytes_raw as f64
     }
-
-    /// Named `(counter, value)` pairs in declaration order — the stable
-    /// machine-readable export the `dude-bench` runner embeds in its
-    /// `BENCH_<spec>.json` records. Keys match the field names (and the
-    /// metrics-registry counter names).
-    #[must_use]
-    pub fn export(&self) -> [(&'static str, u64); 12] {
-        [
-            ("commits", self.commits),
-            ("abort_markers", self.abort_markers),
-            ("records_persisted", self.records_persisted),
-            ("entries_logged", self.entries_logged),
-            ("groups_persisted", self.groups_persisted),
-            ("entries_before_combine", self.entries_before_combine),
-            ("entries_after_combine", self.entries_after_combine),
-            ("group_bytes_raw", self.group_bytes_raw),
-            ("group_bytes_stored", self.group_bytes_stored),
-            ("txns_reproduced", self.txns_reproduced),
-            ("checkpoints", self.checkpoints),
-            ("log_bytes_flushed", self.log_bytes_flushed),
-        ]
-    }
 }
 
-/// Point-in-time view of the whole decoupled pipeline: the cumulative
-/// per-stage counters plus the three watermarks that define stage lag and
-/// the occupancy of each persistent log ring.
+/// Point-in-time view of the whole decoupled pipeline: every catalog cell
+/// plus the per-ring and per-shard detail the gauges are computed from.
 ///
 /// The watermarks order as `reproduced <= durable <= committed`; the gaps
 /// between them are how far Persist and Reproduce trail Perform (§3.2's
@@ -170,17 +256,43 @@ pub struct PipelineSnapshot {
     /// Heap words applied by each Reproduce shard — how evenly the shard
     /// router spread the replay work.
     pub shard_words_applied: Vec<u64>,
-    /// Stall counters from the observability layer (all zero when tracing
-    /// is disabled — stall accounting is gated with the rest of the layer
-    /// so the disabled pipeline takes no extra atomics).
+    /// Stall counters (all zero when tracing is disabled — stall accounting
+    /// is gated with the rest of the trace layer so the disabled pipeline
+    /// takes no extra atomics).
     pub stalls: StallSnapshot,
-    /// Every stage histogram, as `(name, snapshot)` in registry order —
-    /// the three fixed histograms, then `replay_apply_ns{shard="s"}` per
+    /// Every stage histogram, as `(name, snapshot)` in catalog order — the
+    /// three fixed histograms, then `replay_apply_ns{shard="s"}` per
     /// Reproduce shard, then `flush_worker_ns{worker="w"}` per Persist
-    /// worker. Present (with zero counts) even when tracing is
-    /// disabled, so [`PipelineSnapshot::summary`] always names the full
-    /// catalog.
+    /// worker. Present (with zero counts) even when tracing is disabled, so
+    /// [`PipelineSnapshot::summary`] always names the full catalog.
     pub histograms: Vec<(String, HistogramSnapshot)>,
+    /// What the recovery that started this runtime did (all zero after a
+    /// fresh format).
+    pub recovery: RecoverySnapshot,
+}
+
+/// Gathers the one snapshot every reporting surface renders from.
+/// `committed` is the Perform frontier as the caller knows it: the TM
+/// commit clock for [`DudeTm::stats_snapshot`](crate::DudeTm::stats_snapshot),
+/// the committed high-water cell for the sampler and the scrape endpoint.
+/// The watermarks are read independently (racily) — exact after `quiesce`.
+pub(crate) fn snapshot(shared: &Shared, committed: u64) -> PipelineSnapshot {
+    PipelineSnapshot {
+        counters: shared.stats.snapshot(),
+        committed,
+        durable: shared.tracker.watermark(),
+        reproduced: shared.reproduced.load(Ordering::Acquire),
+        ring_used_words: shared.rings.iter().map(|r| r.used_words()).collect(),
+        shard_completed: shared.frontier.snapshot_completed(),
+        shard_words_applied: shared.frontier.snapshot_words_applied(),
+        stalls: shared.trace.stalls.snapshot(),
+        histograms: shared
+            .trace
+            .histograms()
+            .map(|h| (h.name(), h.cells.snapshot()))
+            .collect(),
+        recovery: shared.recovery.snapshot(),
+    }
 }
 
 impl PipelineSnapshot {
@@ -214,14 +326,26 @@ impl PipelineSnapshot {
         max - self.frontier_min()
     }
 
+    /// The gauges, computed now from the fields above.
+    pub fn watermarks(&self) -> Watermarks {
+        Watermarks {
+            committed: self.committed,
+            durable: self.durable,
+            reproduced: self.reproduced,
+            persist_lag: self.persist_lag(),
+            reproduce_lag: self.reproduce_lag(),
+            ring_used_words: self.ring_words_total(),
+            frontier_min: self.frontier_min(),
+            frontier_skew: self.frontier_skew(),
+        }
+    }
+
     /// Human-readable summary (bench-report friendly). Multi-line: the
-    /// watermark/lag line, every stage counter (the same names as
-    /// [`PipelineStatsSnapshot::export`] and the metrics registry), the
-    /// shard frontier when sharded, all five stall counters, and one line
-    /// per stage histogram — the summary names every pipeline metric the
-    /// registry carries (asserted by `tests/metrics_layer.rs`).
+    /// watermark/lag line, every stage counter, the shard frontier when
+    /// sharded, every stall counter (zeros included, so readers can see
+    /// nothing stalled), and one line per stage histogram. The counter and
+    /// stall blocks print the catalog's field names.
     pub fn summary(&self) -> String {
-        let c = &self.counters;
         let mut line = format!(
             "committed={} durable={} (lag {}) reproduced={} (lag {}) ring-words={}",
             self.committed,
@@ -231,24 +355,7 @@ impl PipelineSnapshot {
             self.reproduce_lag(),
             self.ring_words_total(),
         );
-        line.push_str(&format!(
-            "\ncounters[commits={} abort_markers={} records_persisted={} \
-             entries_logged={} groups_persisted={} entries_before_combine={} \
-             entries_after_combine={} group_bytes_raw={} group_bytes_stored={} \
-             txns_reproduced={} checkpoints={} log_bytes_flushed={}]",
-            c.commits,
-            c.abort_markers,
-            c.records_persisted,
-            c.entries_logged,
-            c.groups_persisted,
-            c.entries_before_combine,
-            c.entries_after_combine,
-            c.group_bytes_raw,
-            c.group_bytes_stored,
-            c.txns_reproduced,
-            c.checkpoints,
-            c.log_bytes_flushed,
-        ));
+        line.push_str(&format!("\ncounters[{}]", self.counters));
         if self.shard_completed.len() > 1 {
             line.push_str(&format!(
                 " shards={} frontier-min={} frontier-skew={}",
@@ -257,14 +364,7 @@ impl PipelineSnapshot {
                 self.frontier_skew()
             ));
         }
-        line.push_str(&format!(
-            " stalls[log-full={} ring-full={} seq-wait={} starved={} ckpt-wait={}]",
-            self.stalls.perform_log_full,
-            self.stalls.persist_ring_full,
-            self.stalls.persist_seq_wait,
-            self.stalls.reproduce_starved,
-            self.stalls.checkpoint_wait,
-        ));
+        line.push_str(&format!(" stalls[{}]", self.stalls));
         for (name, h) in &self.histograms {
             line.push_str(&format!(
                 "\nhist[{} count={} p50={} p95={} p99={} max={}]",
@@ -301,7 +401,6 @@ mod tests {
 
     #[test]
     fn snapshot_copies_counters() {
-        use std::sync::atomic::Ordering;
         let s = PipelineStats::default();
         s.commits.store(5, Ordering::Relaxed);
         s.txns_reproduced.store(3, Ordering::Relaxed);
@@ -310,19 +409,6 @@ mod tests {
         assert_eq!(snap.commits, 5);
         assert_eq!(snap.txns_reproduced, 3);
         assert_eq!(snap.log_bytes_flushed, 64);
-    }
-
-    #[test]
-    fn export_names_match_fields() {
-        let snap = PipelineStatsSnapshot {
-            commits: 1,
-            log_bytes_flushed: 2,
-            ..Default::default()
-        };
-        let export = snap.export();
-        assert_eq!(export.len(), 12);
-        assert_eq!(export[0], ("commits", 1));
-        assert_eq!(export[11], ("log_bytes_flushed", 2));
     }
 
     #[test]
@@ -341,15 +427,6 @@ mod tests {
         assert!(line.contains("committed=100"), "{line}");
         assert!(line.contains("(lag 10)"), "{line}");
         assert!(line.contains("ring-words=20"), "{line}");
-    }
-
-    #[test]
-    fn summary_prints_every_export_counter() {
-        let snap = PipelineSnapshot::default();
-        let line = snap.summary();
-        for (name, _) in snap.counters.export() {
-            assert!(line.contains(&format!("{name}=")), "{name} missing: {line}");
-        }
     }
 
     #[test]
@@ -417,14 +494,14 @@ mod tests {
             ..Default::default()
         };
         let line = snap.summary();
-        assert!(line.contains("log-full=3"), "{line}");
-        assert!(line.contains("ring-full=1"), "{line}");
-        assert!(line.contains("seq-wait=4"), "{line}");
-        assert!(line.contains("starved=7"), "{line}");
-        assert!(line.contains("ckpt-wait=2"), "{line}");
+        assert!(line.contains("perform_log_full=3"), "{line}");
+        assert!(line.contains("persist_ring_full=1"), "{line}");
+        assert!(line.contains("persist_seq_wait=4"), "{line}");
+        assert!(line.contains("reproduce_starved=7"), "{line}");
+        assert!(line.contains("checkpoint_wait=2"), "{line}");
         // Zero stalls still print (so readers can see nothing stalled).
         let quiet = PipelineSnapshot::default().summary();
-        assert!(quiet.contains("log-full=0"), "{quiet}");
+        assert!(quiet.contains("perform_log_full=0"), "{quiet}");
     }
 
     #[test]

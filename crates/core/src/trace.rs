@@ -15,6 +15,8 @@
 //!   block: Perform on a full volatile log, Persist on a full persistent
 //!   ring, the grouped-Persist sequencer on a TID gap, Reproduce starved
 //!   of input, and the shutdown checkpoint waiting on the slowest shard.
+//!   Declared in the metrics catalog ([`crate::stats`]) like every other
+//!   scalar cell; [`Trace::histograms`] is the catalog's histogram half.
 //! * [`TraceRing`] — a fixed-size, lock-free ring of
 //!   `{timestamp, stage, event, tid, bytes, duration}` records stamped
 //!   with the process-wide [`dude_nvm::monotonic_ns`] clock, exported as
@@ -27,9 +29,8 @@
 //! pre-observability runtime (verified by `tests/trace_layer.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use crate::metrics::Counter;
+use crate::stats::StallCounters;
 
 /// Number of power-of-two buckets in a [`LatencyHistogram`]. Bucket `b >= 1`
 /// covers `[2^(b-1), 2^b - 1]`; bucket 0 holds exact zeros. 64 buckets cover
@@ -191,11 +192,13 @@ const RECORD_WORDS: usize = 5;
 /// Writers reserve a slot with one `fetch_add` and store the record's five
 /// words with relaxed atomics — no locks, no allocation, wait-free. When
 /// the ring wraps, the oldest records are overwritten and counted as
-/// dropped. Reading ([`TraceRing::records`]) is intended for quiescent
-/// moments (after `quiesce`/shutdown); a snapshot taken while writers are
-/// active may contain individual torn records, which is acceptable for an
-/// observability surface and documented here rather than paid for with a
-/// lock on the hot path.
+/// dropped. Two writers stamp and claim independently, so slot order is
+/// not time order; the cold read path ([`TraceRing::records`]) sorts by
+/// timestamp instead of making writers agree. Reading is intended for
+/// quiescent moments (after `quiesce`/shutdown); a snapshot taken while
+/// writers are active may contain individual torn records, which is
+/// acceptable for an observability surface and documented here rather than
+/// paid for with a lock on the hot path.
 #[derive(Debug)]
 pub struct TraceRing {
     /// Flat `capacity × RECORD_WORDS` storage:
@@ -256,8 +259,8 @@ impl TraceRing {
         self.recorded().saturating_sub(self.capacity as u64)
     }
 
-    /// Records currently held, oldest first. Take after quiescing the
-    /// pipeline for a tear-free view.
+    /// Records currently held, stably sorted by `ts_ns` (slot order breaks
+    /// ties). Take after quiescing the pipeline for a tear-free view.
     #[must_use]
     pub fn records(&self) -> Vec<TraceRecord> {
         let head = self.recorded();
@@ -266,7 +269,7 @@ impl TraceRing {
         }
         let len = head.min(self.capacity as u64);
         let first = head - len;
-        (first..head)
+        let mut records: Vec<TraceRecord> = (first..head)
             .map(|seq| {
                 let slot = (seq % self.capacity as u64) as usize * RECORD_WORDS;
                 let packed = self.words[slot + 1].load(Ordering::Relaxed);
@@ -279,7 +282,9 @@ impl TraceRing {
                     dur_ns: self.words[slot + 4].load(Ordering::Relaxed),
                 }
             })
-            .collect()
+            .collect();
+        records.sort_by_key(|r| r.ts_ns);
+        records
     }
 }
 
@@ -431,87 +436,55 @@ impl HistogramSnapshot {
     }
 }
 
-/// The five ways a pipeline stage blocks, counted by name. Incremented
-/// only when tracing is enabled (one branch otherwise), surfaced through
-/// [`crate::PipelineSnapshot`]. The fields are [`Counter`] handles so the
-/// metrics registry can share the same cells without a second increment
-/// anywhere.
-#[derive(Debug, Default)]
-pub struct StallCounters {
-    /// Perform found its bounded volatile log channel full at commit and
-    /// had to block until the Persist stage drained it (§3.2's
-    /// backpressure actually biting).
-    pub perform_log_full: Counter,
-    /// A Persist worker found a persistent log ring without space and
-    /// parked the record (Reproduce has not recycled fast enough).
-    pub persist_ring_full: Counter,
-    /// The grouped-Persist sequencer idled with records stashed out of
-    /// order: the next expected TID has not arrived, so no group can be
-    /// sealed (a Perform thread is slow to hand over its log).
-    pub persist_seq_wait: Counter,
-    /// A Reproduce worker's input timed out with an empty reorder heap —
-    /// replay is ahead of the Persist stage and idling.
-    pub reproduce_starved: Counter,
-    /// Yield iterations the shutdown checkpoint spent waiting for the
-    /// slowest Reproduce shard to reach the drain target.
-    pub checkpoint_wait: Counter,
+/// One member of the histogram catalog, as [`Trace::histograms`] yields it.
+#[derive(Debug)]
+pub struct HistogramEntry<'a> {
+    /// Family name (the Prometheus family is `dudetm_<family>`).
+    pub family: &'static str,
+    /// One-line meaning (the `# HELP` text).
+    pub help: &'static str,
+    /// `(label, index)` of a per-shard / per-worker member; `None` for a
+    /// family of one.
+    pub label: Option<(&'static str, usize)>,
+    /// The live cells.
+    pub cells: &'a LatencyHistogram,
 }
 
-impl StallCounters {
-    /// Point-in-time copy.
+impl HistogramEntry<'_> {
+    /// The snapshot and exposition spelling: `family` alone, or
+    /// `family{label="index"}`.
     #[must_use]
-    pub fn snapshot(&self) -> StallSnapshot {
-        StallSnapshot {
-            perform_log_full: self.perform_log_full.load(Ordering::Relaxed),
-            persist_ring_full: self.persist_ring_full.load(Ordering::Relaxed),
-            persist_seq_wait: self.persist_seq_wait.load(Ordering::Relaxed),
-            reproduce_starved: self.reproduce_starved.load(Ordering::Relaxed),
-            checkpoint_wait: self.checkpoint_wait.load(Ordering::Relaxed),
+    pub fn name(&self) -> String {
+        match self.label {
+            Some((key, index)) => format!("{}{{{key}=\"{index}\"}}", self.family),
+            None => self.family.to_string(),
         }
     }
-}
-
-/// Point-in-time copy of [`StallCounters`] (all zero when tracing is
-/// disabled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StallSnapshot {
-    /// Commits that blocked on a full volatile log buffer.
-    pub perform_log_full: u64,
-    /// Records parked because a persistent log ring was full.
-    pub persist_ring_full: u64,
-    /// Sequencer idle ticks blocked on a TID gap (grouped mode).
-    pub persist_seq_wait: u64,
-    /// Reproduce idle ticks with nothing to replay.
-    pub reproduce_starved: u64,
-    /// Drain-checkpoint waits on the slowest shard.
-    pub checkpoint_wait: u64,
 }
 
 /// The observability layer attached to one runtime instance: event ring,
 /// stage histograms, and stall counters, all behind one `enabled` flag.
 ///
 /// Obtain via [`crate::DudeTm::trace`]; export with [`Trace::to_json`].
-/// The histograms are `Arc`-shared so the metrics registry can hold the
-/// same instances under named handles.
 #[derive(Debug)]
 pub struct Trace {
     config: TraceConfig,
     ring: TraceRing,
     /// Wall time from transaction start to commit acknowledgement on the
     /// Perform thread (includes aborted attempts of the same transaction).
-    pub commit_latency_ns: Arc<LatencyHistogram>,
+    pub commit_latency_ns: LatencyHistogram,
     /// Duration of each Persist-stage ordering barrier (the modeled NVM
     /// fence cost plus scheduling).
-    pub persist_barrier_ns: Arc<LatencyHistogram>,
+    pub persist_barrier_ns: LatencyHistogram,
     /// Stored bytes of each combined group flush (grouping mode only).
-    pub group_flush_bytes: Arc<LatencyHistogram>,
+    pub group_flush_bytes: LatencyHistogram,
     /// Per-shard wall time applying one replay run to the heap image
     /// (index = shard; one entry in serial mode).
-    pub replay_apply_ns: Vec<Arc<LatencyHistogram>>,
+    pub replay_apply_ns: Vec<LatencyHistogram>,
     /// Each Persist worker's share of `persist_barrier_ns`: its per-sweep
     /// fences (index = worker; all empty under `DurabilityMode::Sync`,
     /// which spawns no worker).
-    pub flush_worker_ns: Vec<Arc<LatencyHistogram>>,
+    pub flush_worker_ns: Vec<LatencyHistogram>,
     /// Stall counters (see [`StallCounters`]).
     pub stalls: StallCounters,
 }
@@ -525,6 +498,7 @@ impl Trace {
             // Pin the shared epoch now so event timestamps start near 0.
             let _ = dude_nvm::monotonic_ns();
         }
+        let family = |n: usize| (0..n.max(1)).map(|_| LatencyHistogram::new()).collect();
         Trace {
             config,
             ring: TraceRing::new(if config.enabled {
@@ -532,17 +506,64 @@ impl Trace {
             } else {
                 0
             }),
-            commit_latency_ns: Arc::new(LatencyHistogram::new()),
-            persist_barrier_ns: Arc::new(LatencyHistogram::new()),
-            group_flush_bytes: Arc::new(LatencyHistogram::new()),
-            replay_apply_ns: (0..shards.max(1))
-                .map(|_| Arc::new(LatencyHistogram::new()))
-                .collect(),
-            flush_worker_ns: (0..flush_workers.max(1))
-                .map(|_| Arc::new(LatencyHistogram::new()))
-                .collect(),
+            commit_latency_ns: LatencyHistogram::new(),
+            persist_barrier_ns: LatencyHistogram::new(),
+            group_flush_bytes: LatencyHistogram::new(),
+            replay_apply_ns: family(shards),
+            flush_worker_ns: family(flush_workers),
             stalls: StallCounters::default(),
         }
+    }
+
+    /// Every histogram of the layer, in catalog order: the one enumeration
+    /// the snapshot, the exposition and [`Trace::to_json`] all walk.
+    pub fn histograms(&self) -> impl Iterator<Item = HistogramEntry<'_>> {
+        use std::slice::from_ref;
+        let families: [(_, _, Option<&'static str>, &[LatencyHistogram]); 5] = [
+            (
+                "commit_latency_ns",
+                "Perform-side commit latency",
+                None,
+                from_ref(&self.commit_latency_ns),
+            ),
+            (
+                "persist_barrier_ns",
+                "Persist ordering-fence latency, one sample per sweep",
+                None,
+                from_ref(&self.persist_barrier_ns),
+            ),
+            (
+                "group_flush_bytes",
+                "bytes flushed per persist group",
+                None,
+                from_ref(&self.group_flush_bytes),
+            ),
+            (
+                "replay_apply_ns",
+                "Reproduce apply latency per shard",
+                Some("shard"),
+                &self.replay_apply_ns,
+            ),
+            (
+                "flush_worker_ns",
+                "Persist ordering-fence latency per worker",
+                Some("worker"),
+                &self.flush_worker_ns,
+            ),
+        ];
+        families
+            .into_iter()
+            .flat_map(|(family, help, key, members)| {
+                members
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, cells)| HistogramEntry {
+                        family,
+                        help,
+                        label: key.map(|key| (key, i)),
+                        cells,
+                    })
+            })
     }
 
     /// Whether recording is on. Instrumentation sites check this first and
@@ -626,58 +647,38 @@ impl Trace {
             self.ring.dropped(),
             self.ring.recorded()
         ));
-        let stalls = self.stalls.snapshot();
-        out.push_str(&format!(
-            "  \"stalls\": {{\"perform_log_full\": {}, \"persist_ring_full\": {}, \
-             \"persist_seq_wait\": {}, \"reproduce_starved\": {}, \
-             \"checkpoint_wait\": {}}},\n",
-            stalls.perform_log_full,
-            stalls.persist_ring_full,
-            stalls.persist_seq_wait,
-            stalls.reproduce_starved,
-            stalls.checkpoint_wait
-        ));
-        out.push_str("  \"histograms\": {\n");
-        let mut hist = |name: &str, s: &HistogramSnapshot, last: bool| {
-            out.push_str(&format!(
-                "    \"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.1}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}}}{}\n",
-                name,
-                s.count,
-                s.sum,
-                s.max,
-                s.mean(),
-                s.p50(),
-                s.p95(),
-                s.p99(),
-                if last { "" } else { "," }
-            ));
-        };
-        hist(
-            "commit_latency_ns",
-            &self.commit_latency_ns.snapshot(),
-            false,
-        );
-        hist(
-            "persist_barrier_ns",
-            &self.persist_barrier_ns.snapshot(),
-            false,
-        );
-        hist(
-            "group_flush_bytes",
-            &self.group_flush_bytes.snapshot(),
-            false,
-        );
-        for (i, h) in self.replay_apply_ns.iter().enumerate() {
-            hist(&format!("replay_apply_ns_shard{i}"), &h.snapshot(), false);
-        }
-        for (i, h) in self.flush_worker_ns.iter().enumerate() {
-            hist(
-                &format!("flush_worker_ns_w{i}"),
-                &h.snapshot(),
-                i + 1 == self.flush_worker_ns.len(),
-            );
-        }
+        let stalls: Vec<String> = self
+            .stalls
+            .snapshot()
+            .cells()
+            .map(|(c, v)| format!("\"{}\": {v}", c.field))
+            .collect();
+        out.push_str(&format!("  \"stalls\": {{{}}},\n", stalls.join(", ")));
+        // Per-member keys keep their historic spelling: `_shard<i>`, `_w<i>`.
+        let hists: Vec<String> = self
+            .histograms()
+            .map(|h| {
+                let s = h.cells.snapshot();
+                let member = match h.label {
+                    Some(("worker", i)) => format!("_w{i}"),
+                    Some((key, i)) => format!("_{key}{i}"),
+                    None => String::new(),
+                };
+                format!(
+                    "    \"{}{member}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \
+                     \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
+                    h.family,
+                    s.count,
+                    s.sum,
+                    s.max,
+                    s.mean(),
+                    s.p50(),
+                    s.p95(),
+                    s.p99(),
+                )
+            })
+            .collect();
+        out.push_str(&format!("  \"histograms\": {{\n{}\n", hists.join(",\n")));
         out.push_str("  }\n}\n");
         out
     }
@@ -749,6 +750,26 @@ mod tests {
         assert_eq!(recs[0].stage, Stage::Persist);
         assert_eq!(recs[0].event, TraceEventKind::PersistBarrier);
         assert_eq!(recs[3].bytes, 40);
+    }
+
+    /// Writer A claims a slot, writer B claims the next and stamps first:
+    /// slot order is then not time order, and the read path restores it.
+    #[test]
+    fn records_come_back_in_time_order_whatever_the_claim_order() {
+        let ring = TraceRing::new(8);
+        for (ts_ns, tid) in [(10, 1), (30, 2), (20, 3), (20, 4)] {
+            ring.record(TraceRecord {
+                ts_ns,
+                stage: Stage::Perform,
+                event: TraceEventKind::Commit,
+                tid,
+                bytes: 0,
+                dur_ns: 0,
+            });
+        }
+        let order: Vec<(u64, u64)> = ring.records().iter().map(|r| (r.ts_ns, r.tid)).collect();
+        // Stable: equal stamps keep their slot order.
+        assert_eq!(order, [(10, 1), (20, 3), (20, 4), (30, 2)]);
     }
 
     #[test]

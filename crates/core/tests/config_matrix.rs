@@ -294,7 +294,7 @@ fn first_error_wins_in_documented_order() {
 /// control flow. Returns whether the combination is valid.
 fn model_is_valid(c: &DudeTmConfig) -> bool {
     c.heap_bytes > 0
-        && c.heap_bytes % 4096 == 0
+        && c.heap_bytes.is_multiple_of(4096)
         && c.plog_bytes_per_thread >= 4096
         && (1..=256).contains(&c.max_threads)
         && c.persist_group >= 1

@@ -1,8 +1,7 @@
 //! Behavioral tests of the continuous-metrics layer: the disabled fast
 //! path changes nothing observable, the sampled frame series reconciles
-//! exactly with the final pipeline snapshot, the summary covers every
-//! registered metric, and recovery progress flows through the telemetry
-//! handles.
+//! exactly with the final pipeline snapshot, and recovery progress flows
+//! through the telemetry cells.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,7 +9,7 @@ use std::time::Duration;
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
 use dudetm::{
-    log, recover_device, recover_device_observed, DudeTm, DudeTmConfig, MetricKind, MetricsConfig,
+    log, recover_device, recover_device_observed, DudeTm, DudeTmConfig, MetricsConfig,
     PipelineSnapshot, RecoveryPhase, RecoveryTelemetry,
 };
 
@@ -29,10 +28,13 @@ fn config(metrics: MetricsConfig) -> DudeTmConfig {
 
 /// Runs a fixed single-thread workload and returns the final snapshot plus
 /// a copy of the heap words it wrote (the trace-layer behavior-equality
-/// fixture, reused against the metrics switch).
+/// fixture, reused against the metrics switch). The snapshot is taken after
+/// `shutdown()`: its drain checkpoint recycles every log ring, whereas
+/// right after `quiesce()` Reproduce's idle tick may or may not have
+/// recycled the last few records yet.
 fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, u64) {
     let nvm = test_nvm(8 << 20);
-    let dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
+    let mut dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
     let heap = dude.heap_region();
     {
         let mut t = dude.register_thread();
@@ -46,6 +48,7 @@ fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, u64) {
     }
     dude.quiesce();
     dude.sample_metrics_now(); // no-op when disabled; guarantees >=1 frame
+    dude.shutdown();
     let snap = dude.stats_snapshot();
     let frames = dude.metrics().frames_recorded();
     let words = (0..96)
@@ -144,20 +147,19 @@ fn disabled_metrics_records_no_frames() {
     assert_eq!(reg.frames_recorded(), 0);
     assert!(reg.frames().is_empty());
     assert!(reg.latest_frame().is_none());
-    // The registry itself still works — names resolve and counters read.
-    assert_eq!(reg.counter_value("commits"), Some(50));
+    // The registry itself still works — a snapshot reads the live cells.
+    assert_eq!(reg.snapshot().counters.commits, 50);
 }
 
 /// The acceptance reconciliation: a seeded 4-thread workload sampled at
-/// 10 ms produces a frame series whose final cumulative counters equal
-/// the final `PipelineSnapshot` exactly — same commits, persisted
-/// records/groups, replayed transactions, logged bytes, and watermarks.
-/// (`checkpoints` is excluded: post-quiesce idle ticks may still add
-/// opportunistic checkpoints between the two reads.)
+/// 10 ms produces a frame series whose last frame — the one the sampler
+/// captures at shutdown, after the pipeline workers have drained — equals
+/// the final `PipelineSnapshot` cell for cell: every counter, gauge and
+/// stall the catalog carries.
 #[test]
 fn four_thread_frames_reconcile_with_final_snapshot() {
     let nvm = test_nvm(8 << 20);
-    let dude = DudeTm::create_stm(
+    let mut dude = DudeTm::create_stm(
         nvm,
         config(MetricsConfig::sampling(Duration::from_millis(10))),
     );
@@ -174,81 +176,35 @@ fn four_thread_frames_reconcile_with_final_snapshot() {
             });
         }
     });
-    dude.quiesce();
-    dude.sample_metrics_now();
+    dude.shutdown();
     let frame = dude.metrics().latest_frame().expect("final frame");
     let snap = dude.stats_snapshot();
-    assert!(dude.metrics().frames_recorded() >= 1);
-    let c = &snap.counters;
-    assert_eq!(frame.commits, c.commits);
-    assert_eq!(frame.commits, 1200, "4 threads x 300 committed txns");
-    assert_eq!(frame.abort_markers, c.abort_markers);
-    assert_eq!(frame.records_persisted, c.records_persisted);
-    assert_eq!(frame.entries_logged, c.entries_logged);
-    assert_eq!(frame.groups_persisted, c.groups_persisted);
-    assert_eq!(frame.entries_before_combine, c.entries_before_combine);
-    assert_eq!(frame.entries_after_combine, c.entries_after_combine);
-    assert_eq!(frame.group_bytes_raw, c.group_bytes_raw);
-    assert_eq!(frame.group_bytes_stored, c.group_bytes_stored);
-    assert_eq!(frame.txns_reproduced, c.txns_reproduced);
-    assert_eq!(frame.log_bytes_flushed, c.log_bytes_flushed);
-    assert!(frame.log_bytes_flushed > 0, "flushed bytes must be counted");
-    assert_eq!(frame.committed, snap.committed);
-    assert_eq!(frame.durable, snap.durable);
-    assert_eq!(frame.reproduced, snap.reproduced);
-    assert_eq!(frame.persist_lag, 0, "quiesced pipeline has no lag");
-    assert_eq!(frame.reproduce_lag, 0);
-}
-
-/// Satellite contract: every metric the registry exposes is visible in
-/// `PipelineSnapshot::summary()` under a known token — adding a metric
-/// without teaching the summary (or this map) about it fails here.
-/// Recovery-scoped metrics are exempt: they describe `recover_device`,
-/// not the live pipeline the summary prints.
-#[test]
-fn summary_lists_every_registered_metric() {
-    let nvm = test_nvm(8 << 20);
-    let cfg = config(MetricsConfig::disabled()).with_reproduce_threads(2);
-    let dude = DudeTm::create_stm(nvm, cfg);
-    {
-        let mut t = dude.register_thread();
-        for i in 0..40u64 {
-            t.run(&mut |tx| tx.write_word(PAddr::from_word_index(i * 8), i))
-                .expect_committed();
-        }
-    }
-    dude.quiesce();
-    let summary = dude.stats_snapshot().summary();
-    for (name, kind) in dude.metrics().catalog() {
-        if name.starts_with("recovery_") {
-            continue;
-        }
-        let token = match name.as_str() {
-            "committed_tid" => "committed=".to_string(),
-            "durable_tid" => "durable=".to_string(),
-            "reproduced_tid" => "reproduced=".to_string(),
-            "persist_lag" | "reproduce_lag" => "(lag ".to_string(),
-            "ring_used_words" => "ring-words=".to_string(),
-            "frontier_min" => "frontier-min=".to_string(),
-            "frontier_skew" => "frontier-skew=".to_string(),
-            "stall_perform_log_full" => "log-full=".to_string(),
-            "stall_persist_ring_full" => "ring-full=".to_string(),
-            "stall_persist_seq_wait" => "seq-wait=".to_string(),
-            "stall_reproduce_starved" => "starved=".to_string(),
-            "stall_checkpoint_wait" => "ckpt-wait=".to_string(),
-            _ if kind == MetricKind::Histogram => format!("hist[{name} "),
-            other => format!("{other}="),
-        };
-        assert!(
-            summary.contains(&token),
-            "metric '{name}' has no token '{token}' in summary:\n{summary}"
-        );
-    }
+    assert_eq!(frame.counters, snap.counters);
+    assert_eq!(frame.watermarks, snap.watermarks());
+    assert_eq!(frame.stalls, snap.stalls);
+    assert_eq!(
+        frame.counters.commits, 1200,
+        "4 threads x 300 committed txns"
+    );
+    assert!(
+        frame.counters.log_bytes_flushed > 0,
+        "flushed bytes must be counted"
+    );
+    assert_eq!(
+        frame.watermarks.committed,
+        1200 + snap.counters.abort_markers
+    );
+    assert_eq!(
+        frame.watermarks.persist_lag, 0,
+        "drained pipeline has no lag"
+    );
+    assert_eq!(frame.watermarks.reproduce_lag, 0);
+    assert_eq!(frame.watermarks.ring_used_words, 0, "every span recycled");
 }
 
 /// Recovery observability: scanning, replaying, discarding, and wiping a
-/// crafted crashed device all land in the telemetry counters, and the
-/// phase gauge finishes at `Done`.
+/// crafted crashed device all land in the telemetry cells, and the phase
+/// gauge finishes at `Done`.
 #[test]
 fn recovery_telemetry_reports_scan_replay_wipe() {
     let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 16)));
@@ -276,20 +232,17 @@ fn recovery_telemetry_reports_scan_replay_wipe() {
         recover_device_observed(&nvm, &cfg, &telemetry).expect("crafted device recovers");
     assert_eq!(report.replayed, 1);
     assert_eq!(report.discarded, 2);
-    let get = |c: &dudetm::Counter| c.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(telemetry.phase.get(), RecoveryPhase::Done.as_u64());
-    assert_eq!(get(&telemetry.records_scanned), 2, "one record per ring");
+    let seen = telemetry.snapshot();
+    assert_eq!(seen.phase, RecoveryPhase::Done.as_u64());
+    assert_eq!(seen.records_scanned, 2, "one record per ring");
     assert_eq!(
-        get(&telemetry.bytes_scanned),
+        seen.bytes_scanned,
         2 * 4096,
         "both log regions scanned in full"
     );
-    assert_eq!(get(&telemetry.txns_replayed), 1);
-    assert_eq!(get(&telemetry.bytes_replayed), 16, "two replayed words");
-    assert_eq!(get(&telemetry.records_discarded), 2);
-    assert_eq!(get(&telemetry.stale_skipped), 0);
-    assert!(
-        get(&telemetry.bytes_wiped) >= 16,
-        "planted records must be wiped"
-    );
+    assert_eq!(seen.txns_replayed, 1);
+    assert_eq!(seen.bytes_replayed, 16, "two replayed words");
+    assert_eq!(seen.records_discarded, 2);
+    assert_eq!(seen.stale_skipped, 0);
+    assert!(seen.bytes_wiped >= 16, "planted records must be wiped");
 }

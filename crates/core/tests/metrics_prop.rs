@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use dudetm::trace::bucket_bounds;
-use dudetm::{validate_exposition, LatencyHistogram, MetricsBuilder, MetricsConfig};
+use dudetm::{render_histogram, validate_exposition, LatencyHistogram};
 
 /// `(lo, hi)` of the power-of-two bucket holding `v` — the oracle's view
 /// of the resolution the histogram quantizes to.
@@ -87,36 +87,31 @@ proptest! {
     /// Any histogram, rendered into the exposition, satisfies the
     /// Prometheus structural invariants the validator checks: cumulative
     /// buckets, `+Inf == _count`, declared families — including histograms
-    /// holding extreme values (bucket 64) and empty ones.
+    /// holding extreme values (bucket 64) and empty ones, alone or as a
+    /// labeled member of the same family.
     #[test]
     fn exposition_validates_for_arbitrary_histograms(
         values in proptest::collection::vec(any::<u64>(), 0..60),
-        total in any::<u64>(),
     ) {
-        let hist = std::sync::Arc::new(LatencyHistogram::default());
+        let hist = LatencyHistogram::default();
         for &v in &values {
             hist.record(v);
         }
-        let counter = dudetm::Counter::default();
-        counter.store(total, std::sync::atomic::Ordering::Relaxed);
-        let mut builder = MetricsBuilder::new(MetricsConfig::disabled());
-        builder.counter("ops", "operations", &counter);
-        builder.histogram("latency_ns", "latency", None, &hist);
-        builder.histogram(
-            "latency_ns",
-            "latency",
-            Some(("shard", "1".to_string())),
-            &hist,
-        );
-        let registry = builder.build();
-        let text = registry.render_prometheus();
+        let snap = hist.snapshot();
+        let mut text = String::new();
+        render_histogram(&mut text, "latency_ns", "latency", None, &snap);
+        render_histogram(&mut text, "latency_ns", "latency", Some(("shard", 1)), &snap);
         prop_assert!(
             validate_exposition(&text).is_ok(),
             "invalid exposition:\n{}",
             text
         );
-        prop_assert!(text.contains(&format!("dudetm_ops_total {total}")));
-        let inf_line = format!("dudetm_latency_ns_bucket{{le=\"+Inf\"}} {}", values.len());
-        prop_assert!(text.contains(&inf_line), "missing {}:\n{}", inf_line, text);
+        for labels in ["", "shard=\"1\","] {
+            let inf_line = format!(
+                "dudetm_latency_ns_bucket{{{labels}le=\"+Inf\"}} {}",
+                values.len()
+            );
+            prop_assert!(text.contains(&inf_line), "missing {}:\n{}", inf_line, text);
+        }
     }
 }

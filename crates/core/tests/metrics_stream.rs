@@ -1,5 +1,5 @@
 //! The metrics export surfaces: Prometheus text exposition (golden names
-//! + validator), the blocking scrape endpoint, and the JSONL frame
+//! and validator), the blocking scrape endpoint, and the JSONL frame
 //! stream's round-trip law. This is the test target the CI
 //! `metrics-smoke` job runs.
 
@@ -175,7 +175,7 @@ fn jsonl_frames_round_trip_exactly() {
     for (line, original) in lines.iter().zip(&frames) {
         let parsed = MetricsFrame::from_json_line(line).expect("every emitted line parses");
         assert_eq!(parsed.to_json_line(), *line, "re-serialization is stable");
-        assert_eq!(parsed.commits, original.commits);
+        assert_eq!(parsed.counters, original.counters);
         assert_eq!(parsed.ts_ns, original.ts_ns);
         assert_eq!(parsed.stalls, original.stalls);
     }

@@ -11,7 +11,9 @@ use std::sync::Arc;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
-use dudetm::{log, recover_device, scan_region, DudeTm, DudeTmConfig, NvmLayout};
+use dudetm::{
+    log, recover_device, scan_region, ConfigError, DudeTm, DudeTmConfig, NvmLayout, RecoverError,
+};
 
 /// Byte offset of the reproduced-ID checkpoint inside the metadata region
 /// (on-NVM format v1: word 2).
@@ -42,6 +44,33 @@ fn plant_record(nvm: &Nvm, layout: &NvmLayout, ring: usize, words: &[u64]) {
     let off = layout.plogs[ring].start();
     nvm.write_words(off, words);
     nvm.persist(off, words.len() as u64 * 8);
+}
+
+/// A bad configuration is a typed error, not a panic, and recovery gives up
+/// before touching the device.
+#[test]
+fn invalid_config_is_a_typed_error_and_leaves_the_device_untouched() {
+    let nvm = test_nvm();
+    let config = tiny_config();
+    let layout = formatted(&nvm, config);
+    let mut buf = Vec::new();
+    log::serialize_commit(1, &[(0, 11)], &mut buf);
+    plant_record(&nvm, &layout, 0, &buf);
+    let image = |nvm: &Nvm| {
+        let mut words = vec![0u64; (nvm.size_bytes() / 8) as usize];
+        nvm.read_words(0, &mut words);
+        words
+    };
+    let before = image(&nvm);
+
+    let bad = config.with_flush_workers(0);
+    let err = recover_device(&nvm, &bad).expect_err("zero flush workers is invalid");
+    assert_eq!(err, RecoverError::Config(ConfigError::NoFlushWorkers));
+    assert!(err.to_string().contains("persist_flush_workers"), "{err}");
+    assert_eq!(image(&nvm), before, "a rejected recovery must not write");
+    // The same device still recovers under the good configuration.
+    let (_, report) = recover_device(&nvm, &config).expect("recover");
+    assert_eq!(report.replayed, 1);
 }
 
 #[test]

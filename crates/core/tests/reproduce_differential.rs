@@ -203,7 +203,7 @@ fn bank_images_identical_across_shard_counts() {
 
 #[test]
 fn kv_images_identical_across_shard_counts() {
-    assert_differential("kv", kv, 0x0FF1_CE);
+    assert_differential("kv", kv, 0x000F_F1CE);
     for seed in extra_seeds() {
         assert_differential("kv", kv, seed);
     }
@@ -229,7 +229,7 @@ fn btree_images_identical_across_shard_counts() {
 fn images_identical_across_persist_worker_counts() {
     for workload in [
         ("bank", bank as fn(&mut Runner, u64), 0xB01D_FACEu64),
-        ("kv", kv, 0x0FF1_CE),
+        ("kv", kv, 0x000F_F1CE),
     ] {
         let (name, f, seed) = workload;
         let reference = heap_image(1, seed, f);

@@ -22,10 +22,13 @@ fn config(trace: TraceConfig) -> DudeTmConfig {
 }
 
 /// Runs a fixed single-thread workload and returns the final snapshot plus
-/// a copy of the heap words it wrote.
+/// a copy of the heap words it wrote. The snapshot is taken after
+/// `shutdown()`: its drain checkpoint recycles every log ring, whereas
+/// right after `quiesce()` Reproduce's idle tick may or may not have
+/// recycled the last few records yet.
 fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, Arc<Nvm>) {
     let nvm = test_nvm(8 << 20);
-    let dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
+    let mut dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
     let heap = dude.heap_region();
     {
         let mut t = dude.register_thread();
@@ -38,6 +41,7 @@ fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, Arc<Nvm>) {
         }
     }
     dude.quiesce();
+    dude.shutdown();
     let snap = dude.stats_snapshot();
     let words = (0..96)
         .map(|i| nvm.read_word(heap.start() + i * 8))
@@ -284,7 +288,7 @@ fn sync_ring_full_waits_are_counted() {
     );
 }
 
-/// The summary line always carries the four stall counters, and the trace
+/// The summary line always carries the five stall counters, and the trace
 /// accessor works across engine types (API-surface check).
 #[test]
 fn summary_and_accessor_surface_the_layer() {
@@ -297,7 +301,13 @@ fn summary_and_accessor_surface_the_layer() {
     }
     dude.quiesce();
     let line = dude.stats_snapshot().summary();
-    for key in ["log-full=", "ring-full=", "starved=", "ckpt-wait="] {
+    for key in [
+        "perform_log_full=",
+        "persist_ring_full=",
+        "persist_seq_wait=",
+        "reproduce_starved=",
+        "checkpoint_wait=",
+    ] {
         assert!(line.contains(key), "summary missing {key}: {line}");
     }
     assert!(dude.trace().config().enabled);
