@@ -9,12 +9,14 @@
 //! 1. **Perform** — run the transaction with an out-of-the-box TM
 //!    ([`dude_stm::Stm`] or [`dude_htm::Htm`]) on a shared *shadow DRAM*
 //!    mirror of the persistent heap, producing a volatile redo log.
-//! 2. **Persist** — background threads flush redo logs to persistent log
-//!    rings with one barrier per transaction, advancing the global
+//! 2. **Persist** — background threads combine each redo log (last writer
+//!    wins per word: a commit is a group of one), append it to persistent
+//!    log rings in the two-word-header format of [`log`], and cover each
+//!    sweep with one flush per ring and one barrier, advancing the global
 //!    *durable ID*.
 //! 3. **Reproduce** — a background thread replays durable logs, in global
-//!    transaction-ID order, onto the real persistent data, then recycles
-//!    log space.
+//!    transaction-ID order, onto the real persistent data — each dirty
+//!    cache line flushed once per batch — then recycles log space.
 //!
 //! Dirty data never flows from shadow memory to NVM directly, so cache
 //! evictions cannot break crash consistency, no read is ever redirected,

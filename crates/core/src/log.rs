@@ -6,27 +6,36 @@
 //! consuming a commit timestamp produces an [`LogRecord::Abort`] marker so
 //! the global ID sequence stays dense and the durable ID remains computable.
 //!
-//! On NVM, records are word streams with a magic-tagged header and a
-//! checksum trailer; recovery walks them and discards the first torn record
-//! and everything after it (§3.5). Log *combination* merges the writes of a
-//! group of **consecutive** transactions, keeping only the last write per
-//! address (§3.3); log *compression* packs a group's payload with
-//! [`dude_compress`].
+//! On NVM, records are word streams in format v2 (`DESIGN.md §Pipeline`,
+//! *Log format*): a header word `check:32 | magic:4 | kind:4 | len:24`, the
+//! transaction ID (first and last ID for groups), then the payload. The
+//! check covers every other bit of the record; recovery walks the log and
+//! discards the first torn record and everything after it (§3.5). Log
+//! *combination* keeps only the last write per address — within one
+//! transaction, or across a group of **consecutive** ones (§3.3); log
+//! *compression* packs a group's payload with [`dude_compress`].
 
 use std::collections::HashMap;
 
 use dude_txapi::TxId;
 
-/// 32-bit record magic (high half of every header word).
-const MAGIC: u64 = 0xD00D_E7A6;
+/// 4-bit record magic (bits 28..32 of the header word). Non-zero, so
+/// neither a wiped word nor a v1 header — whose low half was a bare kind
+/// byte — can pass for a v2 header.
+const MAGIC: u64 = 0xD;
 
-/// Record kinds (low byte of the header word).
+/// Record kinds (bits 24..28 of the header word).
 const KIND_COMMIT: u64 = 1;
 const KIND_ABORT: u64 = 2;
 const KIND_GROUP: u64 = 3;
 const KIND_GROUP_LZ: u64 = 4;
 /// A single-word marker telling readers to wrap to the ring start.
 const KIND_SKIP: u64 = 15;
+
+/// Largest value of the 24-bit length field: write pairs for commits and
+/// groups, payload bytes for compressed groups.
+const LEN_MAX: usize = (1 << 24) - 1;
+const LOW_HALF: u64 = 0xFFFF_FFFF;
 
 /// One transaction's entry in the volatile redo-log channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,56 +86,83 @@ pub struct ParsedRecord {
     pub words: usize,
 }
 
-fn header(kind: u64) -> u64 {
-    (MAGIC << 32) | kind
+/// The header word of a `kind` record, check bits still zero.
+///
+/// # Panics
+///
+/// Panics if `len` does not fit the length field. The ring's "exceeds half
+/// the ring" assert fires first for any ring under 512 MiB.
+fn header(kind: u64, len: usize) -> u64 {
+    assert!(
+        len <= LEN_MAX,
+        "record length {len} exceeds the 24-bit header field"
+    );
+    MAGIC << 28 | kind << 24 | len as u64
 }
 
-fn kind_of(word: u64) -> Option<u64> {
-    (word >> 32 == MAGIC).then_some(word & 0xff)
+/// `(kind, len)` of a header word, if it carries the magic.
+fn kind_len(word: u64) -> Option<(u64, usize)> {
+    (word >> 28 & 0xf == MAGIC).then_some((word >> 24 & 0xf, word as usize & LEN_MAX))
 }
 
-fn checksum(words: &[u64]) -> u64 {
+/// The 32-bit check of `record`: a multiplicative hash over the header's
+/// low half and every later word, folded `hi ^ lo`.
+fn check(record: &[u64]) -> u64 {
     let mut acc = 0x5EED_0FD0_0D00u64;
-    for (i, w) in words.iter().enumerate() {
+    let mut mix = |i: usize, w: u64| {
         acc ^= w.rotate_left((i as u32 * 13 + 7) % 63);
         acc = acc.wrapping_mul(0x100_0000_01B3);
+    };
+    mix(0, record[0] & LOW_HALF);
+    for (i, &w) in record.iter().enumerate().skip(1) {
+        mix(i, w);
     }
-    acc
+    (acc >> 32) ^ (acc & LOW_HALF)
 }
 
-/// The skip marker written when a record would not fit before the ring end.
-pub fn skip_word() -> u64 {
-    header(KIND_SKIP)
+/// Stamps the finished record's check into its header word.
+fn seal(record: &mut [u64]) {
+    record[0] |= check(record) << 32;
 }
 
-/// `true` if `word` is a skip marker.
-pub fn is_skip(word: u64) -> bool {
-    kind_of(word) == Some(KIND_SKIP)
-}
-
-/// Serializes a commit record into `out` (clears it first).
-pub fn serialize_commit(tid: TxId, writes: &[(u64, u64)], out: &mut Vec<u64>) {
-    out.clear();
-    out.push(header(KIND_COMMIT));
-    out.push(tid);
-    out.push(writes.len() as u64);
+fn push_pairs(writes: &[(u64, u64)], out: &mut Vec<u64>) {
     for &(addr, val) in writes {
         out.push(addr);
         out.push(val);
     }
-    out.push(checksum(out));
 }
 
-/// Serializes an abort marker into `out` (clears it first).
+/// The skip marker written when a record would not fit before the ring end.
+pub fn skip_word() -> u64 {
+    let mut word = [header(KIND_SKIP, 0)];
+    seal(&mut word);
+    word[0]
+}
+
+/// `true` if `word` is a skip marker.
+pub fn is_skip(word: u64) -> bool {
+    kind_len(word).is_some_and(|(kind, _)| kind == KIND_SKIP)
+}
+
+/// Serializes a commit record into `out` (clears it first): `2 + 2n` words.
+pub fn serialize_commit(tid: TxId, writes: &[(u64, u64)], out: &mut Vec<u64>) {
+    out.clear();
+    out.push(header(KIND_COMMIT, writes.len()));
+    out.push(tid);
+    push_pairs(writes, out);
+    seal(out);
+}
+
+/// Serializes an abort marker into `out` (clears it first): 2 words.
 pub fn serialize_abort(tid: TxId, out: &mut Vec<u64>) {
     out.clear();
-    out.push(header(KIND_ABORT));
+    out.push(header(KIND_ABORT, 0));
     out.push(tid);
-    out.push(0);
-    out.push(checksum(out));
+    seal(out);
 }
 
-/// Serializes a combined group covering `first..=last` into `out`.
+/// Serializes a combined group covering `first..=last` into `out`:
+/// `3 + 2n` words, or `3 + ⌈p/8⌉` for a compressed payload of `p` bytes.
 ///
 /// With `compress`, the write pairs are packed with [`dude_compress`];
 /// the uncompressed encoding is used instead whenever it is smaller.
@@ -141,6 +177,7 @@ pub fn serialize_group(
 ) -> (usize, usize) {
     debug_assert!(first <= last);
     let raw_bytes = writes.len() * 16;
+    out.clear();
     if compress {
         // Columnar, delta-encoded payload: address deltas first (mostly
         // tiny when the caller sorted by address), then values. Wrapping
@@ -156,124 +193,134 @@ pub fn serialize_group(
         }
         let packed = dude_compress::compress(&payload);
         if packed.len() < raw_bytes {
-            out.clear();
-            out.push(header(KIND_GROUP_LZ));
-            out.push(first);
-            out.push(last);
-            out.push(packed.len() as u64);
+            out.extend([header(KIND_GROUP_LZ, packed.len()), first, last]);
             for chunk in packed.chunks(8) {
                 let mut w = [0u8; 8];
                 w[..chunk.len()].copy_from_slice(chunk);
                 out.push(u64::from_le_bytes(w));
             }
-            out.push(checksum(out));
+            seal(out);
             return (raw_bytes, packed.len());
         }
     }
-    out.clear();
-    out.push(header(KIND_GROUP));
-    out.push(first);
-    out.push(last);
-    out.push(writes.len() as u64);
-    for &(addr, val) in writes {
-        out.push(addr);
-        out.push(val);
-    }
-    out.push(checksum(out));
+    out.extend([header(KIND_GROUP, writes.len()), first, last]);
+    push_pairs(writes, out);
+    seal(out);
     (raw_bytes, raw_bytes)
+}
+
+/// Unpacks a compressed group payload of `payload_bytes` bytes.
+fn unpack(body: &[u64], payload_bytes: usize) -> Option<Vec<(u64, u64)>> {
+    let mut bytes = Vec::with_capacity(body.len() * 8);
+    for w in body {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+    bytes.truncate(payload_bytes);
+    let raw = dude_compress::decompress(&bytes).ok()?;
+    if raw.len() % 16 != 0 {
+        return None;
+    }
+    let n = raw.len() / 16;
+    let word = |i: usize| u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().unwrap());
+    let mut addr = 0u64;
+    Some(
+        (0..n)
+            .map(|i| {
+                addr = addr.wrapping_add(word(i));
+                (addr, word(n + i))
+            })
+            .collect(),
+    )
 }
 
 /// Attempts to parse one record starting at `words[0]`.
 ///
-/// Returns `None` if the words do not form a checksum-valid record —
+/// Returns `None` if the words do not form a check-valid record —
 /// recovery treats that as the end of the intact log.
 pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
-    let kind = kind_of(*words.first()?)?;
-    match kind {
-        KIND_COMMIT | KIND_ABORT => {
-            let tid = *words.get(1)?;
-            let n = *words.get(2)? as usize;
-            if kind == KIND_ABORT && n != 0 {
-                return None;
-            }
-            // Bounds before arithmetic: a corrupted count must not overflow.
-            if n > words.len().saturating_sub(4) / 2 {
-                return None;
-            }
-            let total = 3 + 2 * n + 1;
-            if words.len() < total || checksum(&words[..total - 1]) != words[total - 1] {
-                return None;
-            }
-            let mut writes = Vec::with_capacity(n);
-            for i in 0..n {
-                writes.push((words[3 + 2 * i], words[4 + 2 * i]));
-            }
-            Some(ParsedRecord {
-                first_tid: tid,
-                last_tid: tid,
-                writes,
-                words: total,
-            })
+    let (kind, len) = kind_len(*words.first()?)?;
+    // Words in front of the payload, and the payload's own words.
+    let (head, payload) = match kind {
+        KIND_COMMIT => (2, 2 * len),
+        KIND_ABORT if len == 0 => (2, 0),
+        KIND_GROUP => (3, 2 * len),
+        KIND_GROUP_LZ => (3, len.div_ceil(8)),
+        _ => return None,
+    };
+    let record = words.get(..head + payload)?;
+    if record[0] >> 32 != check(record) {
+        return None;
+    }
+    let first_tid = record[1];
+    let last_tid = if head == 3 { record[2] } else { first_tid };
+    if first_tid > last_tid {
+        return None;
+    }
+    let body = &record[head..];
+    let writes = if kind == KIND_GROUP_LZ {
+        unpack(body, len)?
+    } else {
+        body.chunks_exact(2).map(|p| (p[0], p[1])).collect()
+    };
+    Some(ParsedRecord {
+        first_tid,
+        last_tid,
+        writes,
+        words: record.len(),
+    })
+}
+
+/// Scratch table for last-writer-wins combination of one write list: open
+/// addressing over the list's own positions, cleared by bumping a stamp
+/// instead of rewriting the slots. Whoever combines repeatedly owns one (a
+/// Persist worker, a Sync-mode Perform thread, a Reproduce stage). The
+/// grouped path keeps [`combine`]: swapping its `HashMap` for this table
+/// made `combine_sorted` 40 % cheaper and `ycsb_grouped` 27 % *slower* end
+/// to end (EXPERIMENTS.md, *PR 18*), so it was not adopted there.
+#[derive(Debug, Default)]
+pub(crate) struct Combiner {
+    /// `(stamp, position in the list)`; live iff the stamp is current.
+    slots: Vec<(u32, u32)>,
+    stamp: u32,
+}
+
+impl Combiner {
+    /// Keeps, in place, one pair per key — at the position of the key's
+    /// first pair, carrying the value of its last.
+    pub(crate) fn dedup(&mut self, pairs: &mut Vec<(u64, u64)>) {
+        if pairs.len() < 2 {
+            return;
         }
-        KIND_GROUP => {
-            let first = *words.get(1)?;
-            let last = *words.get(2)?;
-            let n = *words.get(3)? as usize;
-            if first > last || n > words.len().saturating_sub(5) / 2 {
-                return None;
-            }
-            let total = 4 + 2 * n + 1;
-            if words.len() < total || checksum(&words[..total - 1]) != words[total - 1] {
-                return None;
-            }
-            let mut writes = Vec::with_capacity(n);
-            for i in 0..n {
-                writes.push((words[4 + 2 * i], words[5 + 2 * i]));
-            }
-            Some(ParsedRecord {
-                first_tid: first,
-                last_tid: last,
-                writes,
-                words: total,
-            })
+        assert!(pairs.len() <= u32::MAX as usize / 2, "list too long");
+        let want = (2 * pairs.len()).next_power_of_two();
+        if self.slots.len() < want || self.stamp == u32::MAX {
+            self.slots.clear();
+            self.slots.resize(want, (0, 0));
+            self.stamp = 0;
         }
-        KIND_GROUP_LZ => {
-            let first = *words.get(1)?;
-            let last = *words.get(2)?;
-            let payload_bytes = *words.get(3)? as usize;
-            if first > last || payload_bytes > words.len().saturating_sub(5) * 8 {
-                return None;
+        self.stamp += 1;
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut kept = 0;
+        for i in 0..pairs.len() {
+            let (key, val) = pairs[i];
+            let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            loop {
+                let (stamp, pos) = self.slots[slot];
+                if stamp != self.stamp {
+                    self.slots[slot] = (self.stamp, kept as u32);
+                    pairs[kept] = (key, val);
+                    kept += 1;
+                    break;
+                }
+                if pairs[pos as usize].0 == key {
+                    pairs[pos as usize].1 = val;
+                    break;
+                }
+                slot = (slot + 1) & mask;
             }
-            let payload_words = payload_bytes.div_ceil(8);
-            let total = 4 + payload_words + 1;
-            if words.len() < total || checksum(&words[..total - 1]) != words[total - 1] {
-                return None;
-            }
-            let mut bytes = Vec::with_capacity(payload_words * 8);
-            for w in &words[4..4 + payload_words] {
-                bytes.extend_from_slice(&w.to_le_bytes());
-            }
-            bytes.truncate(payload_bytes);
-            let raw = dude_compress::decompress(&bytes).ok()?;
-            if raw.len() % 16 != 0 {
-                return None;
-            }
-            let n = raw.len() / 16;
-            let word = |i: usize| u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().unwrap());
-            let mut writes = Vec::with_capacity(n);
-            let mut addr = 0u64;
-            for i in 0..n {
-                addr = addr.wrapping_add(word(i));
-                writes.push((addr, word(n + i)));
-            }
-            Some(ParsedRecord {
-                first_tid: first,
-                last_tid: last,
-                writes,
-                words: total,
-            })
         }
-        _ => None,
+        pairs.truncate(kept);
     }
 }
 
@@ -323,7 +370,89 @@ mod tests {
         let rec = parse_record(&buf).unwrap();
         assert_eq!(rec.first_tid, 7);
         assert!(rec.writes.is_empty());
-        assert_eq!(rec.words, 4);
+        assert_eq!(rec.words, 2);
+    }
+
+    /// The v2 bit layout and the five record sizes, word for word:
+    /// `check:32 | magic:4 | kind:4 | len:24`, then the ID word(s), then
+    /// the payload, no trailer.
+    #[test]
+    fn golden_vectors_fix_the_v2_layout() {
+        let mut buf = Vec::new();
+        serialize_commit(42, &[], &mut buf);
+        assert_eq!(buf, [0x29a1_a485_d100_0000, 42]);
+        serialize_commit(42, &[(8, 1)], &mut buf);
+        assert_eq!(buf, [0xbfff_24f2_d100_0001, 42, 8, 1]);
+        serialize_commit(42, &[(8, 1), (16, 2)], &mut buf);
+        assert_eq!(buf, [0x2255_fb62_d100_0002, 42, 8, 1, 16, 2]);
+        serialize_abort(7, &mut buf);
+        assert_eq!(buf, [0x513d_49cc_d200_0000, 7]);
+        serialize_group(5, 9, &[(8, 10), (24, 20)], false, &mut buf);
+        assert_eq!(buf, [0xabea_f02e_d300_0002, 5, 9, 8, 10, 24, 20]);
+        // Eight hot words pack into p = 26 bytes: 3 + ⌈26/8⌉ = 7 words.
+        let writes: Vec<(u64, u64)> = (0..8).map(|i| (1024 + i * 8, 7)).collect();
+        assert_eq!(serialize_group(5, 9, &writes, true, &mut buf), (128, 26));
+        assert_eq!(
+            buf,
+            [
+                0xe430_6ec1_d400_001a,
+                5,
+                9,
+                0x0001_0004_0031_0180,
+                0x0008_001f_0005_0810,
+                0x0800_1f00_0607_111f,
+                0x2600,
+            ]
+        );
+        assert_eq!(skip_word(), 0x8e2b_80da_df00_0000);
+    }
+
+    /// There is no v1 reader: the parent commit's records — 32-bit magic
+    /// header, count word, 64-bit checksum trailer — do not parse.
+    #[test]
+    fn v1_records_are_not_records() {
+        let v1: [&[u64]; 5] = [
+            &[0xd00d_e7a6_0000_0001, 42, 1, 8, 1, 0xc5ac_c0fd_fd6f_70b8],
+            &[0xd00d_e7a6_0000_0002, 7, 0, 0x1747_813a_300f_7978],
+            &[
+                0xd00d_e7a6_0000_0003,
+                5,
+                9,
+                2,
+                8,
+                10,
+                24,
+                20,
+                0x36d7_146e_bc84_bde8,
+            ],
+            &[
+                0xd00d_e7a6_0000_0004,
+                5,
+                9,
+                26,
+                0x0001_0004_0031_0180,
+                0x0008_001f_0005_0810,
+                0x0800_1f00_0607_111f,
+                0x2600,
+                0xbf70_1a00_292f_cefb,
+            ],
+            &[0xd00d_e7a6_0000_000f],
+        ];
+        for record in v1 {
+            for off in 0..record.len() {
+                assert!(
+                    parse_record(&record[off..]).is_none(),
+                    "{record:x?} @ {off}"
+                );
+            }
+            assert!(!is_skip(record[0]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "24-bit header field")]
+    fn oversized_length_is_refused_by_the_serializer() {
+        header(KIND_COMMIT, LEN_MAX + 1);
     }
 
     #[test]
@@ -402,12 +531,14 @@ mod tests {
         assert!(parse_record(&[]).is_none());
         assert!(parse_record(&[0, 0, 0, 0]).is_none());
         assert!(parse_record(&[u64::MAX; 8]).is_none());
+        // A bare header whose claimed length runs past the slice.
+        assert!(parse_record(&[header(KIND_COMMIT, LEN_MAX)]).is_none());
     }
 
     #[test]
     fn skip_marker_identified() {
         assert!(is_skip(skip_word()));
-        assert!(!is_skip(header(KIND_COMMIT)));
+        assert!(!is_skip(header(KIND_COMMIT, 0)));
         assert!(parse_record(&[skip_word()]).is_none());
     }
 
@@ -427,6 +558,33 @@ mod tests {
         let mut combined = combine(&records);
         combined.sort_unstable();
         assert_eq!(combined, vec![(8, 3), (16, 1)]);
+    }
+
+    #[test]
+    fn combiner_matches_the_model_across_reuse_and_growth() {
+        let mut combiner = Combiner::default();
+        let mut x = 7u64;
+        // Lengths go up and down so the table is reused, regrown and
+        // reused while larger than needed.
+        for len in [0usize, 1, 2, 3, 216, 5, 1000, 64, 2] {
+            let pairs: Vec<(u64, u64)> = (0..len as u64)
+                .map(|i| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    // ~len/3 distinct 8-byte-aligned keys: plenty of rewrites.
+                    ((x >> 33) % (len as u64 / 3 + 1) * 8, i)
+                })
+                .collect();
+            let mut want: Vec<(u64, u64)> = Vec::new();
+            for &(key, val) in &pairs {
+                match want.iter_mut().find(|(k, _)| *k == key) {
+                    Some(slot) => slot.1 = val,
+                    None => want.push((key, val)),
+                }
+            }
+            let mut got = pairs.clone();
+            combiner.dedup(&mut got);
+            assert_eq!(got, want, "len {len}");
+        }
     }
 
     #[test]

@@ -809,9 +809,9 @@ mod tests {
         shared.reproduced.store(20, Ordering::Release);
         shared.frontier.publish(0, 21);
         shared.frontier.publish(1, 29);
-        shared.rings[0].try_append_unfenced(&[1, 2, 3]).unwrap();
+        shared.rings[0].try_append_unflushed(&[1, 2, 3]).unwrap();
         shared.rings[1]
-            .try_append_unfenced(&[1, 2, 3, 4, 5, 6])
+            .try_append_unflushed(&[1, 2, 3, 4, 5, 6])
             .unwrap();
         for (i, h) in shared.trace.histograms().enumerate() {
             for _ in 0..=i {

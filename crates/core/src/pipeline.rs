@@ -8,15 +8,18 @@
 //! *Persist* drains per-thread volatile redo logs, writes them to the
 //! persistent log rings, and marks transaction IDs in the durable-ID
 //! tracker. Work reaches the `persist_flush_workers` workers as [`Sealed`]
-//! units. With `persist_group = 1` every record is its own unit and the
-//! per-thread channels are partitioned across the workers. With
+//! units, each last-writer-wins combined as it is sealed. With
+//! `persist_group = 1` every record is its own unit — **a commit is a group
+//! of one** — and the per-thread channels are partitioned across the
+//! workers. With
 //! `persist_group > 1` a *sequencer* sits in front: it merges all threads'
 //! records into dense global ID order and seals groups of consecutive
 //! transactions — the precondition that keeps *cross-transaction log
 //! combination* (and compression) safe (§3.3, Figure 3) — and deals them
 //! round-robin, so worker `w` has exactly one input and appends to ring
-//! `w`. Either way the same [`persist_worker`] stages units, fences once
-//! per sweep, and publishes — **out of commit order** across workers
+//! `w`. Either way the same [`persist_worker`] stages units, flushes each
+//! ring's appended range and fences once per sweep, and publishes — **out
+//! of commit order** across workers
 //! (§3.3). Nothing downstream needs publication order: the durable-ID
 //! tracker only ever exposes the contiguous marked prefix, Reproduce
 //! replays (and recycles spans) strictly in dense ID order whatever order
@@ -30,8 +33,10 @@
 //! then recycles log space. With `reproduce_threads > 1` the applying is
 //! fanned out to `M` *shard workers* by heap shard ([`crate::frontier`]);
 //! each applies its shard's writes, fences, and publishes its completed
-//! TID. The checkpoint — and therefore log recycling — always keys off the
-//! minimum completed TID across shards; one shard is the degenerate case.
+//! TID. Every heap store goes through [`apply_writes`], which flushes each
+//! dirty cache line once per batch (per fenced run in a shard worker). The
+//! checkpoint — and therefore log recycling — always keys off the minimum
+//! completed TID across shards; one shard is the degenerate case.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,9 +44,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use dude_nvm::{Nvm, Region, CACHE_LINE};
 
 use crate::frontier::split_writes;
-use crate::log::{combine_sorted, serialize_abort, serialize_commit, serialize_group, LogRecord};
+use crate::log::{
+    combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, LogRecord,
+};
 use crate::plog::PlogSpan;
 use crate::runtime::Shared;
 use crate::trace::{Stage, TraceEventKind};
@@ -85,54 +93,65 @@ pub(crate) struct GroupWork(pub Vec<LogRecord>);
 enum SealedKind {
     Commit,
     Abort,
-    /// A combined group; `entries_before` is its members' total write
-    /// count, for the Figure 3 combination accounting.
-    Group {
-        entries_before: usize,
-    },
+    Group,
 }
 
-/// One unit of Persist work: the TIDs it covers and the writes to log and
-/// replay for them.
+/// One unit of Persist work: the TIDs it covers and the combined writes —
+/// distinct addresses — to log and replay for them.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Sealed {
     first_tid: u64,
     last_tid: u64,
     writes: Vec<(u64, u64)>,
+    /// Transactional writes the unit covers, before combination (Table 1's
+    /// "# writes" and the Figure 3 combination accounting).
+    entries_before: usize,
     kind: SealedKind,
 }
 
-impl From<LogRecord> for Sealed {
-    fn from(rec: LogRecord) -> Self {
-        let (tid, writes, kind) = match rec {
+/// What a Persist worker's inputs carry: work that becomes one [`Sealed`]
+/// unit, combined — once, on the thread that will stage it — with that
+/// thread's scratch table.
+pub(crate) trait Seal {
+    fn seal(self, combiner: &mut Combiner) -> Sealed;
+}
+
+impl Seal for LogRecord {
+    /// A commit is a group of one: a word it wrote twice is logged, handed
+    /// to Reproduce and replayed once, with its last value.
+    fn seal(self, combiner: &mut Combiner) -> Sealed {
+        let (tid, mut writes, kind) = match self {
             LogRecord::Commit { tid, writes } => (tid, writes, SealedKind::Commit),
             LogRecord::Abort { tid } => (tid, Vec::new(), SealedKind::Abort),
         };
+        let entries_before = writes.len();
+        combiner.dedup(&mut writes);
         Sealed {
             first_tid: tid,
             last_tid: tid,
             writes,
+            entries_before,
             kind,
         }
     }
 }
 
-impl From<GroupWork> for Sealed {
-    /// Combines the group (once, on the worker that will flush it).
-    fn from(GroupWork(records): GroupWork) -> Self {
+impl Seal for GroupWork {
+    fn seal(self, _: &mut Combiner) -> Sealed {
+        let GroupWork(records) = self;
         Sealed {
             first_tid: records.first().expect("non-empty group").tid(),
             last_tid: records.last().expect("non-empty group").tid(),
-            kind: SealedKind::Group {
-                entries_before: records.iter().map(|r| r.writes().len()).sum(),
-            },
+            entries_before: records.iter().map(|r| r.writes().len()).sum(),
+            kind: SealedKind::Group,
             writes: combine_sorted(&records),
         }
     }
 }
 
-/// Serializes `unit` and writes it to `ring_idx` without fencing; returns
-/// the batch to [`publish`] once the covering fence has been issued, or
+/// Serializes `unit` and stores it in `ring_idx` — not flushed, not fenced;
+/// returns the batch to [`publish`] once its span has been flushed and the
+/// covering fence issued, or
 /// gives the unit back when the ring has no space (a worker parks it and
 /// keeps serving its other rings — blocking there would deadlock the
 /// pipeline).
@@ -152,7 +171,7 @@ pub(crate) fn try_stage(
             serialize_abort(unit.first_tid, buf);
             (0, 0)
         }
-        SealedKind::Group { .. } => serialize_group(
+        SealedKind::Group => serialize_group(
             unit.first_tid,
             unit.last_tid,
             &unit.writes,
@@ -160,7 +179,7 @@ pub(crate) fn try_stage(
             buf,
         ),
     };
-    let Some(span) = shared.rings[ring_idx].try_append_unfenced(buf) else {
+    let Some(span) = shared.rings[ring_idx].try_append_unflushed(buf) else {
         // Persist is blocked on log space Reproduce has not recycled yet —
         // the stall the bounded NVM log ring exists to make visible.
         if shared.trace.enabled() {
@@ -176,11 +195,11 @@ pub(crate) fn try_stage(
     let add = |cell: &AtomicU64, n: usize| {
         cell.fetch_add(n as u64, Ordering::Relaxed);
     };
+    add(&stats.entries_logged, unit.entries_before);
+    add(&stats.entries_before_combine, unit.entries_before);
+    add(&stats.entries_after_combine, unit.writes.len());
     match unit.kind {
-        SealedKind::Group { entries_before } => {
-            add(&stats.entries_logged, entries_before);
-            add(&stats.entries_before_combine, entries_before);
-            add(&stats.entries_after_combine, unit.writes.len());
+        SealedKind::Group => {
             add(&stats.group_bytes_raw, raw);
             add(&stats.group_bytes_stored, stored);
             add(&stats.groups_persisted, 1);
@@ -195,10 +214,7 @@ pub(crate) fn try_stage(
                 );
             }
         }
-        SealedKind::Commit | SealedKind::Abort => {
-            add(&stats.records_persisted, 1);
-            add(&stats.entries_logged, unit.writes.len());
-        }
+        SealedKind::Commit | SealedKind::Abort => add(&stats.records_persisted, 1),
     }
     stats
         .log_bytes_flushed
@@ -221,7 +237,8 @@ pub(crate) fn publish(shared: &Shared, out: &Sender<Batch>, batch: Batch) {
 }
 
 /// A Persist worker: drains its inputs in any order, stages each unit into
-/// the input's ring, and covers every sweep with one fence.
+/// the input's ring, and covers every sweep with one flush per ring and one
+/// fence.
 ///
 /// The ungrouped pipeline partitions the per-thread record channels across
 /// workers; the grouped pipeline gives worker `w` one input, the
@@ -230,7 +247,7 @@ pub(crate) fn publish(shared: &Shared, out: &Sender<Batch>, batch: Batch) {
 /// stall — never a busy-spin: the space it waits for appears as soon as
 /// Reproduce's idle-tick checkpoint recycles the spans ahead of it, all of
 /// which were fenced and published by the sweep that staged them.
-pub(crate) fn persist_worker<U: Into<Sealed>>(
+pub(crate) fn persist_worker<U: Seal>(
     shared: Arc<Shared>,
     worker: usize,
     inputs: Vec<(usize, Receiver<U>)>,
@@ -238,6 +255,7 @@ pub(crate) fn persist_worker<U: Into<Sealed>>(
 ) {
     dude_nvm::set_background_stage(true);
     let mut buf = Vec::new();
+    let mut combiner = Combiner::default();
     let mut done = vec![false; inputs.len()];
     // Units whose ring was full — retried next sweep while the other
     // channels keep flowing (never block on one ring: deadlock).
@@ -248,12 +266,13 @@ pub(crate) fn persist_worker<U: Into<Sealed>>(
         for (i, (ring_idx, rx)) in inputs.iter().enumerate() {
             // Bounded drain per sweep so one busy thread cannot starve the
             // rest; a parked unit goes first, keeping the ring's order.
+            let first = staged.len();
             for _ in 0..64 {
                 let unit = match parked[i].take() {
                     Some(unit) => unit,
                     None if done[i] => break,
                     None => match rx.try_recv() {
-                        Ok(unit) => unit.into(),
+                        Ok(unit) => unit.seal(&mut combiner),
                         Err(TryRecvError::Empty) => break,
                         Err(TryRecvError::Disconnected) => {
                             done[i] = true;
@@ -271,6 +290,11 @@ pub(crate) fn persist_worker<U: Into<Sealed>>(
                         break;
                     }
                 }
+            }
+            // One flush over everything the sweep appended to this ring:
+            // records that share a cache line share its flush.
+            if let (Some(head), Some(tail)) = (staged.get(first), staged.last()) {
+                shared.rings[*ring_idx].flush_range(head.spans[0].1.start, tail.spans[0].1.end());
             }
         }
         if !staged.is_empty() {
@@ -488,6 +512,7 @@ pub(crate) fn reproduce_stage(
     let _bg = dude_nvm::background_stage_scope();
     let shards = shard_txs.len();
     let mut heap: BinaryHeap<Batch> = BinaryHeap::new();
+    let mut dirty = DirtyLines::default();
     let start = shared.reproduced.load(Ordering::Acquire);
     let mut expected = start + 1;
     // Spans awaiting a covering checkpoint, FIFO in dispatch (= TID) order.
@@ -525,7 +550,7 @@ pub(crate) fn reproduce_stage(
             if in_order {
                 let batch = heap.pop().expect("peeked batch");
                 if shards == 0 {
-                    apply_in_place(&shared, &batch);
+                    apply_in_place(&shared, &batch, &mut dirty);
                 } else {
                     let split = split_writes(&batch.writes, shards);
                     for (s, writes) in split.into_iter().enumerate() {
@@ -604,16 +629,51 @@ pub(crate) fn reproduce_stage(
     debug_assert!(pending_release.is_empty(), "spans beyond the last batch");
 }
 
-/// [`reproduce_stage`] as its own single shard: writes and flushes one
-/// batch onto the heap and publishes it as frontier slot 0.
-fn apply_in_place(shared: &Shared, batch: &Batch) {
+/// Scratch of [`apply_writes`]: the cache lines one call dirtied.
+#[derive(Debug, Default)]
+pub(crate) struct DirtyLines {
+    /// `(line number, 0)` — pairs, so the one combining routine makes them
+    /// distinct.
+    lines: Vec<(u64, u64)>,
+    combiner: Combiner,
+}
+
+/// Stores `writes` into the heap, then flushes each cache line they dirtied
+/// **once** — no fence. The only place heap words are stored and flushed:
+/// the one-shard Reproduce stage calls it per batch, a shard worker per
+/// fenced run, recovery per record. Returns the words stored.
+pub(crate) fn apply_writes<'a>(
+    nvm: &Nvm,
+    heap: Region,
+    writes: impl IntoIterator<Item = &'a (u64, u64)>,
+    dirty: &mut DirtyLines,
+) -> u64 {
+    dirty.lines.clear();
+    let mut words = 0;
+    for &(addr, val) in writes {
+        let off = heap.start() + addr;
+        nvm.write_word(off, val);
+        words += 1;
+        // Neighbouring writes mostly share a line: test the previous one
+        // before paying for the table.
+        let line = off / CACHE_LINE;
+        if dirty.lines.last().map(|l| l.0) != Some(line) {
+            dirty.lines.push((line, 0));
+        }
+    }
+    dirty.combiner.dedup(&mut dirty.lines);
+    for &(line, _) in &dirty.lines {
+        nvm.flush(line * CACHE_LINE, CACHE_LINE);
+    }
+    words
+}
+
+/// [`reproduce_stage`] as its own single shard: applies one batch to the
+/// heap and publishes it as frontier slot 0.
+fn apply_in_place(shared: &Shared, batch: &Batch, dirty: &mut DirtyLines) {
     let tracing = shared.trace.enabled();
     let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-    for &(addr, val) in &batch.writes {
-        let off = shared.heap.start() + addr;
-        shared.nvm.write_word(off, val);
-        shared.nvm.flush(off, 8);
-    }
+    let words = apply_writes(&shared.nvm, shared.heap, &batch.writes, dirty);
     if tracing {
         let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
         shared.trace.replay_apply_ns[0].record(dur);
@@ -621,11 +681,11 @@ fn apply_in_place(shared: &Shared, batch: &Batch) {
             Stage::Reproduce,
             TraceEventKind::ReplayApply,
             batch.last_tid,
-            8 * batch.writes.len() as u64,
+            8 * words,
             dur,
         );
     }
-    shared.frontier.note_applied(0, batch.writes.len() as u64);
+    shared.frontier.note_applied(0, words);
     shared.frontier.publish(0, batch.last_tid);
 }
 
@@ -641,6 +701,7 @@ fn apply_in_place(shared: &Shared, batch: &Batch) {
 pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Receiver<ShardWork>) {
     let _bg = dude_nvm::background_stage_scope();
     let mut run: Vec<ShardWork> = Vec::new();
+    let mut dirty = DirtyLines::default();
     loop {
         match rx.recv() {
             Ok(w) => run.push(w),
@@ -654,17 +715,10 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
                 Err(_) => break,
             }
         }
-        let mut words = 0u64;
         let tracing = shared.trace.enabled();
         let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-        for work in &run {
-            for &(addr, val) in &work.writes {
-                let off = shared.heap.start() + addr;
-                shared.nvm.write_word(off, val);
-                shared.nvm.flush(off, 8);
-                words += 1;
-            }
-        }
+        let writes = run.iter().flat_map(|work| &work.writes);
+        let words = apply_writes(&shared.nvm, shared.heap, writes, &mut dirty);
         if words > 0 {
             // Nothing flushed ⇒ no fence: an all-empty run (aborts, or no
             // writes routed here) must not pay the barrier latency.
@@ -768,6 +822,10 @@ mod tests {
         }
     }
 
+    fn seal(work: impl Seal) -> Sealed {
+        work.seal(&mut Combiner::default())
+    }
+
     /// Stages `unit` into ring 1 and checks the ring holds exactly `want`.
     fn stage_and_compare(shared: &Shared, layout: &NvmLayout, unit: Sealed, want: &[u64]) -> Batch {
         let mut buf = Vec::new();
@@ -784,7 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn try_stage_writes_each_kind_and_counts_like_the_old_paths() {
+    fn try_stage_writes_each_kind_and_counts_every_unit() {
         let config = DudeTmConfig::small(1 << 16).with_grouping(4, true);
         let (shared, layout) = shared(config);
         let mut want = Vec::new();
@@ -792,16 +850,33 @@ mod tests {
 
         let writes = [(8, 1), (16, 2)];
         serialize_commit(1, &writes, &mut want);
-        let batch = stage_and_compare(&shared, &layout, commit(1, &writes).into(), &want);
+        let batch = stage_and_compare(&shared, &layout, seal(commit(1, &writes)), &want);
         assert_eq!((batch.first_tid, batch.last_tid), (1, 1));
         assert_eq!(batch.writes, writes);
         expect.records_persisted += 1;
         expect.entries_logged += 2;
+        expect.entries_before_combine += 2;
+        expect.entries_after_combine += 2;
+        expect.log_bytes_flushed += want.len() as u64 * 8;
+        assert_eq!(shared.stats.snapshot(), expect);
+
+        // A commit is a group of one: the rewritten word is logged and
+        // handed on once, with its last value, at its first position.
+        let (a, b) = (24, 32);
+        serialize_commit(7, &[(a, 3), (b, 2)], &mut want);
+        assert_eq!(want.len(), 2 + 2 * 2);
+        let rewrite = seal(commit(7, &[(a, 1), (b, 2), (a, 3)]));
+        let batch = stage_and_compare(&shared, &layout, rewrite, &want);
+        assert_eq!(batch.writes, [(a, 3), (b, 2)]);
+        expect.records_persisted += 1;
+        expect.entries_logged += 3;
+        expect.entries_before_combine += 3;
+        expect.entries_after_combine += 2;
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(shared.stats.snapshot(), expect);
 
         serialize_abort(2, &mut want);
-        let batch = stage_and_compare(&shared, &layout, LogRecord::Abort { tid: 2 }.into(), &want);
+        let batch = stage_and_compare(&shared, &layout, seal(LogRecord::Abort { tid: 2 }), &want);
         assert_eq!((batch.first_tid, batch.last_tid), (2, 2));
         assert!(batch.writes.is_empty());
         expect.records_persisted += 1;
@@ -819,7 +894,7 @@ mod tests {
         let combined = combine_sorted(&records);
         let (raw, stored) = serialize_group(3, 6, &combined, true, &mut want);
         assert!(stored < raw, "the group must exercise the LZ encoding");
-        let batch = stage_and_compare(&shared, &layout, GroupWork(records).into(), &want);
+        let batch = stage_and_compare(&shared, &layout, seal(GroupWork(records)), &want);
         assert_eq!((batch.first_tid, batch.last_tid), (3, 6));
         assert_eq!(batch.writes, combined);
         expect.entries_logged += 48;
@@ -840,14 +915,14 @@ mod tests {
         }
         .with_trace(TraceConfig::enabled(64));
         let (shared, _) = shared(config);
-        // 3 + 2 * 100 + 1 = 204 words each: two fit the 512-word ring.
+        // 2 + 2 * 100 = 202 words each: two fit the 512-word ring.
         let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 8, w)).collect();
         let mut buf = Vec::new();
-        let first = try_stage(&shared, 0, commit(1, &writes).into(), &mut buf).unwrap();
-        try_stage(&shared, 0, commit(2, &writes).into(), &mut buf).unwrap();
+        let first = try_stage(&shared, 0, seal(commit(1, &writes)), &mut buf).unwrap();
+        try_stage(&shared, 0, seal(commit(2, &writes)), &mut buf).unwrap();
         let before = shared.stats.snapshot();
-        let back = try_stage(&shared, 0, commit(3, &writes).into(), &mut buf).unwrap_err();
-        assert_eq!(back, Sealed::from(commit(3, &writes)));
+        let back = try_stage(&shared, 0, seal(commit(3, &writes)), &mut buf).unwrap_err();
+        assert_eq!(back, seal(commit(3, &writes)));
         assert_eq!(
             shared.stats.snapshot(),
             before,
@@ -880,7 +955,7 @@ mod tests {
             let mut buf = Vec::new();
             let mut batches: Vec<Batch> = (1..=20u64)
                 .map(|tid| {
-                    let unit = commit(tid, &[(tid * 8, tid + 100)]).into();
+                    let unit = seal(commit(tid, &[(tid * 8, tid + 100)]));
                     try_stage(&shared, 0, unit, &mut buf).unwrap()
                 })
                 .collect();

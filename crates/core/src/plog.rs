@@ -1,15 +1,18 @@
 //! Persistent redo-log rings (Figure 1's "persistent log region").
 //!
 //! Each Perform thread owns one fixed-size ring in NVM. The Persist step
-//! appends checksummed records and issues exactly **one persist barrier per
-//! record (or group)** — the whole point of redo logging (§2.2). Space is
-//! recycled by the Reproduce step only after the covering checkpoint is
-//! durable, so recovery can trust every unreleased record it finds.
+//! appends checked records, flushes what it appended, and issues **one
+//! persist barrier per sweep** — a fence orders every flush before it, so
+//! one covers however many records (or groups) the sweep staged (§2.2,
+//! §3.3), and a cache line shared by neighbouring records is flushed once.
+//! Space is recycled by the Reproduce step only after the covering
+//! checkpoint is durable, so recovery can trust every unreleased record it
+//! finds.
 //!
 //! Recovery does not rely on any volatile cursor: it scans the whole region
-//! probing every word for a record header and validating checksums
+//! probing every word for a record header and validating checks
 //! ([`scan_region`]). Released (stale) records are filtered out by the
-//! reproduced-ID checkpoint, torn records fail their checksum, and live
+//! reproduced-ID checkpoint, torn records fail their check, and live
 //! records are found wherever the ring wrapped them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +31,13 @@ pub struct PlogSpan {
     pub start: u64,
     /// Words covered (padding + record).
     pub words: u64,
+}
+
+impl PlogSpan {
+    /// Monotonic word offset one past the span.
+    pub fn end(&self) -> u64 {
+        self.start + self.words
+    }
 }
 
 /// A single-writer, single-releaser persistent log ring.
@@ -99,23 +109,27 @@ impl PlogRing {
     /// Panics if the record is larger than half the ring.
     pub fn append_unfenced(&self, record: &[u64]) -> PlogSpan {
         loop {
-            if let Some(span) = self.try_append_unfenced(record) {
+            if let Some(span) = self.try_append_unflushed(record) {
+                self.flush_range(span.start, span.end());
                 return span;
             }
             dude_nvm::thread::yield_now();
         }
     }
 
-    /// Non-blocking [`PlogRing::append_unfenced`]: returns `None` when the
-    /// ring currently lacks space. A Persist thread serving several rings
-    /// must never *block* on one full ring — the blocked ring can only
-    /// drain after Reproduce passes transactions that still sit in the
-    /// other rings' channels, so blocking would deadlock the pipeline.
+    /// Stores `record` at the tail **without flushing it**, or returns
+    /// `None` when the ring currently lacks space. The caller covers the
+    /// span with [`PlogRing::flush_range`] — once per sweep, over every
+    /// span the sweep appended — and fences before treating any of it as
+    /// durable. A Persist thread serving several rings must never *block*
+    /// on one full ring — the blocked ring can only drain after Reproduce
+    /// passes transactions that still sit in the other rings' channels, so
+    /// blocking would deadlock the pipeline.
     ///
     /// # Panics
     ///
     /// Panics if the record is larger than half the ring.
-    pub fn try_append_unfenced(&self, record: &[u64]) -> Option<PlogSpan> {
+    pub fn try_append_unflushed(&self, record: &[u64]) -> Option<PlogSpan> {
         let len = record.len() as u64;
         assert!(
             len <= self.capacity_words / 2,
@@ -138,17 +152,32 @@ impl PlogRing {
             // Tell sequential readers (none today; defensive) to wrap.
             let off = self.region.start() + tail_mod * 8;
             self.nvm.write_word(off, skip_word());
-            self.nvm.flush(off, 8);
         }
         let write_mod = (tail + pad) % self.capacity_words;
         let off = self.region.start() + write_mod * 8;
         self.nvm.write_words(off, record);
-        self.nvm.flush(off, len * 8);
         self.tail.store(tail + total, Ordering::Release);
         Some(PlogSpan {
             start: tail,
             words: total,
         })
+    }
+
+    /// Flushes the words `start..end` (monotonic ring coordinates, as in
+    /// [`PlogSpan`]) — each cache line once, in two pieces when the range
+    /// wraps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is longer than the ring.
+    pub fn flush_range(&self, start: u64, end: u64) {
+        let len = end - start;
+        assert!(len <= self.capacity_words, "flush range exceeds the ring");
+        let start_mod = start % self.capacity_words;
+        let first = len.min(self.capacity_words - start_mod);
+        let off = self.region.start() + start_mod * 8;
+        self.nvm.flush(off, first * 8);
+        self.nvm.flush(self.region.start(), (len - first) * 8);
     }
 
     /// Releases a span returned by [`PlogRing::append`]. Spans must be
@@ -170,9 +199,11 @@ impl PlogRing {
 
 /// Scans a log region for checksum-valid records.
 ///
-/// Probes every word offset for a record header; the 64-bit checksum makes
-/// false positives negligible. Returns records in scan order (the caller
-/// orders them by transaction ID).
+/// Probes every word offset for a record header. A false positive needs
+/// the 4-bit magic, a valid kind and the 32-bit check to line up — and
+/// recovery then ignores it unless its 64-bit transaction ID also falls in
+/// the run spanning the checkpoint. Returns records in scan order (the
+/// caller orders them by transaction ID).
 pub fn scan_region(nvm: &Nvm, region: Region) -> Vec<ParsedRecord> {
     let words_len = (region.len() / 8) as usize;
     let mut words = vec![0u64; words_len];
@@ -243,7 +274,7 @@ mod tests {
         let (nvm, ring, region) = setup(64);
         let mut buf = Vec::new();
         let mut spans = Vec::new();
-        // Each commit record with 2 writes = 3 + 4 + 1 = 8 words; ring holds 8.
+        // Each commit record with 2 writes = 2 + 4 = 6 words; ring holds 10.
         for tid in 1..=32u64 {
             serialize_commit(tid, &[(8, tid), (16, tid)], &mut buf);
             // Release the oldest span when the ring gets tight.
@@ -299,6 +330,56 @@ mod tests {
         assert_eq!(recs[0].first_tid, 1);
     }
 
+    /// The unflushed primitive really does not flush, and one range flush —
+    /// in two pieces across the wrap, skip marker included — covers
+    /// everything a sweep appended.
+    #[test]
+    fn one_range_flush_covers_a_sweep_across_the_wrap() {
+        let (nvm, ring, region) = setup(64);
+        let mut buf = Vec::new();
+        // Four 12-word records fill 48 of 64 words and are recycled.
+        for tid in 1..=4u64 {
+            serialize_commit(tid, &[(8, tid); 5], &mut buf);
+            let span = ring.append(&buf);
+            ring.release(span);
+        }
+        let before = nvm.persistence_events().flushes;
+        // The sweep: 12 words at 48..60, then 4 words of padding (a skip
+        // marker) and 12 words at the ring start.
+        let mut spans = Vec::new();
+        for tid in 5..=6u64 {
+            serialize_commit(tid, &[(8, tid); 5], &mut buf);
+            spans.push(ring.try_append_unflushed(&buf).expect("space"));
+        }
+        assert_eq!((spans[1].start, spans[1].words), (60, 16));
+        assert_eq!(
+            nvm.persistence_events().flushes,
+            before,
+            "append alone must not flush"
+        );
+        ring.flush_range(spans[0].start, spans[1].end());
+        assert_eq!(nvm.persistence_events().flushes, before + 2);
+        assert_eq!(nvm.read_word(region.start() + 60 * 8), skip_word());
+        nvm.fence();
+        nvm.crash();
+        let mut tids: Vec<u64> = scan_region(&nvm, region)
+            .iter()
+            .map(|r| r.first_tid)
+            .collect();
+        tids.sort_unstable();
+        assert_eq!(tids, [2, 3, 4, 5, 6], "tid 1 overwritten, sweep durable");
+        assert_eq!(nvm.read_word(region.start() + 60 * 8), skip_word());
+
+        // Without the range flush the same appends do not survive.
+        serialize_commit(7, &[(8, 7); 5], &mut buf);
+        ring.release(spans[0]);
+        ring.release(spans[1]);
+        ring.try_append_unflushed(&buf).expect("space");
+        nvm.fence();
+        nvm.crash();
+        assert!(scan_region(&nvm, region).iter().all(|r| r.first_tid != 7));
+    }
+
     #[test]
     fn used_words_tracks_live_data() {
         let (_nvm, ring, _region) = setup(256);
@@ -306,7 +387,7 @@ mod tests {
         let mut buf = Vec::new();
         serialize_abort(1, &mut buf);
         let s = ring.append(&buf);
-        assert_eq!(ring.used_words(), 4);
+        assert_eq!(ring.used_words(), 2);
         ring.release(s);
         assert_eq!(ring.used_words(), 0);
     }
@@ -318,11 +399,11 @@ mod tests {
         let (_nvm, ring, _region) = setup(64);
         let ring = Arc::new(ring);
         let mut buf = Vec::new();
-        serialize_commit(1, &[(8, 1); 13], &mut buf); // 3+26+1 = 30 words
+        serialize_commit(1, &[(8, 1); 13], &mut buf); // 2+26 = 28 words
         let s1 = ring.append(&buf);
         let mut buf2 = Vec::new();
         serialize_commit(2, &[(8, 2); 13], &mut buf2);
-        let _s2 = ring.append(&buf2); // 60/64 used
+        let _s2 = ring.append(&buf2); // 56/64 used
         let r2 = Arc::clone(&ring);
         let releaser = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));

@@ -29,7 +29,9 @@ use std::sync::Arc;
 use dude_nvm::Nvm;
 
 use crate::config::{ConfigError, DudeTmConfig};
+use crate::log::ParsedRecord;
 use crate::metrics::RecoveryPhase;
+use crate::pipeline::{apply_writes, DirtyLines};
 use crate::plog::scan_region;
 use crate::runtime::{
     NvmLayout, META_MAGIC, META_MAGIC_WORD, META_REPRODUCED, META_THREADS, META_VERSION,
@@ -83,6 +85,14 @@ pub enum RecoverError {
         /// Thread count in the supplied configuration.
         configured: u64,
     },
+    /// Two intact records both claim some transaction ID. There is no way to
+    /// pick a winner, so nothing was replayed and the device is untouched.
+    AmbiguousLog {
+        /// ID range (`first..=last`) of the earlier record.
+        first: (u64, u64),
+        /// ID range of the record overlapping it.
+        second: (u64, u64),
+    },
 }
 
 impl core::fmt::Display for RecoverError {
@@ -97,6 +107,11 @@ impl core::fmt::Display for RecoverError {
             } => write!(
                 f,
                 "device formatted for {on_device} threads, configured for {configured}"
+            ),
+            RecoverError::AmbiguousLog { first, second } => write!(
+                f,
+                "ambiguous log: records {}..={} and {}..={} overlap",
+                first.0, first.1, second.0, second.1
             ),
         }
     }
@@ -170,16 +185,16 @@ pub fn recover_device_observed(
     records.sort_by_key(|rec| rec.first_tid);
     let scan_ns = dude_nvm::monotonic_ns().saturating_sub(scan_start);
     // Overlapping ranges would both claim some ID; there is no way to pick
-    // a winner, so reject loudly rather than replay an arbitrary history.
-    for pair in records.windows(2) {
-        assert!(
-            pair[0].last_tid < pair[1].first_tid,
-            "recovery: records {}..={} and {}..={} overlap — ambiguous log",
-            pair[0].first_tid,
-            pair[0].last_tid,
-            pair[1].first_tid,
-            pair[1].last_tid
-        );
+    // a winner, so refuse — before anything is written — rather than
+    // replay an arbitrary history.
+    if let Some(pair) = records
+        .windows(2)
+        .find(|pair| pair[1].first_tid <= pair[0].last_tid)
+    {
+        return Err(RecoverError::AmbiguousLog {
+            first: (pair[0].first_tid, pair[0].last_tid),
+            second: (pair[1].first_tid, pair[1].last_tid),
+        });
     }
 
     // Group the records into contiguous TID runs (a record straddling a
@@ -199,13 +214,15 @@ pub fn recover_device_observed(
     // record carries final values for its ID range. Runs entirely below
     // the checkpoint are stale recycled spans and must NOT be replayed;
     // runs entirely above it sit beyond an ID gap and are discarded.
-    let mut runs: Vec<Vec<crate::log::ParsedRecord>> = Vec::new();
+    // Each run is `(first TID, last TID, records)`.
+    let mut runs: Vec<(u64, u64, Vec<ParsedRecord>)> = Vec::new();
     for rec in records {
         match runs.last_mut() {
-            Some(run) if rec.first_tid <= run.last().expect("non-empty run").last_tid + 1 => {
+            Some((_, run_end, run)) if rec.first_tid <= run_end.saturating_add(1) => {
+                *run_end = rec.last_tid;
                 run.push(rec);
             }
-            _ => runs.push(vec![rec]),
+            _ => runs.push((rec.first_tid, rec.last_tid, vec![rec])),
         }
     }
     telemetry.set_phase(RecoveryPhase::Replay);
@@ -214,9 +231,8 @@ pub fn recover_device_observed(
     let mut replayed = 0u64;
     let mut discarded = 0u64;
     let mut stale_skipped = 0u64;
-    for run in runs {
-        let first = run.first().expect("non-empty run").first_tid;
-        let last = run.last().expect("non-empty run").last_tid;
+    let mut dirty = DirtyLines::default();
+    for (first, last, run) in runs {
         if last < checkpoint {
             stale_skipped += run.len() as u64;
             telemetry
@@ -234,14 +250,10 @@ pub fn recover_device_observed(
                 .fetch_add(dropped, Ordering::Relaxed);
         } else {
             for rec in &run {
-                for &(addr, val) in &rec.writes {
-                    let off = layout.heap.start() + addr;
-                    nvm.write_word(off, val);
-                    nvm.flush(off, 8);
-                }
+                let words = apply_writes(nvm, layout.heap, &rec.writes, &mut dirty);
                 telemetry
                     .bytes_replayed
-                    .fetch_add(8 * rec.writes.len() as u64, Ordering::Relaxed);
+                    .fetch_add(8 * words, Ordering::Relaxed);
             }
             // Count only IDs not already covered by the checkpoint.
             replayed = last - checkpoint;

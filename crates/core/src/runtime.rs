@@ -14,11 +14,11 @@ use crate::check::CommitHistory;
 use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
 use crate::frontier::ReproduceFrontier;
-use crate::log::LogRecord;
+use crate::log::{Combiner, LogRecord};
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
     persist_sequencer, persist_worker, publish, reproduce_shard_worker, reproduce_stage, try_stage,
-    Batch, GroupWork, Sealed, ShardWork,
+    Batch, GroupWork, Seal, ShardWork,
 };
 use crate::plog::PlogRing;
 use crate::seqtrack::SequenceTracker;
@@ -31,7 +31,7 @@ use crate::trace::{Stage, Trace, TraceEventKind};
 /// Magic number identifying a formatted DudeTM device.
 pub(crate) const META_MAGIC: u64 = 0xD00D_E7A6_0001_CAFE;
 /// On-NVM format version.
-pub(crate) const META_VERSION: u64 = 1;
+pub(crate) const META_VERSION: u64 = 2;
 /// Metadata word indices.
 pub(crate) const META_MAGIC_WORD: u64 = 0;
 pub(crate) const META_VERSION_WORD: u64 = 1;
@@ -157,18 +157,20 @@ pub struct RedoHooks {
     /// thread registered).
     history: Option<Arc<CommitHistory>>,
     buf: Vec<u64>,
+    /// Scratch of the inline Persist step (`Sync` only).
+    combiner: Combiner,
     /// Payload bytes of the last committed transaction (8 × its writes),
     /// captured for the Perform-stage commit trace event.
     last_commit_bytes: u64,
 }
 
 impl RedoHooks {
-    /// DudeTM-Sync: stage, fence, and publish `rec` on this thread.
+    /// DudeTM-Sync: stage, flush, fence, and publish `rec` on this thread.
     fn persist_inline(&mut self, rec: LogRecord) {
         let Sink::Sync { ring_idx, batches } = &self.sink else {
             unreachable!("persist_inline on async sink")
         };
-        let mut unit = Sealed::from(rec);
+        let mut unit = rec.seal(&mut self.combiner);
         let batch = loop {
             match try_stage(&self.shared, *ring_idx, unit, &mut self.buf) {
                 Ok(batch) => break batch,
@@ -177,6 +179,8 @@ impl RedoHooks {
             }
             dude_nvm::thread::yield_now();
         };
+        let span = batch.spans[0].1;
+        self.shared.rings[*ring_idx].flush_range(span.start, span.end());
         self.shared.nvm.fence();
         publish(&self.shared, batches, batch);
     }
@@ -590,7 +594,7 @@ impl<E: TmEngine> Drop for DudeTm<E> {
 }
 
 /// Spawns Persist worker `w` over `inputs` (ring index, channel) pairs.
-fn spawn_persist_worker<U: Into<Sealed> + Send + 'static>(
+fn spawn_persist_worker<U: Seal + Send + 'static>(
     shared: &Arc<Shared>,
     w: usize,
     inputs: Vec<(usize, Receiver<U>)>,
@@ -638,6 +642,7 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
                 shadow: Arc::clone(&self.shadow),
                 history: self.history.lock().clone(),
                 buf: Vec::new(),
+                combiner: Combiner::default(),
                 last_commit_bytes: 0,
             },
         }

@@ -146,10 +146,10 @@ cells! {
         Counter commits: "Committed update transactions that entered the pipeline.",
         Counter abort_markers: "Abort markers written to fill wasted-ID holes.",
         Counter records_persisted: "Individual records persisted (ungrouped and sync modes).",
-        Counter entries_logged: "Redo-log entries (one per transactional write) that reached Persist: the paper's '# writes' (Table 1).",
+        Counter entries_logged: "Redo-log entries (one per transactional write, before combination) that reached Persist: the paper's '# writes' (Table 1).",
         Counter groups_persisted: "Groups persisted (combination mode).",
-        Counter entries_before_combine: "Log entries entering combination.",
-        Counter entries_after_combine: "Log entries remaining after combination.",
+        Counter entries_before_combine: "Log entries entering combination, every unit counted: a lone commit is a group of one.",
+        Counter entries_after_combine: "Log entries remaining after combination (distinct words per unit), every unit counted.",
         Counter group_bytes_raw: "Group payload bytes before compression.",
         Counter group_bytes_stored: "Group payload bytes actually stored.",
         Counter txns_reproduced: "Transactions replayed into NVM by Reproduce.",

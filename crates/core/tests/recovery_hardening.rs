@@ -1,6 +1,6 @@
 //! Regression tests for `recover_device` edge cases: per-transaction
 //! discard accounting, group records straddling the checkpoint, ambiguous
-//! logs, and the post-recovery log wipe.
+//! logs, mismatched devices, and the post-recovery log wipe.
 //!
 //! The tests format a device through the runtime, then craft log records
 //! directly in the persistent log regions (using the public serializers)
@@ -15,8 +15,9 @@ use dudetm::{
     log, recover_device, scan_region, ConfigError, DudeTm, DudeTmConfig, NvmLayout, RecoverError,
 };
 
-/// Byte offset of the reproduced-ID checkpoint inside the metadata region
-/// (on-NVM format v1: word 2).
+/// Byte offsets inside the metadata region (on-NVM format v2: the version
+/// is word 1, the reproduced-ID checkpoint word 2).
+const META_VERSION_OFF: u64 = 8;
 const META_REPRODUCED_OFF: u64 = 2 * 8;
 
 fn test_nvm() -> Arc<Nvm> {
@@ -46,6 +47,13 @@ fn plant_record(nvm: &Nvm, layout: &NvmLayout, ring: usize, words: &[u64]) {
     nvm.persist(off, words.len() as u64 * 8);
 }
 
+/// Every word of the device.
+fn image(nvm: &Nvm) -> Vec<u64> {
+    let mut words = vec![0u64; (nvm.size_bytes() / 8) as usize];
+    nvm.read_words(0, &mut words);
+    words
+}
+
 /// A bad configuration is a typed error, not a panic, and recovery gives up
 /// before touching the device.
 #[test]
@@ -56,11 +64,6 @@ fn invalid_config_is_a_typed_error_and_leaves_the_device_untouched() {
     let mut buf = Vec::new();
     log::serialize_commit(1, &[(0, 11)], &mut buf);
     plant_record(&nvm, &layout, 0, &buf);
-    let image = |nvm: &Nvm| {
-        let mut words = vec![0u64; (nvm.size_bytes() / 8) as usize];
-        nvm.read_words(0, &mut words);
-        words
-    };
     let before = image(&nvm);
 
     let bad = config.with_flush_workers(0);
@@ -162,9 +165,48 @@ fn round_robin_groups_across_rings_recover_to_contiguous_prefix() {
     );
 }
 
+/// A device stamped with the previous format version reopens as a typed
+/// error: there is no v1 reader and no migration.
 #[test]
-#[should_panic(expected = "ambiguous log")]
-fn two_straddling_records_are_rejected() {
+fn v1_device_is_a_bad_version() {
+    let nvm = test_nvm();
+    let config = tiny_config();
+    let layout = formatted(&nvm, config);
+    nvm.write_word(layout.meta.start() + META_VERSION_OFF, 1);
+    nvm.persist(layout.meta.start() + META_VERSION_OFF, 8);
+    let before = image(&nvm);
+    let err = recover_device(&nvm, &config).expect_err("v1 image");
+    assert_eq!(err, RecoverError::BadVersion(1));
+    assert!(err.to_string().contains("version 1"), "{err}");
+    assert_eq!(image(&nvm), before, "a rejected recovery must not write");
+}
+
+/// A device formatted for one thread, reopened for two: the log layout
+/// would not match, so recovery refuses — the device is large enough for
+/// either layout, so this is the typed error and not the size assert.
+#[test]
+fn thread_count_mismatch_is_a_layout_mismatch() {
+    let nvm = test_nvm();
+    let one = DudeTmConfig {
+        max_threads: 1,
+        ..tiny_config()
+    };
+    formatted(&nvm, one);
+    let before = image(&nvm);
+    let err = recover_device(&nvm, &tiny_config()).expect_err("formatted for one thread");
+    assert_eq!(
+        err,
+        RecoverError::LayoutMismatch {
+            on_device: 1,
+            configured: 2
+        }
+    );
+    assert!(err.to_string().contains("1 threads"), "{err}");
+    assert_eq!(image(&nvm), before, "a rejected recovery must not write");
+}
+
+#[test]
+fn two_straddling_records_are_a_typed_error() {
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -177,7 +219,23 @@ fn two_straddling_records_are_rejected() {
     plant_record(&nvm, &layout, 1, &buf);
     nvm.write_word(layout.meta.start() + META_REPRODUCED_OFF, 2);
     nvm.persist(layout.meta.start() + META_REPRODUCED_OFF, 8);
-    let _ = recover_device(&nvm, &config);
+    let before = image(&nvm);
+    let err = recover_device(&nvm, &config).expect_err("ambiguous log");
+    assert_eq!(
+        err,
+        RecoverError::AmbiguousLog {
+            first: (1, 4),
+            second: (2, 5)
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "ambiguous log: records 1..=4 and 2..=5 overlap"
+    );
+    // Heap, checkpoint and log words alike: nothing was replayed or wiped.
+    assert_eq!(image(&nvm), before, "a rejected recovery must not write");
+    assert_eq!(nvm.read_word(layout.heap.start()), 0);
+    assert_eq!(nvm.read_word(layout.meta.start() + META_REPRODUCED_OFF), 2);
 }
 
 /// A log span is released only after the covering checkpoint's fence, but

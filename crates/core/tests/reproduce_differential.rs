@@ -167,6 +167,32 @@ fn btree_like(t: &mut Runner, seed: u64) {
     }
 }
 
+/// Rewriter: every transaction stores ten values into six words of a
+/// 256-word table — four of the ten are overwritten before it commits —
+/// so 40 % of each write-set is combined away before it is logged, and
+/// what Reproduce applies is not what the program stored, only what it
+/// left.
+fn rewriter(t: &mut Runner, seed: u64) {
+    const TABLE_WORDS: u64 = 256;
+    let mut x = seed;
+    for op in 0..200u64 {
+        let base = lcg(&mut x) % TABLE_WORDS;
+        // Six distinct words, a cache line and a bit apart.
+        let word = |i: u64| PAddr::from_word_index((base + i * 9) % TABLE_WORDS);
+        let v = lcg(&mut x);
+        t.run(&mut |tx| {
+            for i in 0..6 {
+                tx.write_word(word(i), !v ^ i)?; // scratch value
+            }
+            for i in [4, 1, 3, 0] {
+                tx.write_word(word(i), v.wrapping_add(op * 8 + i))?;
+            }
+            Ok(())
+        })
+        .expect_committed();
+    }
+}
+
 fn assert_differential(name: &str, workload: fn(&mut Runner, u64), seed: u64) {
     let reference = heap_image(1, seed, workload);
     assert!(
@@ -217,6 +243,27 @@ fn btree_images_identical_across_shard_counts() {
     }
 }
 
+#[test]
+fn rewriter_images_identical_across_shard_counts() {
+    assert_differential("rewriter", rewriter, 0x0DD_C0FFEE);
+    for seed in extra_seeds() {
+        assert_differential("rewriter", rewriter, seed);
+    }
+    // The workload is what it claims: at least 30 % of the writes that
+    // reached Persist were rewrites of the same transaction.
+    let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
+    let mut dude = DudeTm::create_stm(Arc::clone(&nvm), config(1));
+    rewriter(&mut dude.register_thread(), 0x0DD_C0FFEE);
+    dude.shutdown();
+    let stats = dude.pipeline_stats();
+    assert_eq!(stats.entries_logged, 2000);
+    assert!(
+        stats.combine_savings() >= 0.30,
+        "only {:.0} % rewrites",
+        stats.combine_savings() * 100.0
+    );
+}
+
 /// Differential oracle for parallel Persist: the same single-Perform-thread
 /// workload must produce a byte-identical drained heap whether one Persist
 /// worker flushes everything or 2 or 4 publish out of order — ungrouped and
@@ -230,6 +277,7 @@ fn images_identical_across_persist_worker_counts() {
     for workload in [
         ("bank", bank as fn(&mut Runner, u64), 0xB01D_FACEu64),
         ("kv", kv, 0x000F_F1CE),
+        ("rewriter", rewriter, 0x0DD_C0FFEE),
     ] {
         let (name, f, seed) = workload;
         let reference = heap_image(1, seed, f);

@@ -29,11 +29,14 @@ use dudetm::{recover_device, DudeTm, DudeTmConfig, DurabilityMode};
 
 const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
-const TRANSFERS: u64 = 50;
+const TRANSFERS: u64 = 100;
 const SEED: u64 = 0x5EED_CAFE;
 
+/// One account per cache line: Reproduce flushes each dirty *line* once per
+/// batch, so accounts packed into two lines would leave the flush sweeps
+/// with a handful of crash points.
 fn slot(i: u64) -> PAddr {
-    PAddr::from_word_index(8 + i)
+    PAddr::from_word_index(8 + 8 * i)
 }
 
 fn config(mode: DurabilityMode) -> DudeTmConfig {
@@ -87,7 +90,12 @@ fn expected_states() -> Vec<Vec<u64>> {
 /// the trip belong to the post-crash timeline and are excluded from the
 /// durability bar. Returns the highest transaction ID acknowledged durable
 /// strictly before the crash instant.
-fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>) -> u64 {
+///
+/// With `rewrite`, a transfer stores a scratch value — never a valid
+/// balance — into each account before the real one, so every transaction
+/// writes each of its words twice: the committed sequence and its prefix
+/// states are unchanged, but only if combination keeps the *last* write.
+fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite: bool) -> u64 {
     let dude = DudeTm::create_stm(Arc::clone(nvm), cfg);
     match plan {
         Some(p) => nvm.arm_crash_plan(p),
@@ -110,8 +118,12 @@ fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>) -> u64 {
             x = nx;
             let out = t.run(&mut |tx| {
                 let va = tx.read_word(slot(a))?;
-                tx.write_word(slot(a), va - 1)?;
                 let vb = tx.read_word(slot(b))?;
+                if rewrite {
+                    tx.write_word(slot(a), !va)?;
+                    tx.write_word(slot(b), !vb)?;
+                }
+                tx.write_word(slot(a), va - 1)?;
                 tx.write_word(slot(b), vb + 1)
             });
             let tid = out
@@ -189,11 +201,24 @@ fn sweep(
     torn: bool,
     max_points: u64,
 ) -> (u64, u64) {
+    sweep_bank(cfg, event, stage, torn, max_points, false)
+}
+
+/// [`sweep`] over the plain bank, or over the one whose transfers write
+/// each account twice.
+fn sweep_bank(
+    cfg: DudeTmConfig,
+    event: CrashEventKind,
+    stage: StageFilter,
+    torn: bool,
+    max_points: u64,
+    rewrite: bool,
+) -> (u64, u64) {
     let states = expected_states();
     let events = (0..3)
         .map(|_| {
             let nvm = fresh_nvm();
-            run_bank(&nvm, cfg, None);
+            run_bank(&nvm, cfg, None, rewrite);
             nvm.persistence_events().count(event, stage)
         })
         .min()
@@ -212,11 +237,11 @@ fn sweep(
             plan = plan.with_torn_line(SEED ^ i);
         }
         let nvm = fresh_nvm();
-        let acked = run_bank(&nvm, cfg, Some(plan));
+        let acked = run_bank(&nvm, cfg, Some(plan), rewrite);
         if nvm.apply_planned_crash() {
             tripped += 1;
         }
-        let label = format!("{event:?}/{stage:?} torn={torn} crash point {i}");
+        let label = format!("{event:?}/{stage:?} torn={torn} rewrite={rewrite} crash point {i}");
         check_recovery(&nvm, &cfg, acked, &states, &label);
         rounds += 1;
         i += stride;
@@ -324,6 +349,43 @@ fn sweep_sync_foreground_fences_torn() {
         tripped >= rounds / 2,
         "only {tripped}/{rounds} plans tripped"
     );
+}
+
+// ---- A commit is a group of one ------------------------------------------
+//
+// Every transfer writes each of its accounts twice, so every unit Persist
+// seals is combined: the log record, the volatile copy Reproduce applies
+// and recovery's replay carry one write per account. Prefix semantics must
+// hold at every flush, fence and store of the run, strict and torn — a
+// combination that kept the first write, or dropped a word, would surface
+// a scratch value or a stale balance in the recovered heap.
+
+#[test]
+fn sweep_rewriting_bank_every_event_class() {
+    for (event, max_points) in [
+        (CrashEventKind::Flush, 40),
+        (CrashEventKind::Fence, 40),
+        (CrashEventKind::Write, 40),
+    ] {
+        for torn in [false, true] {
+            let (rounds, tripped) = sweep_bank(
+                config(ASYNC),
+                event,
+                StageFilter::Any,
+                torn,
+                max_points,
+                true,
+            );
+            assert!(
+                rounds >= 20,
+                "only {rounds} rewriting-bank {event:?} points (torn={torn})"
+            );
+            assert!(
+                tripped >= rounds / 2,
+                "only {tripped}/{rounds} plans tripped"
+            );
+        }
+    }
 }
 
 // ---- Sharded Reproduce (`reproduce_threads = 4`) ------------------------
@@ -666,13 +728,13 @@ fn swept_crash_recovers_into_working_runtime() {
     let cfg = config(ASYNC);
     let states = expected_states();
     let nvm = fresh_nvm();
-    run_bank(&nvm, cfg, None);
+    run_bank(&nvm, cfg, None, false);
     let fences = nvm
         .persistence_events()
         .count(CrashEventKind::Fence, StageFilter::Any);
     let nvm = fresh_nvm();
     let plan = CrashPlan::at_nth(CrashEventKind::Fence, (fences / 2).max(1));
-    let acked = run_bank(&nvm, cfg, Some(plan));
+    let acked = run_bank(&nvm, cfg, Some(plan), false);
     assert!(nvm.apply_planned_crash(), "mid-run fence plan must trip");
 
     let (dude, report) = DudeTm::recover_stm(Arc::clone(&nvm), cfg).expect("recovery");

@@ -42,7 +42,7 @@ const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
 
 fn slot(i: u64) -> PAddr {
-    PAddr::from_word_index(8 + i)
+    PAddr::from_word_index(8 + 8 * i)
 }
 
 /// Seeds for the sweep: `DUDE_SWEEP_SEEDS=a,b,c` overrides the default
