@@ -82,7 +82,7 @@ pub use metrics::{
 pub use plog::{scan_region, PlogRing, PlogSpan};
 pub use recovery::{recover_device, recover_device_observed, RecoverError, RecoveryReport};
 pub use runtime::{dtm_abort, DtmThread, DtmTx, DudeTm, NvmLayout, RedoHooks};
-pub use seqtrack::SequenceTracker;
+pub use seqtrack::DenseReorder;
 pub use shadow::{PagingMode, ShadowConfig, ShadowMem, ShadowStats, ShadowView, PAGE_BYTES};
 pub use stats::{
     CellDef, Kind, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoverySnapshot,
@@ -97,6 +97,22 @@ use std::sync::Arc;
 use dude_htm::{Htm, HtmConfig};
 use dude_nvm::Nvm;
 use dude_stm::{Stm, StmConfig};
+
+impl<E: TmEngine> DudeTm<E> {
+    /// Recovers the device, then starts a runtime over it with the engine
+    /// `engine` builds for a commit clock resuming at the recovered TID.
+    fn recover_with(
+        nvm: Arc<Nvm>,
+        config: DudeTmConfig,
+        engine: impl FnOnce(u64) -> E,
+    ) -> Result<(Self, RecoveryReport), RecoverError> {
+        let telemetry = RecoveryTelemetry::default();
+        let (layout, report) = recover_device_observed(&nvm, &config, &telemetry)?;
+        let engine = engine(report.last_tid);
+        let dude = Self::start(nvm, config, engine, layout, report.last_tid, telemetry);
+        Ok((dude, report))
+    }
+}
 
 impl DudeTm<Stm> {
     /// Formats `nvm` and starts a fresh STM-backed runtime (the paper's
@@ -121,11 +137,9 @@ impl DudeTm<Stm> {
         nvm: Arc<Nvm>,
         config: DudeTmConfig,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        let telemetry = RecoveryTelemetry::default();
-        let (layout, report) = recover_device_observed(&nvm, &config, &telemetry)?;
-        let engine = Stm::with_initial_clock(StmConfig::default(), report.last_tid);
-        let dude = DudeTm::start(nvm, config, engine, layout, report.last_tid, telemetry);
-        Ok((dude, report))
+        Self::recover_with(nvm, config, |tid| {
+            Stm::with_initial_clock(StmConfig::default(), tid)
+        })
     }
 }
 
@@ -144,10 +158,8 @@ impl DudeTm<Htm> {
         nvm: Arc<Nvm>,
         config: DudeTmConfig,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        let telemetry = RecoveryTelemetry::default();
-        let (layout, report) = recover_device_observed(&nvm, &config, &telemetry)?;
-        let engine = Htm::with_initial_clock(HtmConfig::default(), report.last_tid);
-        let dude = DudeTm::start(nvm, config, engine, layout, report.last_tid, telemetry);
-        Ok((dude, report))
+        Self::recover_with(nvm, config, |tid| {
+            Htm::with_initial_clock(HtmConfig::default(), tid)
+        })
     }
 }

@@ -805,7 +805,7 @@ mod tests {
         // The gauges' sources: committed 40, durable 33, reproduced 20,
         // shard frontiers 21 and 29, 3 + 6 occupied ring words.
         shared.committed_tid.store(40, Ordering::Relaxed);
-        shared.tracker.mark_range(1, 33);
+        shared.durable.store(33, Ordering::Release);
         shared.reproduced.store(20, Ordering::Release);
         shared.frontier.publish(0, 21);
         shared.frontier.publish(1, 29);

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! *Persist* drains per-thread volatile redo logs, writes them to the
-//! persistent log rings, and marks transaction IDs in the durable-ID
-//! tracker. Work reaches the `persist_flush_workers` workers as [`Sealed`]
+//! persistent log rings, and publishes them in dense transaction-ID order.
+//! Work reaches the `persist_flush_workers` workers as [`Sealed`]
 //! units, each last-writer-wins combined as it is sealed. With
 //! `persist_group = 1` every record is its own unit — **a commit is a group
 //! of one** — and the per-thread channels are partitioned across the
@@ -17,20 +17,25 @@
 //! transactions — the precondition that keeps *cross-transaction log
 //! combination* (and compression) safe (§3.3, Figure 3) — and deals them
 //! round-robin, so worker `w` has exactly one input and appends to ring
-//! `w`. Either way the same [`persist_worker`] stages units, flushes each
-//! ring's appended range and fences once per sweep, and publishes — **out
-//! of commit order** across workers
-//! (§3.3). Nothing downstream needs publication order: the durable-ID
-//! tracker only ever exposes the contiguous marked prefix, Reproduce
-//! replays (and recycles spans) strictly in dense ID order whatever order
-//! batches arrive in, and each ring's append order equals ID order.
+//! `w`. Either way the same [`persist_worker`] runs one [`Sweep`] per pass
+//! over its inputs: it stages units, flushes each ring's appended range,
+//! fences once, and hands every batch to [`publish`] — **out of commit
+//! order** across workers (§3.3), never waiting on another worker.
 //!
-//! *Reproduce* receives each persisted unit's *volatile copy* through a
+//! Dense order is established once per leg, in one structure
+//! ([`DenseReorder`]): at the sequencer iff grouped, and at [`publish`]
+//! always. `publish` parks a fenced batch in `Shared::order` until nothing
+//! is missing in front of it, then — under the same lock — advances the
+//! durable ID over it and forwards it, so the durable ID only ever covers
+//! the contiguous fenced prefix and the Persist→Reproduce channel carries
+//! batches in dense ID order. Each ring's append order equals ID order,
+//! which is what lets Reproduce recycle spans FIFO.
+//!
+//! *Reproduce* receives each persisted unit's *volatile copy* through that
 //! channel (the paper's "keep the redo log in the volatile region"
 //! optimization — without a crash, nothing is ever read back from NVM),
-//! reorders it into dense transaction-ID order, applies the writes to the
-//! persistent heap, periodically checkpoints the reproduced ID, and only
-//! then recycles log space. With `reproduce_threads > 1` the applying is
+//! applies the writes to the persistent heap, periodically checkpoints the
+//! reproduced ID, and only then recycles log space. With `reproduce_threads > 1` the applying is
 //! fanned out to `M` *shard workers* by heap shard ([`crate::frontier`]);
 //! each applies its shard's writes, fences, and publishes its completed
 //! TID. Every heap store goes through [`apply_writes`], which flushes each
@@ -38,7 +43,7 @@
 //! checkpoint — and therefore log recycling — always keys off the minimum
 //! completed TID across shards; one shard is the degenerate case.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,6 +57,7 @@ use crate::log::{
 };
 use crate::plog::PlogSpan;
 use crate::runtime::Shared;
+use crate::seqtrack::DenseReorder;
 use crate::trace::{Stage, TraceEventKind};
 
 /// A persisted unit handed from Persist to Reproduce.
@@ -61,26 +67,10 @@ pub(crate) struct Batch {
     pub last_tid: u64,
     /// Writes to replay (combined when grouping is on; empty for aborts).
     pub writes: Vec<(u64, u64)>,
-    /// Log spans to recycle once the covering checkpoint is durable.
-    pub spans: Vec<(usize, PlogSpan)>,
-}
-
-impl PartialEq for Batch {
-    fn eq(&self, other: &Self) -> bool {
-        self.first_tid == other.first_tid
-    }
-}
-impl Eq for Batch {}
-impl PartialOrd for Batch {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Batch {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap becomes a min-heap on first_tid.
-        other.first_tid.cmp(&self.first_tid)
-    }
+    /// Log span to recycle once the covering checkpoint is durable, and the
+    /// ring it sits in.
+    pub ring: usize,
+    pub span: PlogSpan,
 }
 
 /// One sealed group of consecutive-TID records, handed from the sequencer
@@ -182,13 +172,7 @@ pub(crate) fn try_stage(
     let Some(span) = shared.rings[ring_idx].try_append_unflushed(buf) else {
         // Persist is blocked on log space Reproduce has not recycled yet —
         // the stall the bounded NVM log ring exists to make visible.
-        if shared.trace.enabled() {
-            shared
-                .trace
-                .stalls
-                .persist_ring_full
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        shared.trace.stall(|s| &s.persist_ring_full);
         return Err(unit);
     };
     let stats = &shared.stats;
@@ -223,22 +207,112 @@ pub(crate) fn try_stage(
         first_tid: unit.first_tid,
         last_tid: unit.last_tid,
         writes: unit.writes,
-        spans: vec![(ring_idx, span)],
+        ring: ring_idx,
+        span,
     })
 }
 
-/// Announces a staged batch whose covering fence has returned: marks its
-/// TIDs durable and hands it to Reproduce.
+/// Announces a staged batch whose covering fence has returned: parks it in
+/// the order buffer, then advances the durable ID over — and hands to
+/// Reproduce — every batch that now has no gap in front of it.
+///
+/// All under the one lock, so the durable ID never covers a TID whose unit
+/// (or any earlier unit) is not yet fenced, and the channel carries batches
+/// in dense TID order. No caller ever waits on another: a batch behind a gap
+/// stays parked and whoever fills the gap forwards it.
 pub(crate) fn publish(shared: &Shared, out: &Sender<Batch>, batch: Batch) {
-    shared.tracker.mark_range(batch.first_tid, batch.last_tid);
-    // Reproduce may have exited during shutdown teardown; the batch is
-    // persisted regardless.
-    let _ = out.send(batch);
+    let mut order = shared.order.lock();
+    order.push(batch.first_tid, batch.last_tid, batch);
+    while let Some((_, last, batch)) = order.pop() {
+        shared.durable.store(last, Ordering::Release);
+        // Reproduce may have exited during shutdown teardown; the batch is
+        // persisted regardless.
+        let _ = out.send(batch);
+    }
+}
+
+/// One pass of Persist work: units staged into rings, then covered by one
+/// flush per ring and one fence, then published. The only code that flushes
+/// log ranges and issues Persist's barrier — a Persist worker runs one per
+/// pass over its inputs, a `Sync` client one per transaction.
+#[derive(Debug, Default)]
+pub(crate) struct Sweep {
+    buf: Vec<u64>,
+    combiner: Combiner,
+    staged: Vec<Batch>,
+}
+
+impl Sweep {
+    /// Seals `work` with this sweep's scratch table.
+    pub(crate) fn seal(&mut self, work: impl Seal) -> Sealed {
+        work.seal(&mut self.combiner)
+    }
+
+    /// Stages `unit` into `ring_idx` ([`try_stage`]); a full ring gives it
+    /// back.
+    pub(crate) fn stage(
+        &mut self,
+        shared: &Shared,
+        ring_idx: usize,
+        unit: Sealed,
+    ) -> Result<(), Sealed> {
+        let batch = try_stage(shared, ring_idx, unit, &mut self.buf)?;
+        self.staged.push(batch);
+        Ok(())
+    }
+
+    /// Makes everything staged durable and publishes it. `worker` names the
+    /// Persist worker whose `flush_worker_ns` series shares the fence
+    /// sample (`None` inline under `Sync`).
+    pub(crate) fn finish(&mut self, shared: &Shared, worker: Option<usize>, out: &Sender<Batch>) {
+        if self.staged.is_empty() {
+            return;
+        }
+        // One flush over everything the sweep appended to each ring:
+        // records that share a cache line share its flush.
+        for run in self.staged.chunk_by(|a, b| a.ring == b.ring) {
+            let (head, tail) = (&run[0], &run[run.len() - 1]);
+            shared.rings[head.ring].flush_range(head.span.start, tail.span.end());
+        }
+        // One ordering barrier covers the whole sweep (batched persist,
+        // §3.3); its modeled cost covers all flushed bytes. The sabotage
+        // gate exists only in sim builds: dropping this fence is the
+        // injected ordering bug the schedule fuzzer must catch (a
+        // planned crash then loses units whose durability was already
+        // announced).
+        #[cfg(feature = "sim")]
+        let fence_skipped = crate::sabotage::skip_group_fence();
+        #[cfg(not(feature = "sim"))]
+        let fence_skipped = false;
+        let tracing = shared.trace.enabled();
+        let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
+        if !fence_skipped {
+            shared.nvm.fence();
+        }
+        if tracing {
+            let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
+            shared.trace.persist_barrier_ns.record(dur);
+            if let Some(worker) = worker {
+                shared.trace.flush_worker_ns[worker].record(dur);
+            }
+            let bytes: u64 = self.staged.iter().map(|b| b.span.words * 8).sum();
+            let last_tid = self.staged.iter().map(|b| b.last_tid).max().unwrap_or(0);
+            shared.trace.event(
+                Stage::Persist,
+                TraceEventKind::PersistBarrier,
+                last_tid,
+                bytes,
+                dur,
+            );
+        }
+        for batch in self.staged.drain(..) {
+            publish(shared, out, batch);
+        }
+    }
 }
 
 /// A Persist worker: drains its inputs in any order, stages each unit into
-/// the input's ring, and covers every sweep with one flush per ring and one
-/// fence.
+/// the input's ring, and covers every pass with one [`Sweep`].
 ///
 /// The ungrouped pipeline partitions the per-thread record channels across
 /// workers; the grouped pipeline gives worker `w` one input, the
@@ -254,25 +328,22 @@ pub(crate) fn persist_worker<U: Seal>(
     out: Sender<Batch>,
 ) {
     dude_nvm::set_background_stage(true);
-    let mut buf = Vec::new();
-    let mut combiner = Combiner::default();
+    let mut sweep = Sweep::default();
     let mut done = vec![false; inputs.len()];
     // Units whose ring was full — retried next sweep while the other
     // channels keep flowing (never block on one ring: deadlock).
     let mut parked: Vec<Option<Sealed>> = (0..inputs.len()).map(|_| None).collect();
-    let mut staged: Vec<Batch> = Vec::new();
     loop {
         let mut progress = false;
         for (i, (ring_idx, rx)) in inputs.iter().enumerate() {
             // Bounded drain per sweep so one busy thread cannot starve the
             // rest; a parked unit goes first, keeping the ring's order.
-            let first = staged.len();
             for _ in 0..64 {
                 let unit = match parked[i].take() {
                     Some(unit) => unit,
                     None if done[i] => break,
                     None => match rx.try_recv() {
-                        Ok(unit) => unit.seal(&mut combiner),
+                        Ok(unit) => sweep.seal(unit),
                         Err(TryRecvError::Empty) => break,
                         Err(TryRecvError::Disconnected) => {
                             done[i] = true;
@@ -280,61 +351,16 @@ pub(crate) fn persist_worker<U: Seal>(
                         }
                     },
                 };
-                match try_stage(&shared, *ring_idx, unit, &mut buf) {
-                    Ok(batch) => {
-                        progress = true;
-                        staged.push(batch);
-                    }
+                match sweep.stage(&shared, *ring_idx, unit) {
+                    Ok(()) => progress = true,
                     Err(unit) => {
                         parked[i] = Some(unit); // ring full: retry next sweep
                         break;
                     }
                 }
             }
-            // One flush over everything the sweep appended to this ring:
-            // records that share a cache line share its flush.
-            if let (Some(head), Some(tail)) = (staged.get(first), staged.last()) {
-                shared.rings[*ring_idx].flush_range(head.spans[0].1.start, tail.spans[0].1.end());
-            }
         }
-        if !staged.is_empty() {
-            // One ordering barrier covers the whole sweep (batched persist,
-            // §3.3); its modeled cost covers all flushed bytes. The sabotage
-            // gate exists only in sim builds: dropping this fence is the
-            // injected ordering bug the schedule fuzzer must catch (a
-            // planned crash then loses units whose durability was already
-            // announced).
-            #[cfg(feature = "sim")]
-            let fence_skipped = crate::sabotage::skip_group_fence();
-            #[cfg(not(feature = "sim"))]
-            let fence_skipped = false;
-            let tracing = shared.trace.enabled();
-            let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-            if !fence_skipped {
-                shared.nvm.fence();
-            }
-            if tracing {
-                let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
-                shared.trace.persist_barrier_ns.record(dur);
-                shared.trace.flush_worker_ns[worker].record(dur);
-                let bytes: u64 = staged
-                    .iter()
-                    .flat_map(|b| b.spans.iter())
-                    .map(|&(_, span)| span.words * 8)
-                    .sum();
-                let last_tid = staged.iter().map(|b| b.last_tid).max().unwrap_or(0);
-                shared.trace.event(
-                    Stage::Persist,
-                    TraceEventKind::PersistBarrier,
-                    last_tid,
-                    bytes,
-                    dur,
-                );
-            }
-            for batch in staged.drain(..) {
-                publish(&shared, &out, batch);
-            }
-        }
+        sweep.finish(&shared, Some(worker), &out);
         if done.iter().all(|&d| d) && parked.iter().all(|p| p.is_none()) {
             return;
         }
@@ -364,10 +390,9 @@ pub(crate) fn persist_sequencer(
 ) {
     dude_nvm::set_background_stage(true);
     let workers = worker_txs.len();
-    let mut heap: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
-    let mut stash: std::collections::HashMap<u64, LogRecord> = std::collections::HashMap::new();
+    // Each per-thread channel is TID-ascending only per thread.
+    let mut reorder = DenseReorder::starting_at(shared.durable.load(Ordering::Acquire));
     let mut done = vec![false; inputs.len()];
-    let mut expected = shared.tracker.watermark() + 1;
     let mut current: Vec<LogRecord> = Vec::new();
     // Groups dispatched so far; picks the next worker.
     let mut next_seq = 0usize;
@@ -410,9 +435,7 @@ pub(crate) fn persist_sequencer(
                 match rx.try_recv() {
                     Ok(rec) => {
                         progress = true;
-                        let tid = rec.tid();
-                        heap.push(std::cmp::Reverse(tid));
-                        stash.insert(tid, rec);
+                        reorder.push(rec.tid(), rec.tid(), rec);
                     }
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
@@ -423,12 +446,7 @@ pub(crate) fn persist_sequencer(
             }
         }
         // Move dense-prefix records into the current group.
-        while heap
-            .peek()
-            .is_some_and(|&std::cmp::Reverse(tid)| tid == expected)
-        {
-            heap.pop();
-            let rec = stash.remove(&expected).expect("stashed record");
+        while let Some((_, _, rec)) = reorder.pop() {
             // `last_flush` is really "when the current group started": a
             // stale value from an idle period would make the hold timer
             // expire immediately and dispatch a group of one, so restart it
@@ -437,14 +455,13 @@ pub(crate) fn persist_sequencer(
                 last_flush = dude_nvm::monotonic_ns();
             }
             current.push(rec);
-            expected += 1;
             if current.len() >= group {
                 dispatch(&mut current, &mut next_seq);
                 last_flush = dude_nvm::monotonic_ns();
             }
         }
         let all_done = done.iter().all(|&d| d);
-        if all_done && heap.is_empty() {
+        if all_done && reorder.pending_len() == 0 {
             dispatch(&mut current, &mut next_seq);
             // Returning drops `worker_txs`: the workers drain their
             // queues and exit, taking the last `Batch` senders with them.
@@ -457,24 +474,21 @@ pub(crate) fn persist_sequencer(
         }
         if !progress {
             if all_done {
-                // Channels are closed but the reorder heap has a gap: a
+                // Channels are closed but the reorder buffer has a gap: a
                 // transaction ID was allocated and never logged. This is a
                 // protocol violation upstream.
                 panic!(
-                    "persist(grouped): tid {expected} missing with inputs closed \
+                    "persist(grouped): tid {} missing with inputs closed \
                      ({} stashed)",
-                    stash.len()
+                    reorder.complete() + 1,
+                    reorder.pending_len()
                 );
             }
             // Idle with records stashed beyond a TID gap: the sequencer is
             // waiting on one slow Perform thread — the grouped pipeline's
             // head-of-line stall, counted per tick like the others.
-            if shared.trace.enabled() && !stash.is_empty() {
-                shared
-                    .trace
-                    .stalls
-                    .persist_seq_wait
-                    .fetch_add(1, Ordering::Relaxed);
+            if reorder.pending_len() > 0 {
+                shared.trace.stall(|s| &s.persist_seq_wait);
             }
             dude_nvm::thread::sleep(Duration::from_micros(50));
         }
@@ -490,9 +504,9 @@ pub(crate) struct ShardWork {
     pub writes: Vec<(u64, u64)>,
 }
 
-/// The Reproduce stage (§3.4): reorders batches into dense transaction-ID
-/// order, replays them onto the persistent heap, checkpoints at the minimum
-/// completed-TID frontier, and recycles log space.
+/// The Reproduce stage (§3.4): replays batches — which [`publish`] forwards
+/// in dense transaction-ID order — onto the persistent heap, checkpoints at
+/// the minimum completed-TID frontier, and recycles log space.
 ///
 /// With shard workers (`reproduce_threads > 1`) it splits each batch's
 /// writes by heap shard and fans them out, never touching the heap itself.
@@ -511,44 +525,30 @@ pub(crate) fn reproduce_stage(
 ) {
     let _bg = dude_nvm::background_stage_scope();
     let shards = shard_txs.len();
-    let mut heap: BinaryHeap<Batch> = BinaryHeap::new();
     let mut dirty = DirtyLines::default();
     let start = shared.reproduced.load(Ordering::Acquire);
-    let mut expected = start + 1;
+    // Last TID dispatched to the heap (or the shard workers).
+    let mut dispatched = start;
     // Spans awaiting a covering checkpoint, FIFO in dispatch (= TID) order.
-    let mut pending_release: VecDeque<(u64, Vec<(usize, PlogSpan)>)> = VecDeque::new();
+    let mut pending_release: VecDeque<(u64, usize, PlogSpan)> = VecDeque::new();
     let mut watermark = start;
     let mut last_checkpoint = start;
     loop {
         let mut idle = false;
-        let disconnected = match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(batch) => {
-                heap.push(batch);
-                false
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                idle = true;
-                // Starved = idling with nothing even out-of-order queued:
-                // replay has caught up with the Persist stage entirely.
-                if shared.trace.enabled() && heap.is_empty() {
-                    shared
-                        .trace
-                        .stalls
-                        .reproduce_starved
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                false
-            }
-            Err(RecvTimeoutError::Disconnected) => true,
-        };
         // One batch per pass, so the watermark and the cadence checkpoint
-        // see every batch boundary: a filled gap releases a long dense run
+        // see every batch boundary: a filled gap forwards a long dense run
         // at once, and a Persist worker may be parked on the space the
         // head of that run recycles.
-        loop {
-            let in_order = heap.peek().is_some_and(|b| b.first_tid == expected);
-            if in_order {
-                let batch = heap.pop().expect("peeked batch");
+        let disconnected = match rx.recv_timeout(Duration::from_millis(1)) {
+            Ok(batch) => {
+                // Replaying past a gap would checkpoint — and recycle the
+                // log of — transactions the heap never saw.
+                assert!(
+                    batch.first_tid == dispatched + 1,
+                    "reproduce: batch {}..={} forwarded after tid {dispatched}",
+                    batch.first_tid,
+                    batch.last_tid
+                );
                 if shards == 0 {
                     apply_in_place(&shared, &batch, &mut dirty);
                 } else {
@@ -563,59 +563,59 @@ pub(crate) fn reproduce_stage(
                         });
                     }
                 }
-                pending_release.push_back((batch.last_tid, batch.spans));
-                expected = batch.last_tid + 1;
+                pending_release.push_back((batch.last_tid, batch.ring, batch.span));
+                dispatched = batch.last_tid;
+                false
             }
-            // Publish the global watermark: the slowest shard's completed
-            // TID. It gates paged-shadow swap-ins (§4.3).
-            let f = shared.frontier.min_completed();
-            if f > watermark {
-                shared
-                    .stats
-                    .txns_reproduced
-                    .fetch_add(f - watermark, Ordering::Relaxed);
-                watermark = f;
-                shared.reproduced.store(f, Ordering::Release);
+            Err(RecvTimeoutError::Timeout) => {
+                idle = true;
+                // Starved = idling with nothing even parked behind a gap:
+                // replay has caught up with the Persist stage entirely.
+                // (`enabled` here spares the untraced idle tick the lock.)
+                if shared.trace.enabled() && shared.order.lock().pending_len() == 0 {
+                    shared.trace.stall(|s| &s.reproduce_starved);
+                }
+                false
             }
-            // On cadence — or on an idle tick with work applied but not yet
-            // checkpointed, so the covered log spans are recycled promptly
-            // (a Persist worker may be waiting for exactly that space).
-            if f - last_checkpoint >= shared.config.checkpoint_every
-                || (idle && f > last_checkpoint)
-            {
-                checkpoint(&shared, f, &mut pending_release);
-                last_checkpoint = f;
-            }
-            if !in_order {
-                break;
-            }
+            Err(RecvTimeoutError::Disconnected) => true,
+        };
+        // Publish the global watermark: the slowest shard's completed
+        // TID. It gates paged-shadow swap-ins (§4.3).
+        let f = shared.frontier.min_completed();
+        if f > watermark {
+            shared
+                .stats
+                .txns_reproduced
+                .fetch_add(f - watermark, Ordering::Relaxed);
+            watermark = f;
+            shared.reproduced.store(f, Ordering::Release);
+        }
+        // On cadence — or on an idle tick with work applied but not yet
+        // checkpointed, so the covered log spans are recycled promptly
+        // (a Persist worker may be waiting for exactly that space).
+        if f - last_checkpoint >= shared.config.checkpoint_every || (idle && f > last_checkpoint) {
+            checkpoint(&shared, f, &mut pending_release);
+            last_checkpoint = f;
         }
         if disconnected {
-            if let Some(top) = heap.peek() {
-                panic!(
-                    "reproduce: tid {expected} missing with pipeline closed \
-                     (next available {})",
-                    top.first_tid
-                );
-            }
+            let order = shared.order.lock();
+            assert!(
+                order.pending_len() == 0,
+                "reproduce: tid {} missing with pipeline closed ({} batches parked behind it)",
+                order.complete() + 1,
+                order.pending_len()
+            );
             break;
         }
     }
     // Drain: close the shard channels, wait for every shard to finish all
     // dispatched work, then take the final checkpoint.
     drop(shard_txs);
-    let target = expected - 1;
-    let counting = shared.trace.enabled();
+    let target = dispatched;
     while shared.frontier.min_completed() < target {
         // Each yield is one tick of the final checkpoint waiting on the
         // slowest shard — the drain-time cost of frontier skew.
-        if counting {
-            shared
-                .trace
-                .stalls
-                .checkpoint_wait
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        shared.trace.stall(|s| &s.checkpoint_wait);
         dude_nvm::thread::yield_now();
     }
     if target > watermark {
@@ -769,7 +769,7 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
 fn checkpoint(
     shared: &Shared,
     reproduced: u64,
-    pending_release: &mut VecDeque<(u64, Vec<(usize, PlogSpan)>)>,
+    pending_release: &mut VecDeque<(u64, usize, PlogSpan)>,
 ) {
     let off = shared.meta.start() + crate::runtime::META_REPRODUCED * 8;
     shared.nvm.write_word(off, reproduced);
@@ -777,14 +777,13 @@ fn checkpoint(
     shared.nvm.fence();
     shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
     let mut released = 0u64;
-    while pending_release
-        .front()
-        .is_some_and(|&(tid, _)| tid <= reproduced)
-    {
-        for (ring_idx, span) in pending_release.pop_front().expect("peeked entry").1 {
-            released += span.words * 8;
-            shared.rings[ring_idx].release(span);
+    while let Some(&(tid, ring_idx, span)) = pending_release.front() {
+        if tid > reproduced {
+            break;
         }
+        pending_release.pop_front();
+        released += span.words * 8;
+        shared.rings[ring_idx].release(span);
     }
     // `bytes` here is the log space the checkpoint recycled — the payoff
     // side of the checkpoint cadence trade-off.
@@ -830,8 +829,8 @@ mod tests {
     fn stage_and_compare(shared: &Shared, layout: &NvmLayout, unit: Sealed, want: &[u64]) -> Batch {
         let mut buf = Vec::new();
         let batch = try_stage(shared, 1, unit, &mut buf).expect("ring has space");
-        let (ring, span) = batch.spans[0];
-        assert_eq!((ring, batch.spans.len()), (1, 1));
+        let span = batch.span;
+        assert_eq!(batch.ring, 1);
         assert_eq!(span.words, want.len() as u64);
         let mut got = vec![0u64; want.len()];
         shared
@@ -930,18 +929,124 @@ mod tests {
         );
         assert_eq!(shared.trace.stalls.snapshot().persist_ring_full, 1);
         // The retry after Reproduce recycles space counts exactly once.
-        shared.rings[0].release(first.spans[0].1);
+        shared.rings[0].release(first.span);
         try_stage(&shared, 0, back, &mut buf).expect("space was released");
         let after = shared.stats.snapshot();
         assert_eq!(after.records_persisted, before.records_persisted + 1);
         assert_eq!(after.entries_logged, before.entries_logged + 100);
     }
 
+    /// 4 threads publish a seed-shuffled set of staged batches — single
+    /// commits and groups of three — while a reader samples the durable ID.
+    fn publish_order_body(seed: u64) {
+        use std::sync::atomic::AtomicBool;
+        let (shared, _) = shared(DudeTmConfig::small(1 << 16).with_grouping(4, false));
+        let (tx, rx) = unbounded();
+        let mut buf = Vec::new();
+        let mut batches = Vec::new();
+        let mut tid = 0;
+        for k in 0..96 {
+            let unit = if k % 3 == 0 {
+                let group = (1..=3).map(|i| commit(tid + i, &[(8 * k, i)])).collect();
+                tid += 3;
+                seal(GroupWork(group))
+            } else {
+                tid += 1;
+                seal(commit(tid, &[(8 * k, tid)]))
+            };
+            batches.push(try_stage(&shared, k as usize % 4, unit, &mut buf).unwrap());
+        }
+        let last = tid;
+        shared.nvm.fence();
+        let mut x = seed;
+        for i in (1..batches.len()).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            batches.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        // `entered[t]` goes up before the publish that covers TID `t`
+        // starts: a durable ID over a TID still down has skipped a gap.
+        let entered: Arc<Vec<AtomicBool>> =
+            Arc::new((0..=last).map(|_| AtomicBool::new(false)).collect());
+        let mut parts: Vec<Vec<Batch>> = (0..4).map(|_| Vec::new()).collect();
+        for (i, batch) in batches.into_iter().enumerate() {
+            parts[i % 4].push(batch);
+        }
+        let publishers: Vec<_> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(p, part)| {
+                let (shared, tx, entered) = (Arc::clone(&shared), tx.clone(), Arc::clone(&entered));
+                dude_nvm::thread::spawn_named(&format!("publisher-{p}"), move || {
+                    for batch in part {
+                        for t in batch.first_tid..=batch.last_tid {
+                            entered[t as usize].store(true, Ordering::SeqCst);
+                        }
+                        publish(&shared, &tx, batch);
+                        dude_nvm::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let reader = {
+            let (shared, entered) = (Arc::clone(&shared), Arc::clone(&entered));
+            dude_nvm::thread::spawn_named("durable-reader", move || loop {
+                let durable = shared.durable.load(Ordering::Acquire);
+                for t in 1..=durable {
+                    assert!(
+                        entered[t as usize].load(Ordering::SeqCst),
+                        "durable {durable} announced before tid {t} was published"
+                    );
+                }
+                if durable == last {
+                    return;
+                }
+                dude_nvm::thread::yield_now();
+            })
+        };
+        let mut prev_last = 0;
+        while let Ok(batch) = rx.recv() {
+            assert_eq!(batch.first_tid, prev_last + 1, "forwarded past a gap");
+            prev_last = batch.last_tid;
+        }
+        for handle in publishers.into_iter().chain([reader]) {
+            handle.join().expect("publisher or reader panicked");
+        }
+        assert_eq!(prev_last, last);
+        assert_eq!(shared.durable.load(Ordering::Acquire), last);
+        assert_eq!(shared.order.lock().pending_len(), 0);
+    }
+
+    #[test]
+    fn publish_forwards_in_dense_order_and_never_announces_past_a_gap() {
+        for seed in [7, 1337, 424242] {
+            publish_order_body(seed);
+        }
+    }
+
+    /// Sim twin: the same body under the virtual scheduler, where the seed
+    /// also fixes the interleaving of the four publishers and the reader.
+    #[cfg(feature = "sim")]
+    #[test]
+    fn publish_forwards_in_dense_order_and_never_announces_past_a_gap_sim() {
+        let seed = std::env::var("DUDE_SIM_SEED")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(7);
+        let report = dude_sim::run(dude_sim::SimConfig::from_seed(seed), move || {
+            publish_order_body(seed)
+        });
+        if let Some(p) = report.panic {
+            eprintln!("DUDE_SIM_SEED={seed}");
+            panic!("sim run failed under seed {seed}: {p}");
+        }
+    }
+
     /// The one-shard degenerate case: `reproduce_stage` with no shard
     /// workers applies in place, publishes frontier slot 0, and checkpoints
     /// on cadence plus once at the drain — at the same TIDs whether batches
-    /// arrive in order or a late head releases the whole run at once (N
-    /// Persist workers publish out of order).
+    /// are published in order or a late head releases the whole run at once
+    /// (N Persist workers publish out of order).
     #[test]
     fn one_shard_stage_applies_in_place_and_checkpoints_on_cadence() {
         for head_last in [false, true] {
@@ -962,10 +1067,10 @@ mod tests {
             if head_last {
                 batches.rotate_left(1); // 2, 3, …, 20, 1
             }
-            for batch in batches {
-                tx.send(batch).unwrap();
-            }
             shared.nvm.fence();
+            for batch in batches {
+                publish(&shared, &tx, batch);
+            }
             // Everything queued and the channel closed: the stage never
             // idles, so only the cadence and the drain checkpoint.
             drop(tx);

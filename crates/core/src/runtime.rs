@@ -14,14 +14,14 @@ use crate::check::CommitHistory;
 use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
 use crate::frontier::ReproduceFrontier;
-use crate::log::{Combiner, LogRecord};
+use crate::log::LogRecord;
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    persist_sequencer, persist_worker, publish, reproduce_shard_worker, reproduce_stage, try_stage,
-    Batch, GroupWork, Seal, ShardWork,
+    persist_sequencer, persist_worker, reproduce_shard_worker, reproduce_stage, Batch, GroupWork,
+    Seal, ShardWork, Sweep,
 };
 use crate::plog::PlogRing;
-use crate::seqtrack::SequenceTracker;
+use crate::seqtrack::DenseReorder;
 use crate::shadow::ShadowMem;
 use crate::stats::{
     snapshot, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoveryTelemetry,
@@ -82,7 +82,12 @@ pub struct Shared {
     pub(crate) meta: Region,
     pub(crate) heap: Region,
     pub(crate) rings: Vec<Arc<PlogRing>>,
-    pub(crate) tracker: SequenceTracker,
+    /// Fenced batches parked behind a TID gap; [`crate::pipeline::publish`]
+    /// pops them in dense order.
+    pub(crate) order: Mutex<DenseReorder<Batch>>,
+    /// The durable ID (§3.3): every transaction at or below it is fenced in
+    /// the log. Written by `publish` only, under the `order` lock.
+    pub(crate) durable: AtomicU64,
     pub(crate) reproduced: Arc<AtomicU64>,
     pub(crate) frontier: Arc<ReproduceFrontier>,
     pub(crate) stats: PipelineStats,
@@ -115,7 +120,8 @@ impl Shared {
             meta: layout.meta,
             heap: layout.heap,
             rings,
-            tracker: SequenceTracker::starting_at(start_tid),
+            order: Mutex::new(DenseReorder::starting_at(start_tid)),
+            durable: AtomicU64::new(start_tid),
             reproduced: Arc::new(AtomicU64::new(start_tid)),
             frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
             stats: PipelineStats::default(),
@@ -136,10 +142,28 @@ enum Sink {
     /// Asynchronous pipeline: hand the record to a Persist thread.
     Channel(Sender<LogRecord>),
     /// DudeTM-Sync: persist inline, then forward to Reproduce.
-    Sync {
-        ring_idx: usize,
-        batches: Sender<Batch>,
-    },
+    Sync(SyncSink),
+}
+
+/// What a `Sync` thread persists with: its own ring, its own sweep.
+#[derive(Debug)]
+struct SyncSink {
+    ring_idx: usize,
+    batches: Sender<Batch>,
+    sweep: Sweep,
+}
+
+impl SyncSink {
+    /// One Persist sweep of one record, on the committing thread.
+    fn persist_inline(&mut self, shared: &Shared, rec: LogRecord) {
+        let mut unit = self.sweep.seal(rec);
+        // Ring full: wait for Reproduce to recycle space.
+        while let Err(back) = self.sweep.stage(shared, self.ring_idx, unit) {
+            unit = back;
+            dude_nvm::thread::yield_now();
+        }
+        self.sweep.finish(shared, None, &self.batches);
+    }
 }
 
 /// [`dude_stm::TxHooks`] implementation realizing Algorithm 2: `dtmWrite`
@@ -156,34 +180,9 @@ pub struct RedoHooks {
     /// (`None` unless [`DudeTm::attach_history`] was called before this
     /// thread registered).
     history: Option<Arc<CommitHistory>>,
-    buf: Vec<u64>,
-    /// Scratch of the inline Persist step (`Sync` only).
-    combiner: Combiner,
     /// Payload bytes of the last committed transaction (8 × its writes),
     /// captured for the Perform-stage commit trace event.
     last_commit_bytes: u64,
-}
-
-impl RedoHooks {
-    /// DudeTM-Sync: stage, flush, fence, and publish `rec` on this thread.
-    fn persist_inline(&mut self, rec: LogRecord) {
-        let Sink::Sync { ring_idx, batches } = &self.sink else {
-            unreachable!("persist_inline on async sink")
-        };
-        let mut unit = rec.seal(&mut self.combiner);
-        let batch = loop {
-            match try_stage(&self.shared, *ring_idx, unit, &mut self.buf) {
-                Ok(batch) => break batch,
-                // Ring full: wait for Reproduce to recycle space.
-                Err(back) => unit = back,
-            }
-            dude_nvm::thread::yield_now();
-        };
-        let span = batch.spans[0].1;
-        self.shared.rings[*ring_idx].flush_range(span.start, span.end());
-        self.shared.nvm.fence();
-        publish(&self.shared, batches, batch);
-    }
 }
 
 impl dude_stm::TxHooks for RedoHooks {
@@ -210,7 +209,7 @@ impl dude_stm::TxHooks for RedoHooks {
         self.shadow.note_commit(tid, &self.staged);
         self.last_commit_bytes = 8 * self.staged.len() as u64;
         let writes = std::mem::take(&mut self.staged);
-        match &self.sink {
+        match &mut self.sink {
             Sink::Channel(tx) => {
                 // A full bounded buffer blocks here — the Perform-side
                 // backpressure of §3.2. With tracing on, count the stall
@@ -220,11 +219,7 @@ impl dude_stm::TxHooks for RedoHooks {
                     match tx.try_send(LogRecord::Commit { tid, writes }) {
                         Ok(()) => {}
                         Err(crossbeam::channel::TrySendError::Full(rec)) => {
-                            self.shared
-                                .trace
-                                .stalls
-                                .perform_log_full
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.shared.trace.stall(|s| &s.perform_log_full);
                             let _ = tx.send(rec);
                         }
                         Err(crossbeam::channel::TrySendError::Disconnected(_)) => {}
@@ -233,7 +228,9 @@ impl dude_stm::TxHooks for RedoHooks {
                     let _ = tx.send(LogRecord::Commit { tid, writes });
                 }
             }
-            Sink::Sync { .. } => self.persist_inline(LogRecord::Commit { tid, writes }),
+            Sink::Sync(sync) => {
+                sync.persist_inline(&self.shared, LogRecord::Commit { tid, writes })
+            }
         }
     }
 
@@ -254,11 +251,11 @@ impl dude_stm::TxHooks for RedoHooks {
         if self.shared.config.metrics.enabled {
             self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
         }
-        match &self.sink {
+        match &mut self.sink {
             Sink::Channel(tx) => {
                 let _ = tx.send(LogRecord::Abort { tid });
             }
-            Sink::Sync { .. } => self.persist_inline(LogRecord::Abort { tid }),
+            Sink::Sync(sync) => sync.persist_inline(&self.shared, LogRecord::Abort { tid }),
         }
     }
 }
@@ -278,15 +275,15 @@ pub struct DudeTm<E: TmEngine> {
     record_senders: Vec<Sender<LogRecord>>,
     /// Producer side of the persist→reproduce channel (cloned by sync-mode
     /// threads; dropped at shutdown).
-    batch_sender: Mutex<Option<Sender<Batch>>>,
+    batch_sender: Option<Sender<Batch>>,
     /// Optional commit-history recorder handed to newly registered threads
     /// (see [`DudeTm::attach_history`]).
     history: Mutex<Option<Arc<CommitHistory>>>,
     next_slot: AtomicUsize,
-    workers: Mutex<Vec<dude_nvm::thread::JoinHandle<()>>>,
+    workers: Vec<dude_nvm::thread::JoinHandle<()>>,
     /// Stop signal + handle for the metrics sampler (`None` when metrics
     /// are disabled, or after shutdown).
-    sampler: Mutex<Option<(Sender<()>, dude_nvm::thread::JoinHandle<()>)>>,
+    sampler: Option<(Sender<()>, dude_nvm::thread::JoinHandle<()>)>,
     name: &'static str,
 }
 
@@ -454,11 +451,11 @@ impl<E: TmEngine> DudeTm<E> {
             shared,
             metrics,
             record_senders,
-            batch_sender: Mutex::new(Some(batch_tx)),
+            batch_sender: Some(batch_tx),
             history: Mutex::new(None),
             next_slot: AtomicUsize::new(0),
-            workers: Mutex::new(workers),
-            sampler: Mutex::new(sampler),
+            workers,
+            sampler,
             name: match config.durability {
                 DurabilityMode::Async { .. } => "DudeTM",
                 DurabilityMode::AsyncUnbounded => "DudeTM-Inf",
@@ -485,7 +482,7 @@ impl<E: TmEngine> DudeTm<E> {
     /// The global durable transaction ID: every transaction with an ID at or
     /// below this is persistent (§3.3).
     pub fn durable_id(&self) -> u64 {
-        self.shared.tracker.watermark()
+        self.shared.durable.load(Ordering::Acquire)
     }
 
     /// The reproduced ID: every transaction at or below this has been
@@ -572,14 +569,14 @@ impl<E: TmEngine> DudeTm<E> {
         self.record_senders.clear();
         // Disconnect our copy of the persist→reproduce sender (persist
         // workers hold clones until they exit).
-        *self.batch_sender.lock() = None;
-        for handle in self.workers.lock().drain(..) {
+        self.batch_sender = None;
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
         // Stop the sampler only after the pipeline workers have drained:
         // its shutdown frame then reconciles exactly with the final
         // snapshot instead of racing the last checkpoint.
-        if let Some((stop, handle)) = self.sampler.lock().take() {
+        if let Some((stop, handle)) = self.sampler.take() {
             let _ = stop.send(());
             drop(stop);
             let _ = handle.join();
@@ -621,15 +618,11 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
             self.shared.config.max_threads
         );
         let sink = match self.shared.config.durability {
-            DurabilityMode::Sync => Sink::Sync {
+            DurabilityMode::Sync => Sink::Sync(SyncSink {
                 ring_idx: slot,
-                batches: self
-                    .batch_sender
-                    .lock()
-                    .as_ref()
-                    .expect("runtime is shut down")
-                    .clone(),
-            },
+                batches: self.batch_sender.clone().expect("runtime is shut down"),
+                sweep: Sweep::default(),
+            }),
             _ => Sink::Channel(self.record_senders[slot].clone()),
         };
         DtmThread {
@@ -641,8 +634,6 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
                 shared: Arc::clone(&self.shared),
                 shadow: Arc::clone(&self.shadow),
                 history: self.history.lock().clone(),
-                buf: Vec::new(),
-                combiner: Combiner::default(),
                 last_commit_bytes: 0,
             },
         }

@@ -2,7 +2,7 @@
 //!
 //! Only compiled under `cfg(feature = "sim")`. Each knob arms one known
 //! ordering mutation in the pipeline; `tests/sim_schedules.rs` verifies
-//! the seeded schedule explorer *catches* both within its default seed
+//! the seeded schedule explorer *catches* each within its default seed
 //! budget — the sharpness check that keeps the fuzzer honest. The knobs
 //! are process-global, so arm them only around a single-threaded test
 //! harness section and disarm in a drop guard.
@@ -13,8 +13,9 @@ static SKIP_GROUP_FENCE: AtomicBool = AtomicBool::new(false);
 static FRONTIER_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
 
 /// Mutation A — dropped fence in the Persist publish path: when armed,
-/// Persist workers skip the per-sweep `fence()` between appending units
-/// to the log rings and publishing them. The bytes may still sit in the
+/// every Persist sweep — a worker's, or a `Sync` client's inline one —
+/// skips the `fence()` between appending units to the log rings and
+/// publishing them. The bytes may still sit in the
 /// device's flushed-but-unfenced buffer when durability is announced, so
 /// a planned crash loses transactions the durable watermark already
 /// covered.
@@ -51,7 +52,7 @@ pub struct MutationGuard {
 /// The injectable mutations, for [`MutationGuard::arm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Mutation A: Persist workers skip the pre-publication fence.
+    /// Mutation A: Persist sweeps skip the pre-publication fence.
     SkipGroupFence,
     /// Mutation B: shard workers publish an off-by-one frontier.
     FrontierOffByOne,

@@ -1,167 +1,198 @@
-//! Dense-sequence watermark tracking (the global *durable ID*).
+//! Dense transaction-ID order (the global *durable ID* and the replay
+//! order).
 //!
 //! Persist threads flush redo logs out of order (§3.3), so "transaction
 //! `t` is durable" does not mean "all transactions before `t` are durable".
 //! The paper defines the *durable ID* as the largest `D` such that every
-//! transaction with ID ≤ `D` has been persisted. [`SequenceTracker`] computes
-//! exactly that: threads `mark` IDs as they complete, and `watermark` is the
-//! length of the completed prefix.
+//! transaction with ID ≤ `D` has been persisted, and Reproduce replays in
+//! that same order. [`DenseReorder`] is the one structure that turns
+//! completions in any order into that order: items are pushed with the ID
+//! range they cover and popped only once nothing is missing in front of
+//! them, so the last ID popped *is* the completed prefix.
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
-/// Tracks completion of a dense ID sequence `1, 2, 3, …` and exposes the
-/// completed-prefix watermark.
+/// Reorders items covering disjoint ID ranges of a dense sequence
+/// `start + 1, start + 2, …` into ascending, gap-free order.
 ///
 /// # Example
 ///
 /// ```
-/// use dudetm::SequenceTracker;
+/// use dudetm::DenseReorder;
 ///
-/// let t = SequenceTracker::new();
-/// t.mark(2);
-/// assert_eq!(t.watermark(), 0); // 1 missing
-/// t.mark(1);
-/// assert_eq!(t.watermark(), 2);
+/// let mut order = DenseReorder::starting_at(0);
+/// order.push(2, 3, "b");
+/// assert_eq!(order.pop(), None); // 1 missing
+/// order.push(1, 1, "a");
+/// assert_eq!(order.pop(), Some((1, 1, "a")));
+/// assert_eq!(order.pop(), Some((2, 3, "b")));
+/// assert_eq!(order.complete(), 3);
 /// ```
-#[derive(Debug, Default)]
-pub struct SequenceTracker {
-    /// Largest `D` with all of `1..=D` marked.
-    watermark: AtomicU64,
-    /// Marked IDs above the watermark (min-heap via `Reverse`).
-    pending: Mutex<BinaryHeap<std::cmp::Reverse<u64>>>,
+#[derive(Debug)]
+pub struct DenseReorder<T> {
+    /// Largest `D` with every ID in `start + 1..=D` popped.
+    complete: u64,
+    /// Pushed ranges not yet popped (min-heap on `first`).
+    pending: BinaryHeap<Entry<T>>,
 }
 
-impl SequenceTracker {
-    /// Creates a tracker with an empty sequence (watermark 0).
-    pub fn new() -> Self {
-        Self::starting_at(0)
-    }
+#[derive(Debug)]
+struct Entry<T> {
+    first: u64,
+    last: u64,
+    item: T,
+}
 
-    /// Creates a tracker whose prefix `1..=start` is already complete
-    /// (used after recovery, where `start` is the last recovered ID).
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.first == other.first
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse: BinaryHeap becomes a min-heap on `first`.
+        other.first.cmp(&self.first)
+    }
+}
+
+impl<T> DenseReorder<T> {
+    /// Creates a buffer whose prefix `..=start` is already complete (after
+    /// recovery, `start` is the last recovered ID).
     pub fn starting_at(start: u64) -> Self {
-        SequenceTracker {
-            watermark: AtomicU64::new(start),
-            pending: Mutex::new(BinaryHeap::new()),
+        DenseReorder {
+            complete: start,
+            pending: BinaryHeap::new(),
         }
     }
 
-    /// Marks `id` as complete and advances the watermark over any newly
-    /// contiguous prefix.
+    /// Adds `item`, covering the inclusive ID range `first..=last`. A range
+    /// is one entry however many IDs it covers.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was already at or below the watermark (double mark).
-    pub fn mark(&self, id: u64) {
-        let mut pending = self.pending.lock();
-        let mut wm = self.watermark.load(Ordering::Acquire);
-        assert!(id > wm, "id {id} marked twice (watermark {wm})");
-        pending.push(std::cmp::Reverse(id));
-        while pending
-            .peek()
-            .is_some_and(|&std::cmp::Reverse(next)| next == wm + 1)
-        {
-            pending.pop();
-            wm += 1;
-        }
-        self.watermark.store(wm, Ordering::Release);
+    /// Panics if the range is empty or starts at or below the completed
+    /// prefix (pushed twice).
+    pub fn push(&mut self, first: u64, last: u64, item: T) {
+        assert!(first <= last, "empty range {first}..={last}");
+        assert!(
+            first > self.complete,
+            "id {first} pushed twice (complete through {})",
+            self.complete
+        );
+        self.pending.push(Entry { first, last, item });
     }
 
-    /// Marks the whole inclusive range `lo..=hi` as complete.
-    pub fn mark_range(&self, lo: u64, hi: u64) {
-        for id in lo..=hi {
-            self.mark(id);
+    /// Removes the item that continues the completed prefix — `None` while
+    /// the next ID is still missing — and extends the prefix over its range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the smallest pending range overlaps the completed prefix
+    /// (pushed twice).
+    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+        let next = self.pending.peek()?.first;
+        assert!(
+            next > self.complete,
+            "id {next} pushed twice (complete through {})",
+            self.complete
+        );
+        if next != self.complete + 1 {
+            return None;
         }
+        let Entry { first, last, item } = self.pending.pop()?;
+        self.complete = last;
+        Some((first, last, item))
     }
 
-    /// Largest `D` such that every ID in `1..=D` has been marked.
+    /// Largest `D` such that every ID up to `D` has been popped.
     #[inline]
-    pub fn watermark(&self) -> u64 {
-        self.watermark.load(Ordering::Acquire)
+    pub fn complete(&self) -> u64 {
+        self.complete
     }
 
-    /// Number of IDs marked out of order (above the watermark), for
-    /// diagnostics.
+    /// Number of pushed ranges not yet popped, for diagnostics.
     pub fn pending_len(&self) -> usize {
-        self.pending.lock().len()
+        self.pending.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+
+    /// Pops everything poppable, returning the ranges in pop order.
+    fn drain<T>(order: &mut DenseReorder<T>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| order.pop())
+            .map(|(first, last, _)| (first, last))
+            .collect()
+    }
 
     #[test]
-    fn in_order_marks_advance_immediately() {
-        let t = SequenceTracker::new();
+    fn in_order_pushes_pop_immediately() {
+        let mut t = DenseReorder::starting_at(0);
         for i in 1..=10 {
-            t.mark(i);
-            assert_eq!(t.watermark(), i);
+            t.push(i, i, i * 10);
+            assert_eq!(t.pop(), Some((i, i, i * 10)));
+            assert_eq!(t.complete(), i);
         }
         assert_eq!(t.pending_len(), 0);
     }
 
     #[test]
-    fn out_of_order_marks_wait_for_gap() {
-        let t = SequenceTracker::new();
-        t.mark(3);
-        t.mark(2);
-        assert_eq!(t.watermark(), 0);
-        assert_eq!(t.pending_len(), 2);
-        t.mark(1);
-        assert_eq!(t.watermark(), 3);
-        assert_eq!(t.pending_len(), 0);
+    fn out_of_order_pushes_wait_for_gap() {
+        let mut t = DenseReorder::starting_at(0);
+        t.push(3, 3, ());
+        t.push(2, 2, ());
+        assert_eq!(t.pop(), None);
+        assert_eq!((t.complete(), t.pending_len()), (0, 2));
+        t.push(1, 1, ());
+        assert_eq!(drain(&mut t), [(1, 1), (2, 2), (3, 3)]);
+        assert_eq!((t.complete(), t.pending_len()), (3, 0));
     }
 
     #[test]
     fn starting_at_seeds_prefix() {
-        let t = SequenceTracker::starting_at(100);
-        assert_eq!(t.watermark(), 100);
-        t.mark(101);
-        assert_eq!(t.watermark(), 101);
+        let mut t = DenseReorder::starting_at(100);
+        assert_eq!(t.complete(), 100);
+        t.push(101, 101, ());
+        assert_eq!(drain(&mut t), [(101, 101)]);
+        assert_eq!(t.complete(), 101);
     }
 
     #[test]
-    fn mark_range_completes_block() {
-        let t = SequenceTracker::new();
-        t.mark_range(2, 5);
-        assert_eq!(t.watermark(), 0);
-        t.mark(1);
-        assert_eq!(t.watermark(), 5);
+    fn a_range_is_one_entry() {
+        let mut t = DenseReorder::starting_at(0);
+        t.push(2, 5, ());
+        assert_eq!(t.pop(), None);
+        assert_eq!((t.complete(), t.pending_len()), (0, 1));
+        t.push(1, 1, ());
+        assert_eq!(drain(&mut t), [(1, 1), (2, 5)]);
+        assert_eq!(t.complete(), 5);
     }
 
     #[test]
-    #[should_panic(expected = "marked twice")]
-    fn double_mark_panics() {
-        let t = SequenceTracker::new();
-        t.mark(1);
-        t.mark(1);
+    #[should_panic(expected = "pushed twice")]
+    fn double_push_below_the_prefix_panics() {
+        let mut t = DenseReorder::starting_at(0);
+        t.push(1, 1, ());
+        t.pop();
+        t.push(1, 1, ());
     }
 
     #[test]
-    fn concurrent_marks_reach_full_watermark() {
-        let t = Arc::new(SequenceTracker::new());
-        let n = 4000u64;
-        let mut handles = Vec::new();
-        for part in 0..4u64 {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                // Interleaved stripes: thread p marks p+1, p+5, p+9, …
-                let mut id = part + 1;
-                while id <= n {
-                    t.mark(id);
-                    id += 4;
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.watermark(), n);
-        assert_eq!(t.pending_len(), 0);
+    #[should_panic(expected = "pushed twice")]
+    fn double_push_above_the_prefix_panics_at_pop() {
+        let mut t = DenseReorder::starting_at(0);
+        t.push(1, 2, ());
+        t.push(2, 2, ());
+        t.pop();
+        t.pop();
     }
 }

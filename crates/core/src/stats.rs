@@ -280,7 +280,7 @@ pub(crate) fn snapshot(shared: &Shared, committed: u64) -> PipelineSnapshot {
     PipelineSnapshot {
         counters: shared.stats.snapshot(),
         committed,
-        durable: shared.tracker.watermark(),
+        durable: shared.durable.load(Ordering::Acquire),
         reproduced: shared.reproduced.load(Ordering::Acquire),
         ring_used_words: shared.rings.iter().map(|r| r.used_words()).collect(),
         shard_completed: shared.frontier.snapshot_completed(),

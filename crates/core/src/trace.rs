@@ -123,7 +123,8 @@ impl Stage {
 pub enum TraceEventKind {
     /// A transaction committed on a Perform thread.
     Commit = 0,
-    /// A Persist worker's ordering barrier (covers one flush sweep).
+    /// A Persist sweep's ordering barrier (a worker's, or a `Sync`
+    /// client's inline one).
     PersistBarrier = 1,
     /// A combined group was serialized and appended to its log ring
     /// (grouping mode; `bytes` = stored payload; the covering fence is the
@@ -474,7 +475,9 @@ pub struct Trace {
     /// Perform thread (includes aborted attempts of the same transaction).
     pub commit_latency_ns: LatencyHistogram,
     /// Duration of each Persist-stage ordering barrier (the modeled NVM
-    /// fence cost plus scheduling).
+    /// fence cost plus scheduling): one sample per sweep — a Persist
+    /// worker's, or under `DurabilityMode::Sync` the committing thread's
+    /// inline one.
     pub persist_barrier_ns: LatencyHistogram,
     /// Stored bytes of each combined group flush (grouping mode only).
     pub group_flush_bytes: LatencyHistogram,
@@ -483,7 +486,8 @@ pub struct Trace {
     pub replay_apply_ns: Vec<LatencyHistogram>,
     /// Each Persist worker's share of `persist_barrier_ns`: its per-sweep
     /// fences (index = worker; all empty under `DurabilityMode::Sync`,
-    /// which spawns no worker).
+    /// which spawns no worker — its inline sweeps land in
+    /// `persist_barrier_ns` only).
     pub flush_worker_ns: Vec<LatencyHistogram>,
     /// Stall counters (see [`StallCounters`]).
     pub stalls: StallCounters,
@@ -572,6 +576,15 @@ impl Trace {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.config.enabled
+    }
+
+    /// Counts one tick of the stall `pick` selects (no-op when disabled:
+    /// stall accounting is gated with the rest of the layer).
+    #[inline]
+    pub fn stall(&self, pick: impl FnOnce(&StallCounters) -> &AtomicU64) {
+        if self.enabled() {
+            pick(&self.stalls).fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The configuration the layer was built with.

@@ -7,7 +7,7 @@ use dudetm::log::{
     combine, parse_record, serialize_abort, serialize_commit, serialize_group, LogRecord,
 };
 use dudetm::{
-    scan_region, shard_of, split_writes, ReproduceFrontier, SequenceTracker, SHARD_GRAIN_BYTES,
+    scan_region, shard_of, split_writes, DenseReorder, ReproduceFrontier, SHARD_GRAIN_BYTES,
 };
 
 /// A payload word free to pass for a record header: half the time any
@@ -69,20 +69,25 @@ fn serialize_spec(spec: &RecordSpec, buf: &mut Vec<u64>) -> (u64, u64, Vec<(u64,
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// SequenceTracker's watermark always equals the naive model: the
-    /// largest D with all of 1..=D marked.
+    /// DenseReorder's completed prefix always equals the naive model: the
+    /// largest D with all of 1..=D pushed — and every pop extends it by
+    /// exactly the next ID.
     #[test]
     fn seqtracker_matches_model(ids in proptest::collection::vec(1u64..200, 1..100)) {
         let mut unique = ids.clone();
         unique.sort_unstable();
         unique.dedup();
-        let tracker = SequenceTracker::new();
-        let mut marked = std::collections::HashSet::new();
+        let mut order = DenseReorder::starting_at(0);
+        let mut pushed = std::collections::HashSet::new();
         for &id in &unique {
-            tracker.mark(id);
-            marked.insert(id);
-            let model = (1..).take_while(|d| marked.contains(d)).count() as u64;
-            prop_assert_eq!(tracker.watermark(), model);
+            order.push(id, id, ());
+            pushed.insert(id);
+            while let Some((first, last, ())) = order.pop() {
+                prop_assert_eq!((first, last), (order.complete(), order.complete()));
+            }
+            let model = (1..).take_while(|d| pushed.contains(d)).count() as u64;
+            prop_assert_eq!(order.complete(), model);
+            prop_assert_eq!(order.pending_len() as u64, pushed.len() as u64 - model);
         }
     }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
-use dudetm::{DudeTm, DudeTmConfig, DurabilityMode, PipelineSnapshot, TraceConfig};
+use dudetm::{DudeTm, DudeTmConfig, DurabilityMode, PipelineSnapshot, TraceConfig, TraceEventKind};
 
 fn test_nvm(bytes: u64) -> Arc<Nvm> {
     Arc::new(Nvm::new(NvmConfig::for_testing(bytes)))
@@ -286,6 +286,36 @@ fn sync_ring_full_waits_are_counted() {
         (on.committed, on.durable, on.reproduced),
         (off.committed, off.durable, off.reproduced)
     );
+}
+
+/// A `Sync` commit's inline Persist step is a sweep like a worker's: its
+/// fence is timed and traced, once per transaction. No worker exists, so
+/// no `flush_worker_ns` series takes a sample.
+#[test]
+fn sync_sweeps_are_timed_and_traced() {
+    const COMMITS: u64 = 100;
+    let nvm = test_nvm(8 << 20);
+    let cfg = config(TraceConfig::enabled(65536)).with_durability(DurabilityMode::Sync);
+    let dude = DudeTm::create_stm(nvm, cfg);
+    {
+        let mut t = dude.register_thread();
+        for i in 0..COMMITS {
+            t.run(&mut |tx| tx.write_word(PAddr::from_word_index(i % 64), i))
+                .expect_committed();
+        }
+    }
+    dude.quiesce();
+    let trace = dude.trace();
+    assert_eq!(trace.persist_barrier_ns.snapshot().count, COMMITS);
+    assert_eq!(trace.ring().dropped(), 0, "65536-record ring must not drop");
+    let barriers: Vec<u64> = (trace.ring().records().iter())
+        .filter(|r| r.event == TraceEventKind::PersistBarrier)
+        .map(|r| r.tid)
+        .collect();
+    assert_eq!(barriers, (1..=COMMITS).collect::<Vec<_>>());
+    for worker in &trace.flush_worker_ns {
+        assert_eq!(worker.snapshot().count, 0);
+    }
 }
 
 /// The summary line always carries the five stall counters, and the trace

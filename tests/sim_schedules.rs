@@ -24,12 +24,12 @@
 //! * `DUDE_SIM_SEED=n` — replay exactly one schedule seed everywhere,
 //!   skipping derivation. This is the failure-replay entry point.
 //!
-//! The two `mutation_*` tests are the sharpness check: each arms one
+//! The three `mutation_*` tests are the sharpness check: each arms one
 //! injected ordering bug ([`dudetm::sabotage`]) — a dropped fence in the
-//! Persist publish path, an off-by-one frontier publish in
-//! sharded Reproduce — and asserts the seed sweep *catches* it within the
-//! default budget. A fuzzer that passes those two mutations but fails a
-//! real run is telling the truth.
+//! Persist sweep (once on Persist workers, once inline under `Sync`), an
+//! off-by-one frontier publish in sharded Reproduce — and asserts the seed
+//! sweep *catches* it within the default budget. A fuzzer that passes those
+//! three mutations but fails a real run is telling the truth.
 
 #![cfg(feature = "sim")]
 
@@ -584,6 +584,23 @@ fn schedules_sharded_counters() {
     );
 }
 
+/// `DurabilityMode::Sync`: no Persist thread — each client runs the sweep
+/// inline and the three of them race in `publish`.
+fn sync_combo(name: &'static str) -> Combo {
+    Combo {
+        name,
+        cfg: cfg(1, 1, false, 1).with_durability(DurabilityMode::Sync),
+        workload: Workload::Bank,
+        threads: 3,
+        ops: 8,
+    }
+}
+
+#[test]
+fn schedules_sync_bank() {
+    explore(&sync_combo("sim sync rt=1"), 4);
+}
+
 // ---------------------------------------------------------------------------
 // Mutation sharpness: the fuzzer must catch known-injected ordering bugs
 // ---------------------------------------------------------------------------
@@ -682,6 +699,16 @@ fn mutation_dropped_group_fence_is_caught() {
             threads: 3,
             ops: 8,
         },
+    );
+}
+
+/// The same gate covers the inline sweep: a `Sync` commit that returns
+/// without its fence has acknowledged a transaction a crash can lose.
+#[test]
+fn mutation_dropped_sync_fence_is_caught() {
+    assert_mutation_caught(
+        Mutation::SkipGroupFence,
+        &sync_combo("mutation-A sync rt=1"),
     );
 }
 
