@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dude_nvm::{Nvm, Region};
-use dude_stm::{NoHooks, Stm, StmConfig, WordMemory};
-use dude_txapi::{PAddr, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
+use dude_stm::{HeapTxn, NoHooks, Stm, StmConfig, WordMemory};
+use dude_txapi::{TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
 use dudetm::log::{parse_record, serialize_commit};
 
 use crate::BaselineConfig;
@@ -170,23 +170,6 @@ pub struct MnemosyneThread<'s> {
     buf: Vec<u64>,
 }
 
-struct MnemosyneTxn<'x> {
-    inner: &'x mut dyn dude_stm::TmAccess,
-    heap_bytes: u64,
-}
-
-impl Txn for MnemosyneTxn<'_> {
-    fn read_word(&mut self, addr: PAddr) -> TxResult<u64> {
-        assert!(addr.is_word_aligned() && addr.offset() + 8 <= self.heap_bytes);
-        self.inner.tm_read(addr.offset())
-    }
-
-    fn write_word(&mut self, addr: PAddr, val: u64) -> TxResult<()> {
-        assert!(addr.is_word_aligned() && addr.offset() + 8 <= self.heap_bytes);
-        self.inner.tm_write(addr.offset(), val)
-    }
-}
-
 impl TxnSystem for Mnemosyne {
     type Thread<'a>
         = MnemosyneThread<'a>
@@ -217,7 +200,6 @@ impl TxnSystem for Mnemosyne {
 impl TxnThread for MnemosyneThread<'_> {
     fn run<T>(&mut self, body: &mut dyn FnMut(&mut dyn Txn) -> TxResult<T>) -> TxnOutcome<T> {
         let heap_bytes = self.sys.config.heap_bytes;
-        let mut slot = None;
         // Split-borrow dance: the STM thread and the log state are both
         // fields of self, used by different closures.
         let sys = self.sys;
@@ -245,23 +227,10 @@ impl TxnThread for MnemosyneThread<'_> {
                 sys.nvm.flush(log.start(), 8);
                 sys.nvm.fence();
             },
-            |tx| {
-                let mut t = MnemosyneTxn {
-                    inner: tx,
-                    heap_bytes,
-                };
-                slot = Some(body(&mut t)?);
-                Ok(())
-            },
+            |tx| body(&mut HeapTxn::new(tx, heap_bytes)),
         );
         self.cursor = cursor;
-        match out {
-            TxnOutcome::Committed { info, .. } => TxnOutcome::Committed {
-                value: slot.take().expect("committed body produced a value"),
-                info,
-            },
-            TxnOutcome::Aborted => TxnOutcome::Aborted,
-        }
+        out
     }
 }
 
@@ -269,6 +238,7 @@ impl TxnThread for MnemosyneThread<'_> {
 mod tests {
     use super::*;
     use dude_nvm::NvmConfig;
+    use dude_txapi::PAddr;
 
     fn setup(heap_bytes: u64) -> (Arc<Nvm>, BaselineConfig) {
         let config = BaselineConfig {

@@ -2,38 +2,8 @@
 //! "Volatile-HTM" in Figure 2 and Table 4.
 
 use dude_htm::{Htm, HtmConfig};
-use dude_stm::{NoHooks, Stm, StmConfig, VecMemory};
-use dude_txapi::{PAddr, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
-
-/// Word-aligned, bounds-checked `Txn` adapter over a `TmAccess`.
-struct AccessTxn<'x> {
-    inner: &'x mut dyn dude_stm::TmAccess,
-    heap_bytes: u64,
-}
-
-impl AccessTxn<'_> {
-    #[inline]
-    fn check(&self, addr: PAddr) {
-        assert!(addr.is_word_aligned(), "unaligned access: {addr}");
-        assert!(
-            addr.offset() + 8 <= self.heap_bytes,
-            "address {addr} beyond heap of {} bytes",
-            self.heap_bytes
-        );
-    }
-}
-
-impl Txn for AccessTxn<'_> {
-    fn read_word(&mut self, addr: PAddr) -> TxResult<u64> {
-        self.check(addr);
-        self.inner.tm_read(addr.offset())
-    }
-
-    fn write_word(&mut self, addr: PAddr, val: u64) -> TxResult<()> {
-        self.check(addr);
-        self.inner.tm_write(addr.offset(), val)
-    }
-}
+use dude_stm::{HeapTxn, NoHooks, Stm, StmConfig, VecMemory};
+use dude_txapi::{TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
 
 /// The plain TinySTM-on-DRAM system: DudeTM's theoretical upper bound.
 #[derive(Debug)]
@@ -62,7 +32,6 @@ impl VolatileStm {
 pub struct VolatileStmThread<'s> {
     thread: dude_stm::StmThread<'s>,
     mem: &'s VecMemory,
-    heap_bytes: u64,
 }
 
 impl TxnSystem for VolatileStm {
@@ -75,7 +44,6 @@ impl TxnSystem for VolatileStm {
         VolatileStmThread {
             thread: self.stm.register(),
             mem: &self.mem,
-            heap_bytes: self.mem.size_bytes(),
         }
     }
 
@@ -90,23 +58,10 @@ impl TxnSystem for VolatileStm {
 
 impl TxnThread for VolatileStmThread<'_> {
     fn run<T>(&mut self, body: &mut dyn FnMut(&mut dyn Txn) -> TxResult<T>) -> TxnOutcome<T> {
-        let heap_bytes = self.heap_bytes;
-        let mut slot = None;
-        let out = self.thread.run(self.mem, &mut NoHooks, |tx| {
-            let mut t = AccessTxn {
-                inner: tx,
-                heap_bytes,
-            };
-            slot = Some(body(&mut t)?);
-            Ok(())
-        });
-        match out {
-            TxnOutcome::Committed { info, .. } => TxnOutcome::Committed {
-                value: slot.take().expect("committed body produced a value"),
-                info,
-            },
-            TxnOutcome::Aborted => TxnOutcome::Aborted,
-        }
+        let heap_bytes = self.mem.size_bytes();
+        self.thread.run(self.mem, &mut NoHooks, |tx| {
+            body(&mut HeapTxn::new(tx, heap_bytes))
+        })
     }
 }
 
@@ -137,7 +92,6 @@ impl VolatileHtm {
 pub struct VolatileHtmThread<'s> {
     thread: dude_htm::HtmThread<'s>,
     mem: &'s VecMemory,
-    heap_bytes: u64,
 }
 
 impl TxnSystem for VolatileHtm {
@@ -150,7 +104,6 @@ impl TxnSystem for VolatileHtm {
         VolatileHtmThread {
             thread: self.htm.register(),
             mem: &self.mem,
-            heap_bytes: self.mem.size_bytes(),
         }
     }
 
@@ -165,29 +118,17 @@ impl TxnSystem for VolatileHtm {
 
 impl TxnThread for VolatileHtmThread<'_> {
     fn run<T>(&mut self, body: &mut dyn FnMut(&mut dyn Txn) -> TxResult<T>) -> TxnOutcome<T> {
-        let heap_bytes = self.heap_bytes;
-        let mut slot = None;
-        let out = self.thread.run(self.mem, &mut NoHooks, |tx| {
-            let mut t = AccessTxn {
-                inner: tx,
-                heap_bytes,
-            };
-            slot = Some(body(&mut t)?);
-            Ok(())
-        });
-        match out {
-            TxnOutcome::Committed { info, .. } => TxnOutcome::Committed {
-                value: slot.take().expect("committed body produced a value"),
-                info,
-            },
-            TxnOutcome::Aborted => TxnOutcome::Aborted,
-        }
+        let heap_bytes = self.mem.size_bytes();
+        self.thread.run(self.mem, &mut NoHooks, |tx| {
+            body(&mut HeapTxn::new(tx, heap_bytes))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dude_txapi::PAddr;
 
     fn increment_loop<S: TxnSystem>(sys: &S, n: u64) {
         let mut t = sys.register_thread();

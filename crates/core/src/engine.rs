@@ -6,15 +6,23 @@
 //! runtime encodes that claim in a trait: the Perform step only ever talks
 //! to [`TmEngine`] / [`EngineThread`], and both [`dude_stm::Stm`] and
 //! [`dude_htm::Htm`] implement them without modification to their crates.
+//! Dispatch is static: [`crate::DtmThread`] hands its shadow view and redo
+//! hooks to the engine's own transaction types, the same code path the
+//! volatile baselines run.
 
-use dude_htm::Htm;
-use dude_stm::{Stm, TmAccess, TxHooks, WordMemory};
+use dude_htm::{Htm, HtmThread};
+use dude_stm::{Stm, StmThread, TmAccess, TxHooks, WordMemory};
 use dude_txapi::{TxResult, TxnOutcome};
 
 /// A transactional-memory implementation usable by the Perform step.
 pub trait TmEngine: Send + Sync {
+    /// The engine's per-thread executor.
+    type Thread<'a>: EngineThread
+    where
+        Self: 'a;
+
     /// Registers the calling thread with the TM.
-    fn engine_thread(&self) -> Box<dyn EngineThread + '_>;
+    fn engine_thread(&self) -> Self::Thread<'_>;
 
     /// Current value of the TM's global commit clock (the ID of the most
     /// recent update transaction).
@@ -28,17 +36,19 @@ pub trait TmEngine: Send + Sync {
 pub trait EngineThread {
     /// Runs `body` as one transaction over `mem`, reporting writes, commits
     /// and aborts through `hooks`, retrying internally on conflicts.
-    fn run_txn(
+    fn run_txn<M: WordMemory + ?Sized, H: TxHooks, R>(
         &mut self,
-        mem: &dyn WordMemory,
-        hooks: &mut dyn TxHooks,
-        body: &mut dyn FnMut(&mut dyn TmAccess) -> TxResult<()>,
-    ) -> TxnOutcome<()>;
+        mem: &M,
+        hooks: &mut H,
+        body: impl FnMut(&mut dyn TmAccess) -> TxResult<R>,
+    ) -> TxnOutcome<R>;
 }
 
 impl TmEngine for Stm {
-    fn engine_thread(&self) -> Box<dyn EngineThread + '_> {
-        Box::new(self.register())
+    type Thread<'a> = StmThread<'a>;
+
+    fn engine_thread(&self) -> StmThread<'_> {
+        self.register()
     }
 
     fn clock_now(&self) -> u64 {
@@ -50,21 +60,22 @@ impl TmEngine for Stm {
     }
 }
 
-impl EngineThread for dude_stm::StmThread<'_> {
-    fn run_txn(
+impl EngineThread for StmThread<'_> {
+    fn run_txn<M: WordMemory + ?Sized, H: TxHooks, R>(
         &mut self,
-        mem: &dyn WordMemory,
-        hooks: &mut dyn TxHooks,
-        body: &mut dyn FnMut(&mut dyn TmAccess) -> TxResult<()>,
-    ) -> TxnOutcome<()> {
-        let mut hooks = hooks;
-        self.run(mem, &mut hooks, |tx| body(tx))
+        mem: &M,
+        hooks: &mut H,
+        mut body: impl FnMut(&mut dyn TmAccess) -> TxResult<R>,
+    ) -> TxnOutcome<R> {
+        self.run(mem, hooks, |tx| body(tx))
     }
 }
 
 impl TmEngine for Htm {
-    fn engine_thread(&self) -> Box<dyn EngineThread + '_> {
-        Box::new(self.register())
+    type Thread<'a> = HtmThread<'a>;
+
+    fn engine_thread(&self) -> HtmThread<'_> {
+        self.register()
     }
 
     fn clock_now(&self) -> u64 {
@@ -76,15 +87,14 @@ impl TmEngine for Htm {
     }
 }
 
-impl EngineThread for dude_htm::HtmThread<'_> {
-    fn run_txn(
+impl EngineThread for HtmThread<'_> {
+    fn run_txn<M: WordMemory + ?Sized, H: TxHooks, R>(
         &mut self,
-        mem: &dyn WordMemory,
-        hooks: &mut dyn TxHooks,
-        body: &mut dyn FnMut(&mut dyn TmAccess) -> TxResult<()>,
-    ) -> TxnOutcome<()> {
-        let mut hooks = hooks;
-        self.run(mem, &mut hooks, |tx| body(tx))
+        mem: &M,
+        hooks: &mut H,
+        mut body: impl FnMut(&mut dyn TmAccess) -> TxResult<R>,
+    ) -> TxnOutcome<R> {
+        self.run(mem, hooks, |tx| body(tx))
     }
 }
 
@@ -93,11 +103,11 @@ mod tests {
     use super::*;
     use dude_stm::{NoHooks, StmConfig, VecMemory};
 
-    fn exercise(engine: &dyn TmEngine) {
+    fn exercise<E: TmEngine>(engine: &E) {
         let mem = VecMemory::new(1024);
         let mut th = engine.engine_thread();
         let mut hooks = NoHooks;
-        let out = th.run_txn(&mem, &mut hooks, &mut |tx| {
+        let out = th.run_txn(&mem, &mut hooks, |tx| {
             let v = tx.tm_read(0)?;
             tx.tm_write(0, v + 1)
         });

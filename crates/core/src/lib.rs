@@ -81,7 +81,7 @@ pub use metrics::{
 };
 pub use plog::{scan_region, PlogRing, PlogSpan};
 pub use recovery::{recover_device, recover_device_observed, RecoverError, RecoveryReport};
-pub use runtime::{dtm_abort, DtmThread, DtmTx, DudeTm, NvmLayout, RedoHooks};
+pub use runtime::{dtm_abort, DtmThread, DudeTm, NvmLayout, RedoHooks};
 pub use seqtrack::DenseReorder;
 pub use shadow::{PagingMode, ShadowConfig, ShadowMem, ShadowStats, ShadowView, PAGE_BYTES};
 pub use stats::{

@@ -57,16 +57,9 @@ pub struct MetricsConfig {
     /// Sampler cadence. Under `--features sim` this is virtual time on the
     /// simulated clock, so sampled schedules stay deterministic.
     pub sample_interval: Duration,
-    /// Bounded capacity of the frame ring; the oldest frames are dropped
-    /// once it fills.
-    pub frame_capacity: usize,
 }
 
 impl MetricsConfig {
-    /// Default capacity of the frame ring (about 40 s of history at the
-    /// 10 ms cadence CI uses).
-    pub const DEFAULT_FRAME_CAPACITY: usize = 4096;
-
     /// Telemetry off — the default. The sampler is not spawned and the
     /// pipeline's observable behavior is identical to a build without the
     /// layer (verified by `tests/metrics_layer.rs`).
@@ -75,12 +68,11 @@ impl MetricsConfig {
         MetricsConfig {
             enabled: false,
             sample_interval: Duration::from_millis(10),
-            frame_capacity: 0,
         }
     }
 
     /// Telemetry on, sampling a frame every `sample_interval` into a ring
-    /// of [`MetricsConfig::DEFAULT_FRAME_CAPACITY`] frames.
+    /// of [`MetricsRegistry::FRAME_CAPACITY`] frames.
     ///
     /// # Panics
     ///
@@ -94,23 +86,7 @@ impl MetricsConfig {
         MetricsConfig {
             enabled: true,
             sample_interval,
-            frame_capacity: Self::DEFAULT_FRAME_CAPACITY,
         }
-    }
-
-    /// Replaces the frame-ring capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if telemetry is enabled and `frame_capacity` is zero.
-    #[must_use]
-    pub fn with_frame_capacity(mut self, frame_capacity: usize) -> Self {
-        assert!(
-            !self.enabled || frame_capacity > 0,
-            "an enabled sampler needs frame capacity"
-        );
-        self.frame_capacity = frame_capacity;
-        self
     }
 }
 
@@ -131,6 +107,10 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    /// Capacity of the frame ring (about 40 s of history at the 10 ms
+    /// cadence CI uses); the oldest frames are dropped once it fills.
+    pub const FRAME_CAPACITY: usize = 4096;
+
     pub(crate) fn new(shared: Arc<Shared>) -> Self {
         MetricsRegistry {
             shared,
@@ -164,7 +144,7 @@ impl MetricsRegistry {
 
     /// Captures one frame now, with rates derived against the previous
     /// frame in the ring, dropping the oldest once the ring holds
-    /// `frame_capacity` frames.
+    /// [`MetricsRegistry::FRAME_CAPACITY`] frames.
     pub(crate) fn sample(&self) {
         let snap = self.snapshot();
         let mut frames = self.frames.lock();
@@ -176,7 +156,7 @@ impl MetricsRegistry {
             ..MetricsFrame::default()
         }
         .with_rates_from(frames.back());
-        if frames.len() == self.config().frame_capacity.max(1) {
+        if frames.len() == Self::FRAME_CAPACITY {
             frames.pop_front();
         }
         frames.push_back(frame);
@@ -722,13 +702,12 @@ mod tests {
     /// The catalog, by frame key, in declaration order. The DESIGN.md §7
     /// table carries one row per name here; a cell added to the code
     /// without a row in both fails [`catalog_walk`].
-    const CATALOG: [&str; 40] = [
+    const CATALOG: [&str; 39] = [
         "commits",
         "abort_markers",
         "records_persisted",
         "entries_logged",
         "groups_persisted",
-        "entries_before_combine",
         "entries_after_combine",
         "group_bytes_raw",
         "group_bytes_stored",
@@ -765,20 +744,21 @@ mod tests {
         "recovery_bytes_wiped",
     ];
 
-    /// The frame line the pre-catalog `to_json_line` printed for the values
-    /// [`catalog_walk`] sets: recorded `--metrics-out` files must keep
+    /// The frame line `to_json_line` prints for the values [`catalog_walk`]
+    /// sets: the pre-catalog line minus `entries_before_combine`, which
+    /// duplicated `entries_logged`. Recorded `--metrics-out` files must keep
     /// parsing, so keys, order and number formatting are pinned to it.
     const GOLDEN_FRAME: &str = "{\"seq\":0,\"ts_ns\":2000000,\"dt_ns\":2000000,\
         \"commits\":101,\"abort_markers\":102,\"records_persisted\":103,\
-        \"entries_logged\":104,\"groups_persisted\":105,\"entries_before_combine\":106,\
-        \"entries_after_combine\":107,\"group_bytes_raw\":108,\"group_bytes_stored\":109,\
-        \"txns_reproduced\":110,\"checkpoints\":111,\"log_bytes_flushed\":112,\
+        \"entries_logged\":104,\"groups_persisted\":105,\
+        \"entries_after_combine\":106,\"group_bytes_raw\":107,\"group_bytes_stored\":108,\
+        \"txns_reproduced\":109,\"checkpoints\":110,\"log_bytes_flushed\":111,\
         \"committed\":40,\"durable\":33,\"reproduced\":20,\"persist_lag\":7,\
         \"reproduce_lag\":13,\"ring_used_words\":9,\"frontier_min\":21,\"frontier_skew\":8,\
         \"stall_perform_log_full\":201,\"stall_persist_ring_full\":202,\
         \"stall_persist_seq_wait\":203,\"stall_reproduce_starved\":204,\
         \"stall_checkpoint_wait\":205,\"commit_rate\":50500.000,\"persist_rate\":104000.000,\
-        \"replay_rate\":55000.000,\"flush_bytes_rate\":56000.000}";
+        \"replay_rate\":54500.000,\"flush_bytes_rate\":55500.000}";
 
     /// Every catalog entry — 2 shards + 2 Persist workers, each cell bumped
     /// to a distinct value — shows up with that value on every surface that
@@ -961,6 +941,14 @@ mod tests {
         // One missing integer key anywhere in the catalog rejects the line.
         let cut = line.replace("\"stall_checkpoint_wait\":0,", "");
         assert!(MetricsFrame::from_json_line(&cut).is_none());
+        // A line recorded before `entries_before_combine` was dropped still
+        // parses: unknown keys are ignored.
+        let old = line.replace(
+            "\"entries_after_combine\"",
+            "\"entries_before_combine\":0,\"entries_after_combine\"",
+        );
+        assert_ne!(old, line);
+        assert_eq!(MetricsFrame::from_json_line(&old), Some(frame));
     }
 
     #[test]
@@ -989,16 +977,17 @@ mod tests {
 
     #[test]
     fn frame_ring_is_bounded() {
-        let metrics = MetricsConfig::sampling(Duration::from_millis(1)).with_frame_capacity(3);
+        let metrics = MetricsConfig::sampling(Duration::from_millis(1));
         let reg = registry(DudeTmConfig::small(1 << 16).with_metrics(metrics));
-        for _ in 0..5 {
+        let cap = MetricsRegistry::FRAME_CAPACITY as u64;
+        for _ in 0..cap + 2 {
             reg.sample();
         }
         let frames = reg.frames();
-        assert_eq!(frames.len(), 3);
+        assert_eq!(frames.len() as u64, cap);
         assert_eq!(frames[0].seq, 2);
-        assert_eq!(reg.frames_recorded(), 5);
-        assert_eq!(reg.latest_frame().expect("latest").seq, 4);
+        assert_eq!(reg.frames_recorded(), cap + 2);
+        assert_eq!(reg.latest_frame().expect("latest").seq, cap + 1);
     }
 
     #[test]

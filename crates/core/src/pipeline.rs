@@ -180,7 +180,6 @@ pub(crate) fn try_stage(
         cell.fetch_add(n as u64, Ordering::Relaxed);
     };
     add(&stats.entries_logged, unit.entries_before);
-    add(&stats.entries_before_combine, unit.entries_before);
     add(&stats.entries_after_combine, unit.writes.len());
     match unit.kind {
         SealedKind::Group => {
@@ -854,7 +853,6 @@ mod tests {
         assert_eq!(batch.writes, writes);
         expect.records_persisted += 1;
         expect.entries_logged += 2;
-        expect.entries_before_combine += 2;
         expect.entries_after_combine += 2;
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(shared.stats.snapshot(), expect);
@@ -869,7 +867,6 @@ mod tests {
         assert_eq!(batch.writes, [(a, 3), (b, 2)]);
         expect.records_persisted += 1;
         expect.entries_logged += 3;
-        expect.entries_before_combine += 3;
         expect.entries_after_combine += 2;
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(shared.stats.snapshot(), expect);
@@ -897,7 +894,6 @@ mod tests {
         assert_eq!((batch.first_tid, batch.last_tid), (3, 6));
         assert_eq!(batch.writes, combined);
         expect.entries_logged += 48;
-        expect.entries_before_combine += 48;
         expect.entries_after_combine += 16;
         expect.group_bytes_raw += raw as u64;
         expect.group_bytes_stored += stored as u64;

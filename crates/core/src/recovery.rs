@@ -23,10 +23,10 @@
 //! the checkpoint is unique: records never overlap, so two qualifying runs
 //! would be adjacent and would have merged.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dude_nvm::Nvm;
+use dude_nvm::{Nvm, Region};
 
 use crate::config::{ConfigError, DudeTmConfig};
 use crate::log::ParsedRecord;
@@ -278,17 +278,7 @@ pub fn recover_device_observed(
     // above happens first, so a crash mid-wipe leaves only records the
     // checkpoint already filters out (or half-zeroed ones whose checksums
     // no longer verify).
-    for &region in &layout.plogs {
-        let mut off = region.start();
-        while off < region.end() {
-            if nvm.read_word(off) != 0 {
-                nvm.write_word(off, 0);
-                nvm.flush(off, 8);
-                telemetry.bytes_wiped.fetch_add(8, Ordering::Relaxed);
-            }
-            off += 8;
-        }
-    }
+    wipe_logs(nvm, &layout.plogs, &telemetry.bytes_wiped);
     nvm.fence();
     let wipe_ns = dude_nvm::monotonic_ns().saturating_sub(wipe_start);
     telemetry.set_phase(RecoveryPhase::Done);
@@ -304,4 +294,21 @@ pub fn recover_device_observed(
         wipe_ns,
     };
     Ok((layout, report))
+}
+
+/// Zeroes every non-zero word of the log regions `plogs`, flushing each;
+/// the caller fences. `wiped` counts the bytes per word, so a long wipe is
+/// observable mid-flight.
+pub(crate) fn wipe_logs(nvm: &Nvm, plogs: &[Region], wiped: &AtomicU64) {
+    for &region in plogs {
+        let mut off = region.start();
+        while off < region.end() {
+            if nvm.read_word(off) != 0 {
+                nvm.write_word(off, 0);
+                nvm.flush(off, 8);
+                wiped.fetch_add(8, Ordering::Relaxed);
+            }
+            off += 8;
+        }
+    }
 }

@@ -7,7 +7,8 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use dude_nvm::{Nvm, Region};
-use dude_txapi::{PAddr, TxAbort, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
+use dude_stm::HeapTxn;
+use dude_txapi::{TxAbort, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
 use parking_lot::Mutex;
 
 use crate::check::CommitHistory;
@@ -21,6 +22,7 @@ use crate::pipeline::{
     Seal, ShardWork, Sweep,
 };
 use crate::plog::PlogRing;
+use crate::recovery::wipe_logs;
 use crate::seqtrack::DenseReorder;
 use crate::shadow::ShadowMem;
 use crate::stats::{
@@ -300,16 +302,7 @@ impl<E: TmEngine> DudeTm<E> {
         // records from a previous generation, and recovery (which trusts any
         // record it can checksum) must never see them alias this generation's
         // transaction IDs after a crash.
-        for &region in &layout.plogs {
-            let mut off = region.start();
-            while off < region.end() {
-                if nvm.read_word(off) != 0 {
-                    nvm.write_word(off, 0);
-                    nvm.flush(off, 8);
-                }
-                off += 8;
-            }
-        }
+        wipe_logs(&nvm, &layout.plogs, &AtomicU64::new(0));
         nvm.fence();
         // Format the metadata block.
         nvm.write_word(layout.meta.start() + META_MAGIC_WORD * 8, META_MAGIC);
@@ -655,7 +648,7 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
 /// A registered Perform thread (the paper's `dtmBegin`/`dtmEnd` scope).
 pub struct DtmThread<'d, E: TmEngine> {
     dude: &'d DudeTm<E>,
-    engine_thread: Box<dyn EngineThread + 'd>,
+    engine_thread: E::Thread<'d>,
     hooks: RedoHooks,
 }
 
@@ -683,39 +676,23 @@ impl<'d, E: TmEngine> DtmThread<'d, E> {
             0
         };
         let view = self.dude.shadow.view();
-        let mut slot: Option<T> = None;
-        let outcome = self
-            .engine_thread
-            .run_txn(&view, &mut self.hooks, &mut |acc| {
-                let mut tx = DtmTx {
-                    inner: acc,
-                    heap_bytes,
-                };
-                slot = Some(body(&mut tx)?);
-                Ok(())
-            });
-        match outcome {
-            TxnOutcome::Committed { info, .. } => {
-                if trace.enabled() {
-                    let dur = dude_nvm::monotonic_ns().saturating_sub(start_ns);
-                    trace.commit_latency_ns.record(dur);
-                    trace.event(
-                        Stage::Perform,
-                        TraceEventKind::Commit,
-                        info.tid.unwrap_or(0),
-                        self.hooks.last_commit_bytes,
-                        dur,
-                    );
-                }
-                TxnOutcome::Committed {
-                    value: slot
-                        .take()
-                        .expect("committed body must have produced a value"),
-                    info,
-                }
+        let outcome = self.engine_thread.run_txn(&view, &mut self.hooks, |acc| {
+            body(&mut HeapTxn::new(acc, heap_bytes))
+        });
+        if let TxnOutcome::Committed { info, .. } = &outcome {
+            if trace.enabled() {
+                let dur = dude_nvm::monotonic_ns().saturating_sub(start_ns);
+                trace.commit_latency_ns.record(dur);
+                trace.event(
+                    Stage::Perform,
+                    TraceEventKind::Commit,
+                    info.tid.unwrap_or(0),
+                    self.hooks.last_commit_bytes,
+                    dur,
+                );
             }
-            TxnOutcome::Aborted => TxnOutcome::Aborted,
         }
+        outcome
     }
 }
 
@@ -732,48 +709,6 @@ impl<E: TmEngine> TxnThread for DtmThread<'_, E> {
 
     fn durable_watermark(&self) -> u64 {
         self.dude.durable_id()
-    }
-}
-
-/// The in-transaction handle: bounds-checked, word-aligned access to the
-/// persistent heap through the TM (paper's `dtmRead`/`dtmWrite`).
-pub struct DtmTx<'x> {
-    inner: &'x mut dyn dude_stm::TmAccess,
-    heap_bytes: u64,
-}
-
-impl std::fmt::Debug for DtmTx<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DtmTx")
-            .field("heap_bytes", &self.heap_bytes)
-            .finish()
-    }
-}
-
-impl DtmTx<'_> {
-    #[inline]
-    fn check(&self, addr: PAddr) {
-        assert!(
-            addr.is_word_aligned(),
-            "transactional access must be word-aligned: {addr}"
-        );
-        assert!(
-            addr.offset() + 8 <= self.heap_bytes,
-            "address {addr} beyond heap of {} bytes",
-            self.heap_bytes
-        );
-    }
-}
-
-impl Txn for DtmTx<'_> {
-    fn read_word(&mut self, addr: PAddr) -> TxResult<u64> {
-        self.check(addr);
-        self.inner.tm_read(addr.offset())
-    }
-
-    fn write_word(&mut self, addr: PAddr, val: u64) -> TxResult<()> {
-        self.check(addr);
-        self.inner.tm_write(addr.offset(), val)
     }
 }
 

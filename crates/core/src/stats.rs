@@ -148,7 +148,6 @@ cells! {
         Counter records_persisted: "Individual records persisted (ungrouped and sync modes).",
         Counter entries_logged: "Redo-log entries (one per transactional write, before combination) that reached Persist: the paper's '# writes' (Table 1).",
         Counter groups_persisted: "Groups persisted (combination mode).",
-        Counter entries_before_combine: "Log entries entering combination, every unit counted: a lone commit is a group of one.",
         Counter entries_after_combine: "Log entries remaining after combination (distinct words per unit), every unit counted.",
         Counter group_bytes_raw: "Group payload bytes before compression.",
         Counter group_bytes_stored: "Group payload bytes actually stored.",
@@ -210,12 +209,14 @@ cells! {
 
 impl PipelineStatsSnapshot {
     /// Fraction of log entries eliminated by combination (Figure 3's
-    /// "saved NVM writes" series), 0.0 if nothing was combined.
+    /// "saved NVM writes" series), 0.0 if nothing was combined. Every unit
+    /// is combined (a lone commit is a group of one), so the entries going
+    /// in are the ones logged.
     pub fn combine_savings(&self) -> f64 {
-        if self.entries_before_combine == 0 {
+        if self.entries_logged == 0 {
             return 0.0;
         }
-        1.0 - self.entries_after_combine as f64 / self.entries_before_combine as f64
+        1.0 - self.entries_after_combine as f64 / self.entries_logged as f64
     }
 
     /// Fraction of group payload bytes eliminated by compression.
@@ -387,7 +388,7 @@ mod tests {
     #[test]
     fn savings_math() {
         let s = PipelineStatsSnapshot {
-            entries_before_combine: 100,
+            entries_logged: 100,
             entries_after_combine: 25,
             group_bytes_raw: 1000,
             group_bytes_stored: 310,

@@ -21,6 +21,12 @@
 //! * **no per-access bookkeeping beyond the line sets** — the reason HTM
 //!   beats STM by up to 1.7× in Table 4.
 //!
+//! The line table is a [`dude_stm::LockTable`] in the STM's lock-word
+//! encoding, read sets are validated by the STM's one rule
+//! ([`dude_stm::reads_valid`]) and aborts back off through
+//! [`dude_stm::backoff`]; the fallback-lock and capacity policy is this
+//! crate's own.
+//!
 //! # Example
 //!
 //! ```
@@ -40,7 +46,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dude_stm::{GlobalClock, TmAccess, TxHooks, WordMemory};
+use dude_stm::{
+    backoff, is_locked, owner_of, reads_valid, try_lock, version_of, versioned, GlobalClock,
+    LockTable, TmAccess, TxHooks, WordMemory,
+};
 use dude_txapi::{CommitInfo, TxAbort, TxId, TxResult, TxnOutcome};
 use parking_lot::RwLock;
 
@@ -106,34 +115,12 @@ struct HtmStats {
     fallback_commits: AtomicU64,
 }
 
-// Line-ownership word encoding (same scheme as the STM's versioned locks).
-#[inline]
-fn is_locked(w: u64) -> bool {
-    w & 1 == 1
-}
-#[inline]
-fn version_of(w: u64) -> u64 {
-    w >> 1
-}
-#[inline]
-fn versioned(v: u64) -> u64 {
-    v << 1
-}
-#[inline]
-fn locked_by(owner: u64) -> u64 {
-    (owner << 1) | 1
-}
-#[inline]
-fn owner_of(w: u64) -> u64 {
-    w >> 1
-}
-
 /// The emulated HTM instance.
 #[derive(Debug)]
 pub struct Htm {
     clock: GlobalClock,
-    lines: Box<[AtomicU64]>,
-    mask: u64,
+    /// Line-ownership words, encoded like the STM's versioned locks.
+    lines: LockTable,
     /// Fallback lock word: generation counter, odd = held. Speculative
     /// transactions subscribe to it and abort when it changes.
     fallback: AtomicU64,
@@ -154,11 +141,9 @@ impl Htm {
     /// Creates an HTM whose commit timestamps continue from `start` (used
     /// after recovery so transaction IDs stay globally unique).
     pub fn with_initial_clock(config: HtmConfig, start: u64) -> Self {
-        let n = 1usize << config.line_table_bits;
         Htm {
             clock: GlobalClock::starting_at(start),
-            lines: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            mask: (n - 1) as u64,
+            lines: LockTable::new(config.line_table_bits),
             fallback: AtomicU64::new(0),
             commit_gate: RwLock::new(()),
             config,
@@ -180,6 +165,12 @@ impl Htm {
         &self.clock
     }
 
+    /// Line-table index of `addr`'s cache line. The lock table hashes word
+    /// numbers, so it is handed an address whose word number is the line's.
+    fn line_of(&self, addr: u64) -> usize {
+        self.lines.stripe_of(addr / LINE_BYTES * 8)
+    }
+
     /// Aggregate statistics.
     pub fn stats(&self) -> HtmStatsSnapshot {
         HtmStatsSnapshot {
@@ -198,25 +189,8 @@ enum AbortKind {
     Capacity,
 }
 
-/// Bounded exponential spin, then yield — lets the conflicting transaction
-/// finish before the retry (essential on few-core hosts; real RTM software
-/// uses the same pattern in its abort handler).
-fn backoff(attempt: u32) {
-    #[cfg(feature = "sim")]
-    if dude_sim::on_sim_task() {
-        // Spinning would monopolize the virtual-scheduler token; park as
-        // an event waiter so the conflicting transaction can run.
-        dude_sim::block(dude_sim::YieldKind::Backoff);
-        return;
-    }
-    if attempt <= 3 {
-        for _ in 0..(1u32 << attempt.min(10)) {
-            std::hint::spin_loop();
-        }
-    } else {
-        std::thread::yield_now();
-    }
-}
+/// Abort retries that spin before [`backoff`] starts yielding.
+const SPIN_RETRIES: u32 = 3;
 
 /// Releases the processor while waiting on the fallback-lock word (a raw
 /// atomic): parks on the virtual scheduler under sim, yields natively
@@ -278,7 +252,7 @@ impl<'h> HtmThread<'h> {
                         if self.note_abort(kind, retries) {
                             return self.run_fallback(mem, hooks, &mut body, retries);
                         }
-                        backoff(retries);
+                        backoff(retries, SPIN_RETRIES);
                     }
                 },
                 Err(TxAbort::User) => {
@@ -294,7 +268,7 @@ impl<'h> HtmThread<'h> {
                     if self.note_abort(kind, retries) {
                         return self.run_fallback(mem, hooks, &mut body, retries);
                     }
-                    backoff(retries);
+                    backoff(retries, SPIN_RETRIES);
                 }
             }
         }
@@ -428,11 +402,6 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
         }
     }
 
-    fn line_index(&self, addr: u64) -> usize {
-        let line = addr / LINE_BYTES;
-        ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.htm.mask) as usize
-    }
-
     fn conflict(&mut self, kind: AbortKind) -> TxAbort {
         self.abort_kind = Some(kind);
         TxAbort::Conflict
@@ -459,8 +428,8 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
         if let Some(&v) = self.writes.get(&addr) {
             return Ok(v);
         }
-        let idx = self.line_index(addr);
-        let w = self.htm.lines[idx].load(Ordering::Acquire);
+        let idx = self.htm.line_of(addr);
+        let w = self.htm.lines.word(idx).load(Ordering::Acquire);
         if is_locked(w) {
             if owner_of(w) != self.owner {
                 return Err(self.conflict(AbortKind::Conflict));
@@ -491,8 +460,8 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
             return Ok(());
         }
         self.check_fallback()?;
-        let idx = self.line_index(addr);
-        let slot = &self.htm.lines[idx];
+        let idx = self.htm.line_of(addr);
+        let slot = self.htm.lines.word(idx);
         let w = slot.load(Ordering::Acquire);
         if is_locked(w) {
             if owner_of(w) != self.owner {
@@ -502,15 +471,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
             if self.written_lines.len() >= self.htm.config.max_write_lines {
                 return Err(self.conflict(AbortKind::Capacity));
             }
-            if slot
-                .compare_exchange(
-                    w,
-                    locked_by(self.owner),
-                    Ordering::Acquire,
-                    Ordering::Relaxed,
-                )
-                .is_err()
-            {
+            if !try_lock(slot, w, self.owner) {
                 return Err(self.conflict(AbortKind::Conflict));
             }
             self.written_lines.push((idx, w));
@@ -521,27 +482,16 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
     }
 
     fn validate_reads(&self) -> Result<(), AbortKind> {
-        for &(idx, ver) in &self.read_lines {
-            let w = self.htm.lines[idx].load(Ordering::Acquire);
-            let current = if is_locked(w) {
-                if owner_of(w) != self.owner {
-                    return Err(AbortKind::Conflict);
-                }
-                let prev = self
-                    .written_lines
-                    .iter()
-                    .find(|&&(i, _)| i == idx)
-                    .expect("line locked by self must be recorded")
-                    .1;
-                version_of(prev)
-            } else {
-                version_of(w)
-            };
-            if current != ver {
-                return Err(AbortKind::Conflict);
-            }
+        if reads_valid(
+            &self.htm.lines,
+            self.owner,
+            &self.read_lines,
+            &self.written_lines,
+        ) {
+            Ok(())
+        } else {
+            Err(AbortKind::Conflict)
         }
-        Ok(())
     }
 
     fn commit(&mut self) -> Result<Option<TxId>, AbortKind> {
@@ -568,7 +518,10 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
             self.mem.store(addr, val);
         }
         for (idx, _) in self.written_lines.drain(..) {
-            self.htm.lines[idx].store(versioned(tid), Ordering::Release);
+            self.htm
+                .lines
+                .word(idx)
+                .store(versioned(tid), Ordering::Release);
         }
         drop(gate);
         self.writes.clear();
@@ -591,7 +544,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
         }
         self.writes.clear();
         for (idx, prev) in self.written_lines.drain(..) {
-            self.htm.lines[idx].store(prev, Ordering::Release);
+            self.htm.lines.word(idx).store(prev, Ordering::Release);
         }
     }
 }
@@ -845,5 +798,32 @@ mod tests {
         h1.join().unwrap();
         h2.join().unwrap();
         assert_eq!(mem.load(0), 200);
+    }
+
+    /// The one read-set rule, over an STM stripe table and this HTM's line
+    /// table: a read stays valid while its word holds the version read, or
+    /// while the reader holds it and held that version when it locked it.
+    #[test]
+    fn reads_valid_is_one_rule_over_stripes_and_lines() {
+        use dude_stm::{locked_by, StmConfig};
+        let stripes = LockTable::new(StmConfig::tiny().lock_table_bits);
+        let htm = Htm::new(HtmConfig::tiny());
+        let (me, peer) = (3, 4);
+        for (locks, index) in [
+            (&stripes, stripes.stripe_of(64)),
+            (&htm.lines, htm.line_of(64)),
+        ] {
+            let word = locks.word(index);
+            let reads = [(index, 5)];
+            let case = |w: u64, prior: u64| {
+                word.store(w, Ordering::Release);
+                reads_valid(locks, me, &reads, &[(index, versioned(prior))])
+            };
+            assert!(case(versioned(5), 5), "unlocked at the version read");
+            assert!(!case(versioned(6), 5), "unlocked at a newer version");
+            assert!(case(locked_by(me), 5), "held by self, prior version read");
+            assert!(!case(locked_by(me), 6), "held by self, newer prior");
+            assert!(!case(locked_by(peer), 5), "held by another owner");
+        }
     }
 }

@@ -19,8 +19,15 @@
 //! Transactions run over any [`WordMemory`] — a flat vector in tests, the
 //! shadow DRAM mirror in DudeTM, or the NVM image itself in the baselines.
 //! Conflicts are surfaced as [`TxAbort::Conflict`] through `Result`; the
-//! [`StmThread::run`] / [`StmThread::run_wb`] retry loops re-execute the
-//! body (the reproduction's safe-Rust equivalent of TinySTM's `longjmp`).
+//! one retry loop behind [`StmThread::run`] / [`StmThread::run_wb`]
+//! re-executes the body (the reproduction's safe-Rust equivalent of
+//! TinySTM's `longjmp`).
+//!
+//! Both modes share one snapshot core — the versioned read loop, timestamp
+//! extension and the read-set rule [`reads_valid`] — and the emulated HTM
+//! reuses that rule, the lock-word encoding and [`backoff`]. [`HeapTxn`] is
+//! the one heap-checked [`Txn`] adapter every TM-backed system hands its
+//! transaction bodies.
 //!
 //! # Example
 //!
@@ -42,17 +49,22 @@
 mod clock;
 mod locks;
 mod memory;
+mod snapshot;
 mod thread;
 mod wb;
 mod wt;
 
 pub use clock::GlobalClock;
-pub use locks::{LockTable, StmConfig};
+pub use locks::{
+    is_locked, locked_by, owner_of, reads_valid, try_lock, version_of, versioned, LockTable,
+    StmConfig,
+};
 pub use memory::{VecMemory, WordMemory};
-pub use thread::{Stm, StmStats, StmThread};
+pub use thread::{backoff, Stm, StmStats, StmThread};
 pub use wb::WriteBackTx;
 pub use wt::StmTx;
 
+use dude_txapi::{PAddr, TxResult, Txn};
 pub use dude_txapi::{TxAbort, TxId, TxnOutcome};
 
 /// Observation hooks invoked by the STM at well-defined points.
@@ -116,32 +128,71 @@ pub trait TmAccess {
     /// # Errors
     ///
     /// [`TxAbort::Conflict`] on a TM conflict; propagate with `?`.
-    fn tm_read(&mut self, addr: u64) -> dude_txapi::TxResult<u64>;
+    fn tm_read(&mut self, addr: u64) -> TxResult<u64>;
 
     /// Transactionally writes `val` to byte address `addr`.
     ///
     /// # Errors
     ///
     /// [`TxAbort::Conflict`] on a TM conflict; propagate with `?`.
-    fn tm_write(&mut self, addr: u64, val: u64) -> dude_txapi::TxResult<()>;
+    fn tm_write(&mut self, addr: u64, val: u64) -> TxResult<()>;
 }
 
 impl<M: WordMemory + ?Sized, H: TxHooks> TmAccess for StmTx<'_, M, H> {
-    fn tm_read(&mut self, addr: u64) -> dude_txapi::TxResult<u64> {
+    fn tm_read(&mut self, addr: u64) -> TxResult<u64> {
         self.read(addr)
     }
 
-    fn tm_write(&mut self, addr: u64, val: u64) -> dude_txapi::TxResult<()> {
+    fn tm_write(&mut self, addr: u64, val: u64) -> TxResult<()> {
         self.write(addr, val)
     }
 }
 
 impl<M: WordMemory + ?Sized, H: TxHooks> TmAccess for WriteBackTx<'_, M, H> {
-    fn tm_read(&mut self, addr: u64) -> dude_txapi::TxResult<u64> {
+    fn tm_read(&mut self, addr: u64) -> TxResult<u64> {
         self.read(addr)
     }
 
-    fn tm_write(&mut self, addr: u64, val: u64) -> dude_txapi::TxResult<()> {
+    fn tm_write(&mut self, addr: u64, val: u64) -> TxResult<()> {
         self.write(addr, val)
+    }
+}
+
+/// The word-aligned, heap-bounded [`Txn`] over a TM's [`TmAccess`]: DudeTM's
+/// `dtmRead`/`dtmWrite` and every TM-backed baseline's accesses, one adapter.
+pub struct HeapTxn<'x> {
+    inner: &'x mut dyn TmAccess,
+    heap_bytes: u64,
+}
+
+impl<'x> HeapTxn<'x> {
+    /// Wraps `inner` for a heap of `heap_bytes` bytes.
+    pub fn new(inner: &'x mut dyn TmAccess, heap_bytes: u64) -> Self {
+        HeapTxn { inner, heap_bytes }
+    }
+
+    #[inline]
+    fn check(&self, addr: PAddr) {
+        assert!(
+            addr.is_word_aligned(),
+            "transactional access must be word-aligned: {addr}"
+        );
+        assert!(
+            addr.offset() + 8 <= self.heap_bytes,
+            "address {addr} beyond heap of {} bytes",
+            self.heap_bytes
+        );
+    }
+}
+
+impl Txn for HeapTxn<'_> {
+    fn read_word(&mut self, addr: PAddr) -> TxResult<u64> {
+        self.check(addr);
+        self.inner.tm_read(addr.offset())
+    }
+
+    fn write_word(&mut self, addr: PAddr, val: u64) -> TxResult<()> {
+        self.check(addr);
+        self.inner.tm_write(addr.offset(), val)
     }
 }

@@ -7,6 +7,9 @@
 //!   of any address in the stripe, or
 //! * **locked**: `(owner << 1) | 1` — held by the thread with that owner ID
 //!   while it writes (write-through) or publishes (write-back).
+//!
+//! The emulated HTM's cache-line ownership table is a [`LockTable`] with the
+//! same encoding, validated by the same [`reads_valid`] rule.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,39 +87,39 @@ impl LockTable {
 
 /// `true` if the lock word is held.
 #[inline]
-pub(crate) fn is_locked(word: u64) -> bool {
+pub fn is_locked(word: u64) -> bool {
     word & 1 == 1
 }
 
 /// Version of an unlocked word.
 #[inline]
-pub(crate) fn version_of(word: u64) -> u64 {
+pub fn version_of(word: u64) -> u64 {
     debug_assert!(!is_locked(word));
     word >> 1
 }
 
 /// Encodes an unlocked word carrying `version`.
 #[inline]
-pub(crate) fn versioned(version: u64) -> u64 {
+pub fn versioned(version: u64) -> u64 {
     version << 1
 }
 
 /// Encodes a locked word held by `owner`.
 #[inline]
-pub(crate) fn locked_by(owner: u64) -> u64 {
+pub fn locked_by(owner: u64) -> u64 {
     (owner << 1) | 1
 }
 
 /// Owner ID of a locked word.
 #[inline]
-pub(crate) fn owner_of(word: u64) -> u64 {
+pub fn owner_of(word: u64) -> u64 {
     debug_assert!(is_locked(word));
     word >> 1
 }
 
 /// Tries to acquire `lock`, transitioning `expected_unlocked → locked_by(owner)`.
 #[inline]
-pub(crate) fn try_lock(lock: &AtomicU64, expected_unlocked: u64, owner: u64) -> bool {
+pub fn try_lock(lock: &AtomicU64, expected_unlocked: u64, owner: u64) -> bool {
     lock.compare_exchange(
         expected_unlocked,
         locked_by(owner),
@@ -124,6 +127,34 @@ pub(crate) fn try_lock(lock: &AtomicU64, expected_unlocked: u64, owner: u64) -> 
         Ordering::Relaxed,
     )
     .is_ok()
+}
+
+/// The read-set validation rule, the one both STM modes and the HTM apply:
+/// every `(index, version)` in `reads` is still consistent if its lock word
+/// in `locks` either is unlocked at that version, or is held by `owner` and
+/// held that version when `owner` locked it (`held` records each locked
+/// index with its prior lock word). Indices are STM stripes or HTM lines.
+pub fn reads_valid(
+    locks: &LockTable,
+    owner: u64,
+    reads: &[(usize, u64)],
+    held: &[(usize, u64)],
+) -> bool {
+    reads.iter().all(|&(index, version)| {
+        let w = locks.word(index).load(Ordering::Acquire);
+        if !is_locked(w) {
+            return version_of(w) == version;
+        }
+        if owner_of(w) != owner {
+            return false;
+        }
+        let prev = held
+            .iter()
+            .find(|&&(i, _)| i == index)
+            .expect("an index locked by its owner must be recorded as held")
+            .1;
+        version_of(prev) == version
+    })
 }
 
 #[cfg(test)]

@@ -11,6 +11,29 @@ use crate::wb::WriteBackTx;
 use crate::wt::StmTx;
 use crate::TxHooks;
 
+/// One transaction object as the retry loop drives it, attempt after
+/// attempt: implemented by [`StmTx`] and [`WriteBackTx`], whose loops differ
+/// only in the commit step.
+pub(crate) trait Attempt {
+    /// The hooks the transaction reports to.
+    type Hooks: TxHooks;
+
+    /// Begins the next attempt on a fresh snapshot, reusing the buffers.
+    fn restart(&mut self);
+
+    /// `true` if this attempt has written anything.
+    fn is_update(&self) -> bool;
+
+    /// Undoes this attempt's effects and releases its stripes.
+    fn rollback(&mut self);
+
+    /// The commit timestamp a failed commit consumed, if any.
+    fn take_wasted(&mut self) -> Option<TxId>;
+
+    /// The hooks, for the commit and abort callbacks.
+    fn hooks(&mut self) -> &mut Self::Hooks;
+}
+
 /// Aggregate STM statistics (relaxed counters).
 #[derive(Debug, Default)]
 pub struct StmStats {
@@ -125,52 +148,14 @@ impl<'s> StmThread<'s> {
         &mut self,
         mem: &M,
         hooks: &mut H,
-        mut body: impl FnMut(&mut StmTx<'_, M, H>) -> TxResult<R>,
+        body: impl FnMut(&mut StmTx<'_, M, H>) -> TxResult<R>,
     ) -> TxnOutcome<R>
     where
         M: WordMemory + ?Sized,
         H: TxHooks,
     {
-        let mut retries = 0u32;
-        loop {
-            let mut tx = StmTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
-            match body(&mut tx) {
-                Ok(value) => {
-                    let read_only = !tx.is_update();
-                    match tx.commit() {
-                        Ok(tid) => {
-                            hooks.on_commit(tid);
-                            self.count_commit(read_only);
-                            return TxnOutcome::Committed {
-                                value,
-                                info: CommitInfo { tid, retries },
-                            };
-                        }
-                        Err(_) => {
-                            let wasted = tx.take_wasted();
-                            tx.rollback();
-                            hooks.on_abort(wasted);
-                            self.count_conflict(wasted.is_some());
-                            retries += 1;
-                            self.backoff(retries);
-                        }
-                    }
-                }
-                Err(TxAbort::User) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.stm.stats.user_aborts.fetch_add(1, Ordering::Relaxed);
-                    return TxnOutcome::Aborted;
-                }
-                Err(TxAbort::Conflict) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.count_conflict(false);
-                    retries += 1;
-                    self.backoff(retries);
-                }
-            }
-        }
+        let mut tx = StmTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
+        self.retry(&mut tx, body, StmTx::commit)
     }
 
     /// Runs `body` as a **write-back** transaction (Mnemosyne's mode).
@@ -183,50 +168,51 @@ impl<'s> StmThread<'s> {
         mem: &M,
         hooks: &mut H,
         mut pre_publish: impl FnMut(&[(u64, u64)], TxId),
-        mut body: impl FnMut(&mut WriteBackTx<'_, M, H>) -> TxResult<R>,
+        body: impl FnMut(&mut WriteBackTx<'_, M, H>) -> TxResult<R>,
     ) -> TxnOutcome<R>
     where
         M: WordMemory + ?Sized,
         H: TxHooks,
     {
+        let mut tx = WriteBackTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
+        self.retry(&mut tx, body, |tx| tx.commit_with(&mut pre_publish))
+    }
+
+    /// The retry loop both modes share: run `body` on `tx`, commit with
+    /// `commit`, and on a conflict roll back, back off and restart.
+    fn retry<T: Attempt, R>(
+        &mut self,
+        tx: &mut T,
+        mut body: impl FnMut(&mut T) -> TxResult<R>,
+        mut commit: impl FnMut(&mut T) -> TxResult<Option<TxId>>,
+    ) -> TxnOutcome<R> {
         let mut retries = 0u32;
         loop {
-            let mut tx =
-                WriteBackTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
-            match body(&mut tx) {
-                Ok(value) => {
-                    let read_only = !tx.is_update();
-                    match tx.commit_with(&mut pre_publish) {
-                        Ok(tid) => {
-                            hooks.on_commit(tid);
-                            self.count_commit(read_only);
-                            return TxnOutcome::Committed {
-                                value,
-                                info: CommitInfo { tid, retries },
-                            };
-                        }
-                        Err(_) => {
-                            let wasted = tx.take_wasted();
-                            tx.rollback();
-                            hooks.on_abort(wasted);
-                            self.count_conflict(wasted.is_some());
-                            retries += 1;
-                            self.backoff(retries);
-                        }
+            let result = body(tx).and_then(|value| {
+                let read_only = !tx.is_update();
+                commit(tx).map(|tid| (value, tid, read_only))
+            });
+            match result {
+                Ok((value, tid, read_only)) => {
+                    tx.hooks().on_commit(tid);
+                    self.count_commit(read_only);
+                    return TxnOutcome::Committed {
+                        value,
+                        info: CommitInfo { tid, retries },
+                    };
+                }
+                Err(abort) => {
+                    let wasted = tx.take_wasted();
+                    tx.rollback();
+                    tx.hooks().on_abort(wasted);
+                    if abort == TxAbort::User {
+                        self.stm.stats.user_aborts.fetch_add(1, Ordering::Relaxed);
+                        return TxnOutcome::Aborted;
                     }
-                }
-                Err(TxAbort::User) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.stm.stats.user_aborts.fetch_add(1, Ordering::Relaxed);
-                    return TxnOutcome::Aborted;
-                }
-                Err(TxAbort::Conflict) => {
-                    tx.rollback();
-                    hooks.on_abort(None);
-                    self.count_conflict(false);
+                    self.count_conflict(wasted.is_some());
                     retries += 1;
-                    self.backoff(retries);
+                    backoff(retries, self.stm.config.spin_retries);
+                    tx.restart();
                 }
             }
         }
@@ -249,27 +235,29 @@ impl<'s> StmThread<'s> {
             self.stm.stats.wasted_tids.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
 
-    /// Bounded exponential spin, then yield — important on few-core hosts
-    /// where the conflicting transaction needs the CPU to finish.
-    fn backoff(&self, attempt: u32) {
-        #[cfg(feature = "sim")]
-        if dude_sim::on_sim_task() {
-            // Under the virtual scheduler the conflicting transaction only
-            // runs if this task parks — spinning would monopolize the
-            // token. Both backoff branches therefore park as event
-            // waiters (STM word locks are raw atomics, so the wake comes
-            // from the poll interval, not a lock-release event).
-            dude_sim::block(dude_sim::YieldKind::Backoff);
-            return;
+/// Conflict backoff before retry `attempt`: a bounded exponential spin for
+/// the first `spin_retries` attempts, then a yield — the conflicting
+/// transaction needs the CPU to finish on few-core hosts (real RTM software
+/// uses the same pattern in its abort handler).
+pub fn backoff(attempt: u32, spin_retries: u32) {
+    #[cfg(feature = "sim")]
+    if dude_sim::on_sim_task() {
+        // Under the virtual scheduler the conflicting transaction only
+        // runs if this task parks — spinning would monopolize the
+        // token. Both backoff branches therefore park as event
+        // waiters (lock words are raw atomics, so the wake comes
+        // from the poll interval, not a lock-release event).
+        dude_sim::block(dude_sim::YieldKind::Backoff);
+        return;
+    }
+    if attempt <= spin_retries {
+        for _ in 0..(1u32 << attempt.min(10)) {
+            std::hint::spin_loop();
         }
-        if attempt <= self.stm.config.spin_retries {
-            for _ in 0..(1u32 << attempt.min(10)) {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::yield_now();
-        }
+    } else {
+        std::thread::yield_now();
     }
 }
 
@@ -469,5 +457,59 @@ mod tests {
         let out = t.run(&mem, &mut NoHooks, |tx| tx.read(0));
         assert_eq!(out.info().unwrap().tid, None);
         assert_eq!(stm.stats().read_only_commits, 1);
+    }
+
+    /// The retry loop reuses one transaction object across attempts, so a
+    /// retry must start from an empty read set: attempt 2 never reads A,
+    /// and a stale entry for A would fail its commit validation forever.
+    #[test]
+    fn retry_starts_from_an_empty_read_set() {
+        use crate::locks::{try_lock, versioned};
+        let stm = Stm::new(StmConfig::tiny());
+        let mem = VecMemory::new(1024);
+        let locks = &stm.locks;
+        // Four words on four distinct stripes.
+        let mut words: Vec<u64> = Vec::new();
+        for addr in (0..1024).step_by(8) {
+            if words
+                .iter()
+                .all(|&w| locks.stripe_of(w) != locks.stripe_of(addr))
+            {
+                words.push(addr);
+            }
+        }
+        let (a, b, c, d) = (words[0], words[1], words[2], words[3]);
+        let mut t = stm.register();
+        let mut peer = stm.register();
+        let mut attempts = 0;
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            attempts += 1;
+            match attempts {
+                1 => {
+                    tx.read(a)?;
+                    // A peer holds C's stripe: the attempt conflicts on it.
+                    let c_lock = locks.word(locks.stripe_of(c));
+                    assert!(try_lock(c_lock, versioned(0), peer.owner()));
+                    let conflict = tx.read(c);
+                    c_lock.store(versioned(0), Ordering::Release);
+                    // The peer then commits to A, which attempt 1 read.
+                    peer.run(&mem, &mut NoHooks, |p| p.write(a, 1))
+                        .expect_committed();
+                    conflict.map(drop)
+                }
+                2 => {
+                    // One more peer commit moves the clock past `rv + 1`, so
+                    // this commit validates the read set.
+                    peer.run(&mem, &mut NoHooks, |p| p.write(d, 1))
+                        .expect_committed();
+                    tx.write(b, 2)
+                }
+                // A stale read set conflicts on every attempt; stop here
+                // instead of livelocking.
+                _ => Err(TxAbort::User),
+            }
+        });
+        assert_eq!(out.info().map(|i| i.retries), Some(1));
+        assert_eq!(mem.load(b), 2);
     }
 }

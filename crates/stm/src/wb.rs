@@ -18,39 +18,23 @@ use std::sync::atomic::Ordering;
 use dude_txapi::{TxAbort, TxId, TxResult};
 
 use crate::clock::GlobalClock;
-use crate::locks::{is_locked, owner_of, try_lock, version_of, versioned, LockTable};
+use crate::locks::{is_locked, version_of, LockTable};
 use crate::memory::WordMemory;
+use crate::snapshot::Snapshot;
+use crate::thread::Attempt;
 use crate::TxHooks;
-
-#[derive(Debug, Clone, Copy)]
-struct ReadEntry {
-    stripe: usize,
-    version: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LockedStripe {
-    stripe: usize,
-    prev: u64,
-}
 
 /// An in-flight write-back transaction.
 #[derive(Debug)]
 pub struct WriteBackTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
-    clock: &'t GlobalClock,
-    locks: &'t LockTable,
+    snap: Snapshot<'t>,
     mem: &'t M,
     hooks: &'t mut H,
-    owner: u64,
-    rv: u64,
-    read_set: Vec<ReadEntry>,
     /// Buffered writes in program order (duplicates allowed; later wins).
     writes: Vec<(u64, u64)>,
     /// Address → index of latest buffered write (the mapping table whose
     /// lookup cost redo logging pays on every read).
     write_index: HashMap<u64, usize>,
-    locked: Vec<LockedStripe>,
-    wasted: Option<TxId>,
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
@@ -61,19 +45,12 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
         hooks: &'t mut H,
         owner: u64,
     ) -> Self {
-        let rv = clock.now();
         WriteBackTx {
-            clock,
-            locks,
+            snap: Snapshot::begin(clock, locks, owner),
             mem,
             hooks,
-            owner,
-            rv,
-            read_set: Vec::new(),
             writes: Vec::new(),
             write_index: HashMap::new(),
-            locked: Vec::new(),
-            wasted: None,
         }
     }
 
@@ -87,36 +64,9 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
         if let Some(&idx) = self.write_index.get(&addr) {
             return Ok(self.writes[idx].1);
         }
-        let stripe = self.locks.stripe_of(addr);
-        let lockw = self.locks.word(stripe);
-        let mut spins = 0u32;
-        loop {
-            let l1 = lockw.load(Ordering::Acquire);
-            if is_locked(l1) {
-                // Write-back never holds locks during execution, so any
-                // lock here belongs to a committing peer.
-                return Err(TxAbort::Conflict);
-            }
-            let val = self.mem.load(addr);
-            let l2 = lockw.load(Ordering::Acquire);
-            if l2 != l1 {
-                spins += 1;
-                if spins > 64 {
-                    return Err(TxAbort::Conflict);
-                }
-                continue;
-            }
-            let ver = version_of(l1);
-            if ver > self.rv {
-                self.extend()?;
-                continue;
-            }
-            self.read_set.push(ReadEntry {
-                stripe,
-                version: ver,
-            });
-            return Ok(val);
-        }
+        // Write-back holds no stripe while executing, so any lock the read
+        // meets belongs to a committing peer.
+        self.snap.read(self.mem, addr)
     }
 
     /// Buffers a transactional write of `val` to `addr`.
@@ -140,46 +90,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
 
     /// Snapshot timestamp.
     pub fn snapshot(&self) -> u64 {
-        self.rv
-    }
-
-    fn extend(&mut self) -> TxResult<()> {
-        let new_rv = self.clock.now();
-        self.validate()?;
-        self.rv = new_rv;
-        Ok(())
-    }
-
-    fn validate(&self) -> TxResult<()> {
-        for e in &self.read_set {
-            let w = self.locks.word(e.stripe).load(Ordering::Acquire);
-            let current = if is_locked(w) {
-                if owner_of(w) != self.owner {
-                    return Err(TxAbort::Conflict);
-                }
-                let prev = self
-                    .locked
-                    .iter()
-                    .find(|ls| ls.stripe == e.stripe)
-                    .expect("stripe locked by self must be recorded")
-                    .prev;
-                version_of(prev)
-            } else {
-                version_of(w)
-            };
-            if current != e.version {
-                return Err(TxAbort::Conflict);
-            }
-        }
-        Ok(())
-    }
-
-    fn release_locks(&mut self, word_of: impl Fn(&LockedStripe) -> u64) {
-        for ls in self.locked.drain(..) {
-            self.locks
-                .word(ls.stripe)
-                .store(word_of(&ls), Ordering::Release);
-        }
+        self.snap.rv
     }
 
     /// Commits, invoking `pre_publish(write_set, tid)` after the commit is
@@ -201,49 +112,63 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
         let mut stripes: Vec<usize> = self
             .writes
             .iter()
-            .map(|&(addr, _)| self.locks.stripe_of(addr))
+            .map(|&(addr, _)| self.snap.locks.stripe_of(addr))
             .collect();
         stripes.sort_unstable();
         stripes.dedup();
         for stripe in stripes {
-            let lockw = self.locks.word(stripe);
-            let l = lockw.load(Ordering::Acquire);
-            if is_locked(l) || version_of(l) > self.rv || !try_lock(lockw, l, self.owner) {
-                self.release_locks(|ls| ls.prev);
+            let l = self.snap.locks.word(stripe).load(Ordering::Acquire);
+            if is_locked(l) || version_of(l) > self.snap.rv || !self.snap.hold(stripe, l) {
+                self.snap.release(None);
                 return Err(TxAbort::Conflict);
             }
-            self.locked.push(LockedStripe { stripe, prev: l });
         }
-        let wv = self.clock.tick();
-        if wv != self.rv + 1 {
-            if let Err(e) = self.validate() {
-                self.wasted = Some(wv);
-                self.release_locks(|ls| ls.prev);
+        let wv = match self.snap.stamp() {
+            Ok(wv) => wv,
+            Err(e) => {
+                self.snap.release(None);
                 return Err(e);
             }
-        }
+        };
         pre_publish(&self.writes, wv);
         for &(addr, val) in &self.writes {
             self.mem.store(addr, val);
         }
-        self.release_locks(|_| versioned(wv));
+        self.snap.release(Some(wv));
         Ok(Some(wv))
     }
+}
 
-    pub(crate) fn rollback(&mut self) {
-        self.release_locks(|ls| ls.prev);
+impl<M: WordMemory + ?Sized, H: TxHooks> Attempt for WriteBackTx<'_, M, H> {
+    type Hooks = H;
+
+    fn restart(&mut self) {
+        self.snap.restart();
+    }
+
+    fn is_update(&self) -> bool {
+        WriteBackTx::is_update(self)
+    }
+
+    fn rollback(&mut self) {
+        self.snap.release(None);
         self.writes.clear();
         self.write_index.clear();
     }
 
-    pub(crate) fn take_wasted(&mut self) -> Option<TxId> {
-        self.wasted.take()
+    fn take_wasted(&mut self) -> Option<TxId> {
+        self.snap.wasted.take()
+    }
+
+    fn hooks(&mut self) -> &mut H {
+        self.hooks
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::locks::try_lock;
     use crate::{NoHooks, StmConfig, VecMemory};
 
     struct Fixture {

@@ -8,25 +8,16 @@
 //! *volatile shadow memory*, this "undo logging" has no persist-ordering
 //! cost (paper footnote 3).
 
+use std::sync::atomic::Ordering;
+
 use dude_txapi::{TxAbort, TxId, TxResult};
 
 use crate::clock::GlobalClock;
-use crate::locks::{is_locked, owner_of, try_lock, version_of, versioned, LockTable};
+use crate::locks::{is_locked, owner_of, version_of, LockTable};
 use crate::memory::WordMemory;
+use crate::snapshot::Snapshot;
+use crate::thread::Attempt;
 use crate::TxHooks;
-
-#[derive(Debug, Clone, Copy)]
-struct ReadEntry {
-    stripe: usize,
-    version: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LockedStripe {
-    stripe: usize,
-    /// Lock word before we acquired it (an unlocked, versioned word).
-    prev: u64,
-}
 
 /// An in-flight write-through transaction.
 ///
@@ -34,19 +25,11 @@ struct LockedStripe {
 /// calls [`StmTx::read`] / [`StmTx::write`], propagating conflicts with `?`.
 #[derive(Debug)]
 pub struct StmTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
-    clock: &'t GlobalClock,
-    locks: &'t LockTable,
+    snap: Snapshot<'t>,
     mem: &'t M,
     hooks: &'t mut H,
-    owner: u64,
-    /// Snapshot timestamp (TL2/TinySTM "read version").
-    rv: u64,
-    read_set: Vec<ReadEntry>,
-    locked: Vec<LockedStripe>,
     /// `(addr, old value)` in write order; replayed in reverse on abort.
     undo: Vec<(u64, u64)>,
-    /// Commit timestamp consumed by a failed commit, if any.
-    wasted: Option<TxId>,
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
@@ -57,18 +40,11 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
         hooks: &'t mut H,
         owner: u64,
     ) -> Self {
-        let rv = clock.now();
         StmTx {
-            clock,
-            locks,
+            snap: Snapshot::begin(clock, locks, owner),
             mem,
             hooks,
-            owner,
-            rv,
-            read_set: Vec::new(),
-            locked: Vec::new(),
             undo: Vec::new(),
-            wasted: None,
         }
     }
 
@@ -79,38 +55,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
     /// [`TxAbort::Conflict`] if the stripe is locked by another transaction
     /// or the snapshot cannot be extended.
     pub fn read(&mut self, addr: u64) -> TxResult<u64> {
-        let stripe = self.locks.stripe_of(addr);
-        let lockw = self.locks.word(stripe);
-        let mut spins = 0u32;
-        loop {
-            let l1 = lockw.load(std::sync::atomic::Ordering::Acquire);
-            if is_locked(l1) {
-                if owner_of(l1) == self.owner {
-                    // In-place value written (or co-located) under my lock.
-                    return Ok(self.mem.load(addr));
-                }
-                return Err(TxAbort::Conflict);
-            }
-            let val = self.mem.load(addr);
-            let l2 = lockw.load(std::sync::atomic::Ordering::Acquire);
-            if l2 != l1 {
-                spins += 1;
-                if spins > 64 {
-                    return Err(TxAbort::Conflict);
-                }
-                continue;
-            }
-            let ver = version_of(l1);
-            if ver > self.rv {
-                self.extend()?;
-                continue;
-            }
-            self.read_set.push(ReadEntry {
-                stripe,
-                version: ver,
-            });
-            return Ok(val);
-        }
+        self.snap.read(self.mem, addr)
     }
 
     /// Transactionally writes `val` to byte address `addr`, in place.
@@ -120,37 +65,30 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
     /// [`TxAbort::Conflict`] if the stripe is locked by another transaction
     /// or the snapshot cannot be extended.
     pub fn write(&mut self, addr: u64, val: u64) -> TxResult<()> {
-        let stripe = self.locks.stripe_of(addr);
-        let lockw = self.locks.word(stripe);
+        let stripe = self.snap.locks.stripe_of(addr);
         loop {
-            let l = lockw.load(std::sync::atomic::Ordering::Acquire);
+            let l = self.snap.locks.word(stripe).load(Ordering::Acquire);
             if is_locked(l) {
-                if owner_of(l) == self.owner {
-                    self.undo.push((addr, self.mem.load(addr)));
-                    self.mem.store(addr, val);
-                    self.hooks.on_write(addr, val);
-                    return Ok(());
+                if owner_of(l) != self.snap.owner {
+                    return Err(TxAbort::Conflict);
                 }
-                return Err(TxAbort::Conflict);
-            }
-            if version_of(l) > self.rv {
-                self.extend()?;
+            } else if version_of(l) > self.snap.rv {
+                self.snap.extend()?;
+                continue;
+            } else if !self.snap.hold(stripe, l) {
+                // CAS raced with another thread; re-inspect the lock word.
                 continue;
             }
-            if try_lock(lockw, l, self.owner) {
-                self.locked.push(LockedStripe { stripe, prev: l });
-                self.undo.push((addr, self.mem.load(addr)));
-                self.mem.store(addr, val);
-                self.hooks.on_write(addr, val);
-                return Ok(());
-            }
-            // CAS raced with another thread; re-inspect the lock word.
+            self.undo.push((addr, self.mem.load(addr)));
+            self.mem.store(addr, val);
+            self.hooks.on_write(addr, val);
+            return Ok(());
         }
     }
 
     /// Snapshot timestamp this transaction currently reads at.
     pub fn snapshot(&self) -> u64 {
-        self.rv
+        self.snap.rv
     }
 
     /// `true` if this transaction has written anything.
@@ -158,85 +96,45 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
         !self.undo.is_empty()
     }
 
-    /// Attempts to advance `rv` to `clock.now()` after revalidating all
-    /// reads (TinySTM timestamp extension).
-    fn extend(&mut self) -> TxResult<()> {
-        let new_rv = self.clock.now();
-        self.validate()?;
-        self.rv = new_rv;
-        Ok(())
-    }
-
-    /// Checks that every read is still consistent: its stripe either holds
-    /// the recorded version, or is locked by us and held that version when
-    /// we locked it.
-    fn validate(&self) -> TxResult<()> {
-        for e in &self.read_set {
-            let w = self
-                .locks
-                .word(e.stripe)
-                .load(std::sync::atomic::Ordering::Acquire);
-            let current = if is_locked(w) {
-                if owner_of(w) != self.owner {
-                    return Err(TxAbort::Conflict);
-                }
-                let prev = self
-                    .locked
-                    .iter()
-                    .find(|ls| ls.stripe == e.stripe)
-                    .expect("stripe locked by self must be in locked list")
-                    .prev;
-                version_of(prev)
-            } else {
-                version_of(w)
-            };
-            if current != e.version {
-                return Err(TxAbort::Conflict);
-            }
-        }
-        Ok(())
-    }
-
     /// Commits the transaction. Returns the commit timestamp (`None` for
     /// read-only transactions).
     pub(crate) fn commit(&mut self) -> Result<Option<TxId>, TxAbort> {
-        if self.locked.is_empty() {
+        if self.snap.held.is_empty() {
             // Read-only: every read was validated against `rv` at read time.
             return Ok(None);
         }
-        let wv = self.clock.tick();
-        if wv != self.rv + 1 {
-            if let Err(e) = self.validate() {
-                // The timestamp is consumed; DudeTM will fill the ID hole
-                // with an abort marker.
-                self.wasted = Some(wv);
-                return Err(e);
-            }
-        }
-        for ls in &self.locked {
-            self.locks
-                .word(ls.stripe)
-                .store(versioned(wv), std::sync::atomic::Ordering::Release);
-        }
-        self.locked.clear();
+        let wv = self.snap.stamp()?;
+        self.snap.release(Some(wv));
         self.undo.clear();
         Ok(Some(wv))
     }
+}
+
+impl<M: WordMemory + ?Sized, H: TxHooks> Attempt for StmTx<'_, M, H> {
+    type Hooks = H;
+
+    fn restart(&mut self) {
+        self.snap.restart();
+    }
+
+    fn is_update(&self) -> bool {
+        StmTx::is_update(self)
+    }
 
     /// Rolls back in-place writes (reverse order) and releases stripes.
-    pub(crate) fn rollback(&mut self) {
+    fn rollback(&mut self) {
         for (addr, old) in self.undo.drain(..).rev() {
             self.mem.store(addr, old);
         }
-        for ls in self.locked.drain(..) {
-            self.locks
-                .word(ls.stripe)
-                .store(ls.prev, std::sync::atomic::Ordering::Release);
-        }
+        self.snap.release(None);
     }
 
-    pub(crate) fn take_wasted(&mut self) -> Option<TxId> {
-        self.wasted.take()
+    fn take_wasted(&mut self) -> Option<TxId> {
+        self.snap.wasted.take()
+    }
+
+    fn hooks(&mut self) -> &mut H {
+        self.hooks
     }
 }
 

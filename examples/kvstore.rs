@@ -65,7 +65,7 @@ fn main() {
     let p = dude.pipeline_stats();
     println!(
         "log combination: {} entries in -> {} out ({:.1}% of NVM writes saved)",
-        p.entries_before_combine,
+        p.entries_logged,
         p.entries_after_combine,
         p.combine_savings() * 100.0
     );

@@ -31,6 +31,8 @@ const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
 const TRANSFERS: u64 = 100;
 const SEED: u64 = 0x5EED_CAFE;
+/// Transfers between drains of the pipeline in sharded-Reproduce configs.
+const SHARDED_DRAIN_EVERY: u64 = 4;
 
 /// One account per cache line: Reproduce flushes each dirty *line* once per
 /// batch, so accounts packed into two lines would leave the flush sweeps
@@ -138,6 +140,14 @@ fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite:
                 if !nvm.crash_plan_tripped() {
                     acked = acked.max(tid);
                 }
+            }
+            // Shard workers coalesce up to 128 queued units per fence and
+            // flush each dirty line once per run, so how far Perform ran
+            // ahead would set the event count the sweep calibrates on.
+            // Draining every few transfers bounds each run, giving the
+            // count a floor no schedule can undercut.
+            if cfg.reproduce_threads > 1 && op % SHARDED_DRAIN_EVERY == SHARDED_DRAIN_EVERY - 1 {
+                dude.quiesce();
             }
         }
     }
