@@ -694,7 +694,7 @@ mod tests {
     /// tests own every cell.
     fn registry(config: DudeTmConfig) -> MetricsRegistry {
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(16 << 20)));
-        let layout = NvmLayout::compute(nvm.size_bytes(), &config);
+        let layout = NvmLayout::compute(nvm.size_bytes(), &config).unwrap();
         let recovery = RecoveryTelemetry::default();
         MetricsRegistry::new(Arc::new(Shared::new(nvm, config, &layout, 0, recovery)))
     }

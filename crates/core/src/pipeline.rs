@@ -1,54 +1,51 @@
-//! The Persist and Reproduce background stages (§3.3, §3.4) — one
-//! topology whose degenerate settings are the simple case:
+//! The Persist and Reproduce steps (§3.3, §3.4) — one topology whose
+//! degenerate settings are the simple case:
 //!
 //! ```text
-//! Perform → [sequencer iff persist_group > 1] → worker × N → Reproduce [→ shard × M]
+//! Perform → [sequencer iff persist_group > 1] → worker × N → publish = Reproduce [→ shard × M]
 //! ```
 //!
-//! *Persist* drains per-thread volatile redo logs, writes them to the
-//! persistent log rings, and publishes them in dense transaction-ID order.
-//! Work reaches the `persist_flush_workers` workers as [`Sealed`]
-//! units, each last-writer-wins combined as it is sealed. With
-//! `persist_group = 1` every record is its own unit — **a commit is a group
-//! of one** — and the per-thread channels are partitioned across the
-//! workers. With
-//! `persist_group > 1` a *sequencer* sits in front: it merges all threads'
-//! records into dense global ID order and seals groups of consecutive
-//! transactions — the precondition that keeps *cross-transaction log
-//! combination* (and compression) safe (§3.3, Figure 3) — and deals them
-//! round-robin, so worker `w` has exactly one input and appends to ring
-//! `w`. Either way the same [`persist_worker`] runs one [`Sweep`] per pass
-//! over its inputs: it stages units, flushes each ring's appended range,
-//! fences once, and hands every batch to [`publish`] — **out of commit
-//! order** across workers (§3.3), never waiting on another worker.
+//! *Persist* drains per-thread volatile redo logs into the persistent log
+//! rings as [`Sealed`] units, each last-writer-wins combined as it is
+//! sealed. With `persist_group = 1` every record is its own unit — **a
+//! commit is a group of one** — and the per-thread channels are
+//! partitioned across the `persist_flush_workers` workers. With
+//! `persist_group > 1` a *sequencer* merges all threads' records into dense
+//! ID order, seals groups of consecutive transactions — the precondition
+//! for cross-transaction combination and compression (§3.3, Figure 3) —
+//! and deals them round-robin, so worker `w` appends to ring `w` only.
+//! Either way a [`persist_worker`] runs one [`Sweep`] per pass: stage,
+//! flush each ring's appended range, fence once, and hand every batch to
+//! [`publish`] — out of commit order across workers, never waiting on one.
 //!
-//! Dense order is established once per leg, in one structure
-//! ([`DenseReorder`]): at the sequencer iff grouped, and at [`publish`]
-//! always. `publish` parks a fenced batch in `Shared::order` until nothing
-//! is missing in front of it, then — under the same lock — advances the
-//! durable ID over it and forwards it, so the durable ID only ever covers
-//! the contiguous fenced prefix and the Persist→Reproduce channel carries
-//! batches in dense ID order. Each ring's append order equals ID order,
-//! which is what lets Reproduce recycle spans FIFO.
+//! Dense order is established once per leg, in one [`DenseReorder`]: at
+//! the sequencer iff grouped, and at [`publish`] always. `publish` parks a
+//! fenced batch in `Shared::order` until nothing is missing in front of it,
+//! then, under the same lock, advances the durable ID over it and
+//! reproduces it. Each ring's append order equals ID order, so spans are
+//! recycled FIFO.
 //!
-//! *Reproduce* receives each persisted unit's *volatile copy* through that
-//! channel (the paper's "keep the redo log in the volatile region"
-//! optimization — without a crash, nothing is ever read back from NVM),
-//! applies the writes to the persistent heap, periodically checkpoints the
-//! reproduced ID, and only then recycles log space. With `reproduce_threads > 1` the applying is
-//! fanned out to `M` *shard workers* by heap shard ([`crate::frontier`]);
-//! each applies its shard's writes, fences, and publishes its completed
-//! TID. Every heap store goes through [`apply_writes`], which flushes each
-//! dirty cache line once per batch (per fenced run in a shard worker). The
-//! checkpoint — and therefore log recycling — always keys off the minimum
-//! completed TID across shards; one shard is the degenerate case.
+//! *Reproduce* is a step, not a thread ([`Replay`]): whoever closes a TID
+//! gap — a Persist worker after its sweep's fence, or the committer under
+//! `Sync` — applies the dense run from the units' *volatile copy* (without
+//! a crash nothing is read back from NVM), advances the reproduced ID,
+//! checkpoints on cadence and only then recycles log space. With
+//! `reproduce_threads > 1` the step instead splits each batch by heap shard
+//! ([`crate::frontier`]) for `M` shard workers, each of which applies,
+//! fences, publishes its completed TID and runs the same
+//! [`Replay::advance`]. The checkpoint keys off the minimum completed TID
+//! across shards; one shard is the degenerate case.
+//!
+//! Lock order: `Shared::order`, then `Shared::replay`. [`publish`] takes
+//! both; a shard worker, [`checkpoint_behind`] and [`drain`] take only
+//! `replay`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use dude_nvm::{Nvm, Region, CACHE_LINE};
 
 use crate::frontier::split_writes;
@@ -58,9 +55,9 @@ use crate::log::{
 use crate::plog::PlogSpan;
 use crate::runtime::Shared;
 use crate::seqtrack::DenseReorder;
-use crate::trace::{Stage, TraceEventKind};
+use crate::trace::{Stage, TraceEventKind as Event};
 
-/// A persisted unit handed from Persist to Reproduce.
+/// A persisted unit handed from Persist to the Reproduce step.
 #[derive(Debug)]
 pub(crate) struct Batch {
     pub first_tid: u64,
@@ -190,7 +187,7 @@ pub(crate) fn try_stage(
                 shared.trace.group_flush_bytes.record(stored as u64);
                 shared.trace.event(
                     Stage::Persist,
-                    TraceEventKind::GroupFlush,
+                    Event::GroupFlush,
                     unit.last_tid,
                     stored as u64,
                     0,
@@ -212,21 +209,22 @@ pub(crate) fn try_stage(
 }
 
 /// Announces a staged batch whose covering fence has returned: parks it in
-/// the order buffer, then advances the durable ID over — and hands to
-/// Reproduce — every batch that now has no gap in front of it.
+/// the order buffer, then advances the durable ID over — and reproduces
+/// ([`Replay::step`]) — every batch that now has no gap in front of it.
 ///
 /// All under the one lock, so the durable ID never covers a TID whose unit
-/// (or any earlier unit) is not yet fenced, and the channel carries batches
-/// in dense TID order. No caller ever waits on another: a batch behind a gap
-/// stays parked and whoever fills the gap forwards it.
-pub(crate) fn publish(shared: &Shared, out: &Sender<Batch>, batch: Batch) {
+/// (or any earlier unit) is not yet fenced, and replay sees batches in
+/// dense TID order. No caller ever waits on another: a batch behind a gap
+/// stays parked and whoever fills the gap reproduces it.
+pub(crate) fn publish(shared: &Shared, batch: Batch) {
     let mut order = shared.order.lock();
     order.push(batch.first_tid, batch.last_tid, batch);
+    let mut replay = None;
     while let Some((_, last, batch)) = order.pop() {
         shared.durable.store(last, Ordering::Release);
-        // Reproduce may have exited during shutdown teardown; the batch is
-        // persisted regardless.
-        let _ = out.send(batch);
+        replay
+            .get_or_insert_with(|| shared.replay.lock())
+            .step(shared, batch);
     }
 }
 
@@ -263,7 +261,7 @@ impl Sweep {
     /// Makes everything staged durable and publishes it. `worker` names the
     /// Persist worker whose `flush_worker_ns` series shares the fence
     /// sample (`None` inline under `Sync`).
-    pub(crate) fn finish(&mut self, shared: &Shared, worker: Option<usize>, out: &Sender<Batch>) {
+    pub(crate) fn finish(&mut self, shared: &Shared, worker: Option<usize>) {
         if self.staged.is_empty() {
             return;
         }
@@ -296,16 +294,12 @@ impl Sweep {
             }
             let bytes: u64 = self.staged.iter().map(|b| b.span.words * 8).sum();
             let last_tid = self.staged.iter().map(|b| b.last_tid).max().unwrap_or(0);
-            shared.trace.event(
-                Stage::Persist,
-                TraceEventKind::PersistBarrier,
-                last_tid,
-                bytes,
-                dur,
-            );
+            shared
+                .trace
+                .event(Stage::Persist, Event::PersistBarrier, last_tid, bytes, dur);
         }
         for batch in self.staged.drain(..) {
-            publish(shared, out, batch);
+            publish(shared, batch);
         }
     }
 }
@@ -317,14 +311,15 @@ impl Sweep {
 /// workers; the grouped pipeline gives worker `w` one input, the
 /// sequencer's channel `w`, staged into ring `w`. A full ring parks the
 /// unit with a bounded sleep per probe — counted as a `persist_ring_full`
-/// stall — never a busy-spin: the space it waits for appears as soon as
-/// Reproduce's idle-tick checkpoint recycles the spans ahead of it, all of
-/// which were fenced and published by the sweep that staged them.
+/// stall — never a busy-spin. Every span ahead of it was fenced and
+/// published by the sweep that staged it, so after each sweep the worker
+/// forces a checkpoint of whatever is reproduced ([`checkpoint_behind`]);
+/// a span still held sits behind a TID gap, and whoever fills the gap
+/// reproduces it for the next forced checkpoint to recycle.
 pub(crate) fn persist_worker<U: Seal>(
     shared: Arc<Shared>,
     worker: usize,
     inputs: Vec<(usize, Receiver<U>)>,
-    out: Sender<Batch>,
 ) {
     dude_nvm::set_background_stage(true);
     let mut sweep = Sweep::default();
@@ -359,9 +354,13 @@ pub(crate) fn persist_worker<U: Seal>(
                 }
             }
         }
-        sweep.finish(&shared, Some(worker), &out);
-        if done.iter().all(|&d| d) && parked.iter().all(|p| p.is_none()) {
-            return;
+        sweep.finish(&shared, Some(worker));
+        if parked.iter().all(Option::is_none) {
+            if done.iter().all(|&d| d) {
+                return;
+            }
+        } else {
+            checkpoint_behind(&shared);
         }
         if !progress {
             dude_nvm::thread::sleep(Duration::from_micros(50));
@@ -379,7 +378,7 @@ pub(crate) fn persist_worker<U: Seal>(
 /// assignment is load-bearing for span recycling: worker `w` receives
 /// groups `w, w + N, …` and appends them to *its own* ring in that order,
 /// so each ring's append order equals dense TID order — exactly the order
-/// Reproduce releases spans in ([`crate::plog::PlogRing::release`] panics
+/// the Reproduce step releases spans in ([`crate::plog::PlogRing::release`] panics
 /// otherwise).
 pub(crate) fn persist_sequencer(
     shared: Arc<Shared>,
@@ -410,13 +409,9 @@ pub(crate) fn persist_sequencer(
         if shared.trace.enabled() {
             let entries: u64 = records.iter().map(|r| r.writes().len() as u64).sum();
             let last = records.last().expect("non-empty group").tid();
-            shared.trace.event(
-                Stage::Persist,
-                TraceEventKind::GroupDispatch,
-                last,
-                8 * entries,
-                0,
-            );
+            shared
+                .trace
+                .event(Stage::Persist, Event::GroupDispatch, last, 8 * entries, 0);
         }
         // A worker only exits after draining its channel, so a send can
         // fail only during teardown-after-panic.
@@ -463,7 +458,7 @@ pub(crate) fn persist_sequencer(
         if all_done && reorder.pending_len() == 0 {
             dispatch(&mut current, &mut next_seq);
             // Returning drops `worker_txs`: the workers drain their
-            // queues and exit, taking the last `Batch` senders with them.
+            // queues and exit.
             return;
         }
         if !current.is_empty() && dude_nvm::monotonic_ns().saturating_sub(last_flush) > max_hold_ns
@@ -503,129 +498,147 @@ pub(crate) struct ShardWork {
     pub writes: Vec<(u64, u64)>,
 }
 
-/// The Reproduce stage (§3.4): replays batches — which [`publish`] forwards
-/// in dense transaction-ID order — onto the persistent heap, checkpoints at
-/// the minimum completed-TID frontier, and recycles log space.
-///
-/// With shard workers (`reproduce_threads > 1`) it splits each batch's
-/// writes by heap shard and fans them out, never touching the heap itself.
-/// With none it is the one shard: it applies each batch in place and
-/// publishes frontier slot 0 without a fence of its own — the checkpoint
-/// below runs on this same thread, and its fence covers those flushes.
-///
-/// Either way this is the only writer of the checkpoint word and the only
-/// thread that recycles log spans. A span is released only once the
+/// The Reproduce step's state (§3.4), behind `Shared::replay`: the one
+/// writer of the reproduced ID and of the checkpoint word, and the one
+/// place log spans are recycled. A span is released only once the
 /// checkpoint covering its last TID — which by the frontier minimum is
 /// applied *and durable on every shard* — is durable.
-pub(crate) fn reproduce_stage(
-    shared: Arc<Shared>,
-    rx: Receiver<Batch>,
-    shard_txs: Vec<Sender<ShardWork>>,
-) {
-    let _bg = dude_nvm::background_stage_scope();
-    let shards = shard_txs.len();
-    let mut dirty = DirtyLines::default();
-    let start = shared.reproduced.load(Ordering::Acquire);
-    // Last TID dispatched to the heap (or the shard workers).
-    let mut dispatched = start;
-    // Spans awaiting a covering checkpoint, FIFO in dispatch (= TID) order.
-    let mut pending_release: VecDeque<(u64, usize, PlogSpan)> = VecDeque::new();
-    let mut watermark = start;
-    let mut last_checkpoint = start;
-    loop {
-        let mut idle = false;
-        // One batch per pass, so the watermark and the cadence checkpoint
-        // see every batch boundary: a filled gap forwards a long dense run
-        // at once, and a Persist worker may be parked on the space the
-        // head of that run recycles.
-        let disconnected = match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(batch) => {
-                // Replaying past a gap would checkpoint — and recycle the
-                // log of — transactions the heap never saw.
-                assert!(
-                    batch.first_tid == dispatched + 1,
-                    "reproduce: batch {}..={} forwarded after tid {dispatched}",
-                    batch.first_tid,
-                    batch.last_tid
-                );
-                if shards == 0 {
-                    apply_in_place(&shared, &batch, &mut dirty);
-                } else {
-                    let split = split_writes(&batch.writes, shards);
-                    for (s, writes) in split.into_iter().enumerate() {
-                        // A worker only exits after draining its channel,
-                        // so a send can fail only during teardown-after-
-                        // panic; the frontier wait below would surface that.
-                        let _ = shard_txs[s].send(ShardWork {
-                            last_tid: batch.last_tid,
-                            writes,
-                        });
-                    }
-                }
-                pending_release.push_back((batch.last_tid, batch.ring, batch.span));
-                dispatched = batch.last_tid;
-                false
+#[derive(Debug, Default)]
+pub(crate) struct Replay {
+    /// The shard workers' inputs when `reproduce_threads > 1`; empty when
+    /// the step applies in place. [`drain`] closes them.
+    pub(crate) shards: Vec<Sender<ShardWork>>,
+    dirty: DirtyLines,
+    /// Spans awaiting a covering checkpoint, FIFO in TID order.
+    release: VecDeque<(u64, usize, PlogSpan)>,
+    pub(crate) last_checkpoint: u64,
+}
+
+impl Replay {
+    /// Reproduces one dense batch, which [`publish`] just moved the durable
+    /// ID over. One shard applies it in place and publishes frontier slot 0
+    /// without a fence of its own: the checkpoint that covers it fences
+    /// those flushes. Shard workers get its writes split by heap shard and
+    /// advance the reproduced ID themselves.
+    fn step(&mut self, shared: &Shared, batch: Batch) {
+        self.release
+            .push_back((batch.last_tid, batch.ring, batch.span));
+        if self.shards.is_empty() {
+            apply_run(shared, 0, &batch.writes, batch.last_tid, &mut self.dirty);
+            shared.frontier.publish(0, batch.last_tid);
+            self.advance(shared, batch.last_tid);
+        } else {
+            let split = split_writes(&batch.writes, self.shards.len());
+            for (tx, writes) in self.shards.iter().zip(split) {
+                // A shard worker only exits once its channel is closed and
+                // drained, which [`drain`] does after the last publisher.
+                let _ = tx.send(ShardWork {
+                    last_tid: batch.last_tid,
+                    writes,
+                });
             }
-            Err(RecvTimeoutError::Timeout) => {
-                idle = true;
-                // Starved = idling with nothing even parked behind a gap:
-                // replay has caught up with the Persist stage entirely.
-                // (`enabled` here spares the untraced idle tick the lock.)
-                if shared.trace.enabled() && shared.order.lock().pending_len() == 0 {
-                    shared.trace.stall(|s| &s.reproduce_starved);
-                }
-                false
-            }
-            Err(RecvTimeoutError::Disconnected) => true,
-        };
-        // Publish the global watermark: the slowest shard's completed
-        // TID. It gates paged-shadow swap-ins (§4.3).
-        let f = shared.frontier.min_completed();
-        if f > watermark {
-            shared
-                .stats
-                .txns_reproduced
-                .fetch_add(f - watermark, Ordering::Relaxed);
-            watermark = f;
-            shared.reproduced.store(f, Ordering::Release);
-        }
-        // On cadence — or on an idle tick with work applied but not yet
-        // checkpointed, so the covered log spans are recycled promptly
-        // (a Persist worker may be waiting for exactly that space).
-        if f - last_checkpoint >= shared.config.checkpoint_every || (idle && f > last_checkpoint) {
-            checkpoint(&shared, f, &mut pending_release);
-            last_checkpoint = f;
-        }
-        if disconnected {
-            let order = shared.order.lock();
-            assert!(
-                order.pending_len() == 0,
-                "reproduce: tid {} missing with pipeline closed ({} batches parked behind it)",
-                order.complete() + 1,
-                order.pending_len()
-            );
-            break;
         }
     }
-    // Drain: close the shard channels, wait for every shard to finish all
-    // dispatched work, then take the final checkpoint.
-    drop(shard_txs);
-    let target = dispatched;
+
+    /// Raises the reproduced ID to `f` — the frontier minimum, every TID
+    /// at or below it applied on every shard — counting the transactions
+    /// it passes, and checkpoints on cadence. The ID gates paged-shadow
+    /// swap-ins (§4.3); this is its only writer.
+    pub(crate) fn advance(&mut self, shared: &Shared, f: u64) {
+        let was = shared.reproduced.load(Ordering::Relaxed);
+        if f > was {
+            let stats = &shared.stats;
+            stats.txns_reproduced.fetch_add(f - was, Ordering::Relaxed);
+            shared.reproduced.store(f, Ordering::Release);
+        }
+        if f.saturating_sub(self.last_checkpoint) >= shared.config.checkpoint_every {
+            self.checkpoint(shared, f);
+        }
+    }
+
+    /// Durably records `reproduced` in the metadata region, then recycles
+    /// the log spans whose covering TID is at or below it.
+    ///
+    /// Spans are released strictly after the fence, and `reproduced` is a
+    /// frontier minimum: the one-shard step's replay position, whose heap
+    /// flushes this fence covers, or a TID every shard worker fenced before
+    /// publishing. So the word and the heap data it claims are durable
+    /// before any span is reused (DESIGN.md, "Checkpoint ordering").
+    fn checkpoint(&mut self, shared: &Shared, reproduced: u64) {
+        let off = shared.meta.start() + crate::runtime::META_REPRODUCED * 8;
+        shared.nvm.write_word(off, reproduced);
+        shared.nvm.flush(off, 8);
+        shared.nvm.fence();
+        shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.last_checkpoint = reproduced;
+        let mut released = 0u64;
+        while let Some(&(tid, ring_idx, span)) = self.release.front() {
+            if tid > reproduced {
+                break;
+            }
+            self.release.pop_front();
+            released += span.words * 8;
+            shared.rings[ring_idx].release(span);
+        }
+        // `bytes` here is the log space the checkpoint recycled — the payoff
+        // side of the checkpoint cadence trade-off.
+        shared.trace.event(
+            Stage::Checkpoint,
+            Event::CheckpointWrite,
+            reproduced,
+            released,
+            0,
+        );
+    }
+}
+
+/// Checkpoints the reproduced ID if it is ahead of the last checkpoint,
+/// recycling every span that covers: what a Persist worker parked on a full
+/// ring, or a `Sync` committer whose ring is full, calls instead of waiting
+/// for the cadence. Writes nothing when there is nothing new to cover.
+pub(crate) fn checkpoint_behind(shared: &Shared) {
+    // The sabotage gate exists only in sim builds: skipping the forced
+    // checkpoint leaves a parked unit waiting on space only the cadence
+    // can recycle — the liveness bug the schedule fuzzer must catch.
+    #[cfg(feature = "sim")]
+    if crate::sabotage::skip_forced_checkpoint() {
+        return;
+    }
+    let mut replay = shared.replay.lock();
+    let f = shared.reproduced.load(Ordering::Acquire);
+    if f > replay.last_checkpoint {
+        replay.checkpoint(shared, f);
+    }
+}
+
+/// Drains the Reproduce step once every publisher is gone: closes the
+/// shard channels, waits for every shard to finish all dispatched work,
+/// and takes the final checkpoint — of the frontier minimum, like every
+/// other.
+pub(crate) fn drain(shared: &Shared) {
+    shared.replay.lock().shards.clear();
+    let target = shared.durable.load(Ordering::Acquire);
     while shared.frontier.min_completed() < target {
         // Each yield is one tick of the final checkpoint waiting on the
         // slowest shard — the drain-time cost of frontier skew.
         shared.trace.stall(|s| &s.checkpoint_wait);
         dude_nvm::thread::yield_now();
     }
-    if target > watermark {
-        shared
-            .stats
-            .txns_reproduced
-            .fetch_add(target - watermark, Ordering::Relaxed);
-        shared.reproduced.store(target, Ordering::Release);
+    {
+        let mut replay = shared.replay.lock();
+        let f = shared.frontier.min_completed();
+        replay.advance(shared, f);
+        replay.checkpoint(shared, f);
+        debug_assert!(replay.release.is_empty(), "spans beyond the last batch");
     }
-    checkpoint(&shared, target, &mut pending_release);
-    debug_assert!(pending_release.is_empty(), "spans beyond the last batch");
+    let order = shared.order.lock();
+    // Unless already unwinding: a second panic in `Drop` would abort.
+    assert!(
+        std::thread::panicking() || order.pending_len() == 0,
+        "reproduce: tid {} missing with pipeline closed ({} batches parked behind it)",
+        order.complete() + 1,
+        order.pending_len()
+    );
 }
 
 /// Scratch of [`apply_writes`]: the cache lines one call dirtied.
@@ -639,7 +652,7 @@ pub(crate) struct DirtyLines {
 
 /// Stores `writes` into the heap, then flushes each cache line they dirtied
 /// **once** — no fence. The only place heap words are stored and flushed:
-/// the one-shard Reproduce stage calls it per batch, a shard worker per
+/// the one-shard Reproduce step calls it per batch, a shard worker per
 /// fenced run, recovery per record. Returns the words stored.
 pub(crate) fn apply_writes<'a>(
     nvm: &Nvm,
@@ -667,78 +680,60 @@ pub(crate) fn apply_writes<'a>(
     words
 }
 
-/// [`reproduce_stage`] as its own single shard: applies one batch to the
-/// heap and publishes it as frontier slot 0.
-fn apply_in_place(shared: &Shared, batch: &Batch, dirty: &mut DirtyLines) {
+/// Applies one run of dense batches ending at `last` to `shard`'s slice of
+/// the heap; the caller then publishes the shard's frontier slot. A shard
+/// worker's run is fenced here, before that publish; the one-shard step
+/// leaves its fence to the covering checkpoint. Nothing flushed ⇒ no fence:
+/// an all-empty run (aborts, or no writes routed here) must not pay the
+/// barrier latency, nor drown the apply histogram in zeros.
+fn apply_run<'a>(
+    shared: &Shared,
+    shard: usize,
+    writes: impl IntoIterator<Item = &'a (u64, u64)>,
+    last: u64,
+    dirty: &mut DirtyLines,
+) {
     let tracing = shared.trace.enabled();
     let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-    let words = apply_writes(&shared.nvm, shared.heap, &batch.writes, dirty);
+    let words = apply_writes(&shared.nvm, shared.heap, writes, dirty);
+    if words == 0 {
+        return;
+    }
+    if shared.config.reproduce_threads > 1 {
+        shared.nvm.fence();
+    }
+    shared.frontier.note_applied(shard, words);
     if tracing {
         let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
-        shared.trace.replay_apply_ns[0].record(dur);
-        shared.trace.event(
-            Stage::Reproduce,
-            TraceEventKind::ReplayApply,
-            batch.last_tid,
-            8 * words,
-            dur,
-        );
+        shared.trace.replay_apply_ns[shard].record(dur);
+        let bytes = 8 * words;
+        shared
+            .trace
+            .event(Stage::Reproduce, Event::ReplayApply, last, bytes, dur);
     }
-    shared.frontier.note_applied(0, words);
-    shared.frontier.publish(0, batch.last_tid);
 }
 
 /// A Reproduce shard worker: applies its shard's slice of each batch to
 /// the persistent heap, fences its own flushes, and only then publishes
-/// its completed TID to the frontier.
+/// its completed TID to the frontier and runs [`Replay::advance`].
 ///
 /// The fence-before-publish order is load-bearing: the checkpoint trusts
 /// the frontier minimum without issuing flushes of its own for heap data,
 /// so a TID a shard publishes must already be durable *on that shard*. One
 /// fence covers a whole drained run of batches, keeping the barrier count
-/// comparable to the one-shard stage's.
+/// comparable to the one-shard step's.
 pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Receiver<ShardWork>) {
     let _bg = dude_nvm::background_stage_scope();
     let mut run: Vec<ShardWork> = Vec::new();
     let mut dirty = DirtyLines::default();
-    loop {
-        match rx.recv() {
-            Ok(w) => run.push(w),
-            Err(_) => return,
-        }
+    while let Ok(work) = rx.recv() {
         // Batch whatever else is already queued so one fence covers the
         // whole run (bounded: the frontier should not stall on a hot shard).
-        while run.len() < 128 {
-            match rx.try_recv() {
-                Ok(w) => run.push(w),
-                Err(_) => break,
-            }
-        }
-        let tracing = shared.trace.enabled();
-        let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-        let writes = run.iter().flat_map(|work| &work.writes);
-        let words = apply_writes(&shared.nvm, shared.heap, writes, &mut dirty);
-        if words > 0 {
-            // Nothing flushed ⇒ no fence: an all-empty run (aborts, or no
-            // writes routed here) must not pay the barrier latency.
-            shared.nvm.fence();
-            shared.frontier.note_applied(shard, words);
-        }
+        run.push(work);
+        run.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(127));
         let last = run.last().expect("run is non-empty").last_tid;
-        if tracing && words > 0 {
-            // Apply + fence for the whole run: what this shard's slice of
-            // the replay actually cost (empty runs are pure bookkeeping and
-            // would drown the histogram in zeros).
-            let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
-            shared.trace.replay_apply_ns[shard].record(dur);
-            shared.trace.event(
-                Stage::Reproduce,
-                TraceEventKind::ReplayApply,
-                last,
-                8 * words,
-                dur,
-            );
-        }
+        let writes = run.iter().flat_map(|work| &work.writes);
+        apply_run(&shared, shard, writes, last, &mut dirty);
         // The sabotage offset exists only in sim builds: publishing
         // `last + 1` is the injected off-by-one frontier bug — the min
         // frontier (and therefore the checkpoint) can then cover a TID
@@ -748,51 +743,14 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
         #[cfg(not(feature = "sim"))]
         let publish_tid = last;
         shared.frontier.publish(shard, publish_tid);
+        // Whichever worker raises the minimum advances the reproduced ID
+        // and takes the cadence checkpoint.
+        shared
+            .replay
+            .lock()
+            .advance(&shared, shared.frontier.min_completed());
         run.clear();
     }
-}
-
-/// Durably records `reproduced` in the metadata region, then recycles the
-/// log spans whose covering TID is at or below it.
-///
-/// Ordering audit (the span-release-vs-durability question): the release
-/// loop runs strictly after the fence returns, and `reproduced` is only
-/// ever the frontier minimum: either (a) the one-shard stage's own dense
-/// replay position, whose data flushes this same fence covers, or (b) a TID
-/// every shard worker fenced *before* publishing. In both cases the checkpoint
-/// word and all heap data it claims are durable before any span is handed
-/// back for reuse. The hole this audit did find was downstream: recovery
-/// replayed released-but-not-yet-overwritten records *below* the
-/// checkpoint, regressing the heap (see `recovery.rs`; regression test
-/// `stale_released_record_below_checkpoint_is_not_replayed`).
-fn checkpoint(
-    shared: &Shared,
-    reproduced: u64,
-    pending_release: &mut VecDeque<(u64, usize, PlogSpan)>,
-) {
-    let off = shared.meta.start() + crate::runtime::META_REPRODUCED * 8;
-    shared.nvm.write_word(off, reproduced);
-    shared.nvm.flush(off, 8);
-    shared.nvm.fence();
-    shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-    let mut released = 0u64;
-    while let Some(&(tid, ring_idx, span)) = pending_release.front() {
-        if tid > reproduced {
-            break;
-        }
-        pending_release.pop_front();
-        released += span.words * 8;
-        shared.rings[ring_idx].release(span);
-    }
-    // `bytes` here is the log space the checkpoint recycled — the payoff
-    // side of the checkpoint cadence trade-off.
-    shared.trace.event(
-        Stage::Checkpoint,
-        TraceEventKind::CheckpointWrite,
-        reproduced,
-        released,
-        0,
-    );
 }
 
 #[cfg(test)]
@@ -808,7 +766,7 @@ mod tests {
 
     fn shared(config: DudeTmConfig) -> (Arc<Shared>, NvmLayout) {
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(16 << 20)));
-        let layout = NvmLayout::compute(nvm.size_bytes(), &config);
+        let layout = NvmLayout::compute(nvm.size_bytes(), &config).unwrap();
         let shared = Shared::new(nvm, config, &layout, 0, RecoveryTelemetry::default());
         (Arc::new(shared), layout)
     }
@@ -902,57 +860,90 @@ mod tests {
         assert_eq!(shared.stats.snapshot(), expect);
     }
 
+    /// A refused unit counts nothing and waits on a checkpoint the cadence
+    /// will not take for a long time: the forced one recycles exactly the
+    /// reproduced spans, and forcing again with nothing new writes nothing.
     #[test]
-    fn ring_full_gives_the_unit_back_uncounted() {
+    fn ring_full_gives_the_unit_back_until_a_forced_checkpoint() {
         let config = DudeTmConfig {
             plog_bytes_per_thread: 4096,
+            checkpoint_every: 1000,
             ..DudeTmConfig::small(1 << 16)
         }
         .with_trace(TraceConfig::enabled(64));
-        let (shared, _) = shared(config);
+        let (shared, layout) = shared(config);
         // 2 + 2 * 100 = 202 words each: two fit the 512-word ring.
         let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 8, w)).collect();
         let mut buf = Vec::new();
         let first = try_stage(&shared, 0, seal(commit(1, &writes)), &mut buf).unwrap();
-        try_stage(&shared, 0, seal(commit(2, &writes)), &mut buf).unwrap();
+        let second = try_stage(&shared, 0, seal(commit(2, &writes)), &mut buf).unwrap();
+        shared.nvm.fence();
+        publish(&shared, first);
+        assert_eq!(shared.reproduced.load(Ordering::Acquire), 1);
         let before = shared.stats.snapshot();
         let back = try_stage(&shared, 0, seal(commit(3, &writes)), &mut buf).unwrap_err();
         assert_eq!(back, seal(commit(3, &writes)));
-        assert_eq!(
-            shared.stats.snapshot(),
-            before,
-            "a refused unit counts nothing"
-        );
+        let after = shared.stats.snapshot();
+        assert_eq!(after, before, "a refused unit counts nothing");
         assert_eq!(shared.trace.stalls.snapshot().persist_ring_full, 1);
-        // The retry after Reproduce recycles space counts exactly once.
-        shared.rings[0].release(first.span);
-        try_stage(&shared, 0, back, &mut buf).expect("space was released");
+        assert_eq!(after.checkpoints, 0, "cadence not reached");
+
+        checkpoint_behind(&shared);
+        let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
+        assert_eq!(shared.nvm.read_word(meta), 1);
+        assert_eq!(shared.stats.snapshot().checkpoints, 1);
+        // Tid 2 is staged but unpublished: its span stays held.
+        assert_eq!(shared.rings[0].used_words(), second.span.words);
+        // The retry counts exactly once.
+        try_stage(&shared, 0, back, &mut buf).expect("the first span was released");
         let after = shared.stats.snapshot();
         assert_eq!(after.records_persisted, before.records_persisted + 1);
         assert_eq!(after.entries_logged, before.entries_logged + 100);
+
+        let before = shared.nvm.stats();
+        checkpoint_behind(&shared);
+        assert_eq!(shared.nvm.stats().delta(&before).words_written, 0);
+        assert_eq!(shared.stats.snapshot().checkpoints, 1, "nothing new: no-op");
     }
 
     /// 4 threads publish a seed-shuffled set of staged batches — single
-    /// commits and groups of three — while a reader samples the durable ID.
-    fn publish_order_body(seed: u64) {
+    /// commits and groups of three, each TID writing heap word `TID` with
+    /// value `TID` — while a reader samples the watermarks and the heap.
+    /// With `shards > 1` the step dispatches to channels the test drains
+    /// instead of applying.
+    fn publish_order_body(seed: u64, shards: usize) {
         use std::sync::atomic::AtomicBool;
-        let (shared, _) = shared(DudeTmConfig::small(1 << 16).with_grouping(4, false));
-        let (tx, rx) = unbounded();
+        let config = DudeTmConfig::small(1 << 16)
+            .with_grouping(4, false)
+            .with_reproduce_threads(shards);
+        let (shared, layout) = shared(config);
+        let shard_rxs: Vec<_> = (0..shards)
+            .filter(|_| shards > 1)
+            .map(|_| {
+                let (tx, rx) = unbounded();
+                shared.replay.lock().shards.push(tx);
+                rx
+            })
+            .collect();
         let mut buf = Vec::new();
         let mut batches = Vec::new();
         let mut tid = 0;
         for k in 0..96 {
             let unit = if k % 3 == 0 {
-                let group = (1..=3).map(|i| commit(tid + i, &[(8 * k, i)])).collect();
+                let group = (tid + 1..=tid + 3)
+                    .map(|t| commit(t, &[(8 * t, t)]))
+                    .collect();
                 tid += 3;
                 seal(GroupWork(group))
             } else {
                 tid += 1;
-                seal(commit(tid, &[(8 * k, tid)]))
+                seal(commit(tid, &[(8 * tid, tid)]))
             };
             batches.push(try_stage(&shared, k as usize % 4, unit, &mut buf).unwrap());
         }
         let last = tid;
+        let mut ends: Vec<u64> = batches.iter().map(|b| b.last_tid).collect();
+        ends.sort_unstable();
         shared.nvm.fence();
         let mut x = seed;
         for i in (1..batches.len()).rev() {
@@ -971,52 +962,71 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(p, part)| {
-                let (shared, tx, entered) = (Arc::clone(&shared), tx.clone(), Arc::clone(&entered));
+                let (shared, entered) = (Arc::clone(&shared), Arc::clone(&entered));
                 dude_nvm::thread::spawn_named(&format!("publisher-{p}"), move || {
                     for batch in part {
                         for t in batch.first_tid..=batch.last_tid {
                             entered[t as usize].store(true, Ordering::SeqCst);
                         }
-                        publish(&shared, &tx, batch);
+                        publish(&shared, batch);
                         dude_nvm::thread::yield_now();
                     }
                 })
             })
             .collect();
-        drop(tx);
+        let applied =
+            move |shared: &Shared, t: u64| shared.nvm.read_word(layout.heap.start() + 8 * t) == t;
         let reader = {
             let (shared, entered) = (Arc::clone(&shared), Arc::clone(&entered));
-            dude_nvm::thread::spawn_named("durable-reader", move || loop {
+            dude_nvm::thread::spawn_named("watermark-reader", move || loop {
+                // Read against the step's write order (durable, heap,
+                // reproduced), so each bound covers what was read before.
+                let reproduced = shared.reproduced.load(Ordering::Acquire);
+                assert!((1..=reproduced).all(|t| applied(&shared, t)));
+                // The highest applied TID, then everything below it: a TID
+                // applied with a lower one still missing broke dense order.
+                let top = (1..=last).rev().find(|&t| applied(&shared, t));
+                let top = top.unwrap_or(0);
+                assert!((1..top).all(|t| applied(&shared, t)), "{top} applied early");
                 let durable = shared.durable.load(Ordering::Acquire);
-                for t in 1..=durable {
-                    assert!(
-                        entered[t as usize].load(Ordering::SeqCst),
-                        "durable {durable} announced before tid {t} was published"
-                    );
-                }
+                assert!(reproduced.max(top) <= durable, "past durable {durable}");
+                let published = |t: u64| entered[t as usize].load(Ordering::SeqCst);
+                assert!(
+                    (1..=durable).all(published),
+                    "durable {durable} announced before every tid below it was published"
+                );
                 if durable == last {
                     return;
                 }
                 dude_nvm::thread::yield_now();
             })
         };
-        let mut prev_last = 0;
-        while let Ok(batch) = rx.recv() {
-            assert_eq!(batch.first_tid, prev_last + 1, "forwarded past a gap");
-            prev_last = batch.last_tid;
-        }
         for handle in publishers.into_iter().chain([reader]) {
             handle.join().expect("publisher or reader panicked");
         }
-        assert_eq!(prev_last, last);
         assert_eq!(shared.durable.load(Ordering::Acquire), last);
         assert_eq!(shared.order.lock().pending_len(), 0);
+        if shard_rxs.is_empty() {
+            assert_eq!(shared.reproduced.load(Ordering::Acquire), last);
+            assert!((1..=last).all(|t| applied(&shared, t)));
+        } else {
+            // Every shard saw every batch, in dense order.
+            shared.replay.lock().shards.clear();
+            for rx in shard_rxs {
+                let got: Vec<u64> = std::iter::from_fn(|| rx.try_recv().ok())
+                    .map(|work| work.last_tid)
+                    .collect();
+                assert_eq!(got, ends, "dispatched out of dense order");
+            }
+        }
     }
 
     #[test]
-    fn publish_forwards_in_dense_order_and_never_announces_past_a_gap() {
+    fn publish_reproduces_in_dense_order_and_never_announces_past_a_gap() {
         for seed in [7, 1337, 424242] {
-            publish_order_body(seed);
+            for shards in [1, 2] {
+                publish_order_body(seed, shards);
+            }
         }
     }
 
@@ -1024,27 +1034,29 @@ mod tests {
     /// also fixes the interleaving of the four publishers and the reader.
     #[cfg(feature = "sim")]
     #[test]
-    fn publish_forwards_in_dense_order_and_never_announces_past_a_gap_sim() {
+    fn publish_reproduces_in_dense_order_and_never_announces_past_a_gap_sim() {
         let seed = std::env::var("DUDE_SIM_SEED")
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(7);
-        let report = dude_sim::run(dude_sim::SimConfig::from_seed(seed), move || {
-            publish_order_body(seed)
-        });
-        if let Some(p) = report.panic {
-            eprintln!("DUDE_SIM_SEED={seed}");
-            panic!("sim run failed under seed {seed}: {p}");
+        for shards in [1, 2] {
+            let report = dude_sim::run(dude_sim::SimConfig::from_seed(seed), move || {
+                publish_order_body(seed, shards)
+            });
+            if let Some(p) = report.panic {
+                eprintln!("DUDE_SIM_SEED={seed}");
+                panic!("sim run failed under seed {seed}, {shards} shards: {p}");
+            }
         }
     }
 
-    /// The one-shard degenerate case: `reproduce_stage` with no shard
-    /// workers applies in place, publishes frontier slot 0, and checkpoints
-    /// on cadence plus once at the drain — at the same TIDs whether batches
-    /// are published in order or a late head releases the whole run at once
-    /// (N Persist workers publish out of order).
+    /// The one-shard degenerate case: `publish` applies in place, publishes
+    /// frontier slot 0, and checkpoints on cadence, and the drain once more
+    /// — at the same TIDs whether batches are published in order or a late
+    /// head releases the whole run at once (N Persist workers publish out
+    /// of order).
     #[test]
-    fn one_shard_stage_applies_in_place_and_checkpoints_on_cadence() {
+    fn one_shard_step_applies_in_place_and_checkpoints_on_cadence() {
         for head_last in [false, true] {
             let config = DudeTmConfig {
                 checkpoint_every: 8,
@@ -1052,7 +1064,6 @@ mod tests {
             }
             .with_trace(TraceConfig::enabled(1024));
             let (shared, layout) = shared(config);
-            let (tx, rx) = unbounded();
             let mut buf = Vec::new();
             let mut batches: Vec<Batch> = (1..=20u64)
                 .map(|tid| {
@@ -1065,12 +1076,10 @@ mod tests {
             }
             shared.nvm.fence();
             for batch in batches {
-                publish(&shared, &tx, batch);
+                publish(&shared, batch);
             }
-            // Everything queued and the channel closed: the stage never
-            // idles, so only the cadence and the drain checkpoint.
-            drop(tx);
-            reproduce_stage(Arc::clone(&shared), rx, Vec::new());
+            assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
+            drain(&shared);
 
             assert_eq!(shared.frontier.completed(0), 20);
             assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
@@ -1081,7 +1090,7 @@ mod tests {
                 .ring()
                 .records()
                 .iter()
-                .filter(|r| r.event == TraceEventKind::CheckpointWrite)
+                .filter(|r| r.event == Event::CheckpointWrite)
                 .map(|r| r.tid)
                 .collect();
             assert_eq!(checkpointed, [8, 16, 20], "head_last={head_last}");

@@ -73,6 +73,14 @@ pub enum RecoverError {
     /// The supplied configuration is invalid; nothing on the device was
     /// read or written.
     Config(ConfigError),
+    /// The device cannot hold the configured layout (metadata, one log
+    /// ring per thread, heap); nothing on it was read or written.
+    DeviceTooSmall {
+        /// Bytes the layout needs.
+        need: u64,
+        /// Bytes the device has.
+        have: u64,
+    },
     /// The device does not carry DudeTM's metadata magic.
     NotFormatted,
     /// The on-device format version is unsupported.
@@ -99,6 +107,10 @@ impl core::fmt::Display for RecoverError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             RecoverError::Config(e) => write!(f, "invalid DudeTmConfig: {e}"),
+            RecoverError::DeviceTooSmall { need, have } => {
+                let what = "bytes (meta + log rings + heap)";
+                write!(f, "NVM device too small: need {need} {what}, have {have}")
+            }
             RecoverError::NotFormatted => f.write_str("device is not a DudeTM volume"),
             RecoverError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             RecoverError::LayoutMismatch {
@@ -150,7 +162,7 @@ pub fn recover_device_observed(
     telemetry: &RecoveryTelemetry,
 ) -> Result<(NvmLayout, RecoveryReport), RecoverError> {
     config.try_validate().map_err(RecoverError::Config)?;
-    let layout = NvmLayout::compute(nvm.size_bytes(), config);
+    let layout = NvmLayout::compute(nvm.size_bytes(), config)?;
     if nvm.read_word(layout.meta.start() + META_MAGIC_WORD * 8) != META_MAGIC {
         return Err(RecoverError::NotFormatted);
     }

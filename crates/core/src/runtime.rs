@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use dude_nvm::{Nvm, Region};
 use dude_stm::HeapTxn;
 use dude_txapi::{TxAbort, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
@@ -18,11 +18,11 @@ use crate::frontier::ReproduceFrontier;
 use crate::log::LogRecord;
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    persist_sequencer, persist_worker, reproduce_shard_worker, reproduce_stage, Batch, GroupWork,
-    Seal, ShardWork, Sweep,
+    checkpoint_behind, drain, persist_sequencer, persist_worker, reproduce_shard_worker, Batch,
+    GroupWork, Replay, Seal, ShardWork, Sweep,
 };
 use crate::plog::PlogRing;
-use crate::recovery::wipe_logs;
+use crate::recovery::{wipe_logs, RecoverError};
 use crate::seqtrack::DenseReorder;
 use crate::shadow::ShadowMem;
 use crate::stats::{
@@ -53,7 +53,12 @@ pub struct NvmLayout {
 }
 
 impl NvmLayout {
-    pub(crate) fn compute(nvm_bytes: u64, config: &DudeTmConfig) -> NvmLayout {
+    /// Lays `config` out over a device of `nvm_bytes`; a device too small
+    /// for the result is [`RecoverError::DeviceTooSmall`].
+    pub(crate) fn compute(
+        nvm_bytes: u64,
+        config: &DudeTmConfig,
+    ) -> Result<NvmLayout, RecoverError> {
         let mut off = 0u64;
         let meta = Region::new(off, META_WORDS * 8);
         off += META_WORDS * 8;
@@ -65,14 +70,13 @@ impl NvmLayout {
         // Page-align the heap.
         off = off.next_multiple_of(4096);
         let heap = Region::new(off, config.heap_bytes);
-        assert!(
-            heap.end() <= nvm_bytes,
-            "NVM device too small: need {} bytes (meta + {} log rings + heap), have {}",
-            heap.end(),
-            config.max_threads,
-            nvm_bytes
-        );
-        NvmLayout { meta, plogs, heap }
+        if heap.end() > nvm_bytes {
+            return Err(RecoverError::DeviceTooSmall {
+                need: heap.end(),
+                have: nvm_bytes,
+            });
+        }
+        Ok(NvmLayout { meta, plogs, heap })
     }
 }
 
@@ -87,6 +91,9 @@ pub struct Shared {
     /// Fenced batches parked behind a TID gap; [`crate::pipeline::publish`]
     /// pops them in dense order.
     pub(crate) order: Mutex<DenseReorder<Batch>>,
+    /// The Reproduce step's state. Taken after `order` when both are held,
+    /// never before it.
+    pub(crate) replay: Mutex<Replay>,
     /// The durable ID (§3.3): every transaction at or below it is fenced in
     /// the log. Written by `publish` only, under the `order` lock.
     pub(crate) durable: AtomicU64,
@@ -116,6 +123,8 @@ impl Shared {
             .iter()
             .map(|&r| Arc::new(PlogRing::new(Arc::clone(&nvm), r)))
             .collect();
+        let mut replay = Replay::default();
+        replay.last_checkpoint = start_tid;
         Shared {
             nvm,
             config,
@@ -123,6 +132,7 @@ impl Shared {
             heap: layout.heap,
             rings,
             order: Mutex::new(DenseReorder::starting_at(start_tid)),
+            replay: Mutex::new(replay),
             durable: AtomicU64::new(start_tid),
             reproduced: Arc::new(AtomicU64::new(start_tid)),
             frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
@@ -143,28 +153,35 @@ impl Shared {
 enum Sink {
     /// Asynchronous pipeline: hand the record to a Persist thread.
     Channel(Sender<LogRecord>),
-    /// DudeTM-Sync: persist inline, then forward to Reproduce.
-    Sync(SyncSink),
+    /// DudeTM-Sync: persist inline into the thread's own ring, reproducing
+    /// whatever that publishes.
+    Sync { ring_idx: usize, sweep: Sweep },
 }
 
-/// What a `Sync` thread persists with: its own ring, its own sweep.
-#[derive(Debug)]
-struct SyncSink {
-    ring_idx: usize,
-    batches: Sender<Batch>,
-    sweep: Sweep,
-}
-
-impl SyncSink {
-    /// One Persist sweep of one record, on the committing thread.
-    fn persist_inline(&mut self, shared: &Shared, rec: LogRecord) {
-        let mut unit = self.sweep.seal(rec);
-        // Ring full: wait for Reproduce to recycle space.
-        while let Err(back) = self.sweep.stage(shared, self.ring_idx, unit) {
-            unit = back;
-            dude_nvm::thread::yield_now();
+impl Sink {
+    /// Hands `rec` on. A full bounded buffer blocks — the Perform-side
+    /// backpressure of §3.2 — after counting the stall, so the layer can
+    /// tell "Perform waited on Persist" from "Perform ran free". Under
+    /// `Sync` this is one Persist sweep of one record.
+    fn deliver(&mut self, shared: &Shared, rec: LogRecord) {
+        match self {
+            Sink::Channel(tx) => {
+                if let Err(TrySendError::Full(rec)) = tx.try_send(rec) {
+                    shared.trace.stall(|s| &s.perform_log_full);
+                    let _ = tx.send(rec);
+                }
+            }
+            Sink::Sync { ring_idx, sweep } => {
+                let mut unit = sweep.seal(rec);
+                // Ring full: recycle what is reproduced behind it, then retry.
+                while let Err(back) = sweep.stage(shared, *ring_idx, unit) {
+                    unit = back;
+                    checkpoint_behind(shared);
+                    dude_nvm::thread::yield_now();
+                }
+                sweep.finish(shared, None);
+            }
         }
-        self.sweep.finish(shared, None, &self.batches);
     }
 }
 
@@ -211,29 +228,8 @@ impl dude_stm::TxHooks for RedoHooks {
         self.shadow.note_commit(tid, &self.staged);
         self.last_commit_bytes = 8 * self.staged.len() as u64;
         let writes = std::mem::take(&mut self.staged);
-        match &mut self.sink {
-            Sink::Channel(tx) => {
-                // A full bounded buffer blocks here — the Perform-side
-                // backpressure of §3.2. With tracing on, count the stall
-                // before blocking so the layer can tell "Perform waited on
-                // Persist" from "Perform ran free".
-                if self.shared.trace.enabled() {
-                    match tx.try_send(LogRecord::Commit { tid, writes }) {
-                        Ok(()) => {}
-                        Err(crossbeam::channel::TrySendError::Full(rec)) => {
-                            self.shared.trace.stall(|s| &s.perform_log_full);
-                            let _ = tx.send(rec);
-                        }
-                        Err(crossbeam::channel::TrySendError::Disconnected(_)) => {}
-                    }
-                } else {
-                    let _ = tx.send(LogRecord::Commit { tid, writes });
-                }
-            }
-            Sink::Sync(sync) => {
-                sync.persist_inline(&self.shared, LogRecord::Commit { tid, writes })
-            }
-        }
+        self.sink
+            .deliver(&self.shared, LogRecord::Commit { tid, writes });
     }
 
     fn on_abort(&mut self, wasted_tid: Option<u64>) {
@@ -253,12 +249,7 @@ impl dude_stm::TxHooks for RedoHooks {
         if self.shared.config.metrics.enabled {
             self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
         }
-        match &mut self.sink {
-            Sink::Channel(tx) => {
-                let _ = tx.send(LogRecord::Abort { tid });
-            }
-            Sink::Sync(sync) => sync.persist_inline(&self.shared, LogRecord::Abort { tid }),
-        }
+        self.sink.deliver(&self.shared, LogRecord::Abort { tid });
     }
 }
 
@@ -275,14 +266,12 @@ pub struct DudeTm<E: TmEngine> {
     metrics: Arc<MetricsRegistry>,
     /// Per-slot volatile-log senders (async modes).
     record_senders: Vec<Sender<LogRecord>>,
-    /// Producer side of the persist→reproduce channel (cloned by sync-mode
-    /// threads; dropped at shutdown).
-    batch_sender: Option<Sender<Batch>>,
     /// Optional commit-history recorder handed to newly registered threads
     /// (see [`DudeTm::attach_history`]).
     history: Mutex<Option<Arc<CommitHistory>>>,
     next_slot: AtomicUsize,
-    workers: Vec<dude_nvm::thread::JoinHandle<()>>,
+    /// The background threads, until [`DudeTm::halt`] drains them.
+    workers: Option<Workers>,
     /// Stop signal + handle for the metrics sampler (`None` when metrics
     /// are disabled, or after shutdown).
     sampler: Option<(Sender<()>, dude_nvm::thread::JoinHandle<()>)>,
@@ -297,7 +286,8 @@ impl<E: TmEngine> DudeTm<E> {
     /// Panics if the configuration is invalid or the device is too small.
     pub fn create_with(nvm: Arc<Nvm>, config: DudeTmConfig, engine: E) -> Self {
         config.validate();
-        let layout = NvmLayout::compute(nvm.size_bytes(), &config);
+        let layout =
+            NvmLayout::compute(nvm.size_bytes(), &config).unwrap_or_else(|e| panic!("{e}"));
         // Wipe the log regions: a re-formatted device may still carry intact
         // records from a previous generation, and recovery (which trusts any
         // record it can checksum) must never see them alias this generation's
@@ -344,74 +334,63 @@ impl<E: TmEngine> DudeTm<E> {
         ));
         shadow.populate_from_nvm(&nvm, layout.heap);
 
-        let (batch_tx, batch_rx) = unbounded::<Batch>();
-        let mut workers = Vec::new();
+        let mut persist = Vec::new();
         let mut record_senders = Vec::new();
 
-        match config.durability {
-            DurabilityMode::Sync => {}
-            DurabilityMode::Async { .. } | DurabilityMode::AsyncUnbounded => {
-                let cap = match config.durability {
-                    DurabilityMode::Async { buffer_txns } => Some(buffer_txns),
-                    _ => None,
+        if config.durability != DurabilityMode::Sync {
+            let mut receivers = Vec::new();
+            for _ in 0..config.max_threads {
+                let (tx, rx) = match config.durability {
+                    DurabilityMode::Async { buffer_txns } => bounded(buffer_txns),
+                    _ => unbounded(),
                 };
-                let mut receivers = Vec::new();
-                for _ in 0..config.max_threads {
-                    let (tx, rx) = match cap {
-                        Some(c) => bounded(c),
-                        None => unbounded(),
-                    };
-                    record_senders.push(tx);
-                    receivers.push(rx);
+                record_senders.push(tx);
+                receivers.push(rx);
+            }
+            // Validation capped persist_flush_workers at max_threads, the
+            // number of channels and of rings.
+            let n = config.persist_flush_workers;
+            if config.persist_group > 1 {
+                // Sequencer in front; worker `w` owns ring `w`.
+                let mut worker_txs = Vec::with_capacity(n);
+                for w in 0..n {
+                    let (tx, rx) = unbounded::<GroupWork>();
+                    worker_txs.push(tx);
+                    persist.push(spawn_persist_worker(&shared, w, vec![(w, rx)]));
                 }
-                // Validation capped persist_flush_workers at max_threads,
-                // the number of channels and of rings.
-                let n = config.persist_flush_workers;
-                if config.persist_group > 1 {
-                    // Sequencer in front; worker `w` owns ring `w`.
-                    let mut worker_txs = Vec::with_capacity(n);
-                    for w in 0..n {
-                        let (tx, rx) = unbounded::<GroupWork>();
-                        worker_txs.push(tx);
-                        workers.push(spawn_persist_worker(&shared, w, vec![(w, rx)], &batch_tx));
-                    }
-                    let shared2 = Arc::clone(&shared);
-                    let group = config.persist_group;
-                    workers.push(dude_nvm::thread::spawn_named(
-                        "dude-persist-seq",
-                        move || persist_sequencer(shared2, receivers, worker_txs, group),
-                    ));
-                } else {
-                    // Partition the per-thread channels across the workers
-                    // round-robin.
-                    let mut parts: Vec<Vec<(usize, Receiver<LogRecord>)>> =
-                        (0..n).map(|_| Vec::new()).collect();
-                    for (i, rx) in receivers.into_iter().enumerate() {
-                        parts[i % n].push((i, rx));
-                    }
-                    for (w, inputs) in parts.into_iter().enumerate() {
-                        workers.push(spawn_persist_worker(&shared, w, inputs, &batch_tx));
-                    }
+                let shared2 = Arc::clone(&shared);
+                let group = config.persist_group;
+                persist.push(dude_nvm::thread::spawn_named(
+                    "dude-persist-seq",
+                    move || persist_sequencer(shared2, receivers, worker_txs, group),
+                ));
+            } else {
+                // Partition the per-thread channels across the workers
+                // round-robin.
+                let mut parts: Vec<Vec<(usize, Receiver<LogRecord>)>> =
+                    (0..n).map(|_| Vec::new()).collect();
+                for (i, rx) in receivers.into_iter().enumerate() {
+                    parts[i % n].push((i, rx));
+                }
+                for (w, inputs) in parts.into_iter().enumerate() {
+                    persist.push(spawn_persist_worker(&shared, w, inputs));
                 }
             }
         }
-        // One shard is applied by the Reproduce stage itself: no workers.
-        let mut shard_txs = Vec::new();
+        // One shard is applied by the Reproduce step itself: no workers.
+        let mut shards = Vec::new();
         if config.reproduce_threads > 1 {
+            let mut replay = shared.replay.lock();
             for s in 0..config.reproduce_threads {
                 let (tx, rx) = unbounded::<ShardWork>();
-                shard_txs.push(tx);
+                replay.shards.push(tx);
                 let shared2 = Arc::clone(&shared);
-                workers.push(dude_nvm::thread::spawn_named(
+                shards.push(dude_nvm::thread::spawn_named(
                     &format!("dude-reproduce-shard-{s}"),
                     move || reproduce_shard_worker(shared2, s, rx),
                 ));
             }
         }
-        let shared2 = Arc::clone(&shared);
-        workers.push(dude_nvm::thread::spawn_named("dude-reproduce", move || {
-            reproduce_stage(shared2, batch_rx, shard_txs)
-        }));
 
         // Continuous sampler: one frame per interval into the registry's
         // bounded ring. Runs through the `dude_nvm::thread` facade so it is
@@ -444,10 +423,9 @@ impl<E: TmEngine> DudeTm<E> {
             shared,
             metrics,
             record_senders,
-            batch_sender: Some(batch_tx),
             history: Mutex::new(None),
             next_slot: AtomicUsize::new(0),
-            workers,
+            workers: Some(Workers { persist, shards }),
             sampler,
             name: match config.durability {
                 DurabilityMode::Async { .. } => "DudeTM",
@@ -560,18 +538,22 @@ impl<E: TmEngine> DudeTm<E> {
     fn halt(&mut self) {
         // Disconnect perform→persist channels.
         self.record_senders.clear();
-        // Disconnect our copy of the persist→reproduce sender (persist
-        // workers hold clones until they exit).
-        self.batch_sender = None;
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        if let Some(Workers { persist, shards }) = self.workers.take() {
+            // The Persist workers drain their inputs and publish the rest;
+            // then nothing publishes, and the Reproduce step can drain.
+            for handle in persist {
+                let _ = handle.join();
+            }
+            drain(&self.shared);
+            for handle in shards {
+                let _ = handle.join();
+            }
         }
         // Stop the sampler only after the pipeline workers have drained:
         // its shutdown frame then reconciles exactly with the final
         // snapshot instead of racing the last checkpoint.
         if let Some((stop, handle)) = self.sampler.take() {
             let _ = stop.send(());
-            drop(stop);
             let _ = handle.join();
         }
     }
@@ -583,17 +565,23 @@ impl<E: TmEngine> Drop for DudeTm<E> {
     }
 }
 
+/// The runtime's background threads: the Persist workers (and the
+/// sequencer), then the Reproduce shard workers, joined in that order.
+#[derive(Debug)]
+struct Workers {
+    persist: Vec<dude_nvm::thread::JoinHandle<()>>,
+    shards: Vec<dude_nvm::thread::JoinHandle<()>>,
+}
+
 /// Spawns Persist worker `w` over `inputs` (ring index, channel) pairs.
 fn spawn_persist_worker<U: Seal + Send + 'static>(
     shared: &Arc<Shared>,
     w: usize,
     inputs: Vec<(usize, Receiver<U>)>,
-    out: &Sender<Batch>,
 ) -> dude_nvm::thread::JoinHandle<()> {
     let shared = Arc::clone(shared);
-    let out = out.clone();
     dude_nvm::thread::spawn_named(&format!("dude-persist-{w}"), move || {
-        persist_worker(shared, w, inputs, out)
+        persist_worker(shared, w, inputs)
     })
 }
 
@@ -611,11 +599,10 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
             self.shared.config.max_threads
         );
         let sink = match self.shared.config.durability {
-            DurabilityMode::Sync => Sink::Sync(SyncSink {
+            DurabilityMode::Sync => Sink::Sync {
                 ring_idx: slot,
-                batches: self.batch_sender.clone().expect("runtime is shut down"),
                 sweep: Sweep::default(),
-            }),
+            },
             _ => Sink::Channel(self.record_senders[slot].clone()),
         };
         DtmThread {

@@ -1,16 +1,19 @@
-//! Injectable ordering bugs for mutation-testing the schedule fuzzer.
+//! Injectable ordering and liveness bugs for mutation-testing the schedule
+//! fuzzer.
 //!
 //! Only compiled under `cfg(feature = "sim")`. Each knob arms one known
-//! ordering mutation in the pipeline; `tests/sim_schedules.rs` verifies
-//! the seeded schedule explorer *catches* each within its default seed
-//! budget — the sharpness check that keeps the fuzzer honest. The knobs
-//! are process-global, so arm them only around a single-threaded test
-//! harness section and disarm in a drop guard.
+//! mutation in the pipeline or the shadow memory; `tests/sim_schedules.rs`
+//! verifies the seeded schedule explorer *catches* each within its default
+//! seed budget — the sharpness check that keeps the fuzzer honest. The
+//! knobs are process-global, so arm them only around a single-threaded
+//! test harness section and disarm in a drop guard.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static SKIP_GROUP_FENCE: AtomicBool = AtomicBool::new(false);
 static FRONTIER_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
+static SKIP_FORCED_CHECKPOINT: AtomicBool = AtomicBool::new(false);
+static IGNORE_TOUCH_WATERMARK: AtomicBool = AtomicBool::new(false);
 
 /// Mutation A — dropped fence in the Persist publish path: when armed,
 /// every Persist sweep — a worker's, or a `Sync` client's inline one —
@@ -23,11 +26,6 @@ pub fn skip_group_fence() -> bool {
     SKIP_GROUP_FENCE.load(Ordering::Relaxed)
 }
 
-/// Arms/disarms mutation A (see [`skip_group_fence`]).
-pub fn set_skip_group_fence(on: bool) {
-    SKIP_GROUP_FENCE.store(on, Ordering::Relaxed);
-}
-
 /// Mutation B — off-by-one frontier publish in sharded Reproduce: when
 /// armed, shard workers publish `last + 1` instead of `last`, so the
 /// min-completed frontier (and the checkpoint keyed off it) can cover a
@@ -37,9 +35,21 @@ pub fn frontier_publish_offset() -> u64 {
     u64::from(FRONTIER_OFF_BY_ONE.load(Ordering::Relaxed))
 }
 
-/// Arms/disarms mutation B (see [`frontier_publish_offset`]).
-pub fn set_frontier_off_by_one(on: bool) {
-    FRONTIER_OFF_BY_ONE.store(on, Ordering::Relaxed);
+/// Mutation C — no forced checkpoint: when armed,
+/// `checkpoint_behind` returns without checkpointing, so a Persist worker
+/// parked on a full ring (or a `Sync` committer whose ring is full) waits
+/// on space that only the cadence checkpoint can recycle. With a cadence
+/// longer than the run, the pipeline stops making progress.
+pub fn skip_forced_checkpoint() -> bool {
+    SKIP_FORCED_CHECKPOINT.load(Ordering::Relaxed)
+}
+
+/// Mutation D — paged-shadow swap-in ignores the touching-ID watermark:
+/// when armed, a page faults in from the NVM heap without waiting for the
+/// reproduced ID to reach the last transaction that wrote it (§4.3), so a
+/// transaction can read a value older than one already committed.
+pub fn ignore_touch_watermark() -> bool {
+    IGNORE_TOUCH_WATERMARK.load(Ordering::Relaxed)
 }
 
 /// RAII guard arming one mutation for a scope; disarms on drop (also on
@@ -56,24 +66,33 @@ pub enum Mutation {
     SkipGroupFence,
     /// Mutation B: shard workers publish an off-by-one frontier.
     FrontierOffByOne,
+    /// Mutation C: a parked unit never forces a checkpoint.
+    SkipForcedCheckpoint,
+    /// Mutation D: paged-shadow swap-ins skip the touching-ID wait.
+    IgnoreTouchWatermark,
+}
+
+impl Mutation {
+    fn knob(self) -> &'static AtomicBool {
+        match self {
+            Mutation::SkipGroupFence => &SKIP_GROUP_FENCE,
+            Mutation::FrontierOffByOne => &FRONTIER_OFF_BY_ONE,
+            Mutation::SkipForcedCheckpoint => &SKIP_FORCED_CHECKPOINT,
+            Mutation::IgnoreTouchWatermark => &IGNORE_TOUCH_WATERMARK,
+        }
+    }
 }
 
 impl MutationGuard {
     /// Arms `which` until the guard drops.
     pub fn arm(which: Mutation) -> Self {
-        match which {
-            Mutation::SkipGroupFence => set_skip_group_fence(true),
-            Mutation::FrontierOffByOne => set_frontier_off_by_one(true),
-        }
+        which.knob().store(true, Ordering::Relaxed);
         MutationGuard { which }
     }
 }
 
 impl Drop for MutationGuard {
     fn drop(&mut self) {
-        match self.which {
-            Mutation::SkipGroupFence => set_skip_group_fence(false),
-            Mutation::FrontierOffByOne => set_frontier_off_by_one(false),
-        }
+        self.which.knob().store(false, Ordering::Relaxed);
     }
 }

@@ -252,6 +252,14 @@ impl PagedShadow {
         // Discard-on-evict is only safe if every committed update to this
         // page has already been reproduced into NVM (§4.3).
         let touching = entry.touching.load(Ordering::Acquire);
+        // The sabotage gate exists only in sim builds: swapping in without
+        // the wait is the injected §4.3 bug the oracles must catch.
+        #[cfg(feature = "sim")]
+        let touching = if crate::sabotage::ignore_touch_watermark() {
+            0
+        } else {
+            touching
+        };
         if self.reproduced.load(Ordering::Acquire) < touching {
             self.touch_waits.fetch_add(1, Ordering::Relaxed);
             while self.reproduced.load(Ordering::Acquire) < touching {

@@ -167,7 +167,7 @@ cells! {
         Counter perform_log_full: "Commits that blocked on a full volatile log buffer until Persist drained it.",
         Counter persist_ring_full: "Units parked because a persistent log ring had no space Reproduce had recycled.",
         Counter persist_seq_wait: "Sequencer idle ticks with records stashed behind a transaction-ID gap (grouped mode).",
-        Counter reproduce_starved: "Reproduce idle ticks with nothing queued: replay is ahead of Persist.",
+        Counter reproduce_starved: "Always 0: Reproduce is a step with no idle loop to starve (kept for the benchmark package).",
         Counter checkpoint_wait: "Yields the drain checkpoint spent waiting for the slowest Reproduce shard.",
     }
 }

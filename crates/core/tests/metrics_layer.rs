@@ -30,8 +30,8 @@ fn config(metrics: MetricsConfig) -> DudeTmConfig {
 /// a copy of the heap words it wrote (the trace-layer behavior-equality
 /// fixture, reused against the metrics switch). The snapshot is taken after
 /// `shutdown()`: its drain checkpoint recycles every log ring, whereas
-/// right after `quiesce()` Reproduce's idle tick may or may not have
-/// recycled the last few records yet.
+/// right after `quiesce()` the records since the last cadence checkpoint
+/// still hold their spans.
 fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, u64) {
     let nvm = test_nvm(8 << 20);
     let mut dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);

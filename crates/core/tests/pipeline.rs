@@ -465,14 +465,14 @@ fn stats_snapshot_watermarks_and_occupancy() {
 /// the drain loop retrying it each sweep).
 ///
 /// The adversarial setup: the smallest legal per-thread log ring (4 KiB),
-/// a checkpoint cadence so large it never fires on count — so Reproduce
-/// recycles spans only through its idle-checkpoint fallback, approximating
-/// a stalled Reproduce stage — and a 4-deep bounded Perform→Persist
+/// a checkpoint cadence so large it never fires on count — so spans come
+/// back only through the forced checkpoint a parked Persist worker takes —
+/// and a 4-deep bounded Perform→Persist
 /// buffer, so a wedged Persist propagates backpressure into `t.run()`.
 /// Each worker pushes enough 8-word transactions to wrap its ring dozens
 /// of times. The liveness chain under test: ring full → record parked →
-/// Perform blocks on the bounded channel → pipeline goes quiescent →
-/// Reproduce's idle checkpoint releases covered spans → the parked record
+/// the worker's sweep publishes (and so reproduces) what it staged → its
+/// forced checkpoint releases the covered spans → the parked record
 /// restages on the next Persist sweep. A livelock or lost parked record
 /// shows up as this test hanging (or the final heap/image counts coming
 /// up short); the stall-counter assertion proves the full-ring path
@@ -537,14 +537,13 @@ fn full_ring_body(threads: u64, txns: u64) -> u64 {
     snap.stalls.persist_ring_full
 }
 
-/// The liveness chain under test: ring full → record parked → Perform
-/// blocks on the bounded channel → pipeline goes quiescent → Reproduce's
-/// idle checkpoint releases covered spans → the parked record restages on
-/// the next Persist sweep. A livelock or lost parked record shows up as
+/// The liveness chain under test: ring full → record parked → forced
+/// checkpoint releases the reproduced spans → the parked record restages
+/// on the next Persist sweep. A livelock or lost parked record shows up as
 /// this test hanging (or the final heap/image counts coming up short).
 ///
 /// Whether the ring *observably* fills depends on how the OS schedules
-/// Persist against Reproduce, so the stall probe tolerates a bounded
+/// Persist against the Perform threads, so the stall probe tolerates a bounded
 /// number of quiet runs instead of flaking on a loaded machine; the
 /// deterministic invariants inside `full_ring_body` are asserted on every
 /// attempt, and the sim twin below pins the stall itself under a fixed

@@ -1,6 +1,6 @@
 //! Regression tests for `recover_device` edge cases: per-transaction
 //! discard accounting, group records straddling the checkpoint, ambiguous
-//! logs, mismatched devices, and the post-recovery log wipe.
+//! logs, mismatched or too-small devices, and the post-recovery log wipe.
 //!
 //! The tests format a device through the runtime, then craft log records
 //! directly in the persistent log regions (using the public serializers)
@@ -74,6 +74,37 @@ fn invalid_config_is_a_typed_error_and_leaves_the_device_untouched() {
     // The same device still recovers under the good configuration.
     let (_, report) = recover_device(&nvm, &config).expect("recover");
     assert_eq!(report.replayed, 1);
+}
+
+/// A device too small for the configured layout is a typed error that
+/// says how much is missing, and nothing on it is read or written; the
+/// constructor keeps its documented panic.
+#[test]
+fn too_small_device_is_a_typed_error_and_leaves_the_device_untouched() {
+    let nvm = test_nvm();
+    let config = tiny_config();
+    formatted(&nvm, config);
+    let before = image(&nvm);
+
+    // Meta (64 B) + two 4 KiB rings, page-aligned to 12 KiB, + a 64 KiB
+    // heap: 76 KiB on a 64 KiB device.
+    let big = DudeTmConfig {
+        heap_bytes: 1 << 16,
+        ..config
+    };
+    let err = recover_device(&nvm, &big).expect_err("the heap does not fit");
+    let (need, have) = (12 * 1024 + (1 << 16), 1 << 16);
+    assert_eq!(err, RecoverError::DeviceTooSmall { need, have });
+    assert!(err.to_string().contains("too small"), "{err}");
+    assert_eq!(image(&nvm), before, "a rejected recovery must not write");
+
+    let panic = std::panic::catch_unwind(|| DudeTm::create_stm(test_nvm(), big))
+        .expect_err("create_with panics on a too-small device");
+    let msg = panic.downcast_ref::<String>().expect("formatted panic");
+    assert!(
+        msg.starts_with("NVM device too small: need 77824 bytes"),
+        "{msg}"
+    );
 }
 
 #[test]

@@ -24,8 +24,8 @@ fn config(trace: TraceConfig) -> DudeTmConfig {
 /// Runs a fixed single-thread workload and returns the final snapshot plus
 /// a copy of the heap words it wrote. The snapshot is taken after
 /// `shutdown()`: its drain checkpoint recycles every log ring, whereas
-/// right after `quiesce()` Reproduce's idle tick may or may not have
-/// recycled the last few records yet.
+/// right after `quiesce()` the records since the last cadence checkpoint
+/// still hold their spans.
 fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, Arc<Nvm>) {
     let nvm = test_nvm(8 << 20);
     let mut dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
@@ -54,8 +54,8 @@ fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, Arc<Nvm>) {
 /// tracing disabled, the pipeline's snapshot and the final heap image are
 /// identical to an enabled run of the same deterministic workload — i.e.
 /// recording changes nothing the application can see. (The `checkpoints`
-/// counter is timing-dependent — idle ticks checkpoint opportunistically —
-/// so it is normalized out, as are the stall counters the disabled run by
+/// counter is timing-dependent — a full ring forces checkpoints whenever
+/// it fills — so it is normalized out, as are the stall counters the disabled run by
 /// definition keeps at zero.)
 #[test]
 fn disabled_trace_is_behavior_identical_to_enabled() {
@@ -264,9 +264,8 @@ fn tiny_buffer_counts_perform_log_full_stalls_sim() {
 
 /// DudeTM-Sync waiting for log space is a Persist ring-full stall like any
 /// other. A 4 KiB ring holds 64 of the workload's records and the cadence
-/// never fires, so space only comes back through Reproduce's idle
-/// checkpoint — which needs the client to stop publishing, i.e. to be
-/// waiting on the full ring.
+/// never fires, so space only comes back through the checkpoint the
+/// client forces while it waits on the full ring.
 #[test]
 fn sync_ring_full_waits_are_counted() {
     let sync = |trace| {

@@ -24,9 +24,9 @@
 //!
 //! The config matrix covers `persist_flush_workers ∈ {1,2}` ungrouped and
 //! `{1,2,4}` grouped, `persist_group ∈ {1,8}` with and without
-//! `compress_groups`, `reproduce_threads ∈ {1,4}`, and
-//! Async/AsyncUnbounded/Sync durability (grouping requires an async mode;
-//! see `DudeTmConfig::try_validate`). With the default seed set the sweeps
+//! `compress_groups`, `reproduce_threads ∈ {1,4}`, identity and paged
+//! shadow memory, and Async/AsyncUnbounded/Sync durability (grouping
+//! requires an async mode; see `DudeTmConfig::try_validate`). With the default seed set the sweeps
 //! below enumerate well over 500 `(seed × crash point × config)` cases;
 //! set `DUDE_SWEEP_SEEDS=7,1337,424242` (comma-separated) to rerun the
 //! same matrix under other interleavings, as CI does in release mode.
@@ -36,7 +36,10 @@ use std::sync::Arc;
 
 use dude_nvm::{CrashEventKind, CrashPlan, Nvm, NvmConfig, StageFilter};
 use dude_txapi::{PAddr, TxAbort, TxnSystem, TxnThread};
-use dudetm::{check_prefix, recover_device, CommitHistory, DudeTm, DudeTmConfig, DurabilityMode};
+use dudetm::{
+    check_prefix, recover_device, CommitHistory, DudeTm, DudeTmConfig, DurabilityMode, PagingMode,
+    ShadowConfig,
+};
 
 const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
@@ -92,10 +95,18 @@ enum Workload {
     /// Random transfers between shared accounts: conflicting read-write
     /// sets, commit-time aborts (wasted TIDs → abort markers).
     Bank,
-    /// Each thread increments its own counter word: conflict-free, so the
-    /// TID sequence interleaves all threads densely.
-    Counters,
+    /// Each thread increments its own counter word, `stride` words after
+    /// the previous thread's: conflict-free, so the TID sequence
+    /// interleaves all threads densely.
+    Counters { stride: u64 },
 }
+
+/// Thread `w`'s counter word.
+fn counter(stride: u64, w: usize) -> PAddr {
+    PAddr::from_word_index(8 + stride * w as u64)
+}
+
+const COUNTERS: Workload = Workload::Counters { stride: 8 };
 
 struct MtRun {
     /// Highest TID acknowledged durable strictly before the crash instant.
@@ -174,10 +185,10 @@ fn run_mt(
                             });
                             out.info().and_then(|i| i.tid)
                         }
-                        Workload::Counters => {
+                        Workload::Counters { stride } => {
                             let out = t.run(&mut |tx| {
-                                let v = tx.read_word(slot(w as u64))?;
-                                tx.write_word(slot(w as u64), v + 1)
+                                let v = tx.read_word(counter(stride, w))?;
+                                tx.write_word(counter(stride, w), v + 1)
                             });
                             Some(out.info().expect("counter tx commits").tid.unwrap())
                         }
@@ -252,9 +263,9 @@ fn check_mt_recovery(
                 );
             }
         }
-        Workload::Counters => {
+        Workload::Counters { stride } => {
             for (w, &acked) in run.acked_incr.iter().enumerate() {
-                let v = nvm.read_word(layout.heap.start() + slot(w as u64).offset());
+                let v = nvm.read_word(layout.heap.start() + counter(stride, w).offset());
                 assert!(
                     v >= acked,
                     "{label}: thread {w} counter regressed below acknowledged \
@@ -592,7 +603,7 @@ fn mt_sweep_sync_sharded_counters() {
     let combo = Combo {
         name: "sync rt=4 counters",
         cfg: cfg(DurabilityMode::Sync, 1, 1, false, 4),
-        workload: Workload::Counters,
+        workload: COUNTERS,
         threads: 4,
         ops: 16,
     };
@@ -657,7 +668,7 @@ fn mt_sweep_unbounded_counters() {
     let combo = Combo {
         name: "async-inf rt=1 counters x8",
         cfg: cfg(DurabilityMode::AsyncUnbounded, 1, 1, false, 1),
-        workload: Workload::Counters,
+        workload: COUNTERS,
         threads: 8,
         ops: 12,
     };
@@ -677,4 +688,33 @@ fn mt_sweep_unbounded_counters() {
         sweep_mt(&combo, CrashEventKind::Flush, StageFilter::Any, true, 20),
         30,
     );
+}
+
+/// Paged shadow (§4.3): two frames for four counter pages, so every
+/// transaction evicts or swaps in while the Reproduce step — inline on the
+/// Persist worker, or on shard workers behind `Sync` commits — raises the
+/// reproduced ID that gates each swap-in on the page's last writer.
+#[test]
+fn mt_sweep_paged_shadow_counters() {
+    let shadow = ShadowConfig::Paged {
+        frames: 2,
+        mode: PagingMode::Software,
+    };
+    for (name, mode, rt) in [
+        ("async paged pw=1 rt=1", ASYNC, 1),
+        ("sync paged rt=4", DurabilityMode::Sync, 4),
+    ] {
+        let combo = Combo {
+            name,
+            cfg: cfg(mode, 1, 1, false, rt).with_shadow(shadow),
+            workload: Workload::Counters { stride: 512 },
+            threads: 4,
+            ops: 16,
+        };
+        assert_sweep(
+            name,
+            sweep_mt(&combo, CrashEventKind::Flush, StageFilter::Any, true, 20),
+            20,
+        );
+    }
 }

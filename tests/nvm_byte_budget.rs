@@ -5,11 +5,11 @@
 //! Every stored word is accounted for: a commit record is `2 + 2n` log
 //! words for `n` *distinct* written words (format v2, a commit combined as
 //! a group of one), Reproduce stores each distinct word once, and each
-//! checkpoint is one word. Nothing else — no scheduling, channel depth or
-//! idle tick — may feed a stored word, so the totals below are equalities,
-//! not bounds. The runtime is shut down before the device counter is read,
-//! so no idle-tick checkpoint can land between reading the counter and
-//! reading the checkpoint count.
+//! checkpoint is one word. Nothing else — no scheduling or channel depth —
+//! may feed a stored word, so the totals below are equalities, not bounds.
+//! The runtime is shut down before the device counter is read, so no
+//! checkpoint can land between reading the counter and reading the
+//! checkpoint count.
 
 use std::sync::Arc;
 

@@ -24,12 +24,14 @@
 //! * `DUDE_SIM_SEED=n` — replay exactly one schedule seed everywhere,
 //!   skipping derivation. This is the failure-replay entry point.
 //!
-//! The three `mutation_*` tests are the sharpness check: each arms one
-//! injected ordering bug ([`dudetm::sabotage`]) — a dropped fence in the
-//! Persist sweep (once on Persist workers, once inline under `Sync`), an
-//! off-by-one frontier publish in sharded Reproduce — and asserts the seed
-//! sweep *catches* it within the default budget. A fuzzer that passes those
-//! three mutations but fails a real run is telling the truth.
+//! The `mutation_*` tests are the sharpness check: each arms one injected
+//! bug ([`dudetm::sabotage`]) — a dropped fence in the Persist sweep (once
+//! on Persist workers, once inline under `Sync`), an off-by-one frontier
+//! publish in sharded Reproduce, a parked Persist unit that never forces a
+//! checkpoint, a paged-shadow swap-in that ignores the touching-ID
+//! watermark — and asserts the seed sweep *catches* it within the default
+//! budget. A fuzzer that passes those mutations but fails a real run is
+//! telling the truth.
 
 #![cfg(feature = "sim")]
 
@@ -40,7 +42,10 @@ use dude_nvm::{CrashEventKind, CrashPlan, Nvm, NvmConfig, StageFilter};
 use dude_sim::SimConfig;
 use dude_txapi::{PAddr, TxAbort, TxnSystem, TxnThread};
 use dudetm::sabotage::{Mutation, MutationGuard};
-use dudetm::{check_prefix, recover_device, CommitHistory, DudeTm, DudeTmConfig, DurabilityMode};
+use dudetm::{
+    check_prefix, recover_device, CommitHistory, DudeTm, DudeTmConfig, DurabilityMode, PagingMode,
+    ShadowConfig,
+};
 
 const ACCOUNTS: u64 = 8;
 const INITIAL: u64 = 100;
@@ -130,8 +135,20 @@ enum Workload {
     /// Conflicting random transfers; commit-time aborts produce wasted
     /// TIDs (abort markers) in the durable sequence.
     Bank,
-    /// Per-thread counter words; conflict-free, densely interleaved TIDs.
-    Counters,
+    /// Per-thread counters; conflict-free, densely interleaved TIDs. Thread
+    /// `w` increments word `8 + stride·w` and copies the new value into the
+    /// `width − 1` words after it, so `width` sizes the log record.
+    Counters { stride: u64, width: u64 },
+}
+
+const COUNTERS: Workload = Workload::Counters {
+    stride: 1,
+    width: 1,
+};
+
+/// Thread `w`'s counter word.
+fn counter(stride: u64, w: usize) -> PAddr {
+    PAddr::from_word_index(8 + stride * w as u64)
 }
 
 struct Combo {
@@ -245,10 +262,15 @@ fn run_sim(
                                 });
                                 out.info().and_then(|i| i.tid)
                             }
-                            Workload::Counters => {
+                            Workload::Counters { stride, width } => {
+                                let base = counter(stride, w);
                                 let out = t.run(&mut |tx| {
-                                    let v = tx.read_word(slot(w as u64))?;
-                                    tx.write_word(slot(w as u64), v + 1)
+                                    let v = tx.read_word(base)?;
+                                    for j in 0..width {
+                                        let word = base.word_index() + j;
+                                        tx.write_word(PAddr::from_word_index(word), v + 1)?;
+                                    }
+                                    Ok(())
                                 });
                                 Some(out.info().expect("counter tx commits").tid.unwrap())
                             }
@@ -336,9 +358,9 @@ fn check_recovery(
                 }
             }
         }
-        Workload::Counters => {
+        Workload::Counters { stride, .. } => {
             for (w, &acked) in run.acked_incr.iter().enumerate() {
-                let v = nvm.read_word(layout.heap.start() + slot(w as u64).offset());
+                let v = nvm.read_word(layout.heap.start() + counter(stride, w).offset());
                 if v < acked {
                     return Err(format!(
                         "thread {w} counter regressed below acknowledged progress ({v} < {acked})"
@@ -576,7 +598,7 @@ fn schedules_sharded_counters() {
         &Combo {
             name: "sim pw=1 pg=1 rt=4 counters",
             cfg: cfg(1, 1, false, 4),
-            workload: Workload::Counters,
+            workload: COUNTERS,
             threads: 4,
             ops: 8,
         },
@@ -601,14 +623,82 @@ fn schedules_sync_bank() {
     explore(&sync_combo("sim sync rt=1"), 4);
 }
 
+/// Rings of 512 words hold eight 64-word records, and the cadence never
+/// fires: every span comes back through a forced checkpoint, behind a
+/// parked Persist unit or a `Sync` commit whose ring is full, while the
+/// four rings wrap several times each.
+fn ring_full_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: usize) -> Combo {
+    let cfg = DudeTmConfig {
+        max_threads: 4,
+        plog_bytes_per_thread: 4096,
+        checkpoint_every: 1 << 20,
+        ..cfg(2, 1, false, reproduce_threads)
+    }
+    .with_durability(mode);
+    cfg.try_validate().expect("ring-full combo must be valid");
+    Combo {
+        name,
+        cfg,
+        workload: Workload::Counters {
+            stride: 32,
+            width: 31,
+        },
+        threads: 4,
+        ops: 32,
+    }
+}
+
+#[test]
+fn schedules_ring_full_liveness() {
+    for (name, mode, rt) in [
+        ("sim ring-full pw=2 rt=1", ASYNC, 1),
+        ("sim ring-full pw=2 rt=3", ASYNC, 3),
+        ("sim ring-full sync rt=1", DurabilityMode::Sync, 1),
+        ("sim ring-full sync rt=3", DurabilityMode::Sync, 3),
+    ] {
+        explore(&ring_full_combo(name, mode, rt), 0);
+    }
+}
+
+/// Paged shadow (§4.3) with two frames for four counter pages: every
+/// transaction evicts or swaps in, racing the Reproduce step that gates
+/// swap-ins on the touching ID.
+fn paged_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: usize) -> Combo {
+    let shadow = ShadowConfig::Paged {
+        frames: 2,
+        mode: PagingMode::Software,
+    };
+    Combo {
+        name,
+        cfg: cfg(1, 1, false, reproduce_threads)
+            .with_durability(mode)
+            .with_shadow(shadow),
+        workload: Workload::Counters {
+            stride: 512,
+            width: 1,
+        },
+        threads: 4,
+        ops: 8,
+    }
+}
+
+#[test]
+fn schedules_paged_shadow_counters() {
+    explore(&paged_combo("sim paged pw=1 rt=1", ASYNC, 1), 4);
+    explore(
+        &paged_combo("sim paged sync rt=3", DurabilityMode::Sync, 3),
+        0,
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Mutation sharpness: the fuzzer must catch known-injected ordering bugs
 // ---------------------------------------------------------------------------
 
 /// Arms `mutation` and sweeps (schedule seed × crash point) until one
-/// case fails an oracle; asserts detection within the default budget and
-/// prints the failing seed's replay line.
-fn assert_mutation_caught(mutation: Mutation, combo: &Combo) {
+/// case fails an oracle; asserts detection within the default budget,
+/// prints the failing seed's replay line and returns the failure.
+fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> String {
     let _g = lock_tests();
     let guard = MutationGuard::arm(mutation);
     let mut caught: Option<(u64, u64, String)> = None;
@@ -625,17 +715,17 @@ fn assert_mutation_caught(mutation: Mutation, combo: &Combo) {
             seed,
             None,
         );
-        let events = match run {
-            // A clean-run failure (e.g. an in-run assertion tripped by
-            // the mutation) is already a detection.
-            Err(e) => {
-                caught = Some((seed, 0, e));
-                break 'sweep;
-            }
-            Ok(_) => nvm
-                .persistence_events()
-                .count(CrashEventKind::Flush, StageFilter::Any),
-        };
+        // A clean-run failure (an in-run assertion, a deadlock, the step
+        // budget) or a clean run that recovers wrong is already a detection.
+        let clean =
+            run.and_then(|run| check_recovery(&nvm, &combo.cfg, combo.workload, &run, combo.ops));
+        if let Err(e) = clean {
+            caught = Some((seed, 0, e));
+            break 'sweep;
+        }
+        let events = nvm
+            .persistence_events()
+            .count(CrashEventKind::Flush, StageFilter::Any);
         // Crash points: a coarse stride over the whole flush timeline
         // (catches bugs with wide windows, like the dropped group fence)
         // plus every point in the tail (the off-by-one frontier publish
@@ -686,6 +776,7 @@ fn assert_mutation_caught(mutation: Mutation, combo: &Combo) {
     // the injected bug, ready for replay.
     eprintln!("DUDE_SIM_SEED={seed}");
     eprintln!("mutation {mutation:?} caught at crash point {point} under seed {seed}: {err}");
+    err
 }
 
 #[test]
@@ -723,5 +814,30 @@ fn mutation_frontier_off_by_one_is_caught() {
             threads: 3,
             ops: 8,
         },
+    );
+}
+
+/// Without the forced checkpoint a full ring waits on a cadence that never
+/// comes: the run must stall, not finish.
+#[test]
+fn mutation_skipped_forced_checkpoint_is_caught() {
+    for (name, mode) in [
+        ("mutation-C pw=2 rt=1", ASYNC),
+        ("mutation-C sync rt=1", DurabilityMode::Sync),
+    ] {
+        let combo = ring_full_combo(name, mode, 1);
+        let err = assert_mutation_caught(Mutation::SkipForcedCheckpoint, &combo);
+        assert!(
+            err.contains("deadlock") || err.contains("step budget"),
+            "{name}: caught as something other than a stall: {err}"
+        );
+    }
+}
+
+#[test]
+fn mutation_swap_in_ignoring_touch_watermark_is_caught() {
+    assert_mutation_caught(
+        Mutation::IgnoreTouchWatermark,
+        &paged_combo("mutation-D paged pw=1 rt=1", ASYNC, 1),
     );
 }
