@@ -8,15 +8,18 @@ use crate::trace::TraceConfig;
 /// variants of §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityMode {
-    /// The standard decoupled pipeline: redo logs flow through a bounded
-    /// per-thread buffer to background Persist threads; Perform blocks only
-    /// when the buffer fills ("DudeTM").
+    /// The standard decoupled pipeline: each Perform thread appends its
+    /// redo logs to its own volatile redo ring, which background Persist
+    /// threads drain; Perform blocks only when the ring is full ("DudeTM").
     Async {
-        /// Volatile log-buffer capacity, in committed transactions per
-        /// thread (the paper uses one million log *entries*).
+        /// Volatile redo-ring capacity, in transactions per thread (the
+        /// paper uses one million log *entries*). A transaction's space is
+        /// freed once it is reproduced, not when Persist takes it, so this
+        /// bounds the transactions a thread may have committed but not yet
+        /// reproduced — whatever their size.
         buffer_txns: usize,
     },
-    /// As `Async` but with an unbounded buffer, so Perform never blocks
+    /// As `Async` but with no cap on the redo ring, so Perform never blocks
     /// ("DudeTM-Inf").
     AsyncUnbounded,
     /// Perform flushes its own redo log and waits for durability before
@@ -63,7 +66,7 @@ pub enum ConfigError {
     /// `persist_flush_workers` is zero.
     NoFlushWorkers,
     /// `persist_flush_workers` exceeds `max_threads` (there are only
-    /// `max_threads` per-thread channels and log rings to hand out).
+    /// `max_threads` per-thread redo rings and log rings to hand out).
     FlushWorkersExceedMaxThreads {
         /// The rejected `persist_flush_workers` value.
         persist_flush_workers: usize,
@@ -112,7 +115,7 @@ impl core::fmt::Display for ConfigError {
             } => write!(
                 f,
                 "persist_flush_workers must not exceed max_threads: there are \
-                 only {max_threads} per-thread channels and log rings to hand \
+                 only {max_threads} per-thread redo rings and log rings to hand \
                  out, got {persist_flush_workers}"
             ),
             ConfigError::EmptyAsyncBuffer => {
@@ -142,7 +145,7 @@ pub struct DudeTmConfig {
     /// Number of Persist workers (asynchronous modes; the paper finds one
     /// is typically enough, §3.3). Workers serialize, optionally compress,
     /// write, fence, and publish durability out of commit order. Ungrouped,
-    /// the `max_threads` per-thread channels are partitioned across them;
+    /// the `max_threads` per-thread redo rings are partitioned across them;
     /// with `persist_group > 1` a sequencer deals sealed groups to them
     /// round-robin and worker `w` owns log ring `w`. Either way the value
     /// is capped by `max_threads`. Ignored under [`DurabilityMode::Sync`]:
@@ -294,7 +297,7 @@ impl DudeTmConfig {
         if self.persist_flush_workers == 0 {
             return Err(ConfigError::NoFlushWorkers);
         }
-        // Ungrouped, a worker beyond the `max_threads` per-thread channels
+        // Ungrouped, a worker beyond the `max_threads` per-thread redo rings
         // would have no input; grouped, each worker appends to its own
         // preallocated log ring (so per-ring span release stays in append
         // order), and there are exactly `max_threads` rings.

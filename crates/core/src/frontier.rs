@@ -18,6 +18,7 @@
 //!    running ahead can never let a log record be recycled before every
 //!    shard has applied (and fenced) the transactions it covers.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sharding granule in bytes. One cache line: replay locality within a
@@ -38,11 +39,16 @@ pub fn shard_of(addr: u64, shards: usize) -> usize {
 /// relative write order. The concatenation of the returned vectors is a
 /// permutation of `writes`, and shard `s` holds exactly the writes with
 /// `shard_of(addr, shards) == s` — the partition invariant the sharded
-/// Reproduce stage relies on (verified by proptest).
+/// Reproduce stage relies on (verified by proptest). `writes` is a slice,
+/// or a record's slice of its redo ring.
 #[must_use]
-pub fn split_writes(writes: &[(u64, u64)], shards: usize) -> Vec<Vec<(u64, u64)>> {
+pub fn split_writes(
+    writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
+    shards: usize,
+) -> Vec<Vec<(u64, u64)>> {
     let mut parts: Vec<Vec<(u64, u64)>> = (0..shards).map(|_| Vec::new()).collect();
-    for &(addr, val) in writes {
+    for pair in writes {
+        let &(addr, val) = pair.borrow();
         parts[shard_of(addr, shards)].push((addr, val));
     }
     parts

@@ -8,15 +8,17 @@
 //!
 //! 1. **Perform** — run the transaction with an out-of-the-box TM
 //!    ([`dude_stm::Stm`] or [`dude_htm::Htm`]) on a shared *shadow DRAM*
-//!    mirror of the persistent heap, producing a volatile redo log.
+//!    mirror of the persistent heap, appending its redo log to the thread's
+//!    lock-free volatile redo ring.
 //! 2. **Persist** — background threads combine each redo log (last writer
 //!    wins per word: a commit is a group of one), append it to persistent
 //!    log rings in the two-word-header format of [`log`], and cover each
 //!    sweep with one flush per ring and one barrier, advancing the global
 //!    *durable ID*.
-//! 3. **Reproduce** — a background thread replays durable logs, in global
-//!    transaction-ID order, onto the real persistent data — each dirty
-//!    cache line flushed once per batch — then recycles log space.
+//! 3. **Reproduce** — a step run by whoever closes a TID gap replays
+//!    durable logs straight from the redo rings, in global transaction-ID
+//!    order, onto the real persistent data — each dirty cache line flushed
+//!    once per batch — then frees the ring space and recycles log space.
 //!
 //! Dirty data never flows from shadow memory to NVM directly, so cache
 //! evictions cannot break crash consistency, no read is ever redirected,
@@ -62,6 +64,7 @@ pub mod metrics;
 mod pipeline;
 mod plog;
 mod recovery;
+mod redo_ring;
 mod runtime;
 #[cfg(feature = "sim")]
 pub mod sabotage;

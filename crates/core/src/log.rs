@@ -15,6 +15,7 @@
 //! transaction, or across a group of **consecutive** ones (§3.3); log
 //! *compression* packs a group's payload with [`dude_compress`].
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use dude_txapi::TxId;
@@ -37,7 +38,10 @@ const KIND_SKIP: u64 = 15;
 const LEN_MAX: usize = (1 << 24) - 1;
 const LOW_HALF: u64 = 0xFFFF_FFFF;
 
-/// One transaction's entry in the volatile redo-log channel.
+/// One transaction's redo log as an owned value: what a `Sync` commit
+/// persists (the asynchronous commit path appends to its thread's redo ring
+/// instead). A `&LogRecord` iterates its writes, so a list of records is
+/// something [`combine`] combines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// A committed update transaction and its ordered writes.
@@ -69,6 +73,15 @@ impl LogRecord {
             LogRecord::Commit { writes, .. } => writes,
             LogRecord::Abort { .. } => &[],
         }
+    }
+}
+
+impl<'a> IntoIterator for &'a LogRecord {
+    type Item = &'a (u64, u64);
+    type IntoIter = std::slice::Iter<'a, (u64, u64)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.writes().iter()
     }
 }
 
@@ -125,8 +138,9 @@ fn seal(record: &mut [u64]) {
     record[0] |= check(record) << 32;
 }
 
-fn push_pairs(writes: &[(u64, u64)], out: &mut Vec<u64>) {
-    for &(addr, val) in writes {
+fn push_pairs(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, out: &mut Vec<u64>) {
+    for pair in writes {
+        let &(addr, val) = pair.borrow();
         out.push(addr);
         out.push(val);
     }
@@ -145,7 +159,13 @@ pub fn is_skip(word: u64) -> bool {
 }
 
 /// Serializes a commit record into `out` (clears it first): `2 + 2n` words.
-pub fn serialize_commit(tid: TxId, writes: &[(u64, u64)], out: &mut Vec<u64>) {
+/// `writes` is any list of pairs that knows its length — a slice, or a
+/// record's slice of its redo ring.
+pub fn serialize_commit<W>(tid: TxId, writes: W, out: &mut Vec<u64>)
+where
+    W: IntoIterator<IntoIter: ExactSizeIterator, Item: Borrow<(u64, u64)>>,
+{
+    let writes = writes.into_iter();
     out.clear();
     out.push(header(KIND_COMMIT, writes.len()));
     out.push(tid);
@@ -282,9 +302,26 @@ pub(crate) struct Combiner {
     /// `(stamp, position in the list)`; live iff the stamp is current.
     slots: Vec<(u32, u32)>,
     stamp: u32,
+    /// Working copy for [`Combiner::dedup_copy`].
+    copy: Vec<(u64, u64)>,
 }
 
 impl Combiner {
+    /// [`Combiner::dedup`] over a copy of `pairs` — a list it cannot
+    /// rewrite in place, like a record in a redo ring — returning what to
+    /// keep.
+    pub(crate) fn dedup_copy(
+        &mut self,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+    ) -> &[(u64, u64)] {
+        let mut copy = std::mem::take(&mut self.copy);
+        copy.clear();
+        copy.extend(pairs);
+        self.dedup(&mut copy);
+        self.copy = copy;
+        &self.copy
+    }
+
     /// Keeps, in place, one pair per key — at the position of the key's
     /// first pair, carrying the value of its last.
     pub(crate) fn dedup(&mut self, pairs: &mut Vec<(u64, u64)>) {
@@ -324,15 +361,19 @@ impl Combiner {
     }
 }
 
-/// Combines the writes of a group of **consecutive** transactions: later
-/// writes to the same address supersede earlier ones (§3.3). Returns the
-/// combined writes (arbitrary order — all addresses are distinct).
-pub fn combine(records: &[LogRecord]) -> Vec<(u64, u64)> {
+/// Combines the writes of a group of **consecutive** transactions, given
+/// in TID order — `&[LogRecord]`, or the records' slices of their redo
+/// rings: later writes to the same address supersede earlier ones (§3.3).
+/// Returns the combined writes (arbitrary order — all addresses are
+/// distinct).
+pub fn combine<R>(records: impl IntoIterator<Item = R>) -> Vec<(u64, u64)>
+where
+    R: IntoIterator<Item: Borrow<(u64, u64)>>,
+{
     let mut map: HashMap<u64, u64> = HashMap::new();
-    for rec in records {
-        for &(addr, val) in rec.writes() {
-            map.insert(addr, val);
-        }
+    for pair in records.into_iter().flatten() {
+        let &(addr, val) = pair.borrow();
+        map.insert(addr, val);
     }
     map.into_iter().collect()
 }
@@ -342,7 +383,10 @@ pub fn combine(records: &[LogRecord]) -> Vec<(u64, u64)> {
 /// lets the compressor see runs of shared high address bytes, and makes
 /// the serialized group *deterministic*: every Persist worker produces the
 /// same bytes for the same group regardless of [`combine`]'s hash order.
-pub fn combine_sorted(records: &[LogRecord]) -> Vec<(u64, u64)> {
+pub fn combine_sorted<R>(records: impl IntoIterator<Item = R>) -> Vec<(u64, u64)>
+where
+    R: IntoIterator<Item: Borrow<(u64, u64)>>,
+{
     let mut combined = combine(records);
     combined.sort_unstable_by_key(|&(a, _)| a);
     combined
@@ -355,7 +399,7 @@ mod tests {
     #[test]
     fn commit_roundtrip() {
         let mut buf = Vec::new();
-        serialize_commit(42, &[(8, 1), (16, 2)], &mut buf);
+        serialize_commit(42, [(8, 1), (16, 2)], &mut buf);
         let rec = parse_record(&buf).unwrap();
         assert_eq!(rec.first_tid, 42);
         assert_eq!(rec.last_tid, 42);
@@ -379,11 +423,11 @@ mod tests {
     #[test]
     fn golden_vectors_fix_the_v2_layout() {
         let mut buf = Vec::new();
-        serialize_commit(42, &[], &mut buf);
+        serialize_commit(42, std::iter::empty::<(u64, u64)>(), &mut buf);
         assert_eq!(buf, [0x29a1_a485_d100_0000, 42]);
-        serialize_commit(42, &[(8, 1)], &mut buf);
+        serialize_commit(42, [(8, 1)], &mut buf);
         assert_eq!(buf, [0xbfff_24f2_d100_0001, 42, 8, 1]);
-        serialize_commit(42, &[(8, 1), (16, 2)], &mut buf);
+        serialize_commit(42, [(8, 1), (16, 2)], &mut buf);
         assert_eq!(buf, [0x2255_fb62_d100_0002, 42, 8, 1, 16, 2]);
         serialize_abort(7, &mut buf);
         assert_eq!(buf, [0x513d_49cc_d200_0000, 7]);
@@ -458,7 +502,7 @@ mod tests {
     #[test]
     fn empty_commit_roundtrip() {
         let mut buf = Vec::new();
-        serialize_commit(1, &[], &mut buf);
+        serialize_commit(1, std::iter::empty::<(u64, u64)>(), &mut buf);
         let rec = parse_record(&buf).unwrap();
         assert!(rec.writes.is_empty());
     }
@@ -506,7 +550,7 @@ mod tests {
     #[test]
     fn corrupted_records_rejected() {
         let mut buf = Vec::new();
-        serialize_commit(42, &[(8, 1)], &mut buf);
+        serialize_commit(42, [(8, 1)], &mut buf);
         for i in 0..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0x10000;
@@ -520,7 +564,7 @@ mod tests {
     #[test]
     fn truncated_records_rejected() {
         let mut buf = Vec::new();
-        serialize_commit(42, &[(8, 1), (16, 2)], &mut buf);
+        serialize_commit(42, [(8, 1), (16, 2)], &mut buf);
         for cut in 0..buf.len() {
             assert!(parse_record(&buf[..cut]).is_none());
         }

@@ -2,21 +2,22 @@
 //! degenerate settings are the simple case:
 //!
 //! ```text
-//! Perform → [sequencer iff persist_group > 1] → worker × N → publish = Reproduce [→ shard × M]
+//! Perform → redo ring → [sequencer iff persist_group > 1] → worker × N → publish = Reproduce [→ shard × M]
 //! ```
 //!
-//! *Persist* drains per-thread volatile redo logs into the persistent log
-//! rings as [`Sealed`] units, each last-writer-wins combined as it is
-//! sealed. With `persist_group = 1` every record is its own unit — **a
-//! commit is a group of one** — and the per-thread channels are
-//! partitioned across the `persist_flush_workers` workers. With
-//! `persist_group > 1` a *sequencer* merges all threads' records into dense
-//! ID order, seals groups of consecutive transactions — the precondition
-//! for cross-transaction combination and compression (§3.3, Figure 3) —
-//! and deals them round-robin, so worker `w` appends to ring `w` only.
-//! Either way a [`persist_worker`] runs one [`Sweep`] per pass: stage,
-//! flush each ring's appended range, fence once, and hand every batch to
-//! [`publish`] — out of commit order across workers, never waiting on one.
+//! *Persist* drains the per-thread volatile redo logs ([`crate::redo_ring`])
+//! into the persistent log rings as [`Sealed`] units, each last-writer-wins
+//! combined as it is sealed. With `persist_group = 1` every record is its
+//! own unit — **a commit is a group of one**, combined in place in its
+//! ring — and the redo rings are partitioned across the
+//! `persist_flush_workers` workers. With `persist_group > 1` a *sequencer*
+//! merges all rings' records into dense ID order, seals groups of
+//! consecutive transactions — the precondition for cross-transaction
+//! combination and compression (§3.3, Figure 3) — and deals them
+//! round-robin, so worker `w` appends to log ring `w` only. Either way a
+//! [`persist_worker`] runs one [`Sweep`] per pass: stage, flush each log
+//! ring's appended range, fence once, and hand every batch to [`publish`] —
+//! out of commit order across workers, never waiting on one.
 //!
 //! Dense order is established once per leg, in one [`DenseReorder`]: at
 //! the sequencer iff grouped, and at [`publish`] always. `publish` parks a
@@ -27,19 +28,21 @@
 //!
 //! *Reproduce* is a step, not a thread ([`Replay`]): whoever closes a TID
 //! gap — a Persist worker after its sweep's fence, or the committer under
-//! `Sync` — applies the dense run from the units' *volatile copy* (without
-//! a crash nothing is read back from NVM), advances the reproduced ID,
-//! checkpoints on cadence and only then recycles log space. With
-//! `reproduce_threads > 1` the step instead splits each batch by heap shard
-//! ([`crate::frontier`]) for `M` shard workers, each of which applies,
-//! fences, publishes its completed TID and runs the same
-//! [`Replay::advance`]. The checkpoint keys off the minimum completed TID
-//! across shards; one shard is the degenerate case.
+//! `Sync` — applies the dense run straight from the volatile redo log (a
+//! record's ring slice, or a group's or `Sync` commit's copy: without a
+//! crash nothing is read back from NVM), advances the reproduced ID, frees
+//! the redo-ring records it passed, checkpoints on cadence and only then
+//! recycles log space. With `reproduce_threads > 1` the step instead
+//! splits each batch by heap shard ([`crate::frontier`]) for `M` shard
+//! workers, each of which applies, fences, publishes its completed TID and
+//! runs the same [`Replay::advance`]. The checkpoint keys off the minimum
+//! completed TID across shards; one shard is the degenerate case.
 //!
 //! Lock order: `Shared::order`, then `Shared::replay`. [`publish`] takes
 //! both; a shard worker, [`checkpoint_behind`] and [`drain`] take only
 //! `replay`.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,172 +56,109 @@ use crate::log::{
     combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, LogRecord,
 };
 use crate::plog::PlogSpan;
+use crate::redo_ring::{RedoCursor, RedoRecord, Unfreed, Writes};
 use crate::runtime::Shared;
 use crate::seqtrack::DenseReorder;
 use crate::trace::{Stage, TraceEventKind as Event};
 
-/// A persisted unit handed from Persist to the Reproduce step.
+/// A persisted unit handed from Persist to the Reproduce step, with the log
+/// span to recycle once the covering checkpoint is durable and the ring it
+/// sits in.
 #[derive(Debug)]
 pub(crate) struct Batch {
-    pub first_tid: u64,
-    pub last_tid: u64,
-    /// Writes to replay (combined when grouping is on; empty for aborts).
-    pub writes: Vec<(u64, u64)>,
-    /// Log span to recycle once the covering checkpoint is durable, and the
-    /// ring it sits in.
+    pub unit: Sealed,
     pub ring: usize,
     pub span: PlogSpan,
 }
 
-/// One sealed group of consecutive-TID records, handed from the sequencer
-/// to a Persist worker.
-#[derive(Debug)]
-pub(crate) struct GroupWork(pub Vec<LogRecord>);
-
-/// Which on-NVM record a [`Sealed`] unit becomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SealedKind {
-    Commit,
-    Abort,
-    Group,
-}
-
 /// One unit of Persist work: the TIDs it covers and the combined writes —
 /// distinct addresses — to log and replay for them.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct Sealed {
     first_tid: u64,
     last_tid: u64,
-    writes: Vec<(u64, u64)>,
+    writes: Writes,
     /// Transactional writes the unit covers, before combination (Table 1's
-    /// "# writes" and the Figure 3 combination accounting).
+    /// "# writes" and the Figure 3 combination accounting), and after.
     entries_before: usize,
-    kind: SealedKind,
+    entries: usize,
 }
 
-/// What a Persist worker's inputs carry: work that becomes one [`Sealed`]
-/// unit, combined — once, on the thread that will stage it — with that
-/// thread's scratch table.
+/// Work that becomes one [`Sealed`] unit, combined once, by the thread that
+/// will stage it, with that thread's scratch table.
 pub(crate) trait Seal {
     fn seal(self, combiner: &mut Combiner) -> Sealed;
 }
 
-impl Seal for LogRecord {
+impl Seal for RedoRecord {
     /// A commit is a group of one: a word it wrote twice is logged, handed
-    /// to Reproduce and replayed once, with its last value.
+    /// to Reproduce and replayed once, with its last value — combined in
+    /// the record's slice, which this side owns until it is freed.
+    fn seal(mut self, combiner: &mut Combiner) -> Sealed {
+        let entries_before = self.span.len();
+        self.span.combine(combiner);
+        Sealed {
+            first_tid: self.tid,
+            last_tid: self.tid,
+            entries_before,
+            entries: self.span.len(),
+            writes: Writes::Ring {
+                span: self.span,
+                abort: self.abort,
+            },
+        }
+    }
+}
+
+impl Seal for LogRecord {
+    /// A `Sync` commit, combined like a ring record.
     fn seal(self, combiner: &mut Combiner) -> Sealed {
-        let (tid, mut writes, kind) = match self {
-            LogRecord::Commit { tid, writes } => (tid, writes, SealedKind::Commit),
-            LogRecord::Abort { tid } => (tid, Vec::new(), SealedKind::Abort),
+        let (tid, abort, mut pairs) = match self {
+            LogRecord::Commit { tid, writes } => (tid, false, writes),
+            LogRecord::Abort { tid } => (tid, true, Vec::new()),
         };
-        let entries_before = writes.len();
-        combiner.dedup(&mut writes);
+        let entries_before = pairs.len();
+        combiner.dedup(&mut pairs);
         Sealed {
             first_tid: tid,
             last_tid: tid,
-            writes,
             entries_before,
-            kind,
+            entries: pairs.len(),
+            writes: Writes::Owned { pairs, abort },
         }
     }
 }
 
-impl Seal for GroupWork {
+impl Seal for Vec<RedoRecord> {
+    /// A group of consecutive records, handed from the sequencer to a
+    /// Persist worker: combined straight from the records' ring slices.
     fn seal(self, _: &mut Combiner) -> Sealed {
-        let GroupWork(records) = self;
+        let records = self;
+        let pairs = combine_sorted(records.iter().map(|r| r.span.pairs()));
         Sealed {
-            first_tid: records.first().expect("non-empty group").tid(),
-            last_tid: records.last().expect("non-empty group").tid(),
-            entries_before: records.iter().map(|r| r.writes().len()).sum(),
-            kind: SealedKind::Group,
-            writes: combine_sorted(&records),
+            first_tid: records.first().expect("non-empty group").tid,
+            last_tid: records.last().expect("non-empty group").tid,
+            entries_before: records.iter().map(|r| r.span.len()).sum(),
+            entries: pairs.len(),
+            writes: Writes::Group(pairs, records.into_iter().map(|r| r.span).collect()),
         }
     }
 }
 
-/// Serializes `unit` and stores it in `ring_idx` — not flushed, not fenced;
-/// returns the batch to [`publish`] once its span has been flushed and the
-/// covering fence issued, or
-/// gives the unit back when the ring has no space (a worker parks it and
-/// keeps serving its other rings — blocking there would deadlock the
-/// pipeline).
-pub(crate) fn try_stage(
-    shared: &Shared,
-    ring_idx: usize,
-    unit: Sealed,
-    buf: &mut Vec<u64>,
-) -> Result<Batch, Sealed> {
-    // (raw, stored) payload bytes — the Figure 3 accounting, groups only.
-    let (raw, stored) = match unit.kind {
-        SealedKind::Commit => {
-            serialize_commit(unit.first_tid, &unit.writes, buf);
-            (0, 0)
-        }
-        SealedKind::Abort => {
-            serialize_abort(unit.first_tid, buf);
-            (0, 0)
-        }
-        SealedKind::Group => serialize_group(
-            unit.first_tid,
-            unit.last_tid,
-            &unit.writes,
-            shared.config.compress_groups,
-            buf,
-        ),
-    };
-    let Some(span) = shared.rings[ring_idx].try_append_unflushed(buf) else {
-        // Persist is blocked on log space Reproduce has not recycled yet —
-        // the stall the bounded NVM log ring exists to make visible.
-        shared.trace.stall(|s| &s.persist_ring_full);
-        return Err(unit);
-    };
-    let stats = &shared.stats;
-    let add = |cell: &AtomicU64, n: usize| {
-        cell.fetch_add(n as u64, Ordering::Relaxed);
-    };
-    add(&stats.entries_logged, unit.entries_before);
-    add(&stats.entries_after_combine, unit.writes.len());
-    match unit.kind {
-        SealedKind::Group => {
-            add(&stats.group_bytes_raw, raw);
-            add(&stats.group_bytes_stored, stored);
-            add(&stats.groups_persisted, 1);
-            if shared.trace.enabled() {
-                shared.trace.group_flush_bytes.record(stored as u64);
-                shared.trace.event(
-                    Stage::Persist,
-                    Event::GroupFlush,
-                    unit.last_tid,
-                    stored as u64,
-                    0,
-                );
-            }
-        }
-        SealedKind::Commit | SealedKind::Abort => add(&stats.records_persisted, 1),
-    }
-    stats
-        .log_bytes_flushed
-        .fetch_add(span.words * 8, Ordering::Relaxed);
-    Ok(Batch {
-        first_tid: unit.first_tid,
-        last_tid: unit.last_tid,
-        writes: unit.writes,
-        ring: ring_idx,
-        span,
-    })
-}
-
-/// Announces a staged batch whose covering fence has returned: parks it in
-/// the order buffer, then advances the durable ID over — and reproduces
-/// ([`Replay::step`]) — every batch that now has no gap in front of it.
+/// Announces staged batches — a sweep's — whose covering fence has
+/// returned: parks them in the order buffer, then advances the durable ID
+/// over — and reproduces ([`Replay::step`]) — every batch that now has no
+/// gap in front of it.
 ///
 /// All under the one lock, so the durable ID never covers a TID whose unit
 /// (or any earlier unit) is not yet fenced, and replay sees batches in
 /// dense TID order. No caller ever waits on another: a batch behind a gap
 /// stays parked and whoever fills the gap reproduces it.
-pub(crate) fn publish(shared: &Shared, batch: Batch) {
+pub(crate) fn publish(shared: &Shared, batches: impl IntoIterator<Item = Batch>) {
     let mut order = shared.order.lock();
-    order.push(batch.first_tid, batch.last_tid, batch);
+    for batch in batches {
+        order.push(batch.unit.first_tid, batch.unit.last_tid, batch);
+    }
     let mut replay = None;
     while let Some((_, last, batch)) = order.pop() {
         shared.durable.store(last, Ordering::Release);
@@ -245,16 +185,69 @@ impl Sweep {
         work.seal(&mut self.combiner)
     }
 
-    /// Stages `unit` into `ring_idx` ([`try_stage`]); a full ring gives it
-    /// back.
+    /// Serializes `unit` and stores it in log ring `ring_idx` — not
+    /// flushed, not fenced: [`Sweep::finish`] does both. A full ring gives
+    /// the unit back (a worker parks it and keeps serving its other rings —
+    /// blocking there would deadlock the pipeline) having counted nothing.
     pub(crate) fn stage(
         &mut self,
         shared: &Shared,
         ring_idx: usize,
         unit: Sealed,
     ) -> Result<(), Sealed> {
-        let batch = try_stage(shared, ring_idx, unit, &mut self.buf)?;
-        self.staged.push(batch);
+        let (buf, tid) = (&mut self.buf, unit.first_tid);
+        // (raw, stored) payload bytes — the Figure 3 accounting, groups only.
+        let (mut raw, mut stored) = (0, 0);
+        match &unit.writes {
+            Writes::Group(pairs, _) => {
+                let compress = shared.config.compress_groups;
+                (raw, stored) = serialize_group(tid, unit.last_tid, pairs, compress, buf);
+            }
+            Writes::Ring { abort: true, .. } | Writes::Owned { abort: true, .. } => {
+                serialize_abort(tid, buf);
+            }
+            Writes::Ring { span, .. } => serialize_commit(tid, span.pairs(), buf),
+            Writes::Owned { pairs, .. } => serialize_commit(tid, pairs, buf),
+        }
+        let Some(span) = shared.rings[ring_idx].try_append_unflushed(buf) else {
+            // Persist is blocked on log space Reproduce has not recycled yet —
+            // the stall the bounded NVM log ring exists to make visible.
+            shared.trace.stall(|s| &s.persist_ring_full);
+            return Err(unit);
+        };
+        let stats = &shared.stats;
+        let add = |cell: &AtomicU64, n: usize| {
+            cell.fetch_add(n as u64, Ordering::Relaxed);
+        };
+        add(&stats.entries_logged, unit.entries_before);
+        add(&stats.entries_after_combine, unit.entries);
+        add(&stats.log_bytes_flushed, 8 * span.words as usize);
+        if let Writes::Group(..) = unit.writes {
+            add(&stats.group_bytes_raw, raw);
+            add(&stats.group_bytes_stored, stored);
+            add(&stats.groups_persisted, 1);
+            if shared.trace.enabled() {
+                shared.trace.group_flush_bytes.record(stored as u64);
+                shared.trace.event(
+                    Stage::Persist,
+                    Event::GroupFlush,
+                    unit.last_tid,
+                    stored as u64,
+                    0,
+                );
+            }
+        } else {
+            add(&stats.records_persisted, 1);
+        }
+        #[cfg(feature = "sim")]
+        if crate::sabotage::free_ring_when_staged() {
+            unit.writes.free_now(&shared.redo);
+        }
+        self.staged.push(Batch {
+            unit,
+            ring: ring_idx,
+            span,
+        });
         Ok(())
     }
 
@@ -293,50 +286,50 @@ impl Sweep {
                 shared.trace.flush_worker_ns[worker].record(dur);
             }
             let bytes: u64 = self.staged.iter().map(|b| b.span.words * 8).sum();
-            let last_tid = self.staged.iter().map(|b| b.last_tid).max().unwrap_or(0);
+            let last_tid = self.staged.iter().fold(0, |m, b| m.max(b.unit.last_tid));
             shared
                 .trace
                 .event(Stage::Persist, Event::PersistBarrier, last_tid, bytes, dur);
         }
-        for batch in self.staged.drain(..) {
-            publish(shared, batch);
-        }
+        publish(shared, self.staged.drain(..));
     }
 }
 
-/// A Persist worker: drains its inputs in any order, stages each unit into
-/// the input's ring, and covers every pass with one [`Sweep`].
+/// A Persist worker: drains its inputs — `(log ring, next unit)` pairs — in
+/// any order, stages each unit into the input's log ring, and covers every
+/// pass with one [`Sweep`].
 ///
-/// The ungrouped pipeline partitions the per-thread record channels across
-/// workers; the grouped pipeline gives worker `w` one input, the
-/// sequencer's channel `w`, staged into ring `w`. A full ring parks the
-/// unit with a bounded sleep per probe — counted as a `persist_ring_full`
-/// stall — never a busy-spin. Every span ahead of it was fenced and
-/// published by the sweep that staged it, so after each sweep the worker
-/// forces a checkpoint of whatever is reproduced ([`checkpoint_behind`]);
-/// a span still held sits behind a TID gap, and whoever fills the gap
-/// reproduces it for the next forced checkpoint to recycle.
+/// The ungrouped pipeline partitions the per-thread redo rings across
+/// workers, each read through the worker's own cursor; the grouped
+/// pipeline gives worker `w` one input, the sequencer's channel `w`, staged
+/// into log ring `w`. A full log ring parks the unit with a bounded sleep
+/// per probe — counted as a `persist_ring_full` stall — never a busy-spin.
+/// Every span ahead of it was fenced and published by the sweep that
+/// staged it, so after each sweep the worker forces a checkpoint of
+/// whatever is reproduced ([`checkpoint_behind`]); a span still held sits
+/// behind a TID gap, and whoever fills the gap reproduces it for the next
+/// forced checkpoint to recycle.
 pub(crate) fn persist_worker<U: Seal>(
     shared: Arc<Shared>,
     worker: usize,
-    inputs: Vec<(usize, Receiver<U>)>,
+    mut inputs: Vec<(usize, impl FnMut() -> Result<U, TryRecvError>)>,
 ) {
     dude_nvm::set_background_stage(true);
     let mut sweep = Sweep::default();
     let mut done = vec![false; inputs.len()];
     // Units whose ring was full — retried next sweep while the other
-    // channels keep flowing (never block on one ring: deadlock).
+    // inputs keep flowing (never block on one ring: deadlock).
     let mut parked: Vec<Option<Sealed>> = (0..inputs.len()).map(|_| None).collect();
     loop {
         let mut progress = false;
-        for (i, (ring_idx, rx)) in inputs.iter().enumerate() {
+        for (i, (ring_idx, next)) in inputs.iter_mut().enumerate() {
             // Bounded drain per sweep so one busy thread cannot starve the
             // rest; a parked unit goes first, keeping the ring's order.
             for _ in 0..64 {
                 let unit = match parked[i].take() {
                     Some(unit) => unit,
                     None if done[i] => break,
-                    None => match rx.try_recv() {
+                    None => match next() {
                         Ok(unit) => sweep.seal(unit),
                         Err(TryRecvError::Empty) => break,
                         Err(TryRecvError::Disconnected) => {
@@ -368,30 +361,33 @@ pub(crate) fn persist_worker<U: Seal>(
     }
 }
 
-/// The grouped-Persist sequencer: merges all per-thread channels into
-/// dense global transaction-ID order, seals groups of `group` consecutive
-/// transactions, and deals them round-robin to the Persist workers.
+/// The grouped-Persist sequencer: reads every per-thread redo ring through
+/// its own cursor, merges the records into dense global transaction-ID
+/// order, seals groups of `persist_group` consecutive transactions, and
+/// deals them round-robin to the Persist workers.
 ///
-/// The sequencer never touches NVM, so it can never park on a full ring;
-/// the hold timer below therefore always re-arms on time and a partial
-/// group is dispatched at most once per quiet period. Round-robin
+/// A group carries its records themselves, which stay in their rings until
+/// the group is reproduced, so the sequencer's backlog too is bounded by
+/// the rings. The sequencer never touches NVM, so it can never park on a
+/// full ring; the hold timer below therefore always re-arms on time and a
+/// partial group — say, one a thread parked on its full ring is waiting
+/// for — is dispatched at most once per quiet period. Round-robin
 /// assignment is load-bearing for span recycling: worker `w` receives
 /// groups `w, w + N, …` and appends them to *its own* ring in that order,
 /// so each ring's append order equals dense TID order — exactly the order
 /// the Reproduce step releases spans in ([`crate::plog::PlogRing::release`] panics
 /// otherwise).
-pub(crate) fn persist_sequencer(
-    shared: Arc<Shared>,
-    inputs: Vec<Receiver<LogRecord>>,
-    worker_txs: Vec<Sender<GroupWork>>,
-    group: usize,
-) {
+pub(crate) fn persist_sequencer(shared: Arc<Shared>, worker_txs: Vec<Sender<Vec<RedoRecord>>>) {
     dude_nvm::set_background_stage(true);
+    let mut inputs: Vec<_> = (shared.redo.iter().enumerate())
+        .map(|(i, ring)| RedoCursor::new(i, ring))
+        .collect();
+    let group = shared.config.persist_group;
     let workers = worker_txs.len();
-    // Each per-thread channel is TID-ascending only per thread.
+    // Each redo ring is TID-ascending only per thread.
     let mut reorder = DenseReorder::starting_at(shared.durable.load(Ordering::Acquire));
     let mut done = vec![false; inputs.len()];
-    let mut current: Vec<LogRecord> = Vec::new();
+    let mut current: Vec<RedoRecord> = Vec::new();
     // Groups dispatched so far; picks the next worker.
     let mut next_seq = 0usize;
     // Hold-timer arithmetic runs on the shared monotonic clock (virtual
@@ -401,35 +397,35 @@ pub(crate) fn persist_sequencer(
     // Dispatch a partial group after this much quiet time (latency bound).
     let max_hold_ns = Duration::from_millis(2).as_nanos() as u64;
 
-    let dispatch = |current: &mut Vec<LogRecord>, next_seq: &mut usize| {
+    let dispatch = |current: &mut Vec<RedoRecord>, next_seq: &mut usize| {
         if current.is_empty() {
             return;
         }
         let records = std::mem::take(current);
         if shared.trace.enabled() {
-            let entries: u64 = records.iter().map(|r| r.writes().len() as u64).sum();
-            let last = records.last().expect("non-empty group").tid();
+            let entries: u64 = records.iter().map(|r| r.span.len() as u64).sum();
+            let last = records.last().expect("non-empty group").tid;
             shared
                 .trace
                 .event(Stage::Persist, Event::GroupDispatch, last, 8 * entries, 0);
         }
         // A worker only exits after draining its channel, so a send can
         // fail only during teardown-after-panic.
-        let _ = worker_txs[*next_seq % workers].send(GroupWork(records));
+        let _ = worker_txs[*next_seq % workers].send(records);
         *next_seq += 1;
     };
 
     loop {
         let mut progress = false;
-        for (i, rx) in inputs.iter().enumerate() {
+        for (i, ring) in inputs.iter_mut().enumerate() {
             if done[i] {
                 continue;
             }
             for _ in 0..64 {
-                match rx.try_recv() {
+                match ring.try_pop() {
                     Ok(rec) => {
                         progress = true;
-                        reorder.push(rec.tid(), rec.tid(), rec);
+                        reorder.push(rec.tid, rec.tid, rec);
                     }
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
@@ -468,7 +464,7 @@ pub(crate) fn persist_sequencer(
         }
         if !progress {
             if all_done {
-                // Channels are closed but the reorder buffer has a gap: a
+                // The rings are closed but the reorder buffer has a gap: a
                 // transaction ID was allocated and never logged. This is a
                 // protocol violation upstream.
                 panic!(
@@ -500,15 +496,17 @@ pub(crate) struct ShardWork {
 
 /// The Reproduce step's state (§3.4), behind `Shared::replay`: the one
 /// writer of the reproduced ID and of the checkpoint word, and the one
-/// place log spans are recycled. A span is released only once the
-/// checkpoint covering its last TID — which by the frontier minimum is
-/// applied *and durable on every shard* — is durable.
+/// place log space is recycled. A redo-ring record is freed once the
+/// reproduced ID passes it. A span is released only once the checkpoint
+/// covering its last TID — which by the frontier minimum is applied *and
+/// durable on every shard* — is durable.
 #[derive(Debug, Default)]
 pub(crate) struct Replay {
     /// The shard workers' inputs when `reproduce_threads > 1`; empty when
     /// the step applies in place. [`drain`] closes them.
     pub(crate) shards: Vec<Sender<ShardWork>>,
     dirty: DirtyLines,
+    unfreed: Unfreed,
     /// Spans awaiting a covering checkpoint, FIFO in TID order.
     release: VecDeque<(u64, usize, PlogSpan)>,
     pub(crate) last_checkpoint: u64,
@@ -516,34 +514,55 @@ pub(crate) struct Replay {
 
 impl Replay {
     /// Reproduces one dense batch, which [`publish`] just moved the durable
-    /// ID over. One shard applies it in place and publishes frontier slot 0
-    /// without a fence of its own: the checkpoint that covers it fences
-    /// those flushes. Shard workers get its writes split by heap shard and
-    /// advance the reproduced ID themselves.
+    /// ID over — straight from the volatile redo log. One shard applies it
+    /// in place and publishes frontier slot 0 without a fence of its own:
+    /// the checkpoint that covers it fences those flushes. Shard workers
+    /// get its writes split by heap shard and advance the reproduced ID
+    /// themselves.
     fn step(&mut self, shared: &Shared, batch: Batch) {
-        self.release
-            .push_back((batch.last_tid, batch.ring, batch.span));
-        if self.shards.is_empty() {
-            apply_run(shared, 0, &batch.writes, batch.last_tid, &mut self.dirty);
-            shared.frontier.publish(0, batch.last_tid);
-            self.advance(shared, batch.last_tid);
-        } else {
-            let split = split_writes(&batch.writes, self.shards.len());
-            for (tx, writes) in self.shards.iter().zip(split) {
-                // A shard worker only exits once its channel is closed and
-                // drained, which [`drain`] does after the last publisher.
-                let _ = tx.send(ShardWork {
-                    last_tid: batch.last_tid,
-                    writes,
-                });
+        let (last, unit) = (batch.unit.last_tid, batch.unit);
+        self.release.push_back((last, batch.ring, batch.span));
+        match &unit.writes {
+            Writes::Ring { span, .. } => self.replay(shared, span.pairs(), last),
+            Writes::Group(pairs, _) | Writes::Owned { pairs, .. } => {
+                self.replay(shared, pairs, last);
             }
+        }
+        self.unfreed.hold(last, unit.writes);
+        if self.shards.is_empty() {
+            self.advance(shared, last);
+        }
+    }
+
+    /// [`Replay::step`]'s apply, or its dispatch to the shard workers.
+    fn replay(
+        &mut self,
+        shared: &Shared,
+        writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
+        last: u64,
+    ) {
+        if self.shards.is_empty() {
+            apply_run(shared, 0, writes, last, &mut self.dirty);
+            shared.frontier.publish(0, last);
+            return;
+        }
+        let split = split_writes(writes, self.shards.len());
+        for (tx, writes) in self.shards.iter().zip(split) {
+            // A shard worker only exits once its channel is closed and
+            // drained, which [`drain`] does after the last publisher.
+            let _ = tx.send(ShardWork {
+                last_tid: last,
+                writes,
+            });
         }
     }
 
     /// Raises the reproduced ID to `f` — the frontier minimum, every TID
     /// at or below it applied on every shard — counting the transactions
-    /// it passes, and checkpoints on cadence. The ID gates paged-shadow
-    /// swap-ins (§4.3); this is its only writer.
+    /// it passes, frees the redo-ring records it passed (on every path, so
+    /// Perform's backpressure is Reproduce's progress), and checkpoints on
+    /// cadence. The ID gates paged-shadow swap-ins (§4.3); this is its only
+    /// writer.
     pub(crate) fn advance(&mut self, shared: &Shared, f: u64) {
         let was = shared.reproduced.load(Ordering::Relaxed);
         if f > was {
@@ -551,6 +570,7 @@ impl Replay {
             stats.txns_reproduced.fetch_add(f - was, Ordering::Relaxed);
             shared.reproduced.store(f, Ordering::Release);
         }
+        self.unfreed.free_through(&shared.redo, f);
         if f.saturating_sub(self.last_checkpoint) >= shared.config.checkpoint_every {
             self.checkpoint(shared, f);
         }
@@ -629,7 +649,8 @@ pub(crate) fn drain(shared: &Shared) {
         let f = shared.frontier.min_completed();
         replay.advance(shared, f);
         replay.checkpoint(shared, f);
-        debug_assert!(replay.release.is_empty(), "spans beyond the last batch");
+        let held = !replay.release.is_empty() || !replay.unfreed.is_empty();
+        debug_assert!(!held, "log space held beyond the last batch");
     }
     let order = shared.order.lock();
     // Unless already unwinding: a second panic in `Drop` would abort.
@@ -654,15 +675,16 @@ pub(crate) struct DirtyLines {
 /// **once** — no fence. The only place heap words are stored and flushed:
 /// the one-shard Reproduce step calls it per batch, a shard worker per
 /// fenced run, recovery per record. Returns the words stored.
-pub(crate) fn apply_writes<'a>(
+pub(crate) fn apply_writes(
     nvm: &Nvm,
     heap: Region,
-    writes: impl IntoIterator<Item = &'a (u64, u64)>,
+    writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
     dirty: &mut DirtyLines,
 ) -> u64 {
     dirty.lines.clear();
     let mut words = 0;
-    for &(addr, val) in writes {
+    for pair in writes {
+        let &(addr, val) = pair.borrow();
         let off = heap.start() + addr;
         nvm.write_word(off, val);
         words += 1;
@@ -686,10 +708,10 @@ pub(crate) fn apply_writes<'a>(
 /// leaves its fence to the covering checkpoint. Nothing flushed ⇒ no fence:
 /// an all-empty run (aborts, or no writes routed here) must not pay the
 /// barrier latency, nor drown the apply histogram in zeros.
-fn apply_run<'a>(
+fn apply_run(
     shared: &Shared,
     shard: usize,
-    writes: impl IntoIterator<Item = &'a (u64, u64)>,
+    writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
     last: u64,
     dirty: &mut DirtyLines,
 ) {
@@ -757,6 +779,8 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
 mod tests {
     use super::*;
     use crate::config::DudeTmConfig;
+    use crate::log::LogRecord;
+    use crate::redo_ring::RedoProducer;
     use crate::runtime::NvmLayout;
     use crate::stats::PipelineStatsSnapshot;
     use crate::stats::RecoveryTelemetry;
@@ -778,14 +802,50 @@ mod tests {
         }
     }
 
+    /// Thread slot 0's redo ring, end to end: each record goes in at the
+    /// producer and comes back out of the cursor.
+    struct Perform(RedoProducer, RedoCursor);
+
+    impl Perform {
+        fn new(shared: &Shared) -> Perform {
+            Perform(
+                RedoProducer::new(&shared.redo[0]),
+                RedoCursor::new(0, &shared.redo[0]),
+            )
+        }
+
+        fn push(&mut self, rec: LogRecord) -> RedoRecord {
+            let abort = matches!(rec, LogRecord::Abort { .. });
+            assert!(self.0.try_push(rec.tid(), abort, rec.writes()));
+            self.1.try_pop().expect("just pushed")
+        }
+
+        fn group(&mut self, records: Vec<LogRecord>) -> Vec<RedoRecord> {
+            records.into_iter().map(|rec| self.push(rec)).collect()
+        }
+    }
+
     fn seal(work: impl Seal) -> Sealed {
         work.seal(&mut Combiner::default())
     }
 
+    fn pairs(writes: &Writes) -> Vec<(u64, u64)> {
+        match writes {
+            Writes::Ring { span, .. } => span.pairs().collect(),
+            Writes::Group(pairs, _) | Writes::Owned { pairs, .. } => pairs.clone(),
+        }
+    }
+
+    /// Stages `unit` alone, returning its batch unflushed and unfenced.
+    fn try_stage(shared: &Shared, ring_idx: usize, unit: Sealed) -> Result<Batch, Sealed> {
+        let mut sweep = Sweep::default();
+        sweep.stage(shared, ring_idx, unit)?;
+        Ok(sweep.staged.pop().expect("just staged"))
+    }
+
     /// Stages `unit` into ring 1 and checks the ring holds exactly `want`.
     fn stage_and_compare(shared: &Shared, layout: &NvmLayout, unit: Sealed, want: &[u64]) -> Batch {
-        let mut buf = Vec::new();
-        let batch = try_stage(shared, 1, unit, &mut buf).expect("ring has space");
+        let batch = try_stage(shared, 1, unit).expect("ring has space");
         let span = batch.span;
         assert_eq!(batch.ring, 1);
         assert_eq!(span.words, want.len() as u64);
@@ -801,14 +861,15 @@ mod tests {
     fn try_stage_writes_each_kind_and_counts_every_unit() {
         let config = DudeTmConfig::small(1 << 16).with_grouping(4, true);
         let (shared, layout) = shared(config);
+        let mut t = Perform::new(&shared);
         let mut want = Vec::new();
         let mut expect = PipelineStatsSnapshot::default();
 
         let writes = [(8, 1), (16, 2)];
-        serialize_commit(1, &writes, &mut want);
-        let batch = stage_and_compare(&shared, &layout, seal(commit(1, &writes)), &want);
-        assert_eq!((batch.first_tid, batch.last_tid), (1, 1));
-        assert_eq!(batch.writes, writes);
+        crate::log::serialize_commit(1, writes, &mut want);
+        let batch = stage_and_compare(&shared, &layout, seal(t.push(commit(1, &writes))), &want);
+        assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (1, 1));
+        assert_eq!(pairs(&batch.unit.writes), writes);
         expect.records_persisted += 1;
         expect.entries_logged += 2;
         expect.entries_after_combine += 2;
@@ -818,11 +879,11 @@ mod tests {
         // A commit is a group of one: the rewritten word is logged and
         // handed on once, with its last value, at its first position.
         let (a, b) = (24, 32);
-        serialize_commit(7, &[(a, 3), (b, 2)], &mut want);
+        crate::log::serialize_commit(7, [(a, 3), (b, 2)], &mut want);
         assert_eq!(want.len(), 2 + 2 * 2);
-        let rewrite = seal(commit(7, &[(a, 1), (b, 2), (a, 3)]));
+        let rewrite = seal(t.push(commit(7, &[(a, 1), (b, 2), (a, 3)])));
         let batch = stage_and_compare(&shared, &layout, rewrite, &want);
-        assert_eq!(batch.writes, [(a, 3), (b, 2)]);
+        assert_eq!(pairs(&batch.unit.writes), [(a, 3), (b, 2)]);
         expect.records_persisted += 1;
         expect.entries_logged += 3;
         expect.entries_after_combine += 2;
@@ -830,9 +891,14 @@ mod tests {
         assert_eq!(shared.stats.snapshot(), expect);
 
         serialize_abort(2, &mut want);
-        let batch = stage_and_compare(&shared, &layout, seal(LogRecord::Abort { tid: 2 }), &want);
-        assert_eq!((batch.first_tid, batch.last_tid), (2, 2));
-        assert!(batch.writes.is_empty());
+        let batch = stage_and_compare(
+            &shared,
+            &layout,
+            seal(t.push(LogRecord::Abort { tid: 2 })),
+            &want,
+        );
+        assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (2, 2));
+        assert_eq!(pairs(&batch.unit.writes), []);
         expect.records_persisted += 1;
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(shared.stats.snapshot(), expect);
@@ -845,12 +911,12 @@ mod tests {
             })
             .chain([LogRecord::Abort { tid: 6 }])
             .collect();
-        let combined = combine_sorted(&records);
+        let combined = crate::log::combine_sorted(&records);
         let (raw, stored) = serialize_group(3, 6, &combined, true, &mut want);
         assert!(stored < raw, "the group must exercise the LZ encoding");
-        let batch = stage_and_compare(&shared, &layout, seal(GroupWork(records)), &want);
-        assert_eq!((batch.first_tid, batch.last_tid), (3, 6));
-        assert_eq!(batch.writes, combined);
+        let batch = stage_and_compare(&shared, &layout, seal(t.group(records)), &want);
+        assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (3, 6));
+        assert_eq!(pairs(&batch.unit.writes), combined);
         expect.entries_logged += 48;
         expect.entries_after_combine += 16;
         expect.group_bytes_raw += raw as u64;
@@ -872,17 +938,17 @@ mod tests {
         }
         .with_trace(TraceConfig::enabled(64));
         let (shared, layout) = shared(config);
+        let mut t = Perform::new(&shared);
         // 2 + 2 * 100 = 202 words each: two fit the 512-word ring.
         let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 8, w)).collect();
-        let mut buf = Vec::new();
-        let first = try_stage(&shared, 0, seal(commit(1, &writes)), &mut buf).unwrap();
-        let second = try_stage(&shared, 0, seal(commit(2, &writes)), &mut buf).unwrap();
+        let first = try_stage(&shared, 0, seal(t.push(commit(1, &writes)))).unwrap();
+        let second = try_stage(&shared, 0, seal(t.push(commit(2, &writes)))).unwrap();
         shared.nvm.fence();
-        publish(&shared, first);
+        publish(&shared, [first]);
         assert_eq!(shared.reproduced.load(Ordering::Acquire), 1);
         let before = shared.stats.snapshot();
-        let back = try_stage(&shared, 0, seal(commit(3, &writes)), &mut buf).unwrap_err();
-        assert_eq!(back, seal(commit(3, &writes)));
+        let back = try_stage(&shared, 0, seal(t.push(commit(3, &writes)))).unwrap_err();
+        assert_eq!((back.first_tid, pairs(&back.writes)), (3, writes.clone()));
         let after = shared.stats.snapshot();
         assert_eq!(after, before, "a refused unit counts nothing");
         assert_eq!(shared.trace.stalls.snapshot().persist_ring_full, 1);
@@ -895,7 +961,7 @@ mod tests {
         // Tid 2 is staged but unpublished: its span stays held.
         assert_eq!(shared.rings[0].used_words(), second.span.words);
         // The retry counts exactly once.
-        try_stage(&shared, 0, back, &mut buf).expect("the first span was released");
+        try_stage(&shared, 0, back).expect("the first span was released");
         let after = shared.stats.snapshot();
         assert_eq!(after.records_persisted, before.records_persisted + 1);
         assert_eq!(after.entries_logged, before.entries_logged + 100);
@@ -917,6 +983,7 @@ mod tests {
             .with_grouping(4, false)
             .with_reproduce_threads(shards);
         let (shared, layout) = shared(config);
+        let mut t = Perform::new(&shared);
         let shard_rxs: Vec<_> = (0..shards)
             .filter(|_| shards > 1)
             .map(|_| {
@@ -925,24 +992,23 @@ mod tests {
                 rx
             })
             .collect();
-        let mut buf = Vec::new();
         let mut batches = Vec::new();
         let mut tid = 0;
         for k in 0..96 {
             let unit = if k % 3 == 0 {
-                let group = (tid + 1..=tid + 3)
-                    .map(|t| commit(t, &[(8 * t, t)]))
+                let records = (tid + 1..=tid + 3)
+                    .map(|x| commit(x, &[(8 * x, x)]))
                     .collect();
                 tid += 3;
-                seal(GroupWork(group))
+                seal(t.group(records))
             } else {
                 tid += 1;
-                seal(commit(tid, &[(8 * tid, tid)]))
+                seal(t.push(commit(tid, &[(8 * tid, tid)])))
             };
-            batches.push(try_stage(&shared, k as usize % 4, unit, &mut buf).unwrap());
+            batches.push(try_stage(&shared, k as usize % 4, unit).unwrap());
         }
         let last = tid;
-        let mut ends: Vec<u64> = batches.iter().map(|b| b.last_tid).collect();
+        let mut ends: Vec<u64> = batches.iter().map(|b| b.unit.last_tid).collect();
         ends.sort_unstable();
         shared.nvm.fence();
         let mut x = seed;
@@ -965,10 +1031,10 @@ mod tests {
                 let (shared, entered) = (Arc::clone(&shared), Arc::clone(&entered));
                 dude_nvm::thread::spawn_named(&format!("publisher-{p}"), move || {
                     for batch in part {
-                        for t in batch.first_tid..=batch.last_tid {
+                        for t in batch.unit.first_tid..=batch.unit.last_tid {
                             entered[t as usize].store(true, Ordering::SeqCst);
                         }
-                        publish(&shared, batch);
+                        publish(&shared, [batch]);
                         dude_nvm::thread::yield_now();
                     }
                 })
@@ -1064,11 +1130,11 @@ mod tests {
             }
             .with_trace(TraceConfig::enabled(1024));
             let (shared, layout) = shared(config);
-            let mut buf = Vec::new();
+            let mut t = Perform::new(&shared);
             let mut batches: Vec<Batch> = (1..=20u64)
                 .map(|tid| {
-                    let unit = seal(commit(tid, &[(tid * 8, tid + 100)]));
-                    try_stage(&shared, 0, unit, &mut buf).unwrap()
+                    let unit = seal(t.push(commit(tid, &[(tid * 8, tid + 100)])));
+                    try_stage(&shared, 0, unit).unwrap()
                 })
                 .collect();
             if head_last {
@@ -1076,7 +1142,7 @@ mod tests {
             }
             shared.nvm.fence();
             for batch in batches {
-                publish(&shared, batch);
+                publish(&shared, [batch]);
             }
             assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
             drain(&shared);

@@ -123,7 +123,7 @@ impl PlogRing {
     /// span the sweep appended — and fences before treating any of it as
     /// durable. A Persist thread serving several rings must never *block*
     /// on one full ring — the blocked ring can only drain after Reproduce
-    /// passes transactions that still sit in the other rings' channels, so
+    /// passes transactions that still sit in the other redo rings, so
     /// blocking would deadlock the pipeline.
     ///
     /// # Panics
@@ -237,7 +237,7 @@ mod tests {
     fn append_then_scan_finds_record() {
         let (nvm, ring, region) = setup(256);
         let mut buf = Vec::new();
-        serialize_commit(1, &[(8, 42)], &mut buf);
+        serialize_commit(1, [(8, 42)], &mut buf);
         let span = ring.append(&buf);
         assert_eq!(span.start, 0);
         assert_eq!(span.words, buf.len() as u64);
@@ -251,7 +251,7 @@ mod tests {
     fn appended_records_survive_crash() {
         let (nvm, ring, region) = setup(256);
         let mut buf = Vec::new();
-        serialize_commit(1, &[(8, 42)], &mut buf);
+        serialize_commit(1, [(8, 42)], &mut buf);
         ring.append(&buf);
         nvm.crash();
         let recs = scan_region(&nvm, region);
@@ -262,7 +262,7 @@ mod tests {
     fn unpersisted_write_does_not_survive() {
         let (nvm, _ring, region) = setup(256);
         let mut buf = Vec::new();
-        serialize_commit(1, &[(8, 42)], &mut buf);
+        serialize_commit(1, [(8, 42)], &mut buf);
         // Write the record bytes but never flush/fence.
         nvm.write_words(region.start(), &buf);
         nvm.crash();
@@ -276,7 +276,7 @@ mod tests {
         let mut spans = Vec::new();
         // Each commit record with 2 writes = 2 + 4 = 6 words; ring holds 10.
         for tid in 1..=32u64 {
-            serialize_commit(tid, &[(8, tid), (16, tid)], &mut buf);
+            serialize_commit(tid, [(8, tid), (16, tid)], &mut buf);
             // Release the oldest span when the ring gets tight.
             while ring.used_words() + buf.len() as u64 + 8 > ring.capacity_words() {
                 let s: PlogSpan = spans.remove(0);
@@ -317,11 +317,11 @@ mod tests {
     fn scan_ignores_torn_record() {
         let (nvm, ring, region) = setup(256);
         let mut buf = Vec::new();
-        serialize_commit(1, &[(8, 1)], &mut buf);
+        serialize_commit(1, [(8, 1)], &mut buf);
         ring.append(&buf);
         // Simulate a torn append: valid-looking header, no valid checksum,
         // never fenced.
-        serialize_commit(2, &[(16, 2)], &mut buf);
+        serialize_commit(2, [(16, 2)], &mut buf);
         let torn = &buf[..buf.len() - 1];
         nvm.write_words(region.start() + 64 * 8, torn);
         nvm.crash();
@@ -339,7 +339,7 @@ mod tests {
         let mut buf = Vec::new();
         // Four 12-word records fill 48 of 64 words and are recycled.
         for tid in 1..=4u64 {
-            serialize_commit(tid, &[(8, tid); 5], &mut buf);
+            serialize_commit(tid, [(8, tid); 5], &mut buf);
             let span = ring.append(&buf);
             ring.release(span);
         }
@@ -348,7 +348,7 @@ mod tests {
         // marker) and 12 words at the ring start.
         let mut spans = Vec::new();
         for tid in 5..=6u64 {
-            serialize_commit(tid, &[(8, tid); 5], &mut buf);
+            serialize_commit(tid, [(8, tid); 5], &mut buf);
             spans.push(ring.try_append_unflushed(&buf).expect("space"));
         }
         assert_eq!((spans[1].start, spans[1].words), (60, 16));
@@ -371,7 +371,7 @@ mod tests {
         assert_eq!(nvm.read_word(region.start() + 60 * 8), skip_word());
 
         // Without the range flush the same appends do not survive.
-        serialize_commit(7, &[(8, 7); 5], &mut buf);
+        serialize_commit(7, [(8, 7); 5], &mut buf);
         ring.release(spans[0]);
         ring.release(spans[1]);
         ring.try_append_unflushed(&buf).expect("space");
@@ -399,10 +399,10 @@ mod tests {
         let (_nvm, ring, _region) = setup(64);
         let ring = Arc::new(ring);
         let mut buf = Vec::new();
-        serialize_commit(1, &[(8, 1); 13], &mut buf); // 2+26 = 28 words
+        serialize_commit(1, [(8, 1); 13], &mut buf); // 2+26 = 28 words
         let s1 = ring.append(&buf);
         let mut buf2 = Vec::new();
-        serialize_commit(2, &[(8, 2); 13], &mut buf2);
+        serialize_commit(2, [(8, 2); 13], &mut buf2);
         let _s2 = ring.append(&buf2); // 56/64 used
         let r2 = Arc::clone(&ring);
         let releaser = std::thread::spawn(move || {
@@ -410,7 +410,7 @@ mod tests {
             r2.release(s1);
         });
         let mut buf3 = Vec::new();
-        serialize_commit(3, &[(8, 3); 13], &mut buf3);
+        serialize_commit(3, [(8, 3); 13], &mut buf3);
         let start = std::time::Instant::now();
         ring.append(&buf3); // must block until release
         assert!(start.elapsed() >= std::time::Duration::from_millis(15));

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender, TryRecvError};
 use dude_nvm::{Nvm, Region};
 use dude_stm::HeapTxn;
 use dude_txapi::{TxAbort, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
@@ -19,10 +19,11 @@ use crate::log::LogRecord;
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
     checkpoint_behind, drain, persist_sequencer, persist_worker, reproduce_shard_worker, Batch,
-    GroupWork, Replay, Seal, ShardWork, Sweep,
+    Replay, Seal, ShardWork, Sweep,
 };
 use crate::plog::PlogRing;
 use crate::recovery::{wipe_logs, RecoverError};
+use crate::redo_ring::{RedoCursor, RedoProducer, RedoRecord, RedoRing};
 use crate::seqtrack::DenseReorder;
 use crate::shadow::ShadowMem;
 use crate::stats::{
@@ -88,6 +89,8 @@ pub struct Shared {
     pub(crate) meta: Region,
     pub(crate) heap: Region,
     pub(crate) rings: Vec<Arc<PlogRing>>,
+    /// One volatile redo ring per thread slot (unused under `Sync`).
+    pub(crate) redo: Vec<Arc<RedoRing>>,
     /// Fenced batches parked behind a TID gap; [`crate::pipeline::publish`]
     /// pops them in dense order.
     pub(crate) order: Mutex<DenseReorder<Batch>>,
@@ -131,6 +134,9 @@ impl Shared {
             meta: layout.meta,
             heap: layout.heap,
             rings,
+            redo: (0..config.max_threads)
+                .map(|_| Arc::new(RedoRing::new(config.durability)))
+                .collect(),
             order: Mutex::new(DenseReorder::starting_at(start_tid)),
             replay: Mutex::new(replay),
             durable: AtomicU64::new(start_tid),
@@ -148,47 +154,10 @@ impl Shared {
     }
 }
 
-/// Where a thread's committed redo logs go.
-#[derive(Debug)]
-enum Sink {
-    /// Asynchronous pipeline: hand the record to a Persist thread.
-    Channel(Sender<LogRecord>),
-    /// DudeTM-Sync: persist inline into the thread's own ring, reproducing
-    /// whatever that publishes.
-    Sync { ring_idx: usize, sweep: Sweep },
-}
-
-impl Sink {
-    /// Hands `rec` on. A full bounded buffer blocks — the Perform-side
-    /// backpressure of §3.2 — after counting the stall, so the layer can
-    /// tell "Perform waited on Persist" from "Perform ran free". Under
-    /// `Sync` this is one Persist sweep of one record.
-    fn deliver(&mut self, shared: &Shared, rec: LogRecord) {
-        match self {
-            Sink::Channel(tx) => {
-                if let Err(TrySendError::Full(rec)) = tx.try_send(rec) {
-                    shared.trace.stall(|s| &s.perform_log_full);
-                    let _ = tx.send(rec);
-                }
-            }
-            Sink::Sync { ring_idx, sweep } => {
-                let mut unit = sweep.seal(rec);
-                // Ring full: recycle what is reproduced behind it, then retry.
-                while let Err(back) = sweep.stage(shared, *ring_idx, unit) {
-                    unit = back;
-                    checkpoint_behind(shared);
-                    dude_nvm::thread::yield_now();
-                }
-                sweep.finish(shared, None);
-            }
-        }
-    }
-}
-
 /// [`dude_stm::TxHooks`] implementation realizing Algorithm 2: `dtmWrite`
-/// appends to the thread-local volatile log, `dtmEnd` seals it with the
-/// commit timestamp, `dtmAbort` discards it (emitting an abort marker if a
-/// timestamp was wasted).
+/// stages into a reused buffer, `dtmEnd` appends it to the thread's redo
+/// ring with the commit timestamp, `dtmAbort` discards it (emitting an
+/// abort marker if a timestamp was wasted).
 #[derive(Debug)]
 pub struct RedoHooks {
     staged: Vec<(u64, u64)>,
@@ -202,6 +171,51 @@ pub struct RedoHooks {
     /// Payload bytes of the last committed transaction (8 × its writes),
     /// captured for the Perform-stage commit trace event.
     last_commit_bytes: u64,
+}
+
+/// Where a thread's committed redo logs go.
+#[derive(Debug)]
+enum Sink {
+    /// Asynchronous pipeline: the thread's volatile redo ring.
+    Ring(RedoProducer),
+    /// DudeTM-Sync: persist inline into the thread's own log ring,
+    /// reproducing whatever that publishes.
+    Sync { ring_idx: usize, sweep: Sweep },
+}
+
+impl RedoHooks {
+    /// Hands on the record of `tid` — the staged writes, or an abort marker
+    /// — leaving the staging buffer empty. A redo ring at its cap parks the
+    /// committer until Reproduce frees space (§3.2's backpressure), counted
+    /// as a stall. Under `Sync` this is one Persist sweep of the record.
+    fn deliver(&mut self, tid: u64, abort: bool) {
+        let shared = &*self.shared;
+        match &mut self.sink {
+            Sink::Ring(ring) => {
+                if !ring.try_push(tid, abort, &self.staged) {
+                    shared.trace.stall(|s| &s.perform_log_full);
+                    ring.push(tid, abort, &self.staged);
+                }
+                self.staged.clear();
+            }
+            Sink::Sync { ring_idx, sweep } => {
+                let rec = if abort {
+                    LogRecord::Abort { tid }
+                } else {
+                    let writes = std::mem::take(&mut self.staged);
+                    LogRecord::Commit { tid, writes }
+                };
+                let mut unit = sweep.seal(rec);
+                // Log ring full: recycle what is reproduced behind it, then retry.
+                while let Err(back) = sweep.stage(shared, *ring_idx, unit) {
+                    unit = back;
+                    checkpoint_behind(shared);
+                    dude_nvm::thread::yield_now();
+                }
+                sweep.finish(shared, None);
+            }
+        }
+    }
 }
 
 impl dude_stm::TxHooks for RedoHooks {
@@ -227,9 +241,7 @@ impl dude_stm::TxHooks for RedoHooks {
         // by the running view (§4.3).
         self.shadow.note_commit(tid, &self.staged);
         self.last_commit_bytes = 8 * self.staged.len() as u64;
-        let writes = std::mem::take(&mut self.staged);
-        self.sink
-            .deliver(&self.shared, LogRecord::Commit { tid, writes });
+        self.deliver(tid, false);
     }
 
     fn on_abort(&mut self, wasted_tid: Option<u64>) {
@@ -249,7 +261,7 @@ impl dude_stm::TxHooks for RedoHooks {
         if self.shared.config.metrics.enabled {
             self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
         }
-        self.sink.deliver(&self.shared, LogRecord::Abort { tid });
+        self.deliver(tid, true);
     }
 }
 
@@ -264,8 +276,6 @@ pub struct DudeTm<E: TmEngine> {
     shadow: Arc<ShadowMem>,
     shared: Arc<Shared>,
     metrics: Arc<MetricsRegistry>,
-    /// Per-slot volatile-log senders (async modes).
-    record_senders: Vec<Sender<LogRecord>>,
     /// Optional commit-history recorder handed to newly registered threads
     /// (see [`DudeTm::attach_history`]).
     history: Mutex<Option<Arc<CommitHistory>>>,
@@ -335,45 +345,36 @@ impl<E: TmEngine> DudeTm<E> {
         shadow.populate_from_nvm(&nvm, layout.heap);
 
         let mut persist = Vec::new();
-        let mut record_senders = Vec::new();
-
         if config.durability != DurabilityMode::Sync {
-            let mut receivers = Vec::new();
-            for _ in 0..config.max_threads {
-                let (tx, rx) = match config.durability {
-                    DurabilityMode::Async { buffer_txns } => bounded(buffer_txns),
-                    _ => unbounded(),
-                };
-                record_senders.push(tx);
-                receivers.push(rx);
-            }
             // Validation capped persist_flush_workers at max_threads, the
-            // number of channels and of rings.
+            // number of redo rings and of log rings.
             let n = config.persist_flush_workers;
             if config.persist_group > 1 {
                 // Sequencer in front; worker `w` owns ring `w`.
                 let mut worker_txs = Vec::with_capacity(n);
                 for w in 0..n {
-                    let (tx, rx) = unbounded::<GroupWork>();
+                    let (tx, rx) = unbounded::<Vec<RedoRecord>>();
                     worker_txs.push(tx);
-                    persist.push(spawn_persist_worker(&shared, w, vec![(w, rx)]));
+                    persist.push(spawn_persist_worker(
+                        &shared,
+                        w,
+                        vec![(w, move || rx.try_recv())],
+                    ));
                 }
                 let shared2 = Arc::clone(&shared);
-                let group = config.persist_group;
                 persist.push(dude_nvm::thread::spawn_named(
                     "dude-persist-seq",
-                    move || persist_sequencer(shared2, receivers, worker_txs, group),
+                    move || persist_sequencer(shared2, worker_txs),
                 ));
             } else {
-                // Partition the per-thread channels across the workers
-                // round-robin.
-                let mut parts: Vec<Vec<(usize, Receiver<LogRecord>)>> =
-                    (0..n).map(|_| Vec::new()).collect();
-                for (i, rx) in receivers.into_iter().enumerate() {
-                    parts[i % n].push((i, rx));
-                }
-                for (w, inputs) in parts.into_iter().enumerate() {
-                    persist.push(spawn_persist_worker(&shared, w, inputs));
+                // Worker `w` reads redo rings `w, w + n, …`, staging each
+                // record into its thread's log ring.
+                for w in 0..n {
+                    let inputs = (w..config.max_threads).step_by(n).map(|i| {
+                        let mut cursor = RedoCursor::new(i, &shared.redo[i]);
+                        (i, move || cursor.try_pop())
+                    });
+                    persist.push(spawn_persist_worker(&shared, w, inputs.collect()));
                 }
             }
         }
@@ -422,7 +423,6 @@ impl<E: TmEngine> DudeTm<E> {
             shadow,
             shared,
             metrics,
-            record_senders,
             history: Mutex::new(None),
             next_slot: AtomicUsize::new(0),
             workers: Some(Workers { persist, shards }),
@@ -536,8 +536,10 @@ impl<E: TmEngine> DudeTm<E> {
     }
 
     fn halt(&mut self) {
-        // Disconnect perform→persist channels.
-        self.record_senders.clear();
+        // Every Perform thread is gone (they borrow the runtime).
+        for ring in &self.shared.redo {
+            ring.close();
+        }
         if let Some(Workers { persist, shards }) = self.workers.take() {
             // The Persist workers drain their inputs and publish the rest;
             // then nothing publishes, and the Reproduce step can drain.
@@ -573,11 +575,14 @@ struct Workers {
     shards: Vec<dude_nvm::thread::JoinHandle<()>>,
 }
 
-/// Spawns Persist worker `w` over `inputs` (ring index, channel) pairs.
-fn spawn_persist_worker<U: Seal + Send + 'static>(
+/// Spawns Persist worker `w` over `inputs`: (log ring index, next unit).
+fn spawn_persist_worker<U: Seal>(
     shared: &Arc<Shared>,
     w: usize,
-    inputs: Vec<(usize, Receiver<U>)>,
+    inputs: Vec<(
+        usize,
+        impl FnMut() -> Result<U, TryRecvError> + Send + 'static,
+    )>,
 ) -> dude_nvm::thread::JoinHandle<()> {
     let shared = Arc::clone(shared);
     dude_nvm::thread::spawn_named(&format!("dude-persist-{w}"), move || {
@@ -603,7 +608,7 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
                 ring_idx: slot,
                 sweep: Sweep::default(),
             },
-            _ => Sink::Channel(self.record_senders[slot].clone()),
+            _ => Sink::Ring(RedoProducer::new(&self.shared.redo[slot])),
         };
         DtmThread {
             dude: self,

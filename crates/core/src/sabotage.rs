@@ -14,6 +14,7 @@ static SKIP_GROUP_FENCE: AtomicBool = AtomicBool::new(false);
 static FRONTIER_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
 static SKIP_FORCED_CHECKPOINT: AtomicBool = AtomicBool::new(false);
 static IGNORE_TOUCH_WATERMARK: AtomicBool = AtomicBool::new(false);
+static FREE_RING_WHEN_STAGED: AtomicBool = AtomicBool::new(false);
 
 /// Mutation A — dropped fence in the Persist publish path: when armed,
 /// every Persist sweep — a worker's, or a `Sync` client's inline one —
@@ -52,6 +53,15 @@ pub fn ignore_touch_watermark() -> bool {
     IGNORE_TOUCH_WATERMARK.load(Ordering::Relaxed)
 }
 
+/// Mutation E — redo-ring space freed when staged: when armed, a Persist
+/// worker frees a record's redo-ring space as soon as it stages the record
+/// into the log, instead of once the reproduced ID passes it. The Perform
+/// thread may then overwrite words the Reproduce step has not read, so
+/// the heap is rebuilt from another transaction's writes.
+pub fn free_ring_when_staged() -> bool {
+    FREE_RING_WHEN_STAGED.load(Ordering::Relaxed)
+}
+
 /// RAII guard arming one mutation for a scope; disarms on drop (also on
 /// panic, so a caught schedule failure cannot leak into later cases).
 #[derive(Debug)]
@@ -70,6 +80,8 @@ pub enum Mutation {
     SkipForcedCheckpoint,
     /// Mutation D: paged-shadow swap-ins skip the touching-ID wait.
     IgnoreTouchWatermark,
+    /// Mutation E: redo-ring records are freed when staged, not reproduced.
+    FreeRingWhenStaged,
 }
 
 impl Mutation {
@@ -79,6 +91,7 @@ impl Mutation {
             Mutation::FrontierOffByOne => &FRONTIER_OFF_BY_ONE,
             Mutation::SkipForcedCheckpoint => &SKIP_FORCED_CHECKPOINT,
             Mutation::IgnoreTouchWatermark => &IGNORE_TOUCH_WATERMARK,
+            Mutation::FreeRingWhenStaged => &FREE_RING_WHEN_STAGED,
         }
     }
 }

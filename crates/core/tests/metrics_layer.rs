@@ -220,7 +220,7 @@ fn recovery_telemetry_reports_scan_replay_wipe() {
     let (layout, clean) = recover_device(&nvm, &cfg).expect("clean device recovers");
     assert_eq!(clean.replayed, 0);
     let mut buf = Vec::new();
-    log::serialize_commit(1, &[(0, 11), (8, 22)], &mut buf);
+    log::serialize_commit(1, [(0, 11), (8, 22)], &mut buf);
     nvm.write_words(layout.plogs[0].start(), &buf);
     nvm.persist(layout.plogs[0].start(), buf.len() as u64 * 8);
     log::serialize_group(3, 4, &[(16, 33)], false, &mut buf);

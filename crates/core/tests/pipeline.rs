@@ -461,7 +461,7 @@ fn stats_snapshot_watermarks_and_occupancy() {
 }
 
 /// Starvation/livelock regression for the Persist parked-record path
-/// (`try_stage` giving the unit back when the NVM log ring is full, and
+/// (`Sweep::stage` giving the unit back when the NVM log ring is full, and
 /// the drain loop retrying it each sweep).
 ///
 /// The adversarial setup: the smallest legal per-thread log ring (4 KiB),

@@ -62,7 +62,7 @@ fn invalid_config_is_a_typed_error_and_leaves_the_device_untouched() {
     let config = tiny_config();
     let layout = formatted(&nvm, config);
     let mut buf = Vec::new();
-    log::serialize_commit(1, &[(0, 11)], &mut buf);
+    log::serialize_commit(1, [(0, 11)], &mut buf);
     plant_record(&nvm, &layout, 0, &buf);
     let before = image(&nvm);
 
@@ -115,7 +115,7 @@ fn discarded_counts_transactions_not_records() {
     let mut buf = Vec::new();
     // Tid 1 is intact; tid 2 never became durable; the group 3..=5 sits
     // beyond the gap and must be discarded — as THREE transactions.
-    log::serialize_commit(1, &[(0, 11)], &mut buf);
+    log::serialize_commit(1, [(0, 11)], &mut buf);
     plant_record(&nvm, &layout, 0, &buf);
     log::serialize_group(3, 5, &[(8, 33)], false, &mut buf);
     plant_record(&nvm, &layout, 1, &buf);
@@ -283,7 +283,7 @@ fn stale_released_record_below_checkpoint_is_not_replayed() {
     let layout = formatted(&nvm, config);
     // Stale survivor: tid 3 once wrote 333 to heap word 0...
     let mut buf = Vec::new();
-    log::serialize_commit(3, &[(0, 333)], &mut buf);
+    log::serialize_commit(3, [(0, 333)], &mut buf);
     plant_record(&nvm, &layout, 0, &buf);
     // ...but the durable state has moved on: some later transaction (whose
     // record was recycled and overwritten) left 999 there, and the durable
@@ -320,9 +320,9 @@ fn sub_checkpoint_record_in_checkpoint_run_still_replays() {
     let layout = formatted(&nvm, config);
     let mut buf = Vec::new();
     // Tids 2 and 3 intact, checkpoint 3: run [2..=3] spans the checkpoint.
-    log::serialize_commit(2, &[(0, 22)], &mut buf);
+    log::serialize_commit(2, [(0, 22)], &mut buf);
     plant_record(&nvm, &layout, 0, &buf);
-    log::serialize_commit(3, &[(8, 33)], &mut buf);
+    log::serialize_commit(3, [(8, 33)], &mut buf);
     plant_record(&nvm, &layout, 1, &buf);
     nvm.write_word(layout.meta.start() + META_REPRODUCED_OFF, 3);
     nvm.persist(layout.meta.start() + META_REPRODUCED_OFF, 8);
@@ -348,9 +348,9 @@ fn abort_marker_bridges_commits_into_one_run() {
     let mut buf = Vec::new();
     // Thread 0 committed tids 1 and 3; the intervening tid 2 was wasted by
     // a validation failure on thread 1, which logged an abort marker.
-    log::serialize_commit(1, &[(0, 11)], &mut buf);
+    log::serialize_commit(1, [(0, 11)], &mut buf);
     let mut words = buf.clone();
-    log::serialize_commit(3, &[(8, 33)], &mut buf);
+    log::serialize_commit(3, [(8, 33)], &mut buf);
     words.extend_from_slice(&buf);
     plant_record(&nvm, &layout, 0, &words);
     log::serialize_abort(2, &mut buf);
@@ -377,9 +377,9 @@ fn commit_beyond_missing_abort_marker_is_discarded() {
     let config = tiny_config();
     let layout = formatted(&nvm, config);
     let mut buf = Vec::new();
-    log::serialize_commit(1, &[(0, 11)], &mut buf);
+    log::serialize_commit(1, [(0, 11)], &mut buf);
     plant_record(&nvm, &layout, 0, &buf);
-    log::serialize_commit(3, &[(8, 33)], &mut buf);
+    log::serialize_commit(3, [(8, 33)], &mut buf);
     plant_record(&nvm, &layout, 1, &buf);
 
     let (_, report) = recover_device(&nvm, &config).expect("recover");

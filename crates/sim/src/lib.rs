@@ -10,7 +10,8 @@
 //! deterministic function of the seed, recorded as a replayable trace.
 //!
 //! Wall-clock time is replaced by a *virtual clock*: each scheduling step
-//! advances it by a small fixed tick, and when no task is runnable the
+//! advances it by a small fixed tick, a deadline it passes fires at that
+//! step however many tasks are runnable, and when no task is runnable the
 //! clock jumps straight to the earliest pending deadline. Modeled NVM
 //! persist delays and background parks therefore cost simulation steps,
 //! not real time, and timer-dependent code paths (flush hold timers,
@@ -355,6 +356,17 @@ fn reschedule(kind: YieldKind, reentry: Reentry) {
         Reentry::Sleep(d) => TaskState::SleepUntil(d),
         Reentry::Exit => TaskState::Finished,
     };
+    // A deadline the clock has passed fires even while other tasks stay
+    // runnable: tasks that keep waking each other must not starve a
+    // sleeper forever (a background worker's idle sleep, say).
+    let now = st.now_ns;
+    for t in st.tasks.iter_mut() {
+        if let TaskState::Until(d) | TaskState::SleepUntil(d) = t.state {
+            if d <= now {
+                t.state = TaskState::Runnable;
+            }
+        }
+    }
 
     let chosen = loop {
         let runnable: Vec<u32> = st

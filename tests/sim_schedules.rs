@@ -29,22 +29,23 @@
 //! on Persist workers, once inline under `Sync`), an off-by-one frontier
 //! publish in sharded Reproduce, a parked Persist unit that never forces a
 //! checkpoint, a paged-shadow swap-in that ignores the touching-ID
-//! watermark — and asserts the seed sweep *catches* it within the default
-//! budget. A fuzzer that passes those mutations but fails a real run is
-//! telling the truth.
+//! watermark, redo-ring space freed when a record is staged instead of
+//! when it is reproduced — and asserts the seed sweep *catches* it within
+//! the default budget. A fuzzer that passes those mutations but fails a
+//! real run is telling the truth.
 
 #![cfg(feature = "sim")]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dude_nvm::{CrashEventKind, CrashPlan, Nvm, NvmConfig, StageFilter};
+use dude_nvm::{CrashEventKind, CrashPlan, Nvm, NvmConfig, Region, StageFilter};
 use dude_sim::SimConfig;
 use dude_txapi::{PAddr, TxAbort, TxnSystem, TxnThread};
 use dudetm::sabotage::{Mutation, MutationGuard};
 use dudetm::{
     check_prefix, recover_device, CommitHistory, DudeTm, DudeTmConfig, DurabilityMode, PagingMode,
-    ShadowConfig,
+    ShadowConfig, TraceConfig,
 };
 
 const ACCOUNTS: u64 = 8;
@@ -139,6 +140,15 @@ enum Workload {
     /// `w` increments word `8 + stride·w` and copies the new value into the
     /// `width − 1` words after it, so `width` sizes the log record.
     Counters { stride: u64, width: u64 },
+    /// Per-thread append-only logs: thread `w`'s op `i` fills two words of
+    /// its own region that nothing rewrites, so a write Reproduce loses or
+    /// misplaces survives into the final heap.
+    Log,
+}
+
+/// The first of the two words thread `w`'s op `i` fills.
+fn log_slot(w: usize, ops: u64, i: u64) -> PAddr {
+    PAddr::from_word_index(8 + 2 * (w as u64 * ops + i))
 }
 
 const COUNTERS: Workload = Workload::Counters {
@@ -188,6 +198,9 @@ struct SimRun {
     acked_incr: Vec<u64>,
     history: Arc<CommitHistory>,
     trace: Vec<u8>,
+    /// Commits that parked on a full redo ring (counted when tracing).
+    log_full: u64,
+    heap: Region,
 }
 
 /// Runs one workload to clean shutdown inside the virtual scheduler.
@@ -274,6 +287,14 @@ fn run_sim(
                                 });
                                 Some(out.info().expect("counter tx commits").tid.unwrap())
                             }
+                            Workload::Log => {
+                                let slot = log_slot(w, ops, op).word_index();
+                                let out = t.run(&mut |tx| {
+                                    tx.write_word(PAddr::from_word_index(slot), op + 1)?;
+                                    tx.write_word(PAddr::from_word_index(slot + 1), op + 1)
+                                });
+                                Some(out.info().expect("log tx commits").tid.unwrap())
+                            }
                         };
                         if let Some(tid) = committed {
                             if op % 4 == 3 {
@@ -299,16 +320,18 @@ fn run_sim(
             .iter()
             .map(|a| a.load(Ordering::Relaxed))
             .collect();
+        let log_full = dude.stats_snapshot().stalls.perform_log_full;
+        let heap = dude.heap_region();
         drop(
             Arc::try_unwrap(dude)
                 .unwrap_or_else(|_| panic!("workers joined, runtime must be unshared")),
         );
-        (acked, incr)
+        (acked, incr, log_full, heap)
     });
     if let Some(p) = report.panic {
         return Err(format!("simulated run aborted: {p}"));
     }
-    let (acked_tid, acked_incr) = report
+    let (acked_tid, acked_incr, log_full, heap) = report
         .result
         .expect("sim run without panic must carry a result");
     Ok(SimRun {
@@ -316,7 +339,24 @@ fn run_sim(
         acked_incr,
         history,
         trace: report.trace,
+        log_full,
+        heap,
     })
+}
+
+/// The drained oracle, for a run that shut down cleanly: every committed
+/// transaction is reproduced, so the heap — before any recovery — is the
+/// replay of the whole history. Recovery replays every record its log
+/// rings still hold, which repairs a Reproduce bug whose records the log
+/// kept; only this check sees those.
+fn check_drained(nvm: &Arc<Nvm>, run: &SimRun) -> Result<(), String> {
+    let entries = run.history.entries();
+    let last = entries.iter().map(|e| e.tid).max().unwrap_or(0);
+    check_prefix(&entries, run.history.dropped(), last, |addr| {
+        nvm.read_word(run.heap.start() + addr)
+    })
+    .map(drop)
+    .map_err(|e| format!("drained heap is not the history's replay: {e}"))
 }
 
 /// Applies the recovery oracles; `Err` carries the violated property so
@@ -373,6 +413,7 @@ fn check_recovery(
                 }
             }
         }
+        Workload::Log => {}
     }
     Ok(())
 }
@@ -391,7 +432,9 @@ fn clean_case(combo: &Combo, seed: u64) -> SimRun {
         None,
     )
     .unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
-    if let Err(e) = check_recovery(&nvm, &combo.cfg, combo.workload, &run, combo.ops) {
+    let checked = check_drained(&nvm, &run)
+        .and_then(|()| check_recovery(&nvm, &combo.cfg, combo.workload, &run, combo.ops));
+    if let Err(e) = checked {
         fail_seed(seed, combo.name, &e);
     }
     run
@@ -421,13 +464,15 @@ fn crash_case(combo: &Combo, seed: u64, event: CrashEventKind, n: u64) -> bool {
 
 /// The seed sweep for one config: every schedule seed runs clean, and
 /// (when `crash_points > 0`) a stride of planned crashes over the flush
-/// timeline of that same schedule.
-fn explore(combo: &Combo, crash_points: u64) {
+/// timeline of that same schedule. Returns the clean runs' full-ring parks.
+fn explore(combo: &Combo, crash_points: u64) -> u64 {
     let _g = lock_tests();
     let mut tripped = 0u64;
     let mut armed = 0u64;
+    let mut log_full = 0;
     for seed in schedule_seeds() {
         let clean = clean_case(combo, seed);
+        log_full += clean.log_full;
         if crash_points == 0 {
             continue;
         }
@@ -475,6 +520,7 @@ fn explore(combo: &Combo, crash_points: u64) {
             combo.name
         );
     }
+    log_full
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +706,43 @@ fn schedules_ring_full_liveness() {
     }
 }
 
+/// The smallest volatile redo log: `Async { buffer_txns: 2 }` holds two
+/// unreproduced records per thread in 8-word segments. A bank record (two
+/// writes) is 6 words, so every record wraps to another segment, which is
+/// reused once the record after it is freed; a thread's third commit parks
+/// until Reproduce passes its first. Grouped, the sequencer's 2 ms hold timer is
+/// what dispatches a partial group of a parked thread's records.
+fn tiny_ring_combo(
+    name: &'static str,
+    persist_workers: usize,
+    persist_group: usize,
+    reproduce_threads: usize,
+) -> Combo {
+    Combo {
+        name,
+        cfg: cfg(persist_workers, persist_group, false, reproduce_threads)
+            .with_durability(DurabilityMode::Async { buffer_txns: 2 })
+            .with_trace(TraceConfig::enabled(64)),
+        workload: Workload::Bank,
+        threads: 3,
+        ops: 8,
+    }
+}
+
+#[test]
+fn schedules_tiny_redo_ring() {
+    for (name, pw, group, rt, crash_points) in [
+        ("sim tiny-ring pw=1 pg=1 rt=1", 1, 1, 1, 4),
+        ("sim tiny-ring pw=1 pg=1 rt=3", 1, 1, 3, 0),
+        ("sim tiny-ring pw=2 pg=1 rt=1", 2, 1, 1, 0),
+        ("sim tiny-ring pw=1 pg=8 rt=1", 1, 8, 1, 4),
+        ("sim tiny-ring pw=1 pg=8 rt=3", 1, 8, 3, 0),
+    ] {
+        let parks = explore(&tiny_ring_combo(name, pw, group, rt), crash_points);
+        assert!(parks > 0, "{name}: no commit ever parked on a full ring");
+    }
+}
+
 /// Paged shadow (§4.3) with two frames for four counter pages: every
 /// transaction evicts or swaps in, racing the Reproduce step that gates
 /// swap-ins on the touching ID.
@@ -697,8 +780,9 @@ fn schedules_paged_shadow_counters() {
 
 /// Arms `mutation` and sweeps (schedule seed × crash point) until one
 /// case fails an oracle; asserts detection within the default budget,
-/// prints the failing seed's replay line and returns the failure.
-fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> String {
+/// prints the failing seed's replay line and returns the seed and the
+/// failure.
+fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> (u64, String) {
     let _g = lock_tests();
     let guard = MutationGuard::arm(mutation);
     let mut caught: Option<(u64, u64, String)> = None;
@@ -717,8 +801,10 @@ fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> String {
         );
         // A clean-run failure (an in-run assertion, a deadlock, the step
         // budget) or a clean run that recovers wrong is already a detection.
-        let clean =
-            run.and_then(|run| check_recovery(&nvm, &combo.cfg, combo.workload, &run, combo.ops));
+        let clean = run.and_then(|run| {
+            check_drained(&nvm, &run)?;
+            check_recovery(&nvm, &combo.cfg, combo.workload, &run, combo.ops)
+        });
         if let Err(e) = clean {
             caught = Some((seed, 0, e));
             break 'sweep;
@@ -776,7 +862,7 @@ fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> String {
     // the injected bug, ready for replay.
     eprintln!("DUDE_SIM_SEED={seed}");
     eprintln!("mutation {mutation:?} caught at crash point {point} under seed {seed}: {err}");
-    err
+    (seed, err)
 }
 
 #[test]
@@ -826,7 +912,7 @@ fn mutation_skipped_forced_checkpoint_is_caught() {
         ("mutation-C sync rt=1", DurabilityMode::Sync),
     ] {
         let combo = ring_full_combo(name, mode, 1);
-        let err = assert_mutation_caught(Mutation::SkipForcedCheckpoint, &combo);
+        let (_, err) = assert_mutation_caught(Mutation::SkipForcedCheckpoint, &combo);
         assert!(
             err.contains("deadlock") || err.contains("step budget"),
             "{name}: caught as something other than a stall: {err}"
@@ -839,5 +925,26 @@ fn mutation_swap_in_ignoring_touch_watermark_is_caught() {
     assert_mutation_caught(
         Mutation::IgnoreTouchWatermark,
         &paged_combo("mutation-D paged pw=1 rt=1", ASYNC, 1),
+    );
+}
+
+/// Freeing a record's redo-ring space when it is staged lets its thread
+/// reuse the segment before Reproduce has read the record: the heap is
+/// rebuilt from another transaction's writes, and the prefix oracle sees it
+/// under the first schedule seed. Two Persist workers publish out of
+/// order, so a staged record often waits behind a TID gap — the window in
+/// which its thread wraps back onto it — and in the append-only log no
+/// later write hides the lost one.
+#[test]
+fn mutation_ring_freed_when_staged_is_caught() {
+    let combo = Combo {
+        workload: Workload::Log,
+        ..tiny_ring_combo("mutation-E tiny-ring pw=2 pg=1 rt=1 log", 2, 1, 1)
+    };
+    let (seed, err) = assert_mutation_caught(Mutation::FreeRingWhenStaged, &combo);
+    assert_eq!(
+        seed,
+        schedule_seeds()[0],
+        "caught only under a later seed: {err}"
     );
 }
