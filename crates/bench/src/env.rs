@@ -33,7 +33,7 @@ pub struct BenchEnv {
     pub latency_mode: LatencyMode,
     /// RNG seed.
     pub seed: u64,
-    /// Observability layer (histograms, stall counters, event trace).
+    /// Observability layer (histograms and stall counters).
     /// Disabled by default so measured throughput carries no recording
     /// overhead; `--trace-out` in the ablation binary enables it.
     pub trace: TraceConfig,

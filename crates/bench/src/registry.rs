@@ -795,19 +795,19 @@ fn latency_cols(ctx: &SpecCtx, trace: &dudetm::Trace) -> Vec<String> {
 /// given (the exported run is the section's last traced configuration).
 fn ablation_trace_cfg(ctx: &SpecCtx) -> TraceConfig {
     if ctx.trace_out.is_some() {
-        // 64 Ki records is enough to keep the tail of a quick run; overflow
-        // is reported in the export rather than silently truncated.
         TraceConfig::enabled(64 * 1024)
     } else {
         TraceConfig::disabled()
     }
 }
 
-fn write_trace(ctx: &SpecCtx, last_trace_json: Option<String>) {
+/// Writes the last traced run's Prometheus exposition — every stall and
+/// every histogram, per shard and per worker — to `--trace-out`.
+fn write_trace(ctx: &SpecCtx, last_exposition: Option<String>) {
     if let Some(path) = &ctx.trace_out {
-        match last_trace_json {
-            Some(json) => match std::fs::write(path, json) {
-                Ok(()) => println!("[trace] chrome://tracing JSON written to {path}"),
+        match last_exposition {
+            Some(text) => match std::fs::write(path, text) {
+                Ok(()) => println!("[trace] Prometheus exposition written to {path}"),
                 Err(e) => eprintln!("[trace] failed to write {path}: {e}"),
             },
             None => eprintln!("[trace] no traced run produced output"),
@@ -900,7 +900,7 @@ fn run_ablation_persist_threads(ctx: &SpecCtx) -> SpecOutput {
     let mut headers = vec!["persist threads", "throughput"];
     headers.extend(LATENCY_HEADERS);
     let mut table = Table::new("Ablation — persist threads (TPC-C hash, DudeTM)", &headers);
-    let mut last_trace_json = None;
+    let mut last_exposition = None;
     // On a single-CPU host more persist threads can only add scheduling
     // overhead — the interesting direction is that one thread does NOT
     // become a bottleneck.
@@ -926,12 +926,12 @@ fn run_ablation_persist_threads(ctx: &SpecCtx) -> SpecOutput {
         let mut row = vec![threads.to_string(), ctx.tps(tps)];
         row.extend(latency_cols(ctx, sys.trace()));
         if trace_cfg.enabled {
-            last_trace_json = Some(sys.trace().to_json());
+            last_exposition = Some(sys.metrics().render_prometheus());
         }
         table.push(row);
     }
     out.table("main", table);
-    write_trace(ctx, last_trace_json);
+    write_trace(ctx, last_exposition);
     out
 }
 
@@ -945,7 +945,7 @@ fn run_ablation_checkpoint_cadence(ctx: &SpecCtx) -> SpecOutput {
         "Ablation — reproduce checkpoint cadence (TPC-C hash, DudeTM)",
         &headers,
     );
-    let mut last_trace_json = None;
+    let mut last_exposition = None;
     for &every in if ctx.is_quick() {
         &[8u64, 512][..]
     } else {
@@ -965,12 +965,12 @@ fn run_ablation_checkpoint_cadence(ctx: &SpecCtx) -> SpecOutput {
         let mut row = vec![every.to_string(), ctx.tps(tps)];
         row.extend(latency_cols(ctx, sys.trace()));
         if trace_cfg.enabled {
-            last_trace_json = Some(sys.trace().to_json());
+            last_exposition = Some(sys.metrics().render_prometheus());
         }
         table.push(row);
     }
     out.table("main", table);
-    write_trace(ctx, last_trace_json);
+    write_trace(ctx, last_exposition);
     out
 }
 
@@ -989,7 +989,7 @@ fn run_ablation_reproduce_shards(ctx: &SpecCtx) -> SpecOutput {
         .ops
         .unwrap_or(if ctx.is_quick() { 1_500 } else { 6_000 });
     let mut serial_rate = None;
-    let mut last_trace_json = None;
+    let mut last_exposition = None;
     for &rt in if ctx.is_quick() {
         &[1usize, 4][..]
     } else {
@@ -1060,12 +1060,12 @@ fn run_ablation_reproduce_shards(ctx: &SpecCtx) -> SpecOutput {
         ];
         row.extend(latency_cols(ctx, sys.trace()));
         if trace_cfg.enabled {
-            last_trace_json = Some(sys.trace().to_json());
+            last_exposition = Some(sys.metrics().render_prometheus());
         }
         table.push(row);
     }
     out.table("main", table);
-    write_trace(ctx, last_trace_json);
+    write_trace(ctx, last_exposition);
     out
 }
 
@@ -1095,7 +1095,7 @@ fn run_ablation_flush_workers(ctx: &SpecCtx) -> SpecOutput {
     let workers: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4] };
     let compress_axis: &[bool] = if quick { &[false] } else { &[false, true] };
     let repeats = ctx.reps(3);
-    let mut last_trace_json = None;
+    let mut last_exposition = None;
     for &compress in compress_axis {
         let mut serial_rate = None;
         for &fw in workers {
@@ -1163,7 +1163,7 @@ fn run_ablation_flush_workers(ctx: &SpecCtx) -> SpecOutput {
                 let b = sys.trace().persist_barrier_ns.snapshot();
                 runs.push((rate, b.p50(), b.p95(), b.p99()));
                 if trace_cfg.enabled {
-                    last_trace_json = Some(sys.trace().to_json());
+                    last_exposition = Some(sys.metrics().render_prometheus());
                 }
             }
             runs.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -1194,7 +1194,7 @@ fn run_ablation_flush_workers(ctx: &SpecCtx) -> SpecOutput {
         }
     }
     out.table("main", table);
-    write_trace(ctx, last_trace_json);
+    write_trace(ctx, last_exposition);
     out
 }
 

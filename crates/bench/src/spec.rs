@@ -229,7 +229,8 @@ pub struct SpecCtx {
     pub deterministic: bool,
     /// Restrict multi-workload specs to these workload labels.
     pub workload_filter: Option<Vec<String>>,
-    /// Chrome-tracing JSON output path (honored by the ablation specs).
+    /// Prometheus exposition output path for the last traced run
+    /// (honored by the ablation specs).
     pub trace_out: Option<String>,
 }
 

@@ -15,8 +15,8 @@
 //! committed (or TID-wasting aborted) transaction claims a slot with one
 //! `fetch_add` and publishes `{tid, timestamp, write set}` into it; the
 //! timestamp comes from [`dude_nvm::monotonic_ns`], the same clock the
-//! trace layer stamps events with, so history entries and trace records
-//! can be correlated. Entries are appended in per-thread hook order, which
+//! metrics frames are stamped with, so history entries and frames can be
+//! correlated. Entries are appended in per-thread hook order, which
 //! across threads is *not* TID order — the commit hook runs after the
 //! committing transaction releases its write locks — so every entry
 //! carries the TID drawn at assignment time and [`CommitHistory::entries`]
@@ -43,8 +43,8 @@ use std::sync::OnceLock;
 pub struct HistoryEntry {
     /// The global transaction ID drawn at commit time.
     pub tid: u64,
-    /// Recording timestamp from [`dude_nvm::monotonic_ns`] — the trace
-    /// clock, so history and trace events share a timeline.
+    /// Recording timestamp from [`dude_nvm::monotonic_ns`] — the metrics
+    /// frames' clock, so history and frames share a timeline.
     pub ts_ns: u64,
     /// `true` for an abort marker (TID drawn, validation failed).
     pub aborted: bool,

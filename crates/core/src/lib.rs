@@ -91,9 +91,7 @@ pub use stats::{
     CellDef, Kind, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoverySnapshot,
     RecoveryTelemetry, StallCounters, StallSnapshot, Watermarks,
 };
-pub use trace::{
-    HistogramSnapshot, LatencyHistogram, Trace, TraceConfig, TraceEventKind, TraceRecord, TraceRing,
-};
+pub use trace::{HistogramSnapshot, LatencyHistogram, Trace, TraceConfig};
 
 use std::sync::Arc;
 

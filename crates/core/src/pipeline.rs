@@ -59,7 +59,6 @@ use crate::plog::PlogSpan;
 use crate::redo_ring::{RedoCursor, RedoRecord, Unfreed, Writes};
 use crate::runtime::Shared;
 use crate::seqtrack::DenseReorder;
-use crate::trace::{Stage, TraceEventKind as Event};
 
 /// A persisted unit handed from Persist to the Reproduce step, with the log
 /// span to recycle once the covering checkpoint is durable and the ring it
@@ -228,13 +227,6 @@ impl Sweep {
             add(&stats.groups_persisted, 1);
             if shared.trace.enabled() {
                 shared.trace.group_flush_bytes.record(stored as u64);
-                shared.trace.event(
-                    Stage::Persist,
-                    Event::GroupFlush,
-                    unit.last_tid,
-                    stored as u64,
-                    0,
-                );
             }
         } else {
             add(&stats.records_persisted, 1);
@@ -285,11 +277,6 @@ impl Sweep {
             if let Some(worker) = worker {
                 shared.trace.flush_worker_ns[worker].record(dur);
             }
-            let bytes: u64 = self.staged.iter().map(|b| b.span.words * 8).sum();
-            let last_tid = self.staged.iter().fold(0, |m, b| m.max(b.unit.last_tid));
-            shared
-                .trace
-                .event(Stage::Persist, Event::PersistBarrier, last_tid, bytes, dur);
         }
         publish(shared, self.staged.drain(..));
     }
@@ -402,13 +389,6 @@ pub(crate) fn persist_sequencer(shared: Arc<Shared>, worker_txs: Vec<Sender<Vec<
             return;
         }
         let records = std::mem::take(current);
-        if shared.trace.enabled() {
-            let entries: u64 = records.iter().map(|r| r.span.len() as u64).sum();
-            let last = records.last().expect("non-empty group").tid;
-            shared
-                .trace
-                .event(Stage::Persist, Event::GroupDispatch, last, 8 * entries, 0);
-        }
         // A worker only exits after draining its channel, so a send can
         // fail only during teardown-after-panic.
         let _ = worker_txs[*next_seq % workers].send(records);
@@ -542,7 +522,7 @@ impl Replay {
         last: u64,
     ) {
         if self.shards.is_empty() {
-            apply_run(shared, 0, writes, last, &mut self.dirty);
+            apply_run(shared, 0, writes, &mut self.dirty);
             shared.frontier.publish(0, last);
             return;
         }
@@ -591,24 +571,13 @@ impl Replay {
         shared.nvm.fence();
         shared.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.last_checkpoint = reproduced;
-        let mut released = 0u64;
         while let Some(&(tid, ring_idx, span)) = self.release.front() {
             if tid > reproduced {
                 break;
             }
             self.release.pop_front();
-            released += span.words * 8;
             shared.rings[ring_idx].release(span);
         }
-        // `bytes` here is the log space the checkpoint recycled — the payoff
-        // side of the checkpoint cadence trade-off.
-        shared.trace.event(
-            Stage::Checkpoint,
-            Event::CheckpointWrite,
-            reproduced,
-            released,
-            0,
-        );
     }
 }
 
@@ -702,17 +671,16 @@ pub(crate) fn apply_writes(
     words
 }
 
-/// Applies one run of dense batches ending at `last` to `shard`'s slice of
-/// the heap; the caller then publishes the shard's frontier slot. A shard
-/// worker's run is fenced here, before that publish; the one-shard step
-/// leaves its fence to the covering checkpoint. Nothing flushed ⇒ no fence:
+/// Applies one run of dense batches to `shard`'s slice of the heap; the
+/// caller then publishes the shard's frontier slot. A shard worker's run is
+/// fenced here, before that publish; the one-shard step leaves its fence to
+/// the covering checkpoint. Nothing flushed ⇒ no fence:
 /// an all-empty run (aborts, or no writes routed here) must not pay the
 /// barrier latency, nor drown the apply histogram in zeros.
 fn apply_run(
     shared: &Shared,
     shard: usize,
     writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
-    last: u64,
     dirty: &mut DirtyLines,
 ) {
     let tracing = shared.trace.enabled();
@@ -728,10 +696,6 @@ fn apply_run(
     if tracing {
         let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
         shared.trace.replay_apply_ns[shard].record(dur);
-        let bytes = 8 * words;
-        shared
-            .trace
-            .event(Stage::Reproduce, Event::ReplayApply, last, bytes, dur);
     }
 }
 
@@ -755,7 +719,7 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
         run.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(127));
         let last = run.last().expect("run is non-empty").last_tid;
         let writes = run.iter().flat_map(|work| &work.writes);
-        apply_run(&shared, shard, writes, last, &mut dirty);
+        apply_run(&shared, shard, writes, &mut dirty);
         // The sabotage offset exists only in sim builds: publishing
         // `last + 1` is the injected off-by-one frontier bug — the min
         // frontier (and therefore the checkpoint) can then cover a TID
@@ -1120,16 +1084,21 @@ mod tests {
     /// frontier slot 0, and checkpoints on cadence, and the drain once more
     /// — at the same TIDs whether batches are published in order or a late
     /// head releases the whole run at once (N Persist workers publish out
-    /// of order).
+    /// of order): the step advances per batch, not once per popped run.
     #[test]
     fn one_shard_step_applies_in_place_and_checkpoints_on_cadence() {
         for head_last in [false, true] {
             let config = DudeTmConfig {
                 checkpoint_every: 8,
                 ..DudeTmConfig::small(1 << 16)
-            }
-            .with_trace(TraceConfig::enabled(1024));
+            };
             let (shared, layout) = shared(config);
+            let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
+            // (checkpoint word, checkpoints taken) as they stand now.
+            let checkpointed = || {
+                let word = shared.nvm.read_word(meta);
+                (word, shared.stats.snapshot().checkpoints)
+            };
             let mut t = Perform::new(&shared);
             let mut batches: Vec<Batch> = (1..=20u64)
                 .map(|tid| {
@@ -1142,26 +1111,21 @@ mod tests {
             }
             shared.nvm.fence();
             for batch in batches {
+                let tid = batch.unit.last_tid;
                 publish(&shared, [batch]);
+                // Cadence checkpoints at TIDs 8 and 16, and only there;
+                // none while the head is missing.
+                let f = shared.reproduced.load(Ordering::Acquire);
+                assert_eq!(checkpointed(), (f / 8 * 8, f / 8), "after publishing {tid}");
             }
             assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
+            assert_eq!(checkpointed(), (16, 2), "head_last={head_last}");
             drain(&shared);
 
             assert_eq!(shared.frontier.completed(0), 20);
             assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
-            let stats = shared.stats.snapshot();
-            assert_eq!((stats.txns_reproduced, stats.checkpoints), (20, 3));
-            let checkpointed: Vec<u64> = shared
-                .trace
-                .ring()
-                .records()
-                .iter()
-                .filter(|r| r.event == Event::CheckpointWrite)
-                .map(|r| r.tid)
-                .collect();
-            assert_eq!(checkpointed, [8, 16, 20], "head_last={head_last}");
-            let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
-            assert_eq!(shared.nvm.read_word(meta), 20);
+            assert_eq!(shared.stats.snapshot().txns_reproduced, 20);
+            assert_eq!(checkpointed(), (20, 3), "head_last={head_last}");
             for tid in 1..=20u64 {
                 let word = shared.nvm.read_word(layout.heap.start() + tid * 8);
                 assert_eq!(word, tid + 100);

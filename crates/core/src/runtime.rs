@@ -29,7 +29,7 @@ use crate::shadow::ShadowMem;
 use crate::stats::{
     snapshot, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoveryTelemetry,
 };
-use crate::trace::{Stage, Trace, TraceEventKind};
+use crate::trace::Trace;
 
 /// Magic number identifying a formatted DudeTM device.
 pub(crate) const META_MAGIC: u64 = 0xD00D_E7A6_0001_CAFE;
@@ -168,9 +168,6 @@ pub struct RedoHooks {
     /// (`None` unless [`DudeTm::attach_history`] was called before this
     /// thread registered).
     history: Option<Arc<CommitHistory>>,
-    /// Payload bytes of the last committed transaction (8 × its writes),
-    /// captured for the Perform-stage commit trace event.
-    last_commit_bytes: u64,
 }
 
 /// Where a thread's committed redo logs go.
@@ -240,7 +237,6 @@ impl dude_stm::TxHooks for RedoHooks {
         // Touching IDs must be set while the written pages are still pinned
         // by the running view (§4.3).
         self.shadow.note_commit(tid, &self.staged);
-        self.last_commit_bytes = 8 * self.staged.len() as u64;
         self.deliver(tid, false);
     }
 
@@ -467,9 +463,10 @@ impl<E: TmEngine> DudeTm<E> {
         self.shared.stats.snapshot()
     }
 
-    /// The observability layer: event ring, stage-latency histograms, and
-    /// stall counters (see [`crate::trace`]). Always present; records
-    /// nothing unless [`DudeTmConfig::trace`] enables it.
+    /// The observability layer: stage-latency histograms and stall
+    /// counters (see [`crate::trace`]), exported through [`DudeTm::metrics`].
+    /// Always present; records nothing unless [`DudeTmConfig::trace`]
+    /// enables it.
     pub fn trace(&self) -> &Trace {
         &self.shared.trace
     }
@@ -619,7 +616,6 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
                 shared: Arc::clone(&self.shared),
                 shadow: Arc::clone(&self.shadow),
                 history: self.history.lock().clone(),
-                last_commit_bytes: 0,
             },
         }
     }
@@ -671,18 +667,9 @@ impl<'d, E: TmEngine> DtmThread<'d, E> {
         let outcome = self.engine_thread.run_txn(&view, &mut self.hooks, |acc| {
             body(&mut HeapTxn::new(acc, heap_bytes))
         });
-        if let TxnOutcome::Committed { info, .. } = &outcome {
-            if trace.enabled() {
-                let dur = dude_nvm::monotonic_ns().saturating_sub(start_ns);
-                trace.commit_latency_ns.record(dur);
-                trace.event(
-                    Stage::Perform,
-                    TraceEventKind::Commit,
-                    info.tid.unwrap_or(0),
-                    self.hooks.last_commit_bytes,
-                    dur,
-                );
-            }
+        if trace.enabled() && matches!(outcome, TxnOutcome::Committed { .. }) {
+            let dur = dude_nvm::monotonic_ns().saturating_sub(start_ns);
+            trace.commit_latency_ns.record(dur);
         }
         outcome
     }

@@ -6,9 +6,8 @@
 //! increment, the public snapshot struct with the same named fields, and an
 //! ordered walk of `(definition, value)` pairs. One crate-private function,
 //! `snapshot(&Shared, committed)`, gathers a [`PipelineSnapshot`];
-//! `summary()`, the JSONL frames, the Prometheus exposition and the trace
-//! JSON all render by walking it, so a new cell is one line here plus its
-//! `fetch_add`. The histograms are enumerated the same way by
+//! `summary()`, the JSONL frames and the Prometheus exposition all render
+//! by walking it, so a new cell is one line here plus its `fetch_add`. The histograms are enumerated the same way by
 //! [`Trace::histograms`](crate::trace::Trace::histograms). The catalog
 //! table is in `DESIGN.md §Observability`.
 
@@ -29,7 +28,7 @@ pub enum Kind {
 /// The static half of one catalog entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellDef {
-    /// The struct field (what `summary()` and the trace JSON print).
+    /// The struct field (what `summary()` prints).
     pub field: &'static str,
     /// Group prefix + field: the key in a JSONL frame.
     pub name: &'static str,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
-use dudetm::{DudeTm, DudeTmConfig, DurabilityMode, PipelineSnapshot, TraceConfig, TraceEventKind};
+use dudetm::{DudeTm, DudeTmConfig, DurabilityMode, PipelineSnapshot, TmEngine, TraceConfig};
 
 fn test_nvm(bytes: u64) -> Arc<Nvm> {
     Arc::new(Nvm::new(NvmConfig::for_testing(bytes)))
@@ -19,6 +19,17 @@ fn config(trace: TraceConfig) -> DudeTmConfig {
         trace,
         ..DudeTmConfig::small(1 << 20)
     }
+}
+
+/// The value of the exposition sample `name` — `family_count{labels}` —
+/// which must be present.
+fn sample<E: TmEngine>(dude: &DudeTm<E>, name: &str) -> u64 {
+    let prom = dude.metrics().render_prometheus();
+    let value = prom
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+    let value = value.unwrap_or_else(|| panic!("{name} missing:\n{prom}"));
+    value.parse().expect("an integer sample")
 }
 
 /// Runs a fixed single-thread workload and returns the final snapshot plus
@@ -76,7 +87,7 @@ fn disabled_trace_is_behavior_identical_to_enabled() {
 }
 
 /// Sim twin of the zero-overhead contract: both runs execute under the
-/// virtual clock (tracing timestamps come from `monotonic_ns`, which the
+/// virtual clock (histogram timings come from `monotonic_ns`, which the
 /// scheduler owns), so the comparison is reproducible — a divergence
 /// replays exactly with the printed seed rather than vanishing on rerun.
 #[cfg(feature = "sim")]
@@ -133,15 +144,16 @@ fn disabled_trace_records_and_counts_nothing() {
     dude.quiesce();
     let trace = dude.trace();
     assert!(!trace.enabled());
-    assert_eq!(trace.ring().recorded(), 0);
-    assert_eq!(trace.commit_latency_ns.snapshot().count, 0);
-    assert_eq!(trace.persist_barrier_ns.snapshot().count, 0);
+    for h in trace.histograms() {
+        assert_eq!(h.cells.snapshot().count, 0, "{}", h.name());
+    }
     let stalls = dude.stats_snapshot().stalls;
     assert_eq!(stalls, Default::default());
 }
 
 /// An enabled trace sees every commit in the latency histogram, persist
-/// barriers in theirs, replay applies per shard, and events in the ring.
+/// barriers in theirs — the one worker's share is all of them — and replay
+/// applies per shard, and the exposition carries the same counts.
 #[test]
 fn enabled_trace_records_the_pipeline() {
     let nvm = test_nvm(8 << 20);
@@ -156,18 +168,17 @@ fn enabled_trace_records_the_pipeline() {
     dude.quiesce();
     let trace = dude.trace();
     assert_eq!(trace.commit_latency_ns.snapshot().count, 100);
-    assert!(trace.persist_barrier_ns.snapshot().count > 0);
-    assert!(trace.replay_apply_ns[0].snapshot().count > 0);
-    assert!(trace.ring().recorded() > 0);
-    assert_eq!(trace.ring().dropped(), 0, "65536-record ring must not drop");
-    // Every record decodes to a stamped event.
-    let records = trace.ring().records();
-    assert!(!records.is_empty());
-    assert!(records.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    let json = trace.to_json();
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("\"commit\""));
-    assert!(json.contains("\"replay_apply\""));
+    let barriers = trace.persist_barrier_ns.snapshot().count;
+    assert!(barriers > 0);
+    assert_eq!(trace.flush_worker_ns[0].snapshot().count, barriers);
+    let applies = trace.replay_apply_ns[0].snapshot().count;
+    assert!(applies > 0);
+    assert_eq!(sample(&dude, "dudetm_commit_latency_ns_count"), 100);
+    assert_eq!(sample(&dude, "dudetm_persist_barrier_ns_count"), barriers);
+    let worker = "dudetm_flush_worker_ns_count{worker=\"0\"}";
+    assert_eq!(sample(&dude, worker), barriers);
+    let shard = "dudetm_replay_apply_ns_count{shard=\"0\"}";
+    assert_eq!(sample(&dude, shard), applies);
 }
 
 /// Sharded mode records per-shard replay histograms sized by
@@ -188,14 +199,17 @@ fn sharded_replay_histograms_are_per_shard() {
     dude.quiesce();
     let trace = dude.trace();
     assert_eq!(trace.replay_apply_ns.len(), 4);
-    let total: u64 = trace
-        .replay_apply_ns
-        .iter()
+    let counts: Vec<u64> = (trace.replay_apply_ns.iter())
         .map(|h| h.snapshot().count)
-        .sum();
-    assert!(total > 0, "some shard must have recorded applies");
-    let json = trace.to_json();
-    assert!(json.contains("replay_apply_ns_shard3"), "{json}");
+        .collect();
+    assert!(
+        counts.iter().sum::<u64>() > 0,
+        "some shard must have recorded applies"
+    );
+    for (shard, count) in counts.into_iter().enumerate() {
+        let name = format!("dudetm_replay_apply_ns_count{{shard=\"{shard}\"}}");
+        assert_eq!(sample(&dude, &name), count);
+    }
 }
 
 /// Shared body for the native stall test and its sim twin: a 1-txn
@@ -288,8 +302,8 @@ fn sync_ring_full_waits_are_counted() {
 }
 
 /// A `Sync` commit's inline Persist step is a sweep like a worker's: its
-/// fence is timed and traced, once per transaction. No worker exists, so
-/// no `flush_worker_ns` series takes a sample.
+/// fence is timed, once per transaction. No worker exists, so no
+/// `flush_worker_ns` series takes a sample.
 #[test]
 fn sync_sweeps_are_timed_and_traced() {
     const COMMITS: u64 = 100;
@@ -306,14 +320,11 @@ fn sync_sweeps_are_timed_and_traced() {
     dude.quiesce();
     let trace = dude.trace();
     assert_eq!(trace.persist_barrier_ns.snapshot().count, COMMITS);
-    assert_eq!(trace.ring().dropped(), 0, "65536-record ring must not drop");
-    let barriers: Vec<u64> = (trace.ring().records().iter())
-        .filter(|r| r.event == TraceEventKind::PersistBarrier)
-        .map(|r| r.tid)
-        .collect();
-    assert_eq!(barriers, (1..=COMMITS).collect::<Vec<_>>());
-    for worker in &trace.flush_worker_ns {
-        assert_eq!(worker.snapshot().count, 0);
+    assert_eq!(sample(&dude, "dudetm_persist_barrier_ns_count"), COMMITS);
+    for (worker, h) in trace.flush_worker_ns.iter().enumerate() {
+        assert_eq!(h.snapshot().count, 0);
+        let name = format!("dudetm_flush_worker_ns_count{{worker=\"{worker}\"}}");
+        assert_eq!(sample(&dude, &name), 0);
     }
 }
 

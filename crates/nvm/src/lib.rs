@@ -20,7 +20,7 @@
 //! * [`Region`] — typed sub-ranges of the device used to lay out metadata,
 //!   log and heap areas.
 //! * [`monotonic_ns`] — the process-wide monotonic clock the observability
-//!   layer stamps trace events with.
+//!   layer times stages and stamps metrics frames with.
 //!
 //! How this emulation substitutes for the paper's hardware — and why that
 //! preserves the reported behaviour — is argued point by point in

@@ -17,17 +17,19 @@ use std::time::{Duration, Instant};
 /// Frequency the paper's cycle counts are quoted at (3.4 GHz Xeon E5-2643).
 pub const PAPER_GHZ: f64 = 3.4;
 
-/// Process-wide monotonic epoch for trace timestamps (first call wins).
+/// Process-wide monotonic epoch for observability timestamps (first call
+/// wins).
 static TRACE_EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Nanoseconds elapsed since the process-wide trace epoch (the first call
-/// to this function). This is the shared clock every pipeline stage stamps
-/// trace events with: one origin, monotonic, and the same source the
-/// timing model's busy-waits run on, so event timestamps and modeled
-/// persist delays are directly comparable on one axis.
+/// to this function). This is the shared clock every pipeline stage times
+/// its histogram samples and stamps metrics frames and commit histories
+/// with: one origin, monotonic, and the same source the timing model's
+/// busy-waits run on, so timings and modeled persist delays are directly
+/// comparable on one axis.
 ///
-/// The epoch is lazily initialized; call once early (the runtime does this
-/// when tracing is enabled) if a zero-based origin matters.
+/// The epoch is lazily initialized; call once early if a zero-based origin
+/// matters.
 pub fn monotonic_ns() -> u64 {
     #[cfg(feature = "sim")]
     if dude_sim::on_sim_task() {
