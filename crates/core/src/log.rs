@@ -361,6 +361,72 @@ impl Combiner {
     }
 }
 
+/// The addresses offered since [`SeenSet::clear`]: open addressing with
+/// the key in its slot, tagged with the pass's stamp, so clearing is a
+/// stamp bump and a probe is one word compare. Offered a run's writes
+/// newest first, [`SeenSet::insert`] is `true` exactly at each address's
+/// last writer — last-writer-wins without a copy of the pairs. At most
+/// half the 8-byte slots are live; the table only grows, to two to four
+/// slots per key of the largest pass it has held.
+#[derive(Debug, Default)]
+pub(crate) struct SeenSet {
+    /// `stamp << KEY_BITS | key`; live iff the stamp is current.
+    slots: Vec<u64>,
+    stamp: u64,
+    live: usize,
+}
+
+/// Key bits of a [`SeenSet`] slot: heap offsets below 256 TiB.
+const KEY_BITS: u32 = 48;
+
+impl SeenSet {
+    /// Forgets every key.
+    pub(crate) fn clear(&mut self) {
+        if self.stamp == u64::MAX >> KEY_BITS {
+            self.slots.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.live = 0;
+    }
+
+    /// `true` if `key` was not yet in the set.
+    pub(crate) fn insert(&mut self, key: u64) -> bool {
+        assert!(key >> KEY_BITS == 0, "address {key:#x} out of range");
+        if 2 * (self.live + 1) > self.slots.len() {
+            // Grow, re-inserting the live keys from the old table.
+            let want = (2 * self.slots.len()).max(16);
+            let old = std::mem::replace(&mut self.slots, vec![0; want]);
+            let stamp = std::mem::replace(&mut self.stamp, 1);
+            for slot in old.into_iter().filter(|&s| s >> KEY_BITS == stamp) {
+                let key = slot & (u64::MAX >> (64 - KEY_BITS));
+                let at = self.probe(key);
+                self.slots[at] = 1 << KEY_BITS | key;
+            }
+        }
+        let at = self.probe(key);
+        let tagged = self.stamp << KEY_BITS | key;
+        if self.slots[at] == tagged {
+            return false;
+        }
+        self.slots[at] = tagged;
+        self.live += 1;
+        true
+    }
+
+    /// The slot holding `key`, or the free slot where it would go.
+    fn probe(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let tagged = self.stamp << KEY_BITS | key;
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while self.slots[at] >> KEY_BITS == self.stamp && self.slots[at] != tagged {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+}
+
 /// Combines the writes of a group of **consecutive** transactions, given
 /// in TID order — `&[LogRecord]`, or the records' slices of their redo
 /// rings: later writes to the same address supersede earlier ones (§3.3).
@@ -628,6 +694,29 @@ mod tests {
             let mut got = pairs.clone();
             combiner.dedup(&mut got);
             assert_eq!(got, want, "len {len}");
+        }
+    }
+
+    #[test]
+    fn seen_set_matches_the_model_across_passes_and_growth() {
+        let mut seen = SeenSet::default();
+        let mut x = 7u64;
+        // Pass sizes go up and down so the table is reused, regrown while
+        // holding live keys, and reused while larger than needed.
+        for len in [0u64, 1, 3, 216, 5, 1000, 64, 2] {
+            seen.clear();
+            let mut model = std::collections::HashSet::new();
+            for _ in 0..len {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let key = (x >> 33) % (len / 3 + 1) * 8;
+                assert_eq!(seen.insert(key), model.insert(key), "len {len}");
+            }
+        }
+        // Past the stamp's wrap, a cleared set still forgets every key.
+        for pass in 0..=u64::MAX >> KEY_BITS {
+            seen.clear();
+            assert!(seen.insert(pass % 4 * 8), "pass {pass}");
+            assert!(!seen.insert(pass % 4 * 8), "pass {pass}");
         }
     }
 

@@ -28,19 +28,25 @@
 //!
 //! *Reproduce* is a step, not a thread ([`Replay`]): whoever closes a TID
 //! gap — a Persist worker after its sweep's fence, or the committer under
-//! `Sync` — applies the dense run straight from the volatile redo log (a
-//! record's ring slice, or a group's or `Sync` commit's copy: without a
-//! crash nothing is read back from NVM), advances the reproduced ID, frees
-//! the redo-ring records it passed, checkpoints on cadence and only then
-//! recycles log space. With `reproduce_threads > 1` the step instead
-//! splits each batch by heap shard ([`crate::frontier`]) for `M` shard
-//! workers, each of which applies, fences, publishes its completed TID and
-//! runs the same [`Replay::advance`]. The checkpoint keys off the minimum
-//! completed TID across shards; one shard is the degenerate case.
+//! `Sync` — adds the dense batches to the pending **run**, held in the
+//! volatile redo log (a record's ring slice, or a group's or `Sync`
+//! commit's copy: without a crash nothing is read back from NVM). A run
+//! ends at the batch whose last TID reaches the next multiple of
+//! `checkpoint_every` — TIDs decide, never scheduling, so the bytes it
+//! stores are a count. Applying it stores each distinct word once and
+//! flushes each dirty line once (§3.3's combination on the heap side),
+//! advances the reproduced ID, frees the redo-ring records it passed,
+//! checkpoints and only then recycles log space. Only a thread that waits
+//! on the reproduced ID cuts a run short ([`reproduce_through`]). With
+//! `reproduce_threads > 1` the step instead splits each run by heap shard
+//! ([`crate::frontier`]) for `M` shard workers, each of which applies,
+//! fences, publishes its completed TID and runs the same
+//! [`Replay::advance`]. The checkpoint keys off the minimum completed TID
+//! across shards; one shard is the degenerate case.
 //!
 //! Lock order: `Shared::order`, then `Shared::replay`. [`publish`] takes
-//! both; a shard worker, [`checkpoint_behind`] and [`drain`] take only
-//! `replay`.
+//! both; a shard worker, [`reproduce_through`], [`checkpoint_behind`] and
+//! [`drain`] take only `replay`.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -54,6 +60,7 @@ use dude_nvm::{Nvm, Region, CACHE_LINE};
 use crate::frontier::split_writes;
 use crate::log::{
     combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, LogRecord,
+    SeenSet,
 };
 use crate::plog::PlogSpan;
 use crate::redo_ring::{RedoCursor, RedoRecord, Unfreed, Writes};
@@ -292,10 +299,15 @@ impl Sweep {
 /// into log ring `w`. A full log ring parks the unit with a bounded sleep
 /// per probe — counted as a `persist_ring_full` stall — never a busy-spin.
 /// Every span ahead of it was fenced and published by the sweep that
-/// staged it, so after each sweep the worker forces a checkpoint of
-/// whatever is reproduced ([`checkpoint_behind`]); a span still held sits
-/// behind a TID gap, and whoever fills the gap reproduces it for the next
-/// forced checkpoint to recycle.
+/// staged it, so after each sweep the worker applies the pending run and
+/// forces a checkpoint of whatever is reproduced ([`checkpoint_behind`]);
+/// a span still held sits behind a TID gap, and whoever fills the gap
+/// reproduces it for the next forced checkpoint to recycle.
+///
+/// A worker that finds no input while a producer is parked on a full redo
+/// ring applies the pending run: the records that producer waits to see
+/// freed may sit in it, and no run boundary may be coming — the producer
+/// cannot commit the TID that would end the run.
 pub(crate) fn persist_worker<U: Seal>(
     shared: Arc<Shared>,
     worker: usize,
@@ -343,6 +355,9 @@ pub(crate) fn persist_worker<U: Seal>(
             checkpoint_behind(&shared);
         }
         if !progress {
+            if shared.redo.iter().any(|ring| ring.parked()) {
+                reproduce_through(&shared, shared.durable.load(Ordering::Acquire));
+            }
             dude_nvm::thread::sleep(Duration::from_micros(50));
         }
     }
@@ -465,8 +480,8 @@ pub(crate) fn persist_sequencer(shared: Arc<Shared>, worker_txs: Vec<Sender<Vec<
     }
 }
 
-/// One dense batch's writes for one shard. Sent to every shard worker for
-/// every batch — an empty write set still advances the shard's frontier,
+/// One run's writes for one shard, newest first. Sent to every shard worker
+/// for every run — an empty write set still advances the shard's frontier,
 /// otherwise an untouched shard would pin the minimum forever.
 #[derive(Debug)]
 pub(crate) struct ShardWork {
@@ -474,10 +489,10 @@ pub(crate) struct ShardWork {
     pub writes: Vec<(u64, u64)>,
 }
 
-/// The Reproduce step's state (§3.4), behind `Shared::replay`: the one
-/// writer of the reproduced ID and of the checkpoint word, and the one
-/// place log space is recycled. A redo-ring record is freed once the
-/// reproduced ID passes it. A span is released only once the checkpoint
+/// The Reproduce step's state (§3.4), behind `Shared::replay`: the pending
+/// run, the one writer of the reproduced ID and of the checkpoint word, and
+/// the one place log space is recycled. A redo-ring record is freed once
+/// the reproduced ID passes it. A span is released only once the checkpoint
 /// covering its last TID — which by the frontier minimum is applied *and
 /// durable on every shard* — is durable.
 #[derive(Debug, Default)]
@@ -485,6 +500,8 @@ pub(crate) struct Replay {
     /// The shard workers' inputs when `reproduce_threads > 1`; empty when
     /// the step applies in place. [`drain`] closes them.
     pub(crate) shards: Vec<Sender<ShardWork>>,
+    /// Dense units popped but not yet applied, oldest first.
+    run: Vec<Sealed>,
     dirty: DirtyLines,
     unfreed: Unfreed,
     /// Spans awaiting a covering checkpoint, FIFO in TID order.
@@ -493,47 +510,51 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    /// Reproduces one dense batch, which [`publish`] just moved the durable
-    /// ID over — straight from the volatile redo log. One shard applies it
-    /// in place and publishes frontier slot 0 without a fence of its own:
-    /// the checkpoint that covers it fences those flushes. Shard workers
-    /// get its writes split by heap shard and advance the reproduced ID
-    /// themselves.
+    /// Adds one dense batch, which [`publish`] just moved the durable ID
+    /// over, to the pending run, and applies the run once the batch's last
+    /// TID reaches the next multiple of `checkpoint_every` past the run's
+    /// start: where a run ends depends on TIDs alone, never on scheduling.
     fn step(&mut self, shared: &Shared, batch: Batch) {
-        let (last, unit) = (batch.unit.last_tid, batch.unit);
-        self.release.push_back((last, batch.ring, batch.span));
-        match &unit.writes {
-            Writes::Ring { span, .. } => self.replay(shared, span.pairs(), last),
-            Writes::Group(pairs, _) | Writes::Owned { pairs, .. } => {
-                self.replay(shared, pairs, last);
-            }
-        }
-        self.unfreed.hold(last, unit.writes);
-        if self.shards.is_empty() {
-            self.advance(shared, last);
+        let (Batch { unit, ring, span }, every) = (batch, shared.config.checkpoint_every);
+        self.release.push_back((unit.last_tid, ring, span));
+        let from = self.run.first().map_or(unit.first_tid, |u| u.first_tid);
+        let ends = unit.last_tid / every > (from - 1) / every;
+        self.run.push(unit);
+        if ends {
+            self.apply(shared);
         }
     }
 
-    /// [`Replay::step`]'s apply, or its dispatch to the shard workers.
-    fn replay(
-        &mut self,
-        shared: &Shared,
-        writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
-        last: u64,
-    ) {
-        if self.shards.is_empty() {
-            apply_run(shared, 0, writes, &mut self.dirty);
-            shared.frontier.publish(0, last);
+    /// Applies the pending run straight from the volatile redo log, newest
+    /// unit first, so each distinct word is stored once, with its last
+    /// value. One shard applies it in place and publishes frontier slot 0
+    /// without a fence of its own: the checkpoint that covers it fences
+    /// those flushes. Shard workers get its writes split by heap shard and
+    /// advance the reproduced ID themselves.
+    fn apply(&mut self, shared: &Shared) {
+        let Some(last_tid) = self.run.last().map(|u| u.last_tid) else {
             return;
+        };
+        let newest_first = self.run.iter().rev().flat_map(|u| u.writes.pairs());
+        if self.shards.is_empty() {
+            // Sim builds only: the injected bug of storing a run one run late.
+            #[cfg(feature = "sim")]
+            let newest_first = crate::sabotage::store_late(newest_first.collect());
+            apply_run(shared, 0, newest_first, &mut self.dirty);
+            shared.frontier.publish(0, last_tid);
+        } else {
+            let split = split_writes(newest_first, self.shards.len());
+            for (tx, writes) in self.shards.iter().zip(split) {
+                // A shard worker only exits once its channel is closed and
+                // drained, which [`drain`] does after the last publisher.
+                let _ = tx.send(ShardWork { last_tid, writes });
+            }
         }
-        let split = split_writes(writes, self.shards.len());
-        for (tx, writes) in self.shards.iter().zip(split) {
-            // A shard worker only exits once its channel is closed and
-            // drained, which [`drain`] does after the last publisher.
-            let _ = tx.send(ShardWork {
-                last_tid: last,
-                writes,
-            });
+        for unit in self.run.drain(..) {
+            self.unfreed.hold(unit.last_tid, unit.writes);
+        }
+        if self.shards.is_empty() {
+            self.advance(shared, last_tid);
         }
     }
 
@@ -541,8 +562,8 @@ impl Replay {
     /// at or below it applied on every shard — counting the transactions
     /// it passes, frees the redo-ring records it passed (on every path, so
     /// Perform's backpressure is Reproduce's progress), and checkpoints on
-    /// cadence. The ID gates paged-shadow swap-ins (§4.3); this is its only
-    /// writer.
+    /// passing a multiple of `checkpoint_every` — where runs end. The ID
+    /// gates paged-shadow swap-ins (§4.3); this is its only writer.
     pub(crate) fn advance(&mut self, shared: &Shared, f: u64) {
         let was = shared.reproduced.load(Ordering::Relaxed);
         if f > was {
@@ -551,7 +572,8 @@ impl Replay {
             shared.reproduced.store(f, Ordering::Release);
         }
         self.unfreed.free_through(&shared.redo, f);
-        if f.saturating_sub(self.last_checkpoint) >= shared.config.checkpoint_every {
+        let every = shared.config.checkpoint_every;
+        if f / every > self.last_checkpoint / every {
             self.checkpoint(shared, f);
         }
     }
@@ -581,7 +603,24 @@ impl Replay {
     }
 }
 
-/// Checkpoints the reproduced ID if it is ahead of the last checkpoint,
+/// Returns the reproduced ID, first cutting the pending run short if it
+/// holds `target` and the ID is below it: what a thread that waits on the
+/// reproduced ID calls — `DudeTm::quiesce`, a paged-shadow swap-in (§4.3),
+/// a Persist worker whose producer is parked ([`checkpoint_behind`] and
+/// [`drain`] apply the run themselves) — never a timer or an idle poll.
+/// The next run still ends on the next multiple of `checkpoint_every`.
+pub(crate) fn reproduce_through(shared: &Shared, target: u64) -> u64 {
+    if shared.reproduced.load(Ordering::Acquire) < target {
+        let mut replay = shared.replay.lock();
+        if replay.run.last().is_some_and(|u| u.last_tid >= target) {
+            replay.apply(shared);
+        }
+    }
+    shared.reproduced.load(Ordering::Acquire)
+}
+
+/// Applies the pending run, whose spans come back no other way, and
+/// checkpoints the reproduced ID if it is ahead of the last checkpoint,
 /// recycling every span that covers: what a Persist worker parked on a full
 /// ring, or a `Sync` committer whose ring is full, calls instead of waiting
 /// for the cadence. Writes nothing when there is nothing new to cover.
@@ -594,18 +633,27 @@ pub(crate) fn checkpoint_behind(shared: &Shared) {
         return;
     }
     let mut replay = shared.replay.lock();
+    replay.apply(shared);
     let f = shared.reproduced.load(Ordering::Acquire);
     if f > replay.last_checkpoint {
         replay.checkpoint(shared, f);
     }
 }
 
-/// Drains the Reproduce step once every publisher is gone: closes the
-/// shard channels, waits for every shard to finish all dispatched work,
-/// and takes the final checkpoint — of the frontier minimum, like every
-/// other.
+/// Drains the Reproduce step once every publisher is gone: applies the
+/// pending run, closes the shard channels, waits for every shard to finish
+/// all dispatched work, and takes the final checkpoint — of the frontier
+/// minimum, like every other.
 pub(crate) fn drain(shared: &Shared) {
-    shared.replay.lock().shards.clear();
+    {
+        let mut replay = shared.replay.lock();
+        replay.apply(shared);
+        replay.shards.clear();
+        #[cfg(feature = "sim")] // the run held back by sim sabotage
+        let late = crate::sabotage::store_late(Vec::new());
+        #[cfg(feature = "sim")]
+        apply_run(shared, 0, late, &mut replay.dirty);
+    }
     let target = shared.durable.load(Ordering::Acquire);
     while shared.frontier.min_completed() < target {
         // Each yield is one tick of the final checkpoint waiting on the
@@ -631,29 +679,36 @@ pub(crate) fn drain(shared: &Shared) {
     );
 }
 
-/// Scratch of [`apply_writes`]: the cache lines one call dirtied.
+/// Scratch of [`apply_writes`]: the addresses one call stored and the cache
+/// lines it dirtied.
 #[derive(Debug, Default)]
 pub(crate) struct DirtyLines {
     /// `(line number, 0)` — pairs, so the one combining routine makes them
     /// distinct.
     lines: Vec<(u64, u64)>,
     combiner: Combiner,
+    seen: SeenSet,
 }
 
-/// Stores `writes` into the heap, then flushes each cache line they dirtied
-/// **once** — no fence. The only place heap words are stored and flushed:
-/// the one-shard Reproduce step calls it per batch, a shard worker per
-/// fenced run, recovery per record. Returns the words stored.
+/// Stores `newest_first` into the heap — each address once, with the first
+/// value given for it — then flushes each cache line that dirtied **once**
+/// — no fence. The only place heap words are stored and flushed: the
+/// one-shard Reproduce step calls it per run, a shard worker per run's
+/// shard, recovery per record. Returns the words stored.
 pub(crate) fn apply_writes(
     nvm: &Nvm,
     heap: Region,
-    writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
+    newest_first: impl IntoIterator<Item: Borrow<(u64, u64)>>,
     dirty: &mut DirtyLines,
 ) -> u64 {
     dirty.lines.clear();
+    dirty.seen.clear();
     let mut words = 0;
-    for pair in writes {
+    for pair in newest_first {
         let &(addr, val) = pair.borrow();
+        if !dirty.seen.insert(addr) {
+            continue; // an older write, superseded in this call
+        }
         let off = heap.start() + addr;
         nvm.write_word(off, val);
         words += 1;
@@ -680,12 +735,12 @@ pub(crate) fn apply_writes(
 fn apply_run(
     shared: &Shared,
     shard: usize,
-    writes: impl IntoIterator<Item: Borrow<(u64, u64)>>,
+    newest_first: impl IntoIterator<Item: Borrow<(u64, u64)>>,
     dirty: &mut DirtyLines,
 ) {
     let tracing = shared.trace.enabled();
     let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-    let words = apply_writes(&shared.nvm, shared.heap, writes, dirty);
+    let words = apply_writes(&shared.nvm, shared.heap, newest_first, dirty);
     if words == 0 {
         return;
     }
@@ -699,35 +754,28 @@ fn apply_run(
     }
 }
 
-/// A Reproduce shard worker: applies its shard's slice of each batch to
-/// the persistent heap, fences its own flushes, and only then publishes
-/// its completed TID to the frontier and runs [`Replay::advance`].
+/// A Reproduce shard worker: applies its shard's slice of each run to the
+/// persistent heap, fences its own flushes, and only then publishes its
+/// completed TID to the frontier and runs [`Replay::advance`].
 ///
 /// The fence-before-publish order is load-bearing: the checkpoint trusts
 /// the frontier minimum without issuing flushes of its own for heap data,
-/// so a TID a shard publishes must already be durable *on that shard*. One
-/// fence covers a whole drained run of batches, keeping the barrier count
-/// comparable to the one-shard step's.
+/// so a TID a shard publishes must already be durable *on that shard*. A
+/// run is one unit at every shard count: one fence here per run, as one
+/// checkpoint fence covers it at one shard.
 pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Receiver<ShardWork>) {
     let _bg = dude_nvm::background_stage_scope();
-    let mut run: Vec<ShardWork> = Vec::new();
     let mut dirty = DirtyLines::default();
     while let Ok(work) = rx.recv() {
-        // Batch whatever else is already queued so one fence covers the
-        // whole run (bounded: the frontier should not stall on a hot shard).
-        run.push(work);
-        run.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(127));
-        let last = run.last().expect("run is non-empty").last_tid;
-        let writes = run.iter().flat_map(|work| &work.writes);
-        apply_run(&shared, shard, writes, &mut dirty);
+        apply_run(&shared, shard, &work.writes, &mut dirty);
         // The sabotage offset exists only in sim builds: publishing
         // `last + 1` is the injected off-by-one frontier bug — the min
         // frontier (and therefore the checkpoint) can then cover a TID
         // this shard never applied, which a planned crash exposes.
         #[cfg(feature = "sim")]
-        let publish_tid = last + crate::sabotage::frontier_publish_offset();
+        let publish_tid = work.last_tid + crate::sabotage::frontier_publish_offset();
         #[cfg(not(feature = "sim"))]
-        let publish_tid = last;
+        let publish_tid = work.last_tid;
         shared.frontier.publish(shard, publish_tid);
         // Whichever worker raises the minimum advances the reproduced ID
         // and takes the cadence checkpoint.
@@ -735,7 +783,6 @@ pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Rece
             .replay
             .lock()
             .advance(&shared, shared.frontier.min_completed());
-        run.clear();
     }
 }
 
@@ -794,10 +841,7 @@ mod tests {
     }
 
     fn pairs(writes: &Writes) -> Vec<(u64, u64)> {
-        match writes {
-            Writes::Ring { span, .. } => span.pairs().collect(),
-            Writes::Group(pairs, _) | Writes::Owned { pairs, .. } => pairs.clone(),
-        }
+        writes.pairs().collect()
     }
 
     /// Stages `unit` alone, returning its batch unflushed and unfenced.
@@ -891,8 +935,9 @@ mod tests {
     }
 
     /// A refused unit counts nothing and waits on a checkpoint the cadence
-    /// will not take for a long time: the forced one recycles exactly the
-    /// reproduced spans, and forcing again with nothing new writes nothing.
+    /// will not take for a long time: the forced one applies the pending
+    /// run first, then recycles exactly the reproduced spans, and forcing
+    /// again with nothing new writes nothing.
     #[test]
     fn ring_full_gives_the_unit_back_until_a_forced_checkpoint() {
         let config = DudeTmConfig {
@@ -909,7 +954,11 @@ mod tests {
         let second = try_stage(&shared, 0, seal(t.push(commit(2, &writes)))).unwrap();
         shared.nvm.fence();
         publish(&shared, [first]);
-        assert_eq!(shared.reproduced.load(Ordering::Acquire), 1);
+        // Durable, and pending in the run: the cadence is far off.
+        let heap = layout.heap.start();
+        assert_eq!(shared.durable.load(Ordering::Acquire), 1);
+        assert_eq!(shared.reproduced.load(Ordering::Acquire), 0);
+        assert_eq!(shared.nvm.read_word(heap + 8 * 99), 0, "not applied yet");
         let before = shared.stats.snapshot();
         let back = try_stage(&shared, 0, seal(t.push(commit(3, &writes)))).unwrap_err();
         assert_eq!((back.first_tid, pairs(&back.writes)), (3, writes.clone()));
@@ -919,6 +968,12 @@ mod tests {
         assert_eq!(after.checkpoints, 0, "cadence not reached");
 
         checkpoint_behind(&shared);
+        assert_eq!(shared.reproduced.load(Ordering::Acquire), 1);
+        assert_eq!(
+            shared.nvm.read_word(heap + 8 * 99),
+            99,
+            "the run is applied"
+        );
         let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
         assert_eq!(shared.nvm.read_word(meta), 1);
         assert_eq!(shared.stats.snapshot().checkpoints, 1);
@@ -943,9 +998,13 @@ mod tests {
     /// instead of applying.
     fn publish_order_body(seed: u64, shards: usize) {
         use std::sync::atomic::AtomicBool;
-        let config = DudeTmConfig::small(1 << 16)
-            .with_grouping(4, false)
-            .with_reproduce_threads(shards);
+        // 160 TIDs: runs end at the batches reaching 48, 96 and 144.
+        let config = DudeTmConfig {
+            checkpoint_every: 48,
+            ..DudeTmConfig::small(1 << 16)
+        }
+        .with_grouping(4, false)
+        .with_reproduce_threads(shards);
         let (shared, layout) = shared(config);
         let mut t = Perform::new(&shared);
         let shard_rxs: Vec<_> = (0..shards)
@@ -974,6 +1033,17 @@ mod tests {
         let last = tid;
         let mut ends: Vec<u64> = batches.iter().map(|b| b.unit.last_tid).collect();
         ends.sort_unstable();
+        // Runs end at the batches reaching a multiple of the cadence, and
+        // nothing cuts one while the publishers run; the tail stays pending.
+        let every = shared.config.checkpoint_every;
+        let mut runs: Vec<u64> = Vec::new();
+        for &end in &ends {
+            if end / every > runs.last().map_or(0, |&e| e) / every {
+                runs.push(end);
+            }
+        }
+        assert_ne!(runs.last(), Some(&last), "the tail must be pending");
+        runs.push(last);
         shared.nvm.fence();
         let mut x = seed;
         for i in (1..batches.len()).rev() {
@@ -1007,17 +1077,22 @@ mod tests {
         let applied =
             move |shared: &Shared, t: u64| shared.nvm.read_word(layout.heap.start() + 8 * t) == t;
         let reader = {
-            let (shared, entered) = (Arc::clone(&shared), Arc::clone(&entered));
+            let (shared, entered, runs) = (Arc::clone(&shared), Arc::clone(&entered), runs.clone());
             dude_nvm::thread::spawn_named("watermark-reader", move || loop {
                 // Read against the step's write order (durable, heap,
                 // reproduced), so each bound covers what was read before.
                 let reproduced = shared.reproduced.load(Ordering::Acquire);
                 assert!((1..=reproduced).all(|t| applied(&shared, t)));
-                // The highest applied TID, then everything below it: a TID
-                // applied with a lower one still missing broke dense order.
+                // The highest applied TID, then every run ending below it: a
+                // run is stored newest first, so dense order holds per run,
+                // and a run begun before the one ahead is whole broke it.
                 let top = (1..=last).rev().find(|&t| applied(&shared, t));
                 let top = top.unwrap_or(0);
-                assert!((1..top).all(|t| applied(&shared, t)), "{top} applied early");
+                let whole = runs.iter().rev().find(|&&e| e < top).map_or(0, |&e| e);
+                assert!(
+                    (1..=whole).all(|t| applied(&shared, t)),
+                    "{top} applied early"
+                );
                 let durable = shared.durable.load(Ordering::Acquire);
                 assert!(reproduced.max(top) <= durable, "past durable {durable}");
                 let published = |t: u64| entered[t as usize].load(Ordering::SeqCst);
@@ -1036,17 +1111,19 @@ mod tests {
         }
         assert_eq!(shared.durable.load(Ordering::Acquire), last);
         assert_eq!(shared.order.lock().pending_len(), 0);
+        // The tail is applied on demand.
+        reproduce_through(&shared, last);
         if shard_rxs.is_empty() {
             assert_eq!(shared.reproduced.load(Ordering::Acquire), last);
             assert!((1..=last).all(|t| applied(&shared, t)));
         } else {
-            // Every shard saw every batch, in dense order.
+            // Every shard saw every run, in dense order.
             shared.replay.lock().shards.clear();
             for rx in shard_rxs {
                 let got: Vec<u64> = std::iter::from_fn(|| rx.try_recv().ok())
                     .map(|work| work.last_tid)
                     .collect();
-                assert_eq!(got, ends, "dispatched out of dense order");
+                assert_eq!(got, runs, "dispatched out of dense order");
             }
         }
     }
@@ -1080,11 +1157,12 @@ mod tests {
         }
     }
 
-    /// The one-shard degenerate case: `publish` applies in place, publishes
-    /// frontier slot 0, and checkpoints on cadence, and the drain once more
-    /// — at the same TIDs whether batches are published in order or a late
-    /// head releases the whole run at once (N Persist workers publish out
-    /// of order): the step advances per batch, not once per popped run.
+    /// The one-shard degenerate case: `publish` holds dense batches in the
+    /// pending run and applies it in place — each word once, publishing
+    /// frontier slot 0 and checkpointing — exactly when a batch reaches a
+    /// multiple of the cadence, and the drain applies the tail — at the
+    /// same TIDs whether batches are published in order or a late head
+    /// releases every run at once (N Persist workers publish out of order).
     #[test]
     fn one_shard_step_applies_in_place_and_checkpoints_on_cadence() {
         for head_last in [false, true] {
@@ -1094,15 +1172,17 @@ mod tests {
             };
             let (shared, layout) = shared(config);
             let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
+            let heap = |addr: u64| shared.nvm.read_word(layout.heap.start() + addr);
             // (checkpoint word, checkpoints taken) as they stand now.
             let checkpointed = || {
                 let word = shared.nvm.read_word(meta);
                 (word, shared.stats.snapshot().checkpoints)
             };
             let mut t = Perform::new(&shared);
+            // Each TID writes a word of its own and rewrites hot word 0.
             let mut batches: Vec<Batch> = (1..=20u64)
                 .map(|tid| {
-                    let unit = seal(t.push(commit(tid, &[(tid * 8, tid + 100)])));
+                    let unit = seal(t.push(commit(tid, &[(tid * 8, tid + 100), (0, tid)])));
                     try_stage(&shared, 0, unit).unwrap()
                 })
                 .collect();
@@ -1110,15 +1190,23 @@ mod tests {
                 batches.rotate_left(1); // 2, 3, …, 20, 1
             }
             shared.nvm.fence();
+            let before = shared.nvm.stats();
+            let words = || shared.nvm.stats().delta(&before).words_written;
             for batch in batches {
                 let tid = batch.unit.last_tid;
                 publish(&shared, [batch]);
-                // Cadence checkpoints at TIDs 8 and 16, and only there;
-                // none while the head is missing.
+                // Runs end at TIDs 8 and 16, and only there — none while
+                // the head is missing: 8 own words, the hot word once and
+                // the checkpoint word per run, and nothing of the tail.
+                let durable = shared.durable.load(Ordering::Acquire);
                 let f = shared.reproduced.load(Ordering::Acquire);
-                assert_eq!(checkpointed(), (f / 8 * 8, f / 8), "after publishing {tid}");
+                assert_eq!(f, durable / 8 * 8, "after publishing {tid}");
+                assert_eq!(checkpointed(), (f, f / 8), "after publishing {tid}");
+                assert_eq!(words(), f / 8 * (8 + 1 + 1), "after publishing {tid}");
+                assert_eq!(heap(0), f, "the hot word holds its run's last value");
+                assert!((f + 1..=20).all(|tid| heap(tid * 8) == 0), "tail held");
             }
-            assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
+            assert_eq!(shared.reproduced.load(Ordering::Acquire), 16);
             assert_eq!(checkpointed(), (16, 2), "head_last={head_last}");
             drain(&shared);
 
@@ -1126,9 +1214,14 @@ mod tests {
             assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
             assert_eq!(shared.stats.snapshot().txns_reproduced, 20);
             assert_eq!(checkpointed(), (20, 3), "head_last={head_last}");
+            assert_eq!(
+                words(),
+                2 * 10 + (4 + 1) + 1,
+                "the tail, then the final checkpoint"
+            );
+            assert_eq!(heap(0), 20);
             for tid in 1..=20u64 {
-                let word = shared.nvm.read_word(layout.heap.start() + tid * 8);
-                assert_eq!(word, tid + 100);
+                assert_eq!(heap(tid * 8), tid + 100);
             }
             assert_eq!(shared.rings[0].used_words(), 0, "every span recycled");
         }

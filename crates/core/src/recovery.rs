@@ -262,7 +262,7 @@ pub fn recover_device_observed(
                 .fetch_add(dropped, Ordering::Relaxed);
         } else {
             for rec in &run {
-                let words = apply_writes(nvm, layout.heap, &rec.writes, &mut dirty);
+                let words = apply_writes(nvm, layout.heap, rec.writes.iter().rev(), &mut dirty);
                 telemetry
                     .bytes_replayed
                     .fetch_add(8 * words, Ordering::Relaxed);

@@ -146,6 +146,11 @@ impl RedoRing {
         self.closed.store(true, Ordering::Release);
     }
 
+    /// Whether the producer is parked at the cap, waiting on frees.
+    pub(crate) fn parked(&self) -> bool {
+        self.wake_at.load(Ordering::SeqCst) != 0
+    }
+
     /// Frees `span`'s record, retiring the segment it left behind if any,
     /// and wakes a producer parked for this much space.
     ///
@@ -397,6 +402,17 @@ pub(crate) enum Writes {
 }
 
 impl Writes {
+    /// The unit's combined `(address, value)` pairs: distinct addresses.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (span, copy) = match self {
+            Writes::Ring { span, .. } => (Some(span), &[][..]),
+            Writes::Group(pairs, _) | Writes::Owned { pairs, .. } => (None, &pairs[..]),
+        };
+        span.into_iter()
+            .flat_map(RedoSpan::pairs)
+            .chain(copy.iter().copied())
+    }
+
     /// Frees the records while the unit is only staged, so their thread can
     /// overwrite words Reproduce has not read — the bug the schedule
     /// fuzzer must catch (sim sabotage).

@@ -18,8 +18,8 @@ use crate::frontier::ReproduceFrontier;
 use crate::log::LogRecord;
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    checkpoint_behind, drain, persist_sequencer, persist_worker, reproduce_shard_worker, Batch,
-    Replay, Seal, ShardWork, Sweep,
+    checkpoint_behind, drain, persist_sequencer, persist_worker, reproduce_shard_worker,
+    reproduce_through, Batch, Replay, Seal, ShardWork, Sweep,
 };
 use crate::plog::PlogRing;
 use crate::recovery::{wipe_logs, RecoverError};
@@ -336,7 +336,10 @@ impl<E: TmEngine> DudeTm<E> {
             config.heap_bytes,
             Arc::clone(&nvm),
             layout.heap,
-            Arc::clone(&shared.reproduced),
+            {
+                let shared = Arc::clone(&shared);
+                move |touching| reproduce_through(&shared, touching)
+            },
         ));
         shadow.populate_from_nvm(&nvm, layout.heap);
 
@@ -513,11 +516,11 @@ impl<E: TmEngine> DudeTm<E> {
     }
 
     /// Blocks until every transaction committed so far is both durable and
-    /// reproduced. Call only when no transactions are concurrently
-    /// committing.
+    /// reproduced, applying the pending Reproduce run once it holds them.
+    /// Call only when no transactions are concurrently committing.
     pub fn quiesce(&self) {
         let target = self.engine.clock_now();
-        while self.durable_id() < target || self.reproduced_id() < target {
+        while self.durable_id() < target || reproduce_through(&self.shared, target) < target {
             dude_nvm::thread::yield_now();
         }
     }

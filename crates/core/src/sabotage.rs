@@ -9,12 +9,16 @@
 //! test harness section and disarm in a drop guard.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 static SKIP_GROUP_FENCE: AtomicBool = AtomicBool::new(false);
 static FRONTIER_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
 static SKIP_FORCED_CHECKPOINT: AtomicBool = AtomicBool::new(false);
 static IGNORE_TOUCH_WATERMARK: AtomicBool = AtomicBool::new(false);
 static FREE_RING_WHEN_STAGED: AtomicBool = AtomicBool::new(false);
+static APPLY_AFTER_CHECKPOINT: AtomicBool = AtomicBool::new(false);
+/// Mutation F's run held back past its checkpoint.
+static HELD_RUN: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
 
 /// Mutation A — dropped fence in the Persist publish path: when armed,
 /// every Persist sweep — a worker's, or a `Sync` client's inline one —
@@ -62,6 +66,21 @@ pub fn free_ring_when_staged() -> bool {
     FREE_RING_WHEN_STAGED.load(Ordering::Relaxed)
 }
 
+/// Mutation F — a run's heap stores after its checkpoint: when armed, the
+/// one-shard Reproduce step stores and flushes each run's heap words one
+/// run late — after the run's checkpoint fence has released its log spans.
+/// Takes this run's newest-first writes and returns the run to store now:
+/// the one held back last time (the drain passes an empty run to store the
+/// last). Disarmed, returns `run` itself. Once a Persist worker reuses the
+/// released log space, a crash loses reproduced writes no log can repair.
+pub fn store_late(run: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    if !APPLY_AFTER_CHECKPOINT.load(Ordering::Relaxed) {
+        return run;
+    }
+    let mut held = HELD_RUN.lock().unwrap_or_else(|e| e.into_inner());
+    std::mem::replace(&mut *held, run)
+}
+
 /// RAII guard arming one mutation for a scope; disarms on drop (also on
 /// panic, so a caught schedule failure cannot leak into later cases).
 #[derive(Debug)]
@@ -82,6 +101,8 @@ pub enum Mutation {
     IgnoreTouchWatermark,
     /// Mutation E: redo-ring records are freed when staged, not reproduced.
     FreeRingWhenStaged,
+    /// Mutation F: a run is stored one run late, after its checkpoint.
+    ApplyAfterCheckpoint,
 }
 
 impl Mutation {
@@ -92,6 +113,7 @@ impl Mutation {
             Mutation::SkipForcedCheckpoint => &SKIP_FORCED_CHECKPOINT,
             Mutation::IgnoreTouchWatermark => &IGNORE_TOUCH_WATERMARK,
             Mutation::FreeRingWhenStaged => &FREE_RING_WHEN_STAGED,
+            Mutation::ApplyAfterCheckpoint => &APPLY_AFTER_CHECKPOINT,
         }
     }
 }
@@ -107,5 +129,6 @@ impl MutationGuard {
 impl Drop for MutationGuard {
     fn drop(&mut self) {
         self.which.knob().store(false, Ordering::Relaxed);
+        HELD_RUN.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }

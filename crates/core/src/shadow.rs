@@ -26,6 +26,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,13 +86,16 @@ pub enum ShadowMem {
 
 impl ShadowMem {
     /// Builds a shadow for a heap of `heap_bytes`, backed by `heap_region`
-    /// of `nvm`, gated by the Reproduce progress counter `reproduced`.
+    /// of `nvm`, gated by the Reproduce progress ID: a swap-in polls
+    /// `reproduced(touching)` until it reaches the page's touching ID, so
+    /// the hook first applies whatever durable transactions up to
+    /// `touching` the runtime holds back (DESIGN.md §6, *TID-aligned runs*).
     pub fn new(
         config: ShadowConfig,
         heap_bytes: u64,
         nvm: Arc<Nvm>,
         heap_region: Region,
-        reproduced: Arc<AtomicU64>,
+        reproduced: impl Fn(u64) -> u64 + Send + Sync + 'static,
     ) -> Self {
         match config {
             ShadowConfig::Identity => ShadowMem::Identity(VecMemory::new(heap_bytes)),
@@ -100,7 +104,7 @@ impl ShadowMem {
                 heap_bytes,
                 nvm,
                 heap_region,
-                reproduced,
+                Reproduced(Box::new(reproduced)),
                 mode,
             )),
         }
@@ -176,12 +180,21 @@ struct PageEntry {
     lock: Mutex<()>,
 }
 
+/// The Reproduce progress ID as [`ShadowMem::new`] takes it.
+struct Reproduced(Box<dyn Fn(u64) -> u64 + Send + Sync>);
+
+impl fmt::Debug for Reproduced {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Reproduced")
+    }
+}
+
 /// The demand-paged shadow memory.
 #[derive(Debug)]
 pub struct PagedShadow {
     nvm: Arc<Nvm>,
     heap_region: Region,
-    reproduced: Arc<AtomicU64>,
+    reproduced: Reproduced,
     /// Frame storage: `frames × 512` words.
     frames: Box<[AtomicU64]>,
     pages: Box<[PageEntry]>,
@@ -204,7 +217,7 @@ impl PagedShadow {
         heap_bytes: u64,
         nvm: Arc<Nvm>,
         heap_region: Region,
-        reproduced: Arc<AtomicU64>,
+        reproduced: Reproduced,
         mode: PagingMode,
     ) -> Self {
         assert!(frames >= 2, "need at least two shadow frames");
@@ -260,9 +273,10 @@ impl PagedShadow {
         } else {
             touching
         };
-        if self.reproduced.load(Ordering::Acquire) < touching {
+        let reproduced = &self.reproduced.0;
+        if reproduced(touching) < touching {
             self.touch_waits.fetch_add(1, Ordering::Relaxed);
-            while self.reproduced.load(Ordering::Acquire) < touching {
+            while reproduced(touching) < touching {
                 dude_nvm::thread::yield_now();
             }
         }
@@ -454,7 +468,10 @@ mod tests {
             heap_bytes,
             Arc::clone(&nvm),
             Region::new(0, heap_bytes),
-            Arc::clone(&reproduced),
+            {
+                let reproduced = Arc::clone(&reproduced);
+                move |_| reproduced.load(Ordering::Acquire)
+            },
         );
         (nvm, reproduced, shadow)
     }
@@ -467,7 +484,7 @@ mod tests {
             PAGE_BYTES,
             Arc::clone(&nvm),
             Region::new(0, PAGE_BYTES),
-            Arc::new(AtomicU64::new(0)),
+            |_| 0,
         );
         let view = shadow.view();
         view.store(8, 42);
@@ -485,7 +502,7 @@ mod tests {
             PAGE_BYTES,
             Arc::clone(&nvm),
             region,
-            Arc::new(AtomicU64::new(0)),
+            |_| 0,
         );
         shadow.populate_from_nvm(&nvm, region);
         assert_eq!(shadow.view().load(16), 99);

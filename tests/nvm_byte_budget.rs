@@ -4,9 +4,11 @@
 //!
 //! Every stored word is accounted for: a commit record is `2 + 2n` log
 //! words for `n` *distinct* written words (format v2, a commit combined as
-//! a group of one), Reproduce stores each distinct word once, and each
-//! checkpoint is one word. Nothing else — no scheduling or channel depth —
-//! may feed a stored word, so the totals below are equalities, not bounds.
+//! a group of one), Reproduce stores each distinct word once per run — the
+//! TIDs up to the next multiple of `checkpoint_every`, or up to a
+//! `quiesce` that cuts the run short — and each checkpoint is one word.
+//! Nothing else — no scheduling or channel depth — may feed a stored word,
+//! so the totals below are equalities, not bounds.
 //! The runtime is shut down before the device counter is read, so no
 //! checkpoint can land between reading the counter and reading the
 //! checkpoint count.
@@ -32,11 +34,13 @@ fn config(mode: DurabilityMode) -> DudeTmConfig {
 }
 
 /// Runs `txs` transactions of `body(tx, i)` on one Perform thread to a
-/// clean shutdown. Returns the device words written since `create_stm`
-/// returned — formatting excluded — and the checkpoints among them.
+/// clean shutdown, quiescing once after the first `cut` of them if given.
+/// Returns the device words written since `create_stm` returned —
+/// formatting excluded — and the checkpoints among them.
 fn words_written(
     cfg: DudeTmConfig,
     txs: u64,
+    cut: Option<u64>,
     body: fn(&mut dyn Txn, u64) -> TxResult<()>,
 ) -> (u64, u64) {
     let nvm = Arc::new(Nvm::new(NvmConfig::for_benchmark(
@@ -49,6 +53,12 @@ fn words_written(
         let mut t = dude.register_thread();
         for i in 0..txs {
             t.run(&mut |tx| body(tx, i)).expect_committed();
+            if cut == Some(i + 1) {
+                dude.quiesce();
+                assert_eq!(dude.reproduced_id(), i + 1, "the quiesce applies the run");
+                let checkpoints = dude.pipeline_stats().checkpoints;
+                assert_eq!(checkpoints, (i + 1) / 64, "a cut takes no checkpoint");
+            }
         }
     }
     dude.shutdown();
@@ -71,7 +81,7 @@ fn a_b_a(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
 #[test]
 fn one_write_transaction_costs_five_words() {
     for mode in [ASYNC, DurabilityMode::Sync] {
-        let (words, checkpoints) = words_written(config(mode), 6_400, one_write);
+        let (words, checkpoints) = words_written(config(mode), 6_400, None, one_write);
         assert!(checkpoints >= 6_400 / 64, "{mode:?}: {checkpoints}");
         assert_eq!(
             words,
@@ -81,22 +91,54 @@ fn one_write_transaction_costs_five_words() {
     }
 }
 
+/// TIDs 1..=64 are one run: A, B, A is a two-write record per
+/// transaction, and A and B reach the heap once for all 64 of them.
 #[test]
 fn a_rewritten_word_is_logged_and_applied_once() {
     for mode in [ASYNC, DurabilityMode::Sync] {
-        let (words, checkpoints) = words_written(config(mode), 64, a_b_a);
+        let (words, checkpoints) = words_written(config(mode), 64, None, a_b_a);
+        assert_eq!(
+            checkpoints, 2,
+            "{mode:?}: the cadence's at TID 64, the drain's"
+        );
         assert_eq!(
             words,
-            64 * (2 + 2 * 2 + 2) + checkpoints,
-            "{mode:?}: A, B, A is a two-write record and two heap words"
+            64 * (2 + 2 * 2) + 2 + checkpoints,
+            "{mode:?}: 64 two-write records, two heap words, the checkpoints"
+        );
+    }
+}
+
+/// A `quiesce` after 30 transactions cuts the run there, and the next run
+/// still ends at TID 64, not at 30 + 64: 90 transactions are the runs
+/// 1..=30, 31..=64 and the drained 65..=90, two heap words each, with one
+/// cadence checkpoint (TID 64) before the drain's. A boundary moved to 94
+/// would make them two runs and one checkpoint.
+#[test]
+fn a_quiesce_cuts_a_run_without_moving_the_next_boundary() {
+    for mode in [ASYNC, DurabilityMode::Sync] {
+        let (words, checkpoints) = words_written(config(mode), 90, Some(30), a_b_a);
+        assert_eq!(
+            checkpoints, 2,
+            "{mode:?}: the cadence's at TID 64, the drain's"
+        );
+        assert_eq!(
+            words,
+            90 * (2 + 2 * 2) + 3 * 2 + checkpoints,
+            "{mode:?}: 90 two-write records, three runs of two heap words"
         );
     }
 }
 
 #[test]
 fn grouping_never_costs_more_than_one_record_per_commit() {
-    let (ungrouped, _) = words_written(config(ASYNC), 6_400, one_write);
-    let (grouped, _) = words_written(config(ASYNC).with_grouping(8, false), 6_400, one_write);
+    let (ungrouped, _) = words_written(config(ASYNC), 6_400, None, one_write);
+    let (grouped, _) = words_written(
+        config(ASYNC).with_grouping(8, false),
+        6_400,
+        None,
+        one_write,
+    );
     assert!(
         grouped <= ungrouped,
         "grouped {grouped} words > ungrouped {ungrouped}"

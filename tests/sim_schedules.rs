@@ -30,8 +30,9 @@
 //! publish in sharded Reproduce, a parked Persist unit that never forces a
 //! checkpoint, a paged-shadow swap-in that ignores the touching-ID
 //! watermark, redo-ring space freed when a record is staged instead of
-//! when it is reproduced — and asserts the seed sweep *catches* it within
-//! the default budget. A fuzzer that passes those mutations but fails a
+//! when it is reproduced, a Reproduce run's heap stores issued after its
+//! checkpoint fence — and asserts the seed sweep *catches* it within the
+//! default budget. A fuzzer that passes those mutations but fails a
 //! real run is telling the truth.
 
 #![cfg(feature = "sim")]
@@ -942,6 +943,34 @@ fn mutation_ring_freed_when_staged_is_caught() {
         ..tiny_ring_combo("mutation-E tiny-ring pw=2 pg=1 rt=1 log", 2, 1, 1)
     };
     let (seed, err) = assert_mutation_caught(Mutation::FreeRingWhenStaged, &combo);
+    assert_eq!(
+        seed,
+        schedule_seeds()[0],
+        "caught only under a later seed: {err}"
+    );
+}
+
+/// Storing a run's heap words after its checkpoint — one run late — lets
+/// the checkpoint claim data no fence covers and recycle the log that could
+/// repair it. Under `Sync` with the cadence out of reach, every run ends at
+/// a full log ring, whose committer reuses the released space at once, so a
+/// crash before the late stores loses words nothing rewrites in the
+/// append-only log: the prefix oracle sees it under the first schedule seed.
+#[test]
+fn mutation_run_stored_after_its_checkpoint_is_caught() {
+    let combo = Combo {
+        name: "mutation-F sync log ring-full",
+        cfg: DudeTmConfig {
+            plog_bytes_per_thread: 4096,
+            checkpoint_every: 1 << 20,
+            ..cfg(1, 1, false, 1)
+        }
+        .with_durability(DurabilityMode::Sync),
+        workload: Workload::Log,
+        threads: 3,
+        ops: 100,
+    };
+    let (seed, err) = assert_mutation_caught(Mutation::ApplyAfterCheckpoint, &combo);
     assert_eq!(
         seed,
         schedule_seeds()[0],
