@@ -149,8 +149,8 @@ pub struct DudeTmConfig {
     /// with `persist_group > 1` a sequencer deals sealed groups to them
     /// round-robin and worker `w` owns log ring `w`. Either way the value
     /// is capped by `max_threads`. Ignored under [`DurabilityMode::Sync`]:
-    /// there the committing thread persists its own record and no worker
-    /// is spawned.
+    /// there each committing thread is its own redo ring's Persist worker,
+    /// running the same pass right after its commit.
     pub persist_flush_workers: usize,
     /// Compress grouped logs with the LZ77 codec before flushing (§3.3).
     /// Only applies when `persist_group > 1`.
@@ -158,8 +158,9 @@ pub struct DudeTmConfig {
     /// Reproduce checkpoints (and recycles log space) every this many
     /// replayed transactions.
     pub checkpoint_every: u64,
-    /// Number of Reproduce shard workers. `1` keeps the serial replay
-    /// thread; `N > 1` partitions the heap address space into `N`
+    /// Number of Reproduce shard workers. `1` applies each run in place, in
+    /// the Reproduce step of whichever thread closes a TID gap (no thread of
+    /// its own); `N > 1` partitions the heap address space into `N`
     /// cache-line-granular shards replayed concurrently, with the
     /// reproduced watermark tracked as the minimum completed-TID frontier
     /// across shards (see `frontier`).

@@ -38,10 +38,10 @@ const KIND_SKIP: u64 = 15;
 const LEN_MAX: usize = (1 << 24) - 1;
 const LOW_HALF: u64 = 0xFFFF_FFFF;
 
-/// One transaction's redo log as an owned value: what a `Sync` commit
-/// persists (the asynchronous commit path appends to its thread's redo ring
-/// instead). A `&LogRecord` iterates its writes, so a list of records is
-/// something [`combine`] combines.
+/// One transaction's redo log as an owned value (a commit itself appends to
+/// its thread's volatile redo ring, in every durability mode). A
+/// `&LogRecord` iterates its writes, so a list of records is something
+/// [`combine`] combines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// A committed update transaction and its ordered writes.

@@ -15,9 +15,11 @@
 //! consecutive transactions — the precondition for cross-transaction
 //! combination and compression (§3.3, Figure 3) — and deals them
 //! round-robin, so worker `w` appends to log ring `w` only. Either way a
-//! [`persist_worker`] runs one [`Sweep`] per pass: stage, flush each log
-//! ring's appended range, fence once, and hand every batch to [`publish`] —
-//! out of commit order across workers, never waiting on one.
+//! [`persist_worker`] runs one [`Sweep`] per [`Persist::pass`]: stage, flush
+//! each log ring's appended range, fence once, and hand every batch to
+//! [`publish`] — out of commit order across workers, never waiting on one.
+//! Under `Sync` (Perform and Persist merged) each committer runs the same
+//! pass over its own redo ring right after appending to it.
 //!
 //! Dense order is established once per leg, in one [`DenseReorder`]: at
 //! the sequencer iff grouped, and at [`publish`] always. `publish` parks a
@@ -29,8 +31,8 @@
 //! *Reproduce* is a step, not a thread ([`Replay`]): whoever closes a TID
 //! gap — a Persist worker after its sweep's fence, or the committer under
 //! `Sync` — adds the dense batches to the pending **run**, held in the
-//! volatile redo log (a record's ring slice, or a group's or `Sync`
-//! commit's copy: without a crash nothing is read back from NVM). A run
+//! volatile redo log (a record's ring slice, or a group's copy: without a
+//! crash nothing is read back from NVM). A run
 //! ends at the batch whose last TID reaches the next multiple of
 //! `checkpoint_every` — TIDs decide, never scheduling, so the bytes it
 //! stores are a count. Applying it stores each distinct word once and
@@ -59,8 +61,7 @@ use dude_nvm::{Nvm, Region, CACHE_LINE};
 
 use crate::frontier::split_writes;
 use crate::log::{
-    combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, LogRecord,
-    SeenSet,
+    combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, SeenSet,
 };
 use crate::plog::PlogSpan;
 use crate::redo_ring::{RedoCursor, RedoRecord, Unfreed, Writes};
@@ -90,64 +91,49 @@ pub(crate) struct Sealed {
     entries: usize,
 }
 
-/// Work that becomes one [`Sealed`] unit, combined once, by the thread that
-/// will stage it, with that thread's scratch table.
-pub(crate) trait Seal {
-    fn seal(self, combiner: &mut Combiner) -> Sealed;
+/// Where a Persist input's units come from: a Perform thread's redo ring,
+/// read through a cursor of its own, or the sequencer's channel to one
+/// worker. Each unit is combined once, by the thread that will stage it,
+/// with that thread's scratch table.
+pub(crate) trait Source {
+    fn next_unit(&mut self, combiner: &mut Combiner) -> Result<Sealed, TryRecvError>;
 }
 
-impl Seal for RedoRecord {
+impl Source for RedoCursor {
     /// A commit is a group of one: a word it wrote twice is logged, handed
     /// to Reproduce and replayed once, with its last value — combined in
     /// the record's slice, which this side owns until it is freed.
-    fn seal(mut self, combiner: &mut Combiner) -> Sealed {
-        let entries_before = self.span.len();
-        self.span.combine(combiner);
-        Sealed {
-            first_tid: self.tid,
-            last_tid: self.tid,
-            entries_before,
-            entries: self.span.len(),
-            writes: Writes::Ring {
-                span: self.span,
-                abort: self.abort,
-            },
-        }
-    }
-}
-
-impl Seal for LogRecord {
-    /// A `Sync` commit, combined like a ring record.
-    fn seal(self, combiner: &mut Combiner) -> Sealed {
-        let (tid, abort, mut pairs) = match self {
-            LogRecord::Commit { tid, writes } => (tid, false, writes),
-            LogRecord::Abort { tid } => (tid, true, Vec::new()),
-        };
-        let entries_before = pairs.len();
-        combiner.dedup(&mut pairs);
-        Sealed {
+    fn next_unit(&mut self, combiner: &mut Combiner) -> Result<Sealed, TryRecvError> {
+        let RedoRecord {
+            tid,
+            abort,
+            mut span,
+        } = self.try_pop()?;
+        let entries_before = span.len();
+        span.combine(combiner);
+        Ok(Sealed {
             first_tid: tid,
             last_tid: tid,
             entries_before,
-            entries: pairs.len(),
-            writes: Writes::Owned { pairs, abort },
-        }
+            entries: span.len(),
+            writes: Writes::Ring { span, abort },
+        })
     }
 }
 
-impl Seal for Vec<RedoRecord> {
+impl Source for Receiver<Vec<RedoRecord>> {
     /// A group of consecutive records, handed from the sequencer to a
     /// Persist worker: combined straight from the records' ring slices.
-    fn seal(self, _: &mut Combiner) -> Sealed {
-        let records = self;
+    fn next_unit(&mut self, _: &mut Combiner) -> Result<Sealed, TryRecvError> {
+        let records = self.try_recv()?;
         let pairs = combine_sorted(records.iter().map(|r| r.span.pairs()));
-        Sealed {
+        Ok(Sealed {
             first_tid: records.first().expect("non-empty group").tid,
             last_tid: records.last().expect("non-empty group").tid,
             entries_before: records.iter().map(|r| r.span.len()).sum(),
             entries: pairs.len(),
             writes: Writes::Group(pairs, records.into_iter().map(|r| r.span).collect()),
-        }
+        })
     }
 }
 
@@ -176,31 +162,21 @@ pub(crate) fn publish(shared: &Shared, batches: impl IntoIterator<Item = Batch>)
 
 /// One pass of Persist work: units staged into rings, then covered by one
 /// flush per ring and one fence, then published. The only code that flushes
-/// log ranges and issues Persist's barrier — a Persist worker runs one per
-/// pass over its inputs, a `Sync` client one per transaction.
+/// log ranges and issues Persist's barrier — one per [`Persist::pass`].
 #[derive(Debug, Default)]
-pub(crate) struct Sweep {
+struct Sweep {
     buf: Vec<u64>,
     combiner: Combiner,
     staged: Vec<Batch>,
 }
 
 impl Sweep {
-    /// Seals `work` with this sweep's scratch table.
-    pub(crate) fn seal(&mut self, work: impl Seal) -> Sealed {
-        work.seal(&mut self.combiner)
-    }
-
     /// Serializes `unit` and stores it in log ring `ring_idx` — not
     /// flushed, not fenced: [`Sweep::finish`] does both. A full ring gives
-    /// the unit back (a worker parks it and keeps serving its other rings —
-    /// blocking there would deadlock the pipeline) having counted nothing.
-    pub(crate) fn stage(
-        &mut self,
-        shared: &Shared,
-        ring_idx: usize,
-        unit: Sealed,
-    ) -> Result<(), Sealed> {
+    /// the unit back ([`Persist::pass`] parks it and keeps serving its other
+    /// rings — blocking there would deadlock the pipeline) having counted
+    /// nothing.
+    fn stage(&mut self, shared: &Shared, ring_idx: usize, unit: Sealed) -> Result<(), Sealed> {
         let (buf, tid) = (&mut self.buf, unit.first_tid);
         // (raw, stored) payload bytes — the Figure 3 accounting, groups only.
         let (mut raw, mut stored) = (0, 0);
@@ -209,11 +185,8 @@ impl Sweep {
                 let compress = shared.config.compress_groups;
                 (raw, stored) = serialize_group(tid, unit.last_tid, pairs, compress, buf);
             }
-            Writes::Ring { abort: true, .. } | Writes::Owned { abort: true, .. } => {
-                serialize_abort(tid, buf);
-            }
+            Writes::Ring { abort: true, .. } => serialize_abort(tid, buf),
             Writes::Ring { span, .. } => serialize_commit(tid, span.pairs(), buf),
-            Writes::Owned { pairs, .. } => serialize_commit(tid, pairs, buf),
         }
         let Some(span) = shared.rings[ring_idx].try_append_unflushed(buf) else {
             // Persist is blocked on log space Reproduce has not recycled yet —
@@ -253,7 +226,7 @@ impl Sweep {
     /// Makes everything staged durable and publishes it. `worker` names the
     /// Persist worker whose `flush_worker_ns` series shares the fence
     /// sample (`None` inline under `Sync`).
-    pub(crate) fn finish(&mut self, shared: &Shared, worker: Option<usize>) {
+    fn finish(&mut self, shared: &Shared, worker: Option<usize>) {
         if self.staged.is_empty() {
             return;
         }
@@ -289,70 +262,127 @@ impl Sweep {
     }
 }
 
-/// A Persist worker: drains its inputs — `(log ring, next unit)` pairs — in
-/// any order, stages each unit into the input's log ring, and covers every
-/// pass with one [`Sweep`].
-///
-/// The ungrouped pipeline partitions the per-thread redo rings across
-/// workers, each read through the worker's own cursor; the grouped
-/// pipeline gives worker `w` one input, the sequencer's channel `w`, staged
-/// into log ring `w`. A full log ring parks the unit with a bounded sleep
-/// per probe — counted as a `persist_ring_full` stall — never a busy-spin.
-/// Every span ahead of it was fenced and published by the sweep that
-/// staged it, so after each sweep the worker applies the pending run and
-/// forces a checkpoint of whatever is reproduced ([`checkpoint_behind`]);
-/// a span still held sits behind a TID gap, and whoever fills the gap
-/// reproduces it for the next forced checkpoint to recycle.
-///
-/// A worker that finds no input while a producer is parked on a full redo
-/// ring applies the pending run: the records that producer waits to see
-/// freed may sit in it, and no run boundary may be coming — the producer
-/// cannot commit the TID that would end the run.
-pub(crate) fn persist_worker<U: Seal>(
-    shared: Arc<Shared>,
-    worker: usize,
-    mut inputs: Vec<(usize, impl FnMut() -> Result<U, TryRecvError>)>,
-) {
-    dude_nvm::set_background_stage(true);
-    let mut sweep = Sweep::default();
-    let mut done = vec![false; inputs.len()];
-    // Units whose ring was full — retried next sweep while the other
-    // inputs keep flowing (never block on one ring: deadlock).
-    let mut parked: Vec<Option<Sealed>> = (0..inputs.len()).map(|_| None).collect();
-    loop {
+/// One Persist input: the log ring its units are staged into, where they
+/// come from, and the unit a full log ring gave back.
+#[derive(Debug)]
+struct Input<S> {
+    ring: usize,
+    source: S,
+    parked: Option<Sealed>,
+    done: bool,
+}
+
+/// The Persist step over a set of inputs, one [`Persist::pass`] at a time —
+/// run by a [`persist_worker`] over its inputs, and by a `Sync` committer
+/// over its own redo ring ([`Persist::run_inline`]). The one place units are
+/// staged and a full log ring parks one.
+#[derive(Debug)]
+pub(crate) struct Persist<S> {
+    sweep: Sweep,
+    inputs: Vec<Input<S>>,
+}
+
+impl<S: Source> Persist<S> {
+    /// The step over `inputs`: `(log ring, source)` pairs.
+    pub(crate) fn new(inputs: impl IntoIterator<Item = (usize, S)>) -> Persist<S> {
+        let inputs = inputs.into_iter().map(|(ring, source)| Input {
+            ring,
+            source,
+            parked: None,
+            done: false,
+        });
+        Persist {
+            sweep: Sweep::default(),
+            inputs: inputs.collect(),
+        }
+    }
+
+    /// Drains the inputs in any order, stages each unit into its input's
+    /// log ring, and covers the pass with one [`Sweep`]. A unit a full log
+    /// ring gives back is parked, and the pass moves on to the other
+    /// inputs. Returns whether anything was staged.
+    fn pass(&mut self, shared: &Shared, worker: Option<usize>) -> bool {
         let mut progress = false;
-        for (i, (ring_idx, next)) in inputs.iter_mut().enumerate() {
-            // Bounded drain per sweep so one busy thread cannot starve the
+        for input in &mut self.inputs {
+            // Bounded drain per pass so one busy thread cannot starve the
             // rest; a parked unit goes first, keeping the ring's order.
             for _ in 0..64 {
-                let unit = match parked[i].take() {
+                let unit = match input.parked.take() {
                     Some(unit) => unit,
-                    None if done[i] => break,
-                    None => match next() {
-                        Ok(unit) => sweep.seal(unit),
+                    None if input.done => break,
+                    None => match input.source.next_unit(&mut self.sweep.combiner) {
+                        Ok(unit) => unit,
                         Err(TryRecvError::Empty) => break,
                         Err(TryRecvError::Disconnected) => {
-                            done[i] = true;
+                            input.done = true;
                             break;
                         }
                     },
                 };
-                match sweep.stage(&shared, *ring_idx, unit) {
+                match self.sweep.stage(shared, input.ring, unit) {
                     Ok(()) => progress = true,
                     Err(unit) => {
-                        parked[i] = Some(unit); // ring full: retry next sweep
+                        input.parked = Some(unit); // ring full: retry next pass
                         break;
                     }
                 }
             }
         }
-        sweep.finish(&shared, Some(worker));
-        if parked.iter().all(Option::is_none) {
-            if done.iter().all(|&d| d) {
+        self.sweep.finish(shared, worker);
+        progress
+    }
+
+    fn parked(&self) -> bool {
+        self.inputs.iter().any(|i| i.parked.is_some())
+    }
+
+    /// DudeTM-Sync's Persist: the committer runs the pass over its own ring
+    /// right after appending to it, until nothing is parked — recycling
+    /// whatever is reproduced behind a full log ring between passes. Kept
+    /// out of line, off the asynchronous commit's path.
+    #[inline(never)]
+    pub(crate) fn run_inline(&mut self, shared: &Shared) {
+        loop {
+            self.pass(shared, None);
+            if !self.parked() {
                 return;
             }
-        } else {
+            checkpoint_behind(shared);
+            dude_nvm::thread::yield_now();
+        }
+    }
+}
+
+/// A Persist worker: runs [`Persist::pass`] over its inputs until every one
+/// is disconnected and drained.
+///
+/// The ungrouped pipeline partitions the per-thread redo rings across
+/// workers, each read through the worker's own cursor; the grouped
+/// pipeline gives worker `w` one input, the sequencer's channel `w`, staged
+/// into log ring `w`. A parked unit is retried with a bounded sleep per
+/// probe, never a busy-spin. Every span ahead of it was fenced and
+/// published by the sweep that staged it, so after each pass the worker
+/// applies the pending run and forces a checkpoint of whatever is
+/// reproduced ([`checkpoint_behind`]); a span still held sits behind a TID
+/// gap, and whoever fills the gap reproduces it for the next forced
+/// checkpoint to recycle.
+///
+/// A worker that finds no input while a producer is parked on a full redo
+/// ring applies the pending run: the records that producer waits to see
+/// freed may sit in it, and no run boundary may be coming — the producer
+/// cannot commit the TID that would end the run.
+pub(crate) fn persist_worker<S: Source>(
+    shared: Arc<Shared>,
+    worker: usize,
+    mut persist: Persist<S>,
+) {
+    dude_nvm::set_background_stage(true);
+    loop {
+        let progress = persist.pass(&shared, Some(worker));
+        if persist.parked() {
             checkpoint_behind(&shared);
+        } else if persist.inputs.iter().all(|i| i.done) {
+            return;
         }
         if !progress {
             if shared.redo.iter().any(|ring| ring.parked()) {
@@ -814,7 +844,7 @@ mod tests {
     }
 
     /// Thread slot 0's redo ring, end to end: each record goes in at the
-    /// producer and comes back out of the cursor.
+    /// producer and comes back out of a Persist input as a sealed unit.
     struct Perform(RedoProducer, RedoCursor);
 
     impl Perform {
@@ -825,19 +855,28 @@ mod tests {
             )
         }
 
-        fn push(&mut self, rec: LogRecord) -> RedoRecord {
+        fn append(&mut self, rec: &LogRecord) {
             let abort = matches!(rec, LogRecord::Abort { .. });
             assert!(self.0.try_push(rec.tid(), abort, rec.writes()));
-            self.1.try_pop().expect("just pushed")
         }
 
-        fn group(&mut self, records: Vec<LogRecord>) -> Vec<RedoRecord> {
-            records.into_iter().map(|rec| self.push(rec)).collect()
+        /// `rec` as the ungrouped worker's cursor seals it.
+        fn push(&mut self, rec: LogRecord) -> Sealed {
+            self.append(&rec);
+            let unit = self.1.next_unit(&mut Combiner::default());
+            unit.expect("just pushed")
         }
-    }
 
-    fn seal(work: impl Seal) -> Sealed {
-        work.seal(&mut Combiner::default())
+        /// `records` as a worker seals the group the sequencer sends it.
+        fn group(&mut self, records: Vec<LogRecord>) -> Sealed {
+            let (tx, mut rx) = unbounded();
+            let popped = records.iter().map(|rec| {
+                self.append(rec);
+                self.1.try_pop().expect("just pushed")
+            });
+            tx.send(popped.collect()).unwrap();
+            rx.next_unit(&mut Combiner::default()).unwrap()
+        }
     }
 
     fn pairs(writes: &Writes) -> Vec<(u64, u64)> {
@@ -875,7 +914,7 @@ mod tests {
 
         let writes = [(8, 1), (16, 2)];
         crate::log::serialize_commit(1, writes, &mut want);
-        let batch = stage_and_compare(&shared, &layout, seal(t.push(commit(1, &writes))), &want);
+        let batch = stage_and_compare(&shared, &layout, t.push(commit(1, &writes)), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (1, 1));
         assert_eq!(pairs(&batch.unit.writes), writes);
         expect.records_persisted += 1;
@@ -889,7 +928,7 @@ mod tests {
         let (a, b) = (24, 32);
         crate::log::serialize_commit(7, [(a, 3), (b, 2)], &mut want);
         assert_eq!(want.len(), 2 + 2 * 2);
-        let rewrite = seal(t.push(commit(7, &[(a, 1), (b, 2), (a, 3)])));
+        let rewrite = t.push(commit(7, &[(a, 1), (b, 2), (a, 3)]));
         let batch = stage_and_compare(&shared, &layout, rewrite, &want);
         assert_eq!(pairs(&batch.unit.writes), [(a, 3), (b, 2)]);
         expect.records_persisted += 1;
@@ -899,12 +938,7 @@ mod tests {
         assert_eq!(shared.stats.snapshot(), expect);
 
         serialize_abort(2, &mut want);
-        let batch = stage_and_compare(
-            &shared,
-            &layout,
-            seal(t.push(LogRecord::Abort { tid: 2 })),
-            &want,
-        );
+        let batch = stage_and_compare(&shared, &layout, t.push(LogRecord::Abort { tid: 2 }), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (2, 2));
         assert_eq!(pairs(&batch.unit.writes), []);
         expect.records_persisted += 1;
@@ -922,7 +956,7 @@ mod tests {
         let combined = crate::log::combine_sorted(&records);
         let (raw, stored) = serialize_group(3, 6, &combined, true, &mut want);
         assert!(stored < raw, "the group must exercise the LZ encoding");
-        let batch = stage_and_compare(&shared, &layout, seal(t.group(records)), &want);
+        let batch = stage_and_compare(&shared, &layout, t.group(records), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (3, 6));
         assert_eq!(pairs(&batch.unit.writes), combined);
         expect.entries_logged += 48;
@@ -950,8 +984,8 @@ mod tests {
         let mut t = Perform::new(&shared);
         // 2 + 2 * 100 = 202 words each: two fit the 512-word ring.
         let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 8, w)).collect();
-        let first = try_stage(&shared, 0, seal(t.push(commit(1, &writes)))).unwrap();
-        let second = try_stage(&shared, 0, seal(t.push(commit(2, &writes)))).unwrap();
+        let first = try_stage(&shared, 0, t.push(commit(1, &writes))).unwrap();
+        let second = try_stage(&shared, 0, t.push(commit(2, &writes))).unwrap();
         shared.nvm.fence();
         publish(&shared, [first]);
         // Durable, and pending in the run: the cadence is far off.
@@ -960,7 +994,7 @@ mod tests {
         assert_eq!(shared.reproduced.load(Ordering::Acquire), 0);
         assert_eq!(shared.nvm.read_word(heap + 8 * 99), 0, "not applied yet");
         let before = shared.stats.snapshot();
-        let back = try_stage(&shared, 0, seal(t.push(commit(3, &writes)))).unwrap_err();
+        let back = try_stage(&shared, 0, t.push(commit(3, &writes))).unwrap_err();
         assert_eq!((back.first_tid, pairs(&back.writes)), (3, writes.clone()));
         let after = shared.stats.snapshot();
         assert_eq!(after, before, "a refused unit counts nothing");
@@ -1023,10 +1057,10 @@ mod tests {
                     .map(|x| commit(x, &[(8 * x, x)]))
                     .collect();
                 tid += 3;
-                seal(t.group(records))
+                t.group(records)
             } else {
                 tid += 1;
-                seal(t.push(commit(tid, &[(8 * tid, tid)])))
+                t.push(commit(tid, &[(8 * tid, tid)]))
             };
             batches.push(try_stage(&shared, k as usize % 4, unit).unwrap());
         }
@@ -1182,7 +1216,7 @@ mod tests {
             // Each TID writes a word of its own and rewrites hot word 0.
             let mut batches: Vec<Batch> = (1..=20u64)
                 .map(|tid| {
-                    let unit = seal(t.push(commit(tid, &[(tid * 8, tid + 100), (0, tid)])));
+                    let unit = t.push(commit(tid, &[(tid * 8, tid + 100), (0, tid)]));
                     try_stage(&shared, 0, unit).unwrap()
                 })
                 .collect();

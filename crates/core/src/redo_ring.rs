@@ -4,8 +4,9 @@
 //! A Perform thread appends each commit as `[tid, kind|len, addr, val, …]`
 //! ([`RedoProducer::try_push`]) and publishes it with one `Release` store of
 //! its record count: no lock, allocation, condvar or syscall per commit.
-//! Its one consumer — the Persist worker that owns the ring, or the grouped
-//! sequencer — reads records in place through its own cursor
+//! Its one consumer — the Persist worker that owns the ring, the grouped
+//! sequencer, or under `Sync` the committing thread itself — reads records
+//! in place through its own cursor
 //! ([`RedoCursor::try_pop`]). A popped record's slice ([`RedoSpan`]) belongs
 //! to the Persist and Reproduce side until it is freed, and it is freed only
 //! once the reproduced ID passes it (`Replay::advance` in
@@ -21,8 +22,8 @@
 //!
 //! `Async { buffer_txns: n }` caps a ring at `n` unfreed records; a producer
 //! at the cap parks until a quarter of them are freed — one wake per park,
-//! however many records the freer frees. `AsyncUnbounded` has no cap, so a
-//! push never blocks. Under `--features sim` push, pop and park are
+//! however many records the freer frees. `AsyncUnbounded` and `Sync` have no
+//! cap, so a push never blocks. Under `--features sim` push, pop and park are
 //! `dude-sim` yield points.
 
 use std::collections::VecDeque;
@@ -397,8 +398,6 @@ pub(crate) enum Writes {
     Ring { span: RedoSpan, abort: bool },
     /// A group's combined copy, and the records it was combined from.
     Group(Vec<(u64, u64)>, Vec<RedoSpan>),
-    /// A `Sync` commit's own copy, which holds no ring space.
-    Owned { pairs: Vec<(u64, u64)>, abort: bool },
 }
 
 impl Writes {
@@ -406,7 +405,7 @@ impl Writes {
     pub(crate) fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let (span, copy) = match self {
             Writes::Ring { span, .. } => (Some(span), &[][..]),
-            Writes::Group(pairs, _) | Writes::Owned { pairs, .. } => (None, &pairs[..]),
+            Writes::Group(pairs, _) => (None, &pairs[..]),
         };
         span.into_iter()
             .flat_map(RedoSpan::pairs)
@@ -421,7 +420,6 @@ impl Writes {
         let spans = match self {
             Writes::Ring { span, .. } => std::slice::from_ref(span),
             Writes::Group(_, spans) => spans,
-            Writes::Owned { .. } => &[],
         };
         spans.iter().for_each(|s| rings[s.ring].free(s.clone()));
     }
@@ -439,7 +437,6 @@ impl Unfreed {
         match writes {
             Writes::Ring { span, .. } => self.0.push_back((last, span)),
             Writes::Group(_, spans) => self.0.extend(spans.into_iter().map(|s| (last, s))),
-            Writes::Owned { .. } => {}
         }
     }
 
@@ -525,6 +522,14 @@ mod tests {
     use super::*;
     use crate::log::LogRecord;
     use proptest::prelude::*;
+
+    impl RedoRing {
+        /// Records pushed and not yet freed.
+        pub(crate) fn unfreed(&self) -> u64 {
+            let published = self.published.0.load(Ordering::Acquire);
+            published - self.freed.0.load(Ordering::Acquire)
+        }
+    }
 
     impl RedoRecord {
         fn to_log_record(&self) -> LogRecord {

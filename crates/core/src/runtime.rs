@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
 use dude_nvm::{Nvm, Region};
 use dude_stm::HeapTxn;
 use dude_txapi::{TxAbort, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
@@ -15,11 +15,10 @@ use crate::check::CommitHistory;
 use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
 use crate::frontier::ReproduceFrontier;
-use crate::log::LogRecord;
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    checkpoint_behind, drain, persist_sequencer, persist_worker, reproduce_shard_worker,
-    reproduce_through, Batch, Replay, Seal, ShardWork, Sweep,
+    drain, persist_sequencer, persist_worker, reproduce_shard_worker, reproduce_through, Batch,
+    Persist, Replay, ShardWork, Source,
 };
 use crate::plog::PlogRing;
 use crate::recovery::{wipe_logs, RecoverError};
@@ -89,7 +88,7 @@ pub struct Shared {
     pub(crate) meta: Region,
     pub(crate) heap: Region,
     pub(crate) rings: Vec<Arc<PlogRing>>,
-    /// One volatile redo ring per thread slot (unused under `Sync`).
+    /// One volatile redo ring per thread slot, in every durability mode.
     pub(crate) redo: Vec<Arc<RedoRing>>,
     /// Fenced batches parked behind a TID gap; [`crate::pipeline::publish`]
     /// pops them in dense order.
@@ -161,7 +160,10 @@ impl Shared {
 #[derive(Debug)]
 pub struct RedoHooks {
     staged: Vec<(u64, u64)>,
-    sink: Sink,
+    ring: RedoProducer,
+    /// DudeTM-Sync (Perform and Persist merged): the committer is its own
+    /// ring's Persist worker. Boxed, off the asynchronous commit's path.
+    sync: Option<Box<Persist<RedoCursor>>>,
     shared: Arc<Shared>,
     shadow: Arc<ShadowMem>,
     /// Commit-history recorder for the durable-linearizability checker
@@ -170,47 +172,20 @@ pub struct RedoHooks {
     history: Option<Arc<CommitHistory>>,
 }
 
-/// Where a thread's committed redo logs go.
-#[derive(Debug)]
-enum Sink {
-    /// Asynchronous pipeline: the thread's volatile redo ring.
-    Ring(RedoProducer),
-    /// DudeTM-Sync: persist inline into the thread's own log ring,
-    /// reproducing whatever that publishes.
-    Sync { ring_idx: usize, sweep: Sweep },
-}
-
 impl RedoHooks {
-    /// Hands on the record of `tid` — the staged writes, or an abort marker
-    /// — leaving the staging buffer empty. A redo ring at its cap parks the
-    /// committer until Reproduce frees space (§3.2's backpressure), counted
-    /// as a stall. Under `Sync` this is one Persist sweep of the record.
+    /// Appends the record of `tid` — the staged writes, or an abort marker —
+    /// to the thread's redo ring, leaving the staging buffer empty. A ring
+    /// at its cap parks the committer until Reproduce frees space (§3.2's
+    /// backpressure), counted as a stall. Under `Sync` the committer then
+    /// persists the record itself.
     fn deliver(&mut self, tid: u64, abort: bool) {
-        let shared = &*self.shared;
-        match &mut self.sink {
-            Sink::Ring(ring) => {
-                if !ring.try_push(tid, abort, &self.staged) {
-                    shared.trace.stall(|s| &s.perform_log_full);
-                    ring.push(tid, abort, &self.staged);
-                }
-                self.staged.clear();
-            }
-            Sink::Sync { ring_idx, sweep } => {
-                let rec = if abort {
-                    LogRecord::Abort { tid }
-                } else {
-                    let writes = std::mem::take(&mut self.staged);
-                    LogRecord::Commit { tid, writes }
-                };
-                let mut unit = sweep.seal(rec);
-                // Log ring full: recycle what is reproduced behind it, then retry.
-                while let Err(back) = sweep.stage(shared, *ring_idx, unit) {
-                    unit = back;
-                    checkpoint_behind(shared);
-                    dude_nvm::thread::yield_now();
-                }
-                sweep.finish(shared, None);
-            }
+        if !self.ring.try_push(tid, abort, &self.staged) {
+            self.shared.trace.stall(|s| &s.perform_log_full);
+            self.ring.push(tid, abort, &self.staged);
+        }
+        self.staged.clear();
+        if let Some(persist) = &mut self.sync {
+            persist.run_inline(&self.shared);
         }
     }
 }
@@ -354,11 +329,7 @@ impl<E: TmEngine> DudeTm<E> {
                 for w in 0..n {
                     let (tx, rx) = unbounded::<Vec<RedoRecord>>();
                     worker_txs.push(tx);
-                    persist.push(spawn_persist_worker(
-                        &shared,
-                        w,
-                        vec![(w, move || rx.try_recv())],
-                    ));
+                    persist.push(spawn_persist_worker(&shared, w, [(w, rx)]));
                 }
                 let shared2 = Arc::clone(&shared);
                 persist.push(dude_nvm::thread::spawn_named(
@@ -369,11 +340,10 @@ impl<E: TmEngine> DudeTm<E> {
                 // Worker `w` reads redo rings `w, w + n, …`, staging each
                 // record into its thread's log ring.
                 for w in 0..n {
-                    let inputs = (w..config.max_threads).step_by(n).map(|i| {
-                        let mut cursor = RedoCursor::new(i, &shared.redo[i]);
-                        (i, move || cursor.try_pop())
-                    });
-                    persist.push(spawn_persist_worker(&shared, w, inputs.collect()));
+                    let inputs = (w..config.max_threads)
+                        .step_by(n)
+                        .map(|i| (i, RedoCursor::new(i, &shared.redo[i])));
+                    persist.push(spawn_persist_worker(&shared, w, inputs));
                 }
             }
         }
@@ -575,18 +545,15 @@ struct Workers {
     shards: Vec<dude_nvm::thread::JoinHandle<()>>,
 }
 
-/// Spawns Persist worker `w` over `inputs`: (log ring index, next unit).
-fn spawn_persist_worker<U: Seal>(
+/// Spawns Persist worker `w` over `inputs`: (log ring index, source).
+fn spawn_persist_worker<S: Source + Send + 'static>(
     shared: &Arc<Shared>,
     w: usize,
-    inputs: Vec<(
-        usize,
-        impl FnMut() -> Result<U, TryRecvError> + Send + 'static,
-    )>,
+    inputs: impl IntoIterator<Item = (usize, S)>,
 ) -> dude_nvm::thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
+    let (shared, persist) = (Arc::clone(shared), Persist::new(inputs));
     dude_nvm::thread::spawn_named(&format!("dude-persist-{w}"), move || {
-        persist_worker(shared, w, inputs)
+        persist_worker(shared, w, persist)
     })
 }
 
@@ -603,19 +570,16 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
             "more threads registered than DudeTmConfig::max_threads ({})",
             self.shared.config.max_threads
         );
-        let sink = match self.shared.config.durability {
-            DurabilityMode::Sync => Sink::Sync {
-                ring_idx: slot,
-                sweep: Sweep::default(),
-            },
-            _ => Sink::Ring(RedoProducer::new(&self.shared.redo[slot])),
-        };
+        let ring = &self.shared.redo[slot];
+        let sync = (self.shared.config.durability == DurabilityMode::Sync)
+            .then(|| Box::new(Persist::new([(slot, RedoCursor::new(slot, ring))])));
         DtmThread {
             dude: self,
             engine_thread: self.engine.engine_thread(),
             hooks: RedoHooks {
                 staged: Vec::new(),
-                sink,
+                ring: RedoProducer::new(ring),
+                sync,
                 shared: Arc::clone(&self.shared),
                 shadow: Arc::clone(&self.shadow),
                 history: self.history.lock().clone(),
@@ -697,4 +661,35 @@ impl<E: TmEngine> TxnThread for DtmThread<'_, E> {
 /// Convenience: user aborts (paper's `dtmAbort`).
 pub fn dtm_abort<T>() -> TxResult<T> {
     Err(TxAbort::User)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dude_nvm::NvmConfig;
+    use dude_txapi::PAddr;
+
+    /// A `Sync` commit goes through its thread's redo ring like any other:
+    /// the committer persists it, the pending run holds it, and its record
+    /// stays unfreed until the run is applied.
+    #[test]
+    fn sync_commits_hold_ring_records_until_reproduced() {
+        let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(16 << 20)));
+        let config = DudeTmConfig::small(1 << 16).with_durability(DurabilityMode::Sync);
+        let dude = DudeTm::create_stm(nvm, config);
+        let k = config.checkpoint_every - 1;
+        let mut t = dude.register_thread();
+        for i in 0..k {
+            t.run(&mut |tx| tx.write_word(PAddr::from_word_index(i), i + 1))
+                .expect_committed();
+        }
+        drop(t);
+        let ring = &dude.shared.redo[0];
+        assert_eq!(dude.durable_id(), k, "each commit persisted itself");
+        assert_eq!(ring.unfreed(), k);
+        assert_eq!(dude.reproduced_id(), 0, "the run is still pending");
+        dude.quiesce();
+        assert_eq!(dude.reproduced_id(), k);
+        assert_eq!(ring.unfreed(), 0);
+    }
 }

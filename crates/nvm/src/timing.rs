@@ -111,9 +111,9 @@ std::thread_local! {
 ///
 /// Foreground persist barriers (a transaction waiting for durability on
 /// its critical path) busy-wait with cycle accuracy, like the paper's RDTSC
-/// loop. Background stages — DudeTM's Persist and Reproduce threads, which
-/// on the paper's 12-core machine wait out NVM latency on *their own*
-/// cores — must not burn the CPU that the Perform threads need, especially
+/// loop. Background stages — DudeTM's Persist workers and Reproduce shard
+/// workers, which on the paper's 12-core machine wait out NVM latency on
+/// *their own* cores — must not burn the CPU that the Perform threads need, especially
 /// on machines with few cores. Marking a thread as background makes its
 /// modeled delays yield the processor while the wall-clock delay elapses,
 /// which is exactly what dedicating a core to the stage would look like.

@@ -30,9 +30,9 @@
 //! publish in sharded Reproduce, a parked Persist unit that never forces a
 //! checkpoint, a paged-shadow swap-in that ignores the touching-ID
 //! watermark, redo-ring space freed when a record is staged instead of
-//! when it is reproduced, a Reproduce run's heap stores issued after its
-//! checkpoint fence — and asserts the seed sweep *catches* it within the
-//! default budget. A fuzzer that passes those mutations but fails a
+//! when it is reproduced (on Persist workers, and under `Sync`), a
+//! Reproduce run's heap stores issued after its checkpoint fence — and
+//! asserts the seed sweep *catches* it within the default budget. A fuzzer that passes those mutations but fails a
 //! real run is telling the truth.
 
 #![cfg(feature = "sim")]
@@ -141,15 +141,17 @@ enum Workload {
     /// `w` increments word `8 + stride·w` and copies the new value into the
     /// `width − 1` words after it, so `width` sizes the log record.
     Counters { stride: u64, width: u64 },
-    /// Per-thread append-only logs: thread `w`'s op `i` fills two words of
-    /// its own region that nothing rewrites, so a write Reproduce loses or
-    /// misplaces survives into the final heap.
-    Log,
+    /// Per-thread append-only logs: thread `w`'s op `i` fills `width` words
+    /// of its own region that nothing rewrites, so a write Reproduce loses
+    /// or misplaces survives into the final heap.
+    Log { width: u64 },
 }
 
-/// The first of the two words thread `w`'s op `i` fills.
-fn log_slot(w: usize, ops: u64, i: u64) -> PAddr {
-    PAddr::from_word_index(8 + 2 * (w as u64 * ops + i))
+const LOG: Workload = Workload::Log { width: 2 };
+
+/// The first of the `width` words thread `w`'s op `i` fills.
+fn log_slot(width: u64, w: usize, ops: u64, i: u64) -> PAddr {
+    PAddr::from_word_index(8 + width * (w as u64 * ops + i))
 }
 
 const COUNTERS: Workload = Workload::Counters {
@@ -288,11 +290,13 @@ fn run_sim(
                                 });
                                 Some(out.info().expect("counter tx commits").tid.unwrap())
                             }
-                            Workload::Log => {
-                                let slot = log_slot(w, ops, op).word_index();
+                            Workload::Log { width } => {
+                                let slot = log_slot(width, w, ops, op).word_index();
                                 let out = t.run(&mut |tx| {
-                                    tx.write_word(PAddr::from_word_index(slot), op + 1)?;
-                                    tx.write_word(PAddr::from_word_index(slot + 1), op + 1)
+                                    for j in 0..width {
+                                        tx.write_word(PAddr::from_word_index(slot + j), op + 1)?;
+                                    }
+                                    Ok(())
                                 });
                                 Some(out.info().expect("log tx commits").tid.unwrap())
                             }
@@ -414,7 +418,7 @@ fn check_recovery(
                 }
             }
         }
-        Workload::Log => {}
+        Workload::Log { .. } => {}
     }
     Ok(())
 }
@@ -653,8 +657,8 @@ fn schedules_sharded_counters() {
     );
 }
 
-/// `DurabilityMode::Sync`: no Persist thread — each client runs the sweep
-/// inline and the three of them race in `publish`.
+/// `DurabilityMode::Sync`: no Persist thread — each client runs the Persist
+/// pass over its own redo ring and the three of them race in `publish`.
 fn sync_combo(name: &'static str) -> Combo {
     Combo {
         name,
@@ -935,19 +939,40 @@ fn mutation_swap_in_ignoring_touch_watermark_is_caught() {
 /// under the first schedule seed. Two Persist workers publish out of
 /// order, so a staged record often waits behind a TID gap — the window in
 /// which its thread wraps back onto it — and in the append-only log no
-/// later write hides the lost one.
+/// later write hides the lost one. Under `Sync` the committer stages its
+/// own record at once and the ring is uncapped, with 4 096-word segments:
+/// 128-word transactions (258 ring words, 15 to a segment) and a cadence
+/// out of reach keep a thread's records pending across three segments, so
+/// it wraps back onto the first while the run still holds it.
 #[test]
 fn mutation_ring_freed_when_staged_is_caught() {
-    let combo = Combo {
-        workload: Workload::Log,
+    let tiny = Combo {
+        workload: LOG,
         ..tiny_ring_combo("mutation-E tiny-ring pw=2 pg=1 rt=1 log", 2, 1, 1)
     };
-    let (seed, err) = assert_mutation_caught(Mutation::FreeRingWhenStaged, &combo);
-    assert_eq!(
-        seed,
-        schedule_seeds()[0],
-        "caught only under a later seed: {err}"
-    );
+    let sync = Combo {
+        name: "mutation-E sync wide log",
+        cfg: DudeTmConfig {
+            max_threads: 2,
+            heap_bytes: 1 << 17,
+            plog_bytes_per_thread: 1 << 17,
+            checkpoint_every: 1 << 20,
+            ..cfg(1, 1, false, 1)
+        }
+        .with_durability(DurabilityMode::Sync),
+        workload: Workload::Log { width: 128 },
+        threads: 2,
+        ops: 40,
+    };
+    for combo in [tiny, sync] {
+        let (seed, err) = assert_mutation_caught(Mutation::FreeRingWhenStaged, &combo);
+        assert_eq!(
+            seed,
+            schedule_seeds()[0],
+            "{}: caught only under a later seed: {err}",
+            combo.name
+        );
+    }
 }
 
 /// Storing a run's heap words after its checkpoint — one run late — lets
@@ -966,7 +991,7 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
             ..cfg(1, 1, false, 1)
         }
         .with_durability(DurabilityMode::Sync),
-        workload: Workload::Log,
+        workload: LOG,
         threads: 3,
         ops: 100,
     };
