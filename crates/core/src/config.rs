@@ -65,6 +65,8 @@ pub enum ConfigError {
     GroupingWithSync,
     /// `persist_flush_workers` is zero.
     NoFlushWorkers,
+    /// `persist_flush_workers > 1` combined with [`DurabilityMode::Sync`].
+    FlushWorkersWithSync,
     /// `persist_flush_workers` exceeds `max_threads` (there are only
     /// `max_threads` per-thread redo rings and log rings to hand out).
     FlushWorkersExceedMaxThreads {
@@ -109,6 +111,9 @@ impl core::fmt::Display for ConfigError {
                 f.write_str("log combination requires the asynchronous pipeline (§3.3)")
             }
             ConfigError::NoFlushWorkers => f.write_str("persist_flush_workers must be at least 1"),
+            ConfigError::FlushWorkersWithSync => {
+                f.write_str("persist_flush_workers must be 1 under DurabilityMode::Sync")
+            }
             ConfigError::FlushWorkersExceedMaxThreads {
                 persist_flush_workers,
                 max_threads,
@@ -148,7 +153,7 @@ pub struct DudeTmConfig {
     /// the `max_threads` per-thread redo rings are partitioned across them;
     /// with `persist_group > 1` a sequencer deals sealed groups to them
     /// round-robin and worker `w` owns log ring `w`. Either way the value
-    /// is capped by `max_threads`. Ignored under [`DurabilityMode::Sync`]:
+    /// is capped by `max_threads`. Must be 1 under [`DurabilityMode::Sync`]:
     /// there each committing thread is its own redo ring's Persist worker,
     /// running the same pass right after its commit.
     pub persist_flush_workers: usize,
@@ -297,6 +302,9 @@ impl DudeTmConfig {
         }
         if self.persist_flush_workers == 0 {
             return Err(ConfigError::NoFlushWorkers);
+        }
+        if self.persist_flush_workers > 1 && matches!(self.durability, DurabilityMode::Sync) {
+            return Err(ConfigError::FlushWorkersWithSync);
         }
         // Ungrouped, a worker beyond the `max_threads` per-thread redo rings
         // would have no input; grouped, each worker appends to its own

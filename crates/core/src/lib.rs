@@ -72,6 +72,7 @@ mod seqtrack;
 mod shadow;
 pub mod stats;
 pub mod trace;
+mod watermark;
 
 pub use check::{check_prefix, CommitHistory, HistoryEntry, LinearizabilityError, PrefixReport};
 pub use config::{ConfigError, DudeTmConfig, DurabilityMode};

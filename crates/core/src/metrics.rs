@@ -784,8 +784,8 @@ mod tests {
         // The gauges' sources: committed 40, durable 33, reproduced 20,
         // shard frontiers 21 and 29, 3 + 6 occupied ring words.
         shared.committed_tid.store(40, Ordering::Relaxed);
-        shared.durable.store(33, Ordering::Release);
-        shared.reproduced.store(20, Ordering::Release);
+        shared.durable.advance(33);
+        shared.reproduced.advance(20);
         shared.frontier.publish(0, 21);
         shared.frontier.publish(1, 29);
         shared.rings[0].try_append_unflushed(&[1, 2, 3]).unwrap();

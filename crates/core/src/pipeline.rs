@@ -24,9 +24,9 @@
 //! Dense order is established once per leg, in one [`DenseReorder`]: at
 //! the sequencer iff grouped, and at [`publish`] always. `publish` parks a
 //! fenced batch in `Shared::order` until nothing is missing in front of it,
-//! then, under the same lock, advances the durable ID over it and
-//! reproduces it. Each ring's append order equals ID order, so spans are
-//! recycled FIFO.
+//! then, under the same lock and holding `Shared::replay`, advances the
+//! durable ID over it and reproduces it. Each ring's append order equals ID
+//! order, so spans are recycled FIFO.
 //!
 //! *Reproduce* is a step, not a thread ([`Replay`]): whoever closes a TID
 //! gap — a Persist worker after its sweep's fence, or the committer under
@@ -39,7 +39,7 @@
 //! flushes each dirty line once (§3.3's combination on the heap side),
 //! advances the reproduced ID, frees the redo-ring records it passed,
 //! checkpoints and only then recycles log space. Only a thread that waits
-//! on the reproduced ID cuts a run short ([`reproduce_through`]). With
+//! on the reproduced ID cuts a run short ([`wait_reproduced`]). With
 //! `reproduce_threads > 1` the step instead splits each run by heap shard
 //! ([`crate::frontier`]) for `M` shard workers, each of which applies,
 //! fences, publishes its completed TID and runs the same
@@ -47,7 +47,7 @@
 //! across shards; one shard is the degenerate case.
 //!
 //! Lock order: `Shared::order`, then `Shared::replay`. [`publish`] takes
-//! both; a shard worker, [`reproduce_through`], [`checkpoint_behind`] and
+//! both; a shard worker, [`wait_reproduced`], [`checkpoint_behind`] and
 //! [`drain`] take only `replay`.
 
 use std::borrow::Borrow;
@@ -146,6 +146,8 @@ impl Source for Receiver<Vec<RedoRecord>> {
 /// (or any earlier unit) is not yet fenced, and replay sees batches in
 /// dense TID order. No caller ever waits on another: a batch behind a gap
 /// stays parked and whoever fills the gap reproduces it.
+/// The durable ID advances holding `replay` too: a waiter that sees it
+/// cover a TID, then takes `replay`, finds it pending or applied.
 pub(crate) fn publish(shared: &Shared, batches: impl IntoIterator<Item = Batch>) {
     let mut order = shared.order.lock();
     for batch in batches {
@@ -153,10 +155,13 @@ pub(crate) fn publish(shared: &Shared, batches: impl IntoIterator<Item = Batch>)
     }
     let mut replay = None;
     while let Some((_, last, batch)) = order.pop() {
-        shared.durable.store(last, Ordering::Release);
-        replay
-            .get_or_insert_with(|| shared.replay.lock())
-            .step(shared, batch);
+        #[cfg(feature = "sim")] // the advance before the lock: sim sabotage
+        if crate::sabotage::durable_before_replay() {
+            shared.durable.advance(last);
+        }
+        let replay = replay.get_or_insert_with(|| shared.replay.lock());
+        shared.durable.advance(last);
+        replay.step(shared, batch);
     }
 }
 
@@ -337,18 +342,21 @@ impl<S: Source> Persist<S> {
     }
 
     /// DudeTM-Sync's Persist: the committer runs the pass over its own ring
-    /// right after appending to it, until nothing is parked — recycling
-    /// whatever is reproduced behind a full log ring between passes. Kept
-    /// out of line, off the asynchronous commit's path.
+    /// right after appending to it, until nothing is parked — behind a full
+    /// log ring, recycling the durable ID it saw once reproduced, then
+    /// parking until another committer fills the TID gap in front of what
+    /// it needs. Kept out of line, off the asynchronous commit's path.
     #[inline(never)]
     pub(crate) fn run_inline(&mut self, shared: &Shared) {
-        loop {
-            self.pass(shared, None);
-            if !self.parked() {
-                return;
-            }
+        self.pass(shared, None);
+        while self.parked() {
+            let d = shared.durable.get();
+            wait_reproduced(shared, d);
             checkpoint_behind(shared);
-            dude_nvm::thread::yield_now();
+            self.pass(shared, None);
+            if self.parked() {
+                shared.durable.wait(d + 1);
+            }
         }
     }
 }
@@ -385,8 +393,8 @@ pub(crate) fn persist_worker<S: Source>(
             return;
         }
         if !progress {
-            if shared.redo.iter().any(|ring| ring.parked()) {
-                reproduce_through(&shared, shared.durable.load(Ordering::Acquire));
+            if shared.redo.iter().any(|ring| ring.freed.has_waiters()) {
+                shared.replay.lock().apply(&shared);
             }
             dude_nvm::thread::sleep(Duration::from_micros(50));
         }
@@ -417,7 +425,7 @@ pub(crate) fn persist_sequencer(shared: Arc<Shared>, worker_txs: Vec<Sender<Vec<
     let group = shared.config.persist_group;
     let workers = worker_txs.len();
     // Each redo ring is TID-ascending only per thread.
-    let mut reorder = DenseReorder::starting_at(shared.durable.load(Ordering::Acquire));
+    let mut reorder = DenseReorder::starting_at(shared.durable.get());
     let mut done = vec![false; inputs.len()];
     let mut current: Vec<RedoRecord> = Vec::new();
     // Groups dispatched so far; picks the next worker.
@@ -595,12 +603,11 @@ impl Replay {
     /// passing a multiple of `checkpoint_every` — where runs end. The ID
     /// gates paged-shadow swap-ins (§4.3); this is its only writer.
     pub(crate) fn advance(&mut self, shared: &Shared, f: u64) {
-        let was = shared.reproduced.load(Ordering::Relaxed);
-        if f > was {
-            let stats = &shared.stats;
-            stats.txns_reproduced.fetch_add(f - was, Ordering::Relaxed);
-            shared.reproduced.store(f, Ordering::Release);
-        }
+        let durable = shared.durable.get();
+        assert!(f <= durable, "reproduced {f} passes durable {durable}");
+        let was = shared.reproduced.advance(f);
+        let stats = &shared.stats;
+        stats.txns_reproduced.fetch_add(f - was, Ordering::Relaxed);
         self.unfreed.free_through(&shared.redo, f);
         let every = shared.config.checkpoint_every;
         if f / every > self.last_checkpoint / every {
@@ -633,20 +640,21 @@ impl Replay {
     }
 }
 
-/// Returns the reproduced ID, first cutting the pending run short if it
-/// holds `target` and the ID is below it: what a thread that waits on the
-/// reproduced ID calls — `DudeTm::quiesce`, a paged-shadow swap-in (§4.3),
-/// a Persist worker whose producer is parked ([`checkpoint_behind`] and
-/// [`drain`] apply the run themselves) — never a timer or an idle poll.
-/// The next run still ends on the next multiple of `checkpoint_every`.
-pub(crate) fn reproduce_through(shared: &Shared, target: u64) -> u64 {
-    if shared.reproduced.load(Ordering::Acquire) < target {
+/// Parks until `t` is durable, cuts the pending run short if it holds `t`
+/// — by then it does unless `t` is applied ([`publish`]) — and parks until
+/// `t` is reproduced; whether it waited. The one way a waiter — a quiesce,
+/// a §4.3 swap-in, a `Sync` committer behind a full log ring, the drain —
+/// cuts a run, never a timer or an idle poll; the next run still ends on
+/// the next multiple of `checkpoint_every`.
+pub(crate) fn wait_reproduced(shared: &Shared, t: u64) -> bool {
+    let waited = shared.durable.wait(t);
+    if shared.reproduced.get() < t {
         let mut replay = shared.replay.lock();
-        if replay.run.last().is_some_and(|u| u.last_tid >= target) {
+        if replay.run.last().is_some_and(|u| u.last_tid >= t) {
             replay.apply(shared);
         }
     }
-    shared.reproduced.load(Ordering::Acquire)
+    shared.reproduced.wait(t) | waited
 }
 
 /// Applies the pending run, whose spans come back no other way, and
@@ -664,38 +672,30 @@ pub(crate) fn checkpoint_behind(shared: &Shared) {
     }
     let mut replay = shared.replay.lock();
     replay.apply(shared);
-    let f = shared.reproduced.load(Ordering::Acquire);
+    let f = shared.reproduced.get();
     if f > replay.last_checkpoint {
         replay.checkpoint(shared, f);
     }
 }
 
 /// Drains the Reproduce step once every publisher is gone: applies the
-/// pending run, closes the shard channels, waits for every shard to finish
-/// all dispatched work, and takes the final checkpoint — of the frontier
-/// minimum, like every other.
+/// pending run and waits for every shard to finish all dispatched work
+/// ([`wait_reproduced`]), closes the shard channels, and takes the final
+/// checkpoint — of the reproduced ID, a frontier minimum like every other.
 pub(crate) fn drain(shared: &Shared) {
+    // A wait is the final checkpoint waiting on the slowest shard — the
+    // drain-time cost of frontier skew.
+    if wait_reproduced(shared, shared.durable.get()) {
+        shared.trace.stall(|s| &s.checkpoint_wait);
+    }
     {
         let mut replay = shared.replay.lock();
-        replay.apply(shared);
         replay.shards.clear();
         #[cfg(feature = "sim")] // the run held back by sim sabotage
         let late = crate::sabotage::store_late(Vec::new());
         #[cfg(feature = "sim")]
         apply_run(shared, 0, late, &mut replay.dirty);
-    }
-    let target = shared.durable.load(Ordering::Acquire);
-    while shared.frontier.min_completed() < target {
-        // Each yield is one tick of the final checkpoint waiting on the
-        // slowest shard — the drain-time cost of frontier skew.
-        shared.trace.stall(|s| &s.checkpoint_wait);
-        dude_nvm::thread::yield_now();
-    }
-    {
-        let mut replay = shared.replay.lock();
-        let f = shared.frontier.min_completed();
-        replay.advance(shared, f);
-        replay.checkpoint(shared, f);
+        replay.checkpoint(shared, shared.reproduced.get());
         let held = !replay.release.is_empty() || !replay.unfreed.is_empty();
         debug_assert!(!held, "log space held beyond the last batch");
     }
@@ -990,8 +990,8 @@ mod tests {
         publish(&shared, [first]);
         // Durable, and pending in the run: the cadence is far off.
         let heap = layout.heap.start();
-        assert_eq!(shared.durable.load(Ordering::Acquire), 1);
-        assert_eq!(shared.reproduced.load(Ordering::Acquire), 0);
+        assert_eq!(shared.durable.get(), 1);
+        assert_eq!(shared.reproduced.get(), 0);
         assert_eq!(shared.nvm.read_word(heap + 8 * 99), 0, "not applied yet");
         let before = shared.stats.snapshot();
         let back = try_stage(&shared, 0, t.push(commit(3, &writes))).unwrap_err();
@@ -1002,7 +1002,7 @@ mod tests {
         assert_eq!(after.checkpoints, 0, "cadence not reached");
 
         checkpoint_behind(&shared);
-        assert_eq!(shared.reproduced.load(Ordering::Acquire), 1);
+        assert_eq!(shared.reproduced.get(), 1);
         assert_eq!(
             shared.nvm.read_word(heap + 8 * 99),
             99,
@@ -1115,7 +1115,7 @@ mod tests {
             dude_nvm::thread::spawn_named("watermark-reader", move || loop {
                 // Read against the step's write order (durable, heap,
                 // reproduced), so each bound covers what was read before.
-                let reproduced = shared.reproduced.load(Ordering::Acquire);
+                let reproduced = shared.reproduced.get();
                 assert!((1..=reproduced).all(|t| applied(&shared, t)));
                 // The highest applied TID, then every run ending below it: a
                 // run is stored newest first, so dense order holds per run,
@@ -1127,7 +1127,7 @@ mod tests {
                     (1..=whole).all(|t| applied(&shared, t)),
                     "{top} applied early"
                 );
-                let durable = shared.durable.load(Ordering::Acquire);
+                let durable = shared.durable.get();
                 assert!(reproduced.max(top) <= durable, "past durable {durable}");
                 let published = |t: u64| entered[t as usize].load(Ordering::SeqCst);
                 assert!(
@@ -1143,12 +1143,12 @@ mod tests {
         for handle in publishers.into_iter().chain([reader]) {
             handle.join().expect("publisher or reader panicked");
         }
-        assert_eq!(shared.durable.load(Ordering::Acquire), last);
+        assert_eq!(shared.durable.get(), last);
         assert_eq!(shared.order.lock().pending_len(), 0);
         // The tail is applied on demand.
-        reproduce_through(&shared, last);
+        shared.replay.lock().apply(&shared);
         if shard_rxs.is_empty() {
-            assert_eq!(shared.reproduced.load(Ordering::Acquire), last);
+            assert_eq!(shared.reproduced.get(), last);
             assert!((1..=last).all(|t| applied(&shared, t)));
         } else {
             // Every shard saw every run, in dense order.
@@ -1232,20 +1232,20 @@ mod tests {
                 // Runs end at TIDs 8 and 16, and only there — none while
                 // the head is missing: 8 own words, the hot word once and
                 // the checkpoint word per run, and nothing of the tail.
-                let durable = shared.durable.load(Ordering::Acquire);
-                let f = shared.reproduced.load(Ordering::Acquire);
+                let durable = shared.durable.get();
+                let f = shared.reproduced.get();
                 assert_eq!(f, durable / 8 * 8, "after publishing {tid}");
                 assert_eq!(checkpointed(), (f, f / 8), "after publishing {tid}");
                 assert_eq!(words(), f / 8 * (8 + 1 + 1), "after publishing {tid}");
                 assert_eq!(heap(0), f, "the hot word holds its run's last value");
                 assert!((f + 1..=20).all(|tid| heap(tid * 8) == 0), "tail held");
             }
-            assert_eq!(shared.reproduced.load(Ordering::Acquire), 16);
+            assert_eq!(shared.reproduced.get(), 16);
             assert_eq!(checkpointed(), (16, 2), "head_last={head_last}");
             drain(&shared);
 
             assert_eq!(shared.frontier.completed(0), 20);
-            assert_eq!(shared.reproduced.load(Ordering::Acquire), 20);
+            assert_eq!(shared.reproduced.get(), 20);
             assert_eq!(shared.stats.snapshot().txns_reproduced, 20);
             assert_eq!(checkpointed(), (20, 3), "head_last={head_last}");
             assert_eq!(

@@ -21,21 +21,21 @@
 //! in ring order, so every record in it is free by then.
 //!
 //! `Async { buffer_txns: n }` caps a ring at `n` unfreed records; a producer
-//! at the cap parks until a quarter of them are freed — one wake per park,
-//! however many records the freer frees. `AsyncUnbounded` and `Sync` have no
-//! cap, so a push never blocks. Under `--features sim` push, pop and park are
-//! `dude-sim` yield points.
+//! at the cap parks on the freed count ([`Watermark`]) until a quarter of
+//! them are freed — one wake per park, however many records the freer
+//! frees. `AsyncUnbounded` and `Sync` have no cap, so a push never blocks.
+//! Under `--features sim` push, pop and park are `dude-sim` yield points.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::Thread;
 
 use crossbeam::channel::TryRecvError;
 use parking_lot::Mutex;
 
 use crate::config::DurabilityMode;
 use crate::log::Combiner;
+use crate::watermark::Watermark;
 
 /// Word 0 of a wrap marker: no transaction ID is `u64::MAX`.
 const WRAP: u64 = u64::MAX;
@@ -69,8 +69,8 @@ impl Segment {
     }
 }
 
-/// A counter on a cache line of its own: the producer's and the freer's
-/// counts are each written by one side and read by the other.
+/// A counter on a cache line of its own: the producer's published count
+/// is written by the producer and read by the consumer.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Padded(AtomicU64);
@@ -84,12 +84,8 @@ struct Padded(AtomicU64);
 pub(crate) struct RedoRing {
     /// Records published by the producer.
     published: Padded,
-    /// Records freed, in ring order.
-    freed: Padded,
-    /// The freed count a parked producer waits for; 0 when none waits.
-    wake_at: AtomicU64,
-    /// The parked producer's thread (native runs).
-    waiter: Mutex<Option<Thread>>,
+    /// Records freed, in ring order: what a producer at the cap parks on.
+    pub(crate) freed: Watermark,
     /// Set at shutdown, after the producer's last push.
     closed: AtomicBool,
     /// Most unfreed records the producer may hold (`u64::MAX`: no cap).
@@ -130,9 +126,7 @@ impl RedoRing {
         });
         RedoRing {
             published: Padded::default(),
-            freed: Padded::default(),
-            wake_at: AtomicU64::new(0),
-            waiter: Mutex::new(None),
+            freed: Watermark::default(),
             closed: AtomicBool::new(false),
             cap: cap.map_or(u64::MAX, |n| n as u64),
             segment_words,
@@ -147,11 +141,6 @@ impl RedoRing {
         self.closed.store(true, Ordering::Release);
     }
 
-    /// Whether the producer is parked at the cap, waiting on frees.
-    pub(crate) fn parked(&self) -> bool {
-        self.wake_at.load(Ordering::SeqCst) != 0
-    }
-
     /// Frees `span`'s record, retiring the segment it left behind if any,
     /// and wakes a producer parked for this much space.
     ///
@@ -159,45 +148,11 @@ impl RedoRing {
     ///
     /// Panics unless `span` is the oldest record not yet freed.
     pub(crate) fn free(&self, span: RedoSpan) {
-        let want = self.release(span);
-        self.wake(want);
-    }
-
-    /// The first half of [`RedoRing::free`]: counts `span` freed and
-    /// retires its segment, returning the target of the park this free
-    /// satisfies (0: none).
-    fn release(&self, span: RedoSpan) -> u64 {
-        let seq = self.freed.0.fetch_add(1, Ordering::SeqCst);
-        assert_eq!(seq, span.seq, "redo records must be freed in ring order");
         if let Some(seg) = span.retire {
             self.segments.lock().pool.push(seg);
         }
-        let want = self.wake_at.load(Ordering::SeqCst);
-        if want != 0 && seq + 1 >= want {
-            want
-        } else {
-            0
-        }
-    }
-
-    /// The second half of [`RedoRing::free`]: wakes the producer parked for
-    /// `want`. Clearing the target by compare-exchange, not by swap, is what
-    /// keeps a freer that stalled between the halves harmless: by the time
-    /// it runs, the producer may have left that park and parked again for a
-    /// later target, which only a compare-exchange leaves in place.
-    fn wake(&self, want: u64) {
-        if want != 0
-            && self
-                .wake_at
-                .compare_exchange(want, 0, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            if let Some(thread) = &*self.waiter.lock() {
-                thread.unpark();
-            }
-            #[cfg(feature = "sim")]
-            dude_sim::wake_all();
-        }
+        let seq = self.freed.advance(span.seq + 1);
+        assert_eq!(seq, span.seq, "redo records must be freed in ring order");
     }
 }
 
@@ -233,7 +188,7 @@ impl RedoProducer {
             dude_sim::yield_point(dude_sim::YieldKind::Chan);
         }
         if self.pushed - self.freed >= self.ring.cap {
-            self.freed = self.ring.freed.0.load(Ordering::Acquire);
+            self.freed = self.ring.freed.get();
             if self.pushed - self.freed >= self.ring.cap {
                 return false;
             }
@@ -257,10 +212,13 @@ impl RedoProducer {
         true
     }
 
-    /// [`RedoProducer::try_push`], parking while the ring is at its cap.
+    /// [`RedoProducer::try_push`], parking while the ring is at its cap
+    /// until a quarter of the cap is free again (at least one record).
     pub(crate) fn push(&mut self, tid: u64, abort: bool, writes: &[(u64, u64)]) {
         while !self.try_push(tid, abort, writes) {
-            self.park();
+            let ring = &*self.ring;
+            ring.freed
+                .wait(self.pushed - ring.cap + (ring.cap / 4).max(1));
         }
     }
 
@@ -280,37 +238,6 @@ impl RedoProducer {
         segments.ahead.push_back(Arc::clone(&next));
         self.seg = Some(next);
         self.off = 0;
-    }
-
-    /// Waits until a quarter of the cap is free again (at least one record).
-    fn park(&mut self) {
-        let ring = &*self.ring;
-        let target = self.pushed - ring.cap + (ring.cap / 4).max(1);
-        #[cfg(feature = "sim")]
-        let sim = dude_sim::on_sim_task();
-        #[cfg(not(feature = "sim"))]
-        let sim = false;
-        if !sim {
-            *ring.waiter.lock() = Some(std::thread::current());
-        }
-        loop {
-            // Store the target, then read the count; the freer bumps the
-            // count, then reads the target: one of the two sees the other.
-            // Stored on every pass, so that after any wake-up — spurious,
-            // or from a freer whose clear raced this park — the producer
-            // never sleeps with no target a freer can see.
-            ring.wake_at.store(target, Ordering::SeqCst);
-            if ring.freed.0.load(Ordering::SeqCst) >= target {
-                break;
-            }
-            #[cfg(feature = "sim")]
-            if sim {
-                dude_sim::block(dude_sim::YieldKind::Poll);
-                continue;
-            }
-            std::thread::park();
-        }
-        ring.wake_at.store(0, Ordering::SeqCst);
     }
 }
 
@@ -527,7 +454,7 @@ mod tests {
         /// Records pushed and not yet freed.
         pub(crate) fn unfreed(&self) -> u64 {
             let published = self.published.0.load(Ordering::Acquire);
-            published - self.freed.0.load(Ordering::Acquire)
+            published - self.freed.get()
         }
     }
 
@@ -696,7 +623,8 @@ mod tests {
         assert_eq!(rec.to_log_record().writes(), [(8, 3), (16, 2), (24, 4)]);
     }
 
-    /// A producer at the cap parks and the free that makes room wakes it.
+    /// A producer at the cap parks on the freed count, and the free that
+    /// makes room wakes it.
     #[test]
     fn a_full_ring_parks_the_producer_until_a_free() {
         let (ring, mut producer, mut cursor) = ring(Some(1));
@@ -706,55 +634,13 @@ mod tests {
             producer
         });
         let first = pop(&mut cursor);
-        while ring.wake_at.load(Ordering::SeqCst) == 0 {
+        while !ring.freed.has_waiters() {
             std::thread::yield_now();
         }
         assert_eq!(cursor.try_pop().unwrap_err(), TryRecvError::Empty);
         ring.free(first.span);
         pusher.join().unwrap();
         assert_eq!(pop(&mut cursor).tid, 2);
-    }
-
-    /// Spins until `done`, failing after ten seconds instead of hanging.
-    fn within_10s(what: &str, done: impl Fn() -> bool) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while !done() {
-            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
-            std::thread::yield_now();
-        }
-    }
-
-    /// A freer that read one park's target and stalls before its wake must
-    /// not strand the producer's next park: the stale wake may neither clear
-    /// the new target nor leave it cleared, or every later free would find
-    /// no one to wake.
-    #[test]
-    fn a_stale_freer_does_not_strand_a_reparked_producer() {
-        // Cap 2: a producer with `p` records pushed parks for `p - 1` freed.
-        let (ring, mut producer, mut cursor) = ring(Some(2));
-        assert!(producer.try_push(1, false, &[]));
-        assert!(producer.try_push(2, false, &[]));
-        let pusher = std::thread::spawn(move || {
-            producer.push(3, false, &[]);
-            producer.push(4, false, &[]);
-        });
-        let parked_for = |t: u64| ring.wake_at.load(Ordering::SeqCst) == t;
-        within_10s("the push of 3 parks", || parked_for(1));
-        // The freer frees record 1, reads target 1 and stalls.
-        let stale = ring.release(pop(&mut cursor).span);
-        assert_eq!(stale, 1);
-        // The producer sees the room on its own (a spurious wake-up stands in
-        // for the race), pushes 3 and parks for 4 with target 2.
-        pusher.thread().unpark();
-        within_10s("the push of 4 parks", || parked_for(2));
-        // Only now does the stale freer wake.
-        ring.wake(stale);
-        within_10s("the second park keeps its target", || parked_for(2));
-        ring.free(pop(&mut cursor).span);
-        within_10s("the free of 2 wakes the producer", || pusher.is_finished());
-        pusher.join().unwrap();
-        assert_eq!(pop(&mut cursor).tid, 3);
-        assert_eq!(pop(&mut cursor).tid, 4);
     }
 
     /// Sim twin of the park, plus wrap-around: a 1-record ring with

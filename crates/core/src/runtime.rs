@@ -17,7 +17,7 @@ use crate::engine::{EngineThread, TmEngine};
 use crate::frontier::ReproduceFrontier;
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    drain, persist_sequencer, persist_worker, reproduce_shard_worker, reproduce_through, Batch,
+    drain, persist_sequencer, persist_worker, reproduce_shard_worker, wait_reproduced, Batch,
     Persist, Replay, ShardWork, Source,
 };
 use crate::plog::PlogRing;
@@ -29,6 +29,7 @@ use crate::stats::{
     snapshot, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoveryTelemetry,
 };
 use crate::trace::Trace;
+use crate::watermark::Watermark;
 
 /// Magic number identifying a formatted DudeTM device.
 pub(crate) const META_MAGIC: u64 = 0xD00D_E7A6_0001_CAFE;
@@ -97,9 +98,9 @@ pub struct Shared {
     /// never before it.
     pub(crate) replay: Mutex<Replay>,
     /// The durable ID (§3.3): every transaction at or below it is fenced in
-    /// the log. Written by `publish` only, under the `order` lock.
-    pub(crate) durable: AtomicU64,
-    pub(crate) reproduced: Arc<AtomicU64>,
+    /// the log. Advanced by `publish` only, holding `order` and `replay`.
+    pub(crate) durable: Watermark,
+    pub(crate) reproduced: Watermark,
     pub(crate) frontier: Arc<ReproduceFrontier>,
     pub(crate) stats: PipelineStats,
     pub(crate) trace: Trace,
@@ -138,8 +139,8 @@ impl Shared {
                 .collect(),
             order: Mutex::new(DenseReorder::starting_at(start_tid)),
             replay: Mutex::new(replay),
-            durable: AtomicU64::new(start_tid),
-            reproduced: Arc::new(AtomicU64::new(start_tid)),
+            durable: Watermark::new(start_tid),
+            reproduced: Watermark::new(start_tid),
             frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
             stats: PipelineStats::default(),
             trace: Trace::new(
@@ -313,7 +314,7 @@ impl<E: TmEngine> DudeTm<E> {
             layout.heap,
             {
                 let shared = Arc::clone(&shared);
-                move |touching| reproduce_through(&shared, touching)
+                move |touching| wait_reproduced(&shared, touching)
             },
         ));
         shadow.populate_from_nvm(&nvm, layout.heap);
@@ -422,13 +423,13 @@ impl<E: TmEngine> DudeTm<E> {
     /// The global durable transaction ID: every transaction with an ID at or
     /// below this is persistent (§3.3).
     pub fn durable_id(&self) -> u64 {
-        self.shared.durable.load(Ordering::Acquire)
+        self.shared.durable.get()
     }
 
     /// The reproduced ID: every transaction at or below this has been
     /// applied to the persistent heap image.
     pub fn reproduced_id(&self) -> u64 {
-        self.shared.reproduced.load(Ordering::Acquire)
+        self.shared.reproduced.get()
     }
 
     /// Pipeline statistics.
@@ -489,10 +490,7 @@ impl<E: TmEngine> DudeTm<E> {
     /// reproduced, applying the pending Reproduce run once it holds them.
     /// Call only when no transactions are concurrently committing.
     pub fn quiesce(&self) {
-        let target = self.engine.clock_now();
-        while self.durable_id() < target || reproduce_through(&self.shared, target) < target {
-            dude_nvm::thread::yield_now();
-        }
+        wait_reproduced(&self.shared, self.engine.clock_now());
     }
 
     /// Drains and stops the pipeline, performing a final checkpoint.
@@ -648,9 +646,7 @@ impl<E: TmEngine> TxnThread for DtmThread<'_, E> {
     }
 
     fn wait_durable(&mut self, tid: u64) {
-        while self.dude.durable_id() < tid {
-            dude_nvm::thread::yield_now();
-        }
+        self.dude.shared.durable.wait(tid);
     }
 
     fn durable_watermark(&self) -> u64 {

@@ -17,6 +17,7 @@ static SKIP_FORCED_CHECKPOINT: AtomicBool = AtomicBool::new(false);
 static IGNORE_TOUCH_WATERMARK: AtomicBool = AtomicBool::new(false);
 static FREE_RING_WHEN_STAGED: AtomicBool = AtomicBool::new(false);
 static APPLY_AFTER_CHECKPOINT: AtomicBool = AtomicBool::new(false);
+static DURABLE_BEFORE_REPLAY: AtomicBool = AtomicBool::new(false);
 /// Mutation F's run held back past its checkpoint.
 static HELD_RUN: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
 
@@ -82,6 +83,16 @@ pub fn store_late(run: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     std::mem::replace(&mut *held, run)
 }
 
+/// Mutation G — `publish` advances the durable ID before it takes
+/// `replay`: when armed, a waiter on the reproduced ID that sees the new
+/// durable ID and takes `replay` first finds its TID neither in the pending
+/// run nor applied, so it cuts nothing and parks on the reproduced ID for a
+/// run boundary that may never come. With the cadence out of reach, a
+/// `quiesce` after the last commit stalls.
+pub fn durable_before_replay() -> bool {
+    DURABLE_BEFORE_REPLAY.load(Ordering::Relaxed)
+}
+
 /// RAII guard arming one mutation for a scope; disarms on drop (also on
 /// panic, so a caught schedule failure cannot leak into later cases).
 #[derive(Debug)]
@@ -104,6 +115,8 @@ pub enum Mutation {
     FreeRingWhenStaged,
     /// Mutation F: a run is stored one run late, after its checkpoint.
     ApplyAfterCheckpoint,
+    /// Mutation G: `publish` advances the durable ID before taking `replay`.
+    DurableBeforeReplay,
 }
 
 impl Mutation {
@@ -115,6 +128,7 @@ impl Mutation {
             Mutation::IgnoreTouchWatermark => &IGNORE_TOUCH_WATERMARK,
             Mutation::FreeRingWhenStaged => &FREE_RING_WHEN_STAGED,
             Mutation::ApplyAfterCheckpoint => &APPLY_AFTER_CHECKPOINT,
+            Mutation::DurableBeforeReplay => &DURABLE_BEFORE_REPLAY,
         }
     }
 }

@@ -86,16 +86,16 @@ pub enum ShadowMem {
 
 impl ShadowMem {
     /// Builds a shadow for a heap of `heap_bytes`, backed by `heap_region`
-    /// of `nvm`, gated by the Reproduce progress ID: a swap-in polls
-    /// `reproduced(touching)` until it reaches the page's touching ID, so
-    /// the hook first applies whatever durable transactions up to
-    /// `touching` the runtime holds back (DESIGN.md §6, *TID-aligned runs*).
+    /// of `nvm`, gated by the Reproduce progress ID: a swap-in calls
+    /// `reproduced(touching)`, which waits until the page's touching ID is
+    /// reproduced, applying whatever durable transactions the runtime holds
+    /// back (DESIGN.md §6, *TID-aligned runs*), and says whether it waited.
     pub fn new(
         config: ShadowConfig,
         heap_bytes: u64,
         nvm: Arc<Nvm>,
         heap_region: Region,
-        reproduced: impl Fn(u64) -> u64 + Send + Sync + 'static,
+        reproduced: impl Fn(u64) -> bool + Send + Sync + 'static,
     ) -> Self {
         match config {
             ShadowConfig::Identity => ShadowMem::Identity(VecMemory::new(heap_bytes)),
@@ -180,8 +180,8 @@ struct PageEntry {
     lock: Mutex<()>,
 }
 
-/// The Reproduce progress ID as [`ShadowMem::new`] takes it.
-struct Reproduced(Box<dyn Fn(u64) -> u64 + Send + Sync>);
+/// The wait on the Reproduce progress ID, as [`ShadowMem::new`] takes it.
+struct Reproduced(Box<dyn Fn(u64) -> bool + Send + Sync>);
 
 impl fmt::Debug for Reproduced {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -273,12 +273,8 @@ impl PagedShadow {
         } else {
             touching
         };
-        let reproduced = &self.reproduced.0;
-        if reproduced(touching) < touching {
+        if (self.reproduced.0)(touching) {
             self.touch_waits.fetch_add(1, Ordering::Relaxed);
-            while reproduced(touching) < touching {
-                dude_nvm::thread::yield_now();
-            }
         }
         let src = self.heap_region.start() + u64::from(page) * PAGE_BYTES;
         let base = frame as usize * PAGE_WORDS;
@@ -457,12 +453,13 @@ fn spin_ns(ns: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watermark::Watermark;
     use dude_nvm::NvmConfig;
 
-    fn paged(frames: usize, pages: u64, mode: PagingMode) -> (Arc<Nvm>, Arc<AtomicU64>, ShadowMem) {
+    fn paged(frames: usize, pages: u64, mode: PagingMode) -> (Arc<Nvm>, Arc<Watermark>, ShadowMem) {
         let heap_bytes = pages * PAGE_BYTES;
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(heap_bytes)));
-        let reproduced = Arc::new(AtomicU64::new(0));
+        let reproduced = Arc::new(Watermark::new(0));
         let shadow = ShadowMem::new(
             ShadowConfig::Paged { frames, mode },
             heap_bytes,
@@ -470,7 +467,7 @@ mod tests {
             Region::new(0, heap_bytes),
             {
                 let reproduced = Arc::clone(&reproduced);
-                move |_| reproduced.load(Ordering::Acquire)
+                move |t| reproduced.wait(t)
             },
         );
         (nvm, reproduced, shadow)
@@ -484,7 +481,7 @@ mod tests {
             PAGE_BYTES,
             Arc::clone(&nvm),
             Region::new(0, PAGE_BYTES),
-            |_| 0,
+            |_| false,
         );
         let view = shadow.view();
         view.store(8, 42);
@@ -502,7 +499,7 @@ mod tests {
             PAGE_BYTES,
             Arc::clone(&nvm),
             region,
-            |_| 0,
+            |_| false,
         );
         shadow.populate_from_nvm(&nvm, region);
         assert_eq!(shadow.view().load(16), 99);
@@ -586,7 +583,7 @@ mod tests {
             std::thread::spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 nvm.write_word(0, 55);
-                reproduced.store(5, Ordering::Release);
+                reproduced.advance(5);
             })
         };
         let start = std::time::Instant::now();

@@ -167,7 +167,7 @@ cells! {
         Counter persist_ring_full: "Units parked because a persistent log ring had no space Reproduce had recycled.",
         Counter persist_seq_wait: "Sequencer idle ticks with records stashed behind a transaction-ID gap (grouped mode).",
         Counter reproduce_starved: "Always 0: Reproduce is a step with no idle loop to starve (kept for the benchmark package).",
-        Counter checkpoint_wait: "Yields the drain checkpoint spent waiting for the slowest Reproduce shard.",
+        Counter checkpoint_wait: "Drains whose final checkpoint parked on the slowest Reproduce shard.",
     }
 }
 
@@ -280,8 +280,8 @@ pub(crate) fn snapshot(shared: &Shared, committed: u64) -> PipelineSnapshot {
     PipelineSnapshot {
         counters: shared.stats.snapshot(),
         committed,
-        durable: shared.durable.load(Ordering::Acquire),
-        reproduced: shared.reproduced.load(Ordering::Acquire),
+        durable: shared.durable.get(),
+        reproduced: shared.reproduced.get(),
         ring_used_words: shared.rings.iter().map(|r| r.used_words()).collect(),
         shard_completed: shared.frontier.snapshot_completed(),
         shard_words_applied: shared.frontier.snapshot_words_applied(),

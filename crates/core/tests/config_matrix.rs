@@ -170,6 +170,19 @@ fn zero_flush_workers_rejected() {
 }
 
 #[test]
+fn flush_workers_with_sync_rejected() {
+    for bad in [2usize, 4] {
+        let c = base().with_durability(SYNC).with_flush_workers(bad);
+        assert_eq!(c.try_validate(), Err(ConfigError::FlushWorkersWithSync));
+    }
+    base()
+        .with_durability(SYNC)
+        .with_flush_workers(1)
+        .try_validate()
+        .expect("a Sync committer is its own ring's one Persist worker");
+}
+
+#[test]
 fn flush_workers_beyond_max_threads_rejected() {
     let c = DudeTmConfig {
         max_threads: 4,
@@ -303,6 +316,7 @@ fn model_is_valid(c: &DudeTmConfig) -> bool {
         && !(c.compress_groups && c.persist_group == 1)
         && !(c.persist_group > 1 && c.durability == SYNC)
         && c.persist_flush_workers >= 1
+        && !(c.persist_flush_workers > 1 && c.durability == SYNC)
         && c.persist_flush_workers <= c.max_threads
         && c.durability != ASYNC0
 }

@@ -88,6 +88,26 @@ pub fn yield_now() {
     std::thread::yield_now();
 }
 
+/// Parks the calling thread until [`unpark`] wakes it, or spuriously: the
+/// caller re-checks its condition in a loop. Inside a simulated run this is
+/// the same event wait as [`yield_now`].
+pub fn park() {
+    #[cfg(feature = "sim")]
+    if dude_sim::on_sim_task() {
+        dude_sim::block(dude_sim::YieldKind::Poll);
+        return;
+    }
+    std::thread::park();
+}
+
+/// Wakes `thread` from [`park`]; inside a simulated run, every event-waiting
+/// task.
+pub fn unpark(thread: &std::thread::Thread) {
+    thread.unpark();
+    #[cfg(feature = "sim")]
+    dude_sim::wake_all();
+}
+
 /// Sleeps for `dur`: virtual time inside a simulated run (exact and
 /// instant in wall-clock terms), wall-clock time otherwise.
 pub fn sleep(dur: Duration) {

@@ -31,8 +31,8 @@
 //! checkpoint, a paged-shadow swap-in that ignores the touching-ID
 //! watermark, redo-ring space freed when a record is staged instead of
 //! when it is reproduced (on Persist workers, and under `Sync`), a
-//! Reproduce run's heap stores issued after its checkpoint fence — and
-//! asserts the seed sweep *catches* it within the default budget. A fuzzer that passes those mutations but fails a
+//! Reproduce run's heap stores issued after its checkpoint fence, a durable
+//! ID advanced before `publish` takes the Reproduce lock — and asserts the seed sweep *catches* it within the default budget. A fuzzer that passes those mutations but fails a
 //! real run is telling the truth.
 
 #![cfg(feature = "sim")]
@@ -170,6 +170,8 @@ struct Combo {
     workload: Workload,
     threads: usize,
     ops: u64,
+    /// Each thread calls `quiesce` after every op.
+    quiesce: bool,
 }
 
 fn cfg(
@@ -212,13 +214,12 @@ struct SimRun {
 /// as simulated tasks; the schedule is a pure function of `seed`.
 fn run_sim(
     nvm: &Arc<Nvm>,
-    cfg: DudeTmConfig,
-    workload: Workload,
-    threads: usize,
-    ops: u64,
+    combo: &Combo,
     seed: u64,
     plan: Option<CrashPlan>,
 ) -> Result<SimRun, String> {
+    let (cfg, workload, threads, ops) = (combo.cfg, combo.workload, combo.threads, combo.ops);
+    let quiesce = combo.quiesce;
     let history = Arc::new(CommitHistory::new(64 + 16 * threads * ops as usize));
     let nvm_in = Arc::clone(nvm);
     let history_in = Arc::clone(&history);
@@ -312,6 +313,9 @@ fn run_sim(
                                     acked_incr[w].fetch_max(op + 1, Ordering::Relaxed);
                                 }
                             }
+                        }
+                        if quiesce {
+                            dude.quiesce();
                         }
                     }
                 },
@@ -427,16 +431,7 @@ fn check_recovery(
 /// trace comparison.
 fn clean_case(combo: &Combo, seed: u64) -> SimRun {
     let nvm = fresh_nvm();
-    let run = run_sim(
-        &nvm,
-        combo.cfg,
-        combo.workload,
-        combo.threads,
-        combo.ops,
-        seed,
-        None,
-    )
-    .unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
+    let run = run_sim(&nvm, combo, seed, None).unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
     let checked = check_drained(&nvm, &run)
         .and_then(|()| check_recovery(&nvm, &combo.cfg, combo.workload, &run, combo.ops));
     if let Err(e) = checked {
@@ -450,16 +445,8 @@ fn clean_case(combo: &Combo, seed: u64) -> SimRun {
 fn crash_case(combo: &Combo, seed: u64, event: CrashEventKind, n: u64) -> bool {
     let plan = CrashPlan::at_nth(event, n).for_stage(StageFilter::Any);
     let nvm = fresh_nvm();
-    let run = run_sim(
-        &nvm,
-        combo.cfg,
-        combo.workload,
-        combo.threads,
-        combo.ops,
-        seed,
-        Some(plan),
-    )
-    .unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
+    let run =
+        run_sim(&nvm, combo, seed, Some(plan)).unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
     let tripped = nvm.apply_planned_crash();
     if let Err(e) = check_recovery(&nvm, &combo.cfg, combo.workload, &run, combo.ops) {
         fail_seed(seed, combo.name, &format!("{event:?} crash point {n}: {e}"));
@@ -483,16 +470,8 @@ fn explore(combo: &Combo, crash_points: u64) -> u64 {
         }
         // Count this schedule's flush events from the clean pass image.
         let nvm = fresh_nvm();
-        let run = run_sim(
-            &nvm,
-            combo.cfg,
-            combo.workload,
-            combo.threads,
-            combo.ops,
-            seed,
-            None,
-        )
-        .unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
+        let run =
+            run_sim(&nvm, combo, seed, None).unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
         assert_eq!(
             run.trace, clean.trace,
             "{}: counting pass diverged from clean pass under seed {seed}",
@@ -543,21 +522,14 @@ fn same_seed_replays_byte_identical_trace() {
         workload: Workload::Bank,
         threads: 3,
         ops: 8,
+        quiesce: false,
     };
     let seed = env_u64("DUDE_SIM_SEED").unwrap_or(7);
     let mut traces = Vec::new();
     for _ in 0..2 {
         let nvm = fresh_nvm();
-        let run = run_sim(
-            &nvm,
-            combo.cfg,
-            combo.workload,
-            combo.threads,
-            combo.ops,
-            seed,
-            None,
-        )
-        .unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
+        let run =
+            run_sim(&nvm, &combo, seed, None).unwrap_or_else(|e| fail_seed(seed, combo.name, &e));
         assert!(!run.trace.is_empty(), "trace must record the schedule");
         traces.push(run.trace);
     }
@@ -567,16 +539,8 @@ fn same_seed_replays_byte_identical_trace() {
     );
     // And a different seed explores a different schedule.
     let nvm = fresh_nvm();
-    let other = run_sim(
-        &nvm,
-        combo.cfg,
-        combo.workload,
-        combo.threads,
-        combo.ops,
-        seed ^ 0xDEAD_BEEF,
-        None,
-    )
-    .unwrap_or_else(|e| fail_seed(seed ^ 0xDEAD_BEEF, combo.name, &e));
+    let other = run_sim(&nvm, &combo, seed ^ 0xDEAD_BEEF, None)
+        .unwrap_or_else(|e| fail_seed(seed ^ 0xDEAD_BEEF, combo.name, &e));
     assert_ne!(
         traces[0], other.trace,
         "different seeds must explore different schedules"
@@ -596,6 +560,7 @@ fn schedules_baseline_bank() {
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
+            quiesce: false,
         },
         4,
     );
@@ -610,6 +575,7 @@ fn schedules_two_persist_workers_bank() {
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
+            quiesce: false,
         },
         0,
     );
@@ -624,6 +590,7 @@ fn schedules_grouped_flush_workers_bank() {
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
+            quiesce: false,
         },
         4,
     );
@@ -638,6 +605,7 @@ fn schedules_grouped_compressed_sharded_bank() {
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
+            quiesce: false,
         },
         0,
     );
@@ -652,6 +620,7 @@ fn schedules_sharded_counters() {
             workload: COUNTERS,
             threads: 4,
             ops: 8,
+            quiesce: false,
         },
         4,
     );
@@ -666,6 +635,7 @@ fn sync_combo(name: &'static str) -> Combo {
         workload: Workload::Bank,
         threads: 3,
         ops: 8,
+        quiesce: false,
     }
 }
 
@@ -677,13 +647,15 @@ fn schedules_sync_bank() {
 /// Rings of 512 words hold eight 64-word records, and the cadence never
 /// fires: every span comes back through a forced checkpoint, behind a
 /// parked Persist unit or a `Sync` commit whose ring is full, while the
-/// four rings wrap several times each.
+/// four rings wrap several times each. Two Persist workers, except under
+/// `Sync`, whose committers are their own rings' one.
 fn ring_full_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: usize) -> Combo {
+    let pw = if mode == DurabilityMode::Sync { 1 } else { 2 };
     let cfg = DudeTmConfig {
         max_threads: 4,
         plog_bytes_per_thread: 4096,
         checkpoint_every: 1 << 20,
-        ..cfg(2, 1, false, reproduce_threads)
+        ..cfg(pw, 1, false, reproduce_threads)
     }
     .with_durability(mode);
     cfg.try_validate().expect("ring-full combo must be valid");
@@ -696,6 +668,7 @@ fn ring_full_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: 
         },
         threads: 4,
         ops: 32,
+        quiesce: false,
     }
 }
 
@@ -731,6 +704,7 @@ fn tiny_ring_combo(
         workload: Workload::Bank,
         threads: 3,
         ops: 8,
+        quiesce: false,
     }
 }
 
@@ -767,6 +741,7 @@ fn paged_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: usiz
         },
         threads: 4,
         ops: 8,
+        quiesce: false,
     }
 }
 
@@ -777,6 +752,29 @@ fn schedules_paged_shadow_counters() {
         &paged_combo("sim paged sync rt=3", DurabilityMode::Sync, 3),
         0,
     );
+}
+
+/// One thread that quiesces after every op, with the cadence out of reach:
+/// each commit sits in the pending run until that `quiesce` — a waiter on
+/// the reproduced ID, which usually parks on the durable ID first — cuts
+/// the run.
+fn quiesce_combo(name: &'static str) -> Combo {
+    Combo {
+        name,
+        cfg: DudeTmConfig {
+            checkpoint_every: 1 << 20,
+            ..cfg(1, 1, false, 1)
+        },
+        workload: LOG,
+        threads: 1,
+        ops: 8,
+        quiesce: true,
+    }
+}
+
+#[test]
+fn schedules_quiesce_cuts_the_pending_run() {
+    explore(&quiesce_combo("sim quiesce pw=1 rt=1"), 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,15 +793,7 @@ fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> (u64, String) {
         // Counting pass under the mutation (its schedule differs from the
         // healthy one — the skipped fence removes yield points).
         let nvm = fresh_nvm();
-        let run = run_sim(
-            &nvm,
-            combo.cfg,
-            combo.workload,
-            combo.threads,
-            combo.ops,
-            seed,
-            None,
-        );
+        let run = run_sim(&nvm, combo, seed, None);
         // A clean-run failure (an in-run assertion, a deadlock, the step
         // budget) or a clean run that recovers wrong is already a detection.
         let clean = run.and_then(|run| {
@@ -830,15 +820,7 @@ fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> (u64, String) {
         for i in points {
             let plan = CrashPlan::at_nth(CrashEventKind::Flush, i).for_stage(StageFilter::Any);
             let nvm = fresh_nvm();
-            match run_sim(
-                &nvm,
-                combo.cfg,
-                combo.workload,
-                combo.threads,
-                combo.ops,
-                seed,
-                Some(plan),
-            ) {
+            match run_sim(&nvm, combo, seed, Some(plan)) {
                 Err(e) => {
                     caught = Some((seed, i, e));
                     break 'sweep;
@@ -880,6 +862,7 @@ fn mutation_dropped_group_fence_is_caught() {
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
+            quiesce: false,
         },
     );
 }
@@ -904,6 +887,7 @@ fn mutation_frontier_off_by_one_is_caught() {
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
+            quiesce: false,
         },
     );
 }
@@ -963,6 +947,7 @@ fn mutation_ring_freed_when_staged_is_caught() {
         workload: Workload::Log { width: 128 },
         threads: 2,
         ops: 40,
+        quiesce: false,
     };
     for combo in [tiny, sync] {
         let (seed, err) = assert_mutation_caught(Mutation::FreeRingWhenStaged, &combo);
@@ -994,11 +979,26 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
         workload: LOG,
         threads: 3,
         ops: 100,
+        quiesce: false,
     };
     let (seed, err) = assert_mutation_caught(Mutation::ApplyAfterCheckpoint, &combo);
     assert_eq!(
         seed,
         schedule_seeds()[0],
         "caught only under a later seed: {err}"
+    );
+}
+
+/// A durable ID advanced before `publish` takes `replay` opens a window in
+/// which a `quiesce` sees its target durable, finds it neither in the
+/// pending run nor applied, cuts nothing and parks on the reproduced ID for
+/// a run boundary the cadence never reaches: the run must stall.
+#[test]
+fn mutation_durable_before_replay_is_caught() {
+    let combo = quiesce_combo("mutation-G quiesce pw=1 rt=1");
+    let (_, err) = assert_mutation_caught(Mutation::DurableBeforeReplay, &combo);
+    assert!(
+        err.contains("deadlock") || err.contains("step budget"),
+        "caught as something other than a stall: {err}"
     );
 }
