@@ -156,9 +156,7 @@ pub(crate) fn publish(shared: &Shared, batches: impl IntoIterator<Item = Batch>)
     let mut replay = None;
     while let Some((_, last, batch)) = order.pop() {
         #[cfg(feature = "sim")] // the advance before the lock: sim sabotage
-        if crate::sabotage::durable_before_replay() {
-            shared.durable.advance(last);
-        }
+        crate::sabotage::durable_before_replay().then(|| shared.durable.advance(last));
         let replay = replay.get_or_insert_with(|| shared.replay.lock());
         shared.durable.advance(last);
         replay.step(shared, batch);
@@ -342,10 +340,9 @@ impl<S: Source> Persist<S> {
     }
 
     /// DudeTM-Sync's Persist: the committer runs the pass over its own ring
-    /// right after appending to it, until nothing is parked — behind a full
-    /// log ring, recycling the durable ID it saw once reproduced, then
-    /// parking until another committer fills the TID gap in front of what
-    /// it needs. Kept out of line, off the asynchronous commit's path.
+    /// right after appending to it, until nothing is parked — recycling what
+    /// it saw durable, then parking until another committer fills the TID
+    /// gap in front. Kept out of line, off the asynchronous commit's path.
     #[inline(never)]
     pub(crate) fn run_inline(&mut self, shared: &Shared) {
         self.pass(shared, None);
@@ -603,8 +600,7 @@ impl Replay {
     /// passing a multiple of `checkpoint_every` — where runs end. The ID
     /// gates paged-shadow swap-ins (§4.3); this is its only writer.
     pub(crate) fn advance(&mut self, shared: &Shared, f: u64) {
-        let durable = shared.durable.get();
-        assert!(f <= durable, "reproduced {f} passes durable {durable}");
+        assert!(f <= shared.durable.get(), "reproduced {f} passes durable");
         let was = shared.reproduced.advance(f);
         let stats = &shared.stats;
         stats.txns_reproduced.fetch_add(f - was, Ordering::Relaxed);
@@ -641,11 +637,10 @@ impl Replay {
 }
 
 /// Parks until `t` is durable, cuts the pending run short if it holds `t`
-/// — by then it does unless `t` is applied ([`publish`]) — and parks until
-/// `t` is reproduced; whether it waited. The one way a waiter — a quiesce,
-/// a §4.3 swap-in, a `Sync` committer behind a full log ring, the drain —
-/// cuts a run, never a timer or an idle poll; the next run still ends on
-/// the next multiple of `checkpoint_every`.
+/// (by then it does unless `t` is applied: [`publish`]), and parks until
+/// `t` is reproduced; whether it waited. The one way a waiter cuts a run,
+/// never a timer or an idle poll; the next run still ends on the next
+/// multiple of `checkpoint_every`.
 pub(crate) fn wait_reproduced(shared: &Shared, t: u64) -> bool {
     let waited = shared.durable.wait(t);
     if shared.reproduced.get() < t {

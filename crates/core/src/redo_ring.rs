@@ -69,8 +69,7 @@ impl Segment {
     }
 }
 
-/// A counter on a cache line of its own: the producer's published count
-/// is written by the producer and read by the consumer.
+/// The published count, on a cache line of its own: the consumer reads it.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Padded(AtomicU64);

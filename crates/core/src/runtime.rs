@@ -128,7 +128,7 @@ impl Shared {
             .collect();
         let mut replay = Replay::default();
         replay.last_checkpoint = start_tid;
-        Shared {
+        let shared = Shared {
             nvm,
             config,
             meta: layout.meta,
@@ -139,8 +139,8 @@ impl Shared {
                 .collect(),
             order: Mutex::new(DenseReorder::starting_at(start_tid)),
             replay: Mutex::new(replay),
-            durable: Watermark::new(start_tid),
-            reproduced: Watermark::new(start_tid),
+            durable: Watermark::default(),
+            reproduced: Watermark::default(),
             frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
             stats: PipelineStats::default(),
             trace: Trace::new(
@@ -150,7 +150,10 @@ impl Shared {
             ),
             recovery,
             committed_tid: AtomicU64::new(start_tid),
-        }
+        };
+        shared.durable.advance(start_tid);
+        shared.reproduced.advance(start_tid);
+        shared
     }
 }
 

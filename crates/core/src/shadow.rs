@@ -459,7 +459,7 @@ mod tests {
     fn paged(frames: usize, pages: u64, mode: PagingMode) -> (Arc<Nvm>, Arc<Watermark>, ShadowMem) {
         let heap_bytes = pages * PAGE_BYTES;
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(heap_bytes)));
-        let reproduced = Arc::new(Watermark::new(0));
+        let reproduced = Arc::new(Watermark::default());
         let shadow = ShadowMem::new(
             ShadowConfig::Paged { frames, mode },
             heap_bytes,

@@ -1,13 +1,12 @@
-//! The one wait primitive (DESIGN.md §6): a monotonic `u64` that threads
-//! park on until it reaches their target — a higher value implies every
-//! lower one. The redo ring's producer park, lifted: a waiter registers its
-//! target, re-reads the value, then parks; an advancer stores the value,
-//! then wakes only if someone is registered — one load when no one is. Each
-//! reads what the other wrote first, so no wake is lost; only a waiter
-//! removes its registration, so a stale advancer can neither clear a later
-//! park's target nor leave it cleared. Parks go through `dude_nvm::thread`.
+//! The one wait primitive (DESIGN.md §6, *Waits*): a monotonic `u64` that
+//! threads park on until it reaches their target — a higher value implies
+//! every lower one. The redo ring's producer park, lifted: a waiter stores
+//! its target, re-reads the value, then parks; an advancer stores the value,
+//! then wakes only if it reaches the lowest target — else one load. Each
+//! reads what the other wrote first, so no wake is lost; only a waiter edits
+//! its registration, so a stale advancer cannot strand a later park.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::thread::Thread;
 
 use dude_nvm::thread;
@@ -18,38 +17,36 @@ use parking_lot::Mutex;
 #[derive(Debug, Default)]
 pub(crate) struct Watermark {
     value: AtomicU64,
-    /// Registered waiters: what an advance reads.
-    waiting: AtomicUsize,
+    /// The lowest registered target (0: none — no target is 0).
+    next: AtomicU64,
     /// Each registered waiter's target and thread.
     parked: Mutex<Vec<(u64, Thread)>>,
 }
 
 impl Watermark {
-    pub(crate) fn new(value: u64) -> Watermark {
-        let wm = Watermark::default();
-        wm.value.store(value, SeqCst);
-        wm
-    }
-
     pub(crate) fn get(&self) -> u64 {
         self.value.load(SeqCst)
     }
 
-    /// Whether any thread is parked, or about to park, on the value.
     pub(crate) fn has_waiters(&self) -> bool {
-        self.waiting.load(SeqCst) != 0
+        self.next.load(SeqCst) != 0
     }
 
     /// Raises the value to `v`, never lower, and wakes the waiters it
     /// satisfies; returns the value it replaced. One advancer at a time.
     pub(crate) fn advance(&self, v: u64) -> u64 {
         let was = self.value.swap(v, SeqCst);
-        if self.has_waiters() {
-            for (_, waiter) in self.parked.lock().iter().filter(|w| w.0 <= v) {
-                thread::unpark(waiter);
-            }
+        if (1..=v).contains(&self.next.load(SeqCst)) {
+            self.wake(v);
         }
         was
+    }
+
+    /// Wakes the registered waiters `v` satisfies, editing no registration.
+    fn wake(&self, v: u64) {
+        for (_, waiter) in self.parked.lock().iter().filter(|w| w.0 <= v) {
+            thread::unpark(waiter);
+        }
     }
 
     /// Parks until the value reaches `target`; whether it found it below.
@@ -58,14 +55,20 @@ impl Watermark {
             return false;
         }
         let me = std::thread::current();
-        self.parked.lock().push((target, me.clone()));
-        self.waiting.fetch_add(1, SeqCst);
+        self.register(|parked| parked.push((target, me.clone())));
         while self.get() < target {
             thread::park();
         }
-        self.waiting.fetch_sub(1, SeqCst);
-        self.parked.lock().retain(|w| w.1.id() != me.id());
+        self.register(|parked| parked.retain(|w| w.1.id() != me.id()));
         true
+    }
+
+    /// Edits the registrations, then stores the lowest target (0: none).
+    fn register(&self, edit: impl FnOnce(&mut Vec<(u64, Thread)>)) {
+        let mut parked = self.parked.lock();
+        edit(&mut parked);
+        let lowest = parked.iter().map(|w| w.0).min().unwrap_or(0);
+        self.next.store(lowest, SeqCst);
     }
 }
 
@@ -99,20 +102,21 @@ mod tests {
         std::thread::spawn(move || wm.wait(target))
     }
 
-    /// Registered and counted: an advance from here on sees the waiter.
-    fn registered(wm: &Watermark, n: usize) -> bool {
-        wm.parked.lock().len() == n && wm.waiting.load(SeqCst) == n
+    /// `n` waiters registered, the lowest for `lowest`: an advance from
+    /// here on sees them.
+    fn registered(wm: &Watermark, n: usize, lowest: u64) -> bool {
+        wm.parked.lock().len() == n && wm.next.load(SeqCst) == lowest
     }
 
     /// A waiter below its target parks, and the advance that reaches the
     /// target wakes it.
     #[test]
     fn a_waiter_parks_until_an_advance_reaches_its_target() {
-        let wm = Arc::new(Watermark::new(0));
+        let wm = Arc::new(Watermark::default());
         assert!(!wm.wait(0), "a reached target returns at once");
         let w = waiter(&wm, 1);
-        within_10s("the wait for 1 parks", || registered(&wm, 1));
-        assert!(!w.is_finished());
+        within_10s("the wait for 1 parks", || registered(&wm, 1, 1));
+        assert!(!w.is_finished() && wm.has_waiters());
         assert_eq!(wm.advance(1), 0);
         assert!(w.join().unwrap(), "the waiter found 1 below");
         assert!(!wm.has_waiters() && targets(&wm).is_empty());
@@ -124,7 +128,7 @@ mod tests {
     /// later advance would find no one to wake.
     #[test]
     fn a_stale_advancer_does_not_strand_a_reparked_waiter() {
-        let wm = Arc::new(Watermark::new(0));
+        let wm = Arc::new(Watermark::default());
         let w = {
             let wm = Arc::clone(&wm);
             std::thread::spawn(move || {
@@ -132,34 +136,38 @@ mod tests {
                 wm.wait(2);
             })
         };
-        within_10s("the wait for 1 parks", || registered(&wm, 1));
-        // The advancer stores 1, sees the waiter and stalls.
+        within_10s("the wait for 1 parks", || registered(&wm, 1, 1));
+        // The advancer stores 1, reads target 1 and stalls before its wake.
         wm.value.swap(1, SeqCst);
-        assert!(wm.has_waiters());
+        assert_eq!(wm.next.load(SeqCst), 1);
         // The waiter sees the value on its own (a spurious wake-up stands in
         // for the race) and parks again, for 2.
         w.thread().unpark();
-        within_10s("the wait for 2 parks", || {
-            registered(&wm, 1) && targets(&wm) == [2]
-        });
+        within_10s("the wait for 2 parks", || registered(&wm, 1, 2));
         // Only now does the stale advancer wake, for the 1 it stored.
-        wm.advance(1);
+        wm.wake(1);
         std::thread::sleep(Duration::from_millis(20));
         assert!(!w.is_finished(), "a stale wake released a later target");
-        assert!(registered(&wm, 1) && targets(&wm) == [2]);
+        assert!(
+            registered(&wm, 1, 2),
+            "a stale wake moved the lowest target"
+        );
         wm.advance(2);
         within_10s("the advance to 2 wakes the waiter", || w.is_finished());
         w.join().unwrap();
     }
 
     /// Waiters on different targets: each returns once the value reaches
-    /// its own target, and not before.
+    /// its own target, and not before — also when an advance jumps past it.
     #[test]
     fn waiters_on_different_targets_each_return_at_their_own() {
-        let wm = Arc::new(Watermark::new(0));
-        let ws: Vec<_> = [3, 1, 2, 2].iter().map(|&t| (t, waiter(&wm, t))).collect();
-        within_10s("four waiters park", || registered(&wm, 4));
-        for v in 1..=3 {
+        let wm = Arc::new(Watermark::default());
+        let ws: Vec<_> = [3, 1, 2, 2, 5]
+            .iter()
+            .map(|&t| (t, waiter(&wm, t)))
+            .collect();
+        within_10s("five waiters park", || registered(&wm, 5, 1));
+        for v in [1, 2, 4, 6] {
             wm.advance(v);
             within_10s("the reached waiters return", || {
                 ws.iter().all(|(t, w)| *t > v || w.is_finished())
@@ -168,6 +176,10 @@ mod tests {
             for (t, w) in &ws {
                 assert_eq!(w.is_finished(), *t <= v, "target {t} at value {v}");
             }
+            // The lowest target left is what the next advance must reach.
+            let left: Vec<u64> = ws.iter().map(|w| w.0).filter(|&t| t > v).collect();
+            let lowest = left.iter().copied().min().unwrap_or(0);
+            assert!(registered(&wm, left.len(), lowest), "after {v}");
         }
         for (_, w) in ws {
             assert!(w.join().unwrap());
@@ -179,9 +191,10 @@ mod tests {
     /// return; the late one at once.
     #[test]
     fn waiters_before_and_after_an_advance_both_return() {
-        let wm = Arc::new(Watermark::new(4));
+        let wm = Arc::new(Watermark::default());
+        wm.advance(4);
         let early = waiter(&wm, 5);
-        within_10s("the early waiter parks", || registered(&wm, 1));
+        within_10s("the early waiter parks", || registered(&wm, 1, 5));
         assert_eq!(wm.advance(5), 4);
         let late = waiter(&wm, 5);
         assert!(!late.join().unwrap(), "the late waiter finds 5 reached");
