@@ -32,8 +32,9 @@
 //! watermark, redo-ring space freed when a record is staged instead of
 //! when it is reproduced (on Persist workers, and under `Sync`), a
 //! Reproduce run's heap stores issued after its checkpoint fence, a durable
-//! ID advanced before `publish` takes the Reproduce lock — and asserts the seed sweep *catches* it within the default budget. A fuzzer that passes those mutations but fails a
-//! real run is telling the truth.
+//! ID advanced before `publish` takes the Reproduce lock — and asserts the
+//! seed sweep *catches* it within the default budget. A fuzzer that passes
+//! those mutations but fails a real run is telling the truth.
 
 #![cfg(feature = "sim")]
 
