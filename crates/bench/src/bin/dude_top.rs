@@ -264,9 +264,8 @@ fn render(registry: &MetricsRegistry, elapsed: Duration, plain: bool, final_fram
         w.committed, w.durable, w.persist_lag, w.reproduced, w.reproduce_lag, w.ring_used_words,
     ));
     out.push_str(&format!(
-        "  frontier min={} skew={}   totals commits={} groups={} replayed={} ckpts={} flushed={}B\n",
-        w.frontier_min,
-        w.frontier_skew,
+        "  reproduce-lag={}   totals commits={} groups={} replayed={} ckpts={} flushed={}B\n",
+        w.reproduce_lag,
         c.commits,
         c.groups_persisted,
         c.txns_reproduced,

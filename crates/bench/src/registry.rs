@@ -138,13 +138,6 @@ pub static SPECS: &[Spec] = &[
         runner: run_ablation_checkpoint_cadence,
     },
     Spec {
-        name: "ablation_reproduce_shards",
-        title: "Ablation — reproduce shard workers (write-heavy drain, DudeTM-Inf)",
-        paper_ref: "extension (sharded Reproduce)",
-        tables: &[("main", "backlog drain rate vs shard workers")],
-        runner: run_ablation_reproduce_shards,
-    },
-    Spec {
         name: "ablation_flush_workers",
         title:
             "Ablation — persist flush workers (write-heavy drain, group=8, DudeTM-Inf, PCM latency)",
@@ -802,7 +795,7 @@ fn ablation_trace_cfg(ctx: &SpecCtx) -> TraceConfig {
 }
 
 /// Writes the last traced run's Prometheus exposition — every stall and
-/// every histogram, per shard and per worker — to `--trace-out`.
+/// every histogram, per worker too — to `--trace-out`.
 fn write_trace(ctx: &SpecCtx, last_exposition: Option<String>) {
     if let Some(path) = &ctx.trace_out {
         match last_exposition {
@@ -974,101 +967,6 @@ fn run_ablation_checkpoint_cadence(ctx: &SpecCtx) -> SpecOutput {
     out
 }
 
-fn run_ablation_reproduce_shards(ctx: &SpecCtx) -> SpecOutput {
-    use dude_txapi::{PAddr, TxnSystem, TxnThread};
-    let env = ctx.env();
-    let trace_cfg = ablation_trace_cfg(ctx);
-    let mut out = SpecOutput::default();
-    let mut headers = vec!["reproduce threads", "drain throughput", "speedup"];
-    headers.extend(LATENCY_HEADERS);
-    let mut table = Table::new(
-        "Ablation — reproduce shard workers (write-heavy drain, DudeTM-Inf)",
-        &headers,
-    );
-    let ops: u64 = ctx
-        .ops
-        .unwrap_or(if ctx.is_quick() { 1_500 } else { 6_000 });
-    let mut serial_rate = None;
-    let mut last_exposition = None;
-    for &rt in if ctx.is_quick() {
-        &[1usize, 4][..]
-    } else {
-        &[1usize, 2, 4, 8][..]
-    } {
-        // Write-heavy: replay bandwidth, not barrier latency, must gate the
-        // drain — model a quarter of the paper's bandwidth so the backlog
-        // builds even in quick mode.
-        let timing = dude_nvm::TimingConfig {
-            bandwidth_bytes_per_sec: 256 << 20,
-            ..dude_nvm::TimingConfig::paper_default()
-        };
-        let nvm = Arc::new(dude_nvm::Nvm::new(dude_nvm::NvmConfig::for_benchmark(
-            env.device_bytes(),
-            timing,
-        )));
-        let config = DudeTmConfig {
-            durability: DurabilityMode::AsyncUnbounded,
-            reproduce_threads: rt,
-            ..ablation_base_config(&env, trace_cfg)
-        };
-        let sys = dudetm::DudeTm::create_stm(nvm, checked(config));
-        let lines = env.heap_bytes / 64;
-        {
-            let mut t = sys.register_thread();
-            let mut x = env.seed | 1;
-            for _ in 0..ops {
-                t.run(&mut |tx| {
-                    // 32 scattered words, one per cache line.
-                    for _ in 0..32 {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let line = (x >> 17) % lines;
-                        tx.write_word(PAddr::from_word_index(line * 8), x)?;
-                    }
-                    Ok(())
-                });
-            }
-        }
-        let committed = sys.stats_snapshot().committed;
-        let backlog_from = sys.reproduced_id();
-        let start = std::time::Instant::now();
-        sys.quiesce();
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let drained = committed - backlog_from;
-        let rate = drained as f64 / secs;
-        let speedup = match serial_rate {
-            None => {
-                serial_rate = Some(rate);
-                "1.00x".to_string()
-            }
-            Some(base_rate) => format!("{:.2}x", rate / base_rate),
-        };
-        println!(
-            "  drain [{rt} reproduce threads]: backlog {drained} txns in {:.1} ms; {}",
-            secs * 1e3,
-            sys.stats_snapshot().summary()
-        );
-        out.walltime_metric(
-            format!("drain_tps/shards_{rt}"),
-            "tps",
-            Better::Higher,
-            rate,
-        );
-        let mut row = vec![
-            rt.to_string(),
-            ctx.walltime_cell(fmt_tps(rate)),
-            ctx.walltime_cell(speedup),
-        ];
-        row.extend(latency_cols(ctx, sys.trace()));
-        if trace_cfg.enabled {
-            last_exposition = Some(sys.metrics().render_prometheus());
-        }
-        table.push(row);
-    }
-    out.table("main", table);
-    write_trace(ctx, last_exposition);
-    out
-}
-
 fn run_ablation_flush_workers(ctx: &SpecCtx) -> SpecOutput {
     use dude_txapi::{PAddr, TxnSystem, TxnThread};
     let env = ctx.env();
@@ -1119,7 +1017,6 @@ fn run_ablation_flush_workers(ctx: &SpecCtx) -> SpecOutput {
                     persist_group: 8,
                     persist_flush_workers: fw,
                     compress_groups: compress,
-                    reproduce_threads: 4,
                     trace: section_trace,
                     ..ablation_base_config(&env, section_trace)
                 };
@@ -1287,7 +1184,7 @@ mod tests {
 
     #[test]
     fn registry_is_well_formed() {
-        assert_eq!(SPECS.len(), 14);
+        assert_eq!(SPECS.len(), 13);
         let mut seen = std::collections::HashSet::new();
         for spec in SPECS {
             assert!(seen.insert(spec.name), "duplicate spec {}", spec.name);

@@ -54,7 +54,7 @@ pub enum ConfigError {
     NoPersistGroup,
     /// `checkpoint_every` is zero.
     NoCheckpointCadence,
-    /// `reproduce_threads` is outside `1..=64`.
+    /// `reproduce_threads` is not 1.
     ReproduceThreads {
         /// The rejected value.
         reproduce_threads: usize,
@@ -99,7 +99,7 @@ impl core::fmt::Display for ConfigError {
             ConfigError::NoCheckpointCadence => f.write_str("checkpoint_every must be at least 1"),
             ConfigError::ReproduceThreads { reproduce_threads } => write!(
                 f,
-                "reproduce_threads must be in 1..=64, got {reproduce_threads}"
+                "reproduce_threads must be 1 (Reproduce is one step), got {reproduce_threads}"
             ),
             ConfigError::CompressionWithoutGrouping => f.write_str(
                 "compress_groups has no effect without log combination: \
@@ -163,12 +163,10 @@ pub struct DudeTmConfig {
     /// Reproduce checkpoints (and recycles log space) every this many
     /// replayed transactions.
     pub checkpoint_every: u64,
-    /// Number of Reproduce shard workers. `1` applies each run in place, in
-    /// the Reproduce step of whichever thread closes a TID gap (no thread of
-    /// its own); `N > 1` partitions the heap address space into `N`
-    /// cache-line-granular shards replayed concurrently, with the
-    /// reproduced watermark tracked as the minimum completed-TID frontier
-    /// across shards (see `frontier`).
+    /// Must be 1: each run is applied in place, in the Reproduce step of
+    /// whichever thread closes a TID gap (no thread of its own), as the
+    /// paper's one replayer (§3.4). Kept for the builder the benchmark
+    /// package calls.
     pub reproduce_threads: usize,
     /// Shadow-memory configuration.
     pub shadow: ShadowConfig,
@@ -218,7 +216,7 @@ impl DudeTmConfig {
         self
     }
 
-    /// Sets the number of Reproduce shard workers.
+    /// Sets `reproduce_threads`, which validation requires to be 1.
     #[must_use]
     pub fn with_reproduce_threads(mut self, threads: usize) -> Self {
         self.reproduce_threads = threads;
@@ -285,7 +283,7 @@ impl DudeTmConfig {
         if self.checkpoint_every == 0 {
             return Err(ConfigError::NoCheckpointCadence);
         }
-        if !(1..=64).contains(&self.reproduce_threads) {
+        if self.reproduce_threads != 1 {
             return Err(ConfigError::ReproduceThreads {
                 reproduce_threads: self.reproduce_threads,
             });
@@ -393,14 +391,14 @@ mod tests {
     #[test]
     fn reproduce_threads_builder_composes() {
         let c = DudeTmConfig::small(1 << 20)
-            .with_reproduce_threads(4)
+            .with_reproduce_threads(1)
             .with_durability(DurabilityMode::AsyncUnbounded);
-        assert_eq!(c.reproduce_threads, 4);
+        assert_eq!(c.reproduce_threads, 1);
         c.validate();
     }
 
     #[test]
-    #[should_panic(expected = "reproduce_threads must be in 1..=64")]
+    #[should_panic(expected = "reproduce_threads must be 1")]
     fn zero_reproduce_threads_rejected() {
         DudeTmConfig::small(1 << 20)
             .with_reproduce_threads(0)

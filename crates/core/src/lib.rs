@@ -25,9 +25,9 @@
 //! and no write needs its own fence.
 //!
 //! The repository's `DESIGN.md` documents the architecture in depth: the
-//! three-stage pipeline and its sharded Reproduce variant are covered in
-//! `DESIGN.md §Pipeline`, and the metrics catalog ([`stats`]) with its
-//! switches ([`trace`], [`metrics`]) in `DESIGN.md §Observability`.
+//! three-stage pipeline in `DESIGN.md §Pipeline`, and the metrics catalog
+//! ([`stats`]) with its switches ([`trace`], [`metrics`]) in
+//! `DESIGN.md §Observability`.
 //!
 //! # Example
 //!
@@ -58,7 +58,6 @@
 pub mod check;
 mod config;
 mod engine;
-pub mod frontier;
 pub mod log;
 pub mod metrics;
 mod pipeline;
@@ -77,7 +76,6 @@ mod watermark;
 pub use check::{check_prefix, CommitHistory, HistoryEntry, LinearizabilityError, PrefixReport};
 pub use config::{ConfigError, DudeTmConfig, DurabilityMode};
 pub use engine::{EngineThread, TmEngine};
-pub use frontier::{shard_of, split_writes, ReproduceFrontier, SHARD_GRAIN_BYTES};
 pub use log::{LogRecord, ParsedRecord};
 pub use metrics::{
     render_histogram, validate_exposition, MetricsConfig, MetricsFrame, MetricsRegistry,

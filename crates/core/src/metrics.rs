@@ -702,7 +702,7 @@ mod tests {
     /// The catalog, by frame key, in declaration order. The DESIGN.md §7
     /// table carries one row per name here; a cell added to the code
     /// without a row in both fails [`catalog_walk`].
-    const CATALOG: [&str; 39] = [
+    const CATALOG: [&str; 35] = [
         "commits",
         "abort_markers",
         "records_persisted",
@@ -720,18 +720,14 @@ mod tests {
         "persist_lag",
         "reproduce_lag",
         "ring_used_words",
-        "frontier_min",
-        "frontier_skew",
         "stall_perform_log_full",
         "stall_persist_ring_full",
         "stall_persist_seq_wait",
         "stall_reproduce_starved",
-        "stall_checkpoint_wait",
         "commit_latency_ns",
         "persist_barrier_ns",
         "group_flush_bytes",
         "replay_apply_ns{shard=\"0\"}",
-        "replay_apply_ns{shard=\"1\"}",
         "flush_worker_ns{worker=\"0\"}",
         "flush_worker_ns{worker=\"1\"}",
         "recovery_phase",
@@ -746,29 +742,29 @@ mod tests {
 
     /// The frame line `to_json_line` prints for the values [`catalog_walk`]
     /// sets: the pre-catalog line minus `entries_before_combine`, which
-    /// duplicated `entries_logged`. Recorded `--metrics-out` files must keep
-    /// parsing, so keys, order and number formatting are pinned to it.
+    /// duplicated `entries_logged`, and minus the Reproduce-shard cells
+    /// `frontier_min`, `frontier_skew` and `stall_checkpoint_wait`. Recorded
+    /// `--metrics-out` files must keep parsing (unknown keys are ignored),
+    /// so keys, order and number formatting are pinned to it.
     const GOLDEN_FRAME: &str = "{\"seq\":0,\"ts_ns\":2000000,\"dt_ns\":2000000,\
         \"commits\":101,\"abort_markers\":102,\"records_persisted\":103,\
         \"entries_logged\":104,\"groups_persisted\":105,\
         \"entries_after_combine\":106,\"group_bytes_raw\":107,\"group_bytes_stored\":108,\
         \"txns_reproduced\":109,\"checkpoints\":110,\"log_bytes_flushed\":111,\
         \"committed\":40,\"durable\":33,\"reproduced\":20,\"persist_lag\":7,\
-        \"reproduce_lag\":13,\"ring_used_words\":9,\"frontier_min\":21,\"frontier_skew\":8,\
+        \"reproduce_lag\":13,\"ring_used_words\":9,\
         \"stall_perform_log_full\":201,\"stall_persist_ring_full\":202,\
         \"stall_persist_seq_wait\":203,\"stall_reproduce_starved\":204,\
-        \"stall_checkpoint_wait\":205,\"commit_rate\":50500.000,\"persist_rate\":104000.000,\
+        \"commit_rate\":50500.000,\"persist_rate\":104000.000,\
         \"replay_rate\":54500.000,\"flush_bytes_rate\":55500.000}";
 
-    /// Every catalog entry — 2 shards + 2 Persist workers, each cell bumped
+    /// Every catalog entry — 2 Persist workers, each cell bumped
     /// to a distinct value — shows up with that value on every surface that
     /// carries its kind: `summary()`, a JSONL frame (byte-equal to the
     /// pre-catalog line, exact round trip) and the Prometheus text.
     #[test]
     fn catalog_walk() {
-        let config = DudeTmConfig::small(1 << 16)
-            .with_reproduce_threads(2)
-            .with_flush_workers(2);
+        let config = DudeTmConfig::small(1 << 16).with_flush_workers(2);
         let reg = registry(config);
         let shared = &reg.shared;
         let groups = [
@@ -782,12 +778,10 @@ mod tests {
             }
         }
         // The gauges' sources: committed 40, durable 33, reproduced 20,
-        // shard frontiers 21 and 29, 3 + 6 occupied ring words.
+        // 3 + 6 occupied ring words.
         shared.committed_tid.store(40, Ordering::Relaxed);
         shared.durable.advance(33);
-        shared.reproduced.advance(20);
-        shared.frontier.publish(0, 21);
-        shared.frontier.publish(1, 29);
+        shared.reproduced.store(20, Ordering::Relaxed);
         shared.rings[0].try_append_unflushed(&[1, 2, 3]).unwrap();
         shared.rings[1]
             .try_append_unflushed(&[1, 2, 3, 4, 5, 6])
@@ -838,8 +832,6 @@ mod tests {
             "(lag 7)",
             "(lag 13)",
             "ring-words=9",
-            "frontier-min=21",
-            "frontier-skew=8",
         ];
         let scalars = (snap.counters.cells())
             .chain(snap.stalls.cells())
@@ -884,7 +876,7 @@ mod tests {
             assert_eq!(prom.matches(&header).count(), 1, "{family}");
         }
         assert!(
-            prom.contains("dudetm_replay_apply_ns_bucket{shard=\"1\",le=\"+Inf\"} 5\n"),
+            prom.contains("dudetm_replay_apply_ns_bucket{shard=\"0\",le=\"+Inf\"} 4\n"),
             "{prom}"
         );
     }
@@ -926,7 +918,7 @@ mod tests {
         assert!(MetricsFrame::from_json_line("{\"seq\":1}").is_none());
         assert!(MetricsFrame::from_json_line("not json").is_none());
         // One missing integer key anywhere in the catalog rejects the line.
-        let cut = line.replace("\"stall_checkpoint_wait\":0,", "");
+        let cut = line.replace("\"stall_reproduce_starved\":0,", "");
         assert!(MetricsFrame::from_json_line(&cut).is_none());
         // A line recorded before `entries_before_combine` was dropped still
         // parses: unknown keys are ignored.

@@ -2,7 +2,7 @@
 //! degenerate settings are the simple case:
 //!
 //! ```text
-//! Perform → redo ring → [sequencer iff persist_group > 1] → worker × N → publish = Reproduce [→ shard × M]
+//! Perform → redo ring → [sequencer iff persist_group > 1] → worker × N → publish = Reproduce
 //! ```
 //!
 //! *Persist* drains the per-thread volatile redo logs ([`crate::redo_ring`])
@@ -28,27 +28,23 @@
 //! durable ID over it and reproduces it. Each ring's append order equals ID
 //! order, so spans are recycled FIFO.
 //!
-//! *Reproduce* is a step, not a thread ([`Replay`]): whoever closes a TID
-//! gap — a Persist worker after its sweep's fence, or the committer under
-//! `Sync` — adds the dense batches to the pending **run**, held in the
-//! volatile redo log (a record's ring slice, or a group's copy: without a
-//! crash nothing is read back from NVM). A run
-//! ends at the batch whose last TID reaches the next multiple of
-//! `checkpoint_every` — TIDs decide, never scheduling, so the bytes it
-//! stores are a count. Applying it stores each distinct word once and
-//! flushes each dirty line once (§3.3's combination on the heap side),
-//! advances the reproduced ID, frees the redo-ring records it passed,
-//! checkpoints and only then recycles log space. Only a thread that waits
-//! on the reproduced ID cuts a run short ([`wait_reproduced`]). With
-//! `reproduce_threads > 1` the step instead splits each run by heap shard
-//! ([`crate::frontier`]) for `M` shard workers, each of which applies,
-//! fences, publishes its completed TID and runs the same
-//! [`Replay::advance`]. The checkpoint keys off the minimum completed TID
-//! across shards; one shard is the degenerate case.
+//! *Reproduce* is a step, not a thread ([`Replay`]), as in the paper's one
+//! background replayer (§3.4): whoever closes a TID gap — a Persist worker
+//! after its sweep's fence, or the committer under `Sync` — adds the dense
+//! batches to the pending **run**, held in the volatile redo log (a
+//! record's ring slice, or a group's copy: without a crash nothing is read
+//! back from NVM). A run ends at the batch whose last TID reaches the next
+//! multiple of `checkpoint_every` — TIDs decide, never scheduling, so the
+//! bytes it stores are a count. Applying it, under `Shared::replay`, stores
+//! each distinct word once and flushes each dirty line once (§3.3's
+//! combination on the heap side), advances the reproduced ID, frees the
+//! redo-ring records it passed, checkpoints and only then recycles log
+//! space. Only a thread that waits on the reproduced ID cuts a run short
+//! ([`wait_reproduced`]), and it applies the run itself.
 //!
 //! Lock order: `Shared::order`, then `Shared::replay`. [`publish`] takes
-//! both; a shard worker, [`wait_reproduced`], [`checkpoint_behind`] and
-//! [`drain`] take only `replay`.
+//! both; [`wait_reproduced`], [`checkpoint_behind`] and [`drain`] take only
+//! `replay`.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -59,7 +55,6 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use dude_nvm::{Nvm, Region, CACHE_LINE};
 
-use crate::frontier::split_writes;
 use crate::log::{
     combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, SeenSet,
 };
@@ -515,26 +510,14 @@ pub(crate) fn persist_sequencer(shared: Arc<Shared>, worker_txs: Vec<Sender<Vec<
     }
 }
 
-/// One run's writes for one shard, newest first. Sent to every shard worker
-/// for every run — an empty write set still advances the shard's frontier,
-/// otherwise an untouched shard would pin the minimum forever.
-#[derive(Debug)]
-pub(crate) struct ShardWork {
-    pub last_tid: u64,
-    pub writes: Vec<(u64, u64)>,
-}
-
 /// The Reproduce step's state (§3.4), behind `Shared::replay`: the pending
 /// run, the one writer of the reproduced ID and of the checkpoint word, and
 /// the one place log space is recycled. A redo-ring record is freed once
 /// the reproduced ID passes it. A span is released only once the checkpoint
-/// covering its last TID — which by the frontier minimum is applied *and
-/// durable on every shard* — is durable.
+/// covering its last TID — whose fence also covers the heap flushes of
+/// every run applied before it — is durable.
 #[derive(Debug, Default)]
 pub(crate) struct Replay {
-    /// The shard workers' inputs when `reproduce_threads > 1`; empty when
-    /// the step applies in place. [`drain`] closes them.
-    pub(crate) shards: Vec<Sender<ShardWork>>,
     /// Dense units popped but not yet applied, oldest first.
     run: Vec<Sealed>,
     dirty: DirtyLines,
@@ -562,46 +545,32 @@ impl Replay {
 
     /// Applies the pending run straight from the volatile redo log, newest
     /// unit first, so each distinct word is stored once, with its last
-    /// value. One shard applies it in place and publishes frontier slot 0
-    /// without a fence of its own: the checkpoint that covers it fences
-    /// those flushes. Shard workers get its writes split by heap shard and
-    /// advance the reproduced ID themselves.
+    /// value, without a fence of its own: the checkpoint that covers the
+    /// run fences those flushes. Then advances the reproduced ID over it.
     fn apply(&mut self, shared: &Shared) {
         let Some(last_tid) = self.run.last().map(|u| u.last_tid) else {
             return;
         };
         let newest_first = self.run.iter().rev().flat_map(|u| u.writes.pairs());
-        if self.shards.is_empty() {
-            // Sim builds only: the injected bug of storing a run one run late.
-            #[cfg(feature = "sim")]
-            let newest_first = crate::sabotage::store_late(newest_first.collect());
-            apply_run(shared, 0, newest_first, &mut self.dirty);
-            shared.frontier.publish(0, last_tid);
-        } else {
-            let split = split_writes(newest_first, self.shards.len());
-            for (tx, writes) in self.shards.iter().zip(split) {
-                // A shard worker only exits once its channel is closed and
-                // drained, which [`drain`] does after the last publisher.
-                let _ = tx.send(ShardWork { last_tid, writes });
-            }
-        }
+        // Sim builds only: the injected bug of storing a run one run late.
+        #[cfg(feature = "sim")]
+        let newest_first = crate::sabotage::store_late(newest_first.collect());
+        apply_run(shared, newest_first, &mut self.dirty);
         for unit in self.run.drain(..) {
             self.unfreed.hold(unit.last_tid, unit.writes);
         }
-        if self.shards.is_empty() {
-            self.advance(shared, last_tid);
-        }
+        self.advance(shared, last_tid);
     }
 
-    /// Raises the reproduced ID to `f` — the frontier minimum, every TID
-    /// at or below it applied on every shard — counting the transactions
-    /// it passes, frees the redo-ring records it passed (on every path, so
-    /// Perform's backpressure is Reproduce's progress), and checkpoints on
-    /// passing a multiple of `checkpoint_every` — where runs end. The ID
-    /// gates paged-shadow swap-ins (§4.3); this is its only writer.
-    pub(crate) fn advance(&mut self, shared: &Shared, f: u64) {
+    /// Raises the reproduced ID to `f`, every TID at or below it applied,
+    /// counting the transactions it passes, frees the redo-ring records it
+    /// passed (so Perform's backpressure is Reproduce's progress), and
+    /// checkpoints on passing a multiple of `checkpoint_every` — where runs
+    /// end. The ID gates paged-shadow swap-ins (§4.3); this is its only
+    /// writer.
+    fn advance(&mut self, shared: &Shared, f: u64) {
         assert!(f <= shared.durable.get(), "reproduced {f} passes durable");
-        let was = shared.reproduced.advance(f);
+        let was = shared.reproduced.fetch_max(f, Ordering::SeqCst);
         let stats = &shared.stats;
         stats.txns_reproduced.fetch_add(f - was, Ordering::Relaxed);
         self.unfreed.free_through(&shared.redo, f);
@@ -614,11 +583,10 @@ impl Replay {
     /// Durably records `reproduced` in the metadata region, then recycles
     /// the log spans whose covering TID is at or below it.
     ///
-    /// Spans are released strictly after the fence, and `reproduced` is a
-    /// frontier minimum: the one-shard step's replay position, whose heap
-    /// flushes this fence covers, or a TID every shard worker fenced before
-    /// publishing. So the word and the heap data it claims are durable
-    /// before any span is reused (DESIGN.md, "Checkpoint ordering").
+    /// Spans are released strictly after the fence, and `reproduced` is
+    /// the step's replay position, whose heap flushes this fence covers.
+    /// So the word and the heap data it claims are durable before any span
+    /// is reused (DESIGN.md, "Checkpoint ordering").
     fn checkpoint(&mut self, shared: &Shared, reproduced: u64) {
         let off = shared.meta.start() + crate::runtime::META_REPRODUCED * 8;
         shared.nvm.write_word(off, reproduced);
@@ -636,20 +604,26 @@ impl Replay {
     }
 }
 
-/// Parks until `t` is durable, cuts the pending run short if it holds `t`
-/// (by then it does unless `t` is applied: [`publish`]), and parks until
-/// `t` is reproduced; whether it waited. The one way a waiter cuts a run,
-/// never a timer or an idle poll; the next run still ends on the next
-/// multiple of `checkpoint_every`.
+/// Parks until `t` is durable, then applies the pending run if it holds
+/// `t` — by then it does unless `t` is applied, because [`publish`] advances
+/// the durable ID holding `replay` — so `t` is reproduced on return;
+/// whether it parked. The one way a waiter cuts a run, never a timer or an
+/// idle poll; the next run still ends on the next multiple of
+/// `checkpoint_every`.
 pub(crate) fn wait_reproduced(shared: &Shared, t: u64) -> bool {
     let waited = shared.durable.wait(t);
-    if shared.reproduced.get() < t {
+    if shared.reproduced.load(Ordering::SeqCst) < t {
         let mut replay = shared.replay.lock();
         if replay.run.last().is_some_and(|u| u.last_tid >= t) {
             replay.apply(shared);
         }
     }
-    shared.reproduced.wait(t) | waited
+    let reproduced = shared.reproduced.load(Ordering::SeqCst);
+    assert!(
+        reproduced >= t,
+        "durable passed {t}, reproduced {reproduced}"
+    );
+    waited
 }
 
 /// Applies the pending run, whose spans come back no other way, and
@@ -667,30 +641,23 @@ pub(crate) fn checkpoint_behind(shared: &Shared) {
     }
     let mut replay = shared.replay.lock();
     replay.apply(shared);
-    let f = shared.reproduced.get();
+    let f = shared.reproduced.load(Ordering::SeqCst);
     if f > replay.last_checkpoint {
         replay.checkpoint(shared, f);
     }
 }
 
 /// Drains the Reproduce step once every publisher is gone: applies the
-/// pending run and waits for every shard to finish all dispatched work
-/// ([`wait_reproduced`]), closes the shard channels, and takes the final
-/// checkpoint — of the reproduced ID, a frontier minimum like every other.
+/// pending run and takes the final checkpoint.
 pub(crate) fn drain(shared: &Shared) {
-    // A wait is the final checkpoint waiting on the slowest shard — the
-    // drain-time cost of frontier skew.
-    if wait_reproduced(shared, shared.durable.get()) {
-        shared.trace.stall(|s| &s.checkpoint_wait);
-    }
     {
         let mut replay = shared.replay.lock();
-        replay.shards.clear();
+        replay.apply(shared);
         #[cfg(feature = "sim")] // the run held back by sim sabotage
         let late = crate::sabotage::store_late(Vec::new());
         #[cfg(feature = "sim")]
-        apply_run(shared, 0, late, &mut replay.dirty);
-        replay.checkpoint(shared, shared.reproduced.get());
+        apply_run(shared, late, &mut replay.dirty);
+        replay.checkpoint(shared, shared.reproduced.load(Ordering::SeqCst));
         let held = !replay.release.is_empty() || !replay.unfreed.is_empty();
         debug_assert!(!held, "log space held beyond the last batch");
     }
@@ -718,8 +685,8 @@ pub(crate) struct DirtyLines {
 /// Stores `newest_first` into the heap — each address once, with the first
 /// value given for it — then flushes each cache line that dirtied **once**
 /// — no fence. The only place heap words are stored and flushed: the
-/// one-shard Reproduce step calls it per run, a shard worker per run's
-/// shard, recovery per record. Returns the words stored.
+/// Reproduce step calls it per run, recovery per record. Returns the words
+/// stored.
 pub(crate) fn apply_writes(
     nvm: &Nvm,
     heap: Region,
@@ -751,63 +718,21 @@ pub(crate) fn apply_writes(
     words
 }
 
-/// Applies one run of dense batches to `shard`'s slice of the heap; the
-/// caller then publishes the shard's frontier slot. A shard worker's run is
-/// fenced here, before that publish; the one-shard step leaves its fence to
-/// the covering checkpoint. Nothing flushed ⇒ no fence:
-/// an all-empty run (aborts, or no writes routed here) must not pay the
-/// barrier latency, nor drown the apply histogram in zeros.
+/// Applies one run of dense batches to the heap, timing it when tracing.
+/// The covering checkpoint fences it. An all-empty run (aborts only) stores
+/// nothing and records no sample, so as not to drown the apply histogram in
+/// zeros.
 fn apply_run(
     shared: &Shared,
-    shard: usize,
     newest_first: impl IntoIterator<Item: Borrow<(u64, u64)>>,
     dirty: &mut DirtyLines,
 ) {
     let tracing = shared.trace.enabled();
     let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
     let words = apply_writes(&shared.nvm, shared.heap, newest_first, dirty);
-    if words == 0 {
-        return;
-    }
-    if shared.config.reproduce_threads > 1 {
-        shared.nvm.fence();
-    }
-    shared.frontier.note_applied(shard, words);
-    if tracing {
+    if tracing && words > 0 {
         let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
-        shared.trace.replay_apply_ns[shard].record(dur);
-    }
-}
-
-/// A Reproduce shard worker: applies its shard's slice of each run to the
-/// persistent heap, fences its own flushes, and only then publishes its
-/// completed TID to the frontier and runs [`Replay::advance`].
-///
-/// The fence-before-publish order is load-bearing: the checkpoint trusts
-/// the frontier minimum without issuing flushes of its own for heap data,
-/// so a TID a shard publishes must already be durable *on that shard*. A
-/// run is one unit at every shard count: one fence here per run, as one
-/// checkpoint fence covers it at one shard.
-pub(crate) fn reproduce_shard_worker(shared: Arc<Shared>, shard: usize, rx: Receiver<ShardWork>) {
-    let _bg = dude_nvm::background_stage_scope();
-    let mut dirty = DirtyLines::default();
-    while let Ok(work) = rx.recv() {
-        apply_run(&shared, shard, &work.writes, &mut dirty);
-        // The sabotage offset exists only in sim builds: publishing
-        // `last + 1` is the injected off-by-one frontier bug — the min
-        // frontier (and therefore the checkpoint) can then cover a TID
-        // this shard never applied, which a planned crash exposes.
-        #[cfg(feature = "sim")]
-        let publish_tid = work.last_tid + crate::sabotage::frontier_publish_offset();
-        #[cfg(not(feature = "sim"))]
-        let publish_tid = work.last_tid;
-        shared.frontier.publish(shard, publish_tid);
-        // Whichever worker raises the minimum advances the reproduced ID
-        // and takes the cadence checkpoint.
-        shared
-            .replay
-            .lock()
-            .advance(&shared, shared.frontier.min_completed());
+        shared.trace.replay_apply_ns.record(dur);
     }
 }
 
@@ -986,7 +911,7 @@ mod tests {
         // Durable, and pending in the run: the cadence is far off.
         let heap = layout.heap.start();
         assert_eq!(shared.durable.get(), 1);
-        assert_eq!(shared.reproduced.get(), 0);
+        assert_eq!(shared.reproduced.load(Ordering::SeqCst), 0);
         assert_eq!(shared.nvm.read_word(heap + 8 * 99), 0, "not applied yet");
         let before = shared.stats.snapshot();
         let back = try_stage(&shared, 0, t.push(commit(3, &writes))).unwrap_err();
@@ -997,7 +922,7 @@ mod tests {
         assert_eq!(after.checkpoints, 0, "cadence not reached");
 
         checkpoint_behind(&shared);
-        assert_eq!(shared.reproduced.get(), 1);
+        assert_eq!(shared.reproduced.load(Ordering::SeqCst), 1);
         assert_eq!(
             shared.nvm.read_word(heap + 8 * 99),
             99,
@@ -1023,27 +948,16 @@ mod tests {
     /// 4 threads publish a seed-shuffled set of staged batches — single
     /// commits and groups of three, each TID writing heap word `TID` with
     /// value `TID` — while a reader samples the watermarks and the heap.
-    /// With `shards > 1` the step dispatches to channels the test drains
-    /// instead of applying.
-    fn publish_order_body(seed: u64, shards: usize) {
+    fn publish_order_body(seed: u64) {
         use std::sync::atomic::AtomicBool;
         // 160 TIDs: runs end at the batches reaching 48, 96 and 144.
         let config = DudeTmConfig {
             checkpoint_every: 48,
             ..DudeTmConfig::small(1 << 16)
         }
-        .with_grouping(4, false)
-        .with_reproduce_threads(shards);
+        .with_grouping(4, false);
         let (shared, layout) = shared(config);
         let mut t = Perform::new(&shared);
-        let shard_rxs: Vec<_> = (0..shards)
-            .filter(|_| shards > 1)
-            .map(|_| {
-                let (tx, rx) = unbounded();
-                shared.replay.lock().shards.push(tx);
-                rx
-            })
-            .collect();
         let mut batches = Vec::new();
         let mut tid = 0;
         for k in 0..96 {
@@ -1110,7 +1024,7 @@ mod tests {
             dude_nvm::thread::spawn_named("watermark-reader", move || loop {
                 // Read against the step's write order (durable, heap,
                 // reproduced), so each bound covers what was read before.
-                let reproduced = shared.reproduced.get();
+                let reproduced = shared.reproduced.load(Ordering::SeqCst);
                 assert!((1..=reproduced).all(|t| applied(&shared, t)));
                 // The highest applied TID, then every run ending below it: a
                 // run is stored newest first, so dense order holds per run,
@@ -1142,27 +1056,14 @@ mod tests {
         assert_eq!(shared.order.lock().pending_len(), 0);
         // The tail is applied on demand.
         shared.replay.lock().apply(&shared);
-        if shard_rxs.is_empty() {
-            assert_eq!(shared.reproduced.get(), last);
-            assert!((1..=last).all(|t| applied(&shared, t)));
-        } else {
-            // Every shard saw every run, in dense order.
-            shared.replay.lock().shards.clear();
-            for rx in shard_rxs {
-                let got: Vec<u64> = std::iter::from_fn(|| rx.try_recv().ok())
-                    .map(|work| work.last_tid)
-                    .collect();
-                assert_eq!(got, runs, "dispatched out of dense order");
-            }
-        }
+        assert_eq!(shared.reproduced.load(Ordering::SeqCst), last);
+        assert!((1..=last).all(|t| applied(&shared, t)));
     }
 
     #[test]
     fn publish_reproduces_in_dense_order_and_never_announces_past_a_gap() {
         for seed in [7, 1337, 424242] {
-            for shards in [1, 2] {
-                publish_order_body(seed, shards);
-            }
+            publish_order_body(seed);
         }
     }
 
@@ -1175,25 +1076,23 @@ mod tests {
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(7);
-        for shards in [1, 2] {
-            let report = dude_sim::run(dude_sim::SimConfig::from_seed(seed), move || {
-                publish_order_body(seed, shards)
-            });
-            if let Some(p) = report.panic {
-                eprintln!("DUDE_SIM_SEED={seed}");
-                panic!("sim run failed under seed {seed}, {shards} shards: {p}");
-            }
+        let report = dude_sim::run(dude_sim::SimConfig::from_seed(seed), move || {
+            publish_order_body(seed)
+        });
+        if let Some(p) = report.panic {
+            eprintln!("DUDE_SIM_SEED={seed}");
+            panic!("sim run failed under seed {seed}: {p}");
         }
     }
 
-    /// The one-shard degenerate case: `publish` holds dense batches in the
-    /// pending run and applies it in place — each word once, publishing
-    /// frontier slot 0 and checkpointing — exactly when a batch reaches a
-    /// multiple of the cadence, and the drain applies the tail — at the
-    /// same TIDs whether batches are published in order or a late head
-    /// releases every run at once (N Persist workers publish out of order).
+    /// `publish` holds dense batches in the pending run and applies it in
+    /// place — each word once, then checkpointing — exactly when a batch
+    /// reaches a multiple of the cadence, and the drain applies the tail —
+    /// at the same TIDs whether batches are published in order or a late
+    /// head releases every run at once (N Persist workers publish out of
+    /// order).
     #[test]
-    fn one_shard_step_applies_in_place_and_checkpoints_on_cadence() {
+    fn the_step_applies_in_place_and_checkpoints_on_cadence() {
         for head_last in [false, true] {
             let config = DudeTmConfig {
                 checkpoint_every: 8,
@@ -1228,19 +1127,18 @@ mod tests {
                 // the head is missing: 8 own words, the hot word once and
                 // the checkpoint word per run, and nothing of the tail.
                 let durable = shared.durable.get();
-                let f = shared.reproduced.get();
+                let f = shared.reproduced.load(Ordering::SeqCst);
                 assert_eq!(f, durable / 8 * 8, "after publishing {tid}");
                 assert_eq!(checkpointed(), (f, f / 8), "after publishing {tid}");
                 assert_eq!(words(), f / 8 * (8 + 1 + 1), "after publishing {tid}");
                 assert_eq!(heap(0), f, "the hot word holds its run's last value");
                 assert!((f + 1..=20).all(|tid| heap(tid * 8) == 0), "tail held");
             }
-            assert_eq!(shared.reproduced.get(), 16);
+            assert_eq!(shared.reproduced.load(Ordering::SeqCst), 16);
             assert_eq!(checkpointed(), (16, 2), "head_last={head_last}");
             drain(&shared);
 
-            assert_eq!(shared.frontier.completed(0), 20);
-            assert_eq!(shared.reproduced.get(), 20);
+            assert_eq!(shared.reproduced.load(Ordering::SeqCst), 20);
             assert_eq!(shared.stats.snapshot().txns_reproduced, 20);
             assert_eq!(checkpointed(), (20, 3), "head_last={head_last}");
             assert_eq!(

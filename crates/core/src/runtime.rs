@@ -14,11 +14,9 @@ use parking_lot::Mutex;
 use crate::check::CommitHistory;
 use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
-use crate::frontier::ReproduceFrontier;
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    drain, persist_sequencer, persist_worker, reproduce_shard_worker, wait_reproduced, Batch,
-    Persist, Replay, ShardWork, Source,
+    drain, persist_sequencer, persist_worker, wait_reproduced, Batch, Persist, Replay, Source,
 };
 use crate::plog::PlogRing;
 use crate::recovery::{wipe_logs, RecoverError};
@@ -100,8 +98,11 @@ pub struct Shared {
     /// The durable ID (§3.3): every transaction at or below it is fenced in
     /// the log. Advanced by `publish` only, holding `order` and `replay`.
     pub(crate) durable: Watermark,
-    pub(crate) reproduced: Watermark,
-    pub(crate) frontier: Arc<ReproduceFrontier>,
+    /// The reproduced ID: every transaction at or below it is applied to
+    /// the heap. Raised by the Reproduce step only, holding `replay`;
+    /// nothing parks on it ([`crate::pipeline::wait_reproduced`] applies
+    /// the run instead).
+    pub(crate) reproduced: AtomicU64,
     pub(crate) stats: PipelineStats,
     pub(crate) trace: Trace,
     pub(crate) recovery: RecoveryTelemetry,
@@ -140,19 +141,13 @@ impl Shared {
             order: Mutex::new(DenseReorder::starting_at(start_tid)),
             replay: Mutex::new(replay),
             durable: Watermark::default(),
-            reproduced: Watermark::default(),
-            frontier: Arc::new(ReproduceFrontier::new(config.reproduce_threads, start_tid)),
+            reproduced: AtomicU64::new(start_tid),
             stats: PipelineStats::default(),
-            trace: Trace::new(
-                config.trace,
-                config.reproduce_threads,
-                config.persist_flush_workers,
-            ),
+            trace: Trace::new(config.trace, config.persist_flush_workers),
             recovery,
             committed_tid: AtomicU64::new(start_tid),
         };
         shared.durable.advance(start_tid);
-        shared.reproduced.advance(start_tid);
         shared
     }
 }
@@ -255,8 +250,9 @@ pub struct DudeTm<E: TmEngine> {
     /// (see [`DudeTm::attach_history`]).
     history: Mutex<Option<Arc<CommitHistory>>>,
     next_slot: AtomicUsize,
-    /// The background threads, until [`DudeTm::halt`] drains them.
-    workers: Option<Workers>,
+    /// The Persist workers (and the sequencer), until [`DudeTm::halt`]
+    /// drains them.
+    persist: Option<Vec<dude_nvm::thread::JoinHandle<()>>>,
     /// Stop signal + handle for the metrics sampler (`None` when metrics
     /// are disabled, or after shutdown).
     sampler: Option<(Sender<()>, dude_nvm::thread::JoinHandle<()>)>,
@@ -351,21 +347,6 @@ impl<E: TmEngine> DudeTm<E> {
                 }
             }
         }
-        // One shard is applied by the Reproduce step itself: no workers.
-        let mut shards = Vec::new();
-        if config.reproduce_threads > 1 {
-            let mut replay = shared.replay.lock();
-            for s in 0..config.reproduce_threads {
-                let (tx, rx) = unbounded::<ShardWork>();
-                replay.shards.push(tx);
-                let shared2 = Arc::clone(&shared);
-                shards.push(dude_nvm::thread::spawn_named(
-                    &format!("dude-reproduce-shard-{s}"),
-                    move || reproduce_shard_worker(shared2, s, rx),
-                ));
-            }
-        }
-
         // Continuous sampler: one frame per interval into the registry's
         // bounded ring. Runs through the `dude_nvm::thread` facade so it is
         // a deterministic task (with a virtual clock) under `--features
@@ -398,7 +379,7 @@ impl<E: TmEngine> DudeTm<E> {
             metrics,
             history: Mutex::new(None),
             next_slot: AtomicUsize::new(0),
-            workers: Some(Workers { persist, shards }),
+            persist: Some(persist),
             sampler,
             name: match config.durability {
                 DurabilityMode::Async { .. } => "DudeTM",
@@ -432,7 +413,7 @@ impl<E: TmEngine> DudeTm<E> {
     /// The reproduced ID: every transaction at or below this has been
     /// applied to the persistent heap image.
     pub fn reproduced_id(&self) -> u64 {
-        self.shared.reproduced.get()
+        self.shared.reproduced.load(Ordering::SeqCst)
     }
 
     /// Pipeline statistics.
@@ -511,16 +492,13 @@ impl<E: TmEngine> DudeTm<E> {
         for ring in &self.shared.redo {
             ring.close();
         }
-        if let Some(Workers { persist, shards }) = self.workers.take() {
+        if let Some(persist) = self.persist.take() {
             // The Persist workers drain their inputs and publish the rest;
             // then nothing publishes, and the Reproduce step can drain.
             for handle in persist {
                 let _ = handle.join();
             }
             drain(&self.shared);
-            for handle in shards {
-                let _ = handle.join();
-            }
         }
         // Stop the sampler only after the pipeline workers have drained:
         // its shutdown frame then reconciles exactly with the final
@@ -536,14 +514,6 @@ impl<E: TmEngine> Drop for DudeTm<E> {
     fn drop(&mut self) {
         self.halt();
     }
-}
-
-/// The runtime's background threads: the Persist workers (and the
-/// sequencer), then the Reproduce shard workers, joined in that order.
-#[derive(Debug)]
-struct Workers {
-    persist: Vec<dude_nvm::thread::JoinHandle<()>>,
-    shards: Vec<dude_nvm::thread::JoinHandle<()>>,
 }
 
 /// Spawns Persist worker `w` over `inputs`: (log ring index, source).

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 static SKIP_GROUP_FENCE: AtomicBool = AtomicBool::new(false);
-static FRONTIER_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
 static SKIP_FORCED_CHECKPOINT: AtomicBool = AtomicBool::new(false);
 static IGNORE_TOUCH_WATERMARK: AtomicBool = AtomicBool::new(false);
 static FREE_RING_WHEN_STAGED: AtomicBool = AtomicBool::new(false);
@@ -30,15 +29,6 @@ static HELD_RUN: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
 /// covered.
 pub fn skip_group_fence() -> bool {
     SKIP_GROUP_FENCE.load(Ordering::Relaxed)
-}
-
-/// Mutation B — off-by-one frontier publish in sharded Reproduce: when
-/// armed, shard workers publish `last + 1` instead of `last`, so the
-/// min-completed frontier (and the checkpoint keyed off it) can cover a
-/// TID whose writes were never applied or fenced. Returns the offset to
-/// add to the published TID.
-pub fn frontier_publish_offset() -> u64 {
-    u64::from(FRONTIER_OFF_BY_ONE.load(Ordering::Relaxed))
 }
 
 /// Mutation C — no forced checkpoint: when armed,
@@ -69,7 +59,7 @@ pub fn free_ring_when_staged() -> bool {
 }
 
 /// Mutation F — a run's heap stores after its checkpoint: when armed, the
-/// one-shard Reproduce step stores and flushes each run's heap words one
+/// Reproduce step stores and flushes each run's heap words one
 /// run late — after the run's checkpoint fence has released its log spans.
 /// Takes this run's newest-first writes and returns the run to store now:
 /// the one held back last time (the drain passes an empty run to store the
@@ -86,9 +76,8 @@ pub fn store_late(run: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 /// Mutation G — `publish` advances the durable ID before it takes
 /// `replay`: when armed, a waiter on the reproduced ID that sees the new
 /// durable ID and takes `replay` first finds its TID neither in the pending
-/// run nor applied, so it cuts nothing and parks on the reproduced ID for a
-/// run boundary that may never come. With the cadence out of reach, a
-/// `quiesce` after the last commit stalls.
+/// run nor applied, so it cuts nothing and `wait_reproduced`'s assert that
+/// the TID is reproduced fails.
 pub fn durable_before_replay() -> bool {
     DURABLE_BEFORE_REPLAY.load(Ordering::Relaxed)
 }
@@ -105,8 +94,6 @@ pub struct MutationGuard {
 pub enum Mutation {
     /// Mutation A: Persist sweeps skip the pre-publication fence.
     SkipGroupFence,
-    /// Mutation B: shard workers publish an off-by-one frontier.
-    FrontierOffByOne,
     /// Mutation C: a parked unit never forces a checkpoint.
     SkipForcedCheckpoint,
     /// Mutation D: paged-shadow swap-ins skip the touching-ID wait.
@@ -123,7 +110,6 @@ impl Mutation {
     fn knob(self) -> &'static AtomicBool {
         match self {
             Mutation::SkipGroupFence => &SKIP_GROUP_FENCE,
-            Mutation::FrontierOffByOne => &FRONTIER_OFF_BY_ONE,
             Mutation::SkipForcedCheckpoint => &SKIP_FORCED_CHECKPOINT,
             Mutation::IgnoreTouchWatermark => &IGNORE_TOUCH_WATERMARK,
             Mutation::FreeRingWhenStaged => &FREE_RING_WHEN_STAGED,

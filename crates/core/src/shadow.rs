@@ -459,18 +459,19 @@ mod tests {
     fn paged(frames: usize, pages: u64, mode: PagingMode) -> (Arc<Nvm>, Arc<Watermark>, ShadowMem) {
         let heap_bytes = pages * PAGE_BYTES;
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(heap_bytes)));
-        let reproduced = Arc::new(Watermark::default());
+        // A stand-in for the runtime's Reproduce progress.
+        let progress = Arc::new(Watermark::default());
         let shadow = ShadowMem::new(
             ShadowConfig::Paged { frames, mode },
             heap_bytes,
             Arc::clone(&nvm),
             Region::new(0, heap_bytes),
             {
-                let reproduced = Arc::clone(&reproduced);
-                move |t| reproduced.wait(t)
+                let progress = Arc::clone(&progress);
+                move |t| progress.wait(t)
             },
         );
-        (nvm, reproduced, shadow)
+        (nvm, progress, shadow)
     }
 
     #[test]

@@ -157,7 +157,7 @@ cells! {
 }
 
 cells! {
-    /// The five ways a pipeline stage blocks, counted only when tracing is
+    /// The ways a pipeline stage blocks, counted only when tracing is
     /// enabled (one branch otherwise).
     live StallCounters;
     /// Point-in-time copy of [`StallCounters`] (all zero when tracing is
@@ -167,7 +167,6 @@ cells! {
         Counter persist_ring_full: "Units parked because a persistent log ring had no space Reproduce had recycled.",
         Counter persist_seq_wait: "Sequencer idle ticks with records stashed behind a transaction-ID gap (grouped mode).",
         Counter reproduce_starved: "Always 0: Reproduce is a step with no idle loop to starve (kept for the benchmark package).",
-        Counter checkpoint_wait: "Drains whose final checkpoint parked on the slowest Reproduce shard.",
     }
 }
 
@@ -201,8 +200,6 @@ cells! {
         Gauge persist_lag: "Committed minus durable transaction IDs.",
         Gauge reproduce_lag: "Durable minus reproduced transaction IDs.",
         Gauge ring_used_words: "Occupied words across all persistent log rings.",
-        Gauge frontier_min: "Lowest per-shard completed transaction ID.",
-        Gauge frontier_skew: "Spread between the fastest and slowest Reproduce shard.",
     }
 }
 
@@ -228,7 +225,7 @@ impl PipelineStatsSnapshot {
 }
 
 /// Point-in-time view of the whole decoupled pipeline: every catalog cell
-/// plus the per-ring and per-shard detail the gauges are computed from.
+/// plus the per-ring detail the gauges are computed from.
 ///
 /// The watermarks order as `reproduced <= durable <= committed`; the gaps
 /// between them are how far Persist and Reproduce trail Perform (§3.2's
@@ -249,20 +246,13 @@ pub struct PipelineSnapshot {
     /// Occupied words in each per-thread persistent log ring — the log
     /// space Reproduce has not yet recycled.
     pub ring_used_words: Vec<u64>,
-    /// Per-shard completed-TID frontier of the Reproduce stage (one entry
-    /// with `reproduce_threads = 1`; the serial worker mirrors its progress
-    /// into slot 0). `reproduced` equals the minimum of these.
-    pub shard_completed: Vec<u64>,
-    /// Heap words applied by each Reproduce shard — how evenly the shard
-    /// router spread the replay work.
-    pub shard_words_applied: Vec<u64>,
     /// Stall counters (all zero when tracing is disabled — stall accounting
     /// is gated with the rest of the trace layer so the disabled pipeline
     /// takes no extra atomics).
     pub stalls: StallSnapshot,
     /// Every stage histogram, as `(name, snapshot)` in catalog order — the
-    /// three fixed histograms, then `replay_apply_ns{shard="s"}` per
-    /// Reproduce shard, then `flush_worker_ns{worker="w"}` per Persist
+    /// three fixed histograms, then `replay_apply_ns{shard="0"}`, then
+    /// `flush_worker_ns{worker="w"}` per Persist
     /// worker. Present (with zero counts) even when tracing is disabled, so
     /// [`PipelineSnapshot::summary`] always names the full catalog.
     pub histograms: Vec<(String, HistogramSnapshot)>,
@@ -281,10 +271,8 @@ pub(crate) fn snapshot(shared: &Shared, committed: u64) -> PipelineSnapshot {
         counters: shared.stats.snapshot(),
         committed,
         durable: shared.durable.get(),
-        reproduced: shared.reproduced.get(),
+        reproduced: shared.reproduced.load(Ordering::SeqCst),
         ring_used_words: shared.rings.iter().map(|r| r.used_words()).collect(),
-        shard_completed: shared.frontier.snapshot_completed(),
-        shard_words_applied: shared.frontier.snapshot_words_applied(),
         stalls: shared.trace.stalls.snapshot(),
         histograms: shared
             .trace
@@ -312,20 +300,6 @@ impl PipelineSnapshot {
         self.ring_used_words.iter().sum()
     }
 
-    /// The minimum per-shard completed TID — the Reproduce frontier the
-    /// checkpoint keys off. 0 if no shard data was sampled.
-    pub fn frontier_min(&self) -> u64 {
-        self.shard_completed.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Spread between the fastest and slowest Reproduce shard (0 when
-    /// serial or perfectly balanced): large skew means one shard gates the
-    /// watermark and log recycling.
-    pub fn frontier_skew(&self) -> u64 {
-        let max = self.shard_completed.iter().copied().max().unwrap_or(0);
-        max - self.frontier_min()
-    }
-
     /// The gauges, computed now from the fields above.
     pub fn watermarks(&self) -> Watermarks {
         Watermarks {
@@ -335,14 +309,11 @@ impl PipelineSnapshot {
             persist_lag: self.persist_lag(),
             reproduce_lag: self.reproduce_lag(),
             ring_used_words: self.ring_words_total(),
-            frontier_min: self.frontier_min(),
-            frontier_skew: self.frontier_skew(),
         }
     }
 
     /// Human-readable summary (bench-report friendly). Multi-line: the
-    /// watermark/lag line, every stage counter, the shard frontier when
-    /// sharded, every stall counter (zeros included, so readers can see
+    /// watermark/lag line, every stage counter, every stall counter (zeros included, so readers can see
     /// nothing stalled), and one line per stage histogram. The counter and
     /// stall blocks print the catalog's field names.
     pub fn summary(&self) -> String {
@@ -356,14 +327,6 @@ impl PipelineSnapshot {
             self.ring_words_total(),
         );
         line.push_str(&format!("\ncounters[{}]", self.counters));
-        if self.shard_completed.len() > 1 {
-            line.push_str(&format!(
-                " shards={} frontier-min={} frontier-skew={}",
-                self.shard_completed.len(),
-                self.frontier_min(),
-                self.frontier_skew()
-            ));
-        }
         line.push_str(&format!(" stalls[{}]", self.stalls));
         for (name, h) in &self.histograms {
             line.push_str(&format!(
@@ -459,37 +422,13 @@ mod tests {
     }
 
     #[test]
-    fn frontier_math_and_shard_summary() {
-        let snap = PipelineSnapshot {
-            reproduced: 70,
-            shard_completed: vec![75, 70, 82, 71],
-            shard_words_applied: vec![100, 90, 120, 95],
-            ..Default::default()
-        };
-        assert_eq!(snap.frontier_min(), 70);
-        assert_eq!(snap.frontier_skew(), 12);
-        let line = snap.summary();
-        assert!(line.contains("shards=4"), "{line}");
-        assert!(line.contains("frontier-min=70"), "{line}");
-        assert!(line.contains("frontier-skew=12"), "{line}");
-        // Serial snapshots stay terse.
-        let serial = PipelineSnapshot {
-            shard_completed: vec![70],
-            ..Default::default()
-        };
-        assert!(!serial.summary().contains("shards="));
-        assert_eq!(serial.frontier_skew(), 0);
-    }
-
-    #[test]
-    fn summary_always_prints_all_five_stall_counters() {
+    fn summary_always_prints_all_four_stall_counters() {
         let snap = PipelineSnapshot {
             stalls: StallSnapshot {
                 perform_log_full: 3,
                 persist_ring_full: 1,
                 persist_seq_wait: 4,
                 reproduce_starved: 7,
-                checkpoint_wait: 2,
             },
             ..Default::default()
         };
@@ -498,7 +437,6 @@ mod tests {
         assert!(line.contains("persist_ring_full=1"), "{line}");
         assert!(line.contains("persist_seq_wait=4"), "{line}");
         assert!(line.contains("reproduce_starved=7"), "{line}");
-        assert!(line.contains("checkpoint_wait=2"), "{line}");
         // Zero stalls still print (so readers can see nothing stalled).
         let quiet = PipelineSnapshot::default().summary();
         assert!(quiet.contains("perform_log_full=0"), "{quiet}");

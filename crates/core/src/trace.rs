@@ -9,12 +9,12 @@
 //!
 //! * [`LatencyHistogram`] — log-scale (HDR-style power-of-two bucket)
 //!   histograms for commit latency, persist-barrier duration, group-flush
-//!   size, and per-shard replay-apply time. Fixed 64-bucket layout, no
+//!   size, Reproduce's per-run apply time and each Persist worker's fences. Fixed 64-bucket layout, no
 //!   allocation on the record path, percentiles without storing samples.
-//! * [`StallCounters`] — named counters for the five ways a stage can
-//!   block: Perform on a full volatile log, Persist on a full persistent
-//!   ring, the grouped-Persist sequencer on a TID gap, Reproduce starved
-//!   of input, and the shutdown checkpoint waiting on the slowest shard.
+//! * [`StallCounters`] — named counters for the ways a stage can block:
+//!   Perform on a full volatile log, Persist on a full persistent ring,
+//!   the grouped-Persist sequencer on a TID gap, and Reproduce starved of
+//!   input (always 0: Reproduce is a step).
 //!   Declared in the metrics catalog ([`crate::stats`]) like every other
 //!   scalar cell; [`Trace::histograms`] is the catalog's histogram half.
 //!
@@ -211,7 +211,7 @@ pub struct HistogramEntry<'a> {
     pub family: &'static str,
     /// One-line meaning (the `# HELP` text).
     pub help: &'static str,
-    /// `(label, index)` of a per-shard / per-worker member; `None` for a
+    /// `(label, index)` of a labelled member; `None` for an unlabelled
     /// family of one.
     pub label: Option<(&'static str, usize)>,
     /// The live cells.
@@ -248,9 +248,9 @@ pub struct Trace {
     pub persist_barrier_ns: LatencyHistogram,
     /// Stored bytes of each combined group flush (grouping mode only).
     pub group_flush_bytes: LatencyHistogram,
-    /// Per-shard wall time applying one replay run to the heap image
-    /// (index = shard; one entry in serial mode).
-    pub replay_apply_ns: Vec<LatencyHistogram>,
+    /// Wall time applying one replay run to the heap image, exported as
+    /// the one member `replay_apply_ns{shard="0"}`.
+    pub replay_apply_ns: LatencyHistogram,
     /// Each Persist worker's share of `persist_barrier_ns`: its per-sweep
     /// fences (index = worker; all empty under `DurabilityMode::Sync`,
     /// which spawns no worker — its inline sweeps land in
@@ -261,18 +261,18 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates the layer for `shards` Reproduce shards and
-    /// `flush_workers` Persist workers.
+    /// Creates the layer for `flush_workers` Persist workers.
     #[must_use]
-    pub fn new(config: TraceConfig, shards: usize, flush_workers: usize) -> Self {
-        let family = |n: usize| (0..n.max(1)).map(|_| LatencyHistogram::new()).collect();
+    pub fn new(config: TraceConfig, flush_workers: usize) -> Self {
         Trace {
             config,
             commit_latency_ns: LatencyHistogram::new(),
             persist_barrier_ns: LatencyHistogram::new(),
             group_flush_bytes: LatencyHistogram::new(),
-            replay_apply_ns: family(shards),
-            flush_worker_ns: family(flush_workers),
+            replay_apply_ns: LatencyHistogram::new(),
+            flush_worker_ns: (0..flush_workers.max(1))
+                .map(|_| LatencyHistogram::new())
+                .collect(),
             stalls: StallCounters::default(),
         }
     }
@@ -302,9 +302,9 @@ impl Trace {
             ),
             (
                 "replay_apply_ns",
-                "Reproduce apply latency per shard",
+                "Reproduce apply latency per run",
                 Some("shard"),
-                &self.replay_apply_ns,
+                from_ref(&self.replay_apply_ns),
             ),
             (
                 "flush_worker_ns",
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn disabled_trace_records_nothing() {
-        let t = Trace::new(TraceConfig::disabled(), 1, 1);
+        let t = Trace::new(TraceConfig::disabled(), 1);
         t.stall(|s| &s.perform_log_full);
         assert_eq!(t.stalls.snapshot().perform_log_full, 0);
         assert!(!t.enabled());

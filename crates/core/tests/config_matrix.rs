@@ -116,8 +116,8 @@ fn zero_checkpoint_cadence_rejected() {
 }
 
 #[test]
-fn reproduce_threads_out_of_range_rejected() {
-    for bad in [0usize, 65, 128] {
+fn reproduce_threads_other_than_one_rejected() {
+    for bad in [0usize, 2, 4, 64, 65] {
         let c = DudeTmConfig {
             reproduce_threads: bad,
             ..base()
@@ -129,12 +129,16 @@ fn reproduce_threads_out_of_range_rejected() {
             })
         );
     }
-    DudeTmConfig {
-        reproduce_threads: 64,
-        ..base()
-    }
-    .try_validate()
-    .expect("64 shards is the inclusive maximum");
+    assert_eq!(
+        base().with_reproduce_threads(2).try_validate(),
+        Err(ConfigError::ReproduceThreads {
+            reproduce_threads: 2
+        })
+    );
+    base()
+        .with_reproduce_threads(1)
+        .try_validate()
+        .expect("one Reproduce step is the only legal value");
 }
 
 #[test]
@@ -312,7 +316,7 @@ fn model_is_valid(c: &DudeTmConfig) -> bool {
         && (1..=256).contains(&c.max_threads)
         && c.persist_group >= 1
         && c.checkpoint_every >= 1
-        && (1..=64).contains(&c.reproduce_threads)
+        && c.reproduce_threads == 1
         && !(c.compress_groups && c.persist_group == 1)
         && !(c.persist_group > 1 && c.durability == SYNC)
         && c.persist_flush_workers >= 1
@@ -365,10 +369,9 @@ fn full_axis_cross_product_matches_model() {
             }
         }
     }
-    // The matrix must exercise both sides substantially, or the model
-    // check is vacuous.
-    assert!(valid >= 50, "only {valid} valid corners explored");
-    assert!(invalid >= 100, "only {invalid} invalid corners explored");
+    // The matrix must exercise both sides, or the model check is vacuous:
+    // one legal `reproduce_threads` leaves a quarter of the rest valid.
+    assert_eq!((valid, invalid), (21, 491), "corners explored");
 }
 
 /// The panicking `validate` front door reports the same first error.

@@ -30,7 +30,7 @@ fn observed_runtime() -> DudeTm<dude_stm::Stm> {
         metrics: MetricsConfig::sampling(Duration::from_millis(5)),
         ..DudeTmConfig::small(1 << 20)
     }
-    .with_reproduce_threads(2);
+    .with_flush_workers(2);
     let dude = DudeTm::create_stm(test_nvm(), cfg);
     {
         let mut t = dude.register_thread();
@@ -75,12 +75,14 @@ fn prometheus_exposition_is_valid_and_carries_the_catalog() {
     assert!(text.contains("dudetm_commit_latency_ns_bucket{le=\"+Inf\"} 150"));
     assert!(text.contains("dudetm_commit_latency_ns_count 150"));
     assert!(text.contains("dudetm_commit_latency_ns_sum"));
-    // Labeled histograms: one family, one series per shard/worker.
-    assert!(text.contains("dudetm_replay_apply_ns_bucket{shard=\"0\",le=\""));
-    assert!(text.contains("dudetm_replay_apply_ns_bucket{shard=\"1\",le=\""));
+    // Labeled histograms: one family, one series per worker; Reproduce's
+    // is a family of one under the name the benchmark package reads.
+    assert!(text.contains("dudetm_flush_worker_ns_bucket{worker=\"0\",le=\""));
+    assert!(text.contains("dudetm_flush_worker_ns_bucket{worker=\"1\",le=\""));
     assert!(text.contains("dudetm_replay_apply_ns_count{shard=\"0\"}"));
+    assert!(!text.contains("dudetm_replay_apply_ns_count{shard=\"1\"}"));
     assert_eq!(
-        text.matches("# TYPE dudetm_replay_apply_ns histogram")
+        text.matches("# TYPE dudetm_flush_worker_ns histogram")
             .count(),
         1,
         "labeled series share one family declaration"

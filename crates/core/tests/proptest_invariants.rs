@@ -6,9 +6,7 @@ use dude_nvm::{Nvm, NvmConfig, Region};
 use dudetm::log::{
     combine, parse_record, serialize_abort, serialize_commit, serialize_group, LogRecord,
 };
-use dudetm::{
-    scan_region, shard_of, split_writes, DenseReorder, ReproduceFrontier, SHARD_GRAIN_BYTES,
-};
+use dudetm::{scan_region, DenseReorder};
 
 /// A payload word free to pass for a record header: half the time any
 /// `u64`, half the time one carrying the v2 magic nibble, a valid kind and
@@ -203,72 +201,5 @@ proptest! {
             comb.insert(addr, val);
         }
         prop_assert_eq!(seq, comb);
-    }
-
-    /// The shard router's partition invariant: for an arbitrary write set
-    /// and shard count, every address lands in exactly one shard (the one
-    /// `shard_of` names), nothing is lost or duplicated, and per-shard
-    /// write order is the original order restricted to that shard — so
-    /// per-address replay order is preserved.
-    #[test]
-    fn split_writes_partitions_without_cross_shard_aliasing(
-        writes in proptest::collection::vec((0u64..(1 << 20), any::<u64>()), 0..128),
-        shards in 1usize..17,
-    ) {
-        let parts = split_writes(&writes, shards);
-        prop_assert_eq!(parts.len(), shards);
-        let total: usize = parts.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, writes.len());
-        for (s, part) in parts.iter().enumerate() {
-            // Every write is in the shard `shard_of` names — therefore no
-            // address can appear in two shards.
-            for &(addr, _) in part {
-                prop_assert_eq!(shard_of(addr, shards), s);
-            }
-            // Order within the shard is the original order filtered.
-            let filtered: Vec<(u64, u64)> = writes
-                .iter()
-                .copied()
-                .filter(|&(a, _)| shard_of(a, shards) == s)
-                .collect();
-            prop_assert_eq!(part.clone(), filtered);
-        }
-        // Addresses on one cache line always share a shard: a line is
-        // never split across workers.
-        for &(addr, _) in &writes {
-            let line = addr / SHARD_GRAIN_BYTES * SHARD_GRAIN_BYTES;
-            prop_assert_eq!(shard_of(line, shards), shard_of(addr, shards));
-        }
-    }
-
-    /// The frontier invariant: after an arbitrary interleaving of per-shard
-    /// publishes, the minimum never exceeds any shard's completed TID, and
-    /// it equals the model minimum exactly.
-    #[test]
-    fn frontier_min_never_exceeds_any_shard(
-        shards in 1usize..9,
-        start in 0u64..1000,
-        publishes in proptest::collection::vec((0usize..8, 1u64..50), 0..64),
-    ) {
-        let frontier = ReproduceFrontier::new(shards, start);
-        let mut model = vec![start; shards];
-        for &(shard, advance) in &publishes {
-            let shard = shard % shards;
-            // Frontiers are monotonic: publish a TID at or above the
-            // shard's current one, as the router's dense dispatch does.
-            let tid = model[shard] + advance;
-            frontier.publish(shard, tid);
-            model[shard] = tid;
-            let min = frontier.min_completed();
-            for (s, &completed) in model.iter().enumerate() {
-                prop_assert!(
-                    min <= completed,
-                    "min {} exceeds shard {}'s completed TID {}",
-                    min, s, completed
-                );
-                prop_assert_eq!(frontier.completed(s), completed);
-            }
-            prop_assert_eq!(min, *model.iter().min().expect("non-empty"));
-        }
     }
 }

@@ -1,17 +1,15 @@
-//! Differential replay oracle for the sharded Reproduce stage.
+//! Differential replay oracle for the Reproduce step.
 //!
-//! One-shard Reproduce (`reproduce_threads = 1`) is the reference
-//! implementation: it replays the committed sequence in dense
-//! transaction-ID order, so after a full drain the persistent heap image
-//! *is* the semantics. Sharded replay (N = 2, 4, 8) reorders work across
-//! shards and interleaves fences arbitrarily, but because every address
-//! maps to exactly one shard it must converge to the byte-identical image.
+//! The reference is independent of the pipeline: the commit history the
+//! runtime records ([`DudeTm::attach_history`]) — every transaction's
+//! write set in program order, rewrites included — replayed in
+//! transaction-ID order onto a zeroed image. After a full drain the
+//! persistent heap must equal it word for word, whatever combined, logged,
+//! grouped, compressed and applied the writes in between.
 //!
-//! Each workload runs on a single Perform thread with a fixed seed, so
-//! the committed sequence — and therefore the reference image — is the
-//! same in every run; only the Reproduce configuration varies. Small log
-//! rings and a short checkpoint cadence force span recycling mid-run, so
-//! the frontier-keyed checkpoint path is exercised, not just the drain.
+//! Each workload runs on a single Perform thread with a fixed seed. Small
+//! log rings and a short checkpoint cadence force span recycling mid-run,
+//! so the cadence checkpoint path is exercised, not just the drain.
 //!
 //! `DUDE_DIFF_SEEDS` (comma-separated u64s) adds extra seeds — CI runs
 //! three more on top of the built-in ones.
@@ -20,13 +18,12 @@ use std::sync::Arc;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
-use dudetm::{DudeTm, DudeTmConfig, DurabilityMode};
+use dudetm::{CommitHistory, DudeTm, DudeTmConfig, DurabilityMode};
 
 const HEAP_BYTES: u64 = 1 << 16;
 const HEAP_WORDS: u64 = HEAP_BYTES / 8;
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(reproduce_threads: usize) -> DudeTmConfig {
+fn config() -> DudeTmConfig {
     DudeTmConfig {
         max_threads: 2,
         // Small rings + short cadence: recycling must happen mid-run.
@@ -35,7 +32,6 @@ fn config(reproduce_threads: usize) -> DudeTmConfig {
         ..DudeTmConfig::small(HEAP_BYTES)
     }
     .with_durability(DurabilityMode::Async { buffer_txns: 64 })
-    .with_reproduce_threads(reproduce_threads)
 }
 
 /// Grouped-Persist config: groups of 8 dealt to `flush_workers` Persist
@@ -57,29 +53,6 @@ fn lcg(x: &mut u64) -> u64 {
         .wrapping_mul(6364136223846793005)
         .wrapping_add(1442695040888963407);
     *x >> 11
-}
-
-/// Runs `workload` to a clean shutdown under `cfg` and returns the
-/// drained persistent heap image.
-fn heap_image_cfg(cfg: DudeTmConfig, seed: u64, workload: fn(&mut Runner, u64)) -> Vec<u64> {
-    let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
-    let dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
-    let heap = dude.heap_region();
-    {
-        let mut t = dude.register_thread();
-        workload(&mut t, seed);
-    }
-    // Drop drains the pipeline and takes the final checkpoint.
-    drop(dude);
-    (0..HEAP_WORDS)
-        .map(|w| nvm.read_word(heap.start() + w * 8))
-        .collect()
-}
-
-/// Runs `workload` to a clean shutdown under the given Reproduce config
-/// and returns the drained persistent heap image.
-fn heap_image(reproduce_threads: usize, seed: u64, workload: fn(&mut Runner, u64)) -> Vec<u64> {
-    heap_image_cfg(config(reproduce_threads), seed, workload)
 }
 
 type Runner<'a> = dudetm::DtmThread<'a, dude_stm::Stm>;
@@ -193,19 +166,46 @@ fn rewriter(t: &mut Runner, seed: u64) {
     }
 }
 
-fn assert_differential(name: &str, workload: fn(&mut Runner, u64), seed: u64) {
-    let reference = heap_image(1, seed, workload);
-    assert!(
-        reference.iter().any(|&w| w != 0),
-        "{name}: workload left no trace in the heap"
-    );
-    for &n in &SHARD_COUNTS[1..] {
-        let image = heap_image(n, seed, workload);
-        assert_eq!(
-            image, reference,
-            "{name} seed {seed:#x}: sharded replay (N={n}) diverged from serial"
-        );
+/// Runs `workload` to a clean shutdown under `cfg` and checks the drained
+/// persistent heap against the serial replay of the recorded history: its
+/// commits' writes, in TID order, onto a zeroed heap.
+fn assert_matches_history(
+    cfg: DudeTmConfig,
+    name: &str,
+    workload: fn(&mut Runner, u64),
+    seed: u64,
+) {
+    let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
+    let dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
+    let history = Arc::new(CommitHistory::new(1 << 12));
+    dude.attach_history(Arc::clone(&history));
+    let heap = dude.heap_region();
+    {
+        let mut t = dude.register_thread();
+        workload(&mut t, seed);
     }
+    // Drop drains the pipeline and takes the final checkpoint.
+    drop(dude);
+    let drained: Vec<u64> = (0..HEAP_WORDS)
+        .map(|w| nvm.read_word(heap.start() + w * 8))
+        .collect();
+    assert_eq!(history.dropped(), 0, "history ring too small");
+    let mut serial = vec![0u64; HEAP_WORDS as usize];
+    for entry in history.entries().iter().filter(|e| !e.aborted) {
+        for &(addr, val) in &entry.writes {
+            serial[(addr / 8) as usize] = val;
+        }
+    }
+    assert!(
+        serial.iter().any(|&w| w != 0),
+        "{name}: workload left no trace in the history"
+    );
+    assert!(
+        drained == serial,
+        "{name} seed {seed:#x}: the drained heap diverged from the serial history \
+         at word {:?}",
+        (0..drained.len()).find(|&w| drained[w] != serial[w])
+    );
 }
 
 fn extra_seeds() -> Vec<u64> {
@@ -220,39 +220,39 @@ fn extra_seeds() -> Vec<u64> {
 }
 
 #[test]
-fn bank_images_identical_across_shard_counts() {
-    assert_differential("bank", bank, 0xB01D_FACE);
+fn bank_images_match_the_serial_history() {
+    assert_matches_history(config(), "bank", bank, 0xB01D_FACE);
     for seed in extra_seeds() {
-        assert_differential("bank", bank, seed);
+        assert_matches_history(config(), "bank", bank, seed);
     }
 }
 
 #[test]
-fn kv_images_identical_across_shard_counts() {
-    assert_differential("kv", kv, 0x000F_F1CE);
+fn kv_images_match_the_serial_history() {
+    assert_matches_history(config(), "kv", kv, 0x000F_F1CE);
     for seed in extra_seeds() {
-        assert_differential("kv", kv, seed);
+        assert_matches_history(config(), "kv", kv, seed);
     }
 }
 
 #[test]
-fn btree_images_identical_across_shard_counts() {
-    assert_differential("btree", btree_like, 0x5EED_BEEF);
+fn btree_images_match_the_serial_history() {
+    assert_matches_history(config(), "btree", btree_like, 0x5EED_BEEF);
     for seed in extra_seeds() {
-        assert_differential("btree", btree_like, seed);
+        assert_matches_history(config(), "btree", btree_like, seed);
     }
 }
 
 #[test]
-fn rewriter_images_identical_across_shard_counts() {
-    assert_differential("rewriter", rewriter, 0x0DD_C0FFEE);
+fn rewriter_images_match_the_serial_history() {
+    assert_matches_history(config(), "rewriter", rewriter, 0x0DD_C0FFEE);
     for seed in extra_seeds() {
-        assert_differential("rewriter", rewriter, seed);
+        assert_matches_history(config(), "rewriter", rewriter, seed);
     }
     // The workload is what it claims: at least 30 % of the writes that
     // reached Persist were rewrites of the same transaction.
     let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
-    let mut dude = DudeTm::create_stm(Arc::clone(&nvm), config(1));
+    let mut dude = DudeTm::create_stm(Arc::clone(&nvm), config());
     rewriter(&mut dude.register_thread(), 0x0DD_C0FFEE);
     dude.shutdown();
     let stats = dude.pipeline_stats();
@@ -264,14 +264,11 @@ fn rewriter_images_identical_across_shard_counts() {
     );
 }
 
-/// Differential oracle for parallel Persist: the same single-Perform-thread
-/// workload must produce a byte-identical drained heap whether one Persist
-/// worker flushes everything or 2 or 4 publish out of order — ungrouped and
-/// grouped alike, all identical to the ungrouped one-worker reference. Byte
-/// determinism is what makes this meaningful: `combine_sorted` gives every
-/// worker the same serialized group body, and Reproduce replays in dense
-/// ID order whatever order batches arrive in, so no flush schedule can leak
-/// into the heap.
+/// The same oracle over parallel and grouped Persist: whether one Persist
+/// worker flushes everything or 2 or 4 publish out of order, ungrouped or
+/// grouped, combined and compressed, the drained heap is the serial
+/// replay of the history. Reproduce replays in dense ID order whatever
+/// order batches arrive in, so no flush schedule can leak into the heap.
 #[test]
 fn images_identical_across_persist_worker_counts() {
     for workload in [
@@ -280,39 +277,30 @@ fn images_identical_across_persist_worker_counts() {
         ("rewriter", rewriter, 0x0DD_C0FFEE),
     ] {
         let (name, f, seed) = workload;
-        let reference = heap_image(1, seed, f);
-        let image = heap_image_cfg(config(1).with_flush_workers(2), seed, f);
-        assert_eq!(
-            image, reference,
-            "{name} seed {seed:#x}: ungrouped persist (fw=2) diverged from the \
-             one-worker reference"
-        );
+        assert_matches_history(config().with_flush_workers(2), name, f, seed);
         for compress in [false, true] {
             for fw in [1usize, 2, 4] {
-                let image = heap_image_cfg(grouped_config(fw, compress), seed, f);
-                assert_eq!(
-                    image, reference,
-                    "{name} seed {seed:#x}: grouped persist (fw={fw}, lz={compress}) \
-                     diverged from the ungrouped one-worker reference"
-                );
+                let what = format!("{name} grouped fw={fw} lz={compress}");
+                assert_matches_history(grouped_config(fw, compress), &what, f, seed);
             }
         }
     }
 }
 
-/// The oracle also holds through a crashless restart: recover each image
-/// and make sure the recovered runtime agrees on the reproduced history.
+/// The oracle also holds through a crashless restart: recover the drained
+/// image and make sure the recovered runtime agrees on the reproduced
+/// history.
 #[test]
-fn sharded_drain_is_recoverable() {
+fn clean_drain_is_recoverable() {
     let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
-    let dude = DudeTm::create_stm(Arc::clone(&nvm), config(4));
+    let dude = DudeTm::create_stm(Arc::clone(&nvm), config());
     {
         let mut t = dude.register_thread();
         bank(&mut t, 0xB01D_FACE);
     }
     let committed = dude.stats_snapshot().committed;
     drop(dude);
-    let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config(4)).expect("recovery");
+    let (dude2, report) = DudeTm::recover_stm(Arc::clone(&nvm), config()).expect("recovery");
     assert_eq!(
         report.last_tid, committed,
         "clean shutdown checkpointed everything"

@@ -153,7 +153,7 @@ fn disabled_trace_records_and_counts_nothing() {
 
 /// An enabled trace sees every commit in the latency histogram, persist
 /// barriers in theirs — the one worker's share is all of them — and replay
-/// applies per shard, and the exposition carries the same counts.
+/// applies in theirs, and the exposition carries the same counts.
 #[test]
 fn enabled_trace_records_the_pipeline() {
     let nvm = test_nvm(8 << 20);
@@ -171,7 +171,7 @@ fn enabled_trace_records_the_pipeline() {
     let barriers = trace.persist_barrier_ns.snapshot().count;
     assert!(barriers > 0);
     assert_eq!(trace.flush_worker_ns[0].snapshot().count, barriers);
-    let applies = trace.replay_apply_ns[0].snapshot().count;
+    let applies = trace.replay_apply_ns.snapshot().count;
     assert!(applies > 0);
     assert_eq!(sample(&dude, "dudetm_commit_latency_ns_count"), 100);
     assert_eq!(sample(&dude, "dudetm_persist_barrier_ns_count"), barriers);
@@ -179,37 +179,6 @@ fn enabled_trace_records_the_pipeline() {
     assert_eq!(sample(&dude, worker), barriers);
     let shard = "dudetm_replay_apply_ns_count{shard=\"0\"}";
     assert_eq!(sample(&dude, shard), applies);
-}
-
-/// Sharded mode records per-shard replay histograms sized by
-/// `reproduce_threads`.
-#[test]
-fn sharded_replay_histograms_are_per_shard() {
-    let nvm = test_nvm(8 << 20);
-    let cfg = config(TraceConfig::enabled(16384)).with_reproduce_threads(4);
-    let dude = DudeTm::create_stm(nvm, cfg);
-    {
-        let mut t = dude.register_thread();
-        for i in 0..200u64 {
-            // Scatter writes across cache lines so every shard sees work.
-            t.run(&mut |tx| tx.write_word(PAddr::from_word_index((i * 8) % 1024), i))
-                .expect_committed();
-        }
-    }
-    dude.quiesce();
-    let trace = dude.trace();
-    assert_eq!(trace.replay_apply_ns.len(), 4);
-    let counts: Vec<u64> = (trace.replay_apply_ns.iter())
-        .map(|h| h.snapshot().count)
-        .collect();
-    assert!(
-        counts.iter().sum::<u64>() > 0,
-        "some shard must have recorded applies"
-    );
-    for (shard, count) in counts.into_iter().enumerate() {
-        let name = format!("dudetm_replay_apply_ns_count{{shard=\"{shard}\"}}");
-        assert_eq!(sample(&dude, &name), count);
-    }
 }
 
 /// Shared body for the native stall test and its sim twin: a 1-txn
@@ -328,7 +297,7 @@ fn sync_sweeps_are_timed_and_traced() {
     }
 }
 
-/// The summary line always carries the five stall counters, and the trace
+/// The summary line always carries the four stall counters, and the trace
 /// accessor works across engine types (API-surface check).
 #[test]
 fn summary_and_accessor_surface_the_layer() {
@@ -346,7 +315,6 @@ fn summary_and_accessor_surface_the_layer() {
         "persist_ring_full=",
         "persist_seq_wait=",
         "reproduce_starved=",
-        "checkpoint_wait=",
     ] {
         assert!(line.contains(key), "summary missing {key}: {line}");
     }

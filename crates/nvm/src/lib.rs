@@ -55,8 +55,7 @@ pub use device::{
 pub use region::Region;
 pub use stats::{NvmStats, StatsSnapshot};
 pub use timing::{
-    background_stage_scope, is_background_stage, monotonic_ns, set_background_stage,
-    BackgroundStageScope, TimingConfig, TimingModel,
+    is_background_stage, monotonic_ns, set_background_stage, TimingConfig, TimingModel,
 };
 
 /// Bytes per emulated cache line (flush granularity).

@@ -111,9 +111,9 @@ std::thread_local! {
 ///
 /// Foreground persist barriers (a transaction waiting for durability on
 /// its critical path) busy-wait with cycle accuracy, like the paper's RDTSC
-/// loop. Background stages — DudeTM's Persist workers and Reproduce shard
-/// workers, which on the paper's 12-core machine wait out NVM latency on
-/// *their own* cores — must not burn the CPU that the Perform threads need, especially
+/// loop. Background stages — DudeTM's Persist workers, which also run the
+/// Reproduce step, and on the paper's 12-core machine wait out NVM latency
+/// on *their own* cores — must not burn the CPU that the Perform threads need, especially
 /// on machines with few cores. Marking a thread as background makes its
 /// modeled delays yield the processor while the wall-clock delay elapses,
 /// which is exactly what dedicating a core to the stage would look like.
@@ -126,32 +126,6 @@ pub fn set_background_stage(background: bool) {
 /// accounting to attribute persistence events to pipeline stages.
 pub fn is_background_stage() -> bool {
     BACKGROUND_STAGE.with(|b| b.get())
-}
-
-/// RAII guard marking the calling thread as a background pipeline stage
-/// for its lifetime (see [`set_background_stage`]). Pipeline workers hold
-/// one for their whole run so every persistence event they emit — and
-/// every crash plan filtered on [`StageFilter::Background`] — attributes
-/// to the background stage, even if the worker unwinds.
-///
-/// [`StageFilter::Background`]: crate::StageFilter::Background
-#[derive(Debug)]
-pub struct BackgroundStageScope {
-    was: bool,
-}
-
-/// Enters a background-stage scope on the calling thread.
-#[must_use = "the scope ends when the guard drops"]
-pub fn background_stage_scope() -> BackgroundStageScope {
-    let was = is_background_stage();
-    set_background_stage(true);
-    BackgroundStageScope { was }
-}
-
-impl Drop for BackgroundStageScope {
-    fn drop(&mut self) {
-        set_background_stage(self.was);
-    }
 }
 
 /// Runtime delay injector for persist barriers.

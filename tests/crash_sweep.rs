@@ -31,8 +31,6 @@ const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
 const TRANSFERS: u64 = 100;
 const SEED: u64 = 0x5EED_CAFE;
-/// Transfers between drains of the pipeline in sharded-Reproduce configs.
-const SHARDED_DRAIN_EVERY: u64 = 4;
 
 /// One account per cache line: Reproduce flushes each dirty *line* once per
 /// batch, so accounts packed into two lines would leave the flush sweeps
@@ -140,14 +138,6 @@ fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite:
                 if !nvm.crash_plan_tripped() {
                     acked = acked.max(tid);
                 }
-            }
-            // Shard workers coalesce up to 128 queued units per fence and
-            // flush each dirty line once per run, so how far Perform ran
-            // ahead would set the event count the sweep calibrates on.
-            // Draining every few transfers bounds each run, giving the
-            // count a floor no schedule can undercut.
-            if cfg.reproduce_threads > 1 && op % SHARDED_DRAIN_EVERY == SHARDED_DRAIN_EVERY - 1 {
-                dude.quiesce();
             }
         }
     }
@@ -398,84 +388,22 @@ fn sweep_rewriting_bank_every_event_class() {
     }
 }
 
-// ---- Sharded Reproduce (`reproduce_threads = 4`) ------------------------
+// ---- `Sync` mode, every store -------------------------------------------
 //
-// The same four invariants under the conflict-sharded Reproduce stage. The
-// prefix oracle is the frontier invariant made observable: the checkpoint
-// is the *minimum* completed TID across shards, every shard ahead of it
-// still has its log records unreleased, so recovery replays the run
-// spanning the checkpoint and lands exactly on a committed prefix — a
-// shard can never be durably ahead of what the checkpoint can repair.
-
-fn sharded(mode: DurabilityMode) -> DudeTmConfig {
-    config(mode).with_reproduce_threads(4)
-}
+// Under `Sync` the committer persists its own record and runs the Reproduce
+// step inline: sweep the densest event class through that path too, at
+// every stage.
 
 #[test]
-fn sweep_sharded_background_flushes() {
+fn sweep_sync_mode_writes() {
     let (rounds, tripped) = sweep(
-        sharded(ASYNC),
-        CrashEventKind::Flush,
-        StageFilter::Background,
-        false,
-        60,
-    );
-    assert!(
-        rounds >= 40,
-        "only {rounds} sharded background-flush points"
-    );
-    assert!(
-        tripped >= rounds / 2,
-        "only {tripped}/{rounds} plans tripped"
-    );
-}
-
-#[test]
-fn sweep_sharded_background_fences() {
-    // Shard workers fence independently, so this class now has events from
-    // N + 1 background threads (workers + router checkpoint).
-    let (rounds, tripped) = sweep(
-        sharded(ASYNC),
-        CrashEventKind::Fence,
-        StageFilter::Background,
-        false,
-        40,
-    );
-    assert!(rounds >= 5, "only {rounds} sharded background-fence points");
-    assert!(
-        tripped >= rounds / 2,
-        "only {tripped}/{rounds} plans tripped"
-    );
-}
-
-#[test]
-fn sweep_sharded_torn_cacheline() {
-    let (rounds, tripped) = sweep(
-        sharded(ASYNC),
-        CrashEventKind::Flush,
-        StageFilter::Any,
-        true,
-        40,
-    );
-    assert!(rounds >= 30, "only {rounds} sharded torn-line points");
-    assert!(
-        tripped >= rounds / 2,
-        "only {tripped}/{rounds} plans tripped"
-    );
-}
-
-#[test]
-fn sweep_sharded_sync_mode_writes() {
-    // Sync durability feeds batches straight into the router; sweep the
-    // densest event class through that path too.
-    let (rounds, tripped) = sweep(
-        sharded(DurabilityMode::Sync),
+        config(DurabilityMode::Sync),
         CrashEventKind::Write,
-        StageFilter::Background,
+        StageFilter::Any,
         false,
         40,
     );
-    assert!(rounds >= 30, "only {rounds} sharded sync-write points");
+    assert!(rounds >= 30, "only {rounds} sync-write points");
     assert!(
         tripped >= rounds / 2,
         "only {tripped}/{rounds} plans tripped"
@@ -509,13 +437,12 @@ fn sweep_traced_background_flushes() {
 }
 
 #[test]
-fn sweep_traced_sharded_torn_cacheline() {
-    // Tracing + sharded Reproduce + torn lines: the layer's recording sites
-    // in the shard workers and the router drain loop under the nastiest
-    // crash class.
-    let cfg = sharded(ASYNC).with_trace(dudetm::TraceConfig::enabled(4096));
+fn sweep_traced_torn_cacheline() {
+    // Tracing + torn lines: the layer's recording sites around the persist
+    // barrier and the Reproduce step under the nastiest crash class.
+    let cfg = config(ASYNC).with_trace(dudetm::TraceConfig::enabled(4096));
     let (rounds, tripped) = sweep(cfg, CrashEventKind::Flush, StageFilter::Any, true, 40);
-    assert!(rounds >= 30, "only {rounds} traced sharded torn points");
+    assert!(rounds >= 30, "only {rounds} traced torn points");
     assert!(
         tripped >= rounds / 2,
         "only {tripped}/{rounds} plans tripped"

@@ -24,8 +24,7 @@
 //!
 //! The config matrix covers `persist_flush_workers ∈ {1,2}` ungrouped and
 //! `{1,2,4}` grouped, `persist_group ∈ {1,8}` with and without
-//! `compress_groups`, `reproduce_threads ∈ {1,4}`, identity and paged
-//! shadow memory, and Async/AsyncUnbounded/Sync durability (grouping
+//! `compress_groups`, identity and paged shadow memory, and Async/AsyncUnbounded/Sync durability (grouping
 //! requires an async mode; see `DudeTmConfig::try_validate`). With the default seed set the sweeps
 //! below enumerate well over 500 `(seed × crash point × config)` cases;
 //! set `DUDE_SWEEP_SEEDS=7,1337,424242` (comma-separated) to rerun the
@@ -69,7 +68,6 @@ fn cfg(
     persist_workers: usize,
     persist_group: usize,
     compress: bool,
-    reproduce_threads: usize,
 ) -> DudeTmConfig {
     let c = DudeTmConfig {
         max_threads: 10,
@@ -78,7 +76,6 @@ fn cfg(
         persist_flush_workers: persist_workers,
         persist_group,
         compress_groups: compress,
-        reproduce_threads,
         ..DudeTmConfig::small(1 << 16)
     }
     .with_durability(mode);
@@ -367,8 +364,8 @@ fn assert_sweep(name: &str, (rounds, tripped): (u64, u64), min_rounds: u64) {
 #[test]
 fn mt_sweep_async_baseline() {
     let combo = Combo {
-        name: "async pw=1 pg=1 rt=1",
-        cfg: cfg(ASYNC, 1, 1, false, 1),
+        name: "async pw=1 pg=1",
+        cfg: cfg(ASYNC, 1, 1, false),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -394,8 +391,8 @@ fn mt_sweep_async_baseline() {
 #[test]
 fn mt_sweep_async_two_persist_workers() {
     let combo = Combo {
-        name: "async pw=2 pg=1 rt=1",
-        cfg: cfg(ASYNC, 2, 1, false, 1),
+        name: "async pw=2 pg=1",
+        cfg: cfg(ASYNC, 2, 1, false),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -425,37 +422,10 @@ fn mt_sweep_async_two_persist_workers() {
 }
 
 #[test]
-fn mt_sweep_async_sharded_reproduce() {
-    let combo = Combo {
-        name: "async pw=2 pg=1 rt=4",
-        cfg: cfg(ASYNC, 2, 1, false, 4),
-        workload: Workload::Bank,
-        threads: 8,
-        ops: 10,
-    };
-    assert_sweep(
-        combo.name,
-        sweep_mt(
-            &combo,
-            CrashEventKind::Flush,
-            StageFilter::Background,
-            false,
-            20,
-        ),
-        30,
-    );
-    assert_sweep(
-        combo.name,
-        sweep_mt(&combo, CrashEventKind::Flush, StageFilter::Any, true, 20),
-        30,
-    );
-}
-
-#[test]
 fn mt_sweep_grouped() {
     let combo = Combo {
-        name: "async pw=1 pg=8 rt=1",
-        cfg: cfg(ASYNC, 1, 8, false, 1),
+        name: "async pw=1 pg=8",
+        cfg: cfg(ASYNC, 1, 8, false),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -485,10 +455,10 @@ fn mt_sweep_grouped() {
 }
 
 #[test]
-fn mt_sweep_grouped_compressed_sharded() {
+fn mt_sweep_grouped_compressed() {
     let combo = Combo {
-        name: "async pw=1 pg=8+lz rt=4",
-        cfg: cfg(ASYNC, 1, 8, true, 4),
+        name: "async pw=1 pg=8+lz",
+        cfg: cfg(ASYNC, 1, 8, true),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -518,8 +488,8 @@ fn mt_sweep_grouped_compressed_sharded() {
 #[test]
 fn mt_sweep_grouped_two_flush_workers() {
     let combo = Combo {
-        name: "async pw=2 pg=8 rt=1",
-        cfg: cfg(ASYNC, 2, 8, false, 1),
+        name: "async pw=2 pg=8",
+        cfg: cfg(ASYNC, 2, 8, false),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -542,13 +512,13 @@ fn mt_sweep_grouped_two_flush_workers() {
     );
 }
 
-/// Four Persist workers + compression + sharded Reproduce: the full
-/// parallel feature stack under the nastiest crash classes.
+/// Four Persist workers + compression: the full parallel feature stack
+/// under the nastiest crash classes.
 #[test]
-fn mt_sweep_grouped_compressed_four_flush_workers_sharded() {
+fn mt_sweep_grouped_compressed_four_flush_workers() {
     let combo = Combo {
-        name: "async pw=4 pg=8+lz rt=4",
-        cfg: cfg(ASYNC, 4, 8, true, 4),
+        name: "async pw=4 pg=8+lz",
+        cfg: cfg(ASYNC, 4, 8, true),
         workload: Workload::Bank,
         threads: 4,
         ops: 12,
@@ -574,8 +544,8 @@ fn mt_sweep_grouped_compressed_four_flush_workers_sharded() {
 #[test]
 fn mt_sweep_sync() {
     let combo = Combo {
-        name: "sync rt=1",
-        cfg: cfg(DurabilityMode::Sync, 1, 1, false, 1),
+        name: "sync",
+        cfg: cfg(DurabilityMode::Sync, 1, 1, false),
         workload: Workload::Bank,
         threads: 2,
         ops: 16,
@@ -599,23 +569,18 @@ fn mt_sweep_sync() {
 }
 
 #[test]
-fn mt_sweep_sync_sharded_counters() {
+fn mt_sweep_sync_counters() {
     let combo = Combo {
-        name: "sync rt=4 counters",
-        cfg: cfg(DurabilityMode::Sync, 1, 1, false, 4),
+        name: "sync counters",
+        cfg: cfg(DurabilityMode::Sync, 1, 1, false),
         workload: COUNTERS,
         threads: 4,
         ops: 16,
     };
+    // Under `Sync` every store is the committer's own: no background stage.
     assert_sweep(
         combo.name,
-        sweep_mt(
-            &combo,
-            CrashEventKind::Write,
-            StageFilter::Background,
-            false,
-            20,
-        ),
+        sweep_mt(&combo, CrashEventKind::Write, StageFilter::Any, false, 20),
         30,
     );
     assert_sweep(
@@ -633,11 +598,11 @@ fn mt_sweep_sync_sharded_counters() {
 #[test]
 fn mt_sweep_tiny_plog_parked_records() {
     let combo = Combo {
-        name: "async tiny-plog pw=1 pg=1 rt=1",
+        name: "async tiny-plog pw=1 pg=1",
         cfg: DudeTmConfig {
             plog_bytes_per_thread: 4096,
             checkpoint_every: 4,
-            ..cfg(ASYNC, 1, 1, false, 1)
+            ..cfg(ASYNC, 1, 1, false)
         },
         workload: Workload::Bank,
         // 64 commits x 64-byte records per thread overfills the 4 KiB
@@ -666,8 +631,8 @@ fn mt_sweep_tiny_plog_parked_records() {
 #[test]
 fn mt_sweep_unbounded_counters() {
     let combo = Combo {
-        name: "async-inf rt=1 counters x8",
-        cfg: cfg(DurabilityMode::AsyncUnbounded, 1, 1, false, 1),
+        name: "async-inf counters x8",
+        cfg: cfg(DurabilityMode::AsyncUnbounded, 1, 1, false),
         workload: COUNTERS,
         threads: 8,
         ops: 12,
@@ -691,22 +656,22 @@ fn mt_sweep_unbounded_counters() {
 }
 
 /// Paged shadow (§4.3): two frames for four counter pages, so every
-/// transaction evicts or swaps in while the Reproduce step — inline on the
-/// Persist worker, or on shard workers behind `Sync` commits — raises the
-/// reproduced ID that gates each swap-in on the page's last writer.
+/// transaction evicts or swaps in while the Reproduce step — on the Persist
+/// worker, or inline behind `Sync` commits — raises the reproduced ID that
+/// gates each swap-in on the page's last writer.
 #[test]
 fn mt_sweep_paged_shadow_counters() {
     let shadow = ShadowConfig::Paged {
         frames: 2,
         mode: PagingMode::Software,
     };
-    for (name, mode, rt) in [
-        ("async paged pw=1 rt=1", ASYNC, 1),
-        ("sync paged rt=4", DurabilityMode::Sync, 4),
+    for (name, mode) in [
+        ("async paged pw=1", ASYNC),
+        ("sync paged", DurabilityMode::Sync),
     ] {
         let combo = Combo {
             name,
-            cfg: cfg(mode, 1, 1, false, rt).with_shadow(shadow),
+            cfg: cfg(mode, 1, 1, false).with_shadow(shadow),
             workload: Workload::Counters { stride: 512 },
             threads: 4,
             ops: 16,

@@ -26,9 +26,8 @@
 //!
 //! The `mutation_*` tests are the sharpness check: each arms one injected
 //! bug ([`dudetm::sabotage`]) — a dropped fence in the Persist sweep (once
-//! on Persist workers, once inline under `Sync`), an off-by-one frontier
-//! publish in sharded Reproduce, a parked Persist unit that never forces a
-//! checkpoint, a paged-shadow swap-in that ignores the touching-ID
+//! on Persist workers, once inline under `Sync`), a parked Persist unit
+//! that never forces a checkpoint, a paged-shadow swap-in that ignores the touching-ID
 //! watermark, redo-ring space freed when a record is staged instead of
 //! when it is reproduced (on Persist workers, and under `Sync`), a
 //! Reproduce run's heap stores issued after its checkpoint fence, a durable
@@ -175,12 +174,7 @@ struct Combo {
     quiesce: bool,
 }
 
-fn cfg(
-    persist_workers: usize,
-    persist_group: usize,
-    compress: bool,
-    reproduce_threads: usize,
-) -> DudeTmConfig {
+fn cfg(persist_workers: usize, persist_group: usize, compress: bool) -> DudeTmConfig {
     let c = DudeTmConfig {
         max_threads: 10,
         plog_bytes_per_thread: 1 << 16,
@@ -188,7 +182,6 @@ fn cfg(
         persist_flush_workers: persist_workers,
         persist_group,
         compress_groups: compress,
-        reproduce_threads,
         ..DudeTmConfig::small(1 << 16)
     }
     .with_durability(ASYNC);
@@ -518,8 +511,8 @@ fn explore(combo: &Combo, crash_points: u64) -> u64 {
 fn same_seed_replays_byte_identical_trace() {
     let _g = lock_tests();
     let combo = Combo {
-        name: "replay pw=2 pg=8 rt=1",
-        cfg: cfg(2, 8, false, 1),
+        name: "replay pw=2 pg=8",
+        cfg: cfg(2, 8, false),
         workload: Workload::Bank,
         threads: 3,
         ops: 8,
@@ -556,8 +549,8 @@ fn same_seed_replays_byte_identical_trace() {
 fn schedules_baseline_bank() {
     explore(
         &Combo {
-            name: "sim pw=1 pg=1 rt=1",
-            cfg: cfg(1, 1, false, 1),
+            name: "sim pw=1 pg=1",
+            cfg: cfg(1, 1, false),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -571,8 +564,8 @@ fn schedules_baseline_bank() {
 fn schedules_two_persist_workers_bank() {
     explore(
         &Combo {
-            name: "sim pw=2 pg=1 rt=1",
-            cfg: cfg(2, 1, false, 1),
+            name: "sim pw=2 pg=1",
+            cfg: cfg(2, 1, false),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -586,8 +579,8 @@ fn schedules_two_persist_workers_bank() {
 fn schedules_grouped_flush_workers_bank() {
     explore(
         &Combo {
-            name: "sim pw=2 pg=8 rt=1",
-            cfg: cfg(2, 8, false, 1),
+            name: "sim pw=2 pg=8",
+            cfg: cfg(2, 8, false),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -598,11 +591,11 @@ fn schedules_grouped_flush_workers_bank() {
 }
 
 #[test]
-fn schedules_grouped_compressed_sharded_bank() {
+fn schedules_grouped_compressed_bank() {
     explore(
         &Combo {
-            name: "sim pw=4 pg=8+lz rt=4",
-            cfg: cfg(4, 8, true, 4),
+            name: "sim pw=4 pg=8+lz",
+            cfg: cfg(4, 8, true),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -613,11 +606,11 @@ fn schedules_grouped_compressed_sharded_bank() {
 }
 
 #[test]
-fn schedules_sharded_counters() {
+fn schedules_counters() {
     explore(
         &Combo {
-            name: "sim pw=1 pg=1 rt=4 counters",
-            cfg: cfg(1, 1, false, 4),
+            name: "sim pw=1 pg=1 counters",
+            cfg: cfg(1, 1, false),
             workload: COUNTERS,
             threads: 4,
             ops: 8,
@@ -632,7 +625,7 @@ fn schedules_sharded_counters() {
 fn sync_combo(name: &'static str) -> Combo {
     Combo {
         name,
-        cfg: cfg(1, 1, false, 1).with_durability(DurabilityMode::Sync),
+        cfg: cfg(1, 1, false).with_durability(DurabilityMode::Sync),
         workload: Workload::Bank,
         threads: 3,
         ops: 8,
@@ -642,7 +635,7 @@ fn sync_combo(name: &'static str) -> Combo {
 
 #[test]
 fn schedules_sync_bank() {
-    explore(&sync_combo("sim sync rt=1"), 4);
+    explore(&sync_combo("sim sync"), 4);
 }
 
 /// Rings of 512 words hold eight 64-word records, and the cadence never
@@ -650,13 +643,13 @@ fn schedules_sync_bank() {
 /// parked Persist unit or a `Sync` commit whose ring is full, while the
 /// four rings wrap several times each. Two Persist workers, except under
 /// `Sync`, whose committers are their own rings' one.
-fn ring_full_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: usize) -> Combo {
+fn ring_full_combo(name: &'static str, mode: DurabilityMode) -> Combo {
     let pw = if mode == DurabilityMode::Sync { 1 } else { 2 };
     let cfg = DudeTmConfig {
         max_threads: 4,
         plog_bytes_per_thread: 4096,
         checkpoint_every: 1 << 20,
-        ..cfg(pw, 1, false, reproduce_threads)
+        ..cfg(pw, 1, false)
     }
     .with_durability(mode);
     cfg.try_validate().expect("ring-full combo must be valid");
@@ -675,13 +668,11 @@ fn ring_full_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: 
 
 #[test]
 fn schedules_ring_full_liveness() {
-    for (name, mode, rt) in [
-        ("sim ring-full pw=2 rt=1", ASYNC, 1),
-        ("sim ring-full pw=2 rt=3", ASYNC, 3),
-        ("sim ring-full sync rt=1", DurabilityMode::Sync, 1),
-        ("sim ring-full sync rt=3", DurabilityMode::Sync, 3),
+    for (name, mode) in [
+        ("sim ring-full pw=2", ASYNC),
+        ("sim ring-full sync", DurabilityMode::Sync),
     ] {
-        explore(&ring_full_combo(name, mode, rt), 0);
+        explore(&ring_full_combo(name, mode), 0);
     }
 }
 
@@ -691,15 +682,10 @@ fn schedules_ring_full_liveness() {
 /// reused once the record after it is freed; a thread's third commit parks
 /// until Reproduce passes its first. Grouped, the sequencer's 2 ms hold timer is
 /// what dispatches a partial group of a parked thread's records.
-fn tiny_ring_combo(
-    name: &'static str,
-    persist_workers: usize,
-    persist_group: usize,
-    reproduce_threads: usize,
-) -> Combo {
+fn tiny_ring_combo(name: &'static str, persist_workers: usize, persist_group: usize) -> Combo {
     Combo {
         name,
-        cfg: cfg(persist_workers, persist_group, false, reproduce_threads)
+        cfg: cfg(persist_workers, persist_group, false)
             .with_durability(DurabilityMode::Async { buffer_txns: 2 })
             .with_trace(TraceConfig::enabled(64)),
         workload: Workload::Bank,
@@ -711,14 +697,12 @@ fn tiny_ring_combo(
 
 #[test]
 fn schedules_tiny_redo_ring() {
-    for (name, pw, group, rt, crash_points) in [
-        ("sim tiny-ring pw=1 pg=1 rt=1", 1, 1, 1, 4),
-        ("sim tiny-ring pw=1 pg=1 rt=3", 1, 1, 3, 0),
-        ("sim tiny-ring pw=2 pg=1 rt=1", 2, 1, 1, 0),
-        ("sim tiny-ring pw=1 pg=8 rt=1", 1, 8, 1, 4),
-        ("sim tiny-ring pw=1 pg=8 rt=3", 1, 8, 3, 0),
+    for (name, pw, group, crash_points) in [
+        ("sim tiny-ring pw=1 pg=1", 1, 1, 4),
+        ("sim tiny-ring pw=2 pg=1", 2, 1, 0),
+        ("sim tiny-ring pw=1 pg=8", 1, 8, 4),
     ] {
-        let parks = explore(&tiny_ring_combo(name, pw, group, rt), crash_points);
+        let parks = explore(&tiny_ring_combo(name, pw, group), crash_points);
         assert!(parks > 0, "{name}: no commit ever parked on a full ring");
     }
 }
@@ -726,16 +710,14 @@ fn schedules_tiny_redo_ring() {
 /// Paged shadow (§4.3) with two frames for four counter pages: every
 /// transaction evicts or swaps in, racing the Reproduce step that gates
 /// swap-ins on the touching ID.
-fn paged_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: usize) -> Combo {
+fn paged_combo(name: &'static str, mode: DurabilityMode) -> Combo {
     let shadow = ShadowConfig::Paged {
         frames: 2,
         mode: PagingMode::Software,
     };
     Combo {
         name,
-        cfg: cfg(1, 1, false, reproduce_threads)
-            .with_durability(mode)
-            .with_shadow(shadow),
+        cfg: cfg(1, 1, false).with_durability(mode).with_shadow(shadow),
         workload: Workload::Counters {
             stride: 512,
             width: 1,
@@ -748,11 +730,8 @@ fn paged_combo(name: &'static str, mode: DurabilityMode, reproduce_threads: usiz
 
 #[test]
 fn schedules_paged_shadow_counters() {
-    explore(&paged_combo("sim paged pw=1 rt=1", ASYNC, 1), 4);
-    explore(
-        &paged_combo("sim paged sync rt=3", DurabilityMode::Sync, 3),
-        0,
-    );
+    explore(&paged_combo("sim paged pw=1", ASYNC), 4);
+    explore(&paged_combo("sim paged sync", DurabilityMode::Sync), 0);
 }
 
 /// One thread that quiesces after every op, with the cadence out of reach:
@@ -764,7 +743,7 @@ fn quiesce_combo(name: &'static str) -> Combo {
         name,
         cfg: DudeTmConfig {
             checkpoint_every: 1 << 20,
-            ..cfg(1, 1, false, 1)
+            ..cfg(1, 1, false)
         },
         workload: LOG,
         threads: 1,
@@ -775,7 +754,7 @@ fn quiesce_combo(name: &'static str) -> Combo {
 
 #[test]
 fn schedules_quiesce_cuts_the_pending_run() {
-    explore(&quiesce_combo("sim quiesce pw=1 rt=1"), 4);
+    explore(&quiesce_combo("sim quiesce pw=1"), 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -810,9 +789,9 @@ fn assert_mutation_caught(mutation: Mutation, combo: &Combo) -> (u64, String) {
             .count(CrashEventKind::Flush, StageFilter::Any);
         // Crash points: a coarse stride over the whole flush timeline
         // (catches bugs with wide windows, like the dropped group fence)
-        // plus every point in the tail (the off-by-one frontier publish
-        // is only exposed in the shutdown drain, where no later record
-        // can repair the hole the premature checkpoint leaves).
+        // plus every point in the tail (a bug exposed only in the
+        // shutdown drain, where no later record can repair the hole a
+        // premature checkpoint leaves).
         let stride = (events / 8).max(1);
         let mut points: Vec<u64> = (1..=events).step_by(stride as usize).collect();
         points.extend(events.saturating_sub(11).max(1)..=events);
@@ -858,8 +837,8 @@ fn mutation_dropped_group_fence_is_caught() {
     assert_mutation_caught(
         Mutation::SkipGroupFence,
         &Combo {
-            name: "mutation-A pw=2 pg=8 rt=1",
-            cfg: cfg(2, 8, false, 1),
+            name: "mutation-A pw=2 pg=8",
+            cfg: cfg(2, 8, false),
             workload: Workload::Bank,
             threads: 3,
             ops: 8,
@@ -872,25 +851,7 @@ fn mutation_dropped_group_fence_is_caught() {
 /// without its fence has acknowledged a transaction a crash can lose.
 #[test]
 fn mutation_dropped_sync_fence_is_caught() {
-    assert_mutation_caught(
-        Mutation::SkipGroupFence,
-        &sync_combo("mutation-A sync rt=1"),
-    );
-}
-
-#[test]
-fn mutation_frontier_off_by_one_is_caught() {
-    assert_mutation_caught(
-        Mutation::FrontierOffByOne,
-        &Combo {
-            name: "mutation-B pw=1 pg=1 rt=4",
-            cfg: cfg(1, 1, false, 4),
-            workload: Workload::Bank,
-            threads: 3,
-            ops: 8,
-            quiesce: false,
-        },
-    );
+    assert_mutation_caught(Mutation::SkipGroupFence, &sync_combo("mutation-A sync"));
 }
 
 /// Without the forced checkpoint a full ring waits on a cadence that never
@@ -898,10 +859,10 @@ fn mutation_frontier_off_by_one_is_caught() {
 #[test]
 fn mutation_skipped_forced_checkpoint_is_caught() {
     for (name, mode) in [
-        ("mutation-C pw=2 rt=1", ASYNC),
-        ("mutation-C sync rt=1", DurabilityMode::Sync),
+        ("mutation-C pw=2", ASYNC),
+        ("mutation-C sync", DurabilityMode::Sync),
     ] {
-        let combo = ring_full_combo(name, mode, 1);
+        let combo = ring_full_combo(name, mode);
         let (_, err) = assert_mutation_caught(Mutation::SkipForcedCheckpoint, &combo);
         assert!(
             err.contains("deadlock") || err.contains("step budget"),
@@ -914,7 +875,7 @@ fn mutation_skipped_forced_checkpoint_is_caught() {
 fn mutation_swap_in_ignoring_touch_watermark_is_caught() {
     assert_mutation_caught(
         Mutation::IgnoreTouchWatermark,
-        &paged_combo("mutation-D paged pw=1 rt=1", ASYNC, 1),
+        &paged_combo("mutation-D paged pw=1", ASYNC),
     );
 }
 
@@ -933,7 +894,7 @@ fn mutation_swap_in_ignoring_touch_watermark_is_caught() {
 fn mutation_ring_freed_when_staged_is_caught() {
     let tiny = Combo {
         workload: LOG,
-        ..tiny_ring_combo("mutation-E tiny-ring pw=2 pg=1 rt=1 log", 2, 1, 1)
+        ..tiny_ring_combo("mutation-E tiny-ring pw=2 pg=1 log", 2, 1)
     };
     let sync = Combo {
         name: "mutation-E sync wide log",
@@ -942,7 +903,7 @@ fn mutation_ring_freed_when_staged_is_caught() {
             heap_bytes: 1 << 17,
             plog_bytes_per_thread: 1 << 17,
             checkpoint_every: 1 << 20,
-            ..cfg(1, 1, false, 1)
+            ..cfg(1, 1, false)
         }
         .with_durability(DurabilityMode::Sync),
         workload: Workload::Log { width: 128 },
@@ -974,7 +935,7 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
         cfg: DudeTmConfig {
             plog_bytes_per_thread: 4096,
             checkpoint_every: 1 << 20,
-            ..cfg(1, 1, false, 1)
+            ..cfg(1, 1, false)
         }
         .with_durability(DurabilityMode::Sync),
         workload: LOG,
@@ -992,14 +953,19 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
 
 /// A durable ID advanced before `publish` takes `replay` opens a window in
 /// which a `quiesce` sees its target durable, finds it neither in the
-/// pending run nor applied, cuts nothing and parks on the reproduced ID for
-/// a run boundary the cadence never reaches: the run must stall.
+/// pending run nor applied and cuts nothing: `wait_reproduced`'s assert
+/// that the target is reproduced must fire, under the first seed.
 #[test]
 fn mutation_durable_before_replay_is_caught() {
-    let combo = quiesce_combo("mutation-G quiesce pw=1 rt=1");
-    let (_, err) = assert_mutation_caught(Mutation::DurableBeforeReplay, &combo);
+    let combo = quiesce_combo("mutation-G quiesce pw=1");
+    let (seed, err) = assert_mutation_caught(Mutation::DurableBeforeReplay, &combo);
     assert!(
-        err.contains("deadlock") || err.contains("step budget"),
-        "caught as something other than a stall: {err}"
+        err.contains("reproduced"),
+        "caught as something other than the reproduced assert: {err}"
+    );
+    assert_eq!(
+        seed,
+        schedule_seeds()[0],
+        "caught only under a later seed: {err}"
     );
 }
