@@ -151,8 +151,9 @@ pub struct DudeTmConfig {
     /// is typically enough, §3.3). Workers serialize, optionally compress,
     /// write, fence, and publish durability out of commit order. Ungrouped,
     /// the `max_threads` per-thread redo rings are partitioned across them;
-    /// with `persist_group > 1` a sequencer deals sealed groups to them
-    /// round-robin and worker `w` owns log ring `w`. Either way the value
+    /// with `persist_group > 1` they share one input that cuts dense groups
+    /// from every ring, each worker takes the next group, and worker `w`
+    /// owns log ring `w`. Either way the value
     /// is capped by `max_threads`. Must be 1 under [`DurabilityMode::Sync`]:
     /// there each committing thread is its own redo ring's Persist worker,
     /// running the same pass right after its commit.

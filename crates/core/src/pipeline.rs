@@ -2,7 +2,7 @@
 //! degenerate settings are the simple case:
 //!
 //! ```text
-//! Perform → redo ring → [sequencer iff persist_group > 1] → worker × N → publish = Reproduce
+//! Perform → redo ring → Persist worker × N → publish = Reproduce
 //! ```
 //!
 //! *Persist* drains the per-thread volatile redo logs ([`crate::redo_ring`])
@@ -10,19 +10,20 @@
 //! combined as it is sealed. With `persist_group = 1` every record is its
 //! own unit — **a commit is a group of one**, combined in place in its
 //! ring — and the redo rings are partitioned across the
-//! `persist_flush_workers` workers. With `persist_group > 1` a *sequencer*
-//! merges all rings' records into dense ID order, seals groups of
-//! consecutive transactions — the precondition for cross-transaction
-//! combination and compression (§3.3, Figure 3) — and deals them
-//! round-robin, so worker `w` appends to log ring `w` only. Either way a
-//! [`persist_worker`] runs one [`Sweep`] per [`Persist::pass`]: stage, flush
-//! each log ring's appended range, fence once, and hand every batch to
-//! [`publish`] — out of commit order across workers, never waiting on one.
+//! `persist_flush_workers` workers. With `persist_group > 1` the workers
+//! share one input, the [`Sequencer`]: it merges all rings' records into
+//! dense ID order and cuts groups of consecutive transactions — the
+//! precondition for cross-transaction combination and compression (§3.3,
+//! Figure 3) — and whichever worker asks next stages the next group into
+//! its own log ring. Either way a [`persist_worker`] runs one [`Sweep`] per
+//! [`Persist::pass`]: stage, flush each log ring's appended range, fence
+//! once, and hand every batch to [`publish`] — out of commit order across
+//! workers, never waiting on one.
 //! Under `Sync` (Perform and Persist merged) each committer runs the same
 //! pass over its own redo ring right after appending to it.
 //!
-//! Dense order is established once per leg, in one [`DenseReorder`]: at
-//! the sequencer iff grouped, and at [`publish`] always. `publish` parks a
+//! Dense order is established once per leg, in one [`DenseReorder`]: in the
+//! grouped input iff grouped, and at [`publish`] always. `publish` parks a
 //! fenced batch in `Shared::order` until nothing is missing in front of it,
 //! then, under the same lock and holding `Shared::replay`, advances the
 //! durable ID over it and reproduces it. Each ring's append order equals ID
@@ -44,7 +45,7 @@
 //!
 //! Lock order: `Shared::order`, then `Shared::replay`. [`publish`] takes
 //! both; [`wait_reproduced`], [`checkpoint_behind`] and [`drain`] take only
-//! `replay`.
+//! `replay`. A worker takes the [`Sequencer`]'s lock holding neither.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -52,8 +53,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use crossbeam::channel::TryRecvError;
 use dude_nvm::{Nvm, Region, CACHE_LINE};
+use parking_lot::Mutex;
 
 use crate::log::{
     combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, SeenSet,
@@ -87,9 +89,9 @@ pub(crate) struct Sealed {
 }
 
 /// Where a Persist input's units come from: a Perform thread's redo ring,
-/// read through a cursor of its own, or the sequencer's channel to one
-/// worker. Each unit is combined once, by the thread that will stage it,
-/// with that thread's scratch table.
+/// read through a cursor of its own, or the [`Sequencer`] the grouped
+/// workers share. Each unit is combined once, by the thread that will stage
+/// it, with that thread's scratch table.
 pub(crate) trait Source {
     fn next_unit(&mut self, combiner: &mut Combiner) -> Result<Sealed, TryRecvError>;
 }
@@ -116,19 +118,127 @@ impl Source for RedoCursor {
     }
 }
 
-impl Source for Receiver<Vec<RedoRecord>> {
-    /// A group of consecutive records, handed from the sequencer to a
-    /// Persist worker: combined straight from the records' ring slices.
+impl Source for Arc<Mutex<Sequencer>> {
+    /// The next group, taken under the lock and combined outside it.
     fn next_unit(&mut self, _: &mut Combiner) -> Result<Sealed, TryRecvError> {
-        let records = self.try_recv()?;
+        let records = self.lock().next_group()?;
+        Ok(Sealed::group(records))
+    }
+}
+
+impl Sealed {
+    /// A group of consecutive records, combined straight from the records'
+    /// ring slices.
+    fn group(records: Vec<RedoRecord>) -> Sealed {
         let pairs = combine_sorted(records.iter().map(|r| r.span.pairs()));
-        Ok(Sealed {
+        Sealed {
             first_tid: records.first().expect("non-empty group").tid,
             last_tid: records.last().expect("non-empty group").tid,
             entries_before: records.iter().map(|r| r.span.len()).sum(),
             entries: pairs.len(),
             writes: Writes::Group(pairs, records.into_iter().map(|r| r.span).collect()),
-        })
+        }
+    }
+}
+
+/// The grouped Persist input, which every worker shares. Groups go out in
+/// TID order, and a worker stages the ones it takes in that order into its
+/// own log ring, so each log ring's append order is dense TID order — the
+/// order the Reproduce step releases spans in
+/// ([`crate::plog::PlogRing::release`] panics otherwise). A group carries
+/// its records themselves, which stay in their rings until the group is
+/// reproduced, so the backlog here too is bounded by the rings.
+#[derive(Debug)]
+pub(crate) struct Sequencer {
+    shared: Arc<Shared>,
+    /// The rings not yet closed and drained.
+    cursors: Vec<RedoCursor>,
+    /// Each redo ring is TID-ascending only per thread.
+    reorder: DenseReorder<RedoRecord>,
+    current: Vec<RedoRecord>,
+    /// When `current` went non-empty: the hold timer's start.
+    started: u64,
+}
+
+/// A partial group is cut after this much quiet time (the latency bound).
+/// The timer runs on the shared monotonic clock (virtual under sim), not
+/// `Instant`, so the bound is deterministic in schedule-exploration runs.
+/// It fires in a worker's poll: a worker parked on a full log ring polls
+/// again once its forced checkpoint frees the space.
+const MAX_HOLD: Duration = Duration::from_millis(2);
+
+impl Sequencer {
+    pub(crate) fn new(shared: &Arc<Shared>) -> Sequencer {
+        let rings = shared.redo.iter().enumerate();
+        Sequencer {
+            shared: Arc::clone(shared),
+            cursors: rings.map(|(i, ring)| RedoCursor::new(i, ring)).collect(),
+            reorder: DenseReorder::starting_at(shared.durable.get()),
+            current: Vec::new(),
+            started: 0,
+        }
+    }
+
+    /// Polls every ring, then cuts the next group: `persist_group`
+    /// consecutive records, or fewer once the hold timer expires or every
+    /// ring is closed and drained. [`TryRecvError::Empty`] while neither;
+    /// [`TryRecvError::Disconnected`] once every ring is closed and nothing
+    /// is stashed.
+    fn next_group(&mut self) -> Result<Vec<RedoRecord>, TryRecvError> {
+        let group = self.shared.config.persist_group;
+        let mut progress = false;
+        // Bounded drain per poll so one busy thread cannot starve the rest;
+        // a ring closed and drained is dropped.
+        self.cursors.retain_mut(|cursor| {
+            for _ in 0..64 {
+                match cursor.try_pop() {
+                    Ok(rec) => self.reorder.push(rec.tid, rec.tid, rec),
+                    Err(e) => return e == TryRecvError::Empty,
+                }
+                progress = true;
+            }
+            true
+        });
+        while self.current.len() < group {
+            let Some((_, _, rec)) = self.reorder.pop() else {
+                break;
+            };
+            // The timer runs from when the group started: a stale start
+            // from an idle period would make it expire at once and cut a
+            // group of one.
+            if self.current.is_empty() {
+                self.started = dude_nvm::monotonic_ns();
+            }
+            self.current.push(rec);
+        }
+        let closed = self.cursors.is_empty();
+        let stashed = self.reorder.pending_len();
+        let drained = closed && stashed == 0;
+        let expired = !self.current.is_empty()
+            && dude_nvm::monotonic_ns().saturating_sub(self.started) > MAX_HOLD.as_nanos() as u64;
+        #[cfg(feature = "sim")] // a hold timer that never fires: sim sabotage
+        let expired = expired && !crate::sabotage::never_cut_partial_group();
+        if self.current.len() == group || expired || drained && !self.current.is_empty() {
+            return Ok(std::mem::take(&mut self.current));
+        }
+        if drained {
+            return Err(TryRecvError::Disconnected);
+        }
+        // The rings are closed but the reorder buffer has a gap: a
+        // transaction ID was allocated and never logged. This is a
+        // protocol violation upstream.
+        assert!(
+            !closed,
+            "persist(grouped): tid {} missing with inputs closed ({stashed} stashed)",
+            self.reorder.complete() + 1,
+        );
+        // Idle with records stashed beyond a TID gap: the workers wait on
+        // one slow Perform thread — the grouped pipeline's head-of-line
+        // stall, counted per empty poll.
+        if !progress && stashed > 0 {
+            self.shared.trace.stall(|s| &s.persist_seq_wait);
+        }
+        Err(TryRecvError::Empty)
     }
 }
 
@@ -267,7 +377,6 @@ struct Input<S> {
     ring: usize,
     source: S,
     parked: Option<Sealed>,
-    done: bool,
 }
 
 /// The Persist step over a set of inputs, one [`Persist::pass`] at a time —
@@ -287,7 +396,6 @@ impl<S: Source> Persist<S> {
             ring,
             source,
             parked: None,
-            done: false,
         });
         Persist {
             sweep: Sweep::default(),
@@ -301,20 +409,16 @@ impl<S: Source> Persist<S> {
     /// inputs. Returns whether anything was staged.
     fn pass(&mut self, shared: &Shared, worker: Option<usize>) -> bool {
         let mut progress = false;
-        for input in &mut self.inputs {
-            // Bounded drain per pass so one busy thread cannot starve the
-            // rest; a parked unit goes first, keeping the ring's order.
+        // Bounded drain per pass so one busy thread cannot starve the rest;
+        // a parked unit goes first, keeping the ring's order, and an input
+        // disconnected and drained is dropped.
+        self.inputs.retain_mut(|input| {
             for _ in 0..64 {
                 let unit = match input.parked.take() {
                     Some(unit) => unit,
-                    None if input.done => break,
                     None => match input.source.next_unit(&mut self.sweep.combiner) {
                         Ok(unit) => unit,
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            input.done = true;
-                            break;
-                        }
+                        Err(e) => return e == TryRecvError::Empty,
                     },
                 };
                 match self.sweep.stage(shared, input.ring, unit) {
@@ -325,7 +429,8 @@ impl<S: Source> Persist<S> {
                     }
                 }
             }
-        }
+            true
+        });
         self.sweep.finish(shared, worker);
         progress
     }
@@ -356,11 +461,10 @@ impl<S: Source> Persist<S> {
 /// A Persist worker: runs [`Persist::pass`] over its inputs until every one
 /// is disconnected and drained.
 ///
-/// The ungrouped pipeline partitions the per-thread redo rings across
-/// workers, each read through the worker's own cursor; the grouped
-/// pipeline gives worker `w` one input, the sequencer's channel `w`, staged
-/// into log ring `w`. A parked unit is retried with a bounded sleep per
-/// probe, never a busy-spin. Every span ahead of it was fenced and
+/// Ungrouped, its inputs are cursors of its own on a partition of the redo
+/// rings; grouped, worker `w` has one, the shared [`Sequencer`], staged into
+/// log ring `w`. A parked unit is retried with a bounded sleep per probe,
+/// never a busy-spin. Every span ahead of it was fenced and
 /// published by the sweep that staged it, so after each pass the worker
 /// applies the pending run and forces a checkpoint of whatever is
 /// reproduced ([`checkpoint_behind`]); a span still held sits behind a TID
@@ -381,129 +485,12 @@ pub(crate) fn persist_worker<S: Source>(
         let progress = persist.pass(&shared, Some(worker));
         if persist.parked() {
             checkpoint_behind(&shared);
-        } else if persist.inputs.iter().all(|i| i.done) {
+        } else if persist.inputs.is_empty() {
             return;
         }
         if !progress {
             if shared.redo.iter().any(|ring| ring.freed.has_waiters()) {
                 shared.replay.lock().apply(&shared);
-            }
-            dude_nvm::thread::sleep(Duration::from_micros(50));
-        }
-    }
-}
-
-/// The grouped-Persist sequencer: reads every per-thread redo ring through
-/// its own cursor, merges the records into dense global transaction-ID
-/// order, seals groups of `persist_group` consecutive transactions, and
-/// deals them round-robin to the Persist workers.
-///
-/// A group carries its records themselves, which stay in their rings until
-/// the group is reproduced, so the sequencer's backlog too is bounded by
-/// the rings. The sequencer never touches NVM, so it can never park on a
-/// full ring; the hold timer below therefore always re-arms on time and a
-/// partial group — say, one a thread parked on its full ring is waiting
-/// for — is dispatched at most once per quiet period. Round-robin
-/// assignment is load-bearing for span recycling: worker `w` receives
-/// groups `w, w + N, …` and appends them to *its own* ring in that order,
-/// so each ring's append order equals dense TID order — exactly the order
-/// the Reproduce step releases spans in ([`crate::plog::PlogRing::release`] panics
-/// otherwise).
-pub(crate) fn persist_sequencer(shared: Arc<Shared>, worker_txs: Vec<Sender<Vec<RedoRecord>>>) {
-    dude_nvm::set_background_stage(true);
-    let mut inputs: Vec<_> = (shared.redo.iter().enumerate())
-        .map(|(i, ring)| RedoCursor::new(i, ring))
-        .collect();
-    let group = shared.config.persist_group;
-    let workers = worker_txs.len();
-    // Each redo ring is TID-ascending only per thread.
-    let mut reorder = DenseReorder::starting_at(shared.durable.get());
-    let mut done = vec![false; inputs.len()];
-    let mut current: Vec<RedoRecord> = Vec::new();
-    // Groups dispatched so far; picks the next worker.
-    let mut next_seq = 0usize;
-    // Hold-timer arithmetic runs on the shared monotonic clock (virtual
-    // under sim), not `Instant`, so the latency bound is deterministic in
-    // schedule-exploration runs and unchanged natively.
-    let mut last_flush = dude_nvm::monotonic_ns();
-    // Dispatch a partial group after this much quiet time (latency bound).
-    let max_hold_ns = Duration::from_millis(2).as_nanos() as u64;
-
-    let dispatch = |current: &mut Vec<RedoRecord>, next_seq: &mut usize| {
-        if current.is_empty() {
-            return;
-        }
-        let records = std::mem::take(current);
-        // A worker only exits after draining its channel, so a send can
-        // fail only during teardown-after-panic.
-        let _ = worker_txs[*next_seq % workers].send(records);
-        *next_seq += 1;
-    };
-
-    loop {
-        let mut progress = false;
-        for (i, ring) in inputs.iter_mut().enumerate() {
-            if done[i] {
-                continue;
-            }
-            for _ in 0..64 {
-                match ring.try_pop() {
-                    Ok(rec) => {
-                        progress = true;
-                        reorder.push(rec.tid, rec.tid, rec);
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        done[i] = true;
-                        break;
-                    }
-                }
-            }
-        }
-        // Move dense-prefix records into the current group.
-        while let Some((_, _, rec)) = reorder.pop() {
-            // `last_flush` is really "when the current group started": a
-            // stale value from an idle period would make the hold timer
-            // expire immediately and dispatch a group of one, so restart it
-            // when the group goes empty → non-empty.
-            if current.is_empty() {
-                last_flush = dude_nvm::monotonic_ns();
-            }
-            current.push(rec);
-            if current.len() >= group {
-                dispatch(&mut current, &mut next_seq);
-                last_flush = dude_nvm::monotonic_ns();
-            }
-        }
-        let all_done = done.iter().all(|&d| d);
-        if all_done && reorder.pending_len() == 0 {
-            dispatch(&mut current, &mut next_seq);
-            // Returning drops `worker_txs`: the workers drain their
-            // queues and exit.
-            return;
-        }
-        if !current.is_empty() && dude_nvm::monotonic_ns().saturating_sub(last_flush) > max_hold_ns
-        {
-            dispatch(&mut current, &mut next_seq);
-            last_flush = dude_nvm::monotonic_ns();
-        }
-        if !progress {
-            if all_done {
-                // The rings are closed but the reorder buffer has a gap: a
-                // transaction ID was allocated and never logged. This is a
-                // protocol violation upstream.
-                panic!(
-                    "persist(grouped): tid {} missing with inputs closed \
-                     ({} stashed)",
-                    reorder.complete() + 1,
-                    reorder.pending_len()
-                );
-            }
-            // Idle with records stashed beyond a TID gap: the sequencer is
-            // waiting on one slow Perform thread — the grouped pipeline's
-            // head-of-line stall, counted per tick like the others.
-            if reorder.pending_len() > 0 {
-                shared.trace.stall(|s| &s.persist_seq_wait);
             }
             dude_nvm::thread::sleep(Duration::from_micros(50));
         }
@@ -746,7 +733,6 @@ mod tests {
     use crate::stats::PipelineStatsSnapshot;
     use crate::stats::RecoveryTelemetry;
     use crate::trace::TraceConfig;
-    use crossbeam::channel::unbounded;
     use dude_nvm::{Nvm, NvmConfig};
 
     fn shared(config: DudeTmConfig) -> (Arc<Shared>, NvmLayout) {
@@ -787,15 +773,14 @@ mod tests {
             unit.expect("just pushed")
         }
 
-        /// `records` as a worker seals the group the sequencer sends it.
+        /// `records` as a worker seals a group it takes from the grouped
+        /// input.
         fn group(&mut self, records: Vec<LogRecord>) -> Sealed {
-            let (tx, mut rx) = unbounded();
             let popped = records.iter().map(|rec| {
                 self.append(rec);
                 self.1.try_pop().expect("just pushed")
             });
-            tx.send(popped.collect()).unwrap();
-            rx.next_unit(&mut Combiner::default()).unwrap()
+            Sealed::group(popped.collect())
         }
     }
 
@@ -886,6 +871,76 @@ mod tests {
         expect.groups_persisted += 1;
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(shared.stats.snapshot(), expect);
+    }
+
+    /// Producers for redo rings `0..n` of a `persist_group = 4` runtime,
+    /// and its grouped input over every ring.
+    fn grouped(n: usize) -> (Arc<Shared>, Vec<RedoProducer>, Sequencer) {
+        let config = DudeTmConfig::small(1 << 16)
+            .with_grouping(4, false)
+            .with_trace(TraceConfig::enabled(64));
+        let (shared, _) = shared(config);
+        let producers = shared.redo[..n].iter().map(RedoProducer::new).collect();
+        let seq = Sequencer::new(&shared);
+        (shared, producers, seq)
+    }
+
+    /// Commits `tid` on `producer`, one write of its own.
+    fn push(producer: &mut RedoProducer, tid: u64) {
+        assert!(producer.try_push(tid, false, &[(8 * tid, tid)]));
+    }
+
+    fn tids(group: Result<Vec<RedoRecord>, TryRecvError>) -> Vec<u64> {
+        group.expect("a group").iter().map(|r| r.tid).collect()
+    }
+
+    /// TIDs interleaved across two rings — each ring ascending, one ring
+    /// ahead of the other — come out as dense groups of exactly
+    /// `persist_group`; an empty poll behind a gap counts a stall, and a
+    /// partial group is held until the hold timer fires.
+    #[test]
+    fn the_grouped_input_cuts_dense_groups_and_holds_a_partial_one() {
+        let (shared, mut p, mut seq) = grouped(2);
+        (2..=10).step_by(2).for_each(|tid| push(&mut p[1], tid));
+        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        let stalls = || shared.trace.stalls.snapshot().persist_seq_wait;
+        assert_eq!(stalls(), 1, "the poll that stashed counts none");
+        (1..=9).step_by(2).for_each(|tid| push(&mut p[0], tid));
+        assert_eq!(tids(seq.next_group()), [1, 2, 3, 4]);
+        assert_eq!(tids(seq.next_group()), [5, 6, 7, 8]);
+        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        assert_eq!(stalls(), 1, "nothing stashed behind a gap");
+        std::thread::sleep(MAX_HOLD + Duration::from_millis(1));
+        assert_eq!(tids(seq.next_group()), [9, 10]);
+        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+    }
+
+    /// Closing all rings but one cuts nothing early; closing the last cuts
+    /// the partial group at once, and only then, with nothing stashed, is
+    /// the input disconnected.
+    #[test]
+    fn the_grouped_input_disconnects_only_once_every_ring_is_closed_and_drained() {
+        let (shared, mut p, mut seq) = grouped(2);
+        push(&mut p[0], 1);
+        let open = &shared.redo[1];
+        let others = shared.redo.iter().filter(|r| !Arc::ptr_eq(r, open));
+        others.for_each(|r| r.close());
+        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        push(&mut p[1], 2);
+        open.close();
+        assert_eq!(tids(seq.next_group()), [1, 2]);
+        let end = seq.next_group().unwrap_err();
+        assert_eq!(end, TryRecvError::Disconnected);
+    }
+
+    #[test]
+    #[should_panic(expected = "tid 1 missing with inputs closed (1 stashed)")]
+    fn a_tid_gap_with_every_ring_closed_panics() {
+        let (shared, mut p, mut seq) = grouped(2);
+        push(&mut p[1], 2);
+        shared.redo.iter().for_each(|r| r.close());
+        let _ = seq.next_group();
     }
 
     /// A refused unit counts nothing and waits on a checkpoint the cadence

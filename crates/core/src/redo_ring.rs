@@ -5,7 +5,8 @@
 //! ([`RedoProducer::try_push`]) and publishes it with one `Release` store of
 //! its record count: no lock, allocation, condvar or syscall per commit.
 //! Its one consumer — the Persist worker that owns the ring, the grouped
-//! sequencer, or under `Sync` the committing thread itself — reads records
+//! input the Persist workers share, or under `Sync` the committing thread
+//! itself — reads records
 //! in place through its own cursor
 //! ([`RedoCursor::try_pop`]). A popped record's slice ([`RedoSpan`]) belongs
 //! to the Persist and Reproduce side until it is freed, and it is freed only

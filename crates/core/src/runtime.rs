@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use dude_nvm::{Nvm, Region};
 use dude_stm::HeapTxn;
 use dude_txapi::{TxAbort, TxResult, Txn, TxnOutcome, TxnSystem, TxnThread};
@@ -16,11 +16,11 @@ use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    drain, persist_sequencer, persist_worker, wait_reproduced, Batch, Persist, Replay, Source,
+    drain, persist_worker, wait_reproduced, Batch, Persist, Replay, Sequencer, Source,
 };
 use crate::plog::PlogRing;
 use crate::recovery::{wipe_logs, RecoverError};
-use crate::redo_ring::{RedoCursor, RedoProducer, RedoRecord, RedoRing};
+use crate::redo_ring::{RedoCursor, RedoProducer, RedoRing};
 use crate::seqtrack::DenseReorder;
 use crate::shadow::ShadowMem;
 use crate::stats::{
@@ -250,8 +250,7 @@ pub struct DudeTm<E: TmEngine> {
     /// (see [`DudeTm::attach_history`]).
     history: Mutex<Option<Arc<CommitHistory>>>,
     next_slot: AtomicUsize,
-    /// The Persist workers (and the sequencer), until [`DudeTm::halt`]
-    /// drains them.
+    /// The Persist workers, until [`DudeTm::halt`] drains them.
     persist: Option<Vec<dude_nvm::thread::JoinHandle<()>>>,
     /// Stop signal + handle for the metrics sampler (`None` when metrics
     /// are disabled, or after shutdown).
@@ -324,18 +323,12 @@ impl<E: TmEngine> DudeTm<E> {
             // number of redo rings and of log rings.
             let n = config.persist_flush_workers;
             if config.persist_group > 1 {
-                // Sequencer in front; worker `w` owns ring `w`.
-                let mut worker_txs = Vec::with_capacity(n);
+                // Every worker takes the next group from one shared input;
+                // worker `w` stages it into log ring `w`.
+                let groups = Arc::new(Mutex::new(Sequencer::new(&shared)));
                 for w in 0..n {
-                    let (tx, rx) = unbounded::<Vec<RedoRecord>>();
-                    worker_txs.push(tx);
-                    persist.push(spawn_persist_worker(&shared, w, [(w, rx)]));
+                    persist.push(spawn_persist_worker(&shared, w, [(w, Arc::clone(&groups))]));
                 }
-                let shared2 = Arc::clone(&shared);
-                persist.push(dude_nvm::thread::spawn_named(
-                    "dude-persist-seq",
-                    move || persist_sequencer(shared2, worker_txs),
-                ));
             } else {
                 // Worker `w` reads redo rings `w, w + n, …`, staging each
                 // record into its thread's log ring.

@@ -165,7 +165,7 @@ cells! {
     snapshot StallSnapshot, prefix "stall_" {
         Counter perform_log_full: "Commits that found their redo ring at its Async buffer_txns cap and parked until Reproduce freed space.",
         Counter persist_ring_full: "Units parked because a persistent log ring had no space Reproduce had recycled.",
-        Counter persist_seq_wait: "Sequencer idle ticks with records stashed behind a transaction-ID gap (grouped mode).",
+        Counter persist_seq_wait: "Persist workers' empty polls of the grouped input with records stashed behind a transaction-ID gap (grouped mode).",
         Counter reproduce_starved: "Always 0: Reproduce is a step with no idle loop to starve (kept for the benchmark package).",
     }
 }

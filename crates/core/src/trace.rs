@@ -13,8 +13,8 @@
 //!   allocation on the record path, percentiles without storing samples.
 //! * [`StallCounters`] — named counters for the ways a stage can block:
 //!   Perform on a full volatile log, Persist on a full persistent ring,
-//!   the grouped-Persist sequencer on a TID gap, and Reproduce starved of
-//!   input (always 0: Reproduce is a step).
+//!   grouped Persist workers whose shared input waits on a TID gap, and
+//!   Reproduce starved of input (always 0: Reproduce is a step).
 //!   Declared in the metrics catalog ([`crate::stats`]) like every other
 //!   scalar cell; [`Trace::histograms`] is the catalog's histogram half.
 //!

@@ -221,7 +221,7 @@ fn flush_workers_valid_with_and_without_grouping() {
         .with_grouping(8, false)
         .with_flush_workers(2)
         .try_validate()
-        .expect("grouped workers are dealt groups by the sequencer");
+        .expect("grouped workers share one grouped input");
 }
 
 #[test]

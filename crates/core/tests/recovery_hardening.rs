@@ -158,8 +158,9 @@ fn group_straddling_checkpoint_replays_idempotently() {
     assert_eq!(nvm.read_word(layout.heap.start() + 8), 40);
 }
 
-/// Parallel flush workers round-robin consecutive groups across one ring
-/// per worker and fence them out of order, so a crash can leave the dense
+/// Parallel flush workers spread consecutive groups across one ring per
+/// worker (here round-robin, one schedule of many) and fence them out of
+/// order, so a crash can leave the dense
 /// group sequence with a hole: a worker's flush never completed while a
 /// *later* group on another ring is already durable. Recovery must stitch
 /// the cross-ring sequence back into dense TID order, cut it at the gap,

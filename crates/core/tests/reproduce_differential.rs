@@ -34,8 +34,9 @@ fn config() -> DudeTmConfig {
     .with_durability(DurabilityMode::Async { buffer_txns: 64 })
 }
 
-/// Grouped-Persist config: groups of 8 dealt to `flush_workers` Persist
-/// workers, each owning one of the `max_threads` log rings.
+/// Grouped-Persist config: groups of 8 taken by `flush_workers` Persist
+/// workers from one shared input, each worker owning one of the
+/// `max_threads` log rings.
 fn grouped_config(flush_workers: usize, compress: bool) -> DudeTmConfig {
     DudeTmConfig {
         max_threads: 4,

@@ -561,8 +561,8 @@ fn sweep_grouped_compressed_background_writes() {
 
 // ---- Parallel grouped Persist (`persist_flush_workers` ∈ {2, 4}) ---------
 //
-// The sequencer deals group records round-robin over one ring per worker,
-// and the workers fence and publish them out of order; only the durable
+// The workers take groups from one shared input, each staging into a ring
+// of its own, and fence and publish them out of order; only the durable
 // watermark (a prefix) and Reproduce's replay are in order. The prefix
 // invariant is therefore load-bearing in a new way: a crash amid N
 // in-flight group flushes may persist groups beyond a gap, and recovery

@@ -481,8 +481,8 @@ fn mt_sweep_grouped_compressed() {
     );
 }
 
-/// Two Persist workers behind the sequencer: groups fence and publish out
-/// of order on two rings, but the oracle must still see exact contiguous
+/// Two Persist workers sharing the grouped input: groups fence and publish
+/// out of order on two rings, but the oracle must still see exact contiguous
 /// TID prefixes — the tracker's prefix watermark and Reproduce's dense
 /// replay are what's under test here.
 #[test]

@@ -31,7 +31,8 @@
 //! watermark, redo-ring space freed when a record is staged instead of
 //! when it is reproduced (on Persist workers, and under `Sync`), a
 //! Reproduce run's heap stores issued after its checkpoint fence, a durable
-//! ID advanced before `publish` takes the Reproduce lock — and asserts the
+//! ID advanced before `publish` takes the Reproduce lock, a grouped input
+//! whose hold timer never cuts a partial group — and asserts the
 //! seed sweep *catches* it within the default budget. A fuzzer that passes
 //! those mutations but fails a real run is telling the truth.
 
@@ -680,8 +681,9 @@ fn schedules_ring_full_liveness() {
 /// unreproduced records per thread in 8-word segments. A bank record (two
 /// writes) is 6 words, so every record wraps to another segment, which is
 /// reused once the record after it is freed; a thread's third commit parks
-/// until Reproduce passes its first. Grouped, the sequencer's 2 ms hold timer is
-/// what dispatches a partial group of a parked thread's records.
+/// until Reproduce passes its first. Grouped, the 2 ms hold timer, fired in
+/// a worker's poll of the shared grouped input, is what cuts a partial group
+/// of a parked thread's records; with two workers, they share that input.
 fn tiny_ring_combo(name: &'static str, persist_workers: usize, persist_group: usize) -> Combo {
     Combo {
         name,
@@ -701,6 +703,7 @@ fn schedules_tiny_redo_ring() {
         ("sim tiny-ring pw=1 pg=1", 1, 1, 4),
         ("sim tiny-ring pw=2 pg=1", 2, 1, 0),
         ("sim tiny-ring pw=1 pg=8", 1, 8, 4),
+        ("sim tiny-ring pw=2 pg=8", 2, 8, 0),
     ] {
         let parks = explore(&tiny_ring_combo(name, pw, group), crash_points);
         assert!(parks > 0, "{name}: no commit ever parked on a full ring");
@@ -948,6 +951,21 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
         seed,
         schedule_seeds()[0],
         "caught only under a later seed: {err}"
+    );
+}
+
+/// A grouped input that never cuts a partial group on its hold timer
+/// strands the tiny ring's producers: three threads park holding at most
+/// six unreproduced records between them, fewer than the group of eight
+/// that would release them, and no ring closes while they are parked. The
+/// run must stall, not finish.
+#[test]
+fn mutation_partial_group_never_cut_is_caught() {
+    let combo = tiny_ring_combo("mutation-H tiny-ring pw=1 pg=8", 1, 8);
+    let (_, err) = assert_mutation_caught(Mutation::NeverCutPartialGroup, &combo);
+    assert!(
+        err.contains("deadlock") || err.contains("step budget"),
+        "caught as something other than a stall: {err}"
     );
 }
 
