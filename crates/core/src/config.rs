@@ -22,8 +22,9 @@ pub enum DurabilityMode {
     /// As `Async` but with no cap on the redo ring, so Perform never blocks
     /// ("DudeTM-Inf").
     AsyncUnbounded,
-    /// Perform flushes its own redo log and waits for durability before
-    /// returning ("DudeTM-Sync": the first two steps merged).
+    /// Perform persists its own redo log and returns only once its
+    /// transaction is durable — every lower TID too, which another committer
+    /// may still be persisting ("DudeTM-Sync": the first two steps merged).
     Sync,
 }
 
@@ -61,8 +62,6 @@ pub enum ConfigError {
     },
     /// `compress_groups` set with `persist_group == 1` — a silent no-op.
     CompressionWithoutGrouping,
-    /// `persist_group > 1` combined with [`DurabilityMode::Sync`].
-    GroupingWithSync,
     /// `persist_flush_workers` is zero.
     NoFlushWorkers,
     /// `persist_flush_workers > 1` combined with [`DurabilityMode::Sync`].
@@ -107,9 +106,6 @@ impl core::fmt::Display for ConfigError {
                  persist_group must be > 1 when compress_groups is set \
                  (got persist_group = 1)",
             ),
-            ConfigError::GroupingWithSync => {
-                f.write_str("log combination requires the asynchronous pipeline (§3.3)")
-            }
             ConfigError::NoFlushWorkers => f.write_str("persist_flush_workers must be at least 1"),
             ConfigError::FlushWorkersWithSync => {
                 f.write_str("persist_flush_workers must be 1 under DurabilityMode::Sync")
@@ -145,7 +141,10 @@ pub struct DudeTmConfig {
     pub durability: DurabilityMode,
     /// Cross-transaction log combination: group this many *consecutive*
     /// transactions and coalesce writes to the same address before flushing
-    /// (§3.3). `1` disables grouping.
+    /// (§3.3). `1` disables grouping. A group is cut short only when a
+    /// thread waits on its first TID, or at shutdown: under `Async` a
+    /// partial group stays volatile until then, and under `Sync` each
+    /// committer cuts whatever is pending up to its own TID.
     pub persist_group: usize,
     /// Number of Persist workers (asynchronous modes; the paper finds one
     /// is typically enough, §3.3). Workers serialize, optionally compress,
@@ -155,8 +154,9 @@ pub struct DudeTmConfig {
     /// from every ring, each worker takes the next group, and worker `w`
     /// owns log ring `w`. Either way the value
     /// is capped by `max_threads`. Must be 1 under [`DurabilityMode::Sync`]:
-    /// there each committing thread is its own redo ring's Persist worker,
-    /// running the same pass right after its commit.
+    /// there each committing thread runs the same pass right after its
+    /// commit — over its own redo ring, or over the shared grouped input,
+    /// staging into its own log ring.
     pub persist_flush_workers: usize,
     /// Compress grouped logs with the LZ77 codec before flushing (§3.3).
     /// Only applies when `persist_group > 1`.
@@ -296,9 +296,6 @@ impl DudeTmConfig {
         if self.compress_groups && self.persist_group == 1 {
             return Err(ConfigError::CompressionWithoutGrouping);
         }
-        if self.persist_group > 1 && matches!(self.durability, DurabilityMode::Sync) {
-            return Err(ConfigError::GroupingWithSync);
-        }
         if self.persist_flush_workers == 0 {
             return Err(ConfigError::NoFlushWorkers);
         }
@@ -355,11 +352,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "asynchronous pipeline")]
-    fn grouping_with_sync_rejected() {
+    fn grouping_with_sync_accepted() {
         DudeTmConfig::small(1 << 20)
             .with_durability(DurabilityMode::Sync)
-            .with_grouping(10, false)
+            .with_grouping(10, true)
             .validate();
     }
 
@@ -463,11 +459,6 @@ mod tests {
             c.try_validate(),
             Err(ConfigError::PlogTooSmall { .. })
         ));
-
-        let c = DudeTmConfig::small(1 << 20)
-            .with_durability(DurabilityMode::Sync)
-            .with_grouping(8, false);
-        assert_eq!(c.try_validate(), Err(ConfigError::GroupingWithSync));
 
         let mut c = DudeTmConfig::small(1 << 20).with_grouping(8, false);
         c.persist_flush_workers = 0;

@@ -20,7 +20,11 @@
 //! once, and hand every batch to [`publish`] — out of commit order across
 //! workers, never waiting on one.
 //! Under `Sync` (Perform and Persist merged) each committer runs the same
-//! pass over its own redo ring right after appending to it.
+//! pass right after appending to its redo ring — over that ring, or over
+//! the shared grouped input — and returns once its TID is durable. TIDs end
+//! a group; only a thread that waits cuts one short, by raising
+//! `Shared::demand` ([`wait_durable`]), which also wakes an idle worker at
+//! once ([`Persist::run`]).
 //!
 //! Dense order is established once per leg, in one [`DenseReorder`]: in the
 //! grouped input iff grouped, and at [`publish`] always. `publish` parks a
@@ -55,15 +59,15 @@ use std::time::Duration;
 
 use crossbeam::channel::TryRecvError;
 use dude_nvm::{Nvm, Region, CACHE_LINE};
-use parking_lot::Mutex;
 
 use crate::log::{
     combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, SeenSet,
 };
 use crate::plog::PlogSpan;
-use crate::redo_ring::{RedoCursor, RedoRecord, Unfreed, Writes};
+use crate::redo_ring::{RedoCursor, RedoRecord, RedoRing, Unfreed, Writes};
 use crate::runtime::Shared;
 use crate::seqtrack::DenseReorder;
+use crate::watermark::park_on;
 
 /// A persisted unit handed from Persist to the Reproduce step, with the log
 /// span to recycle once the covering checkpoint is durable and the ring it
@@ -88,26 +92,35 @@ pub(crate) struct Sealed {
     entries: usize,
 }
 
-/// Where a Persist input's units come from: a Perform thread's redo ring,
-/// read through a cursor of its own, or the [`Sequencer`] the grouped
-/// workers share. Each unit is combined once, by the thread that will stage
-/// it, with that thread's scratch table.
-pub(crate) trait Source {
-    fn next_unit(&mut self, combiner: &mut Combiner) -> Result<Sealed, TryRecvError>;
+/// Where a Persist input's units come from. Each unit is combined once, by
+/// the thread that will stage it, with that thread's scratch table.
+#[derive(Debug)]
+pub(crate) enum Source {
+    /// A Perform thread's redo ring, read through a cursor of its own.
+    Ring(RedoCursor),
+    /// The grouped input, which every Persist worker — or every `Sync`
+    /// committer — of a grouped runtime shares.
+    Groups,
 }
 
-impl Source for RedoCursor {
-    /// A commit is a group of one: a word it wrote twice is logged, handed
-    /// to Reproduce and replayed once, with its last value — combined in
-    /// the record's slice, which this side owns until it is freed.
-    fn next_unit(&mut self, combiner: &mut Combiner) -> Result<Sealed, TryRecvError> {
+impl Source {
+    /// The next unit: a group taken under the grouped input's lock and
+    /// combined outside it, or a record. A commit is a group of one: a word
+    /// it wrote twice is logged, handed to Reproduce and replayed once, with
+    /// its last value — combined in the record's slice, which this side owns
+    /// until it is freed.
+    fn next_unit(&mut self, shared: &Shared, c: &mut Combiner) -> Result<Sealed, TryRecvError> {
+        let Source::Ring(cursor) = self else {
+            let records = shared.groups.lock().next_group(shared)?;
+            return Ok(Sealed::group(records));
+        };
         let RedoRecord {
             tid,
             abort,
             mut span,
-        } = self.try_pop()?;
+        } = cursor.try_pop()?;
         let entries_before = span.len();
-        span.combine(combiner);
+        span.combine(c);
         Ok(Sealed {
             first_tid: tid,
             last_tid: tid,
@@ -115,14 +128,6 @@ impl Source for RedoCursor {
             entries: span.len(),
             writes: Writes::Ring { span, abort },
         })
-    }
-}
-
-impl Source for Arc<Mutex<Sequencer>> {
-    /// The next group, taken under the lock and combined outside it.
-    fn next_unit(&mut self, _: &mut Combiner) -> Result<Sealed, TryRecvError> {
-        let records = self.lock().next_group()?;
-        Ok(Sealed::group(records))
     }
 }
 
@@ -141,7 +146,8 @@ impl Sealed {
     }
 }
 
-/// The grouped Persist input, which every worker shares. Groups go out in
+/// The grouped Persist input, which every worker shares (`Shared::groups`,
+/// over no ring on an ungrouped runtime). Groups go out in
 /// TID order, and a worker stages the ones it takes in that order into its
 /// own log ring, so each log ring's append order is dense TID order — the
 /// order the Reproduce step releases spans in
@@ -150,42 +156,31 @@ impl Sealed {
 /// reproduced, so the backlog here too is bounded by the rings.
 #[derive(Debug)]
 pub(crate) struct Sequencer {
-    shared: Arc<Shared>,
     /// The rings not yet closed and drained.
     cursors: Vec<RedoCursor>,
     /// Each redo ring is TID-ascending only per thread.
     reorder: DenseReorder<RedoRecord>,
     current: Vec<RedoRecord>,
-    /// When `current` went non-empty: the hold timer's start.
-    started: u64,
 }
 
-/// A partial group is cut after this much quiet time (the latency bound).
-/// The timer runs on the shared monotonic clock (virtual under sim), not
-/// `Instant`, so the bound is deterministic in schedule-exploration runs.
-/// It fires in a worker's poll: a worker parked on a full log ring polls
-/// again once its forced checkpoint frees the space.
-const MAX_HOLD: Duration = Duration::from_millis(2);
-
 impl Sequencer {
-    pub(crate) fn new(shared: &Arc<Shared>) -> Sequencer {
-        let rings = shared.redo.iter().enumerate();
+    /// The grouped input over `rings`, whose first TID follows `start`.
+    pub(crate) fn new(rings: &[Arc<RedoRing>], start: u64) -> Sequencer {
+        let rings = rings.iter().enumerate();
         Sequencer {
-            shared: Arc::clone(shared),
             cursors: rings.map(|(i, ring)| RedoCursor::new(i, ring)).collect(),
-            reorder: DenseReorder::starting_at(shared.durable.get()),
+            reorder: DenseReorder::starting_at(start),
             current: Vec::new(),
-            started: 0,
         }
     }
 
     /// Polls every ring, then cuts the next group: `persist_group`
-    /// consecutive records, or fewer once the hold timer expires or every
-    /// ring is closed and drained. [`TryRecvError::Empty`] while neither;
-    /// [`TryRecvError::Disconnected`] once every ring is closed and nothing
-    /// is stashed.
-    fn next_group(&mut self) -> Result<Vec<RedoRecord>, TryRecvError> {
-        let group = self.shared.config.persist_group;
+    /// consecutive records, or fewer once `demand` reaches the first of them
+    /// or every ring is closed and drained. [`TryRecvError::Empty`] while
+    /// neither; [`TryRecvError::Disconnected`] once every ring is closed and
+    /// drained and nothing is stashed.
+    fn next_group(&mut self, shared: &Shared) -> Result<Vec<RedoRecord>, TryRecvError> {
+        let group = shared.config.persist_group;
         let mut progress = false;
         // Bounded drain per poll so one busy thread cannot starve the rest;
         // a ring closed and drained is dropped.
@@ -203,22 +198,17 @@ impl Sequencer {
             let Some((_, _, rec)) = self.reorder.pop() else {
                 break;
             };
-            // The timer runs from when the group started: a stale start
-            // from an idle period would make it expire at once and cut a
-            // group of one.
-            if self.current.is_empty() {
-                self.started = dude_nvm::monotonic_ns();
-            }
             self.current.push(rec);
         }
         let closed = self.cursors.is_empty();
         let stashed = self.reorder.pending_len();
         let drained = closed && stashed == 0;
-        let expired = !self.current.is_empty()
-            && dude_nvm::monotonic_ns().saturating_sub(self.started) > MAX_HOLD.as_nanos() as u64;
-        #[cfg(feature = "sim")] // a hold timer that never fires: sim sabotage
-        let expired = expired && !crate::sabotage::never_cut_partial_group();
-        if self.current.len() == group || expired || drained && !self.current.is_empty() {
+        // The current group's first TID, arrived or not.
+        let first = self.reorder.complete() + 1 - self.current.len() as u64;
+        let demanded = shared.demand.get() >= first;
+        #[cfg(feature = "sim")] // a raised demand that cuts nothing: sim sabotage
+        let demanded = demanded && !crate::sabotage::ignore_demand();
+        if self.current.len() == group || !self.current.is_empty() && (demanded || drained) {
             return Ok(std::mem::take(&mut self.current));
         }
         if drained {
@@ -234,9 +224,9 @@ impl Sequencer {
         );
         // Idle with records stashed beyond a TID gap: the workers wait on
         // one slow Perform thread — the grouped pipeline's head-of-line
-        // stall, counted per empty poll.
+        // stall, counted once per idle sweep, so once per park.
         if !progress && stashed > 0 {
-            self.shared.trace.stall(|s| &s.persist_seq_wait);
+            shared.trace.stall(|s| &s.persist_seq_wait);
         }
         Err(TryRecvError::Empty)
     }
@@ -373,25 +363,25 @@ impl Sweep {
 /// One Persist input: the log ring its units are staged into, where they
 /// come from, and the unit a full log ring gave back.
 #[derive(Debug)]
-struct Input<S> {
+struct Input {
     ring: usize,
-    source: S,
+    source: Source,
     parked: Option<Sealed>,
 }
 
 /// The Persist step over a set of inputs, one [`Persist::pass`] at a time —
 /// run by a [`persist_worker`] over its inputs, and by a `Sync` committer
-/// over its own redo ring ([`Persist::run_inline`]). The one place units are
-/// staged and a full log ring parks one.
+/// over its redo ring or the grouped input ([`Persist::run_inline`]). The
+/// one place units are staged and a full log ring parks one.
 #[derive(Debug)]
-pub(crate) struct Persist<S> {
+pub(crate) struct Persist {
     sweep: Sweep,
-    inputs: Vec<Input<S>>,
+    inputs: Vec<Input>,
 }
 
-impl<S: Source> Persist<S> {
+impl Persist {
     /// The step over `inputs`: `(log ring, source)` pairs.
-    pub(crate) fn new(inputs: impl IntoIterator<Item = (usize, S)>) -> Persist<S> {
+    pub(crate) fn new(inputs: impl IntoIterator<Item = (usize, Source)>) -> Persist {
         let inputs = inputs.into_iter().map(|(ring, source)| Input {
             ring,
             source,
@@ -416,7 +406,7 @@ impl<S: Source> Persist<S> {
             for _ in 0..64 {
                 let unit = match input.parked.take() {
                     Some(unit) => unit,
-                    None => match input.source.next_unit(&mut self.sweep.combiner) {
+                    None => match input.source.next_unit(shared, &mut self.sweep.combiner) {
                         Ok(unit) => unit,
                         Err(e) => return e == TryRecvError::Empty,
                     },
@@ -439,62 +429,71 @@ impl<S: Source> Persist<S> {
         self.inputs.iter().any(|i| i.parked.is_some())
     }
 
-    /// DudeTM-Sync's Persist: the committer runs the pass over its own ring
-    /// right after appending to it, until nothing is parked — recycling what
-    /// it saw durable, then parking until another committer fills the TID
-    /// gap in front. Kept out of line, off the asynchronous commit's path.
-    #[inline(never)]
-    pub(crate) fn run_inline(&mut self, shared: &Shared) {
-        self.pass(shared, None);
-        while self.parked() {
-            let d = shared.durable.get();
-            wait_reproduced(shared, d);
-            checkpoint_behind(shared);
-            self.pass(shared, None);
+    /// Runs passes until `done`. Every span ahead of a parked unit was
+    /// fenced and published by the sweep that staged it, so before retrying
+    /// the unit the thread applies the pending run and forces a checkpoint
+    /// of whatever is reproduced ([`checkpoint_behind`]); a span still held
+    /// sits behind a TID gap, and whoever fills the gap reproduces it for the
+    /// next forced checkpoint to recycle.
+    ///
+    /// A pass that stages nothing first applies the pending run if `demand`
+    /// is above the reproduced ID — a producer parked at its cap waits to see
+    /// its records freed, they may sit in the run, and no run boundary may be
+    /// coming: the producer cannot commit the TID that would end the run —
+    /// then parks the thread for [`IDLE`] at most, on `demand` above what the
+    /// pass saw and, with a unit parked, on the durable ID above what it saw.
+    fn run(&mut self, shared: &Shared, worker: Option<usize>, done: fn(&Persist) -> bool) {
+        loop {
+            let (durable, demand) = (shared.durable.get(), shared.demand.get());
             if self.parked() {
-                shared.durable.wait(d + 1);
+                checkpoint_behind(shared);
             }
+            let progress = self.pass(shared, worker);
+            if done(self) {
+                return;
+            }
+            if progress {
+                continue;
+            }
+            if demand > shared.reproduced.load(Ordering::SeqCst) {
+                shared.replay.lock().apply(shared);
+            }
+            let on = [(&shared.demand, demand + 1), (&shared.durable, durable + 1)];
+            park_on(&on[..if self.parked() { 2 } else { 1 }], Some(IDLE));
         }
+    }
+
+    /// DudeTM-Sync's Persist: the committer of `tid` runs the step right
+    /// after appending — on a grouped runtime having demanded `tid`, so the
+    /// shared input cuts the group that holds it — until nothing is parked.
+    /// It returns once `tid` is durable: a lower TID may still be on its way
+    /// through another committer, and a `Sync` commit returns only when
+    /// durable (§5.1). Kept out of line, off the asynchronous commit's path.
+    #[inline(never)]
+    pub(crate) fn run_inline(&mut self, shared: &Shared, tid: u64) {
+        if shared.config.persist_group > 1 {
+            shared.demand.raise(tid);
+        }
+        self.run(shared, None, |p| !p.parked());
+        wait_durable(shared, tid);
     }
 }
 
-/// A Persist worker: runs [`Persist::pass`] over its inputs until every one
-/// is disconnected and drained.
-///
-/// Ungrouped, its inputs are cursors of its own on a partition of the redo
-/// rings; grouped, worker `w` has one, the shared [`Sequencer`], staged into
-/// log ring `w`. A parked unit is retried with a bounded sleep per probe,
-/// never a busy-spin. Every span ahead of it was fenced and
-/// published by the sweep that staged it, so after each pass the worker
-/// applies the pending run and forces a checkpoint of whatever is
-/// reproduced ([`checkpoint_behind`]); a span still held sits behind a TID
-/// gap, and whoever fills the gap reproduces it for the next forced
-/// checkpoint to recycle.
-///
-/// A worker that finds no input while a producer is parked on a full redo
-/// ring applies the pending run: the records that producer waits to see
-/// freed may sit in it, and no run boundary may be coming — the producer
-/// cannot commit the TID that would end the run.
-pub(crate) fn persist_worker<S: Source>(
-    shared: Arc<Shared>,
-    worker: usize,
-    mut persist: Persist<S>,
-) {
+/// How long a Persist thread with nothing to stage parks before it polls
+/// again, unless a waiter's `demand` — or, behind a full log ring, the
+/// durable ID — wakes it first. Pushes do not wake it: on the 2-vCPU
+/// benchmark host a futex wake runs the woken thread on the waker's CPU, so
+/// a worker woken by the committer that completes a group shares that
+/// committer's CPU, and `ycsb_grouped` lost a third of its throughput to it
+/// (EXPERIMENTS.md, *A doorbell per group, measured and dropped*). A timed
+/// wake-up runs on the worker's own CPU.
+const IDLE: Duration = Duration::from_micros(50);
+
+/// A Persist worker: runs the step over its inputs until every one is
+/// disconnected and drained.
+pub(crate) fn persist_worker(shared: Arc<Shared>, worker: usize, mut persist: Persist) {
     dude_nvm::set_background_stage(true);
-    loop {
-        let progress = persist.pass(&shared, Some(worker));
-        if persist.parked() {
-            checkpoint_behind(&shared);
-        } else if persist.inputs.is_empty() {
-            return;
-        }
-        if !progress {
-            if shared.redo.iter().any(|ring| ring.freed.has_waiters()) {
-                shared.replay.lock().apply(&shared);
-            }
-            dude_nvm::thread::sleep(Duration::from_micros(50));
-        }
-    }
+    persist.run(&shared, Some(worker), |p| p.inputs.is_empty());
 }
 
 /// The Reproduce step's state (§3.4), behind `Shared::replay`: the pending
@@ -591,14 +590,24 @@ impl Replay {
     }
 }
 
-/// Parks until `t` is durable, then applies the pending run if it holds
-/// `t` — by then it does unless `t` is applied, because [`publish`] advances
-/// the durable ID holding `replay` — so `t` is reproduced on return;
-/// whether it parked. The one way a waiter cuts a run, never a timer or an
-/// idle poll; the next run still ends on the next multiple of
-/// `checkpoint_every`.
+/// Parks until `t` is durable, unless it is already, having first raised
+/// `demand` to `t`: the grouped input then cuts the group that holds `t`,
+/// and an idle worker applies the pending run. Whether it parked.
+pub(crate) fn wait_durable(shared: &Shared, t: u64) -> bool {
+    if shared.durable.get() < t {
+        shared.demand.raise(t);
+    }
+    shared.durable.wait(t)
+}
+
+/// Waits until `t` is durable ([`wait_durable`]), then applies the pending
+/// run if it holds `t` — by then it does unless `t` is applied, because
+/// [`publish`] advances the durable ID holding `replay` — so `t` is
+/// reproduced on return; whether it parked. The one way a waiter cuts a
+/// run, never a timer or an idle poll; the next run still ends on the next
+/// multiple of `checkpoint_every`.
 pub(crate) fn wait_reproduced(shared: &Shared, t: u64) -> bool {
-    let waited = shared.durable.wait(t);
+    let waited = wait_durable(shared, t);
     if shared.reproduced.load(Ordering::SeqCst) < t {
         let mut replay = shared.replay.lock();
         if replay.run.last().is_some_and(|u| u.last_tid >= t) {
@@ -734,6 +743,7 @@ mod tests {
     use crate::stats::RecoveryTelemetry;
     use crate::trace::TraceConfig;
     use dude_nvm::{Nvm, NvmConfig};
+    use std::time::{Duration, Instant};
 
     fn shared(config: DudeTmConfig) -> (Arc<Shared>, NvmLayout) {
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(16 << 20)));
@@ -751,13 +761,14 @@ mod tests {
 
     /// Thread slot 0's redo ring, end to end: each record goes in at the
     /// producer and comes back out of a Persist input as a sealed unit.
-    struct Perform(RedoProducer, RedoCursor);
+    struct Perform<'s>(RedoProducer, Source, &'s Shared);
 
-    impl Perform {
-        fn new(shared: &Shared) -> Perform {
+    impl Perform<'_> {
+        fn new(shared: &Shared) -> Perform<'_> {
             Perform(
                 RedoProducer::new(&shared.redo[0]),
-                RedoCursor::new(0, &shared.redo[0]),
+                Source::Ring(RedoCursor::new(0, &shared.redo[0])),
+                shared,
             )
         }
 
@@ -769,7 +780,7 @@ mod tests {
         /// `rec` as the ungrouped worker's cursor seals it.
         fn push(&mut self, rec: LogRecord) -> Sealed {
             self.append(&rec);
-            let unit = self.1.next_unit(&mut Combiner::default());
+            let unit = self.1.next_unit(self.2, &mut Combiner::default());
             unit.expect("just pushed")
         }
 
@@ -778,7 +789,10 @@ mod tests {
         fn group(&mut self, records: Vec<LogRecord>) -> Sealed {
             let popped = records.iter().map(|rec| {
                 self.append(rec);
-                self.1.try_pop().expect("just pushed")
+                let Source::Ring(cursor) = &mut self.1 else {
+                    unreachable!("slot 0's own ring")
+                };
+                cursor.try_pop().expect("just pushed")
             });
             Sealed::group(popped.collect())
         }
@@ -873,21 +887,25 @@ mod tests {
         assert_eq!(shared.stats.snapshot(), expect);
     }
 
-    /// Producers for redo rings `0..n` of a `persist_group = 4` runtime,
-    /// and its grouped input over every ring.
-    fn grouped(n: usize) -> (Arc<Shared>, Vec<RedoProducer>, Sequencer) {
+    /// A `persist_group = 4` runtime's shared state, and producers for its
+    /// redo rings `0..n`.
+    fn grouped(n: usize) -> (Arc<Shared>, Vec<RedoProducer>) {
         let config = DudeTmConfig::small(1 << 16)
             .with_grouping(4, false)
             .with_trace(TraceConfig::enabled(64));
         let (shared, _) = shared(config);
         let producers = shared.redo[..n].iter().map(RedoProducer::new).collect();
-        let seq = Sequencer::new(&shared);
-        (shared, producers, seq)
+        (shared, producers)
     }
 
     /// Commits `tid` on `producer`, one write of its own.
     fn push(producer: &mut RedoProducer, tid: u64) {
         assert!(producer.try_push(tid, false, &[(8 * tid, tid)]));
+    }
+
+    /// One poll of the grouped input.
+    fn poll(shared: &Shared) -> Result<Vec<RedoRecord>, TryRecvError> {
+        shared.groups.lock().next_group(shared)
     }
 
     fn tids(group: Result<Vec<RedoRecord>, TryRecvError>) -> Vec<u64> {
@@ -897,23 +915,27 @@ mod tests {
     /// TIDs interleaved across two rings — each ring ascending, one ring
     /// ahead of the other — come out as dense groups of exactly
     /// `persist_group`; an empty poll behind a gap counts a stall, and a
-    /// partial group is held until the hold timer fires.
+    /// partial group is held while `demand` is below its first TID and cut
+    /// once `demand` reaches it.
     #[test]
     fn the_grouped_input_cuts_dense_groups_and_holds_a_partial_one() {
-        let (shared, mut p, mut seq) = grouped(2);
-        (2..=10).step_by(2).for_each(|tid| push(&mut p[1], tid));
-        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
-        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        let (shared, mut p) = grouped(2);
         let stalls = || shared.trace.stalls.snapshot().persist_seq_wait;
+        (2..=10).step_by(2).for_each(|tid| push(&mut p[1], tid));
+        assert_eq!(poll(&shared).unwrap_err(), TryRecvError::Empty);
+        assert_eq!(poll(&shared).unwrap_err(), TryRecvError::Empty);
         assert_eq!(stalls(), 1, "the poll that stashed counts none");
         (1..=9).step_by(2).for_each(|tid| push(&mut p[0], tid));
-        assert_eq!(tids(seq.next_group()), [1, 2, 3, 4]);
-        assert_eq!(tids(seq.next_group()), [5, 6, 7, 8]);
-        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        assert_eq!(tids(poll(&shared)), [1, 2, 3, 4]);
+        assert_eq!(tids(poll(&shared)), [5, 6, 7, 8]);
+        assert_eq!(poll(&shared).unwrap_err(), TryRecvError::Empty);
         assert_eq!(stalls(), 1, "nothing stashed behind a gap");
-        std::thread::sleep(MAX_HOLD + Duration::from_millis(1));
-        assert_eq!(tids(seq.next_group()), [9, 10]);
-        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        shared.demand.raise(8);
+        let held = poll(&shared).unwrap_err();
+        assert_eq!(held, TryRecvError::Empty, "demand below the group's first");
+        shared.demand.raise(9);
+        assert_eq!(tids(poll(&shared)), [9, 10]);
+        assert_eq!(poll(&shared).unwrap_err(), TryRecvError::Empty);
     }
 
     /// Closing all rings but one cuts nothing early; closing the last cuts
@@ -921,26 +943,69 @@ mod tests {
     /// the input disconnected.
     #[test]
     fn the_grouped_input_disconnects_only_once_every_ring_is_closed_and_drained() {
-        let (shared, mut p, mut seq) = grouped(2);
+        let (shared, mut p) = grouped(2);
         push(&mut p[0], 1);
         let open = &shared.redo[1];
         let others = shared.redo.iter().filter(|r| !Arc::ptr_eq(r, open));
         others.for_each(|r| r.close());
-        assert_eq!(seq.next_group().unwrap_err(), TryRecvError::Empty);
+        assert_eq!(poll(&shared).unwrap_err(), TryRecvError::Empty);
         push(&mut p[1], 2);
         open.close();
-        assert_eq!(tids(seq.next_group()), [1, 2]);
-        let end = seq.next_group().unwrap_err();
+        assert_eq!(tids(poll(&shared)), [1, 2]);
+        let end = poll(&shared).unwrap_err();
         assert_eq!(end, TryRecvError::Disconnected);
     }
 
     #[test]
     #[should_panic(expected = "tid 1 missing with inputs closed (1 stashed)")]
     fn a_tid_gap_with_every_ring_closed_panics() {
-        let (shared, mut p, mut seq) = grouped(2);
+        let (shared, mut p) = grouped(2);
         push(&mut p[1], 2);
         shared.redo.iter().for_each(|r| r.close());
-        let _ = seq.next_group();
+        let _ = poll(&shared);
+    }
+
+    /// Spins until `done`, failing after ten seconds instead of hanging.
+    fn within_10s(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// An idle grouped worker parks on `demand`, and cuts
+    /// what TIDs and waiters decide: a full group once its last TID is in,
+    /// a partial one only once `demand` reaches its first TID, and the last
+    /// one when the rings close, which ends the worker.
+    #[test]
+    fn an_idle_worker_cuts_full_groups_demanded_partial_ones_and_the_last_at_close() {
+        let (shared, mut p) = grouped(1);
+        let worker = {
+            let (shared, persist) = (Arc::clone(&shared), Persist::new([(0, Source::Groups)]));
+            std::thread::spawn(move || persist_worker(shared, 0, persist))
+        };
+        let durable = || shared.durable.get();
+        let held = |what: &str, tid: u64| {
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(durable(), tid, "{what}: cut");
+        };
+        within_10s("the idle worker parks on demand", || {
+            shared.demand.has_waiters()
+        });
+        (1..=3).for_each(|tid| push(&mut p[0], tid));
+        held("pushes short of a group", 0);
+        push(&mut p[0], 4);
+        within_10s("a full group", || durable() == 4);
+        push(&mut p[0], 5);
+        held("a partial group, undemanded", 4);
+        shared.demand.raise(5);
+        within_10s("a demand raise", || durable() == 5);
+        push(&mut p[0], 6);
+        held("a partial group, demanded only below it", 5);
+        shared.redo.iter().for_each(|r| r.close());
+        worker.join().expect("the worker ends once the rings close");
+        assert_eq!(durable(), 6, "the close cuts the partial group");
     }
 
     /// A refused unit counts nothing and waits on a checkpoint the cadence

@@ -166,6 +166,8 @@ pub(crate) struct RedoProducer {
     pushed: u64,
     /// The freed count last read: reloaded only when the cap looks reached.
     freed: u64,
+    /// The TID of the last record pushed.
+    newest: u64,
 }
 
 impl RedoProducer {
@@ -176,7 +178,13 @@ impl RedoProducer {
             off: 0,
             pushed: 0,
             freed: 0,
+            newest: 0,
         }
+    }
+
+    /// The TID of the last record pushed (0: none yet).
+    pub(crate) fn newest(&self) -> u64 {
+        self.newest
     }
 
     /// Appends the record for `tid` — its `writes`, or an abort marker —
@@ -208,6 +216,7 @@ impl RedoProducer {
         }
         self.off += need;
         self.pushed += 1;
+        self.newest = tid;
         self.ring.published.0.store(self.pushed, Ordering::Release);
         true
     }

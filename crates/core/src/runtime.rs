@@ -16,7 +16,7 @@ use crate::config::{DudeTmConfig, DurabilityMode};
 use crate::engine::{EngineThread, TmEngine};
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::{
-    drain, persist_worker, wait_reproduced, Batch, Persist, Replay, Sequencer, Source,
+    drain, persist_worker, wait_durable, wait_reproduced, Batch, Persist, Replay, Sequencer, Source,
 };
 use crate::plog::PlogRing;
 use crate::recovery::{wipe_logs, RecoverError};
@@ -89,6 +89,8 @@ pub struct Shared {
     pub(crate) rings: Vec<Arc<PlogRing>>,
     /// One volatile redo ring per thread slot, in every durability mode.
     pub(crate) redo: Vec<Arc<RedoRing>>,
+    /// The grouped input, over every redo ring when `persist_group > 1`.
+    pub(crate) groups: Mutex<Sequencer>,
     /// Fenced batches parked behind a TID gap; [`crate::pipeline::publish`]
     /// pops them in dense order.
     pub(crate) order: Mutex<DenseReorder<Batch>>,
@@ -98,6 +100,10 @@ pub struct Shared {
     /// The durable ID (§3.3): every transaction at or below it is fenced in
     /// the log. Advanced by `publish` only, holding `order` and `replay`.
     pub(crate) durable: Watermark,
+    /// The highest TID some thread waits to see durable, raised before it
+    /// parks (DESIGN.md §6, *Waits*): the grouped input cuts a partial group
+    /// only once `demand` reaches its first TID.
+    pub(crate) demand: Watermark,
     /// The reproduced ID: every transaction at or below it is applied to
     /// the heap. Raised by the Reproduce step only, holding `replay`;
     /// nothing parks on it ([`crate::pipeline::wait_reproduced`] applies
@@ -129,18 +135,25 @@ impl Shared {
             .collect();
         let mut replay = Replay::default();
         replay.last_checkpoint = start_tid;
+        let grouped = config.persist_group > 1;
+        let redo: Vec<_> = (0..config.max_threads)
+            .map(|_| Arc::new(RedoRing::new(config.durability)))
+            .collect();
         let shared = Shared {
             nvm,
             config,
             meta: layout.meta,
             heap: layout.heap,
             rings,
-            redo: (0..config.max_threads)
-                .map(|_| Arc::new(RedoRing::new(config.durability)))
-                .collect(),
+            groups: Mutex::new(Sequencer::new(
+                &redo[..if grouped { redo.len() } else { 0 }],
+                start_tid,
+            )),
+            redo,
             order: Mutex::new(DenseReorder::starting_at(start_tid)),
             replay: Mutex::new(replay),
             durable: Watermark::default(),
+            demand: Watermark::default(),
             reproduced: AtomicU64::new(start_tid),
             stats: PipelineStats::default(),
             trace: Trace::new(config.trace, config.persist_flush_workers),
@@ -161,8 +174,9 @@ pub struct RedoHooks {
     staged: Vec<(u64, u64)>,
     ring: RedoProducer,
     /// DudeTM-Sync (Perform and Persist merged): the committer is its own
-    /// ring's Persist worker. Boxed, off the asynchronous commit's path.
-    sync: Option<Box<Persist<RedoCursor>>>,
+    /// ring's Persist worker, or on a grouped runtime one of the grouped
+    /// input's. Boxed, off the asynchronous commit's path.
+    sync: Option<Box<Persist>>,
     shared: Arc<Shared>,
     shadow: Arc<ShadowMem>,
     /// Commit-history recorder for the durable-linearizability checker
@@ -172,19 +186,32 @@ pub struct RedoHooks {
 }
 
 impl RedoHooks {
-    /// Appends the record of `tid` — the staged writes, or an abort marker —
-    /// to the thread's redo ring, leaving the staging buffer empty. A ring
+    /// Records `tid` — the staged writes, or an abort marker — and appends
+    /// it to the thread's redo ring, leaving the staging buffer empty. A ring
     /// at its cap parks the committer until Reproduce frees space (§3.2's
-    /// backpressure), counted as a stall. Under `Sync` the committer then
-    /// persists the record itself.
+    /// backpressure), counted as a stall, having demanded the newest TID it
+    /// pushed: every record whose free it waits for is at or below it. Under
+    /// `Sync` the committer then persists the record itself and returns
+    /// once it is durable.
     fn deliver(&mut self, tid: u64, abort: bool) {
+        // Sole per-commit metrics cost: one branch when sampling is off. A
+        // wasted TID advances the commit clock too.
+        if self.shared.config.metrics.enabled {
+            self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
+        }
+        // A wasted TID is part of the commit order: its abort marker keeps
+        // the history dense, so the prefix oracle can account for the hole.
+        if let Some(h) = &self.history {
+            h.record(tid, abort, &self.staged);
+        }
         if !self.ring.try_push(tid, abort, &self.staged) {
             self.shared.trace.stall(|s| &s.perform_log_full);
+            self.shared.demand.raise(self.ring.newest());
             self.ring.push(tid, abort, &self.staged);
         }
         self.staged.clear();
         if let Some(persist) = &mut self.sync {
-            persist.run_inline(&self.shared);
+            persist.run_inline(&self.shared, tid);
         }
     }
 }
@@ -201,13 +228,6 @@ impl dude_stm::TxHooks for RedoHooks {
             return;
         };
         self.shared.stats.commits.fetch_add(1, Ordering::Relaxed);
-        // Sole per-commit metrics cost: one branch when sampling is off.
-        if self.shared.config.metrics.enabled {
-            self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
-        }
-        if let Some(h) = &self.history {
-            h.record(tid, false, &self.staged);
-        }
         // Touching IDs must be set while the written pages are still pinned
         // by the running view (§4.3).
         self.shadow.note_commit(tid, &self.staged);
@@ -217,20 +237,10 @@ impl dude_stm::TxHooks for RedoHooks {
     fn on_abort(&mut self, wasted_tid: Option<u64>) {
         self.staged.clear();
         let Some(tid) = wasted_tid else { return };
-        // A wasted TID is part of the commit order: record the abort marker
-        // so the history stays dense and the prefix oracle can account for
-        // the hole the marker fills.
-        if let Some(h) = &self.history {
-            h.record(tid, true, &[]);
-        }
         self.shared
             .stats
             .abort_markers
             .fetch_add(1, Ordering::Relaxed);
-        // A wasted TID still advances the commit clock.
-        if self.shared.config.metrics.enabled {
-            self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
-        }
         self.deliver(tid, true);
     }
 }
@@ -322,22 +332,24 @@ impl<E: TmEngine> DudeTm<E> {
             // Validation capped persist_flush_workers at max_threads, the
             // number of redo rings and of log rings.
             let n = config.persist_flush_workers;
-            if config.persist_group > 1 {
-                // Every worker takes the next group from one shared input;
-                // worker `w` stages it into log ring `w`.
-                let groups = Arc::new(Mutex::new(Sequencer::new(&shared)));
-                for w in 0..n {
-                    persist.push(spawn_persist_worker(&shared, w, [(w, Arc::clone(&groups))]));
-                }
-            } else {
-                // Worker `w` reads redo rings `w, w + n, …`, staging each
+            for w in 0..n {
+                // Grouped, every worker takes the next group from the one
+                // shared input and stages it into log ring `w`; ungrouped,
+                // worker `w` reads redo rings `w, w + n, …`, staging each
                 // record into its thread's log ring.
-                for w in 0..n {
-                    let inputs = (w..config.max_threads)
-                        .step_by(n)
-                        .map(|i| (i, RedoCursor::new(i, &shared.redo[i])));
-                    persist.push(spawn_persist_worker(&shared, w, inputs));
-                }
+                let inputs = if config.persist_group > 1 {
+                    Persist::new([(w, Source::Groups)])
+                } else {
+                    let rings = (w..config.max_threads).step_by(n);
+                    Persist::new(
+                        rings.map(|i| (i, Source::Ring(RedoCursor::new(i, &shared.redo[i])))),
+                    )
+                };
+                let shared = Arc::clone(&shared);
+                persist.push(dude_nvm::thread::spawn_named(
+                    &format!("dude-persist-{w}"),
+                    move || persist_worker(shared, w, inputs),
+                ));
             }
         }
         // Continuous sampler: one frame per interval into the registry's
@@ -509,18 +521,6 @@ impl<E: TmEngine> Drop for DudeTm<E> {
     }
 }
 
-/// Spawns Persist worker `w` over `inputs`: (log ring index, source).
-fn spawn_persist_worker<S: Source + Send + 'static>(
-    shared: &Arc<Shared>,
-    w: usize,
-    inputs: impl IntoIterator<Item = (usize, S)>,
-) -> dude_nvm::thread::JoinHandle<()> {
-    let (shared, persist) = (Arc::clone(shared), Persist::new(inputs));
-    dude_nvm::thread::spawn_named(&format!("dude-persist-{w}"), move || {
-        persist_worker(shared, w, persist)
-    })
-}
-
 impl<E: TmEngine> TxnSystem for DudeTm<E> {
     type Thread<'a>
         = DtmThread<'a, E>
@@ -535,8 +535,13 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
             self.shared.config.max_threads
         );
         let ring = &self.shared.redo[slot];
-        let sync = (self.shared.config.durability == DurabilityMode::Sync)
-            .then(|| Box::new(Persist::new([(slot, RedoCursor::new(slot, ring))])));
+        let sync = (self.shared.config.durability == DurabilityMode::Sync).then(|| {
+            let source = match self.shared.config.persist_group {
+                1 => Source::Ring(RedoCursor::new(slot, ring)),
+                _ => Source::Groups,
+            };
+            Box::new(Persist::new([(slot, source)]))
+        });
         DtmThread {
             dude: self,
             engine_thread: self.engine.engine_thread(),
@@ -612,7 +617,7 @@ impl<E: TmEngine> TxnThread for DtmThread<'_, E> {
     }
 
     fn wait_durable(&mut self, tid: u64) {
-        self.dude.shared.durable.wait(tid);
+        wait_durable(&self.dude.shared, tid);
     }
 
     fn durable_watermark(&self) -> u64 {

@@ -17,7 +17,7 @@ static IGNORE_TOUCH_WATERMARK: AtomicBool = AtomicBool::new(false);
 static FREE_RING_WHEN_STAGED: AtomicBool = AtomicBool::new(false);
 static APPLY_AFTER_CHECKPOINT: AtomicBool = AtomicBool::new(false);
 static DURABLE_BEFORE_REPLAY: AtomicBool = AtomicBool::new(false);
-static NEVER_CUT_PARTIAL_GROUP: AtomicBool = AtomicBool::new(false);
+static IGNORE_DEMAND: AtomicBool = AtomicBool::new(false);
 /// Mutation F's run held back past its checkpoint.
 static HELD_RUN: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
 
@@ -83,13 +83,13 @@ pub fn durable_before_replay() -> bool {
     DURABLE_BEFORE_REPLAY.load(Ordering::Relaxed)
 }
 
-/// Mutation H — the grouped input never cuts a partial group: when armed,
-/// the hold timer never fires, so a group is cut only when it is full or
-/// when every redo ring is closed. Producers parked on their full redo rings
-/// holding fewer records between them than a group then wait on a group
-/// nothing will cut, and the pipeline stops making progress.
-pub fn never_cut_partial_group() -> bool {
-    NEVER_CUT_PARTIAL_GROUP.load(Ordering::Relaxed)
+/// Mutation H — the grouped input ignores a raised demand: when armed, a
+/// partial group is cut only when every redo ring is closed, never because
+/// a thread waits on its first TID. Producers parked on their full redo
+/// rings holding fewer records between them than a group then wait on a
+/// group nothing will cut, and the pipeline stops making progress.
+pub fn ignore_demand() -> bool {
+    IGNORE_DEMAND.load(Ordering::Relaxed)
 }
 
 /// RAII guard arming one mutation for a scope; disarms on drop (also on
@@ -114,8 +114,8 @@ pub enum Mutation {
     ApplyAfterCheckpoint,
     /// Mutation G: `publish` advances the durable ID before taking `replay`.
     DurableBeforeReplay,
-    /// Mutation H: the grouped input's hold timer never fires.
-    NeverCutPartialGroup,
+    /// Mutation H: the grouped input ignores a raised demand.
+    IgnoreDemand,
 }
 
 impl Mutation {
@@ -127,7 +127,7 @@ impl Mutation {
             Mutation::FreeRingWhenStaged => &FREE_RING_WHEN_STAGED,
             Mutation::ApplyAfterCheckpoint => &APPLY_AFTER_CHECKPOINT,
             Mutation::DurableBeforeReplay => &DURABLE_BEFORE_REPLAY,
-            Mutation::NeverCutPartialGroup => &NEVER_CUT_PARTIAL_GROUP,
+            Mutation::IgnoreDemand => &IGNORE_DEMAND,
         }
     }
 }

@@ -55,7 +55,7 @@ impl TraceConfig {
     }
 
     /// Tracing on. The argument is accepted and ignored; the signature is
-    /// kept for its callers, and ROADMAP item 4(b) may make it the size of
+    /// kept for its callers, and ROADMAP item 3(a) may make it the size of
     /// a sampled-lifecycle table.
     #[must_use]
     pub fn enabled(_capacity: usize) -> Self {

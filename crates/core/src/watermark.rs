@@ -3,11 +3,16 @@
 //! every lower one. The redo ring's producer park, lifted: a waiter stores
 //! its target, re-reads the value, then parks; an advancer stores the value,
 //! then wakes only if it reaches the lowest target — else one load. Each
-//! reads what the other wrote first, so no wake is lost; only a waiter edits
-//! its registration, so a stale advancer cannot strand a later park.
+//! reads what the other wrote first, so no wake is lost. A waker drops the
+//! registrations it wakes, under the lock, so the advances after it cost one
+//! load again — one wake per park, however many advances reach the target
+//! before the waiter runs — and it drops only targets it reached, each with
+//! a wake, so a stale advancer cannot strand a later park. A thread that
+//! waits on several values at once registers on each ([`park_on`]).
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::thread::Thread;
+use std::time::Duration;
 
 use dude_nvm::thread;
 use parking_lot::Mutex;
@@ -28,25 +33,43 @@ impl Watermark {
         self.value.load(SeqCst)
     }
 
-    pub(crate) fn has_waiters(&self) -> bool {
-        self.next.load(SeqCst) != 0
-    }
-
     /// Raises the value to `v`, never lower, and wakes the waiters it
     /// satisfies; returns the value it replaced. One advancer at a time.
     pub(crate) fn advance(&self, v: u64) -> u64 {
         let was = self.value.swap(v, SeqCst);
-        if (1..=v).contains(&self.next.load(SeqCst)) {
-            self.wake(v);
-        }
+        self.notify(v);
         was
     }
 
-    /// Wakes the registered waiters `v` satisfies, editing no registration.
-    fn wake(&self, v: u64) {
-        for (_, waiter) in self.parked.lock().iter().filter(|w| w.0 <= v) {
-            thread::unpark(waiter);
+    /// Raises the value to at least `v` — any number of raisers at once —
+    /// and wakes the waiters it satisfies. One load when the value is
+    /// already there.
+    pub(crate) fn raise(&self, v: u64) {
+        if self.get() < v && self.value.fetch_max(v, SeqCst) < v {
+            self.notify(v);
         }
+    }
+
+    /// Wakes the registered waiters whose target `v` reaches: one load
+    /// while no one waits for as little as `v`.
+    fn notify(&self, v: u64) {
+        if (1..=v).contains(&self.next.load(SeqCst)) {
+            self.wake(v);
+        }
+    }
+
+    /// Wakes the registered waiters `v` satisfies and drops their
+    /// registrations.
+    fn wake(&self, v: u64) {
+        self.register(|parked| {
+            parked.retain(|(target, waiter)| {
+                let reached = *target <= v;
+                if reached {
+                    thread::unpark(waiter);
+                }
+                !reached
+            })
+        });
     }
 
     /// Parks until the value reaches `target`; whether it found it below.
@@ -54,12 +77,9 @@ impl Watermark {
         if self.get() >= target {
             return false;
         }
-        let me = std::thread::current();
-        self.register(|parked| parked.push((target, me.clone())));
         while self.get() < target {
-            thread::park();
+            park_on(&[(self, target)], None);
         }
-        self.register(|parked| parked.retain(|w| w.1.id() != me.id()));
         true
     }
 
@@ -72,12 +92,39 @@ impl Watermark {
     }
 }
 
+/// Parks once on every `(watermark, target)` in `on` — until an advance or
+/// raise reaches one of the targets, `timeout` passes, or spuriously —
+/// unless one is reached already, read after registering, so nothing that
+/// happens between the caller's last look and the park is lost. The caller
+/// re-checks its own condition in a loop.
+pub(crate) fn park_on(on: &[(&Watermark, u64)], timeout: Option<Duration>) {
+    let me = std::thread::current();
+    for &(wm, target) in on {
+        wm.register(|parked| parked.push((target, me.clone())));
+    }
+    if on.iter().all(|&(wm, target)| wm.get() < target) {
+        match timeout {
+            Some(timeout) => thread::park_timeout(timeout),
+            None => thread::park(),
+        }
+    }
+    for &(wm, _) in on {
+        wm.register(|parked| parked.retain(|w| w.1.id() != me.id()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
+
+    impl Watermark {
+        pub(crate) fn has_waiters(&self) -> bool {
+            self.next.load(SeqCst) != 0
+        }
+    }
 
     /// Spins until `done`, failing after ten seconds instead of hanging.
     fn within_10s(what: &str, done: impl Fn() -> bool) {
@@ -185,6 +232,58 @@ mod tests {
             assert!(w.join().unwrap());
         }
         assert!(!wm.has_waiters() && targets(&wm).is_empty());
+    }
+
+    /// Raisers racing each other leave the highest value — a lower raise
+    /// after a higher one changes nothing — and wake what they reach.
+    #[test]
+    fn raises_keep_the_highest_value_and_wake_what_they_reach() {
+        let wm = Arc::new(Watermark::default());
+        let w = waiter(&wm, 3);
+        within_10s("the wait for 3 parks", || registered(&wm, 1, 3));
+        wm.raise(2);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!w.is_finished(), "a raise below the target woke it");
+        wm.raise(4);
+        assert!(w.join().unwrap());
+        wm.raise(1);
+        assert_eq!(wm.get(), 4);
+    }
+
+    /// `park_on` registers one thread on several watermarks and returns
+    /// for whichever reaches its target first — a raise or an advance — or
+    /// at its timeout, and never parks for a target already reached. Every
+    /// registration is gone afterwards.
+    #[test]
+    fn park_on_returns_for_the_first_target_reached_or_its_timeout() {
+        let (a, b) = (
+            Arc::new(Watermark::default()),
+            Arc::new(Watermark::default()),
+        );
+        let parker = |on_a: u64| {
+            let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+            std::thread::spawn(move || park_on(&[(&a, on_a), (&b, 2)], None))
+        };
+        b.advance(1);
+        park_on(&[(&a, 5), (&b, 1)], None);
+        // Nothing will reach either target: only the timeout ends this one.
+        park_on(&[(&a, 5), (&b, 2)], Some(Duration::from_millis(20)));
+        let p = parker(5);
+        within_10s("it parks on both", || {
+            registered(&a, 1, 5) && registered(&b, 1, 2)
+        });
+        a.raise(4);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!p.is_finished(), "a raise below the target woke it");
+        a.raise(5);
+        p.join().unwrap();
+        let p = parker(6);
+        within_10s("it parks again", || {
+            registered(&a, 1, 6) && registered(&b, 1, 2)
+        });
+        b.advance(2);
+        p.join().unwrap();
+        assert!(!a.has_waiters() && !b.has_waiters());
     }
 
     /// A waiter parked before an advance and one arriving after it both

@@ -154,10 +154,17 @@ fn compression_without_grouping_rejected() {
         .expect("compression is valid on any real group size");
 }
 
+/// Each `Sync` committer of a grouped runtime cuts its own group from the
+/// shared grouped input, so grouping composes with `Sync`.
 #[test]
-fn grouping_with_sync_rejected() {
-    let c = base().with_durability(SYNC).with_grouping(8, false);
-    assert_eq!(c.try_validate(), Err(ConfigError::GroupingWithSync));
+fn grouping_with_sync_accepted() {
+    for compress in [false, true] {
+        base()
+            .with_durability(SYNC)
+            .with_grouping(8, compress)
+            .try_validate()
+            .expect("sync with grouping is valid");
+    }
     base()
         .with_durability(SYNC)
         .try_validate()
@@ -287,9 +294,6 @@ fn first_error_wins_in_documented_order() {
         Err(ConfigError::CompressionWithoutGrouping)
     );
     c.persist_group = 8;
-    c.durability = SYNC;
-    assert_eq!(c.try_validate(), Err(ConfigError::GroupingWithSync));
-    c.durability = ASYNC0;
     assert_eq!(c.try_validate(), Err(ConfigError::NoFlushWorkers));
     c.persist_flush_workers = 3;
     assert_eq!(
@@ -318,7 +322,6 @@ fn model_is_valid(c: &DudeTmConfig) -> bool {
         && c.checkpoint_every >= 1
         && c.reproduce_threads == 1
         && !(c.compress_groups && c.persist_group == 1)
-        && !(c.persist_group > 1 && c.durability == SYNC)
         && c.persist_flush_workers >= 1
         && !(c.persist_flush_workers > 1 && c.durability == SYNC)
         && c.persist_flush_workers <= c.max_threads
@@ -371,7 +374,8 @@ fn full_axis_cross_product_matches_model() {
     }
     // The matrix must exercise both sides, or the model check is vacuous:
     // one legal `reproduce_threads` leaves a quarter of the rest valid.
-    assert_eq!((valid, invalid), (21, 491), "corners explored");
+    // `Sync` with a group of 2 or 8, compressed or not, is valid too.
+    assert_eq!((valid, invalid), (25, 487), "corners explored");
 }
 
 /// The panicking `validate` front door reports the same first error.

@@ -267,8 +267,8 @@ fn rewriter_images_match_the_serial_history() {
 
 /// The same oracle over parallel and grouped Persist: whether one Persist
 /// worker flushes everything or 2 or 4 publish out of order, ungrouped or
-/// grouped, combined and compressed, the drained heap is the serial
-/// replay of the history. Reproduce replays in dense ID order whatever
+/// grouped — by workers or by a `Sync` committer — combined and compressed,
+/// the drained heap is the serial replay of the history. Reproduce replays in dense ID order whatever
 /// order batches arrive in, so no flush schedule can leak into the heap.
 #[test]
 fn images_identical_across_persist_worker_counts() {
@@ -284,6 +284,9 @@ fn images_identical_across_persist_worker_counts() {
                 let what = format!("{name} grouped fw={fw} lz={compress}");
                 assert_matches_history(grouped_config(fw, compress), &what, f, seed);
             }
+            let sync = grouped_config(1, compress).with_durability(DurabilityMode::Sync);
+            let what = format!("{name} grouped sync lz={compress}");
+            assert_matches_history(sync, &what, f, seed);
         }
     }
 }

@@ -100,6 +100,19 @@ pub fn park() {
     std::thread::park();
 }
 
+/// [`park`], returning by `dur` at the latest: inside a simulated run an
+/// event wait with a virtual deadline.
+pub fn park_timeout(dur: Duration) {
+    #[cfg(feature = "sim")]
+    if dude_sim::on_sim_task() {
+        let ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
+        let deadline = dude_sim::now_ns().saturating_add(ns);
+        dude_sim::block_until(deadline, dude_sim::YieldKind::Poll);
+        return;
+    }
+    std::thread::park_timeout(dur);
+}
+
 /// Wakes `thread` from [`park`]; inside a simulated run, every event-waiting
 /// task.
 pub fn unpark(thread: &std::thread::Thread) {
@@ -133,5 +146,6 @@ mod tests {
     fn native_helpers_do_not_block() {
         yield_now();
         sleep(Duration::from_millis(1));
+        park_timeout(Duration::from_millis(1));
     }
 }

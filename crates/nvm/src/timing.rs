@@ -33,9 +33,10 @@ static TRACE_EPOCH: OnceLock<Instant> = OnceLock::new();
 pub fn monotonic_ns() -> u64 {
     #[cfg(feature = "sim")]
     if dude_sim::on_sim_task() {
-        // Clock reads are yield points: timer-driven control flow (flush
-        // hold timers, watermark polls) is schedule-explorable, and the
-        // returned time is the deterministic virtual clock.
+        // Clock reads are yield points: timer-driven control flow (the
+        // metrics sampler's interval, tracing's clock reads) is
+        // schedule-explorable, and the returned time is the deterministic
+        // virtual clock.
         dude_sim::yield_point(dude_sim::YieldKind::Time);
         return dude_sim::now_ns();
     }

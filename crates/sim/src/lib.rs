@@ -14,8 +14,8 @@
 //! step however many tasks are runnable, and when no task is runnable the
 //! clock jumps straight to the earliest pending deadline. Modeled NVM
 //! persist delays and background parks therefore cost simulation steps,
-//! not real time, and timer-dependent code paths (flush hold timers,
-//! `recv_timeout` polls) fire deterministically.
+//! not real time, and timer-dependent code paths (`recv_timeout` polls,
+//! event waits' poll deadlines) fire deterministically.
 //!
 //! Schedule exploration is *preemption-bounded*: at a preemption
 //! opportunity (a yield point where the running task could continue) the

@@ -24,8 +24,9 @@
 //!
 //! The config matrix covers `persist_flush_workers ∈ {1,2}` ungrouped and
 //! `{1,2,4}` grouped, `persist_group ∈ {1,8}` with and without
-//! `compress_groups`, identity and paged shadow memory, and Async/AsyncUnbounded/Sync durability (grouping
-//! requires an async mode; see `DudeTmConfig::try_validate`). With the default seed set the sweeps
+//! `compress_groups`, identity and paged shadow memory, and Async/AsyncUnbounded/Sync durability, grouped
+//! `Sync` included. Every returned `Sync` commit is acknowledged, and checked
+//! durable as it returns. With the default seed set the sweeps
 //! below enumerate well over 500 `(seed × crash point × config)` cases;
 //! set `DUDE_SWEEP_SEEDS=7,1337,424242` (comma-separated) to rerun the
 //! same matrix under other interleavings, as CI does in release mode.
@@ -151,6 +152,7 @@ fn run_mt(
     }
     let acked_tid = AtomicU64::new(0);
     let acked_incr: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let sync = cfg.durability == DurabilityMode::Sync;
     std::thread::scope(|s| {
         for w in 0..threads {
             let dude = Arc::clone(&dude);
@@ -191,15 +193,20 @@ fn run_mt(
                         }
                     };
                     if let Some(tid) = committed {
-                        if op % 4 == 3 {
+                        // A `Sync` commit returns durable; every fourth
+                        // asynchronous one waits to be.
+                        if sync {
+                            let durable = dude.durable_id();
+                            assert!(durable >= tid, "Sync tid {tid} returned at {durable}");
+                        } else if op % 4 == 3 {
                             t.wait_durable(tid);
-                            // `wait_durable` returned before the trip was
-                            // observed, so the covering fence completed
-                            // before the crash instant.
-                            if !nvm.crash_plan_tripped() {
-                                acked_tid.fetch_max(tid, Ordering::Relaxed);
-                                acked_incr[w].fetch_max(op + 1, Ordering::Relaxed);
-                            }
+                        }
+                        // The commit or `wait_durable` returned before the
+                        // trip was observed, so the covering fence completed
+                        // before the crash instant.
+                        if (sync || op % 4 == 3) && !nvm.crash_plan_tripped() {
+                            acked_tid.fetch_max(tid, Ordering::Relaxed);
+                            acked_incr[w].fetch_max(op + 1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -588,6 +595,33 @@ fn mt_sweep_sync_counters() {
         sweep_mt(&combo, CrashEventKind::Flush, StageFilter::Any, false, 20),
         30,
     );
+}
+
+/// Grouped `Sync`: each committer cuts whatever is pending up to its own
+/// TID from the shared grouped input into its own log ring — combined, and
+/// compressed in the second config — and returns once every lower TID is
+/// durable too.
+#[test]
+fn mt_sweep_grouped_sync() {
+    for (name, compress) in [("sync pg=8", false), ("sync pg=8+lz", true)] {
+        let combo = Combo {
+            name,
+            cfg: cfg(DurabilityMode::Sync, 1, 8, compress),
+            workload: COUNTERS,
+            threads: 4,
+            ops: 16,
+        };
+        assert_sweep(
+            name,
+            sweep_mt(&combo, CrashEventKind::Flush, StageFilter::Any, true, 20),
+            30,
+        );
+        assert_sweep(
+            name,
+            sweep_mt(&combo, CrashEventKind::Write, StageFilter::Any, false, 20),
+            30,
+        );
+    }
 }
 
 /// Tiny per-thread log rings force the Persist stage through the

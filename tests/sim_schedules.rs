@@ -32,9 +32,12 @@
 //! when it is reproduced (on Persist workers, and under `Sync`), a
 //! Reproduce run's heap stores issued after its checkpoint fence, a durable
 //! ID advanced before `publish` takes the Reproduce lock, a grouped input
-//! whose hold timer never cuts a partial group — and asserts the
-//! seed sweep *catches* it within the default budget. A fuzzer that passes
-//! those mutations but fails a real run is telling the truth.
+//! that ignores a raised demand — and asserts the seed sweep *catches* it
+//! within the default budget. A fuzzer that passes those mutations but
+//! fails a real run is telling the truth.
+//!
+//! Every `Sync` commit is checked as it returns: the durable ID must cover
+//! its TID, and the run acknowledges it.
 
 #![cfg(feature = "sim")]
 
@@ -215,6 +218,7 @@ fn run_sim(
 ) -> Result<SimRun, String> {
     let (cfg, workload, threads, ops) = (combo.cfg, combo.workload, combo.threads, combo.ops);
     let quiesce = combo.quiesce;
+    let sync = cfg.durability == DurabilityMode::Sync;
     let history = Arc::new(CommitHistory::new(64 + 16 * threads * ops as usize));
     let nvm_in = Arc::clone(nvm);
     let history_in = Arc::clone(&history);
@@ -298,15 +302,23 @@ fn run_sim(
                             }
                         };
                         if let Some(tid) = committed {
-                            if op % 4 == 3 {
+                            // A `Sync` commit returns durable; every fourth
+                            // asynchronous one waits to be.
+                            if sync {
+                                let durable = dude.durable_id();
+                                assert!(
+                                    durable >= tid,
+                                    "Sync commit of tid {tid} returned with durable {durable}"
+                                );
+                            } else if op % 4 == 3 {
                                 t.wait_durable(tid);
-                                // `wait_durable` returned before the trip was
-                                // observed, so the covering fence completed
-                                // before the crash instant.
-                                if !nvm.crash_plan_tripped() {
-                                    acked_tid.fetch_max(tid, Ordering::Relaxed);
-                                    acked_incr[w].fetch_max(op + 1, Ordering::Relaxed);
-                                }
+                            }
+                            // The commit or `wait_durable` returned before
+                            // the trip was observed, so the covering fence
+                            // completed before the crash instant.
+                            if (sync || op % 4 == 3) && !nvm.crash_plan_tripped() {
+                                acked_tid.fetch_max(tid, Ordering::Relaxed);
+                                acked_incr[w].fetch_max(op + 1, Ordering::Relaxed);
                             }
                         }
                         if quiesce {
@@ -639,6 +651,38 @@ fn schedules_sync_bank() {
     explore(&sync_combo("sim sync"), 4);
 }
 
+/// Four `Sync` committers on conflict-free counters, so their TIDs
+/// interleave densely: a commit whose own record is persisted while a lower
+/// TID is still on its way through another committer must wait for it. The
+/// run checks `durable_id() >= tid` as every commit returns.
+#[test]
+fn schedules_sync_commits_return_durable() {
+    let combo = Combo {
+        name: "sim sync counters",
+        cfg: cfg(1, 1, false).with_durability(DurabilityMode::Sync),
+        workload: COUNTERS,
+        threads: 4,
+        ops: 8,
+        quiesce: false,
+    };
+    explore(&combo, 0);
+}
+
+/// Grouped `Sync`: each committer demands its own TID and cuts whatever is
+/// pending up to it from the shared grouped input, staging into its own log
+/// ring, then waits until every lower TID is durable too.
+#[test]
+fn schedules_grouped_sync_bank() {
+    for (name, compress) in [("sim sync pg=8", false), ("sim sync pg=8+lz", true)] {
+        let combo = Combo {
+            name,
+            cfg: cfg(1, 8, compress).with_durability(DurabilityMode::Sync),
+            ..sync_combo(name)
+        };
+        explore(&combo, 4);
+    }
+}
+
 /// Rings of 512 words hold eight 64-word records, and the cadence never
 /// fires: every span comes back through a forced checkpoint, behind a
 /// parked Persist unit or a `Sync` commit whose ring is full, while the
@@ -681,9 +725,9 @@ fn schedules_ring_full_liveness() {
 /// unreproduced records per thread in 8-word segments. A bank record (two
 /// writes) is 6 words, so every record wraps to another segment, which is
 /// reused once the record after it is freed; a thread's third commit parks
-/// until Reproduce passes its first. Grouped, the 2 ms hold timer, fired in
-/// a worker's poll of the shared grouped input, is what cuts a partial group
-/// of a parked thread's records; with two workers, they share that input.
+/// until Reproduce passes its first. Grouped, a parked thread demands the
+/// newest TID it pushed, and that demand is what cuts a partial group of its
+/// records from the shared grouped input; with two workers, they share it.
 fn tiny_ring_combo(name: &'static str, persist_workers: usize, persist_group: usize) -> Combo {
     Combo {
         name,
@@ -954,15 +998,15 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
     );
 }
 
-/// A grouped input that never cuts a partial group on its hold timer
-/// strands the tiny ring's producers: three threads park holding at most
-/// six unreproduced records between them, fewer than the group of eight
-/// that would release them, and no ring closes while they are parked. The
-/// run must stall, not finish.
+/// A grouped input that ignores a raised demand strands the tiny ring's
+/// producers: three threads park holding at most six unreproduced records
+/// between them, fewer than the group of eight that would release them,
+/// and no ring closes while they are parked. The run must stall, not
+/// finish.
 #[test]
-fn mutation_partial_group_never_cut_is_caught() {
+fn mutation_ignored_demand_is_caught() {
     let combo = tiny_ring_combo("mutation-H tiny-ring pw=1 pg=8", 1, 8);
-    let (_, err) = assert_mutation_caught(Mutation::NeverCutPartialGroup, &combo);
+    let (_, err) = assert_mutation_caught(Mutation::IgnoreDemand, &combo);
     assert!(
         err.contains("deadlock") || err.contains("step budget"),
         "caught as something other than a stall: {err}"
