@@ -16,6 +16,8 @@
 //! All four implement [`dude_txapi::TxnSystem`], so the workload suite runs
 //! on them unchanged.
 
+#![deny(unsafe_code)]
+
 mod mnemosyne;
 mod nvml;
 mod volatile;

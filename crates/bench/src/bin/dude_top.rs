@@ -12,6 +12,8 @@
 //! - `--check-url URL` scrapes a Prometheus endpoint once and validates
 //!   the exposition, exiting nonzero on failure.
 
+#![deny(unsafe_code)]
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -22,6 +22,7 @@
 //! `EXPERIMENTS.md`; `DESIGN.md §13` describes the methodology.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cli;
 pub mod diff;

@@ -29,6 +29,8 @@
 //! # Ok::<(), dude_compress::DecompressError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 /// Minimum match length worth encoding (shorter matches cost more than
 /// literals).
 const MIN_MATCH: usize = 4;

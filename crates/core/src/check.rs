@@ -34,8 +34,11 @@
 //! discarded suffix) as well as lost or misordered writes inside the
 //! prefix.
 
+use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// One recorded transaction: a commit with its write set, or an abort
 /// marker for a wasted TID (empty write set).
@@ -299,6 +302,69 @@ pub fn check_prefix(
         report.checked_words += 1;
     }
     Ok(report)
+}
+
+/// Turns a hung oracle run into a named failure.
+///
+/// A worker that parks when it should not leaves a test waiting forever,
+/// with no message. Arm a watchdog around each run that can hang: if it is
+/// still armed when `bound` passes, it writes the test's name (the name the
+/// test harness gives the test's thread) and `label` — the seed and the
+/// configuration — to standard error, and aborts the process. Dropping it
+/// disarms it. Aborting is the one way to fail a test whose thread is
+/// stuck; the message bypasses the harness's output capture, which an
+/// abort would discard.
+///
+/// ```
+/// use std::time::Duration;
+///
+/// let _watchdog = dudetm::check::Watchdog::arm("seed 7, Async", Duration::from_secs(60));
+/// // ... run the pipeline; the watchdog disarms when dropped.
+/// ```
+#[derive(Debug)]
+pub struct Watchdog {
+    disarm: Option<mpsc::Sender<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Watchdog {
+    /// Arms a watchdog that aborts the process unless dropped within
+    /// `bound`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the watchdog thread cannot be spawned.
+    pub fn arm(label: impl Into<String>, bound: Duration) -> Watchdog {
+        let label = label.into();
+        let current = std::thread::current();
+        let test = current.name().unwrap_or("<unnamed thread>").to_string();
+        let (disarm, armed) = mpsc::channel::<()>();
+        let thread = std::thread::Builder::new()
+            .name("dude-watchdog".into())
+            .spawn(move || {
+                if armed.recv_timeout(bound) == Err(RecvTimeoutError::Timeout) {
+                    let _ = writeln!(
+                        std::io::stderr(),
+                        "watchdog: `{test}` still running after {bound:?} {label}"
+                    );
+                    std::process::abort();
+                }
+            })
+            .expect("spawn the watchdog thread");
+        Watchdog {
+            disarm: Some(disarm),
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        drop(self.disarm.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 #[cfg(test)]

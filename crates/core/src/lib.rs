@@ -54,6 +54,7 @@
 //! # let _ = tid;
 //! ```
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod check;
 mod config;

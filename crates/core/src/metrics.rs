@@ -138,7 +138,7 @@ impl MetricsRegistry {
     /// reads the TM commit clock instead.
     #[must_use]
     pub fn snapshot(&self) -> PipelineSnapshot {
-        let committed = self.shared.committed_tid.load(Ordering::Relaxed);
+        let committed = self.shared.committed_tid.0.load(Ordering::Relaxed);
         snapshot(&self.shared, committed)
     }
 
@@ -699,6 +699,15 @@ mod tests {
         MetricsRegistry::new(Arc::new(Shared::new(nvm, config, &layout, 0, recovery)))
     }
 
+    /// Publishes `commits` commit records, then `aborts` abort markers, on
+    /// redo ring 0: what the `commits` and `abort_markers` cells sum.
+    fn publish_counts(shared: &Shared, commits: u64, aborts: u64) {
+        let mut producer = crate::redo_ring::RedoProducer::new(&shared.redo[0]);
+        for tid in 1..=commits + aborts {
+            assert!(producer.try_push(tid, tid > commits, &[]));
+        }
+    }
+
     /// The catalog, by frame key, in declaration order. The DESIGN.md §7
     /// table carries one row per name here; a cell added to the code
     /// without a row in both fails [`catalog_walk`].
@@ -767,8 +776,10 @@ mod tests {
         let config = DudeTmConfig::small(1 << 16).with_flush_workers(2);
         let reg = registry(config);
         let shared = &reg.shared;
+        // commits 101 and abort_markers 102 are the redo rings' counts.
+        publish_counts(shared, 101, 102);
         let groups = [
-            (100, shared.stats.cells().collect::<Vec<_>>()),
+            (102, shared.stats.cells().collect::<Vec<_>>()),
             (200, shared.trace.stalls.cells().collect()),
             (300, shared.recovery.cells().collect()),
         ];
@@ -779,7 +790,7 @@ mod tests {
         }
         // The gauges' sources: committed 40, durable 33, reproduced 20,
         // 3 + 6 occupied ring words.
-        shared.committed_tid.store(40, Ordering::Relaxed);
+        shared.committed_tid.0.store(40, Ordering::Relaxed);
         shared.durable.advance(33);
         shared.reproduced.store(20, Ordering::Relaxed);
         shared.rings[0].try_append_unflushed(&[1, 2, 3]).unwrap();
@@ -988,7 +999,7 @@ mod tests {
     #[test]
     fn metrics_server_serves_exposition() {
         let reg = Arc::new(registry(DudeTmConfig::small(1 << 16)));
-        reg.shared.stats.commits.store(9, Ordering::Relaxed);
+        publish_counts(&reg.shared, 9, 0);
         let server = MetricsServer::start(Arc::clone(&reg), "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
 

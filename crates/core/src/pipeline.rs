@@ -739,8 +739,8 @@ mod tests {
     use crate::log::LogRecord;
     use crate::redo_ring::RedoProducer;
     use crate::runtime::NvmLayout;
-    use crate::stats::PipelineStatsSnapshot;
     use crate::stats::RecoveryTelemetry;
+    use crate::stats::{counters, PipelineStatsSnapshot};
     use crate::trace::TraceConfig;
     use dude_nvm::{Nvm, NvmConfig};
     use std::time::{Duration, Instant};
@@ -836,11 +836,12 @@ mod tests {
         let batch = stage_and_compare(&shared, &layout, t.push(commit(1, &writes)), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (1, 1));
         assert_eq!(pairs(&batch.unit.writes), writes);
+        expect.commits += 1;
         expect.records_persisted += 1;
         expect.entries_logged += 2;
         expect.entries_after_combine += 2;
         expect.log_bytes_flushed += want.len() as u64 * 8;
-        assert_eq!(shared.stats.snapshot(), expect);
+        assert_eq!(counters(&shared), expect);
 
         // A commit is a group of one: the rewritten word is logged and
         // handed on once, with its last value, at its first position.
@@ -850,19 +851,21 @@ mod tests {
         let rewrite = t.push(commit(7, &[(a, 1), (b, 2), (a, 3)]));
         let batch = stage_and_compare(&shared, &layout, rewrite, &want);
         assert_eq!(pairs(&batch.unit.writes), [(a, 3), (b, 2)]);
+        expect.commits += 1;
         expect.records_persisted += 1;
         expect.entries_logged += 3;
         expect.entries_after_combine += 2;
         expect.log_bytes_flushed += want.len() as u64 * 8;
-        assert_eq!(shared.stats.snapshot(), expect);
+        assert_eq!(counters(&shared), expect);
 
         serialize_abort(2, &mut want);
         let batch = stage_and_compare(&shared, &layout, t.push(LogRecord::Abort { tid: 2 }), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (2, 2));
         assert_eq!(pairs(&batch.unit.writes), []);
+        expect.abort_markers += 1;
         expect.records_persisted += 1;
         expect.log_bytes_flushed += want.len() as u64 * 8;
-        assert_eq!(shared.stats.snapshot(), expect);
+        assert_eq!(counters(&shared), expect);
 
         // 48 entries over 16 hot words: combines 3:1 and compresses.
         let records: Vec<LogRecord> = (3..6)
@@ -878,13 +881,15 @@ mod tests {
         let batch = stage_and_compare(&shared, &layout, t.group(records), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (3, 6));
         assert_eq!(pairs(&batch.unit.writes), combined);
+        expect.commits += 3;
+        expect.abort_markers += 1;
         expect.entries_logged += 48;
         expect.entries_after_combine += 16;
         expect.group_bytes_raw += raw as u64;
         expect.group_bytes_stored += stored as u64;
         expect.groups_persisted += 1;
         expect.log_bytes_flushed += want.len() as u64 * 8;
-        assert_eq!(shared.stats.snapshot(), expect);
+        assert_eq!(counters(&shared), expect);
     }
 
     /// A `persist_group = 4` runtime's shared state, and producers for its
@@ -1033,10 +1038,11 @@ mod tests {
         assert_eq!(shared.durable.get(), 1);
         assert_eq!(shared.reproduced.load(Ordering::SeqCst), 0);
         assert_eq!(shared.nvm.read_word(heap + 8 * 99), 0, "not applied yet");
-        let before = shared.stats.snapshot();
-        let back = try_stage(&shared, 0, t.push(commit(3, &writes))).unwrap_err();
+        let third = t.push(commit(3, &writes));
+        let before = counters(&shared);
+        let back = try_stage(&shared, 0, third).unwrap_err();
         assert_eq!((back.first_tid, pairs(&back.writes)), (3, writes.clone()));
-        let after = shared.stats.snapshot();
+        let after = counters(&shared);
         assert_eq!(after, before, "a refused unit counts nothing");
         assert_eq!(shared.trace.stalls.snapshot().persist_ring_full, 1);
         assert_eq!(after.checkpoints, 0, "cadence not reached");
@@ -1050,19 +1056,19 @@ mod tests {
         );
         let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
         assert_eq!(shared.nvm.read_word(meta), 1);
-        assert_eq!(shared.stats.snapshot().checkpoints, 1);
+        assert_eq!(counters(&shared).checkpoints, 1);
         // Tid 2 is staged but unpublished: its span stays held.
         assert_eq!(shared.rings[0].used_words(), second.span.words);
         // The retry counts exactly once.
         try_stage(&shared, 0, back).expect("the first span was released");
-        let after = shared.stats.snapshot();
+        let after = counters(&shared);
         assert_eq!(after.records_persisted, before.records_persisted + 1);
         assert_eq!(after.entries_logged, before.entries_logged + 100);
 
         let before = shared.nvm.stats();
         checkpoint_behind(&shared);
         assert_eq!(shared.nvm.stats().delta(&before).words_written, 0);
-        assert_eq!(shared.stats.snapshot().checkpoints, 1, "nothing new: no-op");
+        assert_eq!(counters(&shared).checkpoints, 1, "nothing new: no-op");
     }
 
     /// 4 threads publish a seed-shuffled set of staged batches — single
@@ -1224,7 +1230,7 @@ mod tests {
             // (checkpoint word, checkpoints taken) as they stand now.
             let checkpointed = || {
                 let word = shared.nvm.read_word(meta);
-                (word, shared.stats.snapshot().checkpoints)
+                (word, counters(&shared).checkpoints)
             };
             let mut t = Perform::new(&shared);
             // Each TID writes a word of its own and rewrites hot word 0.
@@ -1259,7 +1265,7 @@ mod tests {
             drain(&shared);
 
             assert_eq!(shared.reproduced.load(Ordering::SeqCst), 20);
-            assert_eq!(shared.stats.snapshot().txns_reproduced, 20);
+            assert_eq!(counters(&shared).txns_reproduced, 20);
             assert_eq!(checkpointed(), (20, 3), "head_last={head_last}");
             assert_eq!(
                 words(),

@@ -53,6 +53,12 @@ const MAX_SEGMENT_WORDS: usize = 4096;
 
 /// One stretch of ring storage, reused whole once every record in it is
 /// freed.
+///
+/// Aligned so that in an `Arc<Segment>` the slice's pointer and length sit
+/// on a line of their own, away from the reference counts: the producer
+/// reads the slice on every push, while the consumer clones the `Arc` per
+/// record and the freer drops it.
+#[repr(align(128))]
 #[derive(Debug)]
 struct Segment {
     words: Box<[AtomicU64]>,
@@ -70,10 +76,16 @@ impl Segment {
     }
 }
 
-/// The published count, on a cache line of its own: the consumer reads it.
+/// What the producer publishes, on a cache line of its own: its record
+/// count, which the consumer reads, and how many of those records were
+/// commits and abort markers, which a stats snapshot sums.
 #[repr(align(64))]
 #[derive(Debug, Default)]
-struct Padded(AtomicU64);
+struct Published {
+    records: AtomicU64,
+    commits: AtomicU64,
+    aborts: AtomicU64,
+}
 
 /// The state one Perform thread's ring shares between its producer, its
 /// consumer and the freer. Exactly one [`RedoProducer`] and one
@@ -83,7 +95,7 @@ struct Padded(AtomicU64);
 #[derive(Debug)]
 pub(crate) struct RedoRing {
     /// Records published by the producer.
-    published: Padded,
+    published: Published,
     /// Records freed, in ring order: what a producer at the cap parks on.
     pub(crate) freed: Watermark,
     /// Set at shutdown, after the producer's last push.
@@ -125,13 +137,23 @@ impl RedoRing {
                 .max(MIN_SEGMENT_WORDS)
         });
         RedoRing {
-            published: Padded::default(),
+            published: Published::default(),
             freed: Watermark::default(),
             closed: AtomicBool::new(false),
             cap: cap.map_or(u64::MAX, |n| n as u64),
             segment_words,
             segments: Mutex::new(Segments::default()),
         }
+    }
+
+    /// Commit records the producer has published.
+    pub(crate) fn commits(&self) -> u64 {
+        self.published.commits.load(Ordering::Relaxed)
+    }
+
+    /// Abort markers the producer has published.
+    pub(crate) fn aborts(&self) -> u64 {
+        self.published.aborts.load(Ordering::Relaxed)
     }
 
     /// Marks the ring closed: once drained, its cursor reads
@@ -164,6 +186,8 @@ pub(crate) struct RedoProducer {
     /// Next free word in `seg`.
     off: usize,
     pushed: u64,
+    /// Commit records among `pushed`; the rest are abort markers.
+    commits: u64,
     /// The freed count last read: reloaded only when the cap looks reached.
     freed: u64,
     /// The TID of the last record pushed.
@@ -177,6 +201,7 @@ impl RedoProducer {
             seg: None,
             off: 0,
             pushed: 0,
+            commits: 0,
             freed: 0,
             newest: 0,
         }
@@ -217,7 +242,16 @@ impl RedoProducer {
         self.off += need;
         self.pushed += 1;
         self.newest = tid;
-        self.ring.published.0.store(self.pushed, Ordering::Release);
+        let counts = &self.ring.published;
+        if abort {
+            counts
+                .aborts
+                .store(self.pushed - self.commits, Ordering::Relaxed);
+        } else {
+            self.commits += 1;
+            counts.commits.store(self.commits, Ordering::Relaxed);
+        }
+        counts.records.store(self.pushed, Ordering::Release);
         true
     }
 
@@ -286,7 +320,7 @@ impl RedoCursor {
         if self.popped == self.published {
             // `closed` first: it is set after the last publish.
             let closed = self.ring.closed.load(Ordering::Acquire);
-            self.published = self.ring.published.0.load(Ordering::Acquire);
+            self.published = self.ring.published.records.load(Ordering::Acquire);
             if self.popped == self.published {
                 return Err(if closed {
                     TryRecvError::Disconnected
@@ -462,7 +496,7 @@ mod tests {
     impl RedoRing {
         /// Records pushed and not yet freed.
         pub(crate) fn unfreed(&self) -> u64 {
-            let published = self.published.0.load(Ordering::Acquire);
+            let published = self.published.records.load(Ordering::Acquire);
             published - self.freed.get()
         }
     }
@@ -541,6 +575,28 @@ mod tests {
         assert_eq!(r1.span.seg.words[6].load(Ordering::Relaxed), WRAP);
     }
 
+    /// In an `Arc<Segment>` the slice's pointer and length never share a
+    /// 64-byte line with the reference counts, wherever the allocator puts
+    /// the block. `ArcInner` is `repr(C)`: the strong and weak counts (16
+    /// bytes), then the value at its own alignment; the block is aligned
+    /// like the value.
+    #[test]
+    fn segment_slice_and_arc_counts_are_on_different_lines() {
+        let align = std::mem::align_of::<Segment>().max(8);
+        let value = 16usize.next_multiple_of(align);
+        let slice = std::mem::size_of::<Box<[AtomicU64]>>();
+        for base in (0..128).step_by(align.min(128)) {
+            let counts = base / 64..(base + 15) / 64;
+            let words = (base + value) / 64..(base + value + slice - 1) / 64;
+            assert!(
+                counts.end < words.start,
+                "block at {base} mod 128: counts on lines {counts:?}, slice on {words:?}"
+            );
+        }
+        let seg = Segment::new(8);
+        assert_eq!(Arc::as_ptr(&seg) as usize % align, 0);
+    }
+
     #[test]
     fn abort_markers_carry_no_writes() {
         let (_ring, mut producer, mut cursor) = ring(None);
@@ -559,10 +615,10 @@ mod tests {
             let (ring, mut producer, mut cursor) = ring(Some(2));
             assert!(producer.try_push(1, false, &writes(1, n)));
             assert!(producer.try_push(2, false, &writes(2, n)));
-            let before = (producer.off, ring.published.0.load(Ordering::Relaxed));
+            let before = (producer.off, ring.published.records.load(Ordering::Relaxed));
             assert!(!producer.try_push(3, false, &writes(3, 1)));
             assert_eq!(
-                (producer.off, ring.published.0.load(Ordering::Relaxed)),
+                (producer.off, ring.published.records.load(Ordering::Relaxed)),
                 before
             );
             // Popping is not freeing: still full.

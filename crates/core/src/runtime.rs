@@ -24,7 +24,7 @@ use crate::redo_ring::{RedoCursor, RedoProducer, RedoRing};
 use crate::seqtrack::DenseReorder;
 use crate::shadow::ShadowMem;
 use crate::stats::{
-    snapshot, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoveryTelemetry,
+    counters, snapshot, PipelineSnapshot, PipelineStats, PipelineStatsSnapshot, RecoveryTelemetry,
 };
 use crate::trace::Trace;
 use crate::watermark::Watermark;
@@ -114,9 +114,15 @@ pub struct Shared {
     pub(crate) recovery: RecoveryTelemetry,
     /// Committed-TID high-water mark: what the sampler and the scrape
     /// endpoint, which cannot see the TM's commit clock, report as the
-    /// Perform frontier. Advanced per commit only while sampling is on.
-    pub(crate) committed_tid: AtomicU64,
+    /// Perform frontier. Advanced per commit only while sampling is on, on
+    /// a line of its own.
+    pub(crate) committed_tid: Padded,
 }
+
+/// A Perform-written cell, on a cache line of its own.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+pub(crate) struct Padded(pub(crate) AtomicU64);
 
 impl Shared {
     /// The pipeline state for `config` over `layout`, with every watermark
@@ -158,7 +164,7 @@ impl Shared {
             stats: PipelineStats::default(),
             trace: Trace::new(config.trace, config.persist_flush_workers),
             recovery,
-            committed_tid: AtomicU64::new(start_tid),
+            committed_tid: Padded(AtomicU64::new(start_tid)),
         };
         shared.durable.advance(start_tid);
         shared
@@ -173,6 +179,9 @@ impl Shared {
 pub struct RedoHooks {
     staged: Vec<(u64, u64)>,
     ring: RedoProducer,
+    /// `config.metrics.enabled`, copied so that a commit reads no line of
+    /// `Shared` that the pipeline's threads write.
+    sampling: bool,
     /// DudeTM-Sync (Perform and Persist merged): the committer is its own
     /// ring's Persist worker, or on a grouped runtime one of the grouped
     /// input's. Boxed, off the asynchronous commit's path.
@@ -196,8 +205,11 @@ impl RedoHooks {
     fn deliver(&mut self, tid: u64, abort: bool) {
         // Sole per-commit metrics cost: one branch when sampling is off. A
         // wasted TID advances the commit clock too.
-        if self.shared.config.metrics.enabled {
-            self.shared.committed_tid.fetch_max(tid, Ordering::Relaxed);
+        if self.sampling {
+            self.shared
+                .committed_tid
+                .0
+                .fetch_max(tid, Ordering::Relaxed);
         }
         // A wasted TID is part of the commit order: its abort marker keeps
         // the history dense, so the prefix oracle can account for the hole.
@@ -227,7 +239,6 @@ impl dude_stm::TxHooks for RedoHooks {
             self.staged.clear();
             return;
         };
-        self.shared.stats.commits.fetch_add(1, Ordering::Relaxed);
         // Touching IDs must be set while the written pages are still pinned
         // by the running view (§4.3).
         self.shadow.note_commit(tid, &self.staged);
@@ -237,10 +248,6 @@ impl dude_stm::TxHooks for RedoHooks {
     fn on_abort(&mut self, wasted_tid: Option<u64>) {
         self.staged.clear();
         let Some(tid) = wasted_tid else { return };
-        self.shared
-            .stats
-            .abort_markers
-            .fetch_add(1, Ordering::Relaxed);
         self.deliver(tid, true);
     }
 }
@@ -423,7 +430,7 @@ impl<E: TmEngine> DudeTm<E> {
 
     /// Pipeline statistics.
     pub fn pipeline_stats(&self) -> PipelineStatsSnapshot {
-        self.shared.stats.snapshot()
+        counters(&self.shared)
     }
 
     /// The observability layer: stage-latency histograms and stall
@@ -544,10 +551,13 @@ impl<E: TmEngine> TxnSystem for DudeTm<E> {
         });
         DtmThread {
             dude: self,
+            heap_bytes: self.shared.config.heap_bytes,
+            traced: self.shared.trace.enabled(),
             engine_thread: self.engine.engine_thread(),
             hooks: RedoHooks {
                 staged: Vec::new(),
                 ring: RedoProducer::new(ring),
+                sampling: self.shared.config.metrics.enabled,
                 sync,
                 shared: Arc::clone(&self.shared),
                 shadow: Arc::clone(&self.shadow),
@@ -574,6 +584,11 @@ pub struct DtmThread<'d, E: TmEngine> {
     dude: &'d DudeTm<E>,
     engine_thread: E::Thread<'d>,
     hooks: RedoHooks,
+    /// `config.heap_bytes` and `config.trace.enabled`, copied so that a
+    /// transaction reads no line of `Shared` that the pipeline's threads
+    /// write.
+    heap_bytes: u64,
+    traced: bool,
 }
 
 impl<E: TmEngine> std::fmt::Debug for DtmThread<'_, E> {
@@ -588,13 +603,12 @@ impl<'d, E: TmEngine> DtmThread<'d, E> {
         &mut self,
         body: &mut dyn FnMut(&mut dyn Txn) -> TxResult<T>,
     ) -> TxnOutcome<T> {
-        let heap_bytes = self.dude.shared.config.heap_bytes;
-        let trace = &self.dude.shared.trace;
+        let heap_bytes = self.heap_bytes;
         // Commit latency is wall time from first attempt to commit
         // acknowledgement on this thread — retried aborts of the same
         // transaction are inside the window, exactly what the application
         // experiences. Clock reads are skipped entirely when tracing is off.
-        let start_ns = if trace.enabled() {
+        let start_ns = if self.traced {
             dude_nvm::monotonic_ns()
         } else {
             0
@@ -603,9 +617,9 @@ impl<'d, E: TmEngine> DtmThread<'d, E> {
         let outcome = self.engine_thread.run_txn(&view, &mut self.hooks, |acc| {
             body(&mut HeapTxn::new(acc, heap_bytes))
         });
-        if trace.enabled() && matches!(outcome, TxnOutcome::Committed { .. }) {
+        if self.traced && matches!(outcome, TxnOutcome::Committed { .. }) {
             let dur = dude_nvm::monotonic_ns().saturating_sub(start_ns);
-            trace.commit_latency_ns.record(dur);
+            self.dude.shared.trace.commit_latency_ns.record(dur);
         }
         outcome
     }
@@ -635,6 +649,83 @@ mod tests {
     use super::*;
     use dude_nvm::NvmConfig;
     use dude_txapi::PAddr;
+    use std::mem::{offset_of, size_of};
+    use std::ops::Range;
+
+    /// The 64-byte lines `len` bytes at `offset` span.
+    fn lines(offset: usize, len: usize) -> Range<usize> {
+        offset / 64..(offset + len).div_ceil(64)
+    }
+
+    /// No line of `Shared` holds both a cell a Perform thread writes on
+    /// every commit and one that a Persist worker or the Reproduce step
+    /// writes on every record or run, so a commit never waits for a line
+    /// the pipeline just wrote (`Shared` is 64-byte aligned: its
+    /// `Watermark`s are). A commit reads nothing else of `Shared`:
+    /// `DtmThread` and `RedoHooks` copy the flags it needs, and the
+    /// `commits` count lives in the redo ring's producer line.
+    #[test]
+    fn perform_cells_share_no_line_with_pipeline_cells() {
+        assert_eq!(std::mem::align_of::<Shared>() % 64, 0);
+        let trace = offset_of!(Shared, trace);
+        let hist = size_of::<crate::trace::LatencyHistogram>();
+        let perform = [
+            (
+                "committed_tid",
+                lines(offset_of!(Shared, committed_tid), size_of::<Padded>()),
+            ),
+            (
+                "trace.commit_latency_ns",
+                lines(trace + offset_of!(Trace, commit_latency_ns), hist),
+            ),
+        ];
+        let pipeline = [
+            (
+                "durable",
+                lines(offset_of!(Shared, durable), size_of::<Watermark>()),
+            ),
+            ("reproduced", lines(offset_of!(Shared, reproduced), 8)),
+            (
+                "stats",
+                lines(offset_of!(Shared, stats), size_of::<PipelineStats>()),
+            ),
+            (
+                "order",
+                lines(
+                    offset_of!(Shared, order),
+                    size_of::<Mutex<DenseReorder<Batch>>>(),
+                ),
+            ),
+            (
+                "replay",
+                lines(offset_of!(Shared, replay), size_of::<Mutex<Replay>>()),
+            ),
+            (
+                "groups",
+                lines(offset_of!(Shared, groups), size_of::<Mutex<Sequencer>>()),
+            ),
+            (
+                "trace.persist_barrier_ns",
+                lines(trace + offset_of!(Trace, persist_barrier_ns), hist),
+            ),
+            (
+                "trace.group_flush_bytes",
+                lines(trace + offset_of!(Trace, group_flush_bytes), hist),
+            ),
+            (
+                "trace.replay_apply_ns",
+                lines(trace + offset_of!(Trace, replay_apply_ns), hist),
+            ),
+        ];
+        for (p, pl) in &perform {
+            for (q, ql) in &pipeline {
+                assert!(
+                    pl.end <= ql.start || ql.end <= pl.start,
+                    "`{p}` (lines {pl:?}) shares a line with `{q}` (lines {ql:?})"
+                );
+            }
+        }
+    }
 
     /// A `Sync` commit goes through its thread's redo ring like any other:
     /// the committer persists it, the pending run holds it, and its record

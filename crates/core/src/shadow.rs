@@ -230,9 +230,7 @@ impl PagedShadow {
             nvm,
             heap_region,
             reproduced,
-            frames: (0..frames * PAGE_WORDS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            frames: dude_txapi::zeroed_words(frames * PAGE_WORDS),
             pages: (0..n_pages)
                 .map(|_| PageEntry {
                     frame: AtomicU32::new(NO_FRAME),

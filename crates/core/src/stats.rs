@@ -43,7 +43,9 @@ pub struct CellDef {
 
 /// Declares one group of cells. `live Name;` adds the struct of atomics
 /// (with `snapshot()` and `delta()`); without it only the value struct is
-/// generated, for cells computed at read time.
+/// generated, for cells computed at read time. In a live group, cells
+/// listed under a leading `@derived { … }` get no atomic: they are counted
+/// elsewhere, and the live `snapshot()` takes their values as arguments.
 macro_rules! cells {
     (@metric $prefix:literal $field:ident) => { concat!($prefix, stringify!($field)) };
     (@metric $prefix:literal $field:ident $metric:literal) => { $metric };
@@ -97,6 +99,7 @@ macro_rules! cells {
         live $Live:ident;
         $(#[$meta:meta])*
         snapshot $Snap:ident, prefix $prefix:literal {
+            $( @derived { $( $dkind:ident $dfield:ident : $dhelp:literal, )* } )?
             $( $kind:ident $field:ident $(as $metric:literal)? : $help:literal, )*
         }
     ) => {
@@ -113,15 +116,19 @@ macro_rules! cells {
                 [$( &self.$field, )*].into_iter()
             }
 
-            /// Takes a point-in-time copy.
-            pub fn snapshot(&self) -> $Snap {
-                $Snap { $( $field: self.$field.load(Ordering::Relaxed), )* }
+            /// Takes a point-in-time copy, with the derived cells' values.
+            pub fn snapshot(&self $($(, $dfield: u64)*)?) -> $Snap {
+                $Snap {
+                    $($( $dfield, )*)?
+                    $( $field: self.$field.load(Ordering::Relaxed), )*
+                }
             }
         }
 
         cells! {
             $(#[$meta])*
             snapshot $Snap, prefix $prefix {
+                $($( $dkind $dfield : $dhelp, )*)?
                 $( $kind $field $(as $metric)? : $help, )*
             }
         }
@@ -131,19 +138,27 @@ macro_rules! cells {
             /// measurement phase from the load phase).
             #[must_use]
             pub fn delta(&self, earlier: &Self) -> Self {
-                Self { $( $field: self.$field - earlier.$field, )* }
+                Self {
+                    $($( $dfield: self.$dfield - earlier.$dfield, )*)?
+                    $( $field: self.$field - earlier.$field, )*
+                }
             }
         }
     };
 }
 
 cells! {
-    /// Relaxed counters the pipeline stages increment.
+    /// Relaxed counters the Persist and Reproduce stages increment. The
+    /// Perform side's two counts are not here: each redo ring's producer
+    /// publishes its own and a snapshot sums them, so a commit takes no
+    /// locked increment on a line the pipeline's threads write.
     live PipelineStats;
     /// Point-in-time copy of [`PipelineStats`].
     snapshot PipelineStatsSnapshot, prefix "" {
-        Counter commits: "Committed update transactions that entered the pipeline.",
-        Counter abort_markers: "Abort markers written to fill wasted-ID holes.",
+        @derived {
+            Counter commits: "Committed update transactions that entered the pipeline.",
+            Counter abort_markers: "Abort markers written to fill wasted-ID holes.",
+        }
         Counter records_persisted: "Individual records persisted (ungrouped and sync modes).",
         Counter entries_logged: "Redo-log entries (one per transactional write, before combination) that reached Persist: the paper's '# writes' (Table 1).",
         Counter groups_persisted: "Groups persisted (combination mode).",
@@ -261,6 +276,16 @@ pub struct PipelineSnapshot {
     pub recovery: RecoverySnapshot,
 }
 
+/// The counters, with `commits` and `abort_markers` summed over the redo
+/// rings' producers. Each ring's counts only grow, so successive reads
+/// never go backwards.
+pub(crate) fn counters(shared: &Shared) -> PipelineStatsSnapshot {
+    let (commits, aborts) = shared.redo.iter().fold((0, 0), |(c, a), ring| {
+        (c + ring.commits(), a + ring.aborts())
+    });
+    shared.stats.snapshot(commits, aborts)
+}
+
 /// Gathers the one snapshot every reporting surface renders from.
 /// `committed` is the Perform frontier as the caller knows it: the TM
 /// commit clock for [`DudeTm::stats_snapshot`](crate::DudeTm::stats_snapshot),
@@ -268,7 +293,7 @@ pub struct PipelineSnapshot {
 /// The watermarks are read independently (racily) — exact after `quiesce`.
 pub(crate) fn snapshot(shared: &Shared, committed: u64) -> PipelineSnapshot {
     PipelineSnapshot {
-        counters: shared.stats.snapshot(),
+        counters: counters(shared),
         committed,
         durable: shared.durable.get(),
         reproduced: shared.reproduced.load(Ordering::SeqCst),
@@ -365,11 +390,10 @@ mod tests {
     #[test]
     fn snapshot_copies_counters() {
         let s = PipelineStats::default();
-        s.commits.store(5, Ordering::Relaxed);
         s.txns_reproduced.store(3, Ordering::Relaxed);
         s.log_bytes_flushed.store(64, Ordering::Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.commits, 5);
+        let snap = s.snapshot(5, 2);
+        assert_eq!((snap.commits, snap.abort_markers), (5, 2));
         assert_eq!(snap.txns_reproduced, 3);
         assert_eq!(snap.log_bytes_flushed, 64);
     }

@@ -92,7 +92,10 @@ pub fn bucket_bounds(b: usize) -> (u64, u64) {
 /// count/sum/max, all relaxed atomics. HDR-style in spirit — fixed memory,
 /// O(1) record, percentile queries without retaining samples — with
 /// one-bucket-per-octave resolution (quantization error < 2×, which is
-/// enough to tell a 300 ns barrier from a 10 µs stall).
+/// enough to tell a 300 ns barrier from a 10 µs stall). Cache-line
+/// aligned: the Perform thread's histogram and the Persist worker's sit
+/// side by side in [`Trace`].
+#[repr(align(64))]
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS + 1],

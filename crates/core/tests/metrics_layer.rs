@@ -8,10 +8,16 @@ use std::time::Duration;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{
     log, recover_device, recover_device_observed, DudeTm, DudeTmConfig, MetricsConfig,
     PipelineSnapshot, RecoveryPhase, RecoveryTelemetry,
 };
+
+/// Each test runs for seconds at most, in debug; one still going after
+/// this is hung. Each has a fixed seed and configuration, so the test
+/// name the watchdog prints names both.
+const HANG: Duration = Duration::from_secs(300);
 
 fn test_nvm(bytes: u64) -> Arc<Nvm> {
     Arc::new(Nvm::new(NvmConfig::for_testing(bytes)))
@@ -66,6 +72,7 @@ fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, u64) {
 /// are normalized as in the trace-layer twin of this test.
 #[test]
 fn disabled_metrics_is_behavior_identical_to_enabled() {
+    let _watchdog = Watchdog::arm("", HANG);
     let (mut snap_off, heap_off, frames_off) = run_workload(config(MetricsConfig::disabled()));
     let (mut snap_on, heap_on, frames_on) =
         run_workload(config(MetricsConfig::sampling(Duration::from_millis(1))));
@@ -88,6 +95,7 @@ fn disabled_metrics_is_behavior_identical_to_enabled() {
 #[cfg(feature = "sim")]
 #[test]
 fn disabled_metrics_is_behavior_identical_to_enabled_sim() {
+    let _watchdog = Watchdog::arm("", HANG);
     let seed = std::env::var("DUDE_SIM_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -131,6 +139,7 @@ fn disabled_metrics_is_behavior_identical_to_enabled_sim() {
 /// point a no-op — the frame ring stays empty forever.
 #[test]
 fn disabled_metrics_records_no_frames() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(nvm, config(MetricsConfig::disabled()));
     {
@@ -158,6 +167,7 @@ fn disabled_metrics_records_no_frames() {
 /// stall the catalog carries.
 #[test]
 fn four_thread_frames_reconcile_with_final_snapshot() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let mut dude = DudeTm::create_stm(
         nvm,
@@ -207,6 +217,7 @@ fn four_thread_frames_reconcile_with_final_snapshot() {
 /// gauge finishes at `Done`.
 #[test]
 fn recovery_telemetry_reports_scan_replay_wipe() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 16)));
     let cfg = DudeTmConfig {
         plog_bytes_per_thread: 4096,

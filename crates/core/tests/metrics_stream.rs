@@ -10,10 +10,16 @@ use std::time::Duration;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{
     validate_exposition, DudeTm, DudeTmConfig, MetricsConfig, MetricsFrame, MetricsServer,
     TraceConfig,
 };
+
+/// Each test runs for seconds at most, in debug; one still going after
+/// this is hung. Each has a fixed seed and configuration, so the test
+/// name the watchdog prints names both.
+const HANG: Duration = Duration::from_secs(300);
 
 fn test_nvm() -> Arc<Nvm> {
     Arc::new(Nvm::new(NvmConfig::for_testing(8 << 20)))
@@ -51,6 +57,7 @@ fn observed_runtime() -> DudeTm<dude_stm::Stm> {
 /// with real pipeline data and accepted by the format validator.
 #[test]
 fn prometheus_exposition_is_valid_and_carries_the_catalog() {
+    let _watchdog = Watchdog::arm("", HANG);
     let dude = observed_runtime();
     let text = dude.metrics().render_prometheus();
     validate_exposition(&text).expect("renderer output must self-validate");
@@ -93,6 +100,7 @@ fn prometheus_exposition_is_valid_and_carries_the_catalog() {
 /// shapes a broken renderer would produce.
 #[test]
 fn validator_rejects_broken_expositions() {
+    let _watchdog = Watchdog::arm("", HANG);
     let undeclared = "dudetm_commits_total 5\n";
     assert!(
         validate_exposition(undeclared).is_err(),
@@ -119,6 +127,7 @@ fn validator_rejects_broken_expositions() {
 /// listener down.
 #[test]
 fn metrics_server_serves_a_valid_scrape() {
+    let _watchdog = Watchdog::arm("", HANG);
     let dude = observed_runtime();
     let server = MetricsServer::start(Arc::clone(dude.metrics()), "127.0.0.1:0")
         .expect("ephemeral bind succeeds");
@@ -167,6 +176,7 @@ fn metrics_server_serves_a_valid_scrape() {
 /// line — so `--metrics-out` files and `dude-top --replay` agree exactly.
 #[test]
 fn jsonl_frames_round_trip_exactly() {
+    let _watchdog = Watchdog::arm("", HANG);
     let dude = observed_runtime();
     dude.sample_metrics_now(); // at least two frames in the ring
     let frames = dude.metrics().frames();

@@ -6,7 +6,14 @@ use std::sync::Arc;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxAbort, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{DudeTm, DudeTmConfig, DurabilityMode, PagingMode, ShadowConfig, TraceConfig};
+use std::time::Duration;
+
+/// Each test runs for seconds at most, in debug; one still going after
+/// this is hung. Each has a fixed seed and configuration, so the test
+/// name the watchdog prints names both.
+const HANG: Duration = Duration::from_secs(300);
 
 fn test_nvm(bytes: u64) -> Arc<Nvm> {
     Arc::new(Nvm::new(NvmConfig::for_testing(bytes)))
@@ -27,6 +34,7 @@ fn slot(i: u64) -> PAddr {
 
 #[test]
 fn committed_transactions_reach_nvm() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(Arc::clone(&nvm), small_config());
     let heap = dude.heap_region();
@@ -48,6 +56,7 @@ fn committed_transactions_reach_nvm() {
 
 #[test]
 fn durable_id_advances_and_wait_durable_works() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(nvm, small_config());
     let mut t = dude.register_thread();
@@ -59,6 +68,7 @@ fn durable_id_advances_and_wait_durable_works() {
 
 #[test]
 fn user_abort_leaves_no_trace() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(Arc::clone(&nvm), small_config());
     let heap = dude.heap_region();
@@ -80,6 +90,7 @@ fn user_abort_leaves_no_trace() {
 
 #[test]
 fn concurrent_transfers_conserve_money_end_to_end() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = Arc::new(DudeTm::create_stm(Arc::clone(&nvm), small_config()));
     let heap = dude.heap_region();
@@ -129,6 +140,7 @@ fn concurrent_transfers_conserve_money_end_to_end() {
 
 #[test]
 fn crash_before_persist_loses_nothing_acknowledged() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config();
     let mut durable_values = Vec::new();
@@ -166,6 +178,7 @@ fn crash_before_persist_loses_nothing_acknowledged() {
 
 #[test]
 fn recovery_discards_unpersisted_tail_consistently() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config();
     {
@@ -193,6 +206,7 @@ fn recovery_discards_unpersisted_tail_consistently() {
 
 #[test]
 fn recovered_runtime_continues_transaction_ids() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config();
     let last;
@@ -218,6 +232,7 @@ fn recovered_runtime_continues_transaction_ids() {
 
 #[test]
 fn recover_unformatted_device_fails() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let err = DudeTm::recover_stm(nvm, small_config()).unwrap_err();
     assert_eq!(err, dudetm::RecoverError::NotFormatted);
@@ -225,6 +240,7 @@ fn recover_unformatted_device_fails() {
 
 #[test]
 fn sync_mode_is_durable_at_return() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config().with_durability(DurabilityMode::Sync);
     let dude = DudeTm::create_stm(Arc::clone(&nvm), config);
@@ -240,6 +256,7 @@ fn sync_mode_is_durable_at_return() {
 
 #[test]
 fn sync_mode_survives_immediate_crash() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config().with_durability(DurabilityMode::Sync);
     {
@@ -258,6 +275,7 @@ fn sync_mode_survives_immediate_crash() {
 
 #[test]
 fn unbounded_mode_works() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config().with_durability(DurabilityMode::AsyncUnbounded);
     let dude = DudeTm::create_stm(Arc::clone(&nvm), config);
@@ -275,6 +293,7 @@ fn unbounded_mode_works() {
 
 #[test]
 fn grouped_persist_combines_and_reproduces_correctly() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config().with_grouping(10, false);
     let dude = DudeTm::create_stm(Arc::clone(&nvm), config);
@@ -305,6 +324,7 @@ fn grouped_persist_combines_and_reproduces_correctly() {
 
 #[test]
 fn grouped_and_compressed_survives_crash() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config().with_grouping(8, true);
     {
@@ -329,6 +349,7 @@ fn grouped_and_compressed_survives_crash() {
 
 #[test]
 fn paged_shadow_end_to_end() {
+    let _watchdog = Watchdog::arm("", HANG);
     for mode in [PagingMode::Software, PagingMode::Hardware] {
         let nvm = test_nvm(8 << 20);
         // 1 MiB heap = 256 pages, but only 8 shadow frames.
@@ -366,6 +387,7 @@ fn paged_shadow_end_to_end() {
 
 #[test]
 fn htm_engine_end_to_end() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_htm(Arc::clone(&nvm), small_config());
     let heap = dude.heap_region();
@@ -385,6 +407,7 @@ fn htm_engine_end_to_end() {
 
 #[test]
 fn htm_crash_recovery() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config();
     {
@@ -409,6 +432,7 @@ fn htm_crash_recovery() {
 
 #[test]
 fn multi_thread_multi_persist_pipeline() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let config = small_config().with_flush_workers(2);
     let dude = Arc::new(DudeTm::create_stm(Arc::clone(&nvm), config));
@@ -431,6 +455,7 @@ fn multi_thread_multi_persist_pipeline() {
 
 #[test]
 fn stats_snapshot_watermarks_and_occupancy() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(Arc::clone(&nvm), small_config());
     {
@@ -550,6 +575,7 @@ fn full_ring_body(threads: u64, txns: u64) -> u64 {
 /// virtual schedule.
 #[test]
 fn full_ring_parks_records_without_losing_progress() {
+    let _watchdog = Watchdog::arm("", HANG);
     for _ in 0..3 {
         if full_ring_body(2, 400) > 0 {
             return;
@@ -565,6 +591,7 @@ fn full_ring_parks_records_without_losing_progress() {
 #[cfg(feature = "sim")]
 #[test]
 fn full_ring_parks_records_without_losing_progress_sim() {
+    let _watchdog = Watchdog::arm("", HANG);
     let seed = std::env::var("DUDE_SIM_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -585,6 +612,7 @@ fn full_ring_parks_records_without_losing_progress_sim() {
 
 #[test]
 fn bounds_violation_panics() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(nvm, small_config());
     let mut t = dude.register_thread();

@@ -11,9 +11,16 @@ use std::sync::Arc;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{
     log, recover_device, scan_region, ConfigError, DudeTm, DudeTmConfig, NvmLayout, RecoverError,
 };
+use std::time::Duration;
+
+/// Each test runs for seconds at most, in debug; one still going after
+/// this is hung. Each has a fixed seed and configuration, so the test
+/// name the watchdog prints names both.
+const HANG: Duration = Duration::from_secs(300);
 
 /// Byte offsets inside the metadata region (on-NVM format v2: the version
 /// is word 1, the reproduced-ID checkpoint word 2).
@@ -58,6 +65,7 @@ fn image(nvm: &Nvm) -> Vec<u64> {
 /// before touching the device.
 #[test]
 fn invalid_config_is_a_typed_error_and_leaves_the_device_untouched() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -81,6 +89,7 @@ fn invalid_config_is_a_typed_error_and_leaves_the_device_untouched() {
 /// constructor keeps its documented panic.
 #[test]
 fn too_small_device_is_a_typed_error_and_leaves_the_device_untouched() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     formatted(&nvm, config);
@@ -109,6 +118,7 @@ fn too_small_device_is_a_typed_error_and_leaves_the_device_untouched() {
 
 #[test]
 fn discarded_counts_transactions_not_records() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -134,6 +144,7 @@ fn discarded_counts_transactions_not_records() {
 
 #[test]
 fn group_straddling_checkpoint_replays_idempotently() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -167,6 +178,7 @@ fn group_straddling_checkpoint_replays_idempotently() {
 /// and discard the durable group beyond it whole.
 #[test]
 fn round_robin_groups_across_rings_recover_to_contiguous_prefix() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = DudeTmConfig {
         max_threads: 4,
@@ -201,6 +213,7 @@ fn round_robin_groups_across_rings_recover_to_contiguous_prefix() {
 /// error: there is no v1 reader and no migration.
 #[test]
 fn v1_device_is_a_bad_version() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -218,6 +231,7 @@ fn v1_device_is_a_bad_version() {
 /// either layout, so this is the typed error and not the size assert.
 #[test]
 fn thread_count_mismatch_is_a_layout_mismatch() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let one = DudeTmConfig {
         max_threads: 1,
@@ -239,6 +253,7 @@ fn thread_count_mismatch_is_a_layout_mismatch() {
 
 #[test]
 fn two_straddling_records_are_a_typed_error() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -279,6 +294,7 @@ fn two_straddling_records_are_a_typed_error() {
 /// to a stale value; recovery must skip it.
 #[test]
 fn stale_released_record_below_checkpoint_is_not_replayed() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -316,6 +332,7 @@ fn stale_released_record_below_checkpoint_is_not_replayed() {
 /// idempotent-redo repair for torn checkpoint windows.
 #[test]
 fn sub_checkpoint_record_in_checkpoint_run_still_replays() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -343,6 +360,7 @@ fn sub_checkpoint_record_in_checkpoint_run_still_replays() {
 /// on either side into one contiguous history.
 #[test]
 fn abort_marker_bridges_commits_into_one_run() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -374,6 +392,7 @@ fn abort_marker_bridges_commits_into_one_run() {
 /// durable predecessor set is incomplete.
 #[test]
 fn commit_beyond_missing_abort_marker_is_discarded() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     let layout = formatted(&nvm, config);
@@ -397,6 +416,7 @@ fn commit_beyond_missing_abort_marker_is_discarded() {
 
 #[test]
 fn recovery_wipes_stale_log_records() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm();
     let config = tiny_config();
     {

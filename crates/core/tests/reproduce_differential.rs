@@ -15,13 +15,17 @@
 //! three more on top of the built-in ones.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{CommitHistory, DudeTm, DudeTmConfig, DurabilityMode};
 
 const HEAP_BYTES: u64 = 1 << 16;
 const HEAP_WORDS: u64 = HEAP_BYTES / 8;
+/// A run takes milliseconds; one still going after this is hung.
+const HANG: Duration = Duration::from_secs(120);
 
 fn config() -> DudeTmConfig {
     DudeTmConfig {
@@ -176,6 +180,7 @@ fn assert_matches_history(
     workload: fn(&mut Runner, u64),
     seed: u64,
 ) {
+    let _watchdog = Watchdog::arm(format!("{name} seed {seed:#x} config {cfg:?}"), HANG);
     let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
     let dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
     let history = Arc::new(CommitHistory::new(1 << 12));
@@ -252,6 +257,7 @@ fn rewriter_images_match_the_serial_history() {
     }
     // The workload is what it claims: at least 30 % of the writes that
     // reached Persist were rewrites of the same transaction.
+    let _watchdog = Watchdog::arm("rewriter seed 0xddc0ffee", HANG);
     let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
     let mut dude = DudeTm::create_stm(Arc::clone(&nvm), config());
     rewriter(&mut dude.register_thread(), 0x0DD_C0FFEE);
@@ -296,6 +302,7 @@ fn images_identical_across_persist_worker_counts() {
 /// history.
 #[test]
 fn clean_drain_is_recoverable() {
+    let _watchdog = Watchdog::arm("bank seed 0xb01dface", HANG);
     let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(1 << 18)));
     let dude = DudeTm::create_stm(Arc::clone(&nvm), config());
     {

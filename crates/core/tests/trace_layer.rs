@@ -6,7 +6,14 @@ use std::sync::Arc;
 
 use dude_nvm::{Nvm, NvmConfig};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{DudeTm, DudeTmConfig, DurabilityMode, PipelineSnapshot, TmEngine, TraceConfig};
+use std::time::Duration;
+
+/// Each test runs for seconds at most, in debug; one still going after
+/// this is hung. Each has a fixed seed and configuration, so the test
+/// name the watchdog prints names both.
+const HANG: Duration = Duration::from_secs(300);
 
 fn test_nvm(bytes: u64) -> Arc<Nvm> {
     Arc::new(Nvm::new(NvmConfig::for_testing(bytes)))
@@ -70,6 +77,7 @@ fn run_workload(cfg: DudeTmConfig) -> (PipelineSnapshot, Vec<u64>, Arc<Nvm>) {
 /// definition keeps at zero.)
 #[test]
 fn disabled_trace_is_behavior_identical_to_enabled() {
+    let _watchdog = Watchdog::arm("", HANG);
     let (mut snap_off, heap_off, _) = run_workload(config(TraceConfig::disabled()));
     let (mut snap_on, heap_on, _) = run_workload(config(TraceConfig::enabled(4096)));
     assert_eq!(heap_off, heap_on, "heap image must not depend on tracing");
@@ -93,6 +101,7 @@ fn disabled_trace_is_behavior_identical_to_enabled() {
 #[cfg(feature = "sim")]
 #[test]
 fn disabled_trace_is_behavior_identical_to_enabled_sim() {
+    let _watchdog = Watchdog::arm("", HANG);
     let seed = std::env::var("DUDE_SIM_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -132,6 +141,7 @@ fn disabled_trace_is_behavior_identical_to_enabled_sim() {
 
 #[test]
 fn disabled_trace_records_and_counts_nothing() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(nvm, config(TraceConfig::disabled()));
     {
@@ -156,6 +166,7 @@ fn disabled_trace_records_and_counts_nothing() {
 /// applies in theirs, and the exposition carries the same counts.
 #[test]
 fn enabled_trace_records_the_pipeline() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(nvm, config(TraceConfig::enabled(65536)));
     {
@@ -213,6 +224,7 @@ fn tiny_buffer_body() -> u64 {
 /// below asserts the stall outright under a fixed virtual schedule.
 #[test]
 fn tiny_buffer_counts_perform_log_full_stalls() {
+    let _watchdog = Watchdog::arm("", HANG);
     for _ in 0..3 {
         if tiny_buffer_body() > 0 {
             return;
@@ -228,6 +240,7 @@ fn tiny_buffer_counts_perform_log_full_stalls() {
 #[cfg(feature = "sim")]
 #[test]
 fn tiny_buffer_counts_perform_log_full_stalls_sim() {
+    let _watchdog = Watchdog::arm("", HANG);
     let seed = std::env::var("DUDE_SIM_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -251,6 +264,7 @@ fn tiny_buffer_counts_perform_log_full_stalls_sim() {
 /// client forces while it waits on the full ring.
 #[test]
 fn sync_ring_full_waits_are_counted() {
+    let _watchdog = Watchdog::arm("", HANG);
     let sync = |trace| {
         DudeTmConfig {
             plog_bytes_per_thread: 4096,
@@ -275,6 +289,7 @@ fn sync_ring_full_waits_are_counted() {
 /// `flush_worker_ns` series takes a sample.
 #[test]
 fn sync_sweeps_are_timed_and_traced() {
+    let _watchdog = Watchdog::arm("", HANG);
     const COMMITS: u64 = 100;
     let nvm = test_nvm(8 << 20);
     let cfg = config(TraceConfig::enabled(65536)).with_durability(DurabilityMode::Sync);
@@ -301,6 +316,7 @@ fn sync_sweeps_are_timed_and_traced() {
 /// accessor works across engine types (API-surface check).
 #[test]
 fn summary_and_accessor_surface_the_layer() {
+    let _watchdog = Watchdog::arm("", HANG);
     let nvm = test_nvm(8 << 20);
     let dude = DudeTm::create_stm(nvm, config(TraceConfig::enabled(1024)));
     {

@@ -43,6 +43,8 @@
 //! assert_eq!(mem.load(0), 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 

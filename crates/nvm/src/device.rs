@@ -309,7 +309,7 @@ pub struct Nvm {
 }
 
 fn alloc_words(n: u64) -> Box<[AtomicU64]> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
+    dude_txapi::zeroed_words(usize::try_from(n).expect("device larger than the address space"))
 }
 
 impl Nvm {

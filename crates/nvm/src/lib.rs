@@ -41,6 +41,8 @@
 //! assert_eq!(nvm.read_word(72), 0); // lost: never flushed
 //! ```
 
+#![deny(unsafe_code)]
+
 mod alloc;
 mod device;
 mod region;

@@ -34,6 +34,7 @@
 //! `false` for them and the shims fall through to their native paths.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -46,6 +46,8 @@
 //! assert_eq!(mem.load(0), 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod clock;
 mod locks;
 mod memory;

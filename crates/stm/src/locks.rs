@@ -56,7 +56,7 @@ impl LockTable {
         assert!((1..=28).contains(&bits), "unreasonable lock table size");
         let n = 1usize << bits;
         LockTable {
-            words: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            words: dude_txapi::zeroed_words(n),
             mask: (n - 1) as u64,
         }
     }

@@ -53,7 +53,9 @@ impl VecMemory {
             "size must be a multiple of 8"
         );
         VecMemory {
-            words: (0..bytes / 8).map(|_| AtomicU64::new(0)).collect(),
+            words: dude_txapi::zeroed_words(
+                usize::try_from(bytes / 8).expect("memory larger than the address space"),
+            ),
         }
     }
 

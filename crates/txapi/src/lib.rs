@@ -35,9 +35,13 @@
 //! }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod paddr;
+mod words;
 
 pub use paddr::{PAddr, WORD_BYTES};
+pub use words::zeroed_words;
 
 /// Global transaction identifier.
 ///

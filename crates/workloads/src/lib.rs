@@ -23,6 +23,8 @@
 //! * [`rng`] — deterministic RNG plus the Zipfian generator behind the
 //!   skewed workloads.
 
+#![deny(unsafe_code)]
+
 pub mod bank;
 pub mod btree;
 pub mod driver;

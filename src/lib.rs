@@ -29,6 +29,8 @@
 //! thread.wait_durable(out.info().unwrap().tid.unwrap());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use dude_baselines as baselines;
 pub use dude_compress as compress;
 pub use dude_htm as htm;

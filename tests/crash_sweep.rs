@@ -22,15 +22,20 @@
 //! 200 distinct crash points are exercised (each test asserts its share).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dude_nvm::{CrashEventKind, CrashPlan, Nvm, NvmConfig, StageFilter};
 use dude_txapi::{PAddr, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{recover_device, DudeTm, DudeTmConfig, DurabilityMode};
 
 const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
 const TRANSFERS: u64 = 100;
 const SEED: u64 = 0x5EED_CAFE;
+/// A run (a hundred transfers) takes milliseconds; one still going after
+/// this is hung.
+const HANG: Duration = Duration::from_secs(120);
 
 /// One account per cache line: Reproduce flushes each dirty *line* once per
 /// batch, so accounts packed into two lines would leave the flush sweeps
@@ -96,6 +101,10 @@ fn expected_states() -> Vec<Vec<u64>> {
 /// writes each of its words twice: the committed sequence and its prefix
 /// states are unchanged, but only if combination keeps the *last* write.
 fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite: bool) -> u64 {
+    let _watchdog = Watchdog::arm(
+        format!("seed {SEED:#x} rewrite={rewrite} plan {plan:?} config {cfg:?}"),
+        HANG,
+    );
     let dude = DudeTm::create_stm(Arc::clone(nvm), cfg);
     match plan {
         Some(p) => nvm.arm_crash_plan(p),
@@ -674,6 +683,7 @@ fn swept_crash_recovers_into_working_runtime() {
     let acked = run_bank(&nvm, cfg, Some(plan), false);
     assert!(nvm.apply_planned_crash(), "mid-run fence plan must trip");
 
+    let _watchdog = Watchdog::arm(format!("recovered runtime, config {cfg:?}"), HANG);
     let (dude, report) = DudeTm::recover_stm(Arc::clone(&nvm), cfg).expect("recovery");
     assert!(report.last_tid >= acked);
     // The recovery-time breakdown is populated: scanning two 64 KiB log

@@ -33,9 +33,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use dude_nvm::{CrashEventKind, CrashPlan, Nvm, NvmConfig, StageFilter};
 use dude_txapi::{PAddr, TxAbort, TxnSystem, TxnThread};
+use dudetm::check::Watchdog;
 use dudetm::{
     check_prefix, recover_device, CommitHistory, DudeTm, DudeTmConfig, DurabilityMode, PagingMode,
     ShadowConfig,
@@ -43,6 +45,9 @@ use dudetm::{
 
 const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
+/// A run takes well under a second in release and a few in debug; one
+/// still going after this is hung.
+const HANG: Duration = Duration::from_secs(120);
 
 fn slot(i: u64) -> PAddr {
     PAddr::from_word_index(8 + 8 * i)
@@ -88,7 +93,7 @@ fn fresh_nvm() -> Arc<Nvm> {
     Arc::new(Nvm::new(NvmConfig::for_testing(1 << 20)))
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
     /// Random transfers between shared accounts: conflicting read-write
     /// sets, commit-time aborts (wasted TIDs → abort markers).
@@ -129,6 +134,12 @@ fn run_mt(
     seed: u64,
     plan: Option<CrashPlan>,
 ) -> MtRun {
+    let _watchdog = Watchdog::arm(
+        format!(
+            "seed {seed} {workload:?} threads={threads} ops={ops} plan {plan:?} config {cfg:?}"
+        ),
+        HANG,
+    );
     let dude = Arc::new(DudeTm::create_stm(Arc::clone(nvm), cfg));
     let history = Arc::new(CommitHistory::new(64 + 16 * threads * ops as usize));
     dude.attach_history(Arc::clone(&history));
