@@ -167,8 +167,9 @@ impl Htm {
         &self.clock
     }
 
-    /// Line-table index of `addr`'s cache line. The lock table hashes word
-    /// numbers, so it is handed an address whose word number is the line's.
+    /// Line-table index of `addr`'s cache line: the line number, masked to
+    /// the table. The lock table's one map takes a word's byte address, so
+    /// it is handed an address whose word number is the line's.
     fn line_of(&self, addr: u64) -> usize {
         self.lines.stripe_of(addr / LINE_BYTES * 8)
     }
@@ -800,6 +801,22 @@ mod tests {
         h1.join().unwrap();
         h2.join().unwrap();
         assert_eq!(mem.load(0), 200);
+    }
+
+    /// The line table is the lock table's one map at line granularity:
+    /// every word of a line shares an entry, consecutive lines take
+    /// consecutive entries, and lines one table apart alias.
+    #[test]
+    fn consecutive_lines_take_consecutive_entries() {
+        let htm = Htm::new(HtmConfig::default());
+        let entries = htm.lines.len() as u64;
+        for line in (0..64).chain(entries - 32..entries + 32) {
+            let addr = line * LINE_BYTES;
+            let idx = htm.line_of(addr);
+            assert_eq!(idx as u64, line % entries);
+            assert_eq!(htm.line_of(addr + LINE_BYTES - 8), idx);
+            assert_eq!(htm.line_of(addr + LINE_BYTES), (idx + 1) % entries as usize);
+        }
     }
 
     /// The one read-set rule, over an STM stripe table and this HTM's line

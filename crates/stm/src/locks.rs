@@ -1,7 +1,11 @@
 //! Striped versioned locks (ownership records).
 //!
-//! Each transactional address hashes to one lock word in a fixed-size table,
-//! TinySTM-style. A lock word is either
+//! Each transactional word maps to one lock word in a fixed-size table by
+//! TinySTM's `LOCK_IDX`: the word number, masked to the table size. The
+//! eight words of a 64-byte data line therefore share one 64-byte line of
+//! the table, consecutive data lines use consecutive table lines, and two
+//! words alias only if they are a multiple of `8 << lock_table_bits` bytes
+//! apart (8 MiB under the default table). A lock word is either
 //!
 //! * **unlocked**: `version << 1` — the commit timestamp of the last writer
 //!   of any address in the stripe, or
@@ -61,11 +65,11 @@ impl LockTable {
         }
     }
 
-    /// Stripe index for a byte address (word-granular, Fibonacci hashing).
+    /// Stripe index for a byte address: its word number, masked to the
+    /// table (TinySTM's `LOCK_IDX`, a shift and a mask).
     #[inline]
     pub fn stripe_of(&self, addr: u64) -> usize {
-        let word = addr >> 3;
-        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32 & self.mask) as usize
+        ((addr >> 3) & self.mask) as usize
     }
 
     /// The lock word for a stripe index.
@@ -199,14 +203,41 @@ mod tests {
         assert_eq!(version_of(w.load(Ordering::Relaxed)), 9);
     }
 
+    /// A lock-table line is eight consecutive stripes (64 bytes of lock
+    /// words). The table itself starts wherever the allocator put it (16
+    /// bytes past a cache line for a large glibc allocation), which
+    /// measured the same lines per transaction as a 64-byte-aligned table.
     #[test]
-    fn hashing_spreads_adjacent_words() {
-        let t = LockTable::new(10);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..64u64 {
-            seen.insert(t.stripe_of(i * 8));
+    fn words_of_a_data_line_share_a_lock_line() {
+        let t = LockTable::new(StmConfig::default().lock_table_bits);
+        let lock_line = |addr: u64| t.stripe_of(addr) / 8;
+        let lines = t.len() / 8;
+        for line in [0, 1, 4095, lines - 1, lines, 3 * lines + 17] {
+            let base = line as u64 * 64;
+            // One stripe per word, all on one lock-table line…
+            for w in 0..8 {
+                assert_eq!(t.stripe_of(base + w * 8), t.stripe_of(base) + w as usize);
+                assert_eq!(
+                    lock_line(base + w * 8),
+                    lock_line(base),
+                    "line {line} word {w}"
+                );
+            }
+            // …and the next data line on the next lock line, mod the table.
+            assert_eq!(lock_line(base + 64), (lock_line(base) + 1) % lines);
         }
-        // At least half of 64 adjacent words land on distinct stripes.
-        assert!(seen.len() > 32, "poor spread: {}", seen.len());
+    }
+
+    #[test]
+    fn aliases_are_one_table_of_words_apart() {
+        let bits = StmConfig::default().lock_table_bits;
+        let t = LockTable::new(bits);
+        let span = 8u64 << bits;
+        assert_eq!(span, 8 << 20, "the default table aliases 8 MiB apart");
+        for addr in [0u64, 8, 4096, span - 8] {
+            assert_eq!(t.stripe_of(addr), t.stripe_of(addr + span));
+            assert_eq!(t.stripe_of(addr), t.stripe_of(addr + 5 * span));
+            assert_ne!(t.stripe_of(addr), t.stripe_of(addr + span / 2));
+        }
     }
 }

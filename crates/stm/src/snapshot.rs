@@ -1,6 +1,8 @@
 //! The snapshot both access modes share: read set, held stripes, and the
 //! versioned read loop, extension and commit stamp over them.
 
+use std::collections::HashMap;
+use std::mem::take;
 use std::sync::atomic::Ordering;
 
 use dude_txapi::{TxAbort, TxId, TxResult};
@@ -8,6 +10,20 @@ use dude_txapi::{TxAbort, TxId, TxResult};
 use crate::clock::GlobalClock;
 use crate::locks::{is_locked, owner_of, reads_valid, try_lock, version_of, versioned, LockTable};
 use crate::memory::WordMemory;
+
+/// The buffers a transaction fills, kept by its [`crate::StmThread`]
+/// between transactions: a transaction takes the ones it uses when it
+/// begins and gives them back cleared when it ends, so the next one starts
+/// empty with the capacity the last one grew them to.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    reads: Vec<(usize, u64)>,
+    held: Vec<(usize, u64)>,
+    /// Write-through: the undo log. Write-back: the buffered writes.
+    pub(crate) writes: Vec<(u64, u64)>,
+    /// Write-back: address → index of its latest buffered write.
+    pub(crate) write_index: HashMap<u64, usize>,
+}
 
 /// One transaction's view of the lock table: the read version `rv`, the
 /// stripes read (with the version seen) and held (with the lock word they
@@ -28,16 +44,32 @@ pub(crate) struct Snapshot<'t> {
 }
 
 impl<'t> Snapshot<'t> {
-    pub(crate) fn begin(clock: &'t GlobalClock, locks: &'t LockTable, owner: u64) -> Self {
+    /// Begins at the current clock, taking the read and held buffers of
+    /// `bufs`.
+    pub(crate) fn begin(
+        clock: &'t GlobalClock,
+        locks: &'t LockTable,
+        owner: u64,
+        bufs: &mut Buffers,
+    ) -> Self {
         Snapshot {
             clock,
             locks,
             owner,
             rv: clock.now(),
-            reads: Vec::new(),
-            held: Vec::new(),
+            reads: take(&mut bufs.reads),
+            held: take(&mut bufs.held),
             wasted: None,
         }
+    }
+
+    /// Ends the transaction, returning the read and held buffers to `bufs`
+    /// cleared. Every stripe has been released.
+    pub(crate) fn end(mut self, bufs: &mut Buffers) {
+        debug_assert!(self.held.is_empty(), "end with stripes held");
+        self.reads.clear();
+        bufs.reads = self.reads;
+        bufs.held = self.held;
     }
 
     /// Starts the next attempt at the current clock with an empty read set.

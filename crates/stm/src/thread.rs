@@ -1,12 +1,14 @@
 //! The STM instance and per-thread retry loops.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dude_txapi::{CommitInfo, TxAbort, TxId, TxResult, TxnOutcome};
 
 use crate::clock::GlobalClock;
 use crate::locks::{LockTable, StmConfig};
 use crate::memory::WordMemory;
+use crate::snapshot::Buffers;
 use crate::wb::WriteBackTx;
 use crate::wt::StmTx;
 use crate::TxHooks;
@@ -34,11 +36,35 @@ pub(crate) trait Attempt {
     fn hooks(&mut self) -> &mut Self::Hooks;
 }
 
+/// One thread's commit counts, on a cache line of its own: only its
+/// thread writes them, with a load and a store (no locked read-modify-write
+/// on a line every Perform thread shares), and [`Stm::stats`] sums them.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct Commits {
+    update: AtomicU64,
+    read_only: AtomicU64,
+}
+
+impl Commits {
+    /// Counts one commit; called by the owning thread only.
+    fn count(&self, read_only: bool) {
+        let cell = if read_only {
+            &self.read_only
+        } else {
+            &self.update
+        };
+        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+}
+
 /// Aggregate STM statistics (relaxed counters).
 #[derive(Debug, Default)]
 pub struct StmStats {
-    commits: AtomicU64,
-    read_only_commits: AtomicU64,
+    /// Commit counts of the registered threads; a thread adds its own to
+    /// `retired` and leaves this list when it is dropped.
+    threads: Mutex<Vec<Arc<Commits>>>,
+    retired: Commits,
     conflicts: AtomicU64,
     user_aborts: AtomicU64,
     wasted_tids: AtomicU64,
@@ -62,13 +88,44 @@ pub struct StmStatsSnapshot {
 impl StmStats {
     /// Takes a point-in-time copy.
     pub fn snapshot(&self) -> StmStatsSnapshot {
+        let threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+        let sum = |cell: fn(&Commits) -> &AtomicU64| {
+            std::iter::once(&self.retired)
+                .chain(threads.iter().map(|c| &**c))
+                .map(|c| cell(c).load(Ordering::Relaxed))
+                .sum()
+        };
         StmStatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            read_only_commits: self.read_only_commits.load(Ordering::Relaxed),
+            commits: sum(|c| &c.update),
+            read_only_commits: sum(|c| &c.read_only),
             conflicts: self.conflicts.load(Ordering::Relaxed),
             user_aborts: self.user_aborts.load(Ordering::Relaxed),
             wasted_tids: self.wasted_tids.load(Ordering::Relaxed),
         }
+    }
+
+    /// A new thread's commit counts, summed from now on.
+    fn join(&self) -> Arc<Commits> {
+        let commits = Arc::<Commits>::default();
+        self.threads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::clone(&commits));
+        commits
+    }
+
+    /// Moves a departing thread's counts into `retired`, under the same
+    /// lock [`StmStats::snapshot`] sums under, so no snapshot counts them
+    /// twice or misses them.
+    fn leave(&self, commits: &Arc<Commits>) {
+        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+        for (from, to) in [
+            (&commits.update, &self.retired.update),
+            (&commits.read_only, &self.retired.read_only),
+        ] {
+            to.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        threads.retain(|c| !Arc::ptr_eq(c, commits));
     }
 }
 
@@ -107,6 +164,8 @@ impl Stm {
         StmThread {
             stm: self,
             owner: self.next_owner.fetch_add(1, Ordering::Relaxed),
+            bufs: Buffers::default(),
+            commits: self.stats.join(),
         }
     }
 
@@ -131,6 +190,15 @@ impl Stm {
 pub struct StmThread<'s> {
     stm: &'s Stm,
     owner: u64,
+    /// The read set, held stripes and write log, reused by each transaction.
+    bufs: Buffers,
+    commits: Arc<Commits>,
+}
+
+impl Drop for StmThread<'_> {
+    fn drop(&mut self) {
+        self.stm.stats.leave(&self.commits);
+    }
 }
 
 impl<'s> StmThread<'s> {
@@ -154,8 +222,18 @@ impl<'s> StmThread<'s> {
         M: WordMemory + ?Sized,
         H: TxHooks,
     {
-        let mut tx = StmTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
-        self.retry(&mut tx, body, StmTx::commit)
+        let stm = self.stm;
+        let mut tx = StmTx::begin(
+            &stm.clock,
+            &stm.locks,
+            mem,
+            hooks,
+            self.owner,
+            &mut self.bufs,
+        );
+        let outcome = self.retry(&mut tx, body, StmTx::commit);
+        tx.end(&mut self.bufs);
+        outcome
     }
 
     /// Runs `body` as a **write-back** transaction (Mnemosyne's mode).
@@ -174,8 +252,18 @@ impl<'s> StmThread<'s> {
         M: WordMemory + ?Sized,
         H: TxHooks,
     {
-        let mut tx = WriteBackTx::begin(&self.stm.clock, &self.stm.locks, mem, hooks, self.owner);
-        self.retry(&mut tx, body, |tx| tx.commit_with(&mut pre_publish))
+        let stm = self.stm;
+        let mut tx = WriteBackTx::begin(
+            &stm.clock,
+            &stm.locks,
+            mem,
+            hooks,
+            self.owner,
+            &mut self.bufs,
+        );
+        let outcome = self.retry(&mut tx, body, |tx| tx.commit_with(&mut pre_publish));
+        tx.end(&mut self.bufs);
+        outcome
     }
 
     /// The retry loop both modes share: run `body` on `tx`, commit with
@@ -195,7 +283,7 @@ impl<'s> StmThread<'s> {
             match result {
                 Ok((value, tid, read_only)) => {
                     tx.hooks().on_commit(tid);
-                    self.count_commit(read_only);
+                    self.commits.count(read_only);
                     return TxnOutcome::Committed {
                         value,
                         info: CommitInfo { tid, retries },
@@ -215,17 +303,6 @@ impl<'s> StmThread<'s> {
                     tx.restart();
                 }
             }
-        }
-    }
-
-    fn count_commit(&self, read_only: bool) {
-        if read_only {
-            self.stm
-                .stats
-                .read_only_commits
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stm.stats.commits.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -294,6 +371,7 @@ mod tests {
         assert_eq!(mem.load(0), threads * per_thread);
         let stats = stm.stats();
         assert_eq!(stats.commits, threads * per_thread);
+        assert_eq!(stats.read_only_commits, 0);
     }
 
     #[test]
@@ -430,6 +508,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(mem.load(0), 4 * 300);
+        assert_eq!(stm.stats().commits, 4 * 300);
     }
 
     #[test]
@@ -511,5 +590,175 @@ mod tests {
         });
         assert_eq!(out.info().map(|i| i.retries), Some(1));
         assert_eq!(mem.load(b), 2);
+    }
+
+    /// Commit counts are per thread: a snapshot sums the live threads'
+    /// counts while they commit, and a dropped thread's counts stay summed.
+    #[test]
+    fn commit_counts_are_exact_while_threads_run_and_after_they_leave() {
+        let stm = Stm::new(StmConfig::tiny());
+        let mem = VecMemory::new(64);
+        let per_thread = 400u64;
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let (stm, mem) = (&stm, &mem);
+                s.spawn(move || {
+                    let mut th = stm.register();
+                    for i in 0..per_thread {
+                        if i % 4 == 0 {
+                            th.run(mem, &mut NoHooks, |tx| tx.read(8 * t))
+                                .expect_committed();
+                        } else {
+                            th.run(mem, &mut NoHooks, |tx| {
+                                let v = tx.read(0)?;
+                                tx.write(0, v + 1)
+                            })
+                            .expect_committed();
+                        }
+                    }
+                });
+            }
+            // Snapshots taken while the threads commit and leave never
+            // exceed the totals.
+            for _ in 0..50 {
+                let seen = stm.stats();
+                assert!(seen.commits <= 3 * per_thread * 3 / 4);
+                assert!(seen.read_only_commits <= 3 * per_thread / 4);
+                std::thread::yield_now();
+            }
+        });
+        let stats = stm.stats();
+        assert_eq!(stats.commits, 3 * per_thread * 3 / 4);
+        assert_eq!(stats.read_only_commits, 3 * per_thread / 4);
+        assert_eq!(mem.load(0), stats.commits);
+        // A live thread's counts join the retired ones.
+        let mut t = stm.register();
+        t.run(&mem, &mut NoHooks, |tx| tx.write(8, 1))
+            .expect_committed();
+        assert_eq!(stm.stats().commits, stats.commits + 1);
+        drop(t);
+        assert_eq!(stm.stats().commits, stats.commits + 1);
+    }
+
+    /// Under the default table, words one table of words apart share a
+    /// stripe: a transaction that writes both holds the stripe once and
+    /// commits.
+    #[test]
+    fn aliased_words_share_a_stripe_and_commit_together() {
+        let stm = Stm::new(StmConfig::default());
+        let alias = 8u64 << stm.config().lock_table_bits;
+        let mem = VecMemory::new(alias + 64);
+        let (a, b) = (16, 16 + alias);
+        assert_eq!(stm.locks.stripe_of(a), stm.locks.stripe_of(b));
+        let mut t = stm.register();
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            tx.write(a, 1)?;
+            let seen = tx.read(b)?;
+            tx.write(b, seen + 2)?;
+            Ok(tx.read(a)? + tx.read(b)?)
+        });
+        assert_eq!(out.info().map(|i| (i.tid, i.retries)), Some((Some(1), 0)));
+        assert_eq!(out.expect_committed(), 3);
+        assert_eq!((mem.load(a), mem.load(b)), (1, 2));
+    }
+
+    /// Two threads whose words differ but alias conflict on the shared
+    /// stripe; both still finish with exact counts.
+    #[test]
+    fn threads_conflicting_only_through_an_alias_both_finish() {
+        let stm = Stm::new(StmConfig::default());
+        let alias = 8u64 << stm.config().lock_table_bits;
+        let mem = VecMemory::new(alias + 64);
+        let per_thread = 500;
+        std::thread::scope(|s| {
+            for addr in [24, 24 + alias] {
+                let (stm, mem) = (&stm, &mem);
+                s.spawn(move || {
+                    let mut t = stm.register();
+                    for _ in 0..per_thread {
+                        t.run(mem, &mut NoHooks, |tx| {
+                            let v = tx.read(addr)?;
+                            tx.write(addr, v + 1)
+                        })
+                        .expect_committed();
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            (mem.load(24), mem.load(24 + alias)),
+            (per_thread, per_thread)
+        );
+        assert_eq!(stm.stats().commits, 2 * per_thread);
+    }
+
+    /// A thread's buffers carry their capacity, never their contents, into
+    /// its next transaction: a read-only transaction right after a
+    /// 1 000-write one takes no TID, in both modes.
+    #[test]
+    fn read_only_after_a_large_update_takes_no_tid() {
+        let stm = Stm::new(StmConfig::default());
+        let mem = VecMemory::new(8 * 1000);
+        let mut t = stm.register();
+        let big = t.run(&mem, &mut NoHooks, |tx| {
+            (0..1000).try_for_each(|i| tx.write(i * 8, i + 1))
+        });
+        assert_eq!(big.info().and_then(|i| i.tid), Some(1));
+        let out = t.run(&mem, &mut NoHooks, |tx| tx.read(8));
+        assert_eq!(out.info().map(|i| i.tid), Some(None));
+        let big_wb = t.run_wb(
+            &mem,
+            &mut NoHooks,
+            |_, _| {},
+            |tx| (0..1000).try_for_each(|i| tx.write(i * 8, i + 2)),
+        );
+        assert_eq!(big_wb.info().and_then(|i| i.tid), Some(2));
+        let mut published = 0;
+        let out = t.run_wb(&mem, &mut NoHooks, |_, _| published += 1, |tx| tx.read(8));
+        assert_eq!(out.info().map(|i| i.tid), Some(None));
+        assert_eq!(published, 0, "a read-only commit publishes nothing");
+        assert_eq!(stm.clock().now(), 2);
+        let stats = stm.stats();
+        assert_eq!((stats.commits, stats.read_only_commits), (2, 2));
+    }
+
+    /// An ended transaction's undo entries and read set never reach the
+    /// next one: a kept undo entry would make the next rollback restore a
+    /// word a peer has since committed, and a kept read would fail the next
+    /// commit's validation once a peer commits to the word it names.
+    #[test]
+    fn an_ended_transaction_leaves_nothing_to_the_next() {
+        let stm = Stm::new(StmConfig::tiny());
+        let mem = VecMemory::new(64);
+        let mut t = stm.register();
+        let mut peer = stm.register();
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            tx.write(0, 1)?;
+            Err::<(), _>(TxAbort::User)
+        });
+        assert_eq!(out, TxnOutcome::Aborted);
+        t.run(&mem, &mut NoHooks, |tx| tx.write(8, 7))
+            .expect_committed();
+        peer.run(&mem, &mut NoHooks, |tx| {
+            tx.write(0, 9)?;
+            tx.write(8, 10)
+        })
+        .expect_committed();
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            tx.write(16, 3)?;
+            Err::<(), _>(TxAbort::User)
+        });
+        assert_eq!(out, TxnOutcome::Aborted);
+        assert_eq!((mem.load(0), mem.load(8), mem.load(16)), (9, 10, 0));
+        t.run(&mem, &mut NoHooks, |tx| tx.read(24))
+            .expect_committed();
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            tx.write(32, 1)?;
+            // Moves the clock past `rv + 1`, so this commit validates.
+            peer.run(&mem, &mut NoHooks, |p| p.write(24, 1))
+                .expect_committed();
+            Ok(())
+        });
+        assert_eq!(out.info().map(|i| i.retries), Some(0));
     }
 }

@@ -13,6 +13,7 @@
 //! visible.
 
 use std::collections::HashMap;
+use std::mem::take;
 use std::sync::atomic::Ordering;
 
 use dude_txapi::{TxAbort, TxId, TxResult};
@@ -20,7 +21,7 @@ use dude_txapi::{TxAbort, TxId, TxResult};
 use crate::clock::GlobalClock;
 use crate::locks::{is_locked, version_of, LockTable};
 use crate::memory::WordMemory;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Buffers, Snapshot};
 use crate::thread::Attempt;
 use crate::TxHooks;
 
@@ -38,20 +39,33 @@ pub struct WriteBackTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
+    /// Begins a transaction over the buffers of `bufs`;
+    /// [`WriteBackTx::end`] gives them back.
     pub(crate) fn begin(
         clock: &'t GlobalClock,
         locks: &'t LockTable,
         mem: &'t M,
         hooks: &'t mut H,
         owner: u64,
+        bufs: &mut Buffers,
     ) -> Self {
         WriteBackTx {
-            snap: Snapshot::begin(clock, locks, owner),
+            snap: Snapshot::begin(clock, locks, owner, bufs),
             mem,
             hooks,
-            writes: Vec::new(),
-            write_index: HashMap::new(),
+            writes: take(&mut bufs.writes),
+            write_index: take(&mut bufs.write_index),
         }
+    }
+
+    /// Ends the transaction, committed or rolled back, returning its
+    /// buffers to `bufs` cleared.
+    pub(crate) fn end(mut self, bufs: &mut Buffers) {
+        self.writes.clear();
+        self.write_index.clear();
+        bufs.writes = self.writes;
+        bufs.write_index = self.write_index;
+        self.snap.end(bufs);
     }
 
     /// Transactionally reads the word at `addr`, redirecting to the write
@@ -185,11 +199,28 @@ mod tests {
         }
     }
 
+    impl Fixture {
+        fn begin<'f>(
+            &'f self,
+            hooks: &'f mut NoHooks,
+            owner: u64,
+        ) -> WriteBackTx<'f, VecMemory, NoHooks> {
+            WriteBackTx::begin(
+                &self.clock,
+                &self.locks,
+                &self.mem,
+                hooks,
+                owner,
+                &mut Buffers::default(),
+            )
+        }
+    }
+
     #[test]
     fn writes_invisible_until_commit() {
         let f = fixture();
         let mut h = NoHooks;
-        let mut tx = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.write(0, 5).unwrap();
         assert_eq!(f.mem.load(0), 0, "write-back must not touch memory");
         assert_eq!(tx.read(0).unwrap(), 5, "read must redirect to write set");
@@ -202,7 +233,7 @@ mod tests {
     fn pre_publish_sees_write_set_before_memory_changes() {
         let f = fixture();
         let mut h = NoHooks;
-        let mut tx = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.write(0, 5).unwrap();
         tx.write(8, 6).unwrap();
         let mut observed = Vec::new();
@@ -219,7 +250,7 @@ mod tests {
     fn rollback_discards_buffer() {
         let f = fixture();
         let mut h = NoHooks;
-        let mut tx = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.write(0, 5).unwrap();
         tx.rollback();
         assert_eq!(f.mem.load(0), 0);
@@ -229,7 +260,7 @@ mod tests {
     fn duplicate_writes_last_wins() {
         let f = fixture();
         let mut h = NoHooks;
-        let mut tx = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.write(0, 1).unwrap();
         tx.write(0, 2).unwrap();
         assert_eq!(tx.read(0).unwrap(), 2);
@@ -241,12 +272,12 @@ mod tests {
     fn stale_read_aborts_at_commit() {
         let f = fixture();
         let mut h1 = NoHooks;
-        let mut t1 = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h1, 1);
+        let mut t1 = f.begin(&mut h1, 1);
         assert_eq!(t1.read(0).unwrap(), 0);
         t1.write(8, 1).unwrap();
         // Interfering committed write to the read location.
         let mut h2 = NoHooks;
-        let mut t2 = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h2, 2);
+        let mut t2 = f.begin(&mut h2, 2);
         t2.write(0, 9).unwrap();
         t2.commit_with(|_, _| {}).unwrap();
         let r = t1.commit_with(|_, _| panic!("must not publish"));
@@ -259,7 +290,7 @@ mod tests {
     fn read_only_tx_commits_without_tid() {
         let f = fixture();
         let mut h = NoHooks;
-        let mut tx = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.read(0).unwrap();
         assert_eq!(tx.commit_with(|_, _| {}).unwrap(), None);
     }
@@ -272,10 +303,10 @@ mod tests {
         let stripe = f.locks.stripe_of(0);
         assert!(try_lock(f.locks.word(stripe), 0, 7));
         let mut h = NoHooks;
-        let mut t2 = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 2);
+        let mut t2 = f.begin(&mut h, 2);
         assert_eq!(t2.read(0), Err(TxAbort::Conflict));
         t2.rollback();
-        let mut t3 = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 3);
+        let mut t3 = f.begin(&mut h, 3);
         t3.write(0, 4).unwrap();
         assert_eq!(t3.commit_with(|_, _| {}), Err(TxAbort::Conflict));
         t3.rollback();

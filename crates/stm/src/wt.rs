@@ -8,6 +8,7 @@
 //! *volatile shadow memory*, this "undo logging" has no persist-ordering
 //! cost (paper footnote 3).
 
+use std::mem::take;
 use std::sync::atomic::Ordering;
 
 use dude_txapi::{TxAbort, TxId, TxResult};
@@ -15,7 +16,7 @@ use dude_txapi::{TxAbort, TxId, TxResult};
 use crate::clock::GlobalClock;
 use crate::locks::{is_locked, owner_of, version_of, LockTable};
 use crate::memory::WordMemory;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Buffers, Snapshot};
 use crate::thread::Attempt;
 use crate::TxHooks;
 
@@ -33,19 +34,30 @@ pub struct StmTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> StmTx<'t, M, H> {
+    /// Begins a transaction over the buffers of `bufs`; [`StmTx::end`]
+    /// gives them back.
     pub(crate) fn begin(
         clock: &'t GlobalClock,
         locks: &'t LockTable,
         mem: &'t M,
         hooks: &'t mut H,
         owner: u64,
+        bufs: &mut Buffers,
     ) -> Self {
         StmTx {
-            snap: Snapshot::begin(clock, locks, owner),
+            snap: Snapshot::begin(clock, locks, owner, bufs),
             mem,
             hooks,
-            undo: Vec::new(),
+            undo: take(&mut bufs.writes),
         }
+    }
+
+    /// Ends the transaction, returning its buffers to `bufs`. A commit
+    /// cleared the undo log and a rollback drained it.
+    pub(crate) fn end(self, bufs: &mut Buffers) {
+        debug_assert!(self.undo.is_empty(), "end with undo entries");
+        bufs.writes = self.undo;
+        self.snap.end(bufs);
     }
 
     /// Transactionally reads the word at byte address `addr`.
@@ -157,11 +169,28 @@ mod tests {
         }
     }
 
+    impl Fixture {
+        fn begin<'f>(
+            &'f self,
+            hooks: &'f mut NoHooks,
+            owner: u64,
+        ) -> StmTx<'f, crate::VecMemory, NoHooks> {
+            StmTx::begin(
+                &self.clock,
+                &self.locks,
+                &self.mem,
+                hooks,
+                owner,
+                &mut Buffers::default(),
+            )
+        }
+    }
+
     #[test]
     fn read_write_commit_in_place() {
         let f = fixture();
         let mut h = NoHooks;
-        let mut tx = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         assert_eq!(tx.read(0).unwrap(), 0);
         tx.write(0, 5).unwrap();
         assert_eq!(tx.read(0).unwrap(), 5); // reads own in-place write
@@ -174,7 +203,7 @@ mod tests {
     fn read_only_commit_gets_no_tid() {
         let f = fixture();
         let mut h = NoHooks;
-        let mut tx = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.read(0).unwrap();
         assert!(!tx.is_update());
         assert_eq!(tx.commit().unwrap(), None);
@@ -186,7 +215,7 @@ mod tests {
         let f = fixture();
         f.mem.store(0, 10);
         let mut h = NoHooks;
-        let mut tx = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.write(0, 11).unwrap();
         tx.write(0, 12).unwrap();
         assert_eq!(f.mem.load(0), 12);
@@ -205,9 +234,9 @@ mod tests {
         let f = fixture();
         let mut h1 = NoHooks;
         let mut h2 = NoHooks;
-        let mut t1 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h1, 1);
+        let mut t1 = f.begin(&mut h1, 1);
         t1.write(0, 1).unwrap();
-        let mut t2 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h2, 2);
+        let mut t2 = f.begin(&mut h2, 2);
         assert_eq!(t2.read(0), Err(TxAbort::Conflict));
         t1.rollback();
         t2.rollback();
@@ -218,9 +247,9 @@ mod tests {
         let f = fixture();
         let mut h1 = NoHooks;
         let mut h2 = NoHooks;
-        let mut t1 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h1, 1);
+        let mut t1 = f.begin(&mut h1, 1);
         t1.write(0, 1).unwrap();
-        let mut t2 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h2, 2);
+        let mut t2 = f.begin(&mut h2, 2);
         assert_eq!(t2.write(0, 2), Err(TxAbort::Conflict));
         t1.rollback();
         t2.rollback();
@@ -232,7 +261,7 @@ mod tests {
         let f = fixture();
         let mut h1 = NoHooks;
         // T1 begins at rv=0.
-        let mut t1 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h1, 1);
+        let mut t1 = f.begin(&mut h1, 1);
         // Another transaction commits to word 512 (different stripe for most
         // hashes; pick a word in a distinct stripe).
         let other_addr = (0..1024u64)
@@ -240,7 +269,7 @@ mod tests {
             .find(|&a| f.locks.stripe_of(a) != f.locks.stripe_of(0))
             .unwrap();
         let mut h2 = NoHooks;
-        let mut t2 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h2, 2);
+        let mut t2 = f.begin(&mut h2, 2);
         t2.write(other_addr, 9).unwrap();
         t2.commit().unwrap();
         // T1 now reads a word whose stripe version (0) is fine, then writes
@@ -256,11 +285,11 @@ mod tests {
         let f = fixture();
         let addr = 0u64;
         let mut h1 = NoHooks;
-        let mut t1 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h1, 1);
+        let mut t1 = f.begin(&mut h1, 1);
         assert_eq!(t1.read(addr).unwrap(), 0);
         // T2 commits a write to the same word.
         let mut h2 = NoHooks;
-        let mut t2 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h2, 2);
+        let mut t2 = f.begin(&mut h2, 2);
         t2.write(addr, 7).unwrap();
         t2.commit().unwrap();
         // T1 then writes the same word: version(1) > rv(0) forces an
@@ -280,12 +309,12 @@ mod tests {
             .find(|&a| f.locks.stripe_of(a) != f.locks.stripe_of(addr_a))
             .unwrap();
         let mut h1 = NoHooks;
-        let mut t1 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h1, 1);
+        let mut t1 = f.begin(&mut h1, 1);
         assert_eq!(t1.read(addr_a).unwrap(), 0);
         t1.write(addr_b, 1).unwrap();
         // T2 invalidates T1's read and bumps the clock so wv != rv+1.
         let mut h2 = NoHooks;
-        let mut t2 = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h2, 2);
+        let mut t2 = f.begin(&mut h2, 2);
         t2.write(addr_a, 9).unwrap();
         t2.commit().unwrap();
         assert!(t1.commit().is_err());
@@ -306,7 +335,7 @@ mod tests {
             .find(|&a| f.locks.stripe_of(a) == f.locks.stripe_of(addr_a))
             .expect("tiny lock table must collide");
         let mut h = NoHooks;
-        let mut tx = StmTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1);
+        let mut tx = f.begin(&mut h, 1);
         tx.write(addr_a, 1).unwrap();
         tx.write(addr_b, 2).unwrap();
         assert_eq!(tx.read(addr_b).unwrap(), 2);
