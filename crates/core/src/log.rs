@@ -6,10 +6,12 @@
 //! consuming a commit timestamp produces an [`LogRecord::Abort`] marker so
 //! the global ID sequence stays dense and the durable ID remains computable.
 //!
-//! On NVM, records are word streams in format v2 (`DESIGN.md §Pipeline`,
+//! On NVM, records are word streams in format v3 (`DESIGN.md §Pipeline`,
 //! *Log format*): a header word `check:32 | magic:4 | kind:4 | len:24`, the
-//! transaction ID (first and last ID for groups), then the payload. The
-//! check covers every other bit of the record; recovery walks the log and
+//! transaction ID (first and last ID for groups), then the payload. A
+//! commit's payload is *line groups*: one `mask:8 | line:56` word per run
+//! of ascending words of one 64-byte line, then their values. The check
+//! covers every other bit of the record; recovery walks the log and
 //! discards the first torn record and everything after it (§3.5). Log
 //! *combination* keeps only the last write per address — within one
 //! transaction, or across a group of **consecutive** ones (§3.3); log
@@ -22,7 +24,7 @@ use dude_txapi::TxId;
 
 /// 4-bit record magic (bits 28..32 of the header word). Non-zero, so
 /// neither a wiped word nor a v1 header — whose low half was a bare kind
-/// byte — can pass for a v2 header.
+/// byte — can pass for a header.
 const MAGIC: u64 = 0xD;
 
 /// Record kinds (bits 24..28 of the header word).
@@ -33,10 +35,22 @@ const KIND_GROUP_LZ: u64 = 4;
 /// A single-word marker telling readers to wrap to the ring start.
 const KIND_SKIP: u64 = 15;
 
-/// Largest value of the 24-bit length field: write pairs for commits and
-/// groups, payload bytes for compressed groups.
+/// Largest value of the 24-bit length field: payload words for commits,
+/// write pairs for groups, payload bytes for compressed groups.
 const LEN_MAX: usize = (1 << 24) - 1;
 const LOW_HALF: u64 = 0xFFFF_FFFF;
+
+/// The line field of a line-group header (`mask:8 | line:56`); the mask
+/// of the words present sits above it.
+const LINE: u64 = (1 << 56) - 1;
+const MASK_SHIFT: u32 = 56;
+
+/// The line number of an address a line-group header can name — 8-byte
+/// aligned and below 2^62 — and the address's word in that line. Any
+/// other address is *escaped*: logged as `0, address, value`.
+fn line_word(addr: u64) -> Option<(u64, u64)> {
+    (addr & 7 == 0 && addr >> (MASK_SHIFT + 6) == 0).then_some((addr >> 6, addr >> 3 & 7))
+}
 
 /// One transaction's redo log as an owned value (a commit itself appends to
 /// its thread's volatile redo ring, in every durability mode). A
@@ -138,6 +152,61 @@ fn seal(record: &mut [u64]) {
     record[0] |= check(record) << 32;
 }
 
+/// Appends `writes` to `out` as line groups, keeping their order: a pair
+/// joins the open group iff it is on the group's line and its word is
+/// above every word the group holds; otherwise it opens a group (or is an
+/// escape, which closes the open one).
+fn push_lines(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, out: &mut Vec<u64>) {
+    // Index in `out` of the open group's header word.
+    let mut open: Option<usize> = None;
+    for pair in writes {
+        let &(addr, val) = pair.borrow();
+        let Some((line, word)) = line_word(addr) else {
+            out.extend([0, addr, val]);
+            open = None;
+            continue;
+        };
+        let bit = 1 << (MASK_SHIFT + word as u32);
+        match open {
+            // No bit at or above `word`'s: the word is above the group's.
+            Some(at) if out[at] & LINE == line && out[at] >> (MASK_SHIFT + word as u32) == 0 => {
+                out[at] |= bit;
+            }
+            _ => {
+                open = Some(out.len());
+                out.push(bit | line);
+            }
+        }
+        out.push(val);
+    }
+}
+
+/// Decodes a commit payload of line groups and escapes, if it is exactly
+/// that.
+fn parse_lines(body: &[u64]) -> Option<Vec<(u64, u64)>> {
+    let mut writes = Vec::with_capacity(body.len());
+    let mut at = 0;
+    while let Some(&head) = body.get(at) {
+        let mut mask = head >> MASK_SHIFT;
+        if mask == 0 {
+            let &[0, addr, val] = body.get(at..at + 3)? else {
+                return None;
+            };
+            writes.push((addr, val));
+            at += 3;
+            continue;
+        }
+        let vals = body.get(at + 1..at + 1 + mask.count_ones() as usize)?;
+        let base = (head & LINE) << 6;
+        for &val in vals {
+            writes.push((base | u64::from(mask.trailing_zeros()) << 3, val));
+            mask &= mask - 1;
+        }
+        at += 1 + vals.len();
+    }
+    Some(writes)
+}
+
 fn push_pairs(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, out: &mut Vec<u64>) {
     for pair in writes {
         let &(addr, val) = pair.borrow();
@@ -158,18 +227,22 @@ pub fn is_skip(word: u64) -> bool {
     kind_len(word).is_some_and(|(kind, _)| kind == KIND_SKIP)
 }
 
-/// Serializes a commit record into `out` (clears it first): `2 + 2n` words.
-/// `writes` is any list of pairs that knows its length — a slice, or a
-/// record's slice of its redo ring.
+/// Serializes a commit record into `out` (clears it first), keeping the
+/// writes' order: `2 + L + n` words for `n` writes in `L` line groups,
+/// plus 3 per escaped address. `writes` is any list of pairs that knows
+/// its length — a slice, or a record's slice of its redo ring; a list
+/// combined by line ([`Combiner::by_line`]) has one group per line.
 pub fn serialize_commit<W>(tid: TxId, writes: W, out: &mut Vec<u64>)
 where
     W: IntoIterator<IntoIter: ExactSizeIterator, Item: Borrow<(u64, u64)>>,
 {
     let writes = writes.into_iter();
     out.clear();
-    out.push(header(KIND_COMMIT, writes.len()));
-    out.push(tid);
-    push_pairs(writes, out);
+    out.reserve(2 + 2 * writes.len());
+    // The header, once the payload's length is known.
+    out.extend([0, tid]);
+    push_lines(writes, out);
+    out[0] = header(KIND_COMMIT, out.len() - 2);
     seal(out);
 }
 
@@ -261,7 +334,7 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
     let (kind, len) = kind_len(*words.first()?)?;
     // Words in front of the payload, and the payload's own words.
     let (head, payload) = match kind {
-        KIND_COMMIT => (2, 2 * len),
+        KIND_COMMIT => (2, len),
         KIND_ABORT if len == 0 => (2, 0),
         KIND_GROUP => (3, 2 * len),
         KIND_GROUP_LZ => (3, len.div_ceil(8)),
@@ -277,10 +350,10 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
         return None;
     }
     let body = &record[head..];
-    let writes = if kind == KIND_GROUP_LZ {
-        unpack(body, len)?
-    } else {
-        body.chunks_exact(2).map(|p| (p[0], p[1])).collect()
+    let writes = match kind {
+        KIND_COMMIT => parse_lines(body)?,
+        KIND_GROUP_LZ => unpack(body, len)?,
+        _ => body.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
     };
     Some(ParsedRecord {
         first_tid,
@@ -291,7 +364,7 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
 }
 
 /// Scratch table for last-writer-wins combination of one write list: open
-/// addressing over the list's own positions, cleared by bumping a stamp
+/// addressing over the list's own entries, cleared by bumping a stamp
 /// instead of rewriting the slots. Whoever combines repeatedly owns one (a
 /// Persist worker, a Sync-mode Perform thread, a Reproduce stage). The
 /// grouped path keeps [`combine`]: swapping its `HashMap` for this table
@@ -299,27 +372,93 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
 /// to end (EXPERIMENTS.md, *PR 18*), so it was not adopted there.
 #[derive(Debug, Default)]
 pub(crate) struct Combiner {
-    /// `(stamp, position in the list)`; live iff the stamp is current.
+    /// `(stamp, entry)`; live iff the stamp is current.
     slots: Vec<(u32, u32)>,
     stamp: u32,
-    /// Working copy for [`Combiner::dedup_copy`].
-    copy: Vec<(u64, u64)>,
+    /// [`Combiner::by_line`]'s entries in first-touch order: a line's group
+    /// header (`mask:8 | line:56`), or 0 for an escaped address.
+    heads: Vec<u64>,
+    /// Eight words per entry of `heads`: a line's values by word, or an
+    /// escape's address and value.
+    vals: Vec<u64>,
 }
 
 impl Combiner {
-    /// [`Combiner::dedup`] over a copy of `pairs` — a list it cannot
-    /// rewrite in place, like a record in a redo ring — returning what to
-    /// keep.
-    pub(crate) fn dedup_copy(
+    /// Clears the slots for a list of `n` entries; returns the hash shift.
+    fn reset(&mut self, n: usize) -> u32 {
+        assert!(n <= u32::MAX as usize / 2, "list too long");
+        let want = (2 * n).next_power_of_two();
+        if self.slots.len() < want || self.stamp == u32::MAX {
+            self.slots.clear();
+            self.slots.resize(want, (0, 0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        64 - self.slots.len().trailing_zeros()
+    }
+
+    /// Combines `pairs` by cache line, last writer wins, and hands `emit`
+    /// the result grouped by line: lines in the order they were first
+    /// written, each line's words ascending, escaped addresses (see
+    /// [`serialize_commit`]) where first written — what serializes to one
+    /// line group per line. Every pair is read before the first `emit`, so
+    /// `emit` may overwrite the list `pairs` reads.
+    pub(crate) fn by_line(
         &mut self,
-        pairs: impl IntoIterator<Item = (u64, u64)>,
-    ) -> &[(u64, u64)] {
-        let mut copy = std::mem::take(&mut self.copy);
-        copy.clear();
-        copy.extend(pairs);
-        self.dedup(&mut copy);
-        self.copy = copy;
-        &self.copy
+        pairs: impl ExactSizeIterator<Item = (u64, u64)>,
+        mut emit: impl FnMut(u64, u64),
+    ) {
+        let shift = self.reset(pairs.len());
+        let mask = self.slots.len() - 1;
+        self.heads.clear();
+        if self.vals.len() < 8 * pairs.len() {
+            self.vals.resize(8 * pairs.len(), 0);
+        }
+        for (addr, val) in pairs {
+            let line = line_word(addr);
+            let key = line.map_or(addr, |(line, _)| line);
+            let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            let at = loop {
+                let (stamp, at) = self.slots[slot];
+                let at = at as usize;
+                if stamp != self.stamp {
+                    let at = self.heads.len();
+                    self.slots[slot] = (self.stamp, at as u32);
+                    self.heads.push(line.map_or(0, |(line, _)| line));
+                    if line.is_none() {
+                        self.vals[8 * at] = addr;
+                    }
+                    break at;
+                }
+                let head = self.heads[at];
+                let same = match line {
+                    Some((line, _)) => head != 0 && head & LINE == line,
+                    None => head == 0 && self.vals[8 * at] == addr,
+                };
+                if same {
+                    break at;
+                }
+                slot = (slot + 1) & mask;
+            };
+            match line {
+                Some((_, word)) => {
+                    self.heads[at] |= 1 << (MASK_SHIFT + word as u32);
+                    self.vals[8 * at + word as usize] = val;
+                }
+                None => self.vals[8 * at + 1] = val,
+            }
+        }
+        for (&head, vals) in self.heads.iter().zip(self.vals.chunks_exact(8)) {
+            let mut words = head >> MASK_SHIFT;
+            if words == 0 {
+                emit(vals[0], vals[1]);
+            }
+            while words != 0 {
+                let word = words.trailing_zeros() as usize;
+                emit((head & LINE) << 6 | (word as u64) << 3, vals[word]);
+                words &= words - 1;
+            }
+        }
     }
 
     /// Keeps, in place, one pair per key — at the position of the key's
@@ -328,16 +467,8 @@ impl Combiner {
         if pairs.len() < 2 {
             return;
         }
-        assert!(pairs.len() <= u32::MAX as usize / 2, "list too long");
-        let want = (2 * pairs.len()).next_power_of_two();
-        if self.slots.len() < want || self.stamp == u32::MAX {
-            self.slots.clear();
-            self.slots.resize(want, (0, 0));
-            self.stamp = 0;
-        }
-        self.stamp += 1;
+        let shift = self.reset(pairs.len());
         let mask = self.slots.len() - 1;
-        let shift = 64 - self.slots.len().trailing_zeros();
         let mut kept = 0;
         for i in 0..pairs.len() {
             let (key, val) = pairs[i];
@@ -483,18 +614,86 @@ mod tests {
         assert_eq!(rec.words, 2);
     }
 
-    /// The v2 bit layout and the five record sizes, word for word:
+    /// The v3 bit layout and the five record sizes, word for word:
     /// `check:32 | magic:4 | kind:4 | len:24`, then the ID word(s), then
-    /// the payload, no trailer.
+    /// the payload, no trailer. A commit's payload is line groups —
+    /// `mask:8 | line:56`, then the values of the mask's words ascending —
+    /// and `0, address, value` escapes.
     #[test]
-    fn golden_vectors_fix_the_v2_layout() {
+    fn golden_vectors_fix_the_v3_layout() {
         let mut buf = Vec::new();
         serialize_commit(42, std::iter::empty::<(u64, u64)>(), &mut buf);
         assert_eq!(buf, [0x29a1_a485_d100_0000, 42]);
+        // One write: 2 + 1 + 1 words, as in v2.
         serialize_commit(42, [(8, 1)], &mut buf);
-        assert_eq!(buf, [0xbfff_24f2_d100_0001, 42, 8, 1]);
+        assert_eq!(buf, [0x1301_01ed_d100_0002, 42, 0x0200_0000_0000_0000, 1]);
+        // Two words of line 0, ascending: one group.
         serialize_commit(42, [(8, 1), (16, 2)], &mut buf);
-        assert_eq!(buf, [0x2255_fb62_d100_0002, 42, 8, 1, 16, 2]);
+        assert_eq!(
+            buf,
+            [0x58e6_6a51_d100_0003, 42, 0x0600_0000_0000_0000, 1, 2]
+        );
+        // Line 0 revisited below its last word: a second group, so the
+        // order comes back as written.
+        serialize_commit(42, [(16, 2), (8, 1)], &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0xa1e0_c037_d100_0004,
+                42,
+                0x0400_0000_0000_0000,
+                2,
+                0x0200_0000_0000_0000,
+                1
+            ]
+        );
+        // Lines 3, 4 and 7 (words 1; 0 and 1; 7).
+        serialize_commit(42, [(200, 7), (256, 1), (264, 2), (504, 3)], &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0xc69f_45eb_d100_0007,
+                42,
+                0x0200_0000_0000_0003,
+                7,
+                0x0300_0000_0000_0004,
+                1,
+                2,
+                0x8000_0000_0000_0007,
+                3
+            ]
+        );
+        // An unaligned address escapes and closes the open group: word 2
+        // of line 0 after it opens a new one.
+        serialize_commit(42, [(8, 1), (13, 5), (16, 2)], &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0x2d9a_0146_d100_0007,
+                42,
+                0x0200_0000_0000_0000,
+                1,
+                0,
+                13,
+                5,
+                0x0400_0000_0000_0000,
+                2
+            ]
+        );
+        // The last line a header names, then 2^62, which escapes.
+        serialize_commit(42, [((1 << 62) - 8, 8), (1 << 62, 9)], &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0x1a32_e846_d100_0005,
+                42,
+                0x80ff_ffff_ffff_ffff,
+                8,
+                0,
+                1 << 62,
+                9
+            ]
+        );
         serialize_abort(7, &mut buf);
         assert_eq!(buf, [0x513d_49cc_d200_0000, 7]);
         serialize_group(5, 9, &[(8, 10), (24, 20)], false, &mut buf);
@@ -515,6 +714,28 @@ mod tests {
             ]
         );
         assert_eq!(skip_word(), 0x8e2b_80da_df00_0000);
+    }
+
+    /// A v2 commit record — `n` `(address, value)` pairs, `len = n` — is
+    /// not a v3 record at any offset: its length no longer spans its
+    /// payload, so the check fails. (v2's empty commit, abort, group and
+    /// skip words are v3's, bit for bit: the metadata version is what
+    /// refuses a v2 image.)
+    #[test]
+    fn v2_records_are_not_records() {
+        let v2: [&[u64]; 3] = [
+            &[0xbfff_24f2_d100_0001, 42, 8, 1],
+            &[0x2255_fb62_d100_0002, 42, 8, 1, 16, 2],
+            &[0x2255_fb62_d100_0002, 42, 8, 1, 16, 2, 0, 0, 0],
+        ];
+        for record in v2 {
+            for off in 0..record.len() {
+                assert!(
+                    parse_record(&record[off..]).is_none(),
+                    "{record:x?} @ {off}"
+                );
+            }
+        }
     }
 
     /// There is no v1 reader: the parent commit's records — 32-bit magic
@@ -694,6 +915,59 @@ mod tests {
             let mut got = pairs.clone();
             combiner.dedup(&mut got);
             assert_eq!(got, want, "len {len}");
+        }
+    }
+
+    /// `by_line` against a model: one pair per address with its last
+    /// value, grouped by line in first-touch order with each line's words
+    /// ascending, escapes where first written — which serializes to exactly
+    /// one group per line.
+    #[test]
+    fn by_line_matches_the_model_across_reuse_and_growth() {
+        let mut combiner = Combiner::default();
+        let mut x = 7u64;
+        for len in [0usize, 1, 2, 3, 216, 5, 1000, 64, 2] {
+            let pairs: Vec<(u64, u64)> = (0..len as u64)
+                .map(|i| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    // ~len/3 distinct words, one in 16 of them unaligned and
+                    // one in 16 at or above 2^62: both escape.
+                    let addr = match (x >> 33) % 16 {
+                        0 => (x >> 40) % (len as u64 / 3 + 1) * 8 + 3,
+                        1 => (1 << 62) | ((x >> 40) % 4 * 8),
+                        _ => (x >> 40) % (len as u64 / 3 + 1) * 8,
+                    };
+                    (addr, i)
+                })
+                .collect();
+            // Entries in first-touch order: a line, or an escaped address.
+            let key = |a: u64| line_word(a).map_or((true, a), |(line, _)| (false, line));
+            let mut entries: Vec<(bool, u64)> = Vec::new();
+            let mut last = std::collections::HashMap::new();
+            for &(addr, val) in &pairs {
+                if !entries.contains(&key(addr)) {
+                    entries.push(key(addr));
+                }
+                last.insert(addr, val);
+            }
+            let mut want = Vec::new();
+            for &(escape, k) in &entries {
+                let mut words: Vec<_> = last
+                    .iter()
+                    .filter(|&(&a, _)| key(a) == (escape, k))
+                    .map(|(&a, &v)| (a, v))
+                    .collect();
+                words.sort_unstable();
+                want.extend(words);
+            }
+            let mut got = Vec::new();
+            combiner.by_line(pairs.iter().copied(), |a, v| got.push((a, v)));
+            assert_eq!(got, want, "len {len}");
+            let escapes = entries.iter().filter(|e| e.0).count();
+            let lines = entries.len() - escapes;
+            let mut buf = Vec::new();
+            serialize_commit(1, &got, &mut buf);
+            assert_eq!(buf.len(), 2 + lines + (got.len() - escapes) + 3 * escapes);
         }
     }
 

@@ -831,8 +831,10 @@ mod tests {
         let mut want = Vec::new();
         let mut expect = PipelineStatsSnapshot::default();
 
+        // Two words of line 0: a header, a TID, one line group.
         let writes = [(8, 1), (16, 2)];
         crate::log::serialize_commit(1, writes, &mut want);
+        assert_eq!(want.len(), 2 + 1 + 2);
         let batch = stage_and_compare(&shared, &layout, t.push(commit(1, &writes)), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (1, 1));
         assert_eq!(pairs(&batch.unit.writes), writes);
@@ -847,7 +849,7 @@ mod tests {
         // handed on once, with its last value, at its first position.
         let (a, b) = (24, 32);
         crate::log::serialize_commit(7, [(a, 3), (b, 2)], &mut want);
-        assert_eq!(want.len(), 2 + 2 * 2);
+        assert_eq!(want.len(), 2 + 1 + 2);
         let rewrite = t.push(commit(7, &[(a, 1), (b, 2), (a, 3)]));
         let batch = stage_and_compare(&shared, &layout, rewrite, &want);
         assert_eq!(pairs(&batch.unit.writes), [(a, 3), (b, 2)]);
@@ -855,6 +857,22 @@ mod tests {
         expect.records_persisted += 1;
         expect.entries_logged += 3;
         expect.entries_after_combine += 2;
+        expect.log_bytes_flushed += want.len() as u64 * 8;
+        assert_eq!(counters(&shared), expect);
+
+        // Combined by line: lines in first-touch order (1, then 0), each
+        // line's words ascending — one group per line, 2 + 2 + 4 words,
+        // where the list as written would take four groups.
+        let scattered = [(80, 1), (8, 2), (72, 3), (0, 4), (80, 5)];
+        let by_line = [(72, 3), (80, 5), (0, 4), (8, 2)];
+        crate::log::serialize_commit(8, by_line, &mut want);
+        assert_eq!(want.len(), 2 + 2 + 4);
+        let batch = stage_and_compare(&shared, &layout, t.push(commit(8, &scattered)), &want);
+        assert_eq!(pairs(&batch.unit.writes), by_line);
+        expect.commits += 1;
+        expect.records_persisted += 1;
+        expect.entries_logged += 5;
+        expect.entries_after_combine += 4;
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(counters(&shared), expect);
 
@@ -1027,17 +1045,19 @@ mod tests {
         .with_trace(TraceConfig::enabled(64));
         let (shared, layout) = shared(config);
         let mut t = Perform::new(&shared);
-        // 2 + 2 * 100 = 202 words each: two fit the 512-word ring.
-        let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 8, w)).collect();
+        // One word per line: 2 + 100 × (1 + 1) = 202 words each, two fit
+        // the 512-word ring.
+        let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 64, w)).collect();
         let first = try_stage(&shared, 0, t.push(commit(1, &writes))).unwrap();
         let second = try_stage(&shared, 0, t.push(commit(2, &writes))).unwrap();
+        assert_eq!((first.span.words, second.span.words), (202, 202));
         shared.nvm.fence();
         publish(&shared, [first]);
         // Durable, and pending in the run: the cadence is far off.
         let heap = layout.heap.start();
         assert_eq!(shared.durable.get(), 1);
         assert_eq!(shared.reproduced.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.nvm.read_word(heap + 8 * 99), 0, "not applied yet");
+        assert_eq!(shared.nvm.read_word(heap + 64 * 99), 0, "not applied yet");
         let third = t.push(commit(3, &writes));
         let before = counters(&shared);
         let back = try_stage(&shared, 0, third).unwrap_err();
@@ -1050,7 +1070,7 @@ mod tests {
         checkpoint_behind(&shared);
         assert_eq!(shared.reproduced.load(Ordering::SeqCst), 1);
         assert_eq!(
-            shared.nvm.read_word(heap + 8 * 99),
+            shared.nvm.read_word(heap + 64 * 99),
             99,
             "the run is applied"
         );

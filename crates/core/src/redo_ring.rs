@@ -468,22 +468,22 @@ impl RedoSpan {
             .map(|p| (p[0].load(Ordering::Relaxed), p[1].load(Ordering::Relaxed)))
     }
 
-    /// Combines the record's writes in place, last writer wins: the slice
-    /// keeps one pair per address, at its first position, with its last
-    /// value.
+    /// Combines the record's writes in place, last writer wins, and
+    /// groups them by cache line ([`Combiner::by_line`]): the slice keeps
+    /// one pair per address, with its last value, lines in first-touch
+    /// order and each line's words ascending.
     pub(crate) fn combine(&mut self, combiner: &mut Combiner) {
         if self.len < 2 {
             return;
         }
-        let kept = combiner.dedup_copy(self.pairs());
-        if kept.len() < self.len {
-            let words = &self.seg.words[self.off..];
-            for (pair, &(addr, val)) in words.chunks_exact(2).zip(kept) {
-                pair[0].store(addr, Ordering::Relaxed);
-                pair[1].store(val, Ordering::Relaxed);
-            }
-            self.len = kept.len();
-        }
+        let words = &self.seg.words[self.off..self.off + 2 * self.len];
+        let mut kept = 0;
+        combiner.by_line(self.pairs(), |addr, val| {
+            words[2 * kept].store(addr, Ordering::Relaxed);
+            words[2 * kept + 1].store(val, Ordering::Relaxed);
+            kept += 1;
+        });
+        self.len = kept;
     }
 }
 

@@ -104,6 +104,53 @@ proptest! {
         prop_assert_eq!(rec.words, buf.len());
     }
 
+    /// Commit records roundtrip, and take exactly `2 + L + n + 2e` words,
+    /// for arbitrary lists whose addresses share lines, revisit them out
+    /// of order and repeat — `L` groups and `e` escapes as the encoder's
+    /// rule opens them: a pair joins the open group iff it is on its line
+    /// and above its last word, and an escape closes it.
+    #[test]
+    fn line_grouped_commit_roundtrip(
+        tid in 1u64..u64::MAX,
+        writes in proptest::collection::vec(
+            (
+                // Half the addresses are words of eight lines.
+                prop_oneof![
+                    (0u64..64).prop_map(|w| w * 8),
+                    (0u64..64).prop_map(|w| w * 8),
+                    (0u64..64).prop_map(|w| w * 8),
+                    (0u64..512).prop_map(|b| b | 1),
+                    (1u64 << 62..u64::MAX).prop_map(|a| a & !7),
+                    any::<u64>(),
+                ],
+                any::<u64>(),
+            ),
+            0..64,
+        ),
+    ) {
+        let mut buf = Vec::new();
+        serialize_commit(tid, &writes, &mut buf);
+        let rec = parse_record(&buf).expect("own serialization parses");
+        prop_assert_eq!(rec.first_tid, tid);
+        prop_assert_eq!(&rec.writes, &writes);
+        prop_assert_eq!(rec.words, buf.len());
+        let (mut groups, mut escapes) = (0, 0);
+        let mut open: Option<(u64, u64)> = None; // (line, last word)
+        for &(addr, _) in &writes {
+            if addr % 8 != 0 || addr >> 62 != 0 {
+                escapes += 1;
+                open = None;
+                continue;
+            }
+            let (line, word) = (addr / 64, addr / 8 % 8);
+            if !open.is_some_and(|(l, last)| l == line && word > last) {
+                groups += 1;
+            }
+            open = Some((line, word));
+        }
+        prop_assert_eq!(buf.len(), 2 + groups + writes.len() + 2 * escapes);
+    }
+
     /// Group records roundtrip with and without compression.
     #[test]
     fn group_record_roundtrip(

@@ -22,7 +22,7 @@ use std::time::Duration;
 /// name the watchdog prints names both.
 const HANG: Duration = Duration::from_secs(300);
 
-/// Byte offsets inside the metadata region (on-NVM format v2: the version
+/// Byte offsets inside the metadata region (on-NVM format v3: the version
 /// is word 1, the reproduced-ID checkpoint word 2).
 const META_VERSION_OFF: u64 = 8;
 const META_REPRODUCED_OFF: u64 = 2 * 8;
@@ -209,21 +209,45 @@ fn round_robin_groups_across_rings_recover_to_contiguous_prefix() {
     );
 }
 
-/// A device stamped with the previous format version reopens as a typed
+/// A device stamped with `version`, its first log holding `record`,
+/// reopens as `BadVersion(version)` and is left untouched.
+fn older_version_is_refused(version: u64, record: &[u64]) {
+    let nvm = test_nvm();
+    let config = tiny_config();
+    let layout = formatted(&nvm, config);
+    plant_record(&nvm, &layout, 0, record);
+    nvm.write_word(layout.meta.start() + META_VERSION_OFF, version);
+    nvm.persist(layout.meta.start() + META_VERSION_OFF, 8);
+    let before = image(&nvm);
+    let err = recover_device(&nvm, &config).expect_err("an older image");
+    assert_eq!(err, RecoverError::BadVersion(version));
+    assert!(
+        err.to_string().contains(&format!("version {version}")),
+        "{err}"
+    );
+    assert_eq!(image(&nvm), before, "a rejected recovery must not write");
+}
+
+/// A device stamped with an older format version reopens as a typed
 /// error: there is no v1 reader and no migration.
 #[test]
 fn v1_device_is_a_bad_version() {
     let _watchdog = Watchdog::arm("", HANG);
-    let nvm = test_nvm();
-    let config = tiny_config();
-    let layout = formatted(&nvm, config);
-    nvm.write_word(layout.meta.start() + META_VERSION_OFF, 1);
-    nvm.persist(layout.meta.start() + META_VERSION_OFF, 8);
-    let before = image(&nvm);
-    let err = recover_device(&nvm, &config).expect_err("v1 image");
-    assert_eq!(err, RecoverError::BadVersion(1));
-    assert!(err.to_string().contains("version 1"), "{err}");
-    assert_eq!(image(&nvm), before, "a rejected recovery must not write");
+    // v1's commit of TID 42 writing 1 to byte 8: magic word, TID, count,
+    // the pair, a 64-bit checksum trailer.
+    older_version_is_refused(
+        1,
+        &[0xd00d_e7a6_0000_0001, 42, 1, 8, 1, 0xc5ac_c0fd_fd6f_70b8],
+    );
+}
+
+/// A v2 image — its commits logged as `(address, value)` pairs — is not
+/// read as v3: recovery refuses it before scanning a log.
+#[test]
+fn v2_device_is_a_bad_version() {
+    let _watchdog = Watchdog::arm("", HANG);
+    // v2's commit of TID 42 writing 1 and 2 to bytes 8 and 16.
+    older_version_is_refused(2, &[0x2255_fb62_d100_0002, 42, 8, 1, 16, 2]);
 }
 
 /// A device formatted for one thread, reopened for two: the log layout

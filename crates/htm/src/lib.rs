@@ -46,11 +46,13 @@
 #![deny(unsafe_code)]
 
 use std::collections::HashMap;
+use std::mem::take;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dude_stm::{
     backoff, is_locked, owner_of, reads_valid, try_lock, version_of, versioned, GlobalClock,
-    LockTable, TmAccess, TxHooks, WordMemory,
+    LockTable, PerThreadCounts, ThreadCounts, TmAccess, TxHooks, WordMemory,
 };
 use dude_txapi::{CommitInfo, TxAbort, TxId, TxResult, TxnOutcome};
 use parking_lot::RwLock;
@@ -111,7 +113,8 @@ pub struct HtmStatsSnapshot {
 
 #[derive(Debug, Default)]
 struct HtmStats {
-    htm_commits: AtomicU64,
+    /// Speculative commits, counted per thread.
+    htm_commits: PerThreadCounts<1>,
     conflicts: AtomicU64,
     capacity_aborts: AtomicU64,
     fallback_commits: AtomicU64,
@@ -159,6 +162,8 @@ impl Htm {
         HtmThread {
             htm: self,
             owner: self.next_owner.fetch_add(1, Ordering::Relaxed),
+            bufs: Buffers::default(),
+            commits: self.stats.htm_commits.join(),
         }
     }
 
@@ -177,7 +182,7 @@ impl Htm {
     /// Aggregate statistics.
     pub fn stats(&self) -> HtmStatsSnapshot {
         HtmStatsSnapshot {
-            htm_commits: self.stats.htm_commits.load(Ordering::Relaxed),
+            htm_commits: self.stats.htm_commits.sum()[0],
             conflicts: self.stats.conflicts.load(Ordering::Relaxed),
             capacity_aborts: self.stats.capacity_aborts.load(Ordering::Relaxed),
             fallback_commits: self.stats.fallback_commits.load(Ordering::Relaxed),
@@ -207,11 +212,31 @@ fn fallback_wait() {
     std::thread::yield_now();
 }
 
+/// The sets a transaction fills, kept by its [`HtmThread`] between
+/// attempts: an attempt takes them when it begins and gives them back
+/// cleared when it ends, so the next one starts empty with the capacity the
+/// last one grew them to.
+#[derive(Debug, Default)]
+struct Buffers {
+    writes: HashMap<u64, u64>,
+    written_lines: Vec<(usize, u64)>,
+    read_lines: Vec<(usize, u64)>,
+    undo: Vec<(u64, u64)>,
+}
+
 /// Per-thread HTM executor.
 #[derive(Debug)]
 pub struct HtmThread<'h> {
     htm: &'h Htm,
     owner: u64,
+    bufs: Buffers,
+    commits: Arc<ThreadCounts<1>>,
+}
+
+impl Drop for HtmThread<'_> {
+    fn drop(&mut self) {
+        self.htm.stats.htm_commits.leave(&self.commits);
+    }
 }
 
 impl<'h> HtmThread<'h> {
@@ -236,37 +261,45 @@ impl<'h> HtmThread<'h> {
                 fallback_wait();
                 continue;
             }
-            let mut tx = HtmTx::begin(self.htm, mem, hooks, self.owner, fb);
-            match body(&mut tx) {
+            let mut tx = HtmTx::begin(self.htm, mem, hooks, self.owner, fb, &mut self.bufs);
+            // `Ok` on a commit; the abort kind to retry on, or `None` on a
+            // user abort.
+            let attempt = match body(&mut tx) {
                 Ok(value) => match tx.commit() {
                     Ok(tid) => {
                         tx.hooks.on_commit(tid);
-                        self.htm.stats.htm_commits.fetch_add(1, Ordering::Relaxed);
-                        return TxnOutcome::Committed {
-                            value,
-                            info: CommitInfo { tid, retries },
-                        };
+                        Ok((value, tid))
                     }
                     Err(kind) => {
                         let wasted = tx.wasted.take();
                         tx.rollback();
                         tx.hooks.on_abort(wasted);
-                        retries += 1;
-                        if self.note_abort(kind, retries) {
-                            return self.run_fallback(mem, hooks, &mut body, retries);
-                        }
-                        backoff(retries, SPIN_RETRIES);
+                        Err(Some(kind))
                     }
                 },
                 Err(TxAbort::User) => {
                     tx.rollback();
                     tx.hooks.on_abort(None);
-                    return TxnOutcome::Aborted;
+                    Err(None)
                 }
                 Err(TxAbort::Conflict) => {
                     let kind = tx.abort_kind.take().unwrap_or(AbortKind::Conflict);
                     tx.rollback();
                     tx.hooks.on_abort(None);
+                    Err(Some(kind))
+                }
+            };
+            tx.end(&mut self.bufs);
+            match attempt {
+                Ok((value, tid)) => {
+                    self.commits.count(0);
+                    return TxnOutcome::Committed {
+                        value,
+                        info: CommitInfo { tid, retries },
+                    };
+                }
+                Err(None) => return TxnOutcome::Aborted,
+                Err(Some(kind)) => {
                     retries += 1;
                     if self.note_abort(kind, retries) {
                         return self.run_fallback(mem, hooks, &mut body, retries);
@@ -322,7 +355,8 @@ impl<'h> HtmThread<'h> {
         }
         // Exclude in-flight speculative publishes, then run alone.
         let gate = self.htm.commit_gate.write();
-        let mut tx = HtmTx::begin_fallback(self.htm, mem, hooks, self.owner);
+        let mut tx = HtmTx::begin(self.htm, mem, hooks, self.owner, 0, &mut self.bufs);
+        tx.fallback = true;
         let result = body(&mut tx);
         let outcome = match result {
             Ok(value) => {
@@ -344,6 +378,7 @@ impl<'h> HtmThread<'h> {
                 TxnOutcome::Aborted
             }
         };
+        tx.end(&mut self.bufs);
         drop(gate);
         // Release (generation goes even again).
         self.htm.fallback.fetch_add(1, Ordering::AcqRel);
@@ -366,43 +401,52 @@ pub struct HtmTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
     written_lines: Vec<(usize, u64)>,
     /// Distinct lines read, with the version observed.
     read_lines: Vec<(usize, u64)>,
+    /// Running under the fallback lock: writes go in place.
+    fallback: bool,
     /// Undo list for the fallback path (in-place writes).
-    fallback_undo: Option<Vec<(u64, u64)>>,
+    undo: Vec<(u64, u64)>,
     abort_kind: Option<AbortKind>,
     wasted: Option<TxId>,
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
-    fn begin(htm: &'t Htm, mem: &'t M, hooks: &'t mut H, owner: u64, fb: u64) -> Self {
+    /// Begins an attempt that subscribed to fallback generation `fb`, over
+    /// the sets of `bufs`; [`HtmTx::end`] gives them back.
+    fn begin(
+        htm: &'t Htm,
+        mem: &'t M,
+        hooks: &'t mut H,
+        owner: u64,
+        fb: u64,
+        bufs: &mut Buffers,
+    ) -> Self {
         HtmTx {
             htm,
             mem,
             hooks,
             owner,
             fallback_snapshot: fb,
-            writes: HashMap::new(),
-            written_lines: Vec::new(),
-            read_lines: Vec::new(),
-            fallback_undo: None,
+            writes: take(&mut bufs.writes),
+            written_lines: take(&mut bufs.written_lines),
+            read_lines: take(&mut bufs.read_lines),
+            fallback: false,
+            undo: take(&mut bufs.undo),
             abort_kind: None,
             wasted: None,
         }
     }
 
-    fn begin_fallback(htm: &'t Htm, mem: &'t M, hooks: &'t mut H, owner: u64) -> Self {
-        HtmTx {
-            htm,
-            mem,
-            hooks,
-            owner,
-            fallback_snapshot: 0,
-            writes: HashMap::new(),
-            written_lines: Vec::new(),
-            read_lines: Vec::new(),
-            fallback_undo: Some(Vec::new()),
-            abort_kind: None,
-            wasted: None,
-        }
+    /// Ends the attempt, committed or rolled back, returning its sets to
+    /// `bufs` cleared. Every line it locked has been released.
+    fn end(mut self, bufs: &mut Buffers) {
+        debug_assert!(self.written_lines.is_empty(), "end with lines held");
+        self.writes.clear();
+        self.read_lines.clear();
+        self.undo.clear();
+        bufs.writes = self.writes;
+        bufs.written_lines = self.written_lines;
+        bufs.read_lines = self.read_lines;
+        bufs.undo = self.undo;
     }
 
     fn conflict(&mut self, kind: AbortKind) -> TxAbort {
@@ -424,7 +468,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
     /// [`TxAbort::Conflict`] on a line conflict, capacity overflow, or
     /// fallback-lock acquisition by a peer.
     pub fn read(&mut self, addr: u64) -> TxResult<u64> {
-        if self.fallback_undo.is_some() {
+        if self.fallback {
             return Ok(self.mem.load(addr));
         }
         self.check_fallback()?;
@@ -456,8 +500,8 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
     /// [`TxAbort::Conflict`] on a line conflict, capacity overflow, or
     /// fallback-lock acquisition by a peer.
     pub fn write(&mut self, addr: u64, val: u64) -> TxResult<()> {
-        if let Some(undo) = &mut self.fallback_undo {
-            undo.push((addr, self.mem.load(addr)));
+        if self.fallback {
+            self.undo.push((addr, self.mem.load(addr)));
             self.mem.store(addr, val);
             self.hooks.on_write(addr, val);
             return Ok(());
@@ -532,15 +576,15 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> HtmTx<'t, M, H> {
     }
 
     fn commit_fallback(&mut self) -> Option<TxId> {
-        if self.fallback_undo.as_ref().is_some_and(|u| u.is_empty()) {
+        if self.undo.is_empty() {
             return None;
         }
         Some(self.htm.clock.tick())
     }
 
     fn rollback(&mut self) {
-        if let Some(undo) = &mut self.fallback_undo {
-            for (addr, old) in undo.drain(..).rev() {
+        if self.fallback {
+            for (addr, old) in self.undo.drain(..).rev() {
                 self.mem.store(addr, old);
             }
             return;
@@ -801,6 +845,98 @@ mod tests {
         h1.join().unwrap();
         h2.join().unwrap();
         assert_eq!(mem.load(0), 200);
+    }
+
+    /// Speculative commit counts are per thread: a snapshot sums the live
+    /// threads' counts while they commit, and a dropped thread's counts
+    /// stay summed.
+    #[test]
+    fn commit_counts_are_exact_while_threads_run_and_after_they_leave() {
+        let htm = Htm::new(HtmConfig::default());
+        let mem = VecMemory::new(1024);
+        let per_thread = 400u64;
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let (htm, mem) = (&htm, &mem);
+                s.spawn(move || {
+                    let mut th = htm.register();
+                    for _ in 0..per_thread {
+                        th.run(mem, &mut NoHooks, |tx| {
+                            let v = tx.read(64 * t)?;
+                            tx.write(64 * t, v + 1)
+                        })
+                        .expect_committed();
+                    }
+                });
+            }
+            for _ in 0..50 {
+                let seen = htm.stats();
+                assert!(seen.htm_commits + seen.fallback_commits <= 3 * per_thread);
+                std::thread::yield_now();
+            }
+        });
+        let stats = htm.stats();
+        assert_eq!(stats.htm_commits + stats.fallback_commits, 3 * per_thread);
+        assert_eq!(mem.load(0) + mem.load(64) + mem.load(128), 3 * per_thread);
+        let mut t = htm.register();
+        t.run(&mem, &mut NoHooks, |tx| tx.write(8, 1))
+            .expect_committed();
+        assert_eq!(htm.stats().htm_commits, stats.htm_commits + 1);
+        drop(t);
+        assert_eq!(htm.stats().htm_commits, stats.htm_commits + 1);
+    }
+
+    /// A thread's sets carry their capacity, never their contents, into
+    /// its next attempt: after a speculative user abort and a fallback
+    /// rollback, the next transaction neither sees a buffered write, nor
+    /// validates a stale read (which would retry it), nor restores an
+    /// undone word.
+    #[test]
+    fn an_ended_transaction_leaves_nothing_to_the_next() {
+        let htm = Htm::new(HtmConfig::tiny());
+        let mem = VecMemory::new(1 << 16);
+        let mut t = htm.register();
+        let mut peer = htm.register();
+        // A user abort after a buffered write and a read.
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            tx.read(128)?;
+            tx.write(0, 1)?;
+            Err::<(), _>(TxAbort::User)
+        });
+        assert_eq!(out, TxnOutcome::Aborted);
+        assert!(t.bufs.writes.is_empty() && t.bufs.read_lines.is_empty());
+        assert!(t.bufs.writes.capacity() > 0, "the capacity is kept");
+        // The peer commits to the line read: the next transaction's reads
+        // are its own.
+        peer.run(&mem, &mut NoHooks, |tx| tx.write(128, 5))
+            .expect_committed();
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            assert_eq!(tx.read(0)?, 0, "no write buffered by the aborted one");
+            tx.write(8, 7)
+        });
+        assert_eq!(out.info().map(|i| i.retries), Some(0));
+        // A fallback attempt that rolls back in place leaves no undo entry:
+        // the peer's later commit to word 4096 is not restored.
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            for i in 0..8u64 {
+                tx.write(4096 + i * 512, 9)?; // over the 4-line budget
+            }
+            Err::<(), _>(TxAbort::User)
+        });
+        assert_eq!(out, TxnOutcome::Aborted);
+        assert!(t.bufs.undo.is_empty());
+        peer.run(&mem, &mut NoHooks, |tx| tx.write(4096, 3))
+            .expect_committed();
+        let out = t.run(&mem, &mut NoHooks, |tx| {
+            for i in 0..8u64 {
+                tx.write(8192 + i * 512, 1)?;
+            }
+            Err::<(), _>(TxAbort::User)
+        });
+        assert_eq!(out, TxnOutcome::Aborted);
+        assert_eq!(mem.load(4096), 3);
+        assert_eq!(mem.load(8), 7);
+        assert!(t.bufs.written_lines.is_empty());
     }
 
     /// The line table is the lock table's one map at line granularity:

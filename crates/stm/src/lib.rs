@@ -49,6 +49,7 @@
 #![deny(unsafe_code)]
 
 mod clock;
+mod counts;
 mod locks;
 mod memory;
 mod snapshot;
@@ -57,6 +58,7 @@ mod wb;
 mod wt;
 
 pub use clock::GlobalClock;
+pub use counts::{PerThreadCounts, ThreadCounts};
 pub use locks::{
     is_locked, locked_by, owner_of, reads_valid, try_lock, version_of, versioned, LockTable,
     StmConfig,

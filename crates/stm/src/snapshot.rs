@@ -23,6 +23,8 @@ pub(crate) struct Buffers {
     pub(crate) writes: Vec<(u64, u64)>,
     /// Write-back: address → index of its latest buffered write.
     pub(crate) write_index: HashMap<u64, usize>,
+    /// Write-back: the stripes a commit locks.
+    pub(crate) stripes: Vec<usize>,
 }
 
 /// One transaction's view of the lock table: the read version `rv`, the

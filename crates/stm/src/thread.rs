@@ -1,11 +1,12 @@
 //! The STM instance and per-thread retry loops.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use dude_txapi::{CommitInfo, TxAbort, TxId, TxResult, TxnOutcome};
 
 use crate::clock::GlobalClock;
+use crate::counts::{PerThreadCounts, ThreadCounts};
 use crate::locks::{LockTable, StmConfig};
 use crate::memory::WordMemory;
 use crate::snapshot::Buffers;
@@ -36,35 +37,15 @@ pub(crate) trait Attempt {
     fn hooks(&mut self) -> &mut Self::Hooks;
 }
 
-/// One thread's commit counts, on a cache line of its own: only its
-/// thread writes them, with a load and a store (no locked read-modify-write
-/// on a line every Perform thread shares), and [`Stm::stats`] sums them.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Commits {
-    update: AtomicU64,
-    read_only: AtomicU64,
-}
-
-impl Commits {
-    /// Counts one commit; called by the owning thread only.
-    fn count(&self, read_only: bool) {
-        let cell = if read_only {
-            &self.read_only
-        } else {
-            &self.update
-        };
-        cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-}
+/// The kinds of [`StmStats`]' per-thread commit counts.
+const UPDATE: usize = 0;
+const READ_ONLY: usize = 1;
 
 /// Aggregate STM statistics (relaxed counters).
 #[derive(Debug, Default)]
 pub struct StmStats {
-    /// Commit counts of the registered threads; a thread adds its own to
-    /// `retired` and leaves this list when it is dropped.
-    threads: Mutex<Vec<Arc<Commits>>>,
-    retired: Commits,
+    /// Update and read-only commits, counted per thread.
+    commits: PerThreadCounts<2>,
     conflicts: AtomicU64,
     user_aborts: AtomicU64,
     wasted_tids: AtomicU64,
@@ -88,44 +69,14 @@ pub struct StmStatsSnapshot {
 impl StmStats {
     /// Takes a point-in-time copy.
     pub fn snapshot(&self) -> StmStatsSnapshot {
-        let threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        let sum = |cell: fn(&Commits) -> &AtomicU64| {
-            std::iter::once(&self.retired)
-                .chain(threads.iter().map(|c| &**c))
-                .map(|c| cell(c).load(Ordering::Relaxed))
-                .sum()
-        };
+        let commits = self.commits.sum();
         StmStatsSnapshot {
-            commits: sum(|c| &c.update),
-            read_only_commits: sum(|c| &c.read_only),
+            commits: commits[UPDATE],
+            read_only_commits: commits[READ_ONLY],
             conflicts: self.conflicts.load(Ordering::Relaxed),
             user_aborts: self.user_aborts.load(Ordering::Relaxed),
             wasted_tids: self.wasted_tids.load(Ordering::Relaxed),
         }
-    }
-
-    /// A new thread's commit counts, summed from now on.
-    fn join(&self) -> Arc<Commits> {
-        let commits = Arc::<Commits>::default();
-        self.threads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(Arc::clone(&commits));
-        commits
-    }
-
-    /// Moves a departing thread's counts into `retired`, under the same
-    /// lock [`StmStats::snapshot`] sums under, so no snapshot counts them
-    /// twice or misses them.
-    fn leave(&self, commits: &Arc<Commits>) {
-        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
-        for (from, to) in [
-            (&commits.update, &self.retired.update),
-            (&commits.read_only, &self.retired.read_only),
-        ] {
-            to.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        threads.retain(|c| !Arc::ptr_eq(c, commits));
     }
 }
 
@@ -165,7 +116,7 @@ impl Stm {
             stm: self,
             owner: self.next_owner.fetch_add(1, Ordering::Relaxed),
             bufs: Buffers::default(),
-            commits: self.stats.join(),
+            commits: self.stats.commits.join(),
         }
     }
 
@@ -192,12 +143,12 @@ pub struct StmThread<'s> {
     owner: u64,
     /// The read set, held stripes and write log, reused by each transaction.
     bufs: Buffers,
-    commits: Arc<Commits>,
+    commits: Arc<ThreadCounts<2>>,
 }
 
 impl Drop for StmThread<'_> {
     fn drop(&mut self) {
-        self.stm.stats.leave(&self.commits);
+        self.stm.stats.commits.leave(&self.commits);
     }
 }
 
@@ -283,7 +234,8 @@ impl<'s> StmThread<'s> {
             match result {
                 Ok((value, tid, read_only)) => {
                     tx.hooks().on_commit(tid);
-                    self.commits.count(read_only);
+                    self.commits
+                        .count(if read_only { READ_ONLY } else { UPDATE });
                     return TxnOutcome::Committed {
                         value,
                         info: CommitInfo { tid, retries },

@@ -36,6 +36,8 @@ pub struct WriteBackTx<'t, M: WordMemory + ?Sized, H: TxHooks> {
     /// Address → index of latest buffered write (the mapping table whose
     /// lookup cost redo logging pays on every read).
     write_index: HashMap<u64, usize>,
+    /// The written stripes a commit locks, sorted and distinct.
+    stripes: Vec<usize>,
 }
 
 impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
@@ -55,6 +57,7 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
             hooks,
             writes: take(&mut bufs.writes),
             write_index: take(&mut bufs.write_index),
+            stripes: take(&mut bufs.stripes),
         }
     }
 
@@ -63,8 +66,10 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
     pub(crate) fn end(mut self, bufs: &mut Buffers) {
         self.writes.clear();
         self.write_index.clear();
+        self.stripes.clear();
         bufs.writes = self.writes;
         bufs.write_index = self.write_index;
+        bufs.stripes = self.stripes;
         self.snap.end(bufs);
     }
 
@@ -123,14 +128,13 @@ impl<'t, M: WordMemory + ?Sized, H: TxHooks> WriteBackTx<'t, M, H> {
         }
         // Lock every written stripe (deduplicated); try-lock + abort avoids
         // deadlock without imposing a global order.
-        let mut stripes: Vec<usize> = self
-            .writes
-            .iter()
-            .map(|&(addr, _)| self.snap.locks.stripe_of(addr))
-            .collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        for stripe in stripes {
+        let locks = self.snap.locks;
+        self.stripes.clear();
+        let stripes = self.writes.iter().map(|&(addr, _)| locks.stripe_of(addr));
+        self.stripes.extend(stripes);
+        self.stripes.sort_unstable();
+        self.stripes.dedup();
+        for &stripe in &self.stripes {
             let l = self.snap.locks.word(stripe).load(Ordering::Acquire);
             if is_locked(l) || version_of(l) > self.snap.rv || !self.snap.hold(stripe, l) {
                 self.snap.release(None);
@@ -244,6 +248,32 @@ mod tests {
         })
         .unwrap();
         assert_eq!(observed, vec![(0, 5), (8, 6)]);
+    }
+
+    /// The stripes a commit locks are collected into the thread's buffer:
+    /// the ended transaction gives it back empty, with the capacity the
+    /// commit grew it to, and the next transaction starts from it.
+    #[test]
+    fn a_commit_leaves_the_stripe_buffer_empty_with_its_capacity() {
+        let f = fixture();
+        let mut bufs = Buffers::default();
+        let mut h = NoHooks;
+        let mut tx = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1, &mut bufs);
+        for i in 0..16 {
+            tx.write(i * 8, i).unwrap();
+        }
+        tx.write(0, 16).unwrap();
+        tx.commit_with(|_, _| {}).unwrap();
+        let distinct = f.locks.len().min(16);
+        assert_eq!(tx.stripes.len(), distinct, "sorted and distinct");
+        let capacity = tx.stripes.capacity();
+        tx.end(&mut bufs);
+        assert!(bufs.stripes.is_empty());
+        assert_eq!(bufs.stripes.capacity(), capacity);
+        let tx = WriteBackTx::begin(&f.clock, &f.locks, &f.mem, &mut h, 1, &mut bufs);
+        assert!(tx.stripes.is_empty());
+        assert_eq!(tx.stripes.capacity(), capacity);
+        assert_eq!(f.mem.load(0), 16);
     }
 
     #[test]

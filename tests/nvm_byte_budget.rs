@@ -2,9 +2,11 @@
 //! stores — the one metric the benchmark host resolves to 1 %
 //! (`nvm_bytes_per_tx`), pinned where a regression fails tier-1.
 //!
-//! Every stored word is accounted for: a commit record is `2 + 2n` log
-//! words for `n` *distinct* written words (format v2, a commit combined as
-//! a group of one), Reproduce stores each distinct word once per run — the
+//! Every stored word is accounted for: a commit record is `2 + L + n` log
+//! words for `n` *distinct* written words on `L` cache lines (format v3, a
+//! commit combined as a group of one and grouped by line: a header and a
+//! TID, then per line one `mask | line` word and its values), Reproduce
+//! stores each distinct word once per run — the
 //! TIDs up to the next multiple of `checkpoint_every`, or up to a
 //! `quiesce` that cuts the run short — and each checkpoint is one word.
 //! Nothing else — no scheduling or channel depth — may feed a stored word,
@@ -71,6 +73,14 @@ fn one_write(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
     tx.write_word(PAddr::from_word_index(i % 512), i + 1)
 }
 
+/// The eight words of one row (one cache line), last word first.
+fn one_row(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
+    let row = i % 64 * 8;
+    (0..8)
+        .rev()
+        .try_for_each(|w| tx.write_word(PAddr::from_word_index(row + w), i + w))
+}
+
 fn a_b_a(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
     let (a, b) = (PAddr::from_word_index(8), PAddr::from_word_index(64));
     tx.write_word(a, 1)?;
@@ -103,8 +113,27 @@ fn a_rewritten_word_is_logged_and_applied_once() {
         );
         assert_eq!(
             words,
-            64 * (2 + 2 * 2) + 2 + checkpoints,
-            "{mode:?}: 64 two-write records, two heap words, the checkpoints"
+            64 * (2 + 2 + 2) + 2 + checkpoints,
+            "{mode:?}: 64 two-line records, two heap words, the checkpoints"
+        );
+    }
+}
+
+/// An 8-word row is one line group: 2 + 1 + 8 = 11 log words per commit,
+/// where v2 logged 2 + 2 × 8 = 18. TIDs 1..=64 are one run over the 64
+/// rows, so each of the 512 words reaches the heap once.
+#[test]
+fn an_eight_word_row_is_one_line_group() {
+    for mode in [ASYNC, DurabilityMode::Sync] {
+        let (words, checkpoints) = words_written(config(mode), 64, None, one_row);
+        assert_eq!(
+            checkpoints, 2,
+            "{mode:?}: the cadence's at TID 64, the drain's"
+        );
+        assert_eq!(
+            words,
+            64 * (2 + 1 + 8) + 64 * 8 + checkpoints,
+            "{mode:?}: 64 one-line records, 512 heap words, the checkpoints"
         );
     }
 }
@@ -124,8 +153,8 @@ fn a_quiesce_cuts_a_run_without_moving_the_next_boundary() {
         );
         assert_eq!(
             words,
-            90 * (2 + 2 * 2) + 3 * 2 + checkpoints,
-            "{mode:?}: 90 two-write records, three runs of two heap words"
+            90 * (2 + 2 + 2) + 3 * 2 + checkpoints,
+            "{mode:?}: 90 two-line records, three runs of two heap words"
         );
     }
 }

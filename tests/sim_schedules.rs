@@ -683,10 +683,10 @@ fn schedules_grouped_sync_bank() {
     }
 }
 
-/// Rings of 512 words hold eight 64-word records, and the cadence never
-/// fires: every span comes back through a forced checkpoint, behind a
-/// parked Persist unit or a `Sync` commit whose ring is full, while the
-/// four rings wrap several times each. Two Persist workers, except under
+/// Rings of 512 words hold thirteen 37-word records (31 words on four
+/// lines), and the cadence never fires: every span comes back through a
+/// forced checkpoint, behind a parked Persist unit or a `Sync` commit
+/// whose ring is full, while the four rings wrap four times each. Two Persist workers, except under
 /// `Sync`, whose committers are their own rings' one.
 fn ring_full_combo(name: &'static str, mode: DurabilityMode) -> Combo {
     let pw = if mode == DurabilityMode::Sync { 1 } else { 2 };
@@ -706,7 +706,7 @@ fn ring_full_combo(name: &'static str, mode: DurabilityMode) -> Combo {
             width: 31,
         },
         threads: 4,
-        ops: 32,
+        ops: 56,
         quiesce: false,
     }
 }
@@ -985,7 +985,10 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
             ..cfg(1, 1, false)
         }
         .with_durability(DurabilityMode::Sync),
-        workload: LOG,
+        // Three words a record: a 6- or 7-word commit record (one or two
+        // line groups), about what two words took before line groups, so
+        // each thread's 100 records fill its 512-word ring.
+        workload: Workload::Log { width: 3 },
         threads: 3,
         ops: 100,
         quiesce: false,
