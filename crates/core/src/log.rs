@@ -6,11 +6,11 @@
 //! consuming a commit timestamp produces an [`LogRecord::Abort`] marker so
 //! the global ID sequence stays dense and the durable ID remains computable.
 //!
-//! On NVM, records are word streams in format v3 (`DESIGN.md §Pipeline`,
+//! On NVM, records are word streams in format v4 (`DESIGN.md §Pipeline`,
 //! *Log format*): a header word `check:32 | magic:4 | kind:4 | len:24`, the
-//! transaction ID (first and last ID for groups), then the payload. A
-//! commit's payload is *line groups*: one `mask:8 | line:56` word per run
-//! of ascending words of one 64-byte line, then their values. The check
+//! transaction ID (first and last ID for groups), then the payload. Every
+//! payload is *line groups*: one `mask:8 | Δline:56` word per run of
+//! ascending words of one 64-byte line, then their values. The check
 //! covers every other bit of the record; recovery walks the log and
 //! discards the first torn record and everything after it (§3.5). Log
 //! *combination* keeps only the last write per address — within one
@@ -18,7 +18,6 @@
 //! *compression* packs a group's payload with [`dude_compress`].
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 
 use dude_txapi::TxId;
 
@@ -35,13 +34,14 @@ const KIND_GROUP_LZ: u64 = 4;
 /// A single-word marker telling readers to wrap to the ring start.
 const KIND_SKIP: u64 = 15;
 
-/// Largest value of the 24-bit length field: payload words for commits,
-/// write pairs for groups, payload bytes for compressed groups.
+/// Largest value of the 24-bit length field: payload words for commits
+/// and groups, payload bytes for compressed groups.
 const LEN_MAX: usize = (1 << 24) - 1;
 const LOW_HALF: u64 = 0xFFFF_FFFF;
 
-/// The line field of a line-group header (`mask:8 | line:56`); the mask
-/// of the words present sits above it.
+/// The line field of a line-group header (`mask:8 | Δline:56`): the line
+/// minus the previous group's line in the same payload, mod 2^56, from 0.
+/// The mask of the words present sits above it.
 const LINE: u64 = (1 << 56) - 1;
 const MASK_SHIFT: u32 = 56;
 
@@ -55,7 +55,7 @@ fn line_word(addr: u64) -> Option<(u64, u64)> {
 /// One transaction's redo log as an owned value (a commit itself appends to
 /// its thread's volatile redo ring, in every durability mode). A
 /// `&LogRecord` iterates its writes, so a list of records is something
-/// [`combine`] combines.
+/// [`combine_sorted`] combines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// A committed update transaction and its ordered writes.
@@ -157,8 +157,8 @@ fn seal(record: &mut [u64]) {
 /// above every word the group holds; otherwise it opens a group (or is an
 /// escape, which closes the open one).
 fn push_lines(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, out: &mut Vec<u64>) {
-    // Index in `out` of the open group's header word.
-    let mut open: Option<usize> = None;
+    // Index in `out` of the open group's header word; the last group's line.
+    let (mut open, mut prev) = (None, 0);
     for pair in writes {
         let &(addr, val) = pair.borrow();
         let Some((line, word)) = line_word(addr) else {
@@ -169,23 +169,23 @@ fn push_lines(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, out: &mut Vec
         let bit = 1 << (MASK_SHIFT + word as u32);
         match open {
             // No bit at or above `word`'s: the word is above the group's.
-            Some(at) if out[at] & LINE == line && out[at] >> (MASK_SHIFT + word as u32) == 0 => {
+            Some(at) if line == prev && out[at] >> (MASK_SHIFT + word as u32) == 0 => {
                 out[at] |= bit;
             }
             _ => {
                 open = Some(out.len());
-                out.push(bit | line);
+                out.push(bit | line.wrapping_sub(prev) & LINE);
+                prev = line;
             }
         }
         out.push(val);
     }
 }
 
-/// Decodes a commit payload of line groups and escapes, if it is exactly
-/// that.
+/// Decodes a payload of line groups and escapes, if it is exactly that.
 fn parse_lines(body: &[u64]) -> Option<Vec<(u64, u64)>> {
     let mut writes = Vec::with_capacity(body.len());
-    let mut at = 0;
+    let (mut at, mut line) = (0, 0u64);
     while let Some(&head) = body.get(at) {
         let mut mask = head >> MASK_SHIFT;
         if mask == 0 {
@@ -197,22 +197,14 @@ fn parse_lines(body: &[u64]) -> Option<Vec<(u64, u64)>> {
             continue;
         }
         let vals = body.get(at + 1..at + 1 + mask.count_ones() as usize)?;
-        let base = (head & LINE) << 6;
+        line = line.wrapping_add(head) & LINE;
         for &val in vals {
-            writes.push((base | u64::from(mask.trailing_zeros()) << 3, val));
+            writes.push((line << 6 | u64::from(mask.trailing_zeros()) << 3, val));
             mask &= mask - 1;
         }
         at += 1 + vals.len();
     }
     Some(writes)
-}
-
-fn push_pairs(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, out: &mut Vec<u64>) {
-    for pair in writes {
-        let &(addr, val) = pair.borrow();
-        out.push(addr);
-        out.push(val);
-    }
 }
 
 /// The skip marker written when a record would not fit before the ring end.
@@ -254,10 +246,11 @@ pub fn serialize_abort(tid: TxId, out: &mut Vec<u64>) {
     seal(out);
 }
 
-/// Serializes a combined group covering `first..=last` into `out`:
-/// `3 + 2n` words, or `3 + ⌈p/8⌉` for a compressed payload of `p` bytes.
+/// Serializes a combined group covering `first..=last` into `out`, its
+/// payload line groups as a commit's ([`serialize_commit`]): `3 + L + n`
+/// words, or `3 + ⌈p/8⌉` for those payload words packed into `p` bytes.
 ///
-/// With `compress`, the write pairs are packed with [`dude_compress`];
+/// With `compress`, the payload words are packed with [`dude_compress`];
 /// the uncompressed encoding is used instead whenever it is smaller.
 /// Returns `(payload_bytes_raw, payload_bytes_stored)` for the Figure 3
 /// accounting.
@@ -269,61 +262,42 @@ pub fn serialize_group(
     out: &mut Vec<u64>,
 ) -> (usize, usize) {
     debug_assert!(first <= last);
-    let raw_bytes = writes.len() * 16;
     out.clear();
+    out.extend([0, first, last]);
+    push_lines(writes, out);
+    let raw = 8 * (out.len() - 3);
     if compress {
-        // Columnar, delta-encoded payload: address deltas first (mostly
-        // tiny when the caller sorted by address), then values. Wrapping
-        // arithmetic keeps the format correct for any input order.
-        let mut payload = Vec::with_capacity(raw_bytes);
-        let mut prev = 0u64;
-        for &(addr, _) in writes {
-            payload.extend_from_slice(&addr.wrapping_sub(prev).to_le_bytes());
-            prev = addr;
-        }
-        for &(_, val) in writes {
-            payload.extend_from_slice(&val.to_le_bytes());
-        }
-        let packed = dude_compress::compress(&payload);
-        if packed.len() < raw_bytes {
-            out.extend([header(KIND_GROUP_LZ, packed.len()), first, last]);
+        let bytes: Vec<u8> = out[3..].iter().flat_map(|w| w.to_le_bytes()).collect();
+        let packed = dude_compress::compress(&bytes);
+        if packed.len() < raw {
+            out.truncate(3);
+            out[0] = header(KIND_GROUP_LZ, packed.len());
             for chunk in packed.chunks(8) {
                 let mut w = [0u8; 8];
                 w[..chunk.len()].copy_from_slice(chunk);
                 out.push(u64::from_le_bytes(w));
             }
             seal(out);
-            return (raw_bytes, packed.len());
+            return (raw, packed.len());
         }
     }
-    out.extend([header(KIND_GROUP, writes.len()), first, last]);
-    push_pairs(writes, out);
+    out[0] = header(KIND_GROUP, out.len() - 3);
     seal(out);
-    (raw_bytes, raw_bytes)
+    (raw, raw)
 }
 
 /// Unpacks a compressed group payload of `payload_bytes` bytes.
 fn unpack(body: &[u64], payload_bytes: usize) -> Option<Vec<(u64, u64)>> {
-    let mut bytes = Vec::with_capacity(body.len() * 8);
-    for w in body {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.truncate(payload_bytes);
-    let raw = dude_compress::decompress(&bytes).ok()?;
-    if raw.len() % 16 != 0 {
+    let bytes: Vec<u8> = body.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let raw = dude_compress::decompress(bytes.get(..payload_bytes)?).ok()?;
+    if raw.len() % 8 != 0 {
         return None;
     }
-    let n = raw.len() / 16;
-    let word = |i: usize| u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().unwrap());
-    let mut addr = 0u64;
-    Some(
-        (0..n)
-            .map(|i| {
-                addr = addr.wrapping_add(word(i));
-                (addr, word(n + i))
-            })
-            .collect(),
-    )
+    let words: Vec<u64> = raw
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+        .collect();
+    parse_lines(&words)
 }
 
 /// Attempts to parse one record starting at `words[0]`.
@@ -336,7 +310,7 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
     let (head, payload) = match kind {
         KIND_COMMIT => (2, len),
         KIND_ABORT if len == 0 => (2, 0),
-        KIND_GROUP => (3, 2 * len),
+        KIND_GROUP => (3, len),
         KIND_GROUP_LZ => (3, len.div_ceil(8)),
         _ => return None,
     };
@@ -351,9 +325,8 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
     }
     let body = &record[head..];
     let writes = match kind {
-        KIND_COMMIT => parse_lines(body)?,
         KIND_GROUP_LZ => unpack(body, len)?,
-        _ => body.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
+        _ => parse_lines(body)?,
     };
     Some(ParsedRecord {
         first_tid,
@@ -363,99 +336,130 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
     })
 }
 
-/// Scratch table for last-writer-wins combination of one write list: open
-/// addressing over the list's own entries, cleared by bumping a stamp
-/// instead of rewriting the slots. Whoever combines repeatedly owns one (a
-/// Persist worker, a Sync-mode Perform thread, a Reproduce stage). The
-/// grouped path keeps [`combine`]: swapping its `HashMap` for this table
-/// made `combine_sorted` 40 % cheaper and `ycsb_grouped` 27 % *slower* end
-/// to end (EXPERIMENTS.md, *PR 18*), so it was not adopted there.
+/// Open addressing from a list's distinct keys to their entries, which
+/// the caller stores in first-touch order: cleared by bumping a stamp
+/// instead of rewriting the slots, and grown to keep at most half of them
+/// live, so sized by the most distinct keys one list has held.
 #[derive(Debug, Default)]
-pub(crate) struct Combiner {
+struct Slots {
     /// `(stamp, entry)`; live iff the stamp is current.
     slots: Vec<(u32, u32)>,
     stamp: u32,
-    /// [`Combiner::by_line`]'s entries in first-touch order: a line's group
-    /// header (`mask:8 | line:56`), or 0 for an escaped address.
-    heads: Vec<u64>,
-    /// Eight words per entry of `heads`: a line's values by word, or an
-    /// escape's address and value.
+}
+
+impl Slots {
+    /// Forgets every entry: a stamp bump, or a clear once the stamp would
+    /// wrap.
+    fn clear(&mut self) {
+        if self.slots.is_empty() {
+            self.slots.resize(16, (0, 0));
+        }
+        if self.stamp == u32::MAX {
+            self.slots.fill((0, 0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+    }
+
+    /// The slot of `key`'s entry, or the free slot where it would go.
+    fn probe(&self, key: u64, key_of: &impl Fn(usize) -> u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            let (stamp, at) = self.slots[slot];
+            if stamp != self.stamp || key_of(at as usize) == key {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The entry of `key` among the `n` entries whose keys `key_of` gives,
+    /// or `n` — `key`'s from now on, for the caller to store — if new.
+    fn entry(&mut self, key: u64, n: usize, key_of: impl Fn(usize) -> u64) -> usize {
+        let slot = self.probe(key, &key_of);
+        if self.slots[slot].0 == self.stamp {
+            return self.slots[slot].1 as usize;
+        }
+        assert!(n < u32::MAX as usize, "list too long");
+        if 2 * (n + 1) <= self.slots.len() {
+            self.slots[slot] = (self.stamp, n as u32);
+            return n;
+        }
+        // Grow, re-inserting every entry and then `key`'s.
+        let want = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(want, (0, 0));
+        self.stamp = 1;
+        for at in 0..=n {
+            let slot = self.probe(if at < n { key_of(at) } else { key }, &key_of);
+            self.slots[slot] = (1, at as u32);
+        }
+        n
+    }
+}
+
+/// Scratch space for last-writer-wins combination of one write list,
+/// reused list after list: whoever combines repeatedly owns one (a Persist
+/// worker, a Sync-mode Perform thread, a Reproduce stage). Every table in
+/// it grows by distinct keys, never by pairs.
+#[derive(Debug, Default)]
+pub(crate) struct Combiner {
+    slots: Slots,
+    /// [`Combiner::by_line`]'s entries as `(key, entry)`, in first-touch
+    /// order until it sorts them: a line's first address, or an escaped
+    /// address itself — distinct, since the one is a multiple of 64 below
+    /// 2^62 and the other is not.
+    keys: Vec<(u64, u32)>,
+    /// `by_line`'s mask of each line's words written (0 for an escape).
+    masks: Vec<u8>,
+    /// `by_line`'s eight words per entry: a line's values by word, or an
+    /// escape's value.
     vals: Vec<u64>,
 }
 
 impl Combiner {
-    /// Clears the slots for a list of `n` entries; returns the hash shift.
-    fn reset(&mut self, n: usize) -> u32 {
-        assert!(n <= u32::MAX as usize / 2, "list too long");
-        let want = (2 * n).next_power_of_two();
-        if self.slots.len() < want || self.stamp == u32::MAX {
-            self.slots.clear();
-            self.slots.resize(want, (0, 0));
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        64 - self.slots.len().trailing_zeros()
-    }
-
     /// Combines `pairs` by cache line, last writer wins, and hands `emit`
-    /// the result grouped by line: lines in the order they were first
-    /// written, each line's words ascending, escaped addresses (see
-    /// [`serialize_commit`]) where first written — what serializes to one
-    /// line group per line. Every pair is read before the first `emit`, so
-    /// `emit` may overwrite the list `pairs` reads.
+    /// the result sorted by line: lines ascending, each line's words
+    /// ascending, and an escaped address (see [`serialize_commit`]) ordered
+    /// by the address itself among the lines' first addresses — what
+    /// serializes to one line group per line, the same for the same pairs
+    /// on every thread. Only the entries are sorted, never the pairs. Every
+    /// pair is read before the first `emit`, so `emit` may overwrite the
+    /// list `pairs` reads.
     pub(crate) fn by_line(
         &mut self,
-        pairs: impl ExactSizeIterator<Item = (u64, u64)>,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
         mut emit: impl FnMut(u64, u64),
     ) {
-        let shift = self.reset(pairs.len());
-        let mask = self.slots.len() - 1;
-        self.heads.clear();
-        if self.vals.len() < 8 * pairs.len() {
-            self.vals.resize(8 * pairs.len(), 0);
-        }
+        self.slots.clear();
+        self.keys.clear();
+        self.masks.clear();
         for (addr, val) in pairs {
             let line = line_word(addr);
-            let key = line.map_or(addr, |(line, _)| line);
-            let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-            let at = loop {
-                let (stamp, at) = self.slots[slot];
-                let at = at as usize;
-                if stamp != self.stamp {
-                    let at = self.heads.len();
-                    self.slots[slot] = (self.stamp, at as u32);
-                    self.heads.push(line.map_or(0, |(line, _)| line));
-                    if line.is_none() {
-                        self.vals[8 * at] = addr;
-                    }
-                    break at;
+            let key = line.map_or(addr, |(line, _)| line << 6);
+            let at = self.slots.entry(key, self.keys.len(), |at| self.keys[at].0);
+            if at == self.keys.len() {
+                self.keys.push((key, at as u32));
+                self.masks.push(0);
+                if self.vals.len() < 8 * (at + 1) {
+                    self.vals.resize(8 * (at + 1), 0);
                 }
-                let head = self.heads[at];
-                let same = match line {
-                    Some((line, _)) => head != 0 && head & LINE == line,
-                    None => head == 0 && self.vals[8 * at] == addr,
-                };
-                if same {
-                    break at;
-                }
-                slot = (slot + 1) & mask;
-            };
-            match line {
-                Some((_, word)) => {
-                    self.heads[at] |= 1 << (MASK_SHIFT + word as u32);
-                    self.vals[8 * at + word as usize] = val;
-                }
-                None => self.vals[8 * at + 1] = val,
             }
+            let word = line.map_or(0, |(_, word)| word as usize);
+            self.masks[at] |= u8::from(line.is_some()) << word;
+            self.vals[8 * at + word] = val;
         }
-        for (&head, vals) in self.heads.iter().zip(self.vals.chunks_exact(8)) {
-            let mut words = head >> MASK_SHIFT;
+        self.keys.sort_unstable_by_key(|&(key, _)| key);
+        for &(key, at) in &self.keys {
+            let (mut words, vals) = (self.masks[at as usize], &self.vals[8 * at as usize..]);
             if words == 0 {
-                emit(vals[0], vals[1]);
+                emit(key, vals[0]);
             }
             while words != 0 {
                 let word = words.trailing_zeros() as usize;
-                emit((head & LINE) << 6 | (word as u64) << 3, vals[word]);
+                emit(key | (word as u64) << 3, vals[word]);
                 words &= words - 1;
             }
         }
@@ -464,29 +468,14 @@ impl Combiner {
     /// Keeps, in place, one pair per key — at the position of the key's
     /// first pair, carrying the value of its last.
     pub(crate) fn dedup(&mut self, pairs: &mut Vec<(u64, u64)>) {
-        if pairs.len() < 2 {
-            return;
-        }
-        let shift = self.reset(pairs.len());
-        let mask = self.slots.len() - 1;
+        self.slots.clear();
         let mut kept = 0;
         for i in 0..pairs.len() {
-            let (key, val) = pairs[i];
-            let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-            loop {
-                let (stamp, pos) = self.slots[slot];
-                if stamp != self.stamp {
-                    self.slots[slot] = (self.stamp, kept as u32);
-                    pairs[kept] = (key, val);
-                    kept += 1;
-                    break;
-                }
-                if pairs[pos as usize].0 == key {
-                    pairs[pos as usize].1 = val;
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
+            // The kept pairs are the entries: a new key's is `kept`, never
+            // past `i`.
+            let at = self.slots.entry(pairs[i].0, kept, |at| pairs[at].0);
+            kept += usize::from(at == kept);
+            pairs[at] = pairs[i];
         }
         pairs.truncate(kept);
     }
@@ -559,33 +548,20 @@ impl SeenSet {
 }
 
 /// Combines the writes of a group of **consecutive** transactions, given
-/// in TID order — `&[LogRecord]`, or the records' slices of their redo
-/// rings: later writes to the same address supersede earlier ones (§3.3).
-/// Returns the combined writes (arbitrary order — all addresses are
-/// distinct).
-pub fn combine<R>(records: impl IntoIterator<Item = R>) -> Vec<(u64, u64)>
-where
-    R: IntoIterator<Item: Borrow<(u64, u64)>>,
-{
-    let mut map: HashMap<u64, u64> = HashMap::new();
-    for pair in records.into_iter().flatten() {
-        let &(addr, val) = pair.borrow();
-        map.insert(addr, val);
-    }
-    map.into_iter().collect()
-}
-
-/// [`combine`] followed by an address sort — the grouped Persist path's
-/// canonical preprocessing. The sort gives replay sequential locality,
-/// lets the compressor see runs of shared high address bytes, and makes
-/// the serialized group *deterministic*: every Persist worker produces the
-/// same bytes for the same group regardless of [`combine`]'s hash order.
+/// in TID order — `&[LogRecord]`, or any lists of pairs: later writes to
+/// the same address supersede earlier ones (§3.3). Returns one pair per
+/// address in [`Combiner::by_line`]'s order — by line, each line's words
+/// ascending — so every Persist worker serializes the same group to the
+/// same bytes, replay sees address order, and a group is one line group
+/// per line. The grouped Persist path and every commit run the same
+/// combiner, with a table of their own.
 pub fn combine_sorted<R>(records: impl IntoIterator<Item = R>) -> Vec<(u64, u64)>
 where
     R: IntoIterator<Item: Borrow<(u64, u64)>>,
 {
-    let mut combined = combine(records);
-    combined.sort_unstable_by_key(|&(a, _)| a);
+    let mut combined = Vec::new();
+    let pairs = records.into_iter().flatten().map(|pair| *pair.borrow());
+    Combiner::default().by_line(pairs, |addr, val| combined.push((addr, val)));
     combined
 }
 
@@ -614,17 +590,18 @@ mod tests {
         assert_eq!(rec.words, 2);
     }
 
-    /// The v3 bit layout and the five record sizes, word for word:
+    /// The v4 bit layout and the five record sizes, word for word:
     /// `check:32 | magic:4 | kind:4 | len:24`, then the ID word(s), then
-    /// the payload, no trailer. A commit's payload is line groups —
-    /// `mask:8 | line:56`, then the values of the mask's words ascending —
-    /// and `0, address, value` escapes.
+    /// the payload, no trailer. Every payload is line groups —
+    /// `mask:8 | Δline:56`, then the values of the mask's words ascending,
+    /// `Δline` the line minus the previous group's line, from 0 — and
+    /// `0, address, value` escapes.
     #[test]
-    fn golden_vectors_fix_the_v3_layout() {
+    fn golden_vectors_fix_the_v4_layout() {
         let mut buf = Vec::new();
         serialize_commit(42, std::iter::empty::<(u64, u64)>(), &mut buf);
         assert_eq!(buf, [0x29a1_a485_d100_0000, 42]);
-        // One write: 2 + 1 + 1 words, as in v2.
+        // One write: 2 + 1 + 1 words, as in v2 and v3.
         serialize_commit(42, [(8, 1)], &mut buf);
         assert_eq!(buf, [0x1301_01ed_d100_0002, 42, 0x0200_0000_0000_0000, 1]);
         // Two words of line 0, ascending: one group.
@@ -633,8 +610,8 @@ mod tests {
             buf,
             [0x58e6_6a51_d100_0003, 42, 0x0600_0000_0000_0000, 1, 2]
         );
-        // Line 0 revisited below its last word: a second group, so the
-        // order comes back as written.
+        // Line 0 revisited below its last word: a second group, Δline 0, so
+        // the order comes back as written.
         serialize_commit(42, [(16, 2), (8, 1)], &mut buf);
         assert_eq!(
             buf,
@@ -647,20 +624,33 @@ mod tests {
                 1
             ]
         );
-        // Lines 3, 4 and 7 (words 1; 0 and 1; 7).
+        // Lines 3, 4 and 7 (words 1; 0 and 1; 7): Δline 3, 1, 3.
         serialize_commit(42, [(200, 7), (256, 1), (264, 2), (504, 3)], &mut buf);
         assert_eq!(
             buf,
             [
-                0xc69f_45eb_d100_0007,
+                0x1b96_e80b_d100_0007,
                 42,
                 0x0200_0000_0000_0003,
                 7,
-                0x0300_0000_0000_0004,
+                0x0300_0000_0000_0001,
                 1,
                 2,
-                0x8000_0000_0000_0007,
+                0x8000_0000_0000_0003,
                 3
+            ]
+        );
+        // Line 5, then line 2: Δline −3 mod 2^56.
+        serialize_commit(42, [(320, 1), (128, 2)], &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0x0125_ad65_d100_0004,
+                42,
+                0x0100_0000_0000_0005,
+                1,
+                0x01ff_ffff_ffff_fffd,
+                2
             ]
         );
         // An unaligned address escapes and closes the open group: word 2
@@ -680,6 +670,22 @@ mod tests {
                 2
             ]
         );
+        // An escape is not a group: line 4 after it is Δline 1 from line 3.
+        serialize_commit(42, [(200, 7), (13, 5), (264, 2)], &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0x43c2_d6b0_d100_0007,
+                42,
+                0x0200_0000_0000_0003,
+                7,
+                0,
+                13,
+                5,
+                0x0200_0000_0000_0001,
+                2
+            ]
+        );
         // The last line a header names, then 2^62, which escapes.
         serialize_commit(42, [((1 << 62) - 8, 8), (1 << 62, 9)], &mut buf);
         assert_eq!(
@@ -696,14 +702,77 @@ mod tests {
         );
         serialize_abort(7, &mut buf);
         assert_eq!(buf, [0x513d_49cc_d200_0000, 7]);
-        serialize_group(5, 9, &[(8, 10), (24, 20)], false, &mut buf);
-        assert_eq!(buf, [0xabea_f02e_d300_0002, 5, 9, 8, 10, 24, 20]);
-        // Eight hot words pack into p = 26 bytes: 3 + ⌈26/8⌉ = 7 words.
-        let writes: Vec<(u64, u64)> = (0..8).map(|i| (1024 + i * 8, 7)).collect();
-        assert_eq!(serialize_group(5, 9, &writes, true, &mut buf), (128, 26));
+        // A group over one line: `3 + L + n` = 3 + 1 + 2 words, `len` the
+        // payload words, and 8 × 3 raw payload bytes.
+        assert_eq!(
+            serialize_group(5, 9, &[(8, 10), (24, 20)], false, &mut buf),
+            (24, 24)
+        );
+        assert_eq!(
+            buf,
+            [0x1666_ad30_d300_0003, 5, 9, 0x0a00_0000_0000_0000, 10, 20]
+        );
+        // Over two lines: 3 + 2 + 2 words.
+        serialize_group(5, 9, &[(8, 10), (72, 20)], false, &mut buf);
         assert_eq!(
             buf,
             [
+                0x6399_813d_d300_0004,
+                5,
+                9,
+                0x0200_0000_0000_0000,
+                10,
+                0x0200_0000_0000_0001,
+                20
+            ]
+        );
+        // With an escape between them.
+        serialize_group(5, 9, &[(8, 10), (13, 5), (72, 20)], false, &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0xae30_ddbc_d300_0007,
+                5,
+                9,
+                0x0200_0000_0000_0000,
+                10,
+                0,
+                13,
+                5,
+                0x0200_0000_0000_0001,
+                20
+            ]
+        );
+        // Eight hot words are one group of line 16 (72 payload bytes),
+        // which packs into p = 18 bytes: 3 + ⌈18/8⌉ = 6 words.
+        let writes: Vec<(u64, u64)> = (0..8).map(|i| (1024 + i * 8, 7)).collect();
+        assert_eq!(serialize_group(5, 9, &writes, true, &mut buf), (72, 18));
+        assert_eq!(
+            buf,
+            [
+                0xa34f_23c1_d400_0012,
+                5,
+                9,
+                0xff20_0001_0010_2148,
+                0x0800_0000_3f00_0607,
+                0x2500,
+            ]
+        );
+        assert_eq!(skip_word(), 0x8e2b_80da_df00_0000);
+    }
+
+    /// v3's group records — `n` `(address, value)` pairs with `len = n`,
+    /// or LZ over columnar address deltas and values — are not v4 records
+    /// at any offset: the pair group's length no longer spans its payload,
+    /// so the check fails, and the columnar payload does not decode as
+    /// line groups. (v3's commits are v4's whenever every group is on
+    /// line 0; any other reads as other lines — the metadata version is
+    /// what refuses a v3 image.)
+    #[test]
+    fn v3_records_are_not_records() {
+        let v3: [&[u64]; 2] = [
+            &[0xabea_f02e_d300_0002, 5, 9, 8, 10, 24, 20],
+            &[
                 0xe430_6ec1_d400_001a,
                 5,
                 9,
@@ -711,9 +780,30 @@ mod tests {
                 0x0008_001f_0005_0810,
                 0x0800_1f00_0607_111f,
                 0x2600,
-            ]
-        );
-        assert_eq!(skip_word(), 0x8e2b_80da_df00_0000);
+            ],
+        ];
+        for record in v3 {
+            for off in 0..record.len() {
+                assert!(
+                    parse_record(&record[off..]).is_none(),
+                    "{record:x?} @ {off}"
+                );
+            }
+        }
+        // v3's commit over lines 3, 4 and 7 parses as lines 3, 7 and 14.
+        let commit = [
+            0xc69f_45eb_d100_0007,
+            42,
+            0x0200_0000_0000_0003,
+            7,
+            0x0300_0000_0000_0004,
+            1,
+            2,
+            0x8000_0000_0000_0007,
+            3,
+        ];
+        let read = parse_record(&commit).expect("check-valid in v4").writes;
+        assert_eq!(read, [(200, 7), (448, 1), (456, 2), (952, 3)]);
     }
 
     /// A v2 commit record — `n` `(address, value)` pairs, `len = n` — is
@@ -797,10 +887,11 @@ mod tests {
     #[test]
     fn group_roundtrip_uncompressed() {
         let mut buf = Vec::new();
-        let writes = vec![(8, 10), (24, 20)];
+        let writes = vec![(8, 10), (24, 20), (520, 30)];
         let (raw, stored) = serialize_group(5, 9, &writes, false, &mut buf);
-        assert_eq!(raw, 32);
-        assert_eq!(stored, 32);
+        // Lines 0 and 8: 2 headers and 3 values.
+        assert_eq!((raw, stored), (40, 40));
+        assert_eq!(buf.len(), 3 + 2 + 3);
         let rec = parse_record(&buf).unwrap();
         assert_eq!((rec.first_tid, rec.last_tid), (5, 9));
         assert_eq!(rec.writes, writes);
@@ -818,18 +909,21 @@ mod tests {
         assert_eq!(rec.words, buf.len());
     }
 
+    /// Random aligned addresses and values, one word per line: nothing
+    /// repeats for LZ to take, so the group is stored uncompressed.
     #[test]
     fn incompressible_group_falls_back_to_raw() {
         let mut x = 1u64;
-        let writes: Vec<(u64, u64)> = (0..64)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (x, x.rotate_left(17))
-            })
-            .collect();
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            x
+        };
+        let mut writes: Vec<(u64, u64)> = (0..64).map(|_| (next() >> 2 & !7, next())).collect();
+        writes.sort_unstable();
         let mut buf = Vec::new();
         let (raw, stored) = serialize_group(1, 64, &writes, true, &mut buf);
-        assert_eq!(raw, stored, "must fall back when compression loses");
+        assert_eq!((raw, stored), (8 * 128, 8 * 128), "must fall back");
+        assert_eq!(buf.len(), 3 + 128);
         let rec = parse_record(&buf).unwrap();
         assert_eq!(rec.writes, writes);
     }
@@ -886,9 +980,7 @@ mod tests {
                 writes: vec![(8, 3)],
             },
         ];
-        let mut combined = combine(&records);
-        combined.sort_unstable();
-        assert_eq!(combined, vec![(8, 3), (16, 1)]);
+        assert_eq!(combine_sorted(&records), vec![(8, 3), (16, 1)]);
     }
 
     #[test]
@@ -919,9 +1011,9 @@ mod tests {
     }
 
     /// `by_line` against a model: one pair per address with its last
-    /// value, grouped by line in first-touch order with each line's words
-    /// ascending, escapes where first written — which serializes to exactly
-    /// one group per line.
+    /// value, sorted by entry — a line's first address, or an escaped
+    /// address itself — with each line's words ascending, which serializes
+    /// to exactly one group per line.
     #[test]
     fn by_line_matches_the_model_across_reuse_and_growth() {
         let mut combiner = Combiner::default();
@@ -940,31 +1032,21 @@ mod tests {
                     (addr, i)
                 })
                 .collect();
-            // Entries in first-touch order: a line, or an escaped address.
-            let key = |a: u64| line_word(a).map_or((true, a), |(line, _)| (false, line));
-            let mut entries: Vec<(bool, u64)> = Vec::new();
-            let mut last = std::collections::HashMap::new();
+            let mut last = std::collections::BTreeMap::new();
             for &(addr, val) in &pairs {
-                if !entries.contains(&key(addr)) {
-                    entries.push(key(addr));
-                }
                 last.insert(addr, val);
             }
-            let mut want = Vec::new();
-            for &(escape, k) in &entries {
-                let mut words: Vec<_> = last
-                    .iter()
-                    .filter(|&(&a, _)| key(a) == (escape, k))
-                    .map(|(&a, &v)| (a, v))
-                    .collect();
-                words.sort_unstable();
-                want.extend(words);
-            }
+            // The entry an address sorts by.
+            let key = |a: u64| line_word(a).map_or(a, |(line, _)| line << 6);
+            let mut want: Vec<(u64, u64)> = last.into_iter().collect();
+            want.sort_by_key(|&(a, _)| (key(a), a));
             let mut got = Vec::new();
             combiner.by_line(pairs.iter().copied(), |a, v| got.push((a, v)));
             assert_eq!(got, want, "len {len}");
-            let escapes = entries.iter().filter(|e| e.0).count();
-            let lines = entries.len() - escapes;
+            let escapes = got.iter().filter(|&&(a, _)| line_word(a).is_none()).count();
+            let mut lines: Vec<u64> = got.iter().map(|&(a, _)| key(a)).collect();
+            lines.dedup();
+            let lines = lines.len() - escapes;
             let mut buf = Vec::new();
             serialize_commit(1, &got, &mut buf);
             assert_eq!(buf.len(), 2 + lines + (got.len() - escapes) + 3 * escapes);

@@ -711,7 +711,7 @@ mod tests {
     /// The catalog, by frame key, in declaration order. The DESIGN.md §7
     /// table carries one row per name here; a cell added to the code
     /// without a row in both fails [`catalog_walk`].
-    const CATALOG: [&str; 35] = [
+    const CATALOG: [&str; 36] = [
         "commits",
         "abort_markers",
         "records_persisted",
@@ -736,6 +736,7 @@ mod tests {
         "commit_latency_ns",
         "persist_barrier_ns",
         "group_flush_bytes",
+        "combine_ns",
         "replay_apply_ns{shard=\"0\"}",
         "flush_worker_ns{worker=\"0\"}",
         "flush_worker_ns{worker=\"1\"}",
@@ -887,7 +888,7 @@ mod tests {
             assert_eq!(prom.matches(&header).count(), 1, "{family}");
         }
         assert!(
-            prom.contains("dudetm_replay_apply_ns_bucket{shard=\"0\",le=\"+Inf\"} 4\n"),
+            prom.contains("dudetm_replay_apply_ns_bucket{shard=\"0\",le=\"+Inf\"} 5\n"),
             "{prom}"
         );
     }

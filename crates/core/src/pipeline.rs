@@ -60,9 +60,7 @@ use std::time::Duration;
 use crossbeam::channel::TryRecvError;
 use dude_nvm::{Nvm, Region, CACHE_LINE};
 
-use crate::log::{
-    combine_sorted, serialize_abort, serialize_commit, serialize_group, Combiner, SeenSet,
-};
+use crate::log::{serialize_abort, serialize_commit, serialize_group, Combiner, SeenSet};
 use crate::plog::PlogSpan;
 use crate::redo_ring::{RedoCursor, RedoRecord, RedoRing, Unfreed, Writes};
 use crate::runtime::Shared;
@@ -93,7 +91,8 @@ pub(crate) struct Sealed {
 }
 
 /// Where a Persist input's units come from. Each unit is combined once, by
-/// the thread that will stage it, with that thread's scratch table.
+/// the thread that will stage it, with that thread's scratch table
+/// ([`Combiner::by_line`], for records and groups alike).
 #[derive(Debug)]
 pub(crate) enum Source {
     /// A Perform thread's redo ring, read through a cursor of its own.
@@ -112,7 +111,7 @@ impl Source {
     fn next_unit(&mut self, shared: &Shared, c: &mut Combiner) -> Result<Sealed, TryRecvError> {
         let Source::Ring(cursor) = self else {
             let records = shared.groups.lock().next_group(shared)?;
-            return Ok(Sealed::group(records));
+            return Ok(timed(shared, || Sealed::group(records, c)));
         };
         let RedoRecord {
             tid,
@@ -120,7 +119,9 @@ impl Source {
             mut span,
         } = cursor.try_pop()?;
         let entries_before = span.len();
-        span.combine(c);
+        if entries_before > 1 {
+            timed(shared, || span.combine(c));
+        }
         Ok(Sealed {
             first_tid: tid,
             last_tid: tid,
@@ -131,11 +132,26 @@ impl Source {
     }
 }
 
+/// Runs `combine`, timing it into `combine_ns` when tracing: one sample
+/// per unit with anything to combine.
+fn timed<T>(shared: &Shared, combine: impl FnOnce() -> T) -> T {
+    if !shared.trace.enabled() {
+        return combine();
+    }
+    let t0 = dude_nvm::monotonic_ns();
+    let out = combine();
+    let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
+    shared.trace.combine_ns.record(dur);
+    out
+}
+
 impl Sealed {
     /// A group of consecutive records, combined straight from the records'
     /// ring slices.
-    fn group(records: Vec<RedoRecord>) -> Sealed {
-        let pairs = combine_sorted(records.iter().map(|r| r.span.pairs()));
+    fn group(records: Vec<RedoRecord>, c: &mut Combiner) -> Sealed {
+        let mut pairs = Vec::new();
+        let all = records.iter().flat_map(|r| r.span.pairs());
+        c.by_line(all, |addr, val| pairs.push((addr, val)));
         Sealed {
             first_tid: records.first().expect("non-empty group").tid,
             last_tid: records.last().expect("non-empty group").tid,
@@ -794,7 +810,7 @@ mod tests {
                 };
                 cursor.try_pop().expect("just pushed")
             });
-            Sealed::group(popped.collect())
+            Sealed::group(popped.collect(), &mut Combiner::default())
         }
     }
 
@@ -846,7 +862,7 @@ mod tests {
         assert_eq!(counters(&shared), expect);
 
         // A commit is a group of one: the rewritten word is logged and
-        // handed on once, with its last value, at its first position.
+        // handed on once, with its last value.
         let (a, b) = (24, 32);
         crate::log::serialize_commit(7, [(a, 3), (b, 2)], &mut want);
         assert_eq!(want.len(), 2 + 1 + 2);
@@ -860,11 +876,12 @@ mod tests {
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(counters(&shared), expect);
 
-        // Combined by line: lines in first-touch order (1, then 0), each
-        // line's words ascending — one group per line, 2 + 2 + 4 words,
-        // where the list as written would take four groups.
+        // Combined by line: lines ascending (0, then 1, though 1 was
+        // written first), each line's words ascending — one group per
+        // line, 2 + 2 + 4 words, where the list as written would take four
+        // groups.
         let scattered = [(80, 1), (8, 2), (72, 3), (0, 4), (80, 5)];
-        let by_line = [(72, 3), (80, 5), (0, 4), (8, 2)];
+        let by_line = [(0, 4), (8, 2), (72, 3), (80, 5)];
         crate::log::serialize_commit(8, by_line, &mut want);
         assert_eq!(want.len(), 2 + 2 + 4);
         let batch = stage_and_compare(&shared, &layout, t.push(commit(8, &scattered)), &want);
@@ -885,7 +902,8 @@ mod tests {
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(counters(&shared), expect);
 
-        // 48 entries over 16 hot words: combines 3:1 and compresses.
+        // 48 entries over 16 hot words on lines 16 and 17: combines 3:1
+        // into 2 + 16 payload words, and compresses.
         let records: Vec<LogRecord> = (3..6)
             .map(|tid| {
                 let writes: Vec<_> = (0..16).map(|w| (1024 + w * 8, tid)).collect();
@@ -895,6 +913,7 @@ mod tests {
             .collect();
         let combined = crate::log::combine_sorted(&records);
         let (raw, stored) = serialize_group(3, 6, &combined, true, &mut want);
+        assert_eq!(raw, 8 * (2 + 16));
         assert!(stored < raw, "the group must exercise the LZ encoding");
         let batch = stage_and_compare(&shared, &layout, t.group(records), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (3, 6));

@@ -469,13 +469,10 @@ impl RedoSpan {
     }
 
     /// Combines the record's writes in place, last writer wins, and
-    /// groups them by cache line ([`Combiner::by_line`]): the slice keeps
-    /// one pair per address, with its last value, lines in first-touch
-    /// order and each line's words ascending.
+    /// sorts them by cache line ([`Combiner::by_line`]): the slice keeps
+    /// one pair per address, with its last value, lines ascending and each
+    /// line's words ascending.
     pub(crate) fn combine(&mut self, combiner: &mut Combiner) {
-        if self.len < 2 {
-            return;
-        }
         let words = &self.seg.words[self.off..self.off + 2 * self.len];
         let mut kept = 0;
         combiner.by_line(self.pairs(), |addr, val| {
@@ -676,9 +673,9 @@ mod tests {
     }
 
     #[test]
-    fn combine_keeps_the_last_value_at_the_first_position_in_place() {
+    fn combine_keeps_the_last_value_in_place_sorted_by_line() {
         let (_ring, mut producer, mut cursor) = ring(None);
-        assert!(producer.try_push(1, false, &[(8, 1), (16, 2), (8, 3), (24, 4)]));
+        assert!(producer.try_push(1, false, &[(24, 4), (8, 1), (16, 2), (8, 3)]));
         let mut rec = pop(&mut cursor);
         rec.span.combine(&mut Combiner::default());
         assert_eq!(

@@ -32,7 +32,7 @@ use crate::watermark::Watermark;
 /// Magic number identifying a formatted DudeTM device.
 pub(crate) const META_MAGIC: u64 = 0xD00D_E7A6_0001_CAFE;
 /// On-NVM format version.
-pub(crate) const META_VERSION: u64 = 3;
+pub(crate) const META_VERSION: u64 = 4;
 /// Metadata word indices.
 pub(crate) const META_MAGIC_WORD: u64 = 0;
 pub(crate) const META_VERSION_WORD: u64 = 1;
@@ -711,6 +711,10 @@ mod tests {
             (
                 "trace.group_flush_bytes",
                 lines(trace + offset_of!(Trace, group_flush_bytes), hist),
+            ),
+            (
+                "trace.combine_ns",
+                lines(trace + offset_of!(Trace, combine_ns), hist),
             ),
             (
                 "trace.replay_apply_ns",

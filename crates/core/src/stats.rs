@@ -266,7 +266,7 @@ pub struct PipelineSnapshot {
     /// takes no extra atomics).
     pub stalls: StallSnapshot,
     /// Every stage histogram, as `(name, snapshot)` in catalog order — the
-    /// three fixed histograms, then `replay_apply_ns{shard="0"}`, then
+    /// four fixed histograms, then `replay_apply_ns{shard="0"}`, then
     /// `flush_worker_ns{worker="w"}` per Persist
     /// worker. Present (with zero counts) even when tracing is disabled, so
     /// [`PipelineSnapshot::summary`] always names the full catalog.

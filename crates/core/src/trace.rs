@@ -251,6 +251,10 @@ pub struct Trace {
     pub persist_barrier_ns: LatencyHistogram,
     /// Stored bytes of each combined group flush (grouping mode only).
     pub group_flush_bytes: LatencyHistogram,
+    /// Wall time combining one Persist unit — a commit's ring slice or a
+    /// group's records — by line ([`crate::log::combine_sorted`]'s
+    /// routine): one sample per unit with two or more writes.
+    pub combine_ns: LatencyHistogram,
     /// Wall time applying one replay run to the heap image, exported as
     /// the one member `replay_apply_ns{shard="0"}`.
     pub replay_apply_ns: LatencyHistogram,
@@ -272,6 +276,7 @@ impl Trace {
             commit_latency_ns: LatencyHistogram::new(),
             persist_barrier_ns: LatencyHistogram::new(),
             group_flush_bytes: LatencyHistogram::new(),
+            combine_ns: LatencyHistogram::new(),
             replay_apply_ns: LatencyHistogram::new(),
             flush_worker_ns: (0..flush_workers.max(1))
                 .map(|_| LatencyHistogram::new())
@@ -284,7 +289,7 @@ impl Trace {
     /// the snapshot and the exposition both walk.
     pub fn histograms(&self) -> impl Iterator<Item = HistogramEntry<'_>> {
         use std::slice::from_ref;
-        let families: [(_, _, Option<&'static str>, &[LatencyHistogram]); 5] = [
+        let families: [(_, _, Option<&'static str>, &[LatencyHistogram]); 6] = [
             (
                 "commit_latency_ns",
                 "Perform-side commit latency",
@@ -302,6 +307,12 @@ impl Trace {
                 "bytes flushed per persist group",
                 None,
                 from_ref(&self.group_flush_bytes),
+            ),
+            (
+                "combine_ns",
+                "Persist combine latency, one sample per unit of two or more writes",
+                None,
+                from_ref(&self.combine_ns),
             ),
             (
                 "replay_apply_ns",

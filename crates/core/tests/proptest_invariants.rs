@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use dude_nvm::{Nvm, NvmConfig, Region};
 use dudetm::log::{
-    combine, parse_record, serialize_abort, serialize_commit, serialize_group, LogRecord,
+    combine_sorted, parse_record, serialize_abort, serialize_commit, serialize_group, LogRecord,
 };
 use dudetm::{scan_region, DenseReorder};
 
@@ -219,11 +219,16 @@ proptest! {
     }
 
     /// Replaying a combined group produces exactly the same memory state as
-    /// replaying the underlying transactions one by one in ID order.
+    /// replaying the underlying transactions one by one in ID order, and
+    /// the group record holds one line group per line.
     #[test]
     fn combination_preserves_replay_semantics(
         txns in proptest::collection::vec(
-            proptest::collection::vec((0u64..32, any::<u64>()), 0..8),
+            proptest::collection::vec(
+                // Words of eight lines, and bytes that mostly escape.
+                (prop_oneof![(0u64..64).prop_map(|w| w * 8), 0u64..64], any::<u64>()),
+                0..8,
+            ),
             1..20,
         ),
     ) {
@@ -242,9 +247,21 @@ proptest! {
                 seq.insert(addr, val);
             }
         }
-        // Combined replay.
+        // Combined replay, through the group record it serializes to: one
+        // line group per line, `3 + L + n` words, plus 3 per escape.
+        let combined = combine_sorted(&records);
+        let mut buf = Vec::new();
+        serialize_group(1, records.len() as u64, &combined, false, &mut buf);
+        let (aligned, escapes): (Vec<u64>, Vec<u64>) =
+            combined.iter().map(|&(addr, _)| addr).partition(|addr| addr % 8 == 0);
+        let mut lines: Vec<u64> = aligned.iter().map(|addr| addr / 64).collect();
+        lines.dedup();
+        let words = 3 + lines.len() + aligned.len() + 3 * escapes.len();
+        prop_assert_eq!(buf.len(), words);
+        let parsed = parse_record(&buf).expect("own serialization parses");
+        prop_assert_eq!(&parsed.writes, &combined);
         let mut comb = std::collections::HashMap::new();
-        for (addr, val) in combine(&records) {
+        for (addr, val) in combined {
             comb.insert(addr, val);
         }
         prop_assert_eq!(seq, comb);

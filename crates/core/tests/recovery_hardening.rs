@@ -242,12 +242,36 @@ fn v1_device_is_a_bad_version() {
 }
 
 /// A v2 image — its commits logged as `(address, value)` pairs — is not
-/// read as v3: recovery refuses it before scanning a log.
+/// read as v4: recovery refuses it before scanning a log.
 #[test]
 fn v2_device_is_a_bad_version() {
     let _watchdog = Watchdog::arm("", HANG);
     // v2's commit of TID 42 writing 1 and 2 to bytes 8 and 16.
     older_version_is_refused(2, &[0x2255_fb62_d100_0002, 42, 8, 1, 16, 2]);
+}
+
+/// A v3 image — its line headers absolute lines, its groups pairs — is
+/// not read as v4, where that commit would parse, check and all, as
+/// writes to other lines: recovery refuses it before scanning a log.
+#[test]
+fn v3_device_is_a_bad_version() {
+    let _watchdog = Watchdog::arm("", HANG);
+    // v3's commit of TID 42 writing 7 to byte 200 (line 3), then 1 and 2
+    // to bytes 256 and 264 (line 4) and 3 to byte 504 (line 7).
+    older_version_is_refused(
+        3,
+        &[
+            0xc69f_45eb_d100_0007,
+            42,
+            0x0200_0000_0000_0003,
+            7,
+            0x0300_0000_0000_0004,
+            1,
+            2,
+            0x8000_0000_0000_0007,
+            3,
+        ],
+    );
 }
 
 /// A device formatted for one thread, reopened for two: the log layout

@@ -3,9 +3,10 @@
 //! (`nvm_bytes_per_tx`), pinned where a regression fails tier-1.
 //!
 //! Every stored word is accounted for: a commit record is `2 + L + n` log
-//! words for `n` *distinct* written words on `L` cache lines (format v3, a
+//! words for `n` *distinct* written words on `L` cache lines (format v4, a
 //! commit combined as a group of one and grouped by line: a header and a
-//! TID, then per line one `mask | line` word and its values), Reproduce
+//! TID, then per line one `mask | Δline` word and its values), a group
+//! record `3 + L + n` for the distinct words of its transactions, Reproduce
 //! stores each distinct word once per run — the
 //! TIDs up to the next multiple of `checkpoint_every`, or up to a
 //! `quiesce` that cuts the run short — and each checkpoint is one word.
@@ -157,6 +158,22 @@ fn a_quiesce_cuts_a_run_without_moving_the_next_boundary() {
             "{mode:?}: 90 two-line records, three runs of two heap words"
         );
     }
+}
+
+/// Groups of 8 transactions over 8 distinct rows are uncompressed group
+/// records of `3 + L + n` = 3 + 8 + 64 = 75 log words, where the eight
+/// commits took 8 × 11 = 88 (and v3's pair groups 3 + 2 × 64 = 131).
+/// TIDs 1..=64 are one run, so each of the 512 words reaches the heap once.
+#[test]
+fn an_uncompressed_group_costs_three_words_a_line_and_a_word() {
+    let cfg = config(ASYNC).with_grouping(8, false);
+    let (words, checkpoints) = words_written(cfg, 64, None, one_row);
+    assert_eq!(checkpoints, 2, "the cadence's at TID 64, the drain's");
+    assert_eq!(
+        words,
+        8 * (3 + 8 + 64) + 64 * 8 + checkpoints,
+        "8 eight-line groups, 512 heap words, the checkpoints"
+    );
 }
 
 #[test]
