@@ -223,7 +223,7 @@ pub fn is_skip(word: u64) -> bool {
 /// writes' order: `2 + L + n` words for `n` writes in `L` line groups,
 /// plus 3 per escaped address. `writes` is any list of pairs that knows
 /// its length — a slice, or a record's slice of its redo ring; a list
-/// combined by line ([`Combiner::by_line`]) has one group per line.
+/// combined by line (`Combiner::by_line`) has one group per line.
 pub fn serialize_commit<W>(tid: TxId, writes: W, out: &mut Vec<u64>)
 where
     W: IntoIterator<IntoIter: ExactSizeIterator, Item: Borrow<(u64, u64)>>,
@@ -402,17 +402,18 @@ impl Slots {
 
 /// Scratch space for last-writer-wins combination of one write list,
 /// reused list after list: whoever combines repeatedly owns one (a Persist
-/// worker, a Sync-mode Perform thread, a Reproduce stage). Every table in
-/// it grows by distinct keys, never by pairs.
+/// worker, a Sync-mode Perform thread, the Reproduce step, recovery). The
+/// one such table in `crates/core`; every table in it grows by distinct
+/// keys, never by pairs, and shrinks again after a list far smaller.
 #[derive(Debug, Default)]
 pub(crate) struct Combiner {
     slots: Slots,
-    /// [`Combiner::by_line`]'s entries as `(key, entry)`, in first-touch
-    /// order until it sorts them: a line's first address, or an escaped
-    /// address itself — distinct, since the one is a multiple of 64 below
-    /// 2^62 and the other is not.
+    /// The entries as `(key, entry)`, in first-touch order until
+    /// [`Combiner::by_line`] sorts them: a line's first address, or (in
+    /// `by_line`) an escaped address itself — distinct, since the one is a
+    /// multiple of 64 below 2^62 and the other is not.
     keys: Vec<(u64, u32)>,
-    /// `by_line`'s mask of each line's words written (0 for an escape).
+    /// Each entry's mask of the line's words written (0 for an escape).
     masks: Vec<u8>,
     /// `by_line`'s eight words per entry: a line's values by word, or an
     /// escape's value.
@@ -433,9 +434,7 @@ impl Combiner {
         pairs: impl IntoIterator<Item = (u64, u64)>,
         mut emit: impl FnMut(u64, u64),
     ) {
-        self.slots.clear();
-        self.keys.clear();
-        self.masks.clear();
+        self.clear();
         for (addr, val) in pairs {
             let line = line_word(addr);
             let key = line.map_or(addr, |(line, _)| line << 6);
@@ -463,94 +462,86 @@ impl Combiner {
                 words &= words - 1;
             }
         }
+        self.trim();
     }
 
-    /// Keeps, in place, one pair per key — at the position of the key's
-    /// first pair, carrying the value of its last.
-    pub(crate) fn dedup(&mut self, pairs: &mut Vec<(u64, u64)>) {
-        self.slots.clear();
-        let mut kept = 0;
-        for i in 0..pairs.len() {
-            // The kept pairs are the entries: a new key's is `kept`, never
-            // past `i`.
-            let at = self.slots.entry(pairs[i].0, kept, |at| pairs[at].0);
-            kept += usize::from(at == kept);
-            pairs[at] = pairs[i];
-        }
-        pairs.truncate(kept);
-    }
-}
-
-/// The addresses offered since [`SeenSet::clear`]: open addressing with
-/// the key in its slot, tagged with the pass's stamp, so clearing is a
-/// stamp bump and a probe is one word compare. Offered a run's writes
-/// newest first, [`SeenSet::insert`] is `true` exactly at each address's
-/// last writer — last-writer-wins without a copy of the pairs. At most
-/// half the 8-byte slots are live; the table only grows, to two to four
-/// slots per key of the largest pass it has held.
-#[derive(Debug, Default)]
-pub(crate) struct SeenSet {
-    /// `stamp << KEY_BITS | key`; live iff the stamp is current.
-    slots: Vec<u64>,
-    stamp: u64,
-    live: usize,
-}
-
-/// Key bits of a [`SeenSet`] slot: heap offsets below 256 TiB.
-const KEY_BITS: u32 = 48;
-
-impl SeenSet {
-    /// Forgets every key.
-    pub(crate) fn clear(&mut self) {
-        if self.stamp == u64::MAX >> KEY_BITS {
-            self.slots.fill(0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
-        self.live = 0;
-    }
-
-    /// `true` if `key` was not yet in the set.
-    pub(crate) fn insert(&mut self, key: u64) -> bool {
-        assert!(key >> KEY_BITS == 0, "address {key:#x} out of range");
-        if 2 * (self.live + 1) > self.slots.len() {
-            // Grow, re-inserting the live keys from the old table.
-            let want = (2 * self.slots.len()).max(16);
-            let old = std::mem::replace(&mut self.slots, vec![0; want]);
-            let stamp = std::mem::replace(&mut self.stamp, 1);
-            for slot in old.into_iter().filter(|&s| s >> KEY_BITS == stamp) {
-                let key = slot & (u64::MAX >> (64 - KEY_BITS));
-                let at = self.probe(key);
-                self.slots[at] = 1 << KEY_BITS | key;
+    /// Keeps each word's newest write: offered `pairs` newest first, hands
+    /// `store` every pair whose word no earlier pair wrote — each word once,
+    /// with its last value — and then hands `flush` the first address of
+    /// each line stored to, once, in the order the lines were first met:
+    /// after the last store, so no store to a line follows its flush. Keyed
+    /// by line with a mask of the words met, so the table grows by lines.
+    /// Every address is a word's: there is no escape.
+    pub(crate) fn newest(
+        &mut self,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+        mut store: impl FnMut(u64, u64),
+        mut flush: impl FnMut(u64),
+    ) {
+        self.clear();
+        // `(line, entry)` of the previous pair: sorted by line, neighbouring
+        // pairs mostly share one, so test it before paying for the table.
+        let mut prev = (u64::MAX, 0);
+        for (addr, val) in pairs {
+            debug_assert!(addr & 7 == 0, "unaligned word {addr:#x}");
+            let line = addr & !63;
+            if line != prev.0 {
+                let at = self
+                    .slots
+                    .entry(line, self.keys.len(), |at| self.keys[at].0);
+                if at == self.keys.len() {
+                    self.keys.push((line, at as u32));
+                    self.masks.push(0);
+                }
+                prev = (line, at);
+            }
+            let (mask, bit) = (&mut self.masks[prev.1], 1 << (addr >> 3 & 7));
+            if *mask & bit == 0 {
+                *mask |= bit;
+                store(addr, val);
             }
         }
-        let at = self.probe(key);
-        let tagged = self.stamp << KEY_BITS | key;
-        if self.slots[at] == tagged {
-            return false;
+        for &(line, _) in &self.keys {
+            flush(line);
         }
-        self.slots[at] = tagged;
-        self.live += 1;
-        true
+        self.trim();
     }
 
-    /// The slot holding `key`, or the free slot where it would go.
-    fn probe(&self, key: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let shift = 64 - self.slots.len().trailing_zeros();
-        let tagged = self.stamp << KEY_BITS | key;
-        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-        while self.slots[at] >> KEY_BITS == self.stamp && self.slots[at] != tagged {
-            at = (at + 1) & mask;
+    /// Forgets the last list's entries.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.keys.clear();
+        self.masks.clear();
+    }
+
+    /// Cuts every table to the need of the list just combined if it used
+    /// under a sixteenth of a table larger than [`KEEP_SLOTS`]: one large
+    /// list (a load phase's group) does not pin its tables for the owner's
+    /// life.
+    fn trim(&mut self) {
+        let n = self.keys.len();
+        if self.slots.slots.len() <= KEEP_SLOTS || 16 * n >= self.slots.slots.len() {
+            return;
         }
-        at
+        self.slots = Slots {
+            slots: vec![(0, 0); (2 * n).next_power_of_two().max(16)],
+            stamp: 0,
+        };
+        self.keys.shrink_to_fit();
+        self.masks.shrink_to_fit();
+        self.vals.truncate(8 * n);
+        self.vals.shrink_to_fit();
     }
 }
+
+/// The most slots a [`Combiner`]'s table keeps after a list that used under
+/// a sixteenth of them.
+const KEEP_SLOTS: usize = 4096;
 
 /// Combines the writes of a group of **consecutive** transactions, given
 /// in TID order — `&[LogRecord]`, or any lists of pairs: later writes to
 /// the same address supersede earlier ones (§3.3). Returns one pair per
-/// address in [`Combiner::by_line`]'s order — by line, each line's words
+/// address in `Combiner::by_line`'s order — by line, each line's words
 /// ascending — so every Persist worker serializes the same group to the
 /// same bytes, replay sees address order, and a group is one line group
 /// per line. The grouped Persist path and every commit run the same
@@ -983,33 +974,6 @@ mod tests {
         assert_eq!(combine_sorted(&records), vec![(8, 3), (16, 1)]);
     }
 
-    #[test]
-    fn combiner_matches_the_model_across_reuse_and_growth() {
-        let mut combiner = Combiner::default();
-        let mut x = 7u64;
-        // Lengths go up and down so the table is reused, regrown and
-        // reused while larger than needed.
-        for len in [0usize, 1, 2, 3, 216, 5, 1000, 64, 2] {
-            let pairs: Vec<(u64, u64)> = (0..len as u64)
-                .map(|i| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    // ~len/3 distinct 8-byte-aligned keys: plenty of rewrites.
-                    ((x >> 33) % (len as u64 / 3 + 1) * 8, i)
-                })
-                .collect();
-            let mut want: Vec<(u64, u64)> = Vec::new();
-            for &(key, val) in &pairs {
-                match want.iter_mut().find(|(k, _)| *k == key) {
-                    Some(slot) => slot.1 = val,
-                    None => want.push((key, val)),
-                }
-            }
-            let mut got = pairs.clone();
-            combiner.dedup(&mut got);
-            assert_eq!(got, want, "len {len}");
-        }
-    }
-
     /// `by_line` against a model: one pair per address with its last
     /// value, sorted by entry — a line's first address, or an escaped
     /// address itself — with each line's words ascending, which serializes
@@ -1053,27 +1017,62 @@ mod tests {
         }
     }
 
+    /// `newest` against a first-sight model: offered a newest-first list
+    /// with rewrites, it stores exactly the pairs whose address no earlier
+    /// pair had, in order, then flushes the lines of those stores in the
+    /// order first met. Lengths go up and down, so the table is reused,
+    /// regrown, kept larger than needed and cut back after a list that
+    /// used under a sixteenth of it; a last round runs past the stamp's
+    /// wrap.
     #[test]
-    fn seen_set_matches_the_model_across_passes_and_growth() {
-        let mut seen = SeenSet::default();
+    fn newest_matches_the_first_sight_model_across_reuse_growth_and_wrap() {
+        let mut combiner = Combiner::default();
         let mut x = 7u64;
-        // Pass sizes go up and down so the table is reused, regrown while
-        // holding live keys, and reused while larger than needed.
-        for len in [0u64, 1, 3, 216, 5, 1000, 64, 2] {
-            seen.clear();
-            let mut model = std::collections::HashSet::new();
-            for _ in 0..len {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let key = (x >> 33) % (len / 3 + 1) * 8;
-                assert_eq!(seen.insert(key), model.insert(key), "len {len}");
+        let mut check = |combiner: &mut Combiner, len: u64| {
+            let pairs: Vec<(u64, u64)> = (0..len)
+                .map(|i| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    // ~len/6 lines, four words of each: plenty of rewrites
+                    // of a word and more of a line.
+                    let (line, word) = ((x >> 33) % (len / 6 + 1), (x >> 20) % 4);
+                    (4096 + line * 64 + word * 8, i)
+                })
+                .collect();
+            let mut seen = std::collections::HashSet::new();
+            let want: Vec<(u64, u64)> = pairs
+                .iter()
+                .copied()
+                .filter(|&(a, _)| seen.insert(a))
+                .collect();
+            let mut met = std::collections::HashSet::new();
+            let lines: Vec<u64> = want
+                .iter()
+                .map(|&(a, _)| a & !63)
+                .filter(|&line| met.insert(line))
+                .collect();
+            let (mut stored, mut flushed) = (Vec::new(), Vec::new());
+            combiner.newest(
+                pairs.iter().copied(),
+                |a, v| stored.push((a, v)),
+                |line| flushed.push(line),
+            );
+            assert_eq!(stored, want, "len {len}");
+            assert_eq!(flushed, lines, "len {len}");
+        };
+        for len in [0, 1, 2, 3, 216, 5, 1000, 64, 2, 30_000, 1000, 64] {
+            check(&mut combiner, len);
+            let slots = combiner.slots.slots.len();
+            match len {
+                30_000 => assert!(slots > KEEP_SLOTS, "grown to {slots}"),
+                _ => assert!(slots <= KEEP_SLOTS, "len {len}: {slots} slots kept"),
             }
         }
-        // Past the stamp's wrap, a cleared set still forgets every key.
-        for pass in 0..=u64::MAX >> KEY_BITS {
-            seen.clear();
-            assert!(seen.insert(pass % 4 * 8), "pass {pass}");
-            assert!(!seen.insert(pass % 4 * 8), "pass {pass}");
+        assert!(combiner.keys.capacity() < 1000, "the keys are cut back too");
+        combiner.slots.stamp = u32::MAX - 2;
+        for len in [64, 5, 216, 3, 1000] {
+            check(&mut combiner, len);
         }
+        assert!(combiner.slots.stamp < 10, "the stamp wrapped");
     }
 
     #[test]

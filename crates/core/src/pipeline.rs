@@ -60,7 +60,7 @@ use std::time::Duration;
 use crossbeam::channel::TryRecvError;
 use dude_nvm::{Nvm, Region, CACHE_LINE};
 
-use crate::log::{serialize_abort, serialize_commit, serialize_group, Combiner, SeenSet};
+use crate::log::{serialize_abort, serialize_commit, serialize_group, Combiner};
 use crate::plog::PlogSpan;
 use crate::redo_ring::{RedoCursor, RedoRecord, RedoRing, Unfreed, Writes};
 use crate::runtime::Shared;
@@ -522,7 +522,7 @@ pub(crate) fn persist_worker(shared: Arc<Shared>, worker: usize, mut persist: Pe
 pub(crate) struct Replay {
     /// Dense units popped but not yet applied, oldest first.
     run: Vec<Sealed>,
-    dirty: DirtyLines,
+    combiner: Combiner,
     unfreed: Unfreed,
     /// Spans awaiting a covering checkpoint, FIFO in TID order.
     release: VecDeque<(u64, usize, PlogSpan)>,
@@ -557,7 +557,7 @@ impl Replay {
         // Sim builds only: the injected bug of storing a run one run late.
         #[cfg(feature = "sim")]
         let newest_first = crate::sabotage::store_late(newest_first.collect());
-        apply_run(shared, newest_first, &mut self.dirty);
+        apply_run(shared, newest_first, &mut self.combiner);
         for unit in self.run.drain(..) {
             self.unfreed.hold(unit.last_tid, unit.writes);
         }
@@ -668,7 +668,7 @@ pub(crate) fn drain(shared: &Shared) {
         #[cfg(feature = "sim")] // the run held back by sim sabotage
         let late = crate::sabotage::store_late(Vec::new());
         #[cfg(feature = "sim")]
-        apply_run(shared, late, &mut replay.dirty);
+        apply_run(shared, late, &mut replay.combiner);
         replay.checkpoint(shared, shared.reproduced.load(Ordering::SeqCst));
         let held = !replay.release.is_empty() || !replay.unfreed.is_empty();
         debug_assert!(!held, "log space held beyond the last batch");
@@ -683,50 +683,27 @@ pub(crate) fn drain(shared: &Shared) {
     );
 }
 
-/// Scratch of [`apply_writes`]: the addresses one call stored and the cache
-/// lines it dirtied.
-#[derive(Debug, Default)]
-pub(crate) struct DirtyLines {
-    /// `(line number, 0)` — pairs, so the one combining routine makes them
-    /// distinct.
-    lines: Vec<(u64, u64)>,
-    combiner: Combiner,
-    seen: SeenSet,
-}
-
 /// Stores `newest_first` into the heap — each address once, with the first
-/// value given for it — then flushes each cache line that dirtied **once**
-/// — no fence. The only place heap words are stored and flushed: the
-/// Reproduce step calls it per run, recovery per record. Returns the words
-/// stored.
+/// value given for it — then flushes each cache line that dirtied **once**,
+/// after the last store — no fence ([`Combiner::newest`]). The only place
+/// heap words are stored and flushed: the Reproduce step calls it per run,
+/// recovery per record. Returns the words stored.
 pub(crate) fn apply_writes(
     nvm: &Nvm,
     heap: Region,
     newest_first: impl IntoIterator<Item: Borrow<(u64, u64)>>,
-    dirty: &mut DirtyLines,
+    combiner: &mut Combiner,
 ) -> u64 {
-    dirty.lines.clear();
-    dirty.seen.clear();
     let mut words = 0;
-    for pair in newest_first {
+    let offsets = newest_first.into_iter().map(|pair| {
         let &(addr, val) = pair.borrow();
-        if !dirty.seen.insert(addr) {
-            continue; // an older write, superseded in this call
-        }
-        let off = heap.start() + addr;
+        (heap.start() + addr, val)
+    });
+    let store = |off, val| {
         nvm.write_word(off, val);
         words += 1;
-        // Neighbouring writes mostly share a line: test the previous one
-        // before paying for the table.
-        let line = off / CACHE_LINE;
-        if dirty.lines.last().map(|l| l.0) != Some(line) {
-            dirty.lines.push((line, 0));
-        }
-    }
-    dirty.combiner.dedup(&mut dirty.lines);
-    for &(line, _) in &dirty.lines {
-        nvm.flush(line * CACHE_LINE, CACHE_LINE);
-    }
+    };
+    combiner.newest(offsets, store, |line| nvm.flush(line, CACHE_LINE));
     words
 }
 
@@ -737,11 +714,11 @@ pub(crate) fn apply_writes(
 fn apply_run(
     shared: &Shared,
     newest_first: impl IntoIterator<Item: Borrow<(u64, u64)>>,
-    dirty: &mut DirtyLines,
+    combiner: &mut Combiner,
 ) {
     let tracing = shared.trace.enabled();
     let t0 = if tracing { dude_nvm::monotonic_ns() } else { 0 };
-    let words = apply_writes(&shared.nvm, shared.heap, newest_first, dirty);
+    let words = apply_writes(&shared.nvm, shared.heap, newest_first, combiner);
     if tracing && words > 0 {
         let dur = dude_nvm::monotonic_ns().saturating_sub(t0);
         shared.trace.replay_apply_ns.record(dur);

@@ -29,9 +29,9 @@ use std::sync::Arc;
 use dude_nvm::{Nvm, Region};
 
 use crate::config::{ConfigError, DudeTmConfig};
-use crate::log::ParsedRecord;
+use crate::log::{Combiner, ParsedRecord};
 use crate::metrics::RecoveryPhase;
-use crate::pipeline::{apply_writes, DirtyLines};
+use crate::pipeline::apply_writes;
 use crate::plog::scan_region;
 use crate::runtime::{
     NvmLayout, META_MAGIC, META_MAGIC_WORD, META_REPRODUCED, META_THREADS, META_VERSION,
@@ -243,7 +243,7 @@ pub fn recover_device_observed(
     let mut replayed = 0u64;
     let mut discarded = 0u64;
     let mut stale_skipped = 0u64;
-    let mut dirty = DirtyLines::default();
+    let mut combiner = Combiner::default();
     for (first, last, run) in runs {
         if last < checkpoint {
             stale_skipped += run.len() as u64;
@@ -262,7 +262,7 @@ pub fn recover_device_observed(
                 .fetch_add(dropped, Ordering::Relaxed);
         } else {
             for rec in &run {
-                let words = apply_writes(nvm, layout.heap, rec.writes.iter().rev(), &mut dirty);
+                let words = apply_writes(nvm, layout.heap, rec.writes.iter().rev(), &mut combiner);
                 telemetry
                     .bytes_replayed
                     .fetch_add(8 * words, Ordering::Relaxed);

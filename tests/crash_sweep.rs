@@ -44,6 +44,14 @@ fn slot(i: u64) -> PAddr {
     PAddr::from_word_index(8 + 8 * i)
 }
 
+/// Word `w` of the cold row, the line after the last account's: the seed
+/// transaction writes `w + 1` to each of its eight words, and no transfer
+/// touches it again, so once the log ring has wrapped past the seed's
+/// record only the heap holds it.
+fn cold(w: u64) -> PAddr {
+    PAddr::from_word_index(8 + 8 * ACCOUNTS + w)
+}
+
 fn config(mode: DurabilityMode) -> DudeTmConfig {
     DudeTmConfig {
         max_threads: 2,
@@ -118,7 +126,7 @@ fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite:
             for i in 0..ACCOUNTS {
                 tx.write_word(slot(i), INITIAL)?;
             }
-            Ok(())
+            (0..8).try_for_each(|w| tx.write_word(cold(w), w + 1))
         })
         .expect_committed();
         let mut x = SEED;
@@ -193,6 +201,12 @@ fn check_recovery(
             "{label}: money not conserved"
         );
     }
+    let row: Vec<u64> = (0..8)
+        .map(|w| nvm.read_word(layout.heap.start() + cold(w).offset()))
+        .collect();
+    let seeded = u64::from(l >= 1);
+    let want: Vec<u64> = (1..=8).map(|v| v * seeded).collect();
+    assert_eq!(row, want, "{label}: the seed's cold row");
 }
 
 /// Counts this class's events in crash-free runs, then crashes at every
@@ -562,6 +576,27 @@ fn sweep_grouped_compressed_background_writes() {
         rounds >= 15,
         "only {rounds} compressed-group background-write points"
     );
+    assert!(
+        tripped >= rounds / 2,
+        "only {tripped}/{rounds} plans tripped"
+    );
+}
+
+/// A 4 KiB log ring, the smallest, wraps past the seed's record late in
+/// the run, so the later crash points find only the heap holding the cold
+/// row: recovery can no longer repair a store the Reproduce step left
+/// unflushed at its checkpoint (a line flushed ahead of a later store to
+/// it, say), and the cold-row check sees the loss. With the 64 KiB ring of
+/// the sweeps above, recovery replays the whole history from the log and
+/// hides it.
+#[test]
+fn sweep_recycled_log_fences() {
+    let cfg = DudeTmConfig {
+        plog_bytes_per_thread: 1 << 12,
+        ..config(ASYNC)
+    };
+    let (rounds, tripped) = sweep(cfg, CrashEventKind::Fence, StageFilter::Any, false, 60);
+    assert!(rounds >= 15, "only {rounds} recycled-log fence points");
     assert!(
         tripped >= rounds / 2,
         "only {tripped}/{rounds} plans tripped"

@@ -46,10 +46,7 @@ fn words_written(
     cut: Option<u64>,
     body: fn(&mut dyn Txn, u64) -> TxResult<()>,
 ) -> (u64, u64) {
-    let nvm = Arc::new(Nvm::new(NvmConfig::for_benchmark(
-        4 << 20,
-        TimingConfig::disabled(),
-    )));
+    let nvm = device();
     let mut dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
     let before = nvm.stats();
     {
@@ -68,6 +65,13 @@ fn words_written(
     let stats = dude.pipeline_stats();
     assert_eq!(stats.commits, txs);
     (nvm.stats().delta(&before).words_written, stats.checkpoints)
+}
+
+fn device() -> Arc<Nvm> {
+    Arc::new(Nvm::new(NvmConfig::for_benchmark(
+        4 << 20,
+        TimingConfig::disabled(),
+    )))
 }
 
 fn one_write(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
@@ -174,6 +178,50 @@ fn an_uncompressed_group_costs_three_words_a_line_and_a_word() {
         8 * (3 + 8 + 64) + 64 * 8 + checkpoints,
         "8 eight-line groups, 512 heap words, the checkpoints"
     );
+}
+
+/// The heap side of one run alone. Three commits rewrite words A and B,
+/// with C on A's line and D on B's: A, B, C; A, B; B, D. They wait in one
+/// pending run (the cadence is at TID 64) until the drain applies it, which
+/// stores each of the four distinct words once and flushes each of the two
+/// lines once, after the last store; the drain's checkpoint adds one word
+/// and one line.
+#[test]
+fn a_run_stores_each_distinct_word_and_flushes_each_line_once() {
+    let (a, c, b, d) = (8, 13, 19, 20); // words 0 and 5 of line 1, 3 and 4 of line 2
+    let writes = [vec![a, b, c], vec![a, b], vec![b, d]];
+    for mode in [ASYNC, DurabilityMode::Sync] {
+        let nvm = device();
+        let mut dude = DudeTm::create_stm(Arc::clone(&nvm), config(mode));
+        let logged = {
+            let mut t = dude.register_thread();
+            for (i, words) in (1..).zip(&writes) {
+                t.run(&mut |tx| {
+                    let mut write = |w| tx.write_word(PAddr::from_word_index(w), i);
+                    words.iter().try_for_each(|&w| write(w))
+                })
+                .expect_committed();
+            }
+            while dude.durable_id() < 3 {
+                std::thread::yield_now();
+            }
+            assert_eq!(dude.reproduced_id(), 0, "{mode:?}: the run waits");
+            nvm.stats()
+        };
+        dude.shutdown();
+        assert_eq!(dude.reproduced_id(), 3);
+        let applied = nvm.stats().delta(&logged);
+        assert_eq!(
+            applied.words_written,
+            4 + 1,
+            "{mode:?}: four distinct words, the checkpoint"
+        );
+        assert_eq!(
+            applied.bytes_flushed,
+            64 * (2 + 1),
+            "{mode:?}: two distinct lines, the checkpoint's"
+        );
+    }
 }
 
 #[test]
