@@ -123,50 +123,83 @@ fn read_len(input: &[u8], pos: &mut usize, nibble: usize) -> Result<usize, Decom
 /// Compresses `input` into a self-describing block.
 ///
 /// Worst-case expansion on incompressible data is bounded (one token per
-/// 14-literal run plus the header).
+/// 14-literal run plus the header). A one-shot [`Compressor`]: whoever
+/// compresses repeatedly keeps one instead, and gets the same bytes.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    push_varint(&mut out, input.len() as u64);
-    if input.is_empty() {
-        return out;
-    }
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut pos = 0usize;
-    let mut literal_start = 0usize;
-
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
-        let candidate = table[h];
-        table[h] = pos;
-        let matched = candidate != usize::MAX
-            && pos - candidate <= MAX_OFFSET
-            && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH];
-        if !matched {
-            pos += 1;
-            continue;
-        }
-        // Extend the match as far as possible.
-        let mut len = MIN_MATCH;
-        while pos + len < input.len() && input[candidate + len] == input[pos + len] {
-            len += 1;
-        }
-        emit_sequence(
-            &mut out,
-            &input[literal_start..pos],
-            Some((pos - candidate, len)),
-        );
-        // Seed the table inside the match so later data can reference it.
-        let end = pos + len;
-        let mut p = pos + 1;
-        while p + MIN_MATCH <= input.len() && p < end {
-            table[hash4(&input[p..])] = p;
-            p += 2; // stride 2: cheaper, nearly as effective
-        }
-        pos = end;
-        literal_start = end;
-    }
-    emit_sequence(&mut out, &input[literal_start..], None);
+    Compressor::default().compress_into(input, &mut out);
     out
+}
+
+/// A compressor whose 2^14-slot (128 KiB) hash table outlives a call, so
+/// a caller that compresses block after block allocates and fills it once.
+///
+/// Each slot holds a position plus `base`, and every call starts `base`
+/// more than the longest match offset past the last call's end: a slot an earlier
+/// call wrote reads as too far back to match, as an empty one did. `base`
+/// is the table's generation stamp, and no call refills the table.
+#[derive(Debug, Clone, Default)]
+pub struct Compressor {
+    /// Positions plus `base` by 4-byte hash; empty until the first call.
+    table: Vec<u64>,
+    /// This call's position 0.
+    base: u64,
+}
+
+impl Compressor {
+    /// Compresses `input` into `out` (cleared first): the bytes
+    /// [`compress`] returns for it.
+    pub fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        push_varint(out, input.len() as u64);
+        if input.is_empty() {
+            return;
+        }
+        let gap = MAX_OFFSET as u64 + 1;
+        if self.table.is_empty() || self.base > u64::MAX / 2 {
+            // First use, or (never in practice) a stamp that would wrap.
+            self.table = vec![0; 1 << HASH_BITS];
+            self.base = gap;
+        }
+        let (table, base) = (&mut self.table, self.base);
+        self.base += input.len() as u64 + gap;
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
+
+        while pos + MIN_MATCH <= input.len() {
+            let h = hash4(&input[pos..]);
+            let candidate = table[h];
+            table[h] = base + pos as u64;
+            let back = base + pos as u64 - candidate;
+            let candidate = pos.wrapping_sub(back as usize);
+            let matched = back <= MAX_OFFSET as u64
+                && input[candidate..candidate + MIN_MATCH] == input[pos..pos + MIN_MATCH];
+            if !matched {
+                pos += 1;
+                continue;
+            }
+            // Extend the match as far as possible.
+            let mut len = MIN_MATCH;
+            while pos + len < input.len() && input[candidate + len] == input[pos + len] {
+                len += 1;
+            }
+            emit_sequence(
+                out,
+                &input[literal_start..pos],
+                Some((pos - candidate, len)),
+            );
+            // Seed the table inside the match so later data can reference it.
+            let end = pos + len;
+            let mut p = pos + 1;
+            while p + MIN_MATCH <= input.len() && p < end {
+                table[hash4(&input[p..])] = base + p as u64;
+                p += 2; // stride 2: cheaper, nearly as effective
+            }
+            pos = end;
+            literal_start = end;
+        }
+        emit_sequence(out, &input[literal_start..], None);
+    }
 }
 
 fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
@@ -371,6 +404,32 @@ mod tests {
         // Corrupt the header length.
         c[0] = c[0].wrapping_add(1);
         assert!(decompress(&c).is_err());
+    }
+
+    /// One `Compressor` over inputs long and short, repetitive and random,
+    /// writes what a fresh one writes for each, also once its stamp has
+    /// been reset.
+    #[test]
+    fn a_reused_compressor_writes_the_one_shot_bytes() {
+        let mut x = 0x12345678u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut lz = Compressor::default();
+        let mut out = Vec::new();
+        for round in 0..300 {
+            if round == 200 {
+                lz.base = u64::MAX / 2 - 1000;
+            }
+            let (len, alphabet) = (next() % 3000, 1 + next() % 256);
+            let data: Vec<u8> = (0..len).map(|_| (next() % alphabet) as u8).collect();
+            lz.compress_into(&data, &mut out);
+            assert_eq!(out, compress(&data), "round {round}");
+        }
+        assert!(lz.base < u64::MAX / 4, "the stamp was reset");
     }
 
     #[test]

@@ -21,6 +21,20 @@ proptest! {
     }
 
     #[test]
+    fn a_reused_compressor_matches_the_one_shot(
+        inputs in proptest::collection::vec(proptest::collection::vec(0u8..8, 0..2048), 1..8),
+    ) {
+        // Small-alphabet blocks, so every block finds matches in the table
+        // the blocks before it left behind.
+        let mut lz = dude_compress::Compressor::default();
+        let mut out = Vec::new();
+        for data in &inputs {
+            lz.compress_into(data, &mut out);
+            prop_assert_eq!(&out, &dude_compress::compress(data));
+        }
+    }
+
+    #[test]
     fn decompress_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Must return an error or some bytes, never panic.
         let _ = dude_compress::decompress(&data);

@@ -6,16 +6,19 @@
 //! consuming a commit timestamp produces an [`LogRecord::Abort`] marker so
 //! the global ID sequence stays dense and the durable ID remains computable.
 //!
-//! On NVM, records are word streams in format v4 (`DESIGN.md §Pipeline`,
+//! On NVM, records are word streams in format v5 (`DESIGN.md §Pipeline`,
 //! *Log format*): a header word `check:32 | magic:4 | kind:4 | len:24`, the
-//! transaction ID (first and last ID for groups), then the payload. Every
-//! payload is *line groups*: one `mask:8 | Δline:56` word per run of
-//! ascending words of one 64-byte line, then their values. The check
-//! covers every other bit of the record; recovery walks the log and
-//! discards the first torn record and everything after it (§3.5). Log
-//! *combination* keeps only the last write per address — within one
-//! transaction, or across a group of **consecutive** ones (§3.3); log
-//! *compression* packs a group's payload with [`dude_compress`].
+//! transaction ID (first and last ID for groups), then `len` payload bytes,
+//! little-endian and zero-padded to a whole word. Every payload is *line
+//! groups*, one per run of ascending words of one 64-byte line: a mask byte
+//! of the words present, the line minus the previous group's line as a
+//! zig-zag LEB128 varint, a 4-bit significant-byte count per value (two to
+//! a byte), then each value's significant bytes. The check covers every
+//! other bit of the record; recovery walks the log and discards the first
+//! torn record and everything after it (§3.5). Log *combination* keeps only
+//! the last write per address — within one transaction, or across a group
+//! of **consecutive** ones (§3.3); log *compression* packs a group's
+//! payload bytes with [`dude_compress`].
 
 use std::borrow::Borrow;
 
@@ -34,22 +37,17 @@ const KIND_GROUP_LZ: u64 = 4;
 /// A single-word marker telling readers to wrap to the ring start.
 const KIND_SKIP: u64 = 15;
 
-/// Largest value of the 24-bit length field: payload words for commits
-/// and groups, payload bytes for compressed groups.
+/// Largest value of the 24-bit length field: payload bytes, for every
+/// kind (stored bytes for compressed groups).
 const LEN_MAX: usize = (1 << 24) - 1;
 const LOW_HALF: u64 = 0xFFFF_FFFF;
 
-/// The line field of a line-group header (`mask:8 | Δline:56`): the line
-/// minus the previous group's line in the same payload, mod 2^56, from 0.
-/// The mask of the words present sits above it.
-const LINE: u64 = (1 << 56) - 1;
-const MASK_SHIFT: u32 = 56;
-
-/// The line number of an address a line-group header can name — 8-byte
-/// aligned and below 2^62 — and the address's word in that line. Any
-/// other address is *escaped*: logged as `0, address, value`.
+/// The line number of an address a line group can name — 8-byte aligned
+/// and below 2^62 — and the address's word in that line. Any other address
+/// is *escaped*: logged as a zero mask byte, then its 8 address and 8 value
+/// bytes.
 fn line_word(addr: u64) -> Option<(u64, u64)> {
-    (addr & 7 == 0 && addr >> (MASK_SHIFT + 6) == 0).then_some((addr >> 6, addr >> 3 & 7))
+    (addr & 7 == 0 && addr >> 62 == 0).then_some((addr >> 6, addr >> 3 & 7))
 }
 
 /// One transaction's redo log as an owned value (a commit itself appends to
@@ -118,7 +116,7 @@ pub struct ParsedRecord {
 /// # Panics
 ///
 /// Panics if `len` does not fit the length field. The ring's "exceeds half
-/// the ring" assert fires first for any ring under 512 MiB.
+/// the ring" assert fires first for any ring under 32 MiB.
 fn header(kind: u64, len: usize) -> u64 {
     assert!(
         len <= LEN_MAX,
@@ -152,57 +150,279 @@ fn seal(record: &mut [u64]) {
     record[0] |= check(record) << 32;
 }
 
-/// Appends `writes` to `out` as line groups, keeping their order: a pair
+/// Where payload bytes go: straight into a record's words ([`Packer`]),
+/// or into bytes for the compressor.
+trait Sink {
+    /// Appends the low `n ≤ 8` bytes of `v`, little-endian; `v` has no
+    /// bit above them.
+    fn put(&mut self, v: u64, n: usize);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, v: u64, n: usize) {
+        // A fixed 8-byte copy, cut back: no variable-length copy.
+        let len = self.len();
+        self.extend_from_slice(&v.to_le_bytes());
+        self.truncate(len + n);
+    }
+}
+
+/// Packs payload bytes into the words after a record's head, through a
+/// 64-byte block: a put is one fixed 8-byte copy into the block, whatever
+/// its length, and a full block becomes eight words of `out`.
+struct Packer<'a> {
+    out: &'a mut Vec<u64>,
+    /// The block, and 8 bytes for a put that runs past it.
+    block: [u8; 72],
+    /// Bytes in the block.
+    at: usize,
+    /// Payload bytes packed into `out`.
+    len: usize,
+}
+
+impl<'a> Packer<'a> {
+    fn new(out: &'a mut Vec<u64>) -> Self {
+        Packer {
+            out,
+            block: [0; 72],
+            at: 0,
+            len: 0,
+        }
+    }
+
+    /// Packs the last, partial block, zero-padded to a word; returns the
+    /// payload bytes.
+    fn finish(self) -> usize {
+        for word in (0..self.at).step_by(8) {
+            // Past the last put's bytes, a put that ran further ahead in
+            // an earlier block may have left some: mask them off.
+            let live = low_bytes((self.at - word).min(8));
+            self.out.push(le_word(&self.block[word..word + 8]) & live);
+        }
+        self.len + self.at
+    }
+}
+
+/// The little-endian word of 8 bytes.
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+impl Sink for Packer<'_> {
+    #[inline]
+    fn put(&mut self, v: u64, n: usize) {
+        self.block[self.at..self.at + 8].copy_from_slice(&v.to_le_bytes());
+        self.at += n;
+        if self.at >= 64 {
+            self.out
+                .extend(self.block[..64].chunks_exact(8).map(le_word));
+            self.block.copy_within(64.., 0);
+            self.at -= 64;
+            self.len += 64;
+        }
+    }
+}
+
+/// Significant bytes of `v`: 0 for 0, 8 for a top byte set.
+fn sig_bytes(v: u64) -> usize {
+    (71 - v.leading_zeros() as usize) / 8
+}
+
+/// Appends one line group: its mask byte, `Δline` as a zig-zag LEB128
+/// varint, the values' byte counts (value `i`'s in nibble `i`), then the
+/// values' significant bytes.
+#[inline]
+fn put_group(sink: &mut impl Sink, mask: u8, dline: u64, vals: &[u64]) {
+    let z = dline << 1 ^ ((dline as i64 >> 63) as u64);
+    if z >> 49 == 0 {
+        // The mask byte, then the varint's (at most seven) seven-bit
+        // digits, a byte each, with the continuation bit on all but the
+        // last: one put, and no branch on the varint's length.
+        let len = (70 - (z | 1).leading_zeros() as usize) / 7;
+        let digits = (0..7).fold(0, |v, i| v | (z >> (7 * i) & 0x7f) << (8 * i));
+        let digits = digits | 0x0080_8080_8080_8080 & low_bytes(len - 1);
+        sink.put(u64::from(mask) | digits << 8, 1 + len);
+    } else {
+        sink.put(u64::from(mask), 1);
+        let mut z = z;
+        while z >= 0x80 {
+            sink.put(z & 0x7f | 0x80, 1);
+            z >>= 7;
+        }
+        sink.put(z, 1);
+    }
+    let counts = vals.iter().enumerate();
+    let counts = counts.fold(0, |c, (i, &v)| c | (sig_bytes(v) as u64) << (4 * i));
+    sink.put(counts, vals.len().div_ceil(2));
+    for &v in vals {
+        sink.put(v, sig_bytes(v));
+    }
+}
+
+/// Appends `writes` to `sink` as line groups, keeping their order: a pair
 /// joins the open group iff it is on the group's line and its word is
 /// above every word the group holds; otherwise it opens a group (or is an
 /// escape, which closes the open one).
-fn push_lines(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, out: &mut Vec<u64>) {
-    // Index in `out` of the open group's header word; the last group's line.
-    let (mut open, mut prev) = (None, 0);
+fn push_lines(writes: impl IntoIterator<Item: Borrow<(u64, u64)>>, sink: &mut impl Sink) {
+    // The open group — line, mask (0: none), values — and the last line.
+    let (mut line, mut mask, mut vals, mut n) = (0, 0u8, [0; 8], 0);
+    let mut prev = 0u64;
     for pair in writes {
         let &(addr, val) = pair.borrow();
-        let Some((line, word)) = line_word(addr) else {
-            out.extend([0, addr, val]);
-            open = None;
-            continue;
-        };
-        let bit = 1 << (MASK_SHIFT + word as u32);
-        match open {
+        let at = line_word(addr);
+        match at {
             // No bit at or above `word`'s: the word is above the group's.
-            Some(at) if line == prev && out[at] >> (MASK_SHIFT + word as u32) == 0 => {
-                out[at] |= bit;
+            Some((at, word)) if mask != 0 && at == line && mask >> word == 0 => {
+                mask |= 1 << word;
+                vals[n] = val;
+                n += 1;
+                continue;
             }
-            _ => {
-                open = Some(out.len());
-                out.push(bit | line.wrapping_sub(prev) & LINE);
+            _ if mask != 0 => {
+                put_group(sink, mask, line.wrapping_sub(prev), &vals[..n]);
                 prev = line;
             }
+            _ => {}
         }
-        out.push(val);
+        if let Some((at, word)) = at {
+            (line, mask, vals[0], n) = (at, 1 << word, val, 1);
+        } else {
+            mask = 0;
+            sink.put(0, 1);
+            sink.put(addr, 8);
+            sink.put(val, 8);
+        }
+    }
+    if mask != 0 {
+        put_group(sink, mask, line.wrapping_sub(prev), &vals[..n]);
+    }
+}
+
+/// A payload's bytes, `len` of them.
+trait Payload {
+    fn len(&self) -> usize;
+    /// The `n ≤ 8` bytes from `at ≤ len`, little-endian; any past `len`
+    /// (a record's padding, or none) read as 0.
+    fn read(&self, at: usize, n: usize) -> u64;
+}
+
+/// The low `n ≤ 8` bytes of a word set.
+fn low_bytes(n: usize) -> u64 {
+    // Two shifts of at most 32 bits: 64 − 8n in all, valid for n = 0.
+    let half = 32 - 4 * n;
+    u64::MAX >> half >> half
+}
+
+impl Payload for [u8] {
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    #[inline]
+    fn read(&self, at: usize, n: usize) -> u64 {
+        let word = match self.get(at..at + 8) {
+            Some(bytes) => u64::from_le_bytes(bytes.try_into().expect("8 bytes")),
+            None => {
+                let mut word = [0; 8];
+                word[..self.len() - at].copy_from_slice(&self[at..]);
+                u64::from_le_bytes(word)
+            }
+        };
+        word & low_bytes(n)
+    }
+}
+
+/// A record's payload words and its byte length.
+struct Words<'a>(&'a [u64], usize);
+
+impl Payload for Words<'_> {
+    fn len(&self) -> usize {
+        self.1
+    }
+
+    #[inline]
+    fn read(&self, at: usize, n: usize) -> u64 {
+        let (word, shift) = (at / 8, at % 8 * 8);
+        let lo = self.0.get(word).map_or(0, |&w| w >> shift);
+        // The next word's bytes: none if `shift` is 0.
+        let hi = self
+            .0
+            .get(word + 1)
+            .map_or(0, |&w| (w << 1) << (63 - shift));
+        (lo | hi) & low_bytes(n)
+    }
+}
+
+/// A payload read front to back.
+struct Reader<'a, P: ?Sized> {
+    payload: &'a P,
+    at: usize,
+}
+
+impl<P: Payload + ?Sized> Reader<'_, P> {
+    /// The next `n ≤ 8` bytes, if the payload has them.
+    #[inline]
+    fn take(&mut self, n: usize) -> Option<u64> {
+        let v = (self.at + n <= self.payload.len()).then(|| self.payload.read(self.at, n))?;
+        self.at += n;
+        Some(v)
+    }
+
+    /// A LEB128 varint: up to eight bytes with one read and no branch on
+    /// its length, a longer one a byte at a time.
+    #[inline]
+    fn varint(&mut self) -> Option<u64> {
+        let window = self.payload.read(self.at, 8);
+        let stops = !window & 0x8080_8080_8080_8080;
+        if stops != 0 {
+            let len = stops.trailing_zeros() as usize / 8 + 1;
+            self.take(len)?;
+            let digits = window & low_bytes(len);
+            return Some((0..8).fold(0, |z, i| z | (digits >> (8 * i) & 0x7f) << (7 * i)));
+        }
+        let (mut z, mut shift) = (0u64, 0);
+        loop {
+            let byte = self.take(1)?;
+            z |= (byte & 0x7f).checked_shl(shift)?;
+            if byte < 0x80 {
+                return Some(z);
+            }
+            shift += 7;
+        }
     }
 }
 
 /// Decodes a payload of line groups and escapes, if it is exactly that.
-fn parse_lines(body: &[u64]) -> Option<Vec<(u64, u64)>> {
-    let mut writes = Vec::with_capacity(body.len());
-    let (mut at, mut line) = (0, 0u64);
-    while let Some(&head) = body.get(at) {
-        let mut mask = head >> MASK_SHIFT;
+fn parse_lines(payload: &(impl Payload + ?Sized)) -> Option<Vec<(u64, u64)>> {
+    let mut r = Reader { payload, at: 0 };
+    let mut writes = Vec::with_capacity(payload.len() / 4);
+    let mut line = 0u64;
+    while let Some(mask) = r.take(1) {
         if mask == 0 {
-            let &[0, addr, val] = body.get(at..at + 3)? else {
-                return None;
-            };
-            writes.push((addr, val));
-            at += 3;
+            writes.push((r.take(8)?, r.take(8)?));
             continue;
         }
-        let vals = body.get(at + 1..at + 1 + mask.count_ones() as usize)?;
-        line = line.wrapping_add(head) & LINE;
-        for &val in vals {
-            writes.push((line << 6 | u64::from(mask.trailing_zeros()) << 3, val));
-            mask &= mask - 1;
+        let z = r.varint()?;
+        line = line.wrapping_add(z >> 1 ^ (z & 1).wrapping_neg());
+        if line >> 56 != 0 {
+            return None;
         }
-        at += 1 + vals.len();
+        let k = mask.count_ones() as usize;
+        let counts = r.take(k.div_ceil(2))?;
+        if counts >> (4 * k) != 0 {
+            return None;
+        }
+        let mut words = mask;
+        for i in 0..k {
+            let n = (counts >> (4 * i) & 0xf) as usize;
+            if n > 8 {
+                return None;
+            }
+            let val = r.take(n)?;
+            writes.push((line << 6 | u64::from(words.trailing_zeros()) << 3, val));
+            words &= words - 1;
+        }
     }
     Some(writes)
 }
@@ -220,8 +440,8 @@ pub fn is_skip(word: u64) -> bool {
 }
 
 /// Serializes a commit record into `out` (clears it first), keeping the
-/// writes' order: `2 + L + n` words for `n` writes in `L` line groups,
-/// plus 3 per escaped address. `writes` is any list of pairs that knows
+/// writes' order: 2 words, then `len` payload bytes of line groups and
+/// escapes in `⌈len/8⌉` words. `writes` is any list of pairs that knows
 /// its length — a slice, or a record's slice of its redo ring; a list
 /// combined by line (`Combiner::by_line`) has one group per line.
 pub fn serialize_commit<W>(tid: TxId, writes: W, out: &mut Vec<u64>)
@@ -230,11 +450,13 @@ where
 {
     let writes = writes.into_iter();
     out.clear();
-    out.reserve(2 + 2 * writes.len());
+    out.reserve(2 + writes.len());
     // The header, once the payload's length is known.
     out.extend([0, tid]);
-    push_lines(writes, out);
-    out[0] = header(KIND_COMMIT, out.len() - 2);
+    let mut packer = Packer::new(out);
+    push_lines(writes, &mut packer);
+    let len = packer.finish();
+    out[0] = header(KIND_COMMIT, len);
     seal(out);
 }
 
@@ -247,11 +469,12 @@ pub fn serialize_abort(tid: TxId, out: &mut Vec<u64>) {
 }
 
 /// Serializes a combined group covering `first..=last` into `out`, its
-/// payload line groups as a commit's ([`serialize_commit`]): `3 + L + n`
-/// words, or `3 + ⌈p/8⌉` for those payload words packed into `p` bytes.
+/// payload line groups as a commit's ([`serialize_commit`]): 3 words, then
+/// the payload's `⌈len/8⌉`. A one-shot form of the `GroupWriter` a Persist
+/// worker keeps.
 ///
-/// With `compress`, the payload words are packed with [`dude_compress`];
-/// the uncompressed encoding is used instead whenever it is smaller.
+/// With `compress`, the payload bytes are packed with [`dude_compress`];
+/// the uncompressed encoding is used instead whenever it is not larger.
 /// Returns `(payload_bytes_raw, payload_bytes_stored)` for the Figure 3
 /// accounting.
 pub fn serialize_group(
@@ -261,72 +484,88 @@ pub fn serialize_group(
     compress: bool,
     out: &mut Vec<u64>,
 ) -> (usize, usize) {
-    debug_assert!(first <= last);
-    out.clear();
-    out.extend([0, first, last]);
-    push_lines(writes, out);
-    let raw = 8 * (out.len() - 3);
-    if compress {
-        let bytes: Vec<u8> = out[3..].iter().flat_map(|w| w.to_le_bytes()).collect();
-        let packed = dude_compress::compress(&bytes);
-        if packed.len() < raw {
-            out.truncate(3);
-            out[0] = header(KIND_GROUP_LZ, packed.len());
-            for chunk in packed.chunks(8) {
-                let mut w = [0u8; 8];
-                w[..chunk.len()].copy_from_slice(chunk);
-                out.push(u64::from_le_bytes(w));
-            }
-            seal(out);
-            return (raw, packed.len());
-        }
-    }
-    out[0] = header(KIND_GROUP, out.len() - 3);
-    seal(out);
-    (raw, raw)
+    GroupWriter::default().serialize(first, last, writes, compress, out)
 }
 
-/// Unpacks a compressed group payload of `payload_bytes` bytes.
-fn unpack(body: &[u64], payload_bytes: usize) -> Option<Vec<(u64, u64)>> {
-    let bytes: Vec<u8> = body.iter().flat_map(|w| w.to_le_bytes()).collect();
-    let raw = dude_compress::decompress(bytes.get(..payload_bytes)?).ok()?;
-    if raw.len() % 8 != 0 {
-        return None;
+/// What serializing group after group keeps: the payload bytes and
+/// compressed bytes of the last group, and the compressor's hash table
+/// (a Persist worker's, allocated at its first compressed group).
+#[derive(Debug, Default)]
+pub(crate) struct GroupWriter {
+    raw: Vec<u8>,
+    packed: Vec<u8>,
+    lz: dude_compress::Compressor,
+}
+
+impl GroupWriter {
+    /// [`serialize_group`], with this writer's buffers and table.
+    pub(crate) fn serialize(
+        &mut self,
+        first: TxId,
+        last: TxId,
+        writes: &[(u64, u64)],
+        compress: bool,
+        out: &mut Vec<u64>,
+    ) -> (usize, usize) {
+        debug_assert!(first <= last);
+        out.clear();
+        out.extend([0, first, last]);
+        let mut packer = Packer::new(out);
+        if !compress {
+            push_lines(writes, &mut packer);
+            let raw = packer.finish();
+            out[0] = header(KIND_GROUP, raw);
+            seal(out);
+            return (raw, raw);
+        }
+        self.raw.clear();
+        push_lines(writes, &mut self.raw);
+        self.lz.compress_into(&self.raw, &mut self.packed);
+        let (kind, bytes) = match self.packed.len() < self.raw.len() {
+            true => (KIND_GROUP_LZ, &self.packed),
+            false => (KIND_GROUP, &self.raw),
+        };
+        for chunk in bytes.chunks(8) {
+            packer.put(chunk.read(0, chunk.len()), chunk.len());
+        }
+        packer.finish();
+        out[0] = header(kind, bytes.len());
+        seal(out);
+        (self.raw.len(), bytes.len())
     }
-    let words: Vec<u64> = raw
-        .chunks_exact(8)
-        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
-        .collect();
-    parse_lines(&words)
 }
 
 /// Attempts to parse one record starting at `words[0]`.
 ///
-/// Returns `None` if the words do not form a check-valid record —
-/// recovery treats that as the end of the intact log.
+/// Returns `None` if the words do not form a check-valid record with zero
+/// padding — recovery treats that as the end of the intact log.
 pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
     let (kind, len) = kind_len(*words.first()?)?;
-    // Words in front of the payload, and the payload's own words.
-    let (head, payload) = match kind {
-        KIND_COMMIT => (2, len),
-        KIND_ABORT if len == 0 => (2, 0),
-        KIND_GROUP => (3, len),
-        KIND_GROUP_LZ => (3, len.div_ceil(8)),
+    // Words in front of the payload.
+    let head = match kind {
+        KIND_COMMIT => 2,
+        KIND_ABORT if len == 0 => 2,
+        KIND_GROUP | KIND_GROUP_LZ => 3,
         _ => return None,
     };
-    let record = words.get(..head + payload)?;
+    let record = words.get(..head + len.div_ceil(8))?;
     if record[0] >> 32 != check(record) {
         return None;
     }
     let first_tid = record[1];
     let last_tid = if head == 3 { record[2] } else { first_tid };
-    if first_tid > last_tid {
+    // The padding after the payload's last byte is zero.
+    let padding = record[record.len() - 1] >> (8 * (len % 8));
+    if first_tid > last_tid || (len % 8 != 0 && padding != 0) {
         return None;
     }
-    let body = &record[head..];
+    let body = Words(&record[head..], len);
     let writes = match kind {
-        KIND_GROUP_LZ => unpack(body, len)?,
-        _ => parse_lines(body)?,
+        KIND_GROUP_LZ => {
+            let stored: Vec<u8> = (0..len).map(|at| body.read(at, 1) as u8).collect();
+            parse_lines(&dude_compress::decompress(&stored).ok()?[..])?
+        }
+        _ => parse_lines(&body)?,
     };
     Some(ParsedRecord {
         first_tid,
@@ -581,83 +820,79 @@ mod tests {
         assert_eq!(rec.words, 2);
     }
 
-    /// The v4 bit layout and the five record sizes, word for word:
-    /// `check:32 | magic:4 | kind:4 | len:24`, then the ID word(s), then
-    /// the payload, no trailer. Every payload is line groups —
-    /// `mask:8 | Δline:56`, then the values of the mask's words ascending,
-    /// `Δline` the line minus the previous group's line, from 0 — and
-    /// `0, address, value` escapes.
+    /// The v5 layout, byte for byte: `check:32 | magic:4 | kind:4 | len:24`,
+    /// then the ID word(s), then `len` payload bytes zero-padded to a word,
+    /// no trailer. Every payload is line groups — a mask byte, `Δline` as a
+    /// zig-zag LEB128 varint (the line minus the previous group's line,
+    /// from 0), a 4-bit byte count per value, two to a byte, then each
+    /// value's significant bytes, little-endian — and escapes: a zero mask
+    /// byte, then the address's and the value's 8 bytes.
     #[test]
-    fn golden_vectors_fix_the_v4_layout() {
+    fn golden_vectors_fix_the_v5_layout() {
         let mut buf = Vec::new();
         serialize_commit(42, std::iter::empty::<(u64, u64)>(), &mut buf);
         assert_eq!(buf, [0x29a1_a485_d100_0000, 42]);
-        // One write: 2 + 1 + 1 words, as in v2 and v3.
+        // One write of 1 to word 1 of line 0: mask 0x02, Δline 0, count 1,
+        // the value's one byte: 4 payload bytes, 2 + 1 words.
         serialize_commit(42, [(8, 1)], &mut buf);
-        assert_eq!(buf, [0x1301_01ed_d100_0002, 42, 0x0200_0000_0000_0000, 1]);
-        // Two words of line 0, ascending: one group.
+        assert_eq!(buf, [0x7c1a_9a39_d100_0004, 42, 0x0101_0002]);
+        // Two words of line 0, ascending: one group, both counts in one
+        // byte (0x11).
         serialize_commit(42, [(8, 1), (16, 2)], &mut buf);
-        assert_eq!(
-            buf,
-            [0x58e6_6a51_d100_0003, 42, 0x0600_0000_0000_0000, 1, 2]
-        );
+        assert_eq!(buf, [0xb0c3_519f_d100_0005, 42, 0x02_0111_0006]);
         // Line 0 revisited below its last word: a second group, Δline 0, so
         // the order comes back as written.
         serialize_commit(42, [(16, 2), (8, 1)], &mut buf);
-        assert_eq!(
-            buf,
-            [
-                0xa1e0_c037_d100_0004,
-                42,
-                0x0400_0000_0000_0000,
-                2,
-                0x0200_0000_0000_0000,
-                1
-            ]
-        );
-        // Lines 3, 4 and 7 (words 1; 0 and 1; 7): Δline 3, 1, 3.
+        assert_eq!(buf, [0x0f2e_b06b_d100_0008, 42, 0x0101_0002_0201_0004]);
+        // Lines 3, 4 and 7 (words 1; 0 and 1; 7): Δline 3, 1, 3 are the
+        // varints 06, 02, 06. 13 bytes:
+        // 02 06 01 07 | 03 02 11 01 02 | 80 06 01 03.
         serialize_commit(42, [(200, 7), (256, 1), (264, 2), (504, 3)], &mut buf);
         assert_eq!(
             buf,
             [
-                0x1b96_e80b_d100_0007,
+                0x4ee9_e8e8_d100_000d,
                 42,
-                0x0200_0000_0000_0003,
-                7,
-                0x0300_0000_0000_0001,
-                1,
-                2,
-                0x8000_0000_0000_0003,
-                3
+                0x0111_0203_0701_0602,
+                0x03_0106_8002
             ]
         );
-        // Line 5, then line 2: Δline −3 mod 2^56.
+        // Line 5, then line 2: Δline −3, zig-zag 5.
         serialize_commit(42, [(320, 1), (128, 2)], &mut buf);
+        assert_eq!(buf, [0x2fc1_46c3_d100_0008, 42, 0x0201_0501_0101_0a01]);
+        // A zero value has no significant byte: count 0, nothing after.
+        serialize_commit(42, [(8, 0), (16, 0x1234)], &mut buf);
+        assert_eq!(buf, [0xac05_c77f_d100_0005, 42, 0x12_3420_0006]);
+        // A zero value can end the payload on a word boundary: counts 05
+        // (5 bytes, then none), 06 00 05 05 04 03 02 01.
+        serialize_commit(42, [(8, 0x01_0203_0405), (16, 0)], &mut buf);
+        assert_eq!(buf, [0xfba0_f443_d100_0008, 42, 0x0102_0304_0505_0006]);
+        assert_eq!(parse_record(&buf).expect("parses").writes[1], (16, 0));
+        // An 8-byte value on line 0x12345 (word 3), the shape of a TATP
+        // update: mask 08, Δline varint 8a 8d 09, count 08, 8 value bytes
+        // — 13 payload bytes, 2 + 2 words.
+        let value = 0x0123_4567_89ab_cdef;
+        serialize_commit(42, [(64 * 0x12345 + 24, value)], &mut buf);
         assert_eq!(
             buf,
             [
-                0x0125_ad65_d100_0004,
+                0x8679_0af9_d100_000d,
                 42,
-                0x0100_0000_0000_0005,
-                1,
-                0x01ff_ffff_ffff_fffd,
-                2
+                0xabcd_ef08_098d_8a08,
+                0x01_2345_6789
             ]
         );
         // An unaligned address escapes and closes the open group: word 2
-        // of line 0 after it opens a new one.
+        // of line 0 after it opens a new one. 4 + 17 + 4 = 25 bytes.
         serialize_commit(42, [(8, 1), (13, 5), (16, 2)], &mut buf);
         assert_eq!(
             buf,
             [
-                0x2d9a_0146_d100_0007,
+                0x757e_91d4_d100_0019,
                 42,
-                0x0200_0000_0000_0000,
-                1,
-                0,
-                13,
-                5,
-                0x0400_0000_0000_0000,
+                0x0d00_0101_0002,
+                0x0500_0000_0000,
+                0x0100_0400_0000_0000,
                 2
             ]
         );
@@ -666,102 +901,119 @@ mod tests {
         assert_eq!(
             buf,
             [
-                0x43c2_d6b0_d100_0007,
+                0xa39c_0364_d100_0019,
                 42,
-                0x0200_0000_0000_0003,
-                7,
-                0,
-                13,
-                5,
-                0x0200_0000_0000_0001,
+                0x0d00_0701_0602,
+                0x0500_0000_0000,
+                0x0102_0200_0000_0000,
                 2
             ]
         );
-        // The last line a header names, then 2^62, which escapes.
+        // The last line a group names (Δline 2^56 − 1, an 8-byte varint),
+        // then 2^62, which escapes.
         serialize_commit(42, [((1 << 62) - 8, 8), (1 << 62, 9)], &mut buf);
         assert_eq!(
             buf,
             [
-                0x1a32_e846_d100_0005,
+                0xcdba_6a69_d100_001d,
                 42,
-                0x80ff_ffff_ffff_ffff,
-                8,
-                0,
-                1 << 62,
-                9
+                0xffff_ffff_ffff_fe80,
+                0x0801_01ff,
+                0x0940_0000_0000,
+                0
             ]
         );
         serialize_abort(7, &mut buf);
         assert_eq!(buf, [0x513d_49cc_d200_0000, 7]);
-        // A group over one line: `3 + L + n` = 3 + 1 + 2 words, `len` the
-        // payload words, and 8 × 3 raw payload bytes.
+        // A group over one line: 3 words, then 5 payload bytes, the raw
+        // and stored payload bytes.
         assert_eq!(
             serialize_group(5, 9, &[(8, 10), (24, 20)], false, &mut buf),
-            (24, 24)
+            (5, 5)
         );
-        assert_eq!(
-            buf,
-            [0x1666_ad30_d300_0003, 5, 9, 0x0a00_0000_0000_0000, 10, 20]
-        );
-        // Over two lines: 3 + 2 + 2 words.
+        assert_eq!(buf, [0xebce_0190_d300_0005, 5, 9, 0x14_0a11_000a]);
+        // Over two lines: 02 00 01 0a | 02 02 01 14.
         serialize_group(5, 9, &[(8, 10), (72, 20)], false, &mut buf);
-        assert_eq!(
-            buf,
-            [
-                0x6399_813d_d300_0004,
-                5,
-                9,
-                0x0200_0000_0000_0000,
-                10,
-                0x0200_0000_0000_0001,
-                20
-            ]
-        );
+        assert_eq!(buf, [0x2091_511a_d300_0008, 5, 9, 0x1401_0202_0a01_0002]);
         // With an escape between them.
         serialize_group(5, 9, &[(8, 10), (13, 5), (72, 20)], false, &mut buf);
         assert_eq!(
             buf,
             [
-                0xae30_ddbc_d300_0007,
+                0x26ca_67d6_d300_0019,
                 5,
                 9,
-                0x0200_0000_0000_0000,
-                10,
-                0,
-                13,
-                5,
-                0x0200_0000_0000_0001,
-                20
+                0x0d00_0a01_0002,
+                0x0500_0000_0000,
+                0x0102_0200_0000_0000,
+                0x14
             ]
         );
-        // Eight hot words are one group of line 16 (72 payload bytes),
-        // which packs into p = 18 bytes: 3 + ⌈18/8⌉ = 6 words.
-        let writes: Vec<(u64, u64)> = (0..8).map(|i| (1024 + i * 8, 7)).collect();
-        assert_eq!(serialize_group(5, 9, &writes, true, &mut buf), (72, 18));
+        // Sixteen full lines of 7s from line 16: sixteen 14-byte groups
+        // (ff 20 11 11 11 11, eight 07s; then Δline 1, varint 02), 224 raw
+        // bytes that pack into p = 18: 3 + ⌈18/8⌉ = 6 words, `len` = p.
+        let writes: Vec<(u64, u64)> = (0..128).map(|i| (1024 + i * 8, 7)).collect();
+        assert_eq!(serialize_group(5, 9, &writes, true, &mut buf), (224, 18));
         assert_eq!(
             buf,
             [
+                0x2d92_0603_d400_0012,
+                5,
+                9,
+                0x1111_1120_ff73_01e0,
+                0x0e02_ff2f_0001_0711,
+                0xbd00
+            ]
+        );
+        assert_eq!(parse_record(&buf).expect("an LZ group").writes, writes);
+        assert_eq!(skip_word(), 0x8e2b_80da_df00_0000);
+    }
+
+    /// v4's records — a word per line header and per value, `len`
+    /// counting words — are not v5 records at any offset but two: v4's
+    /// empty commit and its abort are v5's, bit for bit (the metadata
+    /// version is what refuses a v4 image).
+    #[test]
+    fn v4_records_are_not_records() {
+        let v4: [&[u64]; 4] = [
+            &[0x1301_01ed_d100_0002, 42, 0x0200_0000_0000_0000, 1],
+            &[
+                0x1b96_e80b_d100_0007,
+                42,
+                0x0200_0000_0000_0003,
+                7,
+                0x0300_0000_0000_0001,
+                1,
+                2,
+                0x8000_0000_0000_0003,
+                3,
+            ],
+            &[0x1666_ad30_d300_0003, 5, 9, 0x0a00_0000_0000_0000, 10, 20],
+            &[
                 0xa34f_23c1_d400_0012,
                 5,
                 9,
                 0xff20_0001_0010_2148,
                 0x0800_0000_3f00_0607,
                 0x2500,
-            ]
-        );
-        assert_eq!(skip_word(), 0x8e2b_80da_df00_0000);
+            ],
+        ];
+        for record in v4 {
+            for off in 0..record.len() {
+                assert!(
+                    parse_record(&record[off..]).is_none(),
+                    "{record:x?} @ {off}"
+                );
+            }
+        }
     }
 
     /// v3's group records — `n` `(address, value)` pairs with `len = n`,
-    /// or LZ over columnar address deltas and values — are not v4 records
-    /// at any offset: the pair group's length no longer spans its payload,
-    /// so the check fails, and the columnar payload does not decode as
-    /// line groups. (v3's commits are v4's whenever every group is on
-    /// line 0; any other reads as other lines — the metadata version is
-    /// what refuses a v3 image.)
+    /// or LZ over columnar address deltas and values — and its commits are
+    /// not v5 records at any offset.
     #[test]
     fn v3_records_are_not_records() {
-        let v3: [&[u64]; 2] = [
+        let v3: [&[u64]; 3] = [
             &[0xabea_f02e_d300_0002, 5, 9, 8, 10, 24, 20],
             &[
                 0xe430_6ec1_d400_001a,
@@ -772,6 +1024,17 @@ mod tests {
                 0x0800_1f00_0607_111f,
                 0x2600,
             ],
+            &[
+                0xc69f_45eb_d100_0007,
+                42,
+                0x0200_0000_0000_0003,
+                7,
+                0x0300_0000_0000_0004,
+                1,
+                2,
+                0x8000_0000_0000_0007,
+                3,
+            ],
         ];
         for record in v3 {
             for off in 0..record.len() {
@@ -781,27 +1044,13 @@ mod tests {
                 );
             }
         }
-        // v3's commit over lines 3, 4 and 7 parses as lines 3, 7 and 14.
-        let commit = [
-            0xc69f_45eb_d100_0007,
-            42,
-            0x0200_0000_0000_0003,
-            7,
-            0x0300_0000_0000_0004,
-            1,
-            2,
-            0x8000_0000_0000_0007,
-            3,
-        ];
-        let read = parse_record(&commit).expect("check-valid in v4").writes;
-        assert_eq!(read, [(200, 7), (448, 1), (456, 2), (952, 3)]);
     }
 
     /// A v2 commit record — `n` `(address, value)` pairs, `len = n` — is
-    /// not a v3 record at any offset: its length no longer spans its
-    /// payload, so the check fails. (v2's empty commit, abort, group and
-    /// skip words are v3's, bit for bit: the metadata version is what
-    /// refuses a v2 image.)
+    /// not a v5 record at any offset: its length does not span its
+    /// payload, so the check fails. (v2's empty commit, abort and skip
+    /// words are v5's, bit for bit: the metadata version is what refuses
+    /// a v2 image.)
     #[test]
     fn v2_records_are_not_records() {
         let v2: [&[u64]; 3] = [
@@ -880,9 +1129,10 @@ mod tests {
         let mut buf = Vec::new();
         let writes = vec![(8, 10), (24, 20), (520, 30)];
         let (raw, stored) = serialize_group(5, 9, &writes, false, &mut buf);
-        // Lines 0 and 8: 2 headers and 3 values.
-        assert_eq!((raw, stored), (40, 40));
-        assert_eq!(buf.len(), 3 + 2 + 3);
+        // Line 0 (words 1 and 3: 0a 00 11 0a 14), then line 8 (word 1,
+        // Δline 8, zig-zag 16: 02 10 01 1e).
+        assert_eq!((raw, stored), (9, 9));
+        assert_eq!(buf.len(), 3 + 2);
         let rec = parse_record(&buf).unwrap();
         assert_eq!((rec.first_tid, rec.last_tid), (5, 9));
         assert_eq!(rec.writes, writes);
@@ -901,7 +1151,8 @@ mod tests {
     }
 
     /// Random aligned addresses and values, one word per line: nothing
-    /// repeats for LZ to take, so the group is stored uncompressed.
+    /// repeats for LZ to take, so the group is stored uncompressed — 64
+    /// groups of at least a mask, a varint, a count and a value byte.
     #[test]
     fn incompressible_group_falls_back_to_raw() {
         let mut x = 1u64;
@@ -913,8 +1164,9 @@ mod tests {
         writes.sort_unstable();
         let mut buf = Vec::new();
         let (raw, stored) = serialize_group(1, 64, &writes, true, &mut buf);
-        assert_eq!((raw, stored), (8 * 128, 8 * 128), "must fall back");
-        assert_eq!(buf.len(), 3 + 128);
+        assert_eq!(stored, raw, "must fall back");
+        assert!(raw >= 64 * 4, "{raw} payload bytes");
+        assert_eq!(buf.len(), 3 + raw.div_ceil(8));
         let rec = parse_record(&buf).unwrap();
         assert_eq!(rec.writes, writes);
     }
@@ -951,6 +1203,88 @@ mod tests {
         assert!(parse_record(&[header(KIND_COMMIT, LEN_MAX)]).is_none());
     }
 
+    /// Re-seals `record` after an edit, so only the decoder can refuse it.
+    fn reseal(record: &mut [u64]) {
+        record[0] &= LOW_HALF;
+        seal(record);
+    }
+
+    /// A record whose check holds but whose padding after the payload, or
+    /// a group's unused count nibble, is not zero is not a record.
+    #[test]
+    fn non_zero_padding_is_refused() {
+        let mut buf = Vec::new();
+        // 02 00 01 01: 4 payload bytes, 4 bytes of padding.
+        serialize_commit(42, [(8, 1)], &mut buf);
+        for byte in 4..8 {
+            let mut bad = buf.clone();
+            bad[2] |= 1 << (8 * byte);
+            reseal(&mut bad);
+            assert!(parse_record(&bad).is_none(), "padding byte {byte}");
+        }
+        // The count byte 01 as 11: a second count for a one-word mask.
+        let mut bad = buf.clone();
+        bad[2] |= 0x10 << 16;
+        reseal(&mut bad);
+        assert!(parse_record(&bad).is_none(), "unused count nibble");
+        // A count of 9 or more bytes.
+        let mut bad = buf.clone();
+        bad[2] = bad[2] & !(0xff << 16) | 0x09 << 16;
+        reseal(&mut bad);
+        assert!(parse_record(&bad).is_none(), "a 9-byte value");
+        // The group kinds too: 0a 00 11 0a 14, then three padding bytes.
+        serialize_group(5, 9, &[(8, 10), (24, 20)], false, &mut buf);
+        buf[3] |= 1 << 56;
+        reseal(&mut buf);
+        assert!(parse_record(&buf).is_none(), "group padding");
+    }
+
+    /// Payload bytes drawn mostly from the values a payload is made of,
+    /// under a valid check and every payload kind: the decoder returns
+    /// writes or `None`, never panics, and never reads past `len`.
+    #[test]
+    fn sealed_garbage_never_panics() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut parsed = 0;
+        for round in 0..30_000 {
+            let kind = [KIND_COMMIT, KIND_GROUP, KIND_GROUP_LZ][round % 3];
+            let len = (next() % 40) as usize;
+            let mut bytes: Vec<u8> = (0..len)
+                .map(|_| match next() % 8 {
+                    0 => 0,
+                    1 => 1,
+                    2 => 2,
+                    3 => 0x11,
+                    4 => 0x80,
+                    5 => 0xff,
+                    _ => next() as u8,
+                })
+                .collect();
+            bytes.resize(len.div_ceil(8) * 8, 0);
+            let mut record = vec![header(kind, len), 1];
+            if kind != KIND_COMMIT {
+                record.push(2);
+            }
+            record.extend(
+                bytes
+                    .chunks(8)
+                    .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
+            );
+            seal(&mut record);
+            if let Some(rec) = parse_record(&record) {
+                assert_eq!(rec.words, record.len());
+                parsed += 1;
+            }
+        }
+        assert!(parsed > 100, "only {parsed} of the garbage records decoded");
+    }
+
     #[test]
     fn skip_marker_identified() {
         assert!(is_skip(skip_word()));
@@ -977,7 +1311,8 @@ mod tests {
     /// `by_line` against a model: one pair per address with its last
     /// value, sorted by entry — a line's first address, or an escaped
     /// address itself — with each line's words ascending, which serializes
-    /// to exactly one group per line.
+    /// to exactly one group per line (`proptest_invariants`'s
+    /// `combination_preserves_replay_semantics` counts them).
     #[test]
     fn by_line_matches_the_model_across_reuse_and_growth() {
         let mut combiner = Combiner::default();
@@ -1007,13 +1342,9 @@ mod tests {
             let mut got = Vec::new();
             combiner.by_line(pairs.iter().copied(), |a, v| got.push((a, v)));
             assert_eq!(got, want, "len {len}");
-            let escapes = got.iter().filter(|&&(a, _)| line_word(a).is_none()).count();
-            let mut lines: Vec<u64> = got.iter().map(|&(a, _)| key(a)).collect();
-            lines.dedup();
-            let lines = lines.len() - escapes;
             let mut buf = Vec::new();
             serialize_commit(1, &got, &mut buf);
-            assert_eq!(buf.len(), 2 + lines + (got.len() - escapes) + 3 * escapes);
+            assert_eq!(parse_record(&buf).expect("parses").writes, got);
         }
     }
 

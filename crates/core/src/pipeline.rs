@@ -60,7 +60,7 @@ use std::time::Duration;
 use crossbeam::channel::TryRecvError;
 use dude_nvm::{Nvm, Region, CACHE_LINE};
 
-use crate::log::{serialize_abort, serialize_commit, serialize_group, Combiner};
+use crate::log::{serialize_abort, serialize_commit, Combiner, GroupWriter};
 use crate::plog::PlogSpan;
 use crate::redo_ring::{RedoCursor, RedoRecord, RedoRing, Unfreed, Writes};
 use crate::runtime::Shared;
@@ -281,6 +281,7 @@ pub(crate) fn publish(shared: &Shared, batches: impl IntoIterator<Item = Batch>)
 struct Sweep {
     buf: Vec<u64>,
     combiner: Combiner,
+    groups: GroupWriter,
     staged: Vec<Batch>,
 }
 
@@ -297,7 +298,9 @@ impl Sweep {
         match &unit.writes {
             Writes::Group(pairs, _) => {
                 let compress = shared.config.compress_groups;
-                (raw, stored) = serialize_group(tid, unit.last_tid, pairs, compress, buf);
+                (raw, stored) = self
+                    .groups
+                    .serialize(tid, unit.last_tid, pairs, compress, buf);
             }
             Writes::Ring { abort: true, .. } => serialize_abort(tid, buf),
             Writes::Ring { span, .. } => serialize_commit(tid, span.pairs(), buf),
@@ -824,10 +827,10 @@ mod tests {
         let mut want = Vec::new();
         let mut expect = PipelineStatsSnapshot::default();
 
-        // Two words of line 0: a header, a TID, one line group.
+        // Two words of line 0: a header, a TID, one line group of 5 bytes.
         let writes = [(8, 1), (16, 2)];
         crate::log::serialize_commit(1, writes, &mut want);
-        assert_eq!(want.len(), 2 + 1 + 2);
+        assert_eq!(want.len(), 2 + 1);
         let batch = stage_and_compare(&shared, &layout, t.push(commit(1, &writes)), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (1, 1));
         assert_eq!(pairs(&batch.unit.writes), writes);
@@ -842,7 +845,7 @@ mod tests {
         // handed on once, with its last value.
         let (a, b) = (24, 32);
         crate::log::serialize_commit(7, [(a, 3), (b, 2)], &mut want);
-        assert_eq!(want.len(), 2 + 1 + 2);
+        assert_eq!(want.len(), 2 + 1);
         let rewrite = t.push(commit(7, &[(a, 1), (b, 2), (a, 3)]));
         let batch = stage_and_compare(&shared, &layout, rewrite, &want);
         assert_eq!(pairs(&batch.unit.writes), [(a, 3), (b, 2)]);
@@ -854,13 +857,13 @@ mod tests {
         assert_eq!(counters(&shared), expect);
 
         // Combined by line: lines ascending (0, then 1, though 1 was
-        // written first), each line's words ascending — one group per
-        // line, 2 + 2 + 4 words, where the list as written would take four
+        // written first), each line's words ascending — one 5-byte group
+        // per line, 2 + 2 words, where the list as written would take four
         // groups.
         let scattered = [(80, 1), (8, 2), (72, 3), (0, 4), (80, 5)];
         let by_line = [(0, 4), (8, 2), (72, 3), (80, 5)];
         crate::log::serialize_commit(8, by_line, &mut want);
-        assert_eq!(want.len(), 2 + 2 + 4);
+        assert_eq!(want.len(), 2 + 2);
         let batch = stage_and_compare(&shared, &layout, t.push(commit(8, &scattered)), &want);
         assert_eq!(pairs(&batch.unit.writes), by_line);
         expect.commits += 1;
@@ -880,7 +883,7 @@ mod tests {
         assert_eq!(counters(&shared), expect);
 
         // 48 entries over 16 hot words on lines 16 and 17: combines 3:1
-        // into 2 + 16 payload words, and compresses.
+        // into two 14-byte groups, and compresses.
         let records: Vec<LogRecord> = (3..6)
             .map(|tid| {
                 let writes: Vec<_> = (0..16).map(|w| (1024 + w * 8, tid)).collect();
@@ -889,8 +892,8 @@ mod tests {
             .chain([LogRecord::Abort { tid: 6 }])
             .collect();
         let combined = crate::log::combine_sorted(&records);
-        let (raw, stored) = serialize_group(3, 6, &combined, true, &mut want);
-        assert_eq!(raw, 8 * (2 + 16));
+        let (raw, stored) = crate::log::serialize_group(3, 6, &combined, true, &mut want);
+        assert_eq!(raw, 2 * (1 + 1 + 4 + 8));
         assert!(stored < raw, "the group must exercise the LZ encoding");
         let batch = stage_and_compare(&shared, &layout, t.group(records), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (3, 6));
@@ -1041,12 +1044,12 @@ mod tests {
         .with_trace(TraceConfig::enabled(64));
         let (shared, layout) = shared(config);
         let mut t = Perform::new(&shared);
-        // One word per line: 2 + 100 × (1 + 1) = 202 words each, two fit
-        // the 512-word ring.
-        let writes: Vec<(u64, u64)> = (0..100).map(|w| (w * 64, w)).collect();
+        // One 8-byte value per line, 160 lines: 160 groups of 11 bytes,
+        // 2 + 220 = 222 words each, two fit the 512-word ring.
+        let writes: Vec<(u64, u64)> = (0..160).map(|w| (w * 64, !w)).collect();
         let first = try_stage(&shared, 0, t.push(commit(1, &writes))).unwrap();
         let second = try_stage(&shared, 0, t.push(commit(2, &writes))).unwrap();
-        assert_eq!((first.span.words, second.span.words), (202, 202));
+        assert_eq!((first.span.words, second.span.words), (222, 222));
         shared.nvm.fence();
         publish(&shared, [first]);
         // Durable, and pending in the run: the cadence is far off.
@@ -1067,7 +1070,7 @@ mod tests {
         assert_eq!(shared.reproduced.load(Ordering::SeqCst), 1);
         assert_eq!(
             shared.nvm.read_word(heap + 64 * 99),
-            99,
+            !99,
             "the run is applied"
         );
         let meta = layout.meta.start() + crate::runtime::META_REPRODUCED * 8;
@@ -1079,7 +1082,7 @@ mod tests {
         try_stage(&shared, 0, back).expect("the first span was released");
         let after = counters(&shared);
         assert_eq!(after.records_persisted, before.records_persisted + 1);
-        assert_eq!(after.entries_logged, before.entries_logged + 100);
+        assert_eq!(after.entries_logged, before.entries_logged + 160);
 
         let before = shared.nvm.stats();
         checkpoint_behind(&shared);

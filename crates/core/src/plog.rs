@@ -274,7 +274,8 @@ mod tests {
         let (nvm, ring, region) = setup(64);
         let mut buf = Vec::new();
         let mut spans = Vec::new();
-        // Each commit record with 2 writes = 2 + 4 = 6 words; ring holds 10.
+        // Each commit record with 2 one-byte writes on one line = 2 + 1
+        // words; the ring holds 64.
         for tid in 1..=32u64 {
             serialize_commit(tid, [(8, tid), (16, tid)], &mut buf);
             // Release the oldest span when the ring gets tight.
@@ -337,9 +338,12 @@ mod tests {
     fn one_range_flush_covers_a_sweep_across_the_wrap() {
         let (nvm, ring, region) = setup(64);
         let mut buf = Vec::new();
-        // Four 12-word records fill 48 of 64 words and are recycled.
+        // Seven rewrites of one word with 8-byte values are seven 11-byte
+        // groups: 77 payload bytes, a 2 + 10 = 12-word record. Four of them
+        // fill 48 of 64 words and are recycled.
+        let writes = |tid: u64| [(8, u64::MAX - tid); 7];
         for tid in 1..=4u64 {
-            serialize_commit(tid, [(8, tid); 5], &mut buf);
+            serialize_commit(tid, writes(tid), &mut buf);
             let span = ring.append(&buf);
             ring.release(span);
         }
@@ -348,7 +352,7 @@ mod tests {
         // marker) and 12 words at the ring start.
         let mut spans = Vec::new();
         for tid in 5..=6u64 {
-            serialize_commit(tid, [(8, tid); 5], &mut buf);
+            serialize_commit(tid, writes(tid), &mut buf);
             spans.push(ring.try_append_unflushed(&buf).expect("space"));
         }
         assert_eq!((spans[1].start, spans[1].words), (60, 16));
@@ -371,7 +375,7 @@ mod tests {
         assert_eq!(nvm.read_word(region.start() + 60 * 8), skip_word());
 
         // Without the range flush the same appends do not survive.
-        serialize_commit(7, [(8, 7); 5], &mut buf);
+        serialize_commit(7, writes(7), &mut buf);
         ring.release(spans[0]);
         ring.release(spans[1]);
         ring.try_append_unflushed(&buf).expect("space");
@@ -398,19 +402,23 @@ mod tests {
         // release performed by another thread.
         let (_nvm, ring, _region) = setup(64);
         let ring = Arc::new(ring);
+        // 19 rewrites of one word with 8-byte values: 19 × 11 = 209
+        // payload bytes, 2 + 27 = 29 words.
+        let writes = |tid: u64| [(8, u64::MAX - tid); 19];
         let mut buf = Vec::new();
-        serialize_commit(1, [(8, 1); 13], &mut buf); // 2+26 = 28 words
+        serialize_commit(1, writes(1), &mut buf);
+        assert_eq!(buf.len(), 29);
         let s1 = ring.append(&buf);
         let mut buf2 = Vec::new();
-        serialize_commit(2, [(8, 2); 13], &mut buf2);
-        let _s2 = ring.append(&buf2); // 56/64 used
+        serialize_commit(2, writes(2), &mut buf2);
+        let _s2 = ring.append(&buf2); // 58/64 used
         let r2 = Arc::clone(&ring);
         let releaser = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             r2.release(s1);
         });
         let mut buf3 = Vec::new();
-        serialize_commit(3, [(8, 3); 13], &mut buf3);
+        serialize_commit(3, writes(3), &mut buf3);
         let start = std::time::Instant::now();
         ring.append(&buf3); // must block until release
         assert!(start.elapsed() >= std::time::Duration::from_millis(15));

@@ -20,6 +20,41 @@ fn mimic() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// The payload bytes and line groups of `writes` in log format v5, sized
+/// from the layout alone: a line group is a run of ascending words of one line, costing a
+/// mask byte, its `Δline` as a zig-zag LEB128 varint, `⌈k/2⌉` count bytes
+/// and each of its `k` values' significant bytes; an escape (an unaligned
+/// address, or one at or above 2^62) costs 17 bytes and closes the run.
+fn v5_payload(writes: &[(u64, u64)]) -> (usize, usize) {
+    let varint = |d: i64| {
+        let z = (d << 1) ^ (d >> 63);
+        (64 - z.leading_zeros() as usize).max(1).div_ceil(7)
+    };
+    let sig = |v: u64| (64 - v.leading_zeros() as usize).div_ceil(8);
+    let (mut bytes, mut groups, mut prev) = (0, 0, 0i64);
+    let mut open: Option<(u64, u64)> = None; // (line, last word)
+    let mut counts = 0; // values in the open group
+    for &(addr, val) in writes {
+        if addr % 8 != 0 || addr >> 62 != 0 {
+            bytes += 17;
+            open = None;
+            continue;
+        }
+        let (line, word) = (addr / 64, addr / 8 % 8);
+        if !open.is_some_and(|(l, last)| l == line && word > last) {
+            bytes += 1 + varint(line as i64 - prev);
+            groups += 1;
+            prev = line as i64;
+            counts = 0;
+        }
+        // Every other value opens a count byte.
+        bytes += usize::from(counts % 2 == 0) + sig(val);
+        counts += 1;
+        open = Some((line, word));
+    }
+    (bytes, groups)
+}
+
 /// What one arbitrary record is built from: `(kind selector, first TID,
 /// TIDs covered beyond it, write pairs)`.
 type RecordSpec = (u8, u64, u64, Vec<(u64, u64)>);
@@ -104,11 +139,12 @@ proptest! {
         prop_assert_eq!(rec.words, buf.len());
     }
 
-    /// Commit records roundtrip, and take exactly `2 + L + n + 2e` words,
-    /// for arbitrary lists whose addresses share lines, revisit them out
-    /// of order and repeat — `L` groups and `e` escapes as the encoder's
-    /// rule opens them: a pair joins the open group iff it is on its line
-    /// and above its last word, and an escape closes it.
+    /// Commit records roundtrip, and take exactly `2 + ⌈p/8⌉` words for
+    /// `p` payload bytes, for arbitrary lists whose addresses share lines,
+    /// revisit them out of order and repeat, with values of every width —
+    /// `p` as [`v5_payload`] counts it from the encoder's rule: a
+    /// pair joins the open group iff it is on its line and above its last
+    /// word, and an escape closes it.
     #[test]
     fn line_grouped_commit_roundtrip(
         tid in 1u64..u64::MAX,
@@ -123,7 +159,7 @@ proptest! {
                     (1u64 << 62..u64::MAX).prop_map(|a| a & !7),
                     any::<u64>(),
                 ],
-                any::<u64>(),
+                prop_oneof![Just(0u64), 0u64..256, 0u64..1 << 20, any::<u64>()],
             ),
             0..64,
         ),
@@ -134,36 +170,44 @@ proptest! {
         prop_assert_eq!(rec.first_tid, tid);
         prop_assert_eq!(&rec.writes, &writes);
         prop_assert_eq!(rec.words, buf.len());
-        let (mut groups, mut escapes) = (0, 0);
-        let mut open: Option<(u64, u64)> = None; // (line, last word)
-        for &(addr, _) in &writes {
-            if addr % 8 != 0 || addr >> 62 != 0 {
-                escapes += 1;
-                open = None;
-                continue;
-            }
-            let (line, word) = (addr / 64, addr / 8 % 8);
-            if !open.is_some_and(|(l, last)| l == line && word > last) {
-                groups += 1;
-            }
-            open = Some((line, word));
+        prop_assert_eq!(buf.len(), 2 + v5_payload(&writes).0.div_ceil(8));
+        // Every truncation is refused, never read as a shorter record.
+        for cut in 0..buf.len() {
+            prop_assert!(parse_record(&buf[..cut]).is_none(), "cut at {}", cut);
         }
-        prop_assert_eq!(buf.len(), 2 + groups + writes.len() + 2 * escapes);
     }
 
-    /// Group records roundtrip with and without compression.
+    /// Group records roundtrip with and without compression, for unsorted
+    /// lists with rewrites, escapes and values of every width; uncompressed
+    /// they take `3 + ⌈p/8⌉` words.
     #[test]
     fn group_record_roundtrip(
         first in 1u64..1000,
         span in 0u64..50,
-        writes in proptest::collection::vec((0u64..4096, 0u64..16), 0..128),
+        writes in proptest::collection::vec(
+            (0u64..4096, prop_oneof![Just(0u64), 0u64..16, any::<u64>()]),
+            0..128,
+        ),
         compress in any::<bool>(),
     ) {
         let mut buf = Vec::new();
-        serialize_group(first, first + span, &writes, compress, &mut buf);
+        let (raw, stored) = serialize_group(first, first + span, &writes, compress, &mut buf);
+        prop_assert_eq!(raw, v5_payload(&writes).0);
+        prop_assert!(stored <= raw);
+        prop_assert_eq!(buf.len(), 3 + stored.div_ceil(8));
         let rec = parse_record(&buf).expect("group parses");
         prop_assert_eq!((rec.first_tid, rec.last_tid), (first, first + span));
         prop_assert_eq!(rec.writes, writes);
+        for cut in 0..buf.len() {
+            prop_assert!(parse_record(&buf[..cut]).is_none(), "cut at {}", cut);
+        }
+    }
+
+    /// Arbitrary words — header-like or not — parse to `None` or to a
+    /// record, never to a panic.
+    #[test]
+    fn arbitrary_words_never_panic(words in proptest::collection::vec(mimic(), 0..16)) {
+        let _ = parse_record(&words);
     }
 
     /// Single-bit corruption of any serialized record is always detected.
@@ -248,16 +292,19 @@ proptest! {
             }
         }
         // Combined replay, through the group record it serializes to: one
-        // line group per line, `3 + L + n` words, plus 3 per escape.
+        // line group per line (as many groups as lines), `3 + ⌈p/8⌉` words.
         let combined = combine_sorted(&records);
         let mut buf = Vec::new();
         serialize_group(1, records.len() as u64, &combined, false, &mut buf);
-        let (aligned, escapes): (Vec<u64>, Vec<u64>) =
-            combined.iter().map(|&(addr, _)| addr).partition(|addr| addr % 8 == 0);
-        let mut lines: Vec<u64> = aligned.iter().map(|addr| addr / 64).collect();
+        let mut lines: Vec<u64> = combined
+            .iter()
+            .filter(|&&(addr, _)| addr % 8 == 0)
+            .map(|&(addr, _)| addr / 64)
+            .collect();
         lines.dedup();
-        let words = 3 + lines.len() + aligned.len() + 3 * escapes.len();
-        prop_assert_eq!(buf.len(), words);
+        let (bytes, groups) = v5_payload(&combined);
+        prop_assert_eq!(groups, lines.len());
+        prop_assert_eq!(buf.len(), 3 + bytes.div_ceil(8));
         let parsed = parse_record(&buf).expect("own serialization parses");
         prop_assert_eq!(&parsed.writes, &combined);
         let mut comb = std::collections::HashMap::new();

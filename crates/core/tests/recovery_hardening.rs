@@ -242,7 +242,7 @@ fn v1_device_is_a_bad_version() {
 }
 
 /// A v2 image — its commits logged as `(address, value)` pairs — is not
-/// read as v4: recovery refuses it before scanning a log.
+/// read as v5: recovery refuses it before scanning a log.
 #[test]
 fn v2_device_is_a_bad_version() {
     let _watchdog = Watchdog::arm("", HANG);
@@ -251,8 +251,7 @@ fn v2_device_is_a_bad_version() {
 }
 
 /// A v3 image — its line headers absolute lines, its groups pairs — is
-/// not read as v4, where that commit would parse, check and all, as
-/// writes to other lines: recovery refuses it before scanning a log.
+/// not read as v5: recovery refuses it before scanning a log.
 #[test]
 fn v3_device_is_a_bad_version() {
     let _watchdog = Watchdog::arm("", HANG);
@@ -269,6 +268,29 @@ fn v3_device_is_a_bad_version() {
             1,
             2,
             0x8000_0000_0000_0007,
+            3,
+        ],
+    );
+}
+
+/// A v4 image — a word per line header and per value, `len` counting
+/// words — is not read as v5: recovery refuses it before scanning a log.
+#[test]
+fn v4_device_is_a_bad_version() {
+    let _watchdog = Watchdog::arm("", HANG);
+    // v4's commit of TID 42 writing 7 to byte 200 (line 3), then 1 and 2
+    // to bytes 256 and 264 (line 4) and 3 to byte 504 (line 7).
+    older_version_is_refused(
+        4,
+        &[
+            0x1b96_e80b_d100_0007,
+            42,
+            0x0200_0000_0000_0003,
+            7,
+            0x0300_0000_0000_0001,
+            1,
+            2,
+            0x8000_0000_0000_0003,
             3,
         ],
     );

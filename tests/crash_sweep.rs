@@ -31,7 +31,6 @@ use dudetm::{recover_device, DudeTm, DudeTmConfig, DurabilityMode};
 
 const ACCOUNTS: u64 = 16;
 const INITIAL: u64 = 100;
-const TRANSFERS: u64 = 100;
 const SEED: u64 = 0x5EED_CAFE;
 /// A run (a hundred transfers) takes milliseconds; one still going after
 /// this is hung.
@@ -78,16 +77,30 @@ fn next_pair(mut x: u64) -> (u64, u64, u64) {
     }
 }
 
+/// A bank run: the transfers after the seed transaction, and whether each
+/// stores a scratch value into its accounts first (see [`run_bank`]).
+#[derive(Debug, Clone, Copy)]
+struct Bank {
+    transfers: u64,
+    rewrite: bool,
+}
+
+/// The bank most sweeps run.
+const BANK: Bank = Bank {
+    transfers: 100,
+    rewrite: false,
+};
+
 /// Simulated balances after each transaction ID: `states[k]` is the heap
 /// content a correct recovery to `last_tid == k` must produce. Tid 0 is the
-/// unformatted heap, tid 1 the seed transaction, tids 2..=TRANSFERS+1 the
-/// transfers.
-fn expected_states() -> Vec<Vec<u64>> {
+/// unformatted heap, tid 1 the seed transaction, tids `2..=transfers + 1`
+/// the transfers.
+fn expected_states(transfers: u64) -> Vec<Vec<u64>> {
     let mut states = vec![vec![0u64; ACCOUNTS as usize]];
     let mut bal = vec![INITIAL; ACCOUNTS as usize];
     states.push(bal.clone());
     let mut x = SEED;
-    for _ in 0..TRANSFERS {
+    for _ in 0..transfers {
         let (a, b, nx) = next_pair(x);
         x = nx;
         bal[a as usize] -= 1;
@@ -101,16 +114,15 @@ fn expected_states() -> Vec<Vec<u64>> {
 /// armed, the crash image freezes mid-run while the live threads keep going
 /// (the emulator never wedges the pipeline); acknowledgements recorded after
 /// the trip belong to the post-crash timeline and are excluded from the
-/// durability bar. Returns the highest transaction ID acknowledged durable
-/// strictly before the crash instant.
+/// durability bar.
 ///
 /// With `rewrite`, a transfer stores a scratch value — never a valid
 /// balance — into each account before the real one, so every transaction
 /// writes each of its words twice: the committed sequence and its prefix
 /// states are unchanged, but only if combination keeps the *last* write.
-fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite: bool) -> u64 {
+fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, bank: Bank) -> BankRun {
     let _watchdog = Watchdog::arm(
-        format!("seed {SEED:#x} rewrite={rewrite} plan {plan:?} config {cfg:?}"),
+        format!("seed {SEED:#x} {bank:?} plan {plan:?} config {cfg:?}"),
         HANG,
     );
     let dude = DudeTm::create_stm(Arc::clone(nvm), cfg);
@@ -130,13 +142,13 @@ fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite:
         })
         .expect_committed();
         let mut x = SEED;
-        for op in 0..TRANSFERS {
+        for op in 0..bank.transfers {
             let (a, b, nx) = next_pair(x);
             x = nx;
             let out = t.run(&mut |tx| {
                 let va = tx.read_word(slot(a))?;
                 let vb = tx.read_word(slot(b))?;
-                if rewrite {
+                if bank.rewrite {
                     tx.write_word(slot(a), !va)?;
                     tx.write_word(slot(b), !vb)?;
                 }
@@ -158,8 +170,18 @@ fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, rewrite:
             }
         }
     }
+    let log_bytes = dude.pipeline_stats().log_bytes_flushed;
     drop(dude);
-    acked
+    BankRun { acked, log_bytes }
+}
+
+/// What a bank run observed.
+struct BankRun {
+    /// The highest transaction ID acknowledged durable strictly before the
+    /// crash instant.
+    acked: u64,
+    /// Bytes appended to the log rings before the runtime shut down.
+    log_bytes: u64,
 }
 
 /// Recovers the device and checks the four invariants against the
@@ -224,24 +246,23 @@ fn sweep(
     torn: bool,
     max_points: u64,
 ) -> (u64, u64) {
-    sweep_bank(cfg, event, stage, torn, max_points, false)
+    sweep_bank(cfg, event, stage, torn, max_points, BANK)
 }
 
-/// [`sweep`] over the plain bank, or over the one whose transfers write
-/// each account twice.
+/// [`sweep`] over any [`Bank`].
 fn sweep_bank(
     cfg: DudeTmConfig,
     event: CrashEventKind,
     stage: StageFilter,
     torn: bool,
     max_points: u64,
-    rewrite: bool,
+    bank: Bank,
 ) -> (u64, u64) {
-    let states = expected_states();
+    let states = expected_states(bank.transfers);
     let events = (0..3)
         .map(|_| {
             let nvm = fresh_nvm();
-            run_bank(&nvm, cfg, None, rewrite);
+            run_bank(&nvm, cfg, None, bank);
             nvm.persistence_events().count(event, stage)
         })
         .min()
@@ -260,11 +281,11 @@ fn sweep_bank(
             plan = plan.with_torn_line(SEED ^ i);
         }
         let nvm = fresh_nvm();
-        let acked = run_bank(&nvm, cfg, Some(plan), rewrite);
+        let acked = run_bank(&nvm, cfg, Some(plan), bank).acked;
         if nvm.apply_planned_crash() {
             tripped += 1;
         }
-        let label = format!("{event:?}/{stage:?} torn={torn} rewrite={rewrite} crash point {i}");
+        let label = format!("{event:?}/{stage:?} torn={torn} {bank:?} crash point {i}");
         check_recovery(&nvm, &cfg, acked, &states, &label);
         rounds += 1;
         i += stride;
@@ -397,7 +418,10 @@ fn sweep_rewriting_bank_every_event_class() {
                 StageFilter::Any,
                 torn,
                 max_points,
-                true,
+                Bank {
+                    rewrite: true,
+                    ..BANK
+                },
             );
             assert!(
                 rounds >= 20,
@@ -582,20 +606,37 @@ fn sweep_grouped_compressed_background_writes() {
     );
 }
 
-/// A 4 KiB log ring, the smallest, wraps past the seed's record late in
-/// the run, so the later crash points find only the heap holding the cold
-/// row: recovery can no longer repair a store the Reproduce step left
-/// unflushed at its checkpoint (a line flushed ahead of a later store to
-/// it, say), and the cold-row check sees the loss. With the 64 KiB ring of
-/// the sweeps above, recovery replays the whole history from the log and
-/// hides it.
+/// A 4 KiB log ring, the smallest, wraps past the seed's record two thirds
+/// into a 250-transfer run (a transfer's record is 3 words), so the later
+/// crash points find only the heap holding the cold row: recovery can no
+/// longer repair a store the Reproduce step left unflushed at its
+/// checkpoint (a line flushed ahead of a later store to it, say), and the
+/// cold-row check sees the loss. With the 64 KiB ring of the sweeps above,
+/// recovery replays the whole history from the log and hides it.
 #[test]
 fn sweep_recycled_log_fences() {
     let cfg = DudeTmConfig {
         plog_bytes_per_thread: 1 << 12,
         ..config(ASYNC)
     };
-    let (rounds, tripped) = sweep(cfg, CrashEventKind::Fence, StageFilter::Any, false, 60);
+    let bank = Bank {
+        transfers: 250,
+        ..BANK
+    };
+    // One Perform thread, one log ring: past its capacity, it has wrapped.
+    let log_bytes = run_bank(&fresh_nvm(), cfg, None, bank).log_bytes;
+    assert!(
+        log_bytes > cfg.plog_bytes_per_thread * 4 / 3,
+        "the ring must wrap well before the run ends: {log_bytes} B logged"
+    );
+    let (rounds, tripped) = sweep_bank(
+        cfg,
+        CrashEventKind::Fence,
+        StageFilter::Any,
+        false,
+        60,
+        bank,
+    );
     assert!(rounds >= 15, "only {rounds} recycled-log fence points");
     assert!(
         tripped >= rounds / 2,
@@ -707,15 +748,15 @@ fn sweep_grouped_four_flush_workers_background_fences() {
 #[test]
 fn swept_crash_recovers_into_working_runtime() {
     let cfg = config(ASYNC);
-    let states = expected_states();
+    let states = expected_states(BANK.transfers);
     let nvm = fresh_nvm();
-    run_bank(&nvm, cfg, None, false);
+    run_bank(&nvm, cfg, None, BANK);
     let fences = nvm
         .persistence_events()
         .count(CrashEventKind::Fence, StageFilter::Any);
     let nvm = fresh_nvm();
     let plan = CrashPlan::at_nth(CrashEventKind::Fence, (fences / 2).max(1));
-    let acked = run_bank(&nvm, cfg, Some(plan), false);
+    let acked = run_bank(&nvm, cfg, Some(plan), BANK).acked;
     assert!(nvm.apply_planned_crash(), "mid-run fence plan must trip");
 
     let _watchdog = Watchdog::arm(format!("recovered runtime, config {cfg:?}"), HANG);

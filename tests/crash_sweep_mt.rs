@@ -53,6 +53,15 @@ fn slot(i: u64) -> PAddr {
     PAddr::from_word_index(8 + 8 * i)
 }
 
+/// Word `w` of the bank's cold row, the line after the last account's: the
+/// seed transaction writes `w + 1` to each of its eight words and no
+/// transfer touches it again, so once a log ring has wrapped over a record
+/// of the seed's run, recovery skips the seed's record as stale and only
+/// the heap holds the row.
+fn cold(w: u64) -> PAddr {
+    PAddr::from_word_index(8 + 8 * ACCOUNTS + w)
+}
+
 /// Seeds for the sweep: `DUDE_SWEEP_SEEDS=a,b,c` overrides the default
 /// pair (CI passes three).
 fn seeds() -> Vec<u64> {
@@ -118,6 +127,8 @@ struct MtRun {
     /// crash instant (Counters only).
     acked_incr: Vec<u64>,
     history: Arc<CommitHistory>,
+    /// Bytes appended to the log rings before the runtime shut down.
+    log_bytes: u64,
 }
 
 /// Runs `threads` workers × `ops` transactions each to clean shutdown,
@@ -157,7 +168,7 @@ fn run_mt(
             for i in 0..ACCOUNTS {
                 tx.write_word(slot(i), INITIAL)?;
             }
-            Ok(())
+            (0..8).try_for_each(|w| tx.write_word(cold(w), w + 1))
         })
         .expect_committed();
     }
@@ -224,11 +235,13 @@ fn run_mt(
             });
         }
     });
+    let log_bytes = dude.pipeline_stats().log_bytes_flushed;
     drop(
         Arc::try_unwrap(dude)
             .unwrap_or_else(|_| panic!("workers joined, runtime must be unshared")),
     );
     MtRun {
+        log_bytes,
         acked_tid: acked_tid.load(Ordering::Relaxed),
         acked_incr: acked_incr
             .iter()
@@ -276,6 +289,11 @@ fn check_mt_recovery(
                     "{label}: money not conserved after recovery to {}",
                     report.last_tid
                 );
+                let row: Vec<u64> = (0..8)
+                    .map(|w| nvm.read_word(layout.heap.start() + cold(w).offset()))
+                    .collect();
+                let want: Vec<u64> = (1..=8).collect();
+                assert_eq!(row, want, "{label}: the seed's cold row");
             }
         }
         Workload::Counters { stride } => {
@@ -639,7 +657,10 @@ fn mt_sweep_grouped_sync() {
 /// parked-record path (ring full → park → retry after Reproduce recycles
 /// a span), so crashes here land mid-recycling: some spans wiped, some
 /// still holding records below the checkpoint. Exercises the
-/// stale-run-skipping branch of recovery under concurrency.
+/// stale-run-skipping branch of recovery under concurrency. Once a ring
+/// has wrapped, the seed's record is stale and the cold row lives in the
+/// heap alone: a heap store Reproduce leaves unflushed is lost, and the
+/// cold-row check sees it.
 #[test]
 fn mt_sweep_tiny_plog_parked_records() {
     let combo = Combo {
@@ -650,11 +671,27 @@ fn mt_sweep_tiny_plog_parked_records() {
             ..cfg(ASYNC, 1, 1, false)
         },
         workload: Workload::Bank,
-        // 64 commits x 64-byte records per thread overfills the 4 KiB
-        // ring, so Persist must wait for Reproduce to recycle spans.
+        // 256 commits of 3-word records (an abort marker is 2) per thread
+        // overfill the 4 KiB ring by half, so Persist must reuse spans
+        // Reproduce recycled.
         threads: 4,
-        ops: 64,
+        ops: 256,
     };
+    // Past four rings' capacity, at least one has wrapped.
+    let run = run_mt(
+        &fresh_nvm(),
+        combo.cfg,
+        combo.workload,
+        4,
+        combo.ops,
+        7,
+        None,
+    );
+    assert!(
+        run.log_bytes > 4 * combo.cfg.plog_bytes_per_thread,
+        "the rings must wrap: {} B logged",
+        run.log_bytes
+    );
     assert_sweep(
         combo.name,
         sweep_mt(

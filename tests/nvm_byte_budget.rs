@@ -2,11 +2,12 @@
 //! stores — the one metric the benchmark host resolves to 1 %
 //! (`nvm_bytes_per_tx`), pinned where a regression fails tier-1.
 //!
-//! Every stored word is accounted for: a commit record is `2 + L + n` log
-//! words for `n` *distinct* written words on `L` cache lines (format v4, a
-//! commit combined as a group of one and grouped by line: a header and a
-//! TID, then per line one `mask | Δline` word and its values), a group
-//! record `3 + L + n` for the distinct words of its transactions, Reproduce
+//! Every stored word is accounted for: a commit record is `2 + ⌈p/8⌉` log
+//! words for `p` payload bytes (format v5, a commit combined as a group of
+//! one and grouped by line: a header and a TID, then per line a mask byte,
+//! its `Δline` as a varint — one byte for the lines here — a 4-bit count
+//! per value, two to a byte, and each value's significant bytes), a group
+//! record `3 + ⌈p/8⌉` for the distinct words of its transactions, Reproduce
 //! stores each distinct word once per run — the
 //! TIDs up to the next multiple of `checkpoint_every`, or up to a
 //! `quiesce` that cuts the run short — and each checkpoint is one word.
@@ -27,8 +28,8 @@ const ASYNC: DurabilityMode = DurabilityMode::Async { buffer_txns: 1024 };
 fn config(mode: DurabilityMode) -> DudeTmConfig {
     DudeTmConfig {
         max_threads: 1,
-        // 6 400 four-word records fill a fifth of the ring: it never
-        // wraps, so no skip marker is written.
+        // 6 400 records of at most four words fill a fifth of the ring: it
+        // never wraps, so no skip marker is written.
         plog_bytes_per_thread: 1 << 20,
         checkpoint_every: 64,
         ..DudeTmConfig::small(1 << 16)
@@ -78,6 +79,12 @@ fn one_write(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
     tx.write_word(PAddr::from_word_index(i % 512), i + 1)
 }
 
+/// [`one_write`] with a value whose eight bytes are all significant, as a
+/// TATP update's is.
+fn one_wide_write(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
+    tx.write_word(PAddr::from_word_index(i % 512), u64::MAX - i)
+}
+
 /// The eight words of one row (one cache line), last word first.
 fn one_row(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
     let row = i % 64 * 8;
@@ -93,10 +100,28 @@ fn a_b_a(tx: &mut dyn Txn, i: u64) -> TxResult<()> {
     tx.write_word(a, 3 + i)
 }
 
+/// A value of 1–2 significant bytes (`i + 1` ≤ 6 400) on line 0–63: mask,
+/// `Δline`, count and value are 4–5 payload bytes, so 2 + 1 log words and
+/// the heap word.
+#[test]
+fn a_narrow_one_write_transaction_costs_four_words() {
+    for mode in [ASYNC, DurabilityMode::Sync] {
+        let (words, checkpoints) = words_written(config(mode), 6_400, None, one_write);
+        assert!(checkpoints >= 6_400 / 64, "{mode:?}: {checkpoints}");
+        assert_eq!(
+            words,
+            6_400 * (3 + 1) + checkpoints,
+            "{mode:?}: 3 log words + 1 heap word per tx, 1 word per checkpoint"
+        );
+    }
+}
+
+/// An 8-significant-byte value — the shape of a TATP update — is 1 + 1 +
+/// 1 + 8 = 11 payload bytes: 2 + 2 log words and the heap word, as in v4.
 #[test]
 fn one_write_transaction_costs_five_words() {
     for mode in [ASYNC, DurabilityMode::Sync] {
-        let (words, checkpoints) = words_written(config(mode), 6_400, None, one_write);
+        let (words, checkpoints) = words_written(config(mode), 6_400, None, one_wide_write);
         assert!(checkpoints >= 6_400 / 64, "{mode:?}: {checkpoints}");
         assert_eq!(
             words,
@@ -107,7 +132,9 @@ fn one_write_transaction_costs_five_words() {
 }
 
 /// TIDs 1..=64 are one run: A, B, A is a two-write record per
-/// transaction, and A and B reach the heap once for all 64 of them.
+/// transaction — lines 1 and 8, one 4-byte group each (`3 + i` and 2
+/// take a byte), 2 + 1 words — and A and B reach the heap once for all 64
+/// of them.
 #[test]
 fn a_rewritten_word_is_logged_and_applied_once() {
     for mode in [ASYNC, DurabilityMode::Sync] {
@@ -118,15 +145,17 @@ fn a_rewritten_word_is_logged_and_applied_once() {
         );
         assert_eq!(
             words,
-            64 * (2 + 2 + 2) + 2 + checkpoints,
+            64 * (2 + 1) + 2 + checkpoints,
             "{mode:?}: 64 two-line records, two heap words, the checkpoints"
         );
     }
 }
 
-/// An 8-word row is one line group: 2 + 1 + 8 = 11 log words per commit,
-/// where v2 logged 2 + 2 × 8 = 18. TIDs 1..=64 are one run over the 64
-/// rows, so each of the 512 words reaches the heap once.
+/// An 8-word row is one line group: a mask byte, `Δline`, 4 count bytes
+/// and eight one-byte values (seven for TID 1, whose first value is 0) are
+/// 13–14 payload bytes, 2 + 2 log words per commit, where v4 logged
+/// 2 + 1 + 8 = 11 and v2 2 + 2 × 8 = 18. TIDs 1..=64 are one run over the
+/// 64 rows, so each of the 512 words reaches the heap once.
 #[test]
 fn an_eight_word_row_is_one_line_group() {
     for mode in [ASYNC, DurabilityMode::Sync] {
@@ -137,7 +166,7 @@ fn an_eight_word_row_is_one_line_group() {
         );
         assert_eq!(
             words,
-            64 * (2 + 1 + 8) + 64 * 8 + checkpoints,
+            64 * (2 + 2) + 64 * 8 + checkpoints,
             "{mode:?}: 64 one-line records, 512 heap words, the checkpoints"
         );
     }
@@ -158,24 +187,25 @@ fn a_quiesce_cuts_a_run_without_moving_the_next_boundary() {
         );
         assert_eq!(
             words,
-            90 * (2 + 2 + 2) + 3 * 2 + checkpoints,
+            90 * (2 + 1) + 3 * 2 + checkpoints,
             "{mode:?}: 90 two-line records, three runs of two heap words"
         );
     }
 }
 
 /// Groups of 8 transactions over 8 distinct rows are uncompressed group
-/// records of `3 + L + n` = 3 + 8 + 64 = 75 log words, where the eight
-/// commits took 8 × 11 = 88 (and v3's pair groups 3 + 2 × 64 = 131).
-/// TIDs 1..=64 are one run, so each of the 512 words reaches the heap once.
+/// records of 3 words and eight 14-byte line groups (13 for TID 1's row):
+/// 3 + ⌈112/8⌉ = 17 log words, where the eight commits took 8 × 4 = 32
+/// (v4's group 3 + 8 + 64 = 75, v3's pair groups 3 + 2 × 64 = 131). TIDs
+/// 1..=64 are one run, so each of the 512 words reaches the heap once.
 #[test]
-fn an_uncompressed_group_costs_three_words_a_line_and_a_word() {
+fn an_uncompressed_group_costs_three_words_and_its_payload_bytes() {
     let cfg = config(ASYNC).with_grouping(8, false);
     let (words, checkpoints) = words_written(cfg, 64, None, one_row);
     assert_eq!(checkpoints, 2, "the cadence's at TID 64, the drain's");
     assert_eq!(
         words,
-        8 * (3 + 8 + 64) + 64 * 8 + checkpoints,
+        8 * (3 + 14) + 64 * 8 + checkpoints,
         "8 eight-line groups, 512 heap words, the checkpoints"
     );
 }

@@ -203,6 +203,8 @@ struct SimRun {
     trace: Vec<u8>,
     /// Commits that parked on a full redo ring (counted when tracing).
     log_full: u64,
+    /// Persist units a full log ring gave back (counted when tracing).
+    ring_full: u64,
     heap: Region,
 }
 
@@ -336,18 +338,18 @@ fn run_sim(
             .iter()
             .map(|a| a.load(Ordering::Relaxed))
             .collect();
-        let log_full = dude.stats_snapshot().stalls.perform_log_full;
+        let stalls = dude.stats_snapshot().stalls;
         let heap = dude.heap_region();
         drop(
             Arc::try_unwrap(dude)
                 .unwrap_or_else(|_| panic!("workers joined, runtime must be unshared")),
         );
-        (acked, incr, log_full, heap)
+        (acked, incr, stalls, heap)
     });
     if let Some(p) = report.panic {
         return Err(format!("simulated run aborted: {p}"));
     }
-    let (acked_tid, acked_incr, log_full, heap) = report
+    let (acked_tid, acked_incr, stalls, heap) = report
         .result
         .expect("sim run without panic must carry a result");
     Ok(SimRun {
@@ -355,7 +357,8 @@ fn run_sim(
         acked_incr,
         history,
         trace: report.trace,
-        log_full,
+        log_full: stalls.perform_log_full,
+        ring_full: stalls.persist_ring_full,
         heap,
     })
 }
@@ -463,15 +466,17 @@ fn crash_case(combo: &Combo, seed: u64, event: CrashEventKind, n: u64) -> bool {
 
 /// The seed sweep for one config: every schedule seed runs clean, and
 /// (when `crash_points > 0`) a stride of planned crashes over the flush
-/// timeline of that same schedule. Returns the clean runs' full-ring parks.
-fn explore(combo: &Combo, crash_points: u64) -> u64 {
+/// timeline of that same schedule. Returns the clean runs' commits parked
+/// on a full redo ring and Persist units given back by a full log ring.
+fn explore(combo: &Combo, crash_points: u64) -> (u64, u64) {
     let _g = lock_tests();
     let mut tripped = 0u64;
     let mut armed = 0u64;
-    let mut log_full = 0;
+    let (mut log_full, mut ring_full) = (0, 0);
     for seed in schedule_seeds() {
         let clean = clean_case(combo, seed);
         log_full += clean.log_full;
+        ring_full += clean.ring_full;
         if crash_points == 0 {
             continue;
         }
@@ -511,7 +516,7 @@ fn explore(combo: &Combo, crash_points: u64) -> u64 {
             combo.name
         );
     }
-    log_full
+    (log_full, ring_full)
 }
 
 // ---------------------------------------------------------------------------
@@ -683,11 +688,13 @@ fn schedules_grouped_sync_bank() {
     }
 }
 
-/// Rings of 512 words hold thirteen 37-word records (31 words on four
-/// lines), and the cadence never fires: every span comes back through a
-/// forced checkpoint, behind a parked Persist unit or a `Sync` commit
-/// whose ring is full, while the four rings wrap four times each. Two Persist workers, except under
-/// `Sync`, whose committers are their own rings' one.
+/// Rings of 512 words hold thirteen 37-word records (159 one-byte values
+/// on twenty lines: nineteen 14-byte line groups and a 13-byte one, 279
+/// payload bytes), and the cadence never fires: every span comes back
+/// through a forced checkpoint, behind a parked Persist unit or a `Sync`
+/// commit whose ring is full, while the four rings wrap four times each.
+/// Two Persist workers, except under `Sync`, whose committers are their
+/// own rings' one. Traced, to count the full rings.
 fn ring_full_combo(name: &'static str, mode: DurabilityMode) -> Combo {
     let pw = if mode == DurabilityMode::Sync { 1 } else { 2 };
     let cfg = DudeTmConfig {
@@ -696,14 +703,15 @@ fn ring_full_combo(name: &'static str, mode: DurabilityMode) -> Combo {
         checkpoint_every: 1 << 20,
         ..cfg(pw, 1, false)
     }
-    .with_durability(mode);
+    .with_durability(mode)
+    .with_trace(TraceConfig::enabled(64));
     cfg.try_validate().expect("ring-full combo must be valid");
     Combo {
         name,
         cfg,
         workload: Workload::Counters {
-            stride: 32,
-            width: 31,
+            stride: 160,
+            width: 159,
         },
         threads: 4,
         ops: 56,
@@ -717,7 +725,8 @@ fn schedules_ring_full_liveness() {
         ("sim ring-full pw=2", ASYNC),
         ("sim ring-full sync", DurabilityMode::Sync),
     ] {
-        explore(&ring_full_combo(name, mode), 0);
+        let (_, ring_full) = explore(&ring_full_combo(name, mode), 0);
+        assert!(ring_full > 0, "{name}: no log ring ever filled");
     }
 }
 
@@ -749,7 +758,7 @@ fn schedules_tiny_redo_ring() {
         ("sim tiny-ring pw=1 pg=8", 1, 8, 4),
         ("sim tiny-ring pw=2 pg=8", 2, 8, 0),
     ] {
-        let parks = explore(&tiny_ring_combo(name, pw, group), crash_points);
+        let (parks, _) = explore(&tiny_ring_combo(name, pw, group), crash_points);
         assert!(parks > 0, "{name}: no commit ever parked on a full ring");
     }
 }
@@ -985,10 +994,11 @@ fn mutation_run_stored_after_its_checkpoint_is_caught() {
             ..cfg(1, 1, false)
         }
         .with_durability(DurabilityMode::Sync),
-        // Three words a record: a 6- or 7-word commit record (one or two
-        // line groups), about what two words took before line groups, so
-        // each thread's 100 records fill its 512-word ring.
-        workload: Workload::Log { width: 3 },
+        // Sixteen one-byte words a record, two full lines: two 14- or
+        // 15-byte line groups, a 6-word commit record, so each thread's
+        // 100 records overfill its 512-word ring. (Three words, 6–7 words
+        // a record in log format v4, are 3–4 in v5 and never fill it.)
+        workload: Workload::Log { width: 16 },
         threads: 3,
         ops: 100,
         quiesce: false,
