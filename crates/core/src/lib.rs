@@ -12,9 +12,9 @@
 //!    lock-free volatile redo ring.
 //! 2. **Persist** — background threads combine each redo log (last writer
 //!    wins per word: a commit is a group of one), append it to persistent
-//!    log rings in the two-word-header format of [`log`], and cover each
-//!    sweep with one flush per ring and one barrier, advancing the global
-//!    *durable ID*.
+//!    log rings as the frames of [`log`] — one two-word header over the
+//!    records a sweep takes from one ring — and cover each sweep with one
+//!    flush per ring and one barrier, advancing the global *durable ID*.
 //! 3. **Reproduce** — a step run by whoever closes a TID gap replays
 //!    durable logs straight from the redo rings, in global transaction-ID
 //!    order, onto the real persistent data — each dirty cache line flushed

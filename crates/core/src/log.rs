@@ -4,21 +4,27 @@
 //! `(address, value)` pairs it wrote plus an end mark carrying its
 //! transaction ID (§3.2, Algorithm 2). A writer that aborted *after*
 //! consuming a commit timestamp produces an [`LogRecord::Abort`] marker so
-//! the global ID sequence stays dense and the durable ID remains computable.
+//! the global ID sequence stays dense and the durable ID remains computable;
+//! on NVM it is a commit record with no writes.
 //!
-//! On NVM, records are word streams in format v5 (`DESIGN.md §Pipeline`,
+//! On NVM, records are word streams in format v6 (`DESIGN.md §Pipeline`,
 //! *Log format*): a header word `check:32 | magic:4 | kind:4 | len:24`, the
 //! transaction ID (first and last ID for groups), then `len` payload bytes,
 //! little-endian and zero-padded to a whole word. Every payload is *line
 //! groups*, one per run of ascending words of one 64-byte line: a mask byte
 //! of the words present, the line minus the previous group's line as a
 //! zig-zag LEB128 varint, a 4-bit significant-byte count per value (two to
-//! a byte), then each value's significant bytes. The check covers every
-//! other bit of the record; recovery walks the log and discards the first
-//! torn record and everything after it (§3.5). Log *combination* keeps only
-//! the last write per address — within one transaction, or across a group
-//! of **consecutive** ones (§3.3); log *compression* packs a group's
-//! payload bytes with [`dude_compress`].
+//! a byte), then each value's significant bytes. A *frame* carries the
+//! commit records one Persist sweep stages from one redo ring under one
+//! header: the first record's TID, then per record a LEB128 TID step (the
+//! TIDs skipped since the previous record; not on the first) and a LEB128
+//! byte length, then its line groups. A frame of one is a commit record,
+//! with neither prefix. The check covers every other bit of the record;
+//! recovery walks the log and discards the first torn record and everything
+//! after it (§3.5). Log *combination* keeps only the last write per address
+//! — within one transaction, or across a group of **consecutive** ones
+//! (§3.3); log *compression* packs a group's payload bytes with
+//! [`dude_compress`].
 
 use std::borrow::Borrow;
 
@@ -31,9 +37,10 @@ const MAGIC: u64 = 0xD;
 
 /// Record kinds (bits 24..28 of the header word).
 const KIND_COMMIT: u64 = 1;
-const KIND_ABORT: u64 = 2;
 const KIND_GROUP: u64 = 3;
 const KIND_GROUP_LZ: u64 = 4;
+/// A frame of two or more commit records.
+const KIND_FRAME: u64 = 5;
 /// A single-word marker telling readers to wrap to the ring start.
 const KIND_SKIP: u64 = 15;
 
@@ -97,7 +104,8 @@ impl<'a> IntoIterator for &'a LogRecord {
     }
 }
 
-/// A record parsed back from persistent memory.
+/// A record parsed back from persistent memory: a group, or one commit
+/// record of a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedRecord {
     /// First transaction ID the record covers.
@@ -107,7 +115,8 @@ pub struct ParsedRecord {
     pub last_tid: TxId,
     /// The (possibly combined) writes to replay for this ID range.
     pub writes: Vec<(u64, u64)>,
-    /// Words consumed by the record in the log.
+    /// Words the record consumed in the log: a frame's words are counted on
+    /// its last record, and its other records count 0.
     pub words: usize,
 }
 
@@ -145,13 +154,21 @@ fn check(record: &[u64]) -> u64 {
     (acc >> 32) ^ (acc & LOW_HALF)
 }
 
-/// Stamps the finished record's check into its header word.
-fn seal(record: &mut [u64]) {
-    record[0] |= check(record) << 32;
+/// Finishes a record whose ID words `out` holds: packs `payload` after
+/// them, zero-padded to a word, and stamps the header with `kind`, the
+/// payload's length and the check.
+fn seal(kind: u64, payload: &[u8], out: &mut Vec<u64>) {
+    let mut words = payload.chunks_exact(8);
+    out.extend(words.by_ref().map(|w| w.read(0, 8)));
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        out.push(rest.read(0, rest.len()));
+    }
+    out[0] = header(kind, payload.len());
+    out[0] |= check(out) << 32;
 }
 
-/// Where payload bytes go: straight into a record's words ([`Packer`]),
-/// or into bytes for the compressor.
+/// Where payload bytes go.
 trait Sink {
     /// Appends the low `n ≤ 8` bytes of `v`, little-endian; `v` has no
     /// bit above them.
@@ -168,65 +185,34 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// Packs payload bytes into the words after a record's head, through a
-/// 64-byte block: a put is one fixed 8-byte copy into the block, whatever
-/// its length, and a full block becomes eight words of `out`.
-struct Packer<'a> {
-    out: &'a mut Vec<u64>,
-    /// The block, and 8 bytes for a put that runs past it.
-    block: [u8; 72],
-    /// Bytes in the block.
-    at: usize,
-    /// Payload bytes packed into `out`.
-    len: usize,
-}
-
-impl<'a> Packer<'a> {
-    fn new(out: &'a mut Vec<u64>) -> Self {
-        Packer {
-            out,
-            block: [0; 72],
-            at: 0,
-            len: 0,
-        }
-    }
-
-    /// Packs the last, partial block, zero-padded to a word; returns the
-    /// payload bytes.
-    fn finish(self) -> usize {
-        for word in (0..self.at).step_by(8) {
-            // Past the last put's bytes, a put that ran further ahead in
-            // an earlier block may have left some: mask them off.
-            let live = low_bytes((self.at - word).min(8));
-            self.out.push(le_word(&self.block[word..word + 8]) & live);
-        }
-        self.len + self.at
-    }
-}
-
-/// The little-endian word of 8 bytes.
-fn le_word(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-}
-
-impl Sink for Packer<'_> {
-    #[inline]
-    fn put(&mut self, v: u64, n: usize) {
-        self.block[self.at..self.at + 8].copy_from_slice(&v.to_le_bytes());
-        self.at += n;
-        if self.at >= 64 {
-            self.out
-                .extend(self.block[..64].chunks_exact(8).map(le_word));
-            self.block.copy_within(64.., 0);
-            self.at -= 64;
-            self.len += 64;
-        }
-    }
-}
-
 /// Significant bytes of `v`: 0 for 0, 8 for a top byte set.
 fn sig_bytes(v: u64) -> usize {
     (71 - v.leading_zeros() as usize) / 8
+}
+
+/// `z < 2^49` as LEB128: its (at most seven) seven-bit digits, a byte
+/// each, with the continuation bit on all but the last, and their count —
+/// no branch on the count.
+#[inline]
+fn leb(z: u64) -> (u64, usize) {
+    debug_assert!(z >> 49 == 0);
+    let len = (70 - (z | 1).leading_zeros() as usize) / 7;
+    let digits = (0..7).fold(0, |v, i| v | (z >> (7 * i) & 0x7f) << (8 * i));
+    (digits | 0x0080_8080_8080_8080 & low_bytes(len - 1), len)
+}
+
+/// Appends `z` as a LEB128 varint.
+#[inline]
+fn put_varint(sink: &mut impl Sink, mut z: u64) {
+    if z >> 49 == 0 {
+        let (digits, len) = leb(z);
+        return sink.put(digits, len);
+    }
+    while z >= 0x80 {
+        sink.put(z & 0x7f | 0x80, 1);
+        z >>= 7;
+    }
+    sink.put(z, 1);
 }
 
 /// Appends one line group: its mask byte, `Δline` as a zig-zag LEB128
@@ -236,21 +222,12 @@ fn sig_bytes(v: u64) -> usize {
 fn put_group(sink: &mut impl Sink, mask: u8, dline: u64, vals: &[u64]) {
     let z = dline << 1 ^ ((dline as i64 >> 63) as u64);
     if z >> 49 == 0 {
-        // The mask byte, then the varint's (at most seven) seven-bit
-        // digits, a byte each, with the continuation bit on all but the
-        // last: one put, and no branch on the varint's length.
-        let len = (70 - (z | 1).leading_zeros() as usize) / 7;
-        let digits = (0..7).fold(0, |v, i| v | (z >> (7 * i) & 0x7f) << (8 * i));
-        let digits = digits | 0x0080_8080_8080_8080 & low_bytes(len - 1);
+        // The mask byte and the varint in one put.
+        let (digits, len) = leb(z);
         sink.put(u64::from(mask) | digits << 8, 1 + len);
     } else {
         sink.put(u64::from(mask), 1);
-        let mut z = z;
-        while z >= 0x80 {
-            sink.put(z & 0x7f | 0x80, 1);
-            z >>= 7;
-        }
-        sink.put(z, 1);
+        put_varint(sink, z);
     }
     let counts = vals.iter().enumerate();
     let counts = counts.fold(0, |c, (i, &v)| c | (sig_bytes(v) as u64) << (4 * i));
@@ -354,17 +331,26 @@ impl Payload for Words<'_> {
     }
 }
 
-/// A payload read front to back.
+/// The bytes `at..end` of a payload, read front to back.
 struct Reader<'a, P: ?Sized> {
     payload: &'a P,
     at: usize,
+    end: usize,
 }
 
-impl<P: Payload + ?Sized> Reader<'_, P> {
-    /// The next `n ≤ 8` bytes, if the payload has them.
+impl<'a, P: Payload + ?Sized> Reader<'a, P> {
+    fn new(payload: &'a P) -> Self {
+        Reader {
+            payload,
+            at: 0,
+            end: payload.len(),
+        }
+    }
+
+    /// The next `n ≤ 8` bytes, if the reader has them.
     #[inline]
     fn take(&mut self, n: usize) -> Option<u64> {
-        let v = (self.at + n <= self.payload.len()).then(|| self.payload.read(self.at, n))?;
+        let v = (self.at + n <= self.end).then(|| self.payload.read(self.at, n))?;
         self.at += n;
         Some(v)
     }
@@ -391,46 +377,46 @@ impl<P: Payload + ?Sized> Reader<'_, P> {
             shift += 7;
         }
     }
-}
 
-/// Decodes a payload of line groups and escapes, if it is exactly that.
-fn parse_lines(payload: &(impl Payload + ?Sized)) -> Option<Vec<(u64, u64)>> {
-    let mut r = Reader { payload, at: 0 };
-    let mut writes = Vec::with_capacity(payload.len() / 4);
-    let mut line = 0u64;
-    while let Some(mask) = r.take(1) {
-        if mask == 0 {
-            writes.push((r.take(8)?, r.take(8)?));
-            continue;
-        }
-        let z = r.varint()?;
-        line = line.wrapping_add(z >> 1 ^ (z & 1).wrapping_neg());
-        if line >> 56 != 0 {
-            return None;
-        }
-        let k = mask.count_ones() as usize;
-        let counts = r.take(k.div_ceil(2))?;
-        if counts >> (4 * k) != 0 {
-            return None;
-        }
-        let mut words = mask;
-        for i in 0..k {
-            let n = (counts >> (4 * i) & 0xf) as usize;
-            if n > 8 {
+    /// Decodes the reader's bytes, if they are exactly line groups and
+    /// escapes.
+    fn lines(&mut self) -> Option<Vec<(u64, u64)>> {
+        let mut writes = Vec::with_capacity((self.end - self.at) / 4);
+        let mut line = 0u64;
+        while let Some(mask) = self.take(1) {
+            if mask == 0 {
+                writes.push((self.take(8)?, self.take(8)?));
+                continue;
+            }
+            let z = self.varint()?;
+            line = line.wrapping_add(z >> 1 ^ (z & 1).wrapping_neg());
+            if line >> 56 != 0 {
                 return None;
             }
-            let val = r.take(n)?;
-            writes.push((line << 6 | u64::from(words.trailing_zeros()) << 3, val));
-            words &= words - 1;
+            let k = mask.count_ones() as usize;
+            let counts = self.take(k.div_ceil(2))?;
+            if counts >> (4 * k) != 0 {
+                return None;
+            }
+            let mut words = mask;
+            for i in 0..k {
+                let n = (counts >> (4 * i) & 0xf) as usize;
+                if n > 8 {
+                    return None;
+                }
+                let val = self.take(n)?;
+                writes.push((line << 6 | u64::from(words.trailing_zeros()) << 3, val));
+                words &= words - 1;
+            }
         }
+        Some(writes)
     }
-    Some(writes)
 }
 
 /// The skip marker written when a record would not fit before the ring end.
 pub fn skip_word() -> u64 {
-    let mut word = [header(KIND_SKIP, 0)];
-    seal(&mut word);
+    let mut word = vec![0];
+    seal(KIND_SKIP, &[], &mut word);
     word[0]
 }
 
@@ -439,33 +425,135 @@ pub fn is_skip(word: u64) -> bool {
     kind_len(word).is_some_and(|(kind, _)| kind == KIND_SKIP)
 }
 
-/// Serializes a commit record into `out` (clears it first), keeping the
-/// writes' order: 2 words, then `len` payload bytes of line groups and
-/// escapes in `⌈len/8⌉` words. `writes` is any list of pairs that knows
-/// its length — a slice, or a record's slice of its redo ring; a list
-/// combined by line (`Combiner::by_line`) has one group per line.
+/// Serializes a commit record — a frame of one — into `out` (clears it
+/// first), keeping the writes' order: 2 words, then `len` payload bytes of
+/// line groups and escapes in `⌈len/8⌉` words. `writes` is any list of
+/// pairs that knows its length — a slice, or a record's slice of its redo
+/// ring; a list combined by line (`Combiner::by_line`) has one group per
+/// line. An abort marker is a commit with no writes.
 pub fn serialize_commit<W>(tid: TxId, writes: W, out: &mut Vec<u64>)
 where
     W: IntoIterator<IntoIter: ExactSizeIterator, Item: Borrow<(u64, u64)>>,
 {
-    let writes = writes.into_iter();
-    out.clear();
-    out.reserve(2 + writes.len());
-    // The header, once the payload's length is known.
-    out.extend([0, tid]);
-    let mut packer = Packer::new(out);
-    push_lines(writes, &mut packer);
-    let len = packer.finish();
-    out[0] = header(KIND_COMMIT, len);
-    seal(out);
+    let mut frame = FrameWriter::default();
+    frame.push(tid, writes);
+    frame.finish(out);
 }
 
-/// Serializes an abort marker into `out` (clears it first): 2 words.
-pub fn serialize_abort(tid: TxId, out: &mut Vec<u64>) {
-    out.clear();
-    out.push(header(KIND_ABORT, 0));
-    out.push(tid);
-    seal(out);
+/// Serializes `records`, in ascending TID order, into `out` (clears it
+/// first) as one frame: what a Persist sweep stages from one redo ring. A
+/// frame of one is [`serialize_commit`]'s record, an abort is a record
+/// with no writes, and a frame of `n` never takes more words than the `n`
+/// records it replaces while each TID step is below 2^35. A one-shot form
+/// of the `FrameWriter` a Persist worker keeps.
+///
+/// # Panics
+///
+/// Panics if `records` is empty or its TIDs do not ascend.
+pub fn serialize_frame<'a>(records: impl IntoIterator<Item = &'a LogRecord>, out: &mut Vec<u64>) {
+    let mut frame = FrameWriter::default();
+    for rec in records {
+        frame.push(rec.tid(), rec.writes());
+    }
+    frame.finish(out);
+}
+
+/// A frame being built: its payload bytes, which hold every record's
+/// prefixes — the first record's byte length too, dropped if the frame
+/// ends with one record — and how to take the last record back out.
+#[derive(Debug, Default)]
+pub(crate) struct FrameWriter {
+    bytes: Vec<u8>,
+    /// Records in the frame.
+    n: usize,
+    /// The first record's and the last record's TIDs.
+    first: TxId,
+    last: TxId,
+    /// Bytes of the first record's length prefix.
+    head: usize,
+    /// Where the last record starts, and the TID before it.
+    mark: usize,
+    before: TxId,
+}
+
+impl FrameWriter {
+    /// Empties the frame.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.n = 0;
+    }
+
+    /// Records in the frame.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Appends the record of `tid`, above every TID in the frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tid` is not above the frame's last TID.
+    pub(crate) fn push(&mut self, tid: TxId, writes: impl IntoIterator<Item: Borrow<(u64, u64)>>) {
+        (self.mark, self.before) = (self.bytes.len(), self.last);
+        if self.n == 0 {
+            self.first = tid;
+        } else {
+            assert!(tid > self.last, "frame TIDs must ascend");
+            put_varint(&mut self.bytes, tid - self.last - 1);
+        }
+        // A one-byte length in front of the line groups, widened once they
+        // are known to take 128 bytes or more.
+        let at = self.bytes.len();
+        self.bytes.push(0);
+        push_lines(writes, &mut self.bytes);
+        let len = self.bytes.len() - at - 1;
+        assert!(len <= LEN_MAX, "record length {len} exceeds a frame");
+        let (digits, width) = leb(len as u64);
+        if width > 1 {
+            self.bytes.splice(at..at, std::iter::repeat_n(0, width - 1));
+        }
+        self.bytes[at..at + width].copy_from_slice(&digits.to_le_bytes()[..width]);
+        if self.n == 0 {
+            self.head = width;
+        }
+        self.last = tid;
+        self.n += 1;
+    }
+
+    /// Takes the last record back out.
+    pub(crate) fn pop(&mut self) {
+        assert!(self.n > 0, "pop from an empty frame");
+        self.bytes.truncate(self.mark);
+        self.last = self.before;
+        self.n -= 1;
+    }
+
+    /// The payload: without the first record's length if it is alone.
+    fn payload(&self) -> &[u8] {
+        match self.n {
+            1 => &self.bytes[self.head..],
+            _ => &self.bytes,
+        }
+    }
+
+    /// Words the frame takes in the log.
+    pub(crate) fn words(&self) -> usize {
+        2 + self.payload().len().div_ceil(8)
+    }
+
+    /// Serializes the frame into `out` (clears it first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is empty.
+    pub(crate) fn finish(&self, out: &mut Vec<u64>) {
+        assert!(self.n > 0, "an empty frame");
+        let kind = if self.n == 1 { KIND_COMMIT } else { KIND_FRAME };
+        out.clear();
+        out.reserve(self.words());
+        out.extend([0, self.first]);
+        seal(kind, self.payload(), out);
+    }
 }
 
 /// Serializes a combined group covering `first..=last` into `out`, its
@@ -508,43 +596,29 @@ impl GroupWriter {
         out: &mut Vec<u64>,
     ) -> (usize, usize) {
         debug_assert!(first <= last);
-        out.clear();
-        out.extend([0, first, last]);
-        let mut packer = Packer::new(out);
-        if !compress {
-            push_lines(writes, &mut packer);
-            let raw = packer.finish();
-            out[0] = header(KIND_GROUP, raw);
-            seal(out);
-            return (raw, raw);
-        }
         self.raw.clear();
         push_lines(writes, &mut self.raw);
-        self.lz.compress_into(&self.raw, &mut self.packed);
-        let (kind, bytes) = match self.packed.len() < self.raw.len() {
-            true => (KIND_GROUP_LZ, &self.packed),
-            false => (KIND_GROUP, &self.raw),
-        };
-        for chunk in bytes.chunks(8) {
-            packer.put(chunk.read(0, chunk.len()), chunk.len());
+        let mut stored = (KIND_GROUP, &self.raw);
+        if compress {
+            self.lz.compress_into(&self.raw, &mut self.packed);
+            if self.packed.len() < self.raw.len() {
+                stored = (KIND_GROUP_LZ, &self.packed);
+            }
         }
-        packer.finish();
-        out[0] = header(kind, bytes.len());
-        seal(out);
-        (self.raw.len(), bytes.len())
+        out.clear();
+        out.extend([0, first, last]);
+        seal(stored.0, stored.1, out);
+        (self.raw.len(), stored.1.len())
     }
 }
 
-/// Attempts to parse one record starting at `words[0]`.
-///
-/// Returns `None` if the words do not form a check-valid record with zero
-/// padding — recovery treats that as the end of the intact log.
-pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
+/// A check-valid record at `words[0]` with zero padding: its kind, its
+/// words, and its payload after the `head` words in front of it.
+fn open(words: &[u64]) -> Option<(u64, &[u64], Words<'_>)> {
     let (kind, len) = kind_len(*words.first()?)?;
     // Words in front of the payload.
     let head = match kind {
-        KIND_COMMIT => 2,
-        KIND_ABORT if len == 0 => 2,
+        KIND_COMMIT | KIND_FRAME => 2,
         KIND_GROUP | KIND_GROUP_LZ => 3,
         _ => return None,
     };
@@ -552,20 +626,38 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
     if record[0] >> 32 != check(record) {
         return None;
     }
-    let first_tid = record[1];
-    let last_tid = if head == 3 { record[2] } else { first_tid };
     // The padding after the payload's last byte is zero.
     let padding = record[record.len() - 1] >> (8 * (len % 8));
-    if first_tid > last_tid || (len % 8 != 0 && padding != 0) {
+    if len % 8 != 0 && padding != 0 {
         return None;
     }
-    let body = Words(&record[head..], len);
+    Some((kind, record, Words(&record[head..], len)))
+}
+
+/// Attempts to parse one record — a group, or a frame of one — starting at
+/// `words[0]`.
+///
+/// Returns `None` if the words do not form a check-valid record with zero
+/// padding — recovery treats that as the end of the intact log — or form a
+/// frame of several records ([`parse_frame`] reads those).
+pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
+    let (kind, record, body) = open(words)?;
+    single(kind, record, &body)
+}
+
+/// The record `open` found, if it is one record: a commit or a group.
+fn single(kind: u64, record: &[u64], body: &Words<'_>) -> Option<ParsedRecord> {
+    let (first_tid, last_tid) = match kind {
+        KIND_COMMIT => (record[1], record[1]),
+        KIND_GROUP | KIND_GROUP_LZ if record[1] <= record[2] => (record[1], record[2]),
+        _ => return None,
+    };
     let writes = match kind {
         KIND_GROUP_LZ => {
-            let stored: Vec<u8> = (0..len).map(|at| body.read(at, 1) as u8).collect();
-            parse_lines(&dude_compress::decompress(&stored).ok()?[..])?
+            let stored: Vec<u8> = (0..body.1).map(|at| body.read(at, 1) as u8).collect();
+            Reader::new(&dude_compress::decompress(&stored).ok()?[..]).lines()?
         }
-        _ => parse_lines(&body)?,
+        _ => Reader::new(body).lines()?,
     };
     Some(ParsedRecord {
         first_tid,
@@ -573,6 +665,48 @@ pub fn parse_record(words: &[u64]) -> Option<ParsedRecord> {
         writes,
         words: record.len(),
     })
+}
+
+/// Parses the record or frame starting at `words[0]` into `out`, one
+/// [`ParsedRecord`] per record of a frame, and returns the words it takes.
+/// `None`, with `out` as it was, where [`parse_record`] would refuse it.
+pub fn parse_frame(words: &[u64], out: &mut Vec<ParsedRecord>) -> Option<usize> {
+    let (kind, record, body) = open(words)?;
+    if kind != KIND_FRAME {
+        out.push(single(kind, record, &body)?);
+        return Some(record.len());
+    }
+    let at = out.len();
+    let parsed = frame_records(record[1], &body, out);
+    // A frame holds two records or more: one is a commit record.
+    if parsed.is_none() || out.len() - at < 2 {
+        out.truncate(at);
+        return None;
+    }
+    out.last_mut().expect("two records").words = record.len();
+    Some(record.len())
+}
+
+/// Appends a frame's records, the first `first_tid`'s, to `out`.
+fn frame_records(first_tid: TxId, body: &Words<'_>, out: &mut Vec<ParsedRecord>) -> Option<()> {
+    let mut r = Reader::new(body);
+    let mut tid = first_tid;
+    while r.at < r.end {
+        if r.at > 0 {
+            tid = tid.checked_add(r.varint()?)?.checked_add(1)?;
+        }
+        let len = usize::try_from(r.varint()?).ok()?;
+        let end = r.at.checked_add(len).filter(|&end| end <= r.end)?;
+        let writes = Reader { end, ..r }.lines()?;
+        r.at = end;
+        out.push(ParsedRecord {
+            first_tid: tid,
+            last_tid: tid,
+            writes,
+            words: 0,
+        });
+    }
+    Some(())
 }
 
 /// Open addressing from a list's distinct keys to their entries, which
@@ -810,25 +944,29 @@ mod tests {
         assert_eq!(rec.words, buf.len());
     }
 
+    /// An abort is a commit record with no writes: 2 words.
     #[test]
     fn abort_roundtrip() {
         let mut buf = Vec::new();
-        serialize_abort(7, &mut buf);
+        serialize_frame([&LogRecord::Abort { tid: 7 }], &mut buf);
+        let mut empty = Vec::new();
+        serialize_commit(7, std::iter::empty::<(u64, u64)>(), &mut empty);
+        assert_eq!(buf, empty);
         let rec = parse_record(&buf).unwrap();
         assert_eq!(rec.first_tid, 7);
         assert!(rec.writes.is_empty());
         assert_eq!(rec.words, 2);
     }
 
-    /// The v5 layout, byte for byte: `check:32 | magic:4 | kind:4 | len:24`,
-    /// then the ID word(s), then `len` payload bytes zero-padded to a word,
-    /// no trailer. Every payload is line groups — a mask byte, `Δline` as a
+    /// The record layout of v6 (and v5), byte for byte: `check:32 |
+    /// magic:4 | kind:4 | len:24`, then the ID word(s), then `len` payload
+    /// bytes zero-padded to a word, no trailer. Every payload is line groups — a mask byte, `Δline` as a
     /// zig-zag LEB128 varint (the line minus the previous group's line,
     /// from 0), a 4-bit byte count per value, two to a byte, then each
     /// value's significant bytes, little-endian — and escapes: a zero mask
     /// byte, then the address's and the value's 8 bytes.
     #[test]
-    fn golden_vectors_fix_the_v5_layout() {
+    fn golden_vectors_fix_the_record_layout() {
         let mut buf = Vec::new();
         serialize_commit(42, std::iter::empty::<(u64, u64)>(), &mut buf);
         assert_eq!(buf, [0x29a1_a485_d100_0000, 42]);
@@ -923,8 +1061,6 @@ mod tests {
                 0
             ]
         );
-        serialize_abort(7, &mut buf);
-        assert_eq!(buf, [0x513d_49cc_d200_0000, 7]);
         // A group over one line: 3 words, then 5 payload bytes, the raw
         // and stored payload bytes.
         assert_eq!(
@@ -969,10 +1105,94 @@ mod tests {
         assert_eq!(skip_word(), 0x8e2b_80da_df00_0000);
     }
 
+    fn commit(tid: TxId, writes: &[(u64, u64)]) -> LogRecord {
+        LogRecord::Commit {
+            tid,
+            writes: writes.to_vec(),
+        }
+    }
+
+    /// Frames, byte for byte: the header (kind 5) and the first record's
+    /// TID, then per record its TID step — the TIDs skipped since the
+    /// previous record, a LEB128 varint, not on the first record — and its
+    /// payload's byte length, then its line groups, zero-padded once, at
+    /// the end. A frame of one is the commit record.
+    #[test]
+    fn golden_vectors_fix_the_v6_frame_layout() {
+        let mut buf = Vec::new();
+        // One TATP update: v5's 4 words.
+        let tatp = |tid: u64| commit(tid, &[(64 * (0x12345 + tid) + 24, !tid)]);
+        let one = commit(42, &[(64 * 0x12345 + 24, 0x0123_4567_89ab_cdef)]);
+        serialize_frame([&one], &mut buf);
+        let want = [
+            0x8679_0af9_d100_000d,
+            42,
+            0xabcd_ef08_098d_8a08,
+            0x01_2345_6789,
+        ];
+        assert_eq!(buf, want);
+        // TIDs 5 and 8, one narrow write each: 04 | 02 00 01 01, then step
+        // 02 (6 and 7 skipped), 04 | 04 00 01 02. 11 bytes, 2 + 2 words
+        // where two records take 2 × 3.
+        serialize_frame([&commit(5, &[(8, 1)]), &commit(8, &[(16, 2)])], &mut buf);
+        assert_eq!(
+            buf,
+            [0x0392_868b_d500_000b, 5, 0x0404_0201_0100_0204, 0x02_0100]
+        );
+        // An abort inside a frame is a length 0: 04 02 00 01 01 | 00 00 |
+        // 00 04 04 00 01 02, 13 bytes.
+        let records = [
+            commit(5, &[(8, 1)]),
+            LogRecord::Abort { tid: 6 },
+            commit(7, &[(16, 2)]),
+        ];
+        serialize_frame(&records, &mut buf);
+        assert_eq!(
+            buf,
+            [
+                0x5709_289e_d500_000d,
+                5,
+                0x0000_0001_0100_0204,
+                0x02_0100_0404
+            ]
+        );
+        let mut parsed = Vec::new();
+        assert_eq!(parse_frame(&buf, &mut parsed), Some(4));
+        let tids: Vec<_> = parsed.iter().map(|r| (r.first_tid, r.last_tid)).collect();
+        assert_eq!(tids, [(5, 5), (6, 6), (7, 7)]);
+        assert_eq!(parsed[1].writes, []);
+        assert_eq!(
+            parsed.iter().map(|r| r.words).collect::<Vec<_>>(),
+            [0, 0, 4]
+        );
+        assert!(parse_record(&buf).is_none(), "not a frame of one");
+        // Sixteen TATP updates, 13 payload bytes each: 1 + 13, then 15 ×
+        // (1 + 1 + 13) = 239 bytes, 2 + 30 words where sixteen records take
+        // 16 × 4.
+        let sixteen: Vec<LogRecord> = (1..=16).map(tatp).collect();
+        serialize_frame(&sixteen, &mut buf);
+        assert_eq!((buf.len(), buf[0] & LOW_HALF), (32, 0xd500_00ef));
+        parsed.clear();
+        assert_eq!(parse_frame(&buf, &mut parsed), Some(32));
+        for (rec, want) in parsed.iter().zip(&sixteen) {
+            assert_eq!(
+                (rec.first_tid, &rec.writes[..]),
+                (want.tid(), want.writes())
+            );
+        }
+    }
+
+    /// A frame's TIDs ascend: a step is what lies between two of them.
+    #[test]
+    #[should_panic(expected = "frame TIDs must ascend")]
+    fn a_frame_refuses_a_tid_out_of_order() {
+        serialize_frame([&commit(5, &[]), &commit(5, &[])], &mut Vec::new());
+    }
+
     /// v4's records — a word per line header and per value, `len`
-    /// counting words — are not v5 records at any offset but two: v4's
-    /// empty commit and its abort are v5's, bit for bit (the metadata
-    /// version is what refuses a v4 image).
+    /// counting words — are not v6 records at any offset but one: v4's
+    /// empty commit is v6's, bit for bit (the metadata version is what
+    /// refuses a v4 image).
     #[test]
     fn v4_records_are_not_records() {
         let v4: [&[u64]; 4] = [
@@ -1010,7 +1230,7 @@ mod tests {
 
     /// v3's group records — `n` `(address, value)` pairs with `len = n`,
     /// or LZ over columnar address deltas and values — and its commits are
-    /// not v5 records at any offset.
+    /// not v6 records at any offset.
     #[test]
     fn v3_records_are_not_records() {
         let v3: [&[u64]; 3] = [
@@ -1047,10 +1267,10 @@ mod tests {
     }
 
     /// A v2 commit record — `n` `(address, value)` pairs, `len = n` — is
-    /// not a v5 record at any offset: its length does not span its
-    /// payload, so the check fails. (v2's empty commit, abort and skip
-    /// words are v5's, bit for bit: the metadata version is what refuses
-    /// a v2 image.)
+    /// not a v6 record at any offset: its length does not span its
+    /// payload, so the check fails. (v2's empty commit and skip word are
+    /// v6's, bit for bit: the metadata version is what refuses a v2
+    /// image.)
     #[test]
     fn v2_records_are_not_records() {
         let v2: [&[u64]; 3] = [
@@ -1206,7 +1426,7 @@ mod tests {
     /// Re-seals `record` after an edit, so only the decoder can refuse it.
     fn reseal(record: &mut [u64]) {
         record[0] &= LOW_HALF;
-        seal(record);
+        record[0] |= check(record) << 32;
     }
 
     /// A record whose check holds but whose padding after the payload, or
@@ -1252,10 +1472,11 @@ mod tests {
             x
         };
         let mut parsed = 0;
-        for round in 0..30_000 {
-            let kind = [KIND_COMMIT, KIND_GROUP, KIND_GROUP_LZ][round % 3];
+        let mut out = Vec::new();
+        for round in 0..40_000 {
+            let kind = [KIND_COMMIT, KIND_GROUP, KIND_GROUP_LZ, KIND_FRAME][round % 4];
             let len = (next() % 40) as usize;
-            let mut bytes: Vec<u8> = (0..len)
+            let bytes: Vec<u8> = (0..len)
                 .map(|_| match next() % 8 {
                     0 => 0,
                     1 => 1,
@@ -1266,19 +1487,15 @@ mod tests {
                     _ => next() as u8,
                 })
                 .collect();
-            bytes.resize(len.div_ceil(8) * 8, 0);
-            let mut record = vec![header(kind, len), 1];
-            if kind != KIND_COMMIT {
+            let mut record = vec![0, 1];
+            if kind == KIND_GROUP || kind == KIND_GROUP_LZ {
                 record.push(2);
             }
-            record.extend(
-                bytes
-                    .chunks(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-            );
-            seal(&mut record);
-            if let Some(rec) = parse_record(&record) {
-                assert_eq!(rec.words, record.len());
+            seal(kind, &bytes, &mut record);
+            out.clear();
+            if let Some(words) = parse_frame(&record, &mut out) {
+                assert_eq!(words, record.len());
+                assert_eq!(out.iter().map(|r| r.words).sum::<usize>(), words);
                 parsed += 1;
             }
         }

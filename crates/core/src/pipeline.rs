@@ -10,7 +10,9 @@
 //! combined as it is sealed. With `persist_group = 1` every record is its
 //! own unit — **a commit is a group of one**, combined in place in its
 //! ring — and the redo rings are partitioned across the
-//! `persist_flush_workers` workers. With `persist_group > 1` the workers
+//! `persist_flush_workers` workers; the records a pass takes from one ring
+//! share one log frame (`crate::log::FrameWriter`), published record by
+//! record. With `persist_group > 1` the workers
 //! share one input, the [`Sequencer`]: it merges all rings' records into
 //! dense ID order and cuts groups of consecutive transactions — the
 //! precondition for cross-transaction combination and compression (§3.3,
@@ -60,7 +62,7 @@ use std::time::Duration;
 use crossbeam::channel::TryRecvError;
 use dude_nvm::{Nvm, Region, CACHE_LINE};
 
-use crate::log::{serialize_abort, serialize_commit, Combiner, GroupWriter};
+use crate::log::{Combiner, FrameWriter, GroupWriter};
 use crate::plog::PlogSpan;
 use crate::redo_ring::{RedoCursor, RedoRecord, RedoRing, Unfreed, Writes};
 use crate::runtime::Shared;
@@ -69,7 +71,9 @@ use crate::watermark::park_on;
 
 /// A persisted unit handed from Persist to the Reproduce step, with the log
 /// span to recycle once the covering checkpoint is durable and the ring it
-/// sits in.
+/// sits in. A frame's span rides on its last record's batch; its earlier
+/// records carry empty spans at the frame's start, so the frame is
+/// recycled once the checkpoint covers its last TID.
 #[derive(Debug)]
 pub(crate) struct Batch {
     pub unit: Sealed,
@@ -113,11 +117,7 @@ impl Source {
             let records = shared.groups.lock().next_group(shared)?;
             return Ok(timed(shared, || Sealed::group(records, c)));
         };
-        let RedoRecord {
-            tid,
-            abort,
-            mut span,
-        } = cursor.try_pop()?;
+        let RedoRecord { tid, mut span } = cursor.try_pop()?;
         let entries_before = span.len();
         if entries_before > 1 {
             timed(shared, || span.combine(c));
@@ -127,7 +127,7 @@ impl Source {
             last_tid: tid,
             entries_before,
             entries: span.len(),
-            writes: Writes::Ring { span, abort },
+            writes: Writes::Ring(span),
         })
     }
 }
@@ -281,63 +281,98 @@ pub(crate) fn publish(shared: &Shared, batches: impl IntoIterator<Item = Batch>)
 struct Sweep {
     buf: Vec<u64>,
     combiner: Combiner,
+    frame: FrameWriter,
     groups: GroupWriter,
     staged: Vec<Batch>,
 }
 
 impl Sweep {
-    /// Serializes `unit` and stores it in log ring `ring_idx` — not
-    /// flushed, not fenced: [`Sweep::finish`] does both. A full ring gives
-    /// the unit back ([`Persist::pass`] parks it and keeps serving its other
-    /// rings — blocking there would deadlock the pipeline) having counted
-    /// nothing.
-    fn stage(&mut self, shared: &Shared, ring_idx: usize, unit: Sealed) -> Result<(), Sealed> {
-        let (buf, tid) = (&mut self.buf, unit.first_tid);
-        // (raw, stored) payload bytes — the Figure 3 accounting, groups only.
-        let (mut raw, mut stored) = (0, 0);
-        match &unit.writes {
-            Writes::Group(pairs, _) => {
-                let compress = shared.config.compress_groups;
-                (raw, stored) = self
-                    .groups
-                    .serialize(tid, unit.last_tid, pairs, compress, buf);
+    /// Serializes `units` from the front and stores them in log ring
+    /// `ring_idx` — not flushed, not fenced: [`Sweep::finish`] does both.
+    /// Consecutive records go in as one frame of at most half the ring, and
+    /// a group as a record of its own. A full ring refuses the frame or
+    /// group in front, which stays in `units` with everything behind it
+    /// ([`Persist::pass`] keeps them and serves its other rings — blocking
+    /// there would deadlock the pipeline), having counted nothing. Returns
+    /// whether anything was staged.
+    fn stage(&mut self, shared: &Shared, ring_idx: usize, units: &mut VecDeque<Sealed>) -> bool {
+        let ring = &shared.rings[ring_idx];
+        let mut staged = false;
+        while let Some(unit) = units.front() {
+            // Units in the record, and (raw, stored) payload bytes — the
+            // Figure 3 accounting, groups only.
+            let (n, raw, stored) = match &unit.writes {
+                Writes::Group(pairs, _) => {
+                    let compress = shared.config.compress_groups;
+                    let (raw, stored) = self.groups.serialize(
+                        unit.first_tid,
+                        unit.last_tid,
+                        pairs,
+                        compress,
+                        &mut self.buf,
+                    );
+                    (1, raw, stored)
+                }
+                Writes::Ring(_) => (self.frame_records(units, ring.capacity_words() / 2), 0, 0),
+            };
+            let Some(span) = ring.try_append_unflushed(&self.buf) else {
+                // Persist is blocked on log space Reproduce has not recycled
+                // yet — the stall the bounded NVM log ring exists to make
+                // visible.
+                shared.trace.stall(|s| &s.persist_ring_full);
+                return staged;
+            };
+            staged = true;
+            let stats = &shared.stats;
+            let add = |cell: &AtomicU64, n: usize| {
+                cell.fetch_add(n as u64, Ordering::Relaxed);
+            };
+            add(&stats.log_bytes_flushed, 8 * span.words as usize);
+            if let Writes::Group(..) = unit.writes {
+                add(&stats.group_bytes_raw, raw);
+                add(&stats.group_bytes_stored, stored);
+                add(&stats.groups_persisted, 1);
+                if shared.trace.enabled() {
+                    shared.trace.group_flush_bytes.record(stored as u64);
+                }
+            } else {
+                add(&stats.records_persisted, n);
             }
-            Writes::Ring { abort: true, .. } => serialize_abort(tid, buf),
-            Writes::Ring { span, .. } => serialize_commit(tid, span.pairs(), buf),
-        }
-        let Some(span) = shared.rings[ring_idx].try_append_unflushed(buf) else {
-            // Persist is blocked on log space Reproduce has not recycled yet —
-            // the stall the bounded NVM log ring exists to make visible.
-            shared.trace.stall(|s| &s.persist_ring_full);
-            return Err(unit);
-        };
-        let stats = &shared.stats;
-        let add = |cell: &AtomicU64, n: usize| {
-            cell.fetch_add(n as u64, Ordering::Relaxed);
-        };
-        add(&stats.entries_logged, unit.entries_before);
-        add(&stats.entries_after_combine, unit.entries);
-        add(&stats.log_bytes_flushed, 8 * span.words as usize);
-        if let Writes::Group(..) = unit.writes {
-            add(&stats.group_bytes_raw, raw);
-            add(&stats.group_bytes_stored, stored);
-            add(&stats.groups_persisted, 1);
-            if shared.trace.enabled() {
-                shared.trace.group_flush_bytes.record(stored as u64);
+            for (i, unit) in units.drain(..n).enumerate() {
+                add(&stats.entries_logged, unit.entries_before);
+                add(&stats.entries_after_combine, unit.entries);
+                #[cfg(feature = "sim")]
+                if crate::sabotage::free_ring_when_staged() {
+                    unit.writes.free_now(&shared.redo);
+                }
+                let words = if i + 1 == n { span.words } else { 0 };
+                self.staged.push(Batch {
+                    unit,
+                    ring: ring_idx,
+                    span: PlogSpan { words, ..span },
+                });
             }
-        } else {
-            add(&stats.records_persisted, 1);
         }
-        #[cfg(feature = "sim")]
-        if crate::sabotage::free_ring_when_staged() {
-            unit.writes.free_now(&shared.redo);
+        staged
+    }
+
+    /// Serializes the records in front of `units` as one frame into `buf`:
+    /// as many as come before any group and fit in `max_words`, and at
+    /// least one. Returns how many.
+    fn frame_records(&mut self, units: &VecDeque<Sealed>, max_words: u64) -> usize {
+        self.frame.clear();
+        for unit in units {
+            let Writes::Ring(span) = &unit.writes else {
+                break;
+            };
+            self.frame.push(unit.first_tid, span.pairs());
+            if self.frame.words() as u64 > max_words && self.frame.len() > 1 {
+                self.frame.pop();
+                break;
+            }
         }
-        self.staged.push(Batch {
-            unit,
-            ring: ring_idx,
-            span,
-        });
-        Ok(())
+        self.frame.finish(&mut self.buf);
+        self.frame.len()
     }
 
     /// Makes everything staged durable and publishes it. `worker` names the
@@ -380,12 +415,13 @@ impl Sweep {
 }
 
 /// One Persist input: the log ring its units are staged into, where they
-/// come from, and the unit a full log ring gave back.
+/// come from, and the units drawn but not staged — after a pass, what a
+/// full log ring gave back.
 #[derive(Debug)]
 struct Input {
     ring: usize,
     source: Source,
-    parked: Option<Sealed>,
+    parked: VecDeque<Sealed>,
 }
 
 /// The Persist step over a set of inputs, one [`Persist::pass`] at a time —
@@ -404,7 +440,7 @@ impl Persist {
         let inputs = inputs.into_iter().map(|(ring, source)| Input {
             ring,
             source,
-            parked: None,
+            parked: VecDeque::new(),
         });
         Persist {
             sweep: Sweep::default(),
@@ -412,40 +448,38 @@ impl Persist {
         }
     }
 
-    /// Drains the inputs in any order, stages each unit into its input's
-    /// log ring, and covers the pass with one [`Sweep`]. A unit a full log
-    /// ring gives back is parked, and the pass moves on to the other
-    /// inputs. Returns whether anything was staged.
+    /// Drains the inputs in any order, stages each input's units into its
+    /// log ring — a ring's records as one frame — and covers the pass with
+    /// one [`Sweep`]. Units a full log ring gives back are parked, and the
+    /// pass moves on to the other inputs. Returns whether anything was
+    /// staged.
     fn pass(&mut self, shared: &Shared, worker: Option<usize>) -> bool {
-        let mut progress = false;
+        let (mut progress, sweep) = (false, &mut self.sweep);
         // Bounded drain per pass so one busy thread cannot starve the rest;
-        // a parked unit goes first, keeping the ring's order, and an input
-        // disconnected and drained is dropped.
+        // parked units go first, alone, keeping the ring's order, and an
+        // input disconnected and drained is dropped.
         self.inputs.retain_mut(|input| {
-            for _ in 0..64 {
-                let unit = match input.parked.take() {
-                    Some(unit) => unit,
-                    None => match input.source.next_unit(shared, &mut self.sweep.combiner) {
-                        Ok(unit) => unit,
-                        Err(e) => return e == TryRecvError::Empty,
-                    },
-                };
-                match self.sweep.stage(shared, input.ring, unit) {
-                    Ok(()) => progress = true,
-                    Err(unit) => {
-                        input.parked = Some(unit); // ring full: retry next pass
-                        break;
+            let mut open = true;
+            if input.parked.is_empty() {
+                while input.parked.len() < 64 {
+                    match input.source.next_unit(shared, &mut sweep.combiner) {
+                        Ok(unit) => input.parked.push_back(unit),
+                        Err(e) => {
+                            open = e == TryRecvError::Empty;
+                            break;
+                        }
                     }
                 }
             }
-            true
+            progress |= sweep.stage(shared, input.ring, &mut input.parked);
+            open || !input.parked.is_empty()
         });
         self.sweep.finish(shared, worker);
         progress
     }
 
     fn parked(&self) -> bool {
-        self.inputs.iter().any(|i| i.parked.is_some())
+        self.inputs.iter().any(|i| !i.parked.is_empty())
     }
 
     /// Runs passes until `done`. Every span ahead of a parked unit was
@@ -761,9 +795,14 @@ mod tests {
 
     impl Perform<'_> {
         fn new(shared: &Shared) -> Perform<'_> {
+            Perform::slot(shared, 0)
+        }
+
+        /// Thread slot `i`'s redo ring.
+        fn slot(shared: &Shared, i: usize) -> Perform<'_> {
             Perform(
-                RedoProducer::new(&shared.redo[0]),
-                Source::Ring(RedoCursor::new(0, &shared.redo[0])),
+                RedoProducer::new(&shared.redo[i]),
+                Source::Ring(RedoCursor::new(i, &shared.redo[i])),
                 shared,
             )
         }
@@ -786,7 +825,7 @@ mod tests {
             let popped = records.iter().map(|rec| {
                 self.append(rec);
                 let Source::Ring(cursor) = &mut self.1 else {
-                    unreachable!("slot 0's own ring")
+                    unreachable!("the slot's own ring")
                 };
                 cursor.try_pop().expect("just pushed")
             });
@@ -798,11 +837,27 @@ mod tests {
         writes.pairs().collect()
     }
 
+    /// Stages `units` as one sweep does, returning their batches unflushed
+    /// and unfenced, or the units a full ring gave back.
+    fn stage_all(
+        shared: &Shared,
+        ring_idx: usize,
+        units: impl IntoIterator<Item = Sealed>,
+    ) -> Result<Vec<Batch>, VecDeque<Sealed>> {
+        let (mut sweep, mut units) = (Sweep::default(), units.into_iter().collect());
+        sweep.stage(shared, ring_idx, &mut units);
+        match units.is_empty() {
+            true => Ok(sweep.staged),
+            false => Err(units),
+        }
+    }
+
     /// Stages `unit` alone, returning its batch unflushed and unfenced.
     fn try_stage(shared: &Shared, ring_idx: usize, unit: Sealed) -> Result<Batch, Sealed> {
-        let mut sweep = Sweep::default();
-        sweep.stage(shared, ring_idx, unit)?;
-        Ok(sweep.staged.pop().expect("just staged"))
+        match stage_all(shared, ring_idx, [unit]) {
+            Ok(mut batches) => Ok(batches.pop().expect("just staged")),
+            Err(mut units) => Err(units.pop_front().expect("given back")),
+        }
     }
 
     /// Stages `unit` into ring 1 and checks the ring holds exactly `want`.
@@ -821,7 +876,9 @@ mod tests {
 
     #[test]
     fn try_stage_writes_each_kind_and_counts_every_unit() {
-        let config = DudeTmConfig::small(1 << 16).with_grouping(4, true);
+        let config = DudeTmConfig::small(1 << 16)
+            .with_grouping(4, true)
+            .with_trace(TraceConfig::enabled(64));
         let (shared, layout) = shared(config);
         let mut t = Perform::new(&shared);
         let mut want = Vec::new();
@@ -873,7 +930,9 @@ mod tests {
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(counters(&shared), expect);
 
-        serialize_abort(2, &mut want);
+        // An abort is a commit record with no writes.
+        crate::log::serialize_frame([&LogRecord::Abort { tid: 2 }], &mut want);
+        assert_eq!(want.len(), 2);
         let batch = stage_and_compare(&shared, &layout, t.push(LogRecord::Abort { tid: 2 }), &want);
         assert_eq!((batch.unit.first_tid, batch.unit.last_tid), (2, 2));
         assert_eq!(pairs(&batch.unit.writes), []);
@@ -907,6 +966,61 @@ mod tests {
         expect.groups_persisted += 1;
         expect.log_bytes_flushed += want.len() as u64 * 8;
         assert_eq!(counters(&shared), expect);
+
+        // The records one sweep takes from a ring are one frame, an abort
+        // and a TID gap inside it: one record per batch, the frame's span
+        // on the last one and empty spans at its start before it.
+        let records = [
+            commit(10, &[(8, 0x1234), (8, 0x5678)]),
+            LogRecord::Abort { tid: 11 },
+            commit(13, &[(1 << 20, u64::MAX)]),
+        ];
+        let combined = [
+            commit(10, &[(8, 0x5678)]),
+            records[1].clone(),
+            records[2].clone(),
+        ];
+        crate::log::serialize_frame(&combined, &mut want);
+        assert_eq!(
+            want.len(),
+            2 + 3,
+            "three records where v5 took 3 + 2 + 4 words"
+        );
+        let units: Vec<Sealed> = records.iter().map(|rec| t.push(rec.clone())).collect();
+        let start = shared.rings[1].used_words();
+        let batches = stage_all(&shared, 1, units).expect("ring has space");
+        let mut got = vec![0u64; want.len()];
+        shared
+            .nvm
+            .read_words(layout.plogs[1].start() + start * 8, &mut got);
+        assert_eq!(got, want);
+        let spans: Vec<_> = batches.iter().map(|b| (b.unit.first_tid, b.span)).collect();
+        let span = |words| PlogSpan { start, words };
+        assert_eq!(spans, [(10, span(0)), (11, span(0)), (13, span(5))]);
+        assert_eq!(pairs(&batches[0].unit.writes), [(8, 0x5678)]);
+        expect.commits += 2;
+        expect.abort_markers += 1;
+        expect.records_persisted += 3;
+        expect.entries_logged += 3;
+        expect.entries_after_combine += 2;
+        expect.log_bytes_flushed += want.len() as u64 * 8;
+        assert_eq!(counters(&shared), expect);
+
+        // A frame the ring cannot take gives its units back, in order,
+        // counting one stall and nothing else.
+        let ring = &shared.rings[1];
+        let units: Vec<Sealed> = (14..=16)
+            .map(|tid| t.push(commit(tid, &[(8, tid)])))
+            .collect();
+        while ring.capacity_words() - ring.used_words() > 2 + 2 {
+            ring.try_append_unflushed(&[0]).expect("room for a word");
+        }
+        let before = counters(&shared);
+        let back = stage_all(&shared, 1, units).expect_err("the ring is full");
+        let tids: Vec<u64> = back.iter().map(|u| u.first_tid).collect();
+        assert_eq!(tids, [14, 15, 16]);
+        assert_eq!(counters(&shared), before, "a refused frame counts nothing");
+        assert_eq!(shared.trace.stalls.snapshot().persist_ring_full, 1);
     }
 
     /// A `persist_group = 4` runtime's shared state, and producers for its
@@ -1028,6 +1142,38 @@ mod tests {
         shared.redo.iter().for_each(|r| r.close());
         worker.join().expect("the worker ends once the rings close");
         assert_eq!(durable(), 6, "the close cuts the partial group");
+    }
+
+    /// A frame is recycled only once the checkpoint covers its last record:
+    /// ring 0's frame of TIDs 1 and 3 stays whole while TID 2, thread 1's,
+    /// is missing and the forced checkpoint stops at TID 1.
+    #[test]
+    fn a_frame_is_recycled_once_the_checkpoint_covers_its_last_record() {
+        let config = DudeTmConfig {
+            checkpoint_every: 1000,
+            ..DudeTmConfig::small(1 << 16)
+        };
+        let (shared, _) = shared(config);
+        let reproduced = || shared.reproduced.load(Ordering::SeqCst);
+        let mut t = Perform::new(&shared);
+        let units = [1, 3].map(|tid| t.push(commit(tid, &[(8 * tid, tid)])));
+        let frame = stage_all(&shared, 0, units).expect("ring has space");
+        let words = frame[1].span.words;
+        assert_eq!((frame[0].span.words, words), (0, 2 + 2));
+        shared.nvm.fence();
+        publish(&shared, frame);
+        checkpoint_behind(&shared);
+        assert_eq!((reproduced(), counters(&shared).checkpoints), (1, 1));
+        assert_eq!(shared.rings[0].used_words(), words, "TID 3 is held");
+        let mut other = Perform::slot(&shared, 1);
+        let two = other.push(commit(2, &[(16, 2)]));
+        let two = stage_all(&shared, 1, [two]).expect("ring has space");
+        shared.nvm.fence();
+        publish(&shared, two);
+        checkpoint_behind(&shared);
+        assert_eq!(reproduced(), 3);
+        assert_eq!(shared.rings[0].used_words(), 0, "recycled with TID 3");
+        assert_eq!(shared.rings[1].used_words(), 0);
     }
 
     /// A refused unit counts nothing and waits on a checkpoint the cadence

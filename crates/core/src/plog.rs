@@ -1,19 +1,23 @@
 //! Persistent redo-log rings (Figure 1's "persistent log region").
 //!
 //! Each Perform thread owns one fixed-size ring in NVM. The Persist step
-//! appends checked records, flushes what it appended, and issues **one
-//! persist barrier per sweep** — a fence orders every flush before it, so
-//! one covers however many records (or groups) the sweep staged (§2.2,
-//! §3.3), and a cache line shared by neighbouring records is flushed once.
+//! appends checked records — the commit records a sweep takes from one redo
+//! ring as one frame, and each group as a record of its own — flushes what
+//! it appended, and issues **one persist barrier per sweep**: a fence orders
+//! every flush before it, so one covers however many frames (or groups)
+//! the sweep staged (§2.2, §3.3), and a cache line shared by neighbouring
+//! records is flushed once.
 //! Space is recycled by the Reproduce step only after the covering
 //! checkpoint is durable, so recovery can trust every unreleased record it
 //! finds.
 //!
 //! Recovery does not rely on any volatile cursor: it scans the whole region
 //! probing every word for a record header and validating checks
-//! ([`scan_region`]). Released (stale) records are filtered out by the
-//! reproduced-ID checkpoint, torn records fail their check, and live
-//! records are found wherever the ring wrapped them.
+//! ([`scan_region`]), and expands each frame into its records. Released
+//! (stale) records are filtered out by the reproduced-ID checkpoint, torn
+//! records fail their check — a frame is checked whole, and no fence
+//! covered any record of a torn one — and live records are found wherever
+//! the ring wrapped them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,7 +25,7 @@ use std::sync::Arc;
 use dude_nvm::{Nvm, Region};
 use parking_lot::Mutex;
 
-use crate::log::{is_skip, parse_record, skip_word, ParsedRecord};
+use crate::log::{is_skip, parse_frame, skip_word, ParsedRecord};
 
 /// Location of one appended record, in monotonic ring coordinates
 /// (includes any wrap padding that preceded it).
@@ -197,7 +201,8 @@ impl PlogRing {
     }
 }
 
-/// Scans a log region for checksum-valid records.
+/// Scans a log region for checksum-valid records, one per record of a
+/// frame.
 ///
 /// Probes every word offset for a record header. A false positive needs
 /// the 4-bit magic, a valid kind and the 32-bit check to line up — and
@@ -213,9 +218,7 @@ pub fn scan_region(nvm: &Nvm, region: Region) -> Vec<ParsedRecord> {
         if is_skip(words[off]) {
             continue;
         }
-        if let Some(rec) = parse_record(&words[off..]) {
-            found.push(rec);
-        }
+        parse_frame(&words[off..], &mut found);
     }
     found
 }
@@ -223,8 +226,13 @@ pub fn scan_region(nvm: &Nvm, region: Region) -> Vec<ParsedRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{serialize_abort, serialize_commit};
+    use crate::log::{serialize_commit, serialize_frame, LogRecord};
     use dude_nvm::NvmConfig;
+
+    /// An abort marker's record: a commit with no writes, 2 words.
+    fn abort(tid: u64, buf: &mut Vec<u64>) {
+        serialize_frame([&LogRecord::Abort { tid }], buf);
+    }
 
     fn setup(region_words: u64) -> (Arc<Nvm>, PlogRing, Region) {
         let nvm = Arc::new(Nvm::new(NvmConfig::for_testing(region_words * 8)));
@@ -245,6 +253,46 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].first_tid, 1);
         assert_eq!(recs[0].writes, vec![(8, 42)]);
+    }
+
+    /// A frame scans back as its records, the frame's words on the last;
+    /// torn — its last word never written — it loses them all.
+    #[test]
+    fn a_frame_scans_back_record_by_record_and_tears_whole() {
+        let (nvm, ring, region) = setup(256);
+        let records = [
+            LogRecord::Commit {
+                tid: 3,
+                writes: vec![(8, 0x1234)],
+            },
+            LogRecord::Abort { tid: 4 },
+            LogRecord::Commit {
+                tid: 9,
+                writes: vec![(72, 1 << 40)],
+            },
+        ];
+        let mut buf = Vec::new();
+        serialize_frame(&records, &mut buf);
+        ring.append(&buf);
+        let recs = scan_region(&nvm, region);
+        let got: Vec<_> = recs
+            .iter()
+            .map(|r| (r.first_tid, &r.writes[..], r.words))
+            .collect();
+        let last = buf.len();
+        assert_eq!(
+            got,
+            [
+                (3, &[(8, 0x1234)][..], 0),
+                (4, &[][..], 0),
+                (9, &[(72, 1 << 40)][..], last)
+            ]
+        );
+        let at = region.start() + 64 * 8;
+        nvm.write_words(at, &buf[..last - 1]);
+        nvm.persist(at, 8 * last as u64);
+        nvm.crash();
+        assert_eq!(scan_region(&nvm, region).len(), 3, "only the fenced frame");
     }
 
     #[test]
@@ -306,9 +354,9 @@ mod tests {
     fn out_of_order_release_panics() {
         let (_nvm, ring, _region) = setup(256);
         let mut buf = Vec::new();
-        serialize_abort(1, &mut buf);
+        abort(1, &mut buf);
         let s1 = ring.append(&buf);
-        serialize_abort(2, &mut buf);
+        abort(2, &mut buf);
         let s2 = ring.append(&buf);
         let _ = s1;
         ring.release(s2);
@@ -389,7 +437,7 @@ mod tests {
         let (_nvm, ring, _region) = setup(256);
         assert_eq!(ring.used_words(), 0);
         let mut buf = Vec::new();
-        serialize_abort(1, &mut buf);
+        abort(1, &mut buf);
         let s = ring.append(&buf);
         assert_eq!(ring.used_words(), 2);
         ring.release(s);

@@ -1,7 +1,7 @@
 //! Crash recovery (§3.5).
 //!
-//! Recovery scans the persistent log regions, collects every intact record,
-//! and replays **the one contiguous run of transaction IDs that spans the
+//! Recovery scans the persistent log regions, collects every intact record
+//! (a frame counts as its records, one per transaction ID), and replays **the one contiguous run of transaction IDs that spans the
 //! durable reproduced-ID checkpoint**, in increasing ID order. Records
 //! above the run's end sit beyond an ID gap: the missing transaction's log
 //! never became durable, so they — and everything after them, which could

@@ -1,7 +1,7 @@
 //! The per-thread volatile redo log (§3.2, §3.4): one single-producer,
 //! single-consumer word ring per Perform thread.
 //!
-//! A Perform thread appends each commit as `[tid, kind|len, addr, val, …]`
+//! A Perform thread appends each commit as `[tid, len, addr, val, …]`
 //! ([`RedoProducer::try_push`]) and publishes it with one `Release` store of
 //! its record count: no lock, allocation, condvar or syscall per commit.
 //! Its one consumer — the Persist worker that owns the ring, the grouped
@@ -40,10 +40,8 @@ use crate::watermark::Watermark;
 
 /// Word 0 of a wrap marker: no transaction ID is `u64::MAX`.
 const WRAP: u64 = u64::MAX;
-/// Record kinds, in the high half of word 1 (`kind << 32 | pairs`).
-const KIND_COMMIT: u64 = 1;
-const KIND_ABORT: u64 = 2;
-/// Words in front of a record's write pairs: the TID and `kind|len`.
+/// Words in front of a record's write pairs: the TID and their count. An
+/// abort marker is a record with no pairs: the Persist side logs it as one.
 const HEAD: usize = 2;
 /// Segment size bounds in words; `Async { buffer_txns: n }` sizes its
 /// segments `2n` words between them, so a tiny buffer wraps every few
@@ -232,9 +230,9 @@ impl RedoProducer {
         }
         let seg = self.seg.as_deref().expect("a hop installs a segment");
         let words = &seg.words[self.off..self.off + need];
-        let kind = if abort { KIND_ABORT } else { KIND_COMMIT };
+        debug_assert!(!abort || writes.is_empty(), "an abort marker with writes");
         words[0].store(tid, Ordering::Relaxed);
-        words[1].store(kind << 32 | writes.len() as u64, Ordering::Relaxed);
+        words[1].store(writes.len() as u64, Ordering::Relaxed);
         for (pair, &(addr, val)) in words[HEAD..].chunks_exact(2).zip(writes) {
             pair[0].store(addr, Ordering::Relaxed);
             pair[1].store(val, Ordering::Relaxed);
@@ -340,8 +338,7 @@ impl RedoCursor {
         }
         let seg = self.seg.as_ref().expect("a published record has a segment");
         let tid = seg.words[self.off].load(Ordering::Relaxed);
-        let kind_len = seg.words[self.off + 1].load(Ordering::Relaxed);
-        let len = (kind_len & 0xFFFF_FFFF) as usize;
+        let len = seg.words[self.off + 1].load(Ordering::Relaxed) as usize;
         let span = RedoSpan {
             ring: self.idx,
             seq: self.popped,
@@ -352,11 +349,7 @@ impl RedoCursor {
         };
         self.off += HEAD + 2 * len;
         self.popped += 1;
-        Ok(RedoRecord {
-            tid,
-            abort: kind_len >> 32 == KIND_ABORT,
-            span,
-        })
+        Ok(RedoRecord { tid, span })
     }
 }
 
@@ -365,7 +358,7 @@ impl RedoCursor {
 #[derive(Debug)]
 pub(crate) enum Writes {
     /// One record, in place in its Perform thread's ring.
-    Ring { span: RedoSpan, abort: bool },
+    Ring(RedoSpan),
     /// A group's combined copy, and the records it was combined from.
     Group(Vec<(u64, u64)>, Vec<RedoSpan>),
 }
@@ -374,7 +367,7 @@ impl Writes {
     /// The unit's combined `(address, value)` pairs: distinct addresses.
     pub(crate) fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let (span, copy) = match self {
-            Writes::Ring { span, .. } => (Some(span), &[][..]),
+            Writes::Ring(span) => (Some(span), &[][..]),
             Writes::Group(pairs, _) => (None, &pairs[..]),
         };
         span.into_iter()
@@ -388,7 +381,7 @@ impl Writes {
     #[cfg(feature = "sim")]
     pub(crate) fn free_now(&self, rings: &[Arc<RedoRing>]) {
         let spans = match self {
-            Writes::Ring { span, .. } => std::slice::from_ref(span),
+            Writes::Ring(span) => std::slice::from_ref(span),
             Writes::Group(_, spans) => spans,
         };
         spans.iter().for_each(|s| rings[s.ring].free(s.clone()));
@@ -405,7 +398,7 @@ impl Unfreed {
     /// Holds the records of `writes` until the reproduced ID reaches `last`.
     pub(crate) fn hold(&mut self, last: u64, writes: Writes) {
         match writes {
-            Writes::Ring { span, .. } => self.0.push_back((last, span)),
+            Writes::Ring(span) => self.0.push_back((last, span)),
             Writes::Group(_, spans) => self.0.extend(spans.into_iter().map(|s| (last, s))),
         }
     }
@@ -432,8 +425,6 @@ impl Unfreed {
 #[derive(Debug)]
 pub(crate) struct RedoRecord {
     pub(crate) tid: u64,
-    /// An abort marker: a wasted TID with no writes.
-    pub(crate) abort: bool,
     pub(crate) span: RedoSpan,
 }
 
@@ -499,15 +490,9 @@ mod tests {
     }
 
     impl RedoRecord {
-        fn to_log_record(&self) -> LogRecord {
-            if self.abort {
-                LogRecord::Abort { tid: self.tid }
-            } else {
-                LogRecord::Commit {
-                    tid: self.tid,
-                    writes: self.span.pairs().collect(),
-                }
-            }
+        /// The record's TID and writes (none for an abort marker).
+        fn contents(&self) -> (u64, Vec<(u64, u64)>) {
+            (self.tid, self.span.pairs().collect())
         }
     }
 
@@ -541,7 +526,7 @@ mod tests {
             tid += 1;
             assert!(producer.try_push(tid, false, &writes(tid, n)));
             let rec = pop(&mut cursor);
-            assert_eq!((rec.tid, rec.abort, rec.span.ring), (tid, false, 3));
+            assert_eq!((rec.tid, rec.span.ring), (tid, 3));
             assert_eq!(rec.span.pairs().collect::<Vec<_>>(), writes(tid, n));
             ring.free(rec.span);
         }
@@ -599,9 +584,8 @@ mod tests {
         let (_ring, mut producer, mut cursor) = ring(None);
         assert!(producer.try_push(9, true, &[]));
         let rec = pop(&mut cursor);
-        assert!(rec.abort);
         assert_eq!((rec.tid, rec.span.len()), (9, 0));
-        assert_eq!(rec.to_log_record(), LogRecord::Abort { tid: 9 });
+        assert_eq!(rec.contents(), (9, vec![]));
     }
 
     /// The cap counts records, not words: a ring of two holds two
@@ -682,7 +666,7 @@ mod tests {
             rec.span.pairs().collect::<Vec<_>>(),
             [(8, 3), (16, 2), (24, 4)]
         );
-        assert_eq!(rec.to_log_record().writes(), [(8, 3), (16, 2), (24, 4)]);
+        assert_eq!(rec.contents().1, [(8, 3), (16, 2), (24, 4)]);
     }
 
     /// A producer at the cap parks on the freed count, and the free that
@@ -799,7 +783,7 @@ mod tests {
                     2 => match cursor.try_pop() {
                         Ok(got) => {
                             let want = queued.pop_front().expect("model has a record");
-                            prop_assert_eq!(got.to_log_record(), want.clone());
+                            prop_assert_eq!(got.contents(), (want.tid(), want.writes().to_vec()));
                             held.push_back((want, got.span));
                         }
                         Err(e) => {
@@ -819,7 +803,8 @@ mod tests {
             }
             ring.close();
             for want in queued {
-                prop_assert_eq!(cursor.try_pop().map(|r| r.to_log_record()), Ok(want));
+                let want = (want.tid(), want.writes().to_vec());
+                prop_assert_eq!(cursor.try_pop().map(|r| r.contents()), Ok(want));
             }
             prop_assert_eq!(cursor.try_pop().unwrap_err(), TryRecvError::Disconnected);
         }

@@ -32,7 +32,7 @@ use crate::watermark::Watermark;
 /// Magic number identifying a formatted DudeTM device.
 pub(crate) const META_MAGIC: u64 = 0xD00D_E7A6_0001_CAFE;
 /// On-NVM format version.
-pub(crate) const META_VERSION: u64 = 5;
+pub(crate) const META_VERSION: u64 = 6;
 /// Metadata word indices.
 pub(crate) const META_MAGIC_WORD: u64 = 0;
 pub(crate) const META_VERSION_WORD: u64 = 1;

@@ -81,6 +81,10 @@ fn disabled_metrics_is_behavior_identical_to_enabled() {
     assert!(frames_on > 0, "enabled sampler must have captured frames");
     snap_off.counters.checkpoints = 0;
     snap_on.counters.checkpoints = 0;
+    // A log frame holds the records its sweep found, so the log bytes
+    // depend on scheduling too (log format v6).
+    snap_off.counters.log_bytes_flushed = 0;
+    snap_on.counters.log_bytes_flushed = 0;
     snap_off.stalls = Default::default();
     snap_on.stalls = Default::default();
     assert_eq!(
@@ -127,6 +131,10 @@ fn disabled_metrics_is_behavior_identical_to_enabled_sim() {
     );
     snap_off.counters.checkpoints = 0;
     snap_on.counters.checkpoints = 0;
+    // A log frame holds the records its sweep found, so the log bytes
+    // depend on scheduling too (log format v6).
+    snap_off.counters.log_bytes_flushed = 0;
+    snap_on.counters.log_bytes_flushed = 0;
     snap_off.stalls = Default::default();
     snap_on.stalls = Default::default();
     assert_eq!(

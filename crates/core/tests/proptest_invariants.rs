@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use dude_nvm::{Nvm, NvmConfig, Region};
 use dudetm::log::{
-    combine_sorted, parse_record, serialize_abort, serialize_commit, serialize_group, LogRecord,
+    combine_sorted, parse_frame, parse_record, serialize_commit, serialize_frame, serialize_group,
+    LogRecord,
 };
 use dudetm::{scan_region, DenseReorder};
 
@@ -14,7 +15,7 @@ use dudetm::{scan_region, DenseReorder};
 fn mimic() -> impl Strategy<Value = u64> {
     prop_oneof![
         any::<u64>(),
-        (any::<u32>(), 1u64..5, 0u64..6).prop_map(|(check, kind, len)| {
+        (any::<u32>(), 1u64..6, 0u64..6).prop_map(|(check, kind, len)| {
             u64::from(check) << 32 | 0xD << 28 | kind << 24 | len
         }),
     ]
@@ -61,25 +62,41 @@ type RecordSpec = (u8, u64, u64, Vec<(u64, u64)>);
 
 fn record_spec() -> impl Strategy<Value = RecordSpec> {
     (
-        0u8..4,
+        0u8..5,
         1u64..u64::MAX - 64,
         0u64..50,
         proptest::collection::vec((mimic(), mimic()), 0..8),
     )
 }
 
-/// Serializes `spec` into `buf` and returns what parsing must give back:
-/// `(first TID, last TID, writes)`.
-fn serialize_spec(spec: &RecordSpec, buf: &mut Vec<u64>) -> (u64, u64, Vec<(u64, u64)>) {
+/// What parsing one record gives back: `(first TID, last TID, writes)`.
+type Parsed = (u64, u64, Vec<(u64, u64)>);
+
+/// Serializes `spec` into `buf` and returns what parsing must give back,
+/// per record.
+fn serialize_spec(spec: &RecordSpec, buf: &mut Vec<u64>) -> Vec<Parsed> {
     let (kind, tid, span, writes) = spec;
     match kind {
         0 => {
             serialize_commit(*tid, writes, buf);
-            (*tid, *tid, writes.clone())
+            vec![(*tid, *tid, writes.clone())]
         }
         1 => {
-            serialize_abort(*tid, buf);
-            (*tid, *tid, Vec::new())
+            serialize_frame([&LogRecord::Abort { tid: *tid }], buf);
+            vec![(*tid, *tid, Vec::new())]
+        }
+        // A frame of 2–4 records over the writes, TIDs `span / 3` apart.
+        4 => {
+            let n = 2 + *span as usize % 3;
+            let records: Vec<LogRecord> = (0..n)
+                .map(|i| LogRecord::Commit {
+                    tid: tid + i as u64 * (1 + span / 3),
+                    writes: writes.iter().skip(i).step_by(n).copied().collect(),
+                })
+                .collect();
+            serialize_frame(&records, buf);
+            let each = |r: &LogRecord| (r.tid(), r.tid(), r.writes().to_vec());
+            records.iter().map(each).collect()
         }
         _ => {
             // Kind 3 asks for compression; a hot word repeated makes it pay.
@@ -94,9 +111,18 @@ fn serialize_spec(spec: &RecordSpec, buf: &mut Vec<u64>) -> (u64, u64, Vec<(u64,
                 writes.clone()
             };
             serialize_group(*tid, tid + span, &writes, *kind == 3, buf);
-            (*tid, tid + span, writes)
+            vec![(*tid, tid + span, writes)]
         }
     }
+}
+
+/// One record of a frame: the TIDs skipped before it (mostly none, some a
+/// few, some up to 2^32), and its writes, or an abort marker.
+fn frame_record() -> impl Strategy<Value = (u64, Option<Vec<(u64, u64)>>)> {
+    let step = prop_oneof![Just(0u64), 0u64..5, 0u64..1 << 32];
+    let writes = proptest::collection::vec((mimic(), mimic()), 0..6);
+    (step, any::<u8>(), writes)
+        .prop_map(|(step, coin, writes)| (step, (coin % 10 != 0).then_some(writes)))
 }
 
 proptest! {
@@ -208,6 +234,61 @@ proptest! {
     #[test]
     fn arbitrary_words_never_panic(words in proptest::collection::vec(mimic(), 0..16)) {
         let _ = parse_record(&words);
+        let mut out = Vec::new();
+        if parse_frame(&words, &mut out).is_none() {
+            prop_assert!(out.is_empty(), "a refused frame leaves nothing behind");
+        }
+    }
+
+    /// A frame of 1–64 records, some with TID gaps and some aborts, parses
+    /// back to exactly its records; a frame of one is the commit record,
+    /// and a frame of n never takes more words than the n records alone.
+    /// Every truncation is refused.
+    #[test]
+    fn frame_roundtrip(
+        first in 1u64..1 << 40,
+        specs in proptest::collection::vec(frame_record(), 1..65),
+    ) {
+        let mut tid = first;
+        let records: Vec<LogRecord> = specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (step, writes))| {
+                if i > 0 {
+                    tid += 1 + step;
+                }
+                match writes {
+                    Some(writes) => LogRecord::Commit { tid, writes },
+                    None => LogRecord::Abort { tid },
+                }
+            })
+            .collect();
+        let mut buf = Vec::new();
+        serialize_frame(&records, &mut buf);
+        let mut alone = 0;
+        let mut one = Vec::new();
+        for rec in &records {
+            serialize_commit(rec.tid(), rec.writes(), &mut one);
+            alone += one.len();
+        }
+        prop_assert!(buf.len() <= alone, "{} words for {} alone", buf.len(), alone);
+        if records.len() == 1 {
+            prop_assert_eq!(&buf, &one);
+        }
+        let mut parsed = Vec::new();
+        prop_assert_eq!(parse_frame(&buf, &mut parsed), Some(buf.len()));
+        let got: Vec<_> = parsed.iter().map(|r| (r.first_tid, r.last_tid, &r.writes[..])).collect();
+        let want: Vec<_> = records.iter().map(|r| (r.tid(), r.tid(), r.writes())).collect();
+        prop_assert_eq!(got, want);
+        let words: Vec<usize> = parsed.iter().map(|r| r.words).collect();
+        prop_assert_eq!(words.iter().sum::<usize>(), buf.len());
+        prop_assert_eq!(words.last().copied(), Some(buf.len()));
+        prop_assert_eq!(parse_record(&buf).is_some(), records.len() == 1);
+        for cut in 0..buf.len() {
+            parsed.clear();
+            prop_assert!(parse_frame(&buf[..cut], &mut parsed).is_none(), "cut at {}", cut);
+            prop_assert!(parsed.is_empty());
+        }
     }
 
     /// Single-bit corruption of any serialized record is always detected.
@@ -241,7 +322,7 @@ proptest! {
         let mut want = Vec::new();
         let mut buf = Vec::new();
         for spec in &specs {
-            want.push(serialize_spec(spec, &mut buf));
+            want.extend(serialize_spec(spec, &mut buf));
             image.extend_from_slice(&buf);
         }
         // The torn tail: its first `cut` words landed, every later word

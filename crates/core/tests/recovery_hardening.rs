@@ -242,7 +242,7 @@ fn v1_device_is_a_bad_version() {
 }
 
 /// A v2 image — its commits logged as `(address, value)` pairs — is not
-/// read as v5: recovery refuses it before scanning a log.
+/// read as v6: recovery refuses it before scanning a log.
 #[test]
 fn v2_device_is_a_bad_version() {
     let _watchdog = Watchdog::arm("", HANG);
@@ -251,7 +251,7 @@ fn v2_device_is_a_bad_version() {
 }
 
 /// A v3 image — its line headers absolute lines, its groups pairs — is
-/// not read as v5: recovery refuses it before scanning a log.
+/// not read as v6: recovery refuses it before scanning a log.
 #[test]
 fn v3_device_is_a_bad_version() {
     let _watchdog = Watchdog::arm("", HANG);
@@ -274,7 +274,7 @@ fn v3_device_is_a_bad_version() {
 }
 
 /// A v4 image — a word per line header and per value, `len` counting
-/// words — is not read as v5: recovery refuses it before scanning a log.
+/// words — is not read as v6: recovery refuses it before scanning a log.
 #[test]
 fn v4_device_is_a_bad_version() {
     let _watchdog = Watchdog::arm("", HANG);
@@ -294,6 +294,15 @@ fn v4_device_is_a_bad_version() {
             3,
         ],
     );
+}
+
+/// A v5 image — a record per commit, and a record kind for aborts — is
+/// not read as v6: recovery refuses it before scanning a log.
+#[test]
+fn v5_device_is_a_bad_version() {
+    let _watchdog = Watchdog::arm("", HANG);
+    // v5's abort marker of TID 7.
+    older_version_is_refused(5, &[0x513d_49cc_d200_0000, 7]);
 }
 
 /// A device formatted for one thread, reopened for two: the log layout
@@ -442,7 +451,7 @@ fn abort_marker_bridges_commits_into_one_run() {
     log::serialize_commit(3, [(8, 33)], &mut buf);
     words.extend_from_slice(&buf);
     plant_record(&nvm, &layout, 0, &words);
-    log::serialize_abort(2, &mut buf);
+    log::serialize_frame([&log::LogRecord::Abort { tid: 2 }], &mut buf);
     plant_record(&nvm, &layout, 1, &buf);
 
     let (_, report) = recover_device(&nvm, &config).expect("recover");
@@ -454,6 +463,45 @@ fn abort_marker_bridges_commits_into_one_run() {
     assert_eq!(report.discarded, 0, "tid 3 is reachable through the marker");
     assert_eq!(nvm.read_word(layout.heap.start()), 11);
     assert_eq!(nvm.read_word(layout.heap.start() + 8), 33);
+}
+
+/// A frame's records join the runs one by one: thread 0's frame holds
+/// TIDs 1 and 3, and thread 1's record of TID 2 fills the gap between
+/// them. Without it, TID 3 sits beyond the gap and only TID 1 replays.
+#[test]
+fn a_frame_joins_the_runs_record_by_record() {
+    let _watchdog = Watchdog::arm("", HANG);
+    for bridged in [true, false] {
+        let nvm = test_nvm();
+        let config = tiny_config();
+        let layout = formatted(&nvm, config);
+        let mut buf = Vec::new();
+        let commit = |tid, writes: &[(u64, u64)]| log::LogRecord::Commit {
+            tid,
+            writes: writes.to_vec(),
+        };
+        log::serialize_frame(&[commit(1, &[(0, 11)]), commit(3, &[(8, 33)])], &mut buf);
+        plant_record(&nvm, &layout, 0, &buf);
+        if bridged {
+            log::serialize_commit(2, [(0, 22)], &mut buf);
+            plant_record(&nvm, &layout, 1, &buf);
+        }
+        let (_, report) = recover_device(&nvm, &config).expect("recover");
+        let want = if bridged {
+            (3, 3, 0, 22, 33)
+        } else {
+            (1, 1, 1, 11, 0)
+        };
+        let heap = |off| nvm.read_word(layout.heap.start() + off);
+        let got = (
+            report.last_tid,
+            report.replayed,
+            report.discarded,
+            heap(0),
+            heap(8),
+        );
+        assert_eq!(got, want, "bridged: {bridged}");
+    }
 }
 
 /// The contrast case for the test above: if the abort marker for the

@@ -83,6 +83,10 @@ fn disabled_trace_is_behavior_identical_to_enabled() {
     assert_eq!(heap_off, heap_on, "heap image must not depend on tracing");
     snap_off.counters.checkpoints = 0;
     snap_on.counters.checkpoints = 0;
+    // A log frame holds the records its sweep found, so the log bytes
+    // depend on scheduling too (log format v6).
+    snap_off.counters.log_bytes_flushed = 0;
+    snap_on.counters.log_bytes_flushed = 0;
     snap_on.stalls = Default::default();
     // Histogram counts are what tracing records — the disabled run keeps
     // them empty by contract, so they are not part of the equality.
@@ -129,6 +133,10 @@ fn disabled_trace_is_behavior_identical_to_enabled_sim() {
     // the native test does.
     snap_off.counters.checkpoints = 0;
     snap_on.counters.checkpoints = 0;
+    // A log frame holds the records its sweep found, so the log bytes
+    // depend on scheduling too (log format v6).
+    snap_off.counters.log_bytes_flushed = 0;
+    snap_on.counters.log_bytes_flushed = 0;
     snap_off.stalls = Default::default();
     snap_on.stalls = Default::default();
     snap_off.histograms.clear();

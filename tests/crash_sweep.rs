@@ -44,11 +44,19 @@ fn slot(i: u64) -> PAddr {
 }
 
 /// Word `w` of the cold row, the line after the last account's: the seed
-/// transaction writes `w + 1` to each of its eight words, and no transfer
-/// touches it again, so once the log ring has wrapped past the seed's
-/// record only the heap holds it.
+/// transaction writes `wide(w, w + 1)` to each of its eight words, and no
+/// transfer touches it again, so once the log ring has wrapped past the
+/// seed's record only the heap holds it.
 fn cold(w: u64) -> PAddr {
     PAddr::from_word_index(8 + 8 * ACCOUNTS + w)
+}
+
+/// The word stored for `v` in word `i` of the accounts or the cold row: `v`
+/// (under 256) over an offset of 2–8 significant bytes, by `i`. Every value
+/// logged is then multi-byte, and the records of a frame end at varied
+/// bytes of its payload.
+fn wide(i: u64, v: u64) -> u64 {
+    (0x0101 << (8 * (i % 7))) + v
 }
 
 fn config(mode: DurabilityMode) -> DudeTmConfig {
@@ -136,9 +144,9 @@ fn run_bank(nvm: &Arc<Nvm>, cfg: DudeTmConfig, plan: Option<CrashPlan>, bank: Ba
         let mut t = dude.register_thread();
         t.run(&mut |tx| {
             for i in 0..ACCOUNTS {
-                tx.write_word(slot(i), INITIAL)?;
+                tx.write_word(slot(i), wide(i, INITIAL))?;
             }
-            (0..8).try_for_each(|w| tx.write_word(cold(w), w + 1))
+            (0..8).try_for_each(|w| tx.write_word(cold(w), wide(w, w + 1)))
         })
         .expect_committed();
         let mut x = SEED;
@@ -205,8 +213,10 @@ fn check_recovery(
         l < states.len(),
         "{label}: recovered past the committed sequence ({l})"
     );
+    // The balances, each word's offset taken off once the seed wrote it.
+    let seeded = u64::from(l >= 1);
     let bal: Vec<u64> = (0..ACCOUNTS)
-        .map(|i| nvm.read_word(layout.heap.start() + slot(i).offset()))
+        .map(|i| nvm.read_word(layout.heap.start() + slot(i).offset()) - seeded * wide(i, 0))
         .collect();
     // 2 + 4. Atomicity and prefix semantics: the heap is *exactly* the
     // replay of transactions 1..=last_tid — no torn transaction, nothing
@@ -226,8 +236,7 @@ fn check_recovery(
     let row: Vec<u64> = (0..8)
         .map(|w| nvm.read_word(layout.heap.start() + cold(w).offset()))
         .collect();
-    let seeded = u64::from(l >= 1);
-    let want: Vec<u64> = (1..=8).map(|v| v * seeded).collect();
+    let want: Vec<u64> = (0..8).map(|w| wide(w, w + 1) * seeded).collect();
     assert_eq!(row, want, "{label}: the seed's cold row");
 }
 
@@ -606,8 +615,10 @@ fn sweep_grouped_compressed_background_writes() {
     );
 }
 
-/// A 4 KiB log ring, the smallest, wraps past the seed's record two thirds
-/// into a 250-transfer run (a transfer's record is 3 words), so the later
+/// A 4 KiB log ring, the smallest, wraps past the seed's record about half
+/// way into a 400-transfer run (a transfer's record takes ≈ 20 bytes in a
+/// frame of the log format v6; 250 transfers of 3-word v5 records
+/// wrapped it too, but framed they no longer do), so the later
 /// crash points find only the heap holding the cold row: recovery can no
 /// longer repair a store the Reproduce step left unflushed at its
 /// checkpoint (a line flushed ahead of a later store to it, say), and the
@@ -620,7 +631,7 @@ fn sweep_recycled_log_fences() {
         ..config(ASYNC)
     };
     let bank = Bank {
-        transfers: 250,
+        transfers: 400,
         ..BANK
     };
     // One Perform thread, one log ring: past its capacity, it has wrapped.
@@ -767,8 +778,9 @@ fn swept_crash_recovers_into_working_runtime() {
     assert!(report.scan_ns > 0, "scan phase unmeasured: {report:?}");
     let l = report.last_tid as usize;
     let heap = dude.heap_region();
+    let seeded = u64::from(l >= 1);
     let bal: Vec<u64> = (0..ACCOUNTS)
-        .map(|i| nvm.read_word(heap.start() + slot(i).offset()))
+        .map(|i| nvm.read_word(heap.start() + slot(i).offset()) - seeded * wide(i, 0))
         .collect();
     assert_eq!(bal, states[l]);
     // Prefix semantics also mean the restarted history continues the

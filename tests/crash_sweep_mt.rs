@@ -54,12 +54,21 @@ fn slot(i: u64) -> PAddr {
 }
 
 /// Word `w` of the bank's cold row, the line after the last account's: the
-/// seed transaction writes `w + 1` to each of its eight words and no
-/// transfer touches it again, so once a log ring has wrapped over a record
-/// of the seed's run, recovery skips the seed's record as stale and only
-/// the heap holds the row.
+/// seed transaction writes `wide(w, w + 1)` to each of its eight words and
+/// no transfer touches it again, so once a log ring has wrapped over a
+/// record of the seed's run, recovery skips the seed's record as stale and
+/// only the heap holds the row.
 fn cold(w: u64) -> PAddr {
     PAddr::from_word_index(8 + 8 * ACCOUNTS + w)
+}
+
+/// The word stored for `v` in word `i` of the accounts or the cold row: `v`
+/// (under 256 for a cold word; a balance stays above 0) over an offset of
+/// 2–8 significant bytes, by `i`. Every bank value logged is then
+/// multi-byte, and the records of a frame end at varied bytes of its
+/// payload.
+fn wide(i: u64, v: u64) -> u64 {
+    (0x0101 << (8 * (i % 7))) + v
 }
 
 /// Seeds for the sweep: `DUDE_SWEEP_SEEDS=a,b,c` overrides the default
@@ -166,9 +175,9 @@ fn run_mt(
         let mut t = dude.register_thread();
         t.run(&mut |tx| {
             for i in 0..ACCOUNTS {
-                tx.write_word(slot(i), INITIAL)?;
+                tx.write_word(slot(i), wide(i, INITIAL))?;
             }
-            (0..8).try_for_each(|w| tx.write_word(cold(w), w + 1))
+            (0..8).try_for_each(|w| tx.write_word(cold(w), wide(w, w + 1)))
         })
         .expect_committed();
     }
@@ -197,7 +206,7 @@ fn run_mt(
                             };
                             let out = t.run(&mut |tx| {
                                 let va = tx.read_word(slot(a))?;
-                                if va == 0 {
+                                if va == wide(a, 0) {
                                     return Err(TxAbort::User);
                                 }
                                 tx.write_word(slot(a), va - 1)?;
@@ -281,7 +290,7 @@ fn check_mt_recovery(
         Workload::Bank => {
             if report.last_tid >= 1 {
                 let total: u64 = (0..ACCOUNTS)
-                    .map(|i| nvm.read_word(layout.heap.start() + slot(i).offset()))
+                    .map(|i| nvm.read_word(layout.heap.start() + slot(i).offset()) - wide(i, 0))
                     .sum();
                 assert_eq!(
                     total,
@@ -292,7 +301,7 @@ fn check_mt_recovery(
                 let row: Vec<u64> = (0..8)
                     .map(|w| nvm.read_word(layout.heap.start() + cold(w).offset()))
                     .collect();
-                let want: Vec<u64> = (1..=8).collect();
+                let want: Vec<u64> = (0..8).map(|w| wide(w, w + 1)).collect();
                 assert_eq!(row, want, "{label}: the seed's cold row");
             }
         }

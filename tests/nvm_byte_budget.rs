@@ -3,25 +3,30 @@
 //! (`nvm_bytes_per_tx`), pinned where a regression fails tier-1.
 //!
 //! Every stored word is accounted for: a commit record is `2 + ⌈p/8⌉` log
-//! words for `p` payload bytes (format v5, a commit combined as a group of
+//! words for `p` payload bytes (format v6, a commit combined as a group of
 //! one and grouped by line: a header and a TID, then per line a mask byte,
 //! its `Δline` as a varint — one byte for the lines here — a 4-bit count
-//! per value, two to a byte, and each value's significant bytes), a group
-//! record `3 + ⌈p/8⌉` for the distinct words of its transactions, Reproduce
-//! stores each distinct word once per run — the
-//! TIDs up to the next multiple of `checkpoint_every`, or up to a
-//! `quiesce` that cuts the run short — and each checkpoint is one word.
-//! Nothing else — no scheduling or channel depth — may feed a stored word,
-//! so the totals below are equalities, not bounds.
+//! per value, two to a byte, and each value's significant bytes), a frame
+//! of the `k` records one Persist sweep takes from a ring `2 + ⌈q/8⌉` for
+//! their `q` payload and prefix bytes, a group record `3 + ⌈p/8⌉` for the
+//! distinct words of its transactions, Reproduce stores each distinct word
+//! once per run — the TIDs up to the next multiple of `checkpoint_every`,
+//! or up to a `quiesce` that cuts the run short — and each checkpoint is
+//! one word. How many records a sweep finds is scheduling; so the runtime
+//! tests below commit one transaction per sweep (`Sync`, or an
+//! asynchronous commit that waits to be durable), frames are pinned as the
+//! sweep serializes them, and nothing else may feed a stored word: the
+//! totals are equalities, not bounds.
 //! The runtime is shut down before the device counter is read, so no
 //! checkpoint can land between reading the counter and reading the
 //! checkpoint count.
 
 use std::sync::Arc;
 
-use dude_nvm::{Nvm, NvmConfig, TimingConfig};
+use dude_nvm::{Nvm, NvmConfig, Region, TimingConfig};
 use dude_txapi::{PAddr, TxResult, Txn, TxnSystem, TxnThread};
-use dudetm::{DudeTm, DudeTmConfig, DurabilityMode};
+use dudetm::log::{serialize_frame, LogRecord};
+use dudetm::{DudeTm, DudeTmConfig, DurabilityMode, PlogRing};
 
 const ASYNC: DurabilityMode = DurabilityMode::Async { buffer_txns: 1024 };
 
@@ -41,19 +46,42 @@ fn config(mode: DurabilityMode) -> DudeTmConfig {
 /// clean shutdown, quiescing once after the first `cut` of them if given.
 /// Returns the device words written since `create_stm` returned —
 /// formatting excluded — and the checkpoints among them.
+///
+/// Ungrouped, each asynchronous commit waits until it is durable —
+/// polling, so that no waiter's demand cuts a Reproduce run — and so has a
+/// Persist sweep, and a frame, of its own, as a `Sync` commit does.
 fn words_written(
     cfg: DudeTmConfig,
     txs: u64,
     cut: Option<u64>,
     body: fn(&mut dyn Txn, u64) -> TxResult<()>,
 ) -> (u64, u64) {
+    // Grouped, the grouped input cuts groups of `persist_group` records
+    // whatever the sweeps, and only a waiter would cut a partial one.
+    let (words, stats) = run(cfg, txs, cut, cfg.persist_group == 1, body);
+    (words, stats.checkpoints)
+}
+
+/// [`words_written`], each asynchronous commit waiting to be durable iff
+/// `one_per_sweep`; returns the words and the pipeline's counters.
+fn run(
+    cfg: DudeTmConfig,
+    txs: u64,
+    cut: Option<u64>,
+    one_per_sweep: bool,
+    body: fn(&mut dyn Txn, u64) -> TxResult<()>,
+) -> (u64, dudetm::PipelineStatsSnapshot) {
     let nvm = device();
     let mut dude = DudeTm::create_stm(Arc::clone(&nvm), cfg);
     let before = nvm.stats();
     {
         let mut t = dude.register_thread();
         for i in 0..txs {
-            t.run(&mut |tx| body(tx, i)).expect_committed();
+            let out = t.run(&mut |tx| body(tx, i));
+            let tid = out.info().expect("committed").tid.expect("an update");
+            while one_per_sweep && dude.durable_id() < tid {
+                std::thread::yield_now();
+            }
             if cut == Some(i + 1) {
                 dude.quiesce();
                 assert_eq!(dude.reproduced_id(), i + 1, "the quiesce applies the run");
@@ -65,7 +93,7 @@ fn words_written(
     dude.shutdown();
     let stats = dude.pipeline_stats();
     assert_eq!(stats.commits, txs);
-    (nvm.stats().delta(&before).words_written, stats.checkpoints)
+    (nvm.stats().delta(&before).words_written, stats)
 }
 
 fn device() -> Arc<Nvm> {
@@ -117,7 +145,8 @@ fn a_narrow_one_write_transaction_costs_four_words() {
 }
 
 /// An 8-significant-byte value — the shape of a TATP update — is 1 + 1 +
-/// 1 + 8 = 11 payload bytes: 2 + 2 log words and the heap word, as in v4.
+/// 1 + 8 = 11 payload bytes: 2 + 2 log words and the heap word, as in v4,
+/// when a sweep stages the commit alone — always, under `Sync`.
 #[test]
 fn one_write_transaction_costs_five_words() {
     for mode in [ASYNC, DurabilityMode::Sync] {
@@ -252,6 +281,49 @@ fn a_run_stores_each_distinct_word_and_flushes_each_line_once() {
             "{mode:?}: two distinct lines, the checkpoint's"
         );
     }
+}
+
+/// `k` one-write commits with 8-byte values that one sweep stages are one
+/// frame, as the sweep serializes it: the first record's 11 payload bytes
+/// (and its length byte when `k` > 1), then 13 bytes for each later record
+/// (its TID step, its length, its payload), under one header and TID. With the heap word each, `k` = 1 costs
+/// 4 + 1 words (the commit record), 2 costs 6 + 2, and 16 costs 28 + 16
+/// where sixteen records took 64 + 16.
+#[test]
+fn k_wide_commits_in_one_sweep_are_one_frame() {
+    for (k, log_words) in [(1, 4), (2, 2 + 4), (16, 2 + 26)] {
+        let records: Vec<LogRecord> = (1..=k)
+            .map(|tid| LogRecord::Commit {
+                tid,
+                writes: vec![(8 * (tid % 512), u64::MAX - tid)],
+            })
+            .collect();
+        let mut frame = Vec::new();
+        serialize_frame(&records, &mut frame);
+        let nvm = device();
+        let ring = PlogRing::new(Arc::clone(&nvm), Region::new(0, 1 << 16));
+        let before = nvm.stats();
+        let span = ring.append_unfenced(&frame);
+        assert_eq!(span.words, log_words, "k = {k}");
+        let stored = nvm.stats().delta(&before).words_written;
+        assert_eq!(
+            stored, log_words,
+            "k = {k}: the frame's words, nothing else"
+        );
+    }
+}
+
+/// Free-running, a sweep frames whatever its ring holds: the log never
+/// takes more than a commit record per transaction, nor less than a frame
+/// of 64 does (13 bytes a record), and every word stored is a log word the
+/// pipeline counted, a heap word or a checkpoint.
+#[test]
+fn frames_never_cost_more_than_one_record_per_commit() {
+    let (words, stats) = run(config(ASYNC), 6_400, None, false, one_wide_write);
+    let log_words = stats.log_bytes_flushed / 8;
+    assert_eq!(words, log_words + 6_400 + stats.checkpoints);
+    assert!(log_words <= 6_400 * 4, "{log_words} log words");
+    assert!(log_words >= 6_400 * 13 / 8, "{log_words} log words");
 }
 
 #[test]
